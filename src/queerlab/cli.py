@@ -47,6 +47,16 @@ class RunConfig:
     unsafe: bool = False
 
     def check(self):
+        # input errors, refused with or without --unsafe
+        if self.degree < 0:
+            raise ConfigError("--degree %d is negative" % self.degree)
+        if self.variables < self.degree:
+            raise ConfigError(
+                "--vars %d below --degree %d: the Cauchy truncation needs "
+                "--vars >= --degree" % (self.variables, self.degree)
+            )
+        if self.bound < 0:
+            raise ConfigError("--bound %d is negative" % self.bound)
         if self.unsafe:
             return
         if self.nmax > SAFE_H_RANK:
@@ -89,14 +99,26 @@ def load_qpoly_cache(cache_dir: str) -> int:
 
 
 def write_qpoly_cache(cache_dir: str):
-    """Persist every memoized Q-polynomial, versioned header first."""
+    """Persist every memoized Q-polynomial, versioned header first.
+
+    The file is written under a temporary name in the cache directory and
+    renamed over `qpoly.cache`, so an interrupted run leaves either the old
+    file or the new one, never a truncated one.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, "qpoly.cache")
     keys = sorted(symfunc._QPOLY_CACHE, key=lambda k: (k[0].size, k[0].parts, k[1]))
-    with open(path, "w") as fh:
-        fh.write(CACHE_HEADER + "\n")
-        for lam, N in keys:
-            fh.write(symfunc.qpoly_cache_line(lam, N) + "\n")
+    tmp = "%s.%d.tmp" % (path, os.getpid())  # one writer per process
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(CACHE_HEADER + "\n")
+            for lam, N in keys:
+                fh.write(symfunc.qpoly_cache_line(lam, N) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -366,6 +388,13 @@ def cmd_verify(cfg: RunConfig, target: str) -> int:
     raise ConfigError("unknown verify target %r" % target)
 
 
+def _parse_lambda(text: str | None) -> StrictPartition:
+    try:
+        return StrictPartition.parse(text or "")
+    except ValueError as exc:
+        raise ConfigError("--lambda %r is not a strict partition: %s" % (text, exc))
+
+
 def cmd_dump(cfg: RunConfig, table: str, lam_txt: str | None) -> int:
     if table == "isotypic":
         from .heckeclifford import decompose_regular
@@ -381,7 +410,7 @@ def cmd_dump(cfg: RunConfig, table: str, lam_txt: str | None) -> int:
         return 0
 
     if table == "q-expansion":
-        lam = StrictPartition.parse(lam_txt or "")
+        lam = _parse_lambda(lam_txt)
         terms = symfunc.q_expansion(lam)
         bits = []
         for key, c in sorted(terms, key=lambda t: (-len(t[0]), t[0])):
@@ -400,7 +429,7 @@ def cmd_dump(cfg: RunConfig, table: str, lam_txt: str | None) -> int:
     if table == "dims":
         from .queer import dim_T
 
-        lam = StrictPartition.parse(lam_txt or "")
+        lam = _parse_lambda(lam_txt)
         val = dim_T(lam, cfg.n, seed=cfg.seed)
         payload = {
             "target": "dims",

@@ -79,6 +79,15 @@ def enumerate_strict(n: int) -> tuple[StrictPartition, ...]:
     return tuple(StrictPartition(p) for p in rec(n, n))
 
 
+def l_max(d: int) -> int:
+    """The largest length of a strict partition of size at most d: the
+    largest l with l(l+1)/2 <= d."""
+    l = 0
+    while (l + 1) * (l + 2) // 2 <= d:
+        l += 1
+    return l
+
+
 def all_strict_upto(n: int) -> list[StrictPartition]:
     """All strict partitions of size 0..n, grouped by size, lex descending."""
     out = []

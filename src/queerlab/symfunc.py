@@ -3,7 +3,11 @@
 Q_lambda is built from the generators q_r by the two-row recursion and
 first-row Pfaffian expansion; an independent marked-shifted-tableau
 enumeration serves as the oracle. Products are expanded back into the
-Q-basis by triangular elimination against lex-leading monomials.
+Q-basis by triangular elimination against lex-leading monomials. A product
+of degree d is expanded in l_max(d) variables: Q_nu vanishes in N variables
+when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly independent
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., III.8), so
+l_max(d) variables see every Q_nu of degree d and nothing else.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import (
-    EMPTY,
     StrictPartition,
     add_box_candidates,
     delta,
     enumerate_strict,
+    l_max,
 )
 from .scalars import half_power_of_two
 
@@ -380,10 +384,10 @@ def expand_in_Q(f: NVarPoly, d: int | None = None) -> GammaElement:
             mu = StrictPartition(tuple(expo))
         except ValueError:
             raise NotInGammaSpan("leading monomial %r is not a strict partition" % (k,))
-        if mu.size > N:
+        if mu.length > N:
             raise NotInGammaSpan(
-                "degree %d exceeds variable count %d; expansion unfaithful"
-                % (mu.size, N)
+                "length %d exceeds variable count %d; expansion unfaithful"
+                % (mu.length, N)
             )
         c = residual[k] / (Fraction(2) ** mu.length)
         found[mu] = found.get(mu, 0) + c
@@ -397,14 +401,15 @@ def expand_in_Q(f: NVarPoly, d: int | None = None) -> GammaElement:
 
 
 def gamma_product(f: GammaElement, g: GammaElement) -> GammaElement:
-    """Product in Gamma, expanded back into the Q-basis."""
+    """Product in Gamma, expanded back into the Q-basis.
+
+    Each Q_lambda Q_mu is expanded in l_max(|lambda| + |mu|) variables, the
+    fewest in which every Q_nu of that degree survives.
+    """
     out = GammaElement()
     for lam, c1 in f.terms.items():
         for mu, c2 in g.terms.items():
-            N = lam.size + mu.size
-            if N == 0:
-                out = out + GammaElement({EMPTY: c1 * c2})
-                continue
+            N = l_max(lam.size + mu.size)
             prod = Q_poly(lam, N) * Q_poly(mu, N)
             out = out + expand_in_Q(prod).scale(c1 * c2)
     return out
@@ -475,14 +480,6 @@ def _pack_monomial(xexp, yexp, N):
     return key
 
 
-def _poly_to_packed_x(p: NVarPoly, N: int) -> dict:
-    return {_pack_monomial(k, (0,) * N, N): c for k, c in p.terms.items()}
-
-
-def _poly_to_packed_y(p: NVarPoly, N: int) -> dict:
-    return {_pack_monomial((0,) * N, k, N): c for k, c in p.terms.items()}
-
-
 def cauchy_kernel_truncated(d: int, N: int) -> dict:
     """prod_{i,j<=N} (1+x_i y_j)/(1-x_i y_j) through x-degree d, packed keys."""
     degshift = _pack_shift(N)
@@ -501,15 +498,32 @@ def cauchy_kernel_truncated(d: int, N: int) -> dict:
     return poly
 
 
+def _exact_quotient(c, den: int):
+    """c / den as an int when the division is exact, else as a Fraction.
+
+    Q_lambda has integer coefficients divisible by 2^{l(lambda)}, so a
+    Fraction appears only for a corrupted Q_lambda; it can never equal an
+    int kernel coefficient, and so shows as a mismatch.
+    """
+    num, rem = divmod(c.numerator, c.denominator * den)
+    return Fraction(c) / den if rem else num
+
+
 def cauchy_rhs_truncated(d: int, N: int) -> dict:
-    """sum over strict |lambda| <= d of Q_lambda(x) P_lambda(y), packed keys."""
+    """sum over strict |lambda| <= d of Q_lambda(x) P_lambda(y), packed keys.
+
+    Runs on ints: P_lambda = Q_lambda / 2^{l(lambda)} is taken as the exact
+    integer quotient.
+    """
     out = {}
+    zeros = (0,) * N
     for size in range(0, d + 1):
         for lam in enumerate_strict(size):
-            qx = _poly_to_packed_x(Q_poly(lam, N), N)
-            py = _poly_to_packed_y(
-                Q_poly(lam, N).scale(Fraction(1, 2**lam.length)), N
-            )
+            den = 1 << lam.length
+            qx, py = {}, {}
+            for k, c in Q_poly(lam, N).terms.items():
+                qx[_pack_monomial(k, zeros, N)] = _exact_quotient(c, 1)
+                py[_pack_monomial(zeros, k, N)] = _exact_quotient(c, den)
             for k1, c1 in qx.items():
                 for k2, c2 in py.items():
                     k = k1 + k2
@@ -543,14 +557,14 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
         raise ValueError("need N >= d for a faithful truncation")
     kernel = cauchy_kernel_truncated(d, N)
     rhs = cauchy_rhs_truncated(d, N)
+    if kernel == rhs:
+        return CauchyReport(True, d, N)
     degshift = _pack_shift(N)
     bad = []
     for key in set(kernel) | set(rhs):
-        if Fraction(kernel.get(key, 0)) != rhs.get(key, Fraction(0)):
+        if kernel.get(key, 0) != rhs.get(key, 0):
             deg = key >> degshift
             bad.append((deg, key))
-    if not bad:
-        return CauchyReport(True, d, N)
     deg = min(bad)[0]
     return CauchyReport(False, d, N, first_failure=(deg, deg))
 
@@ -580,5 +594,6 @@ def parse_qpoly_cache_line(line: str):
     for item in body.split():
         expo, _, frac = item.partition("=")
         num, _, den = frac.partition("/")
-        terms[tuple(int(t) for t in expo.split(","))] = Fraction(int(num), int(den))
+        # in 0 variables the exponent list is empty
+        terms[tuple(int(t) for t in expo.split(",") if t)] = Fraction(int(num), int(den))
     return lam, N, NVarPoly(N, terms)

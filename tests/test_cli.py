@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from queerlab import cli
 from queerlab.cli import main
 
@@ -89,6 +91,23 @@ def test_safe_bounds_guard(capsys):
     assert "safe" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "cauchy", "--degree", "-1", "--vars", "3"], "--degree"),
+        (["verify", "cauchy", "--vars", "2", "--degree", "4"], "--vars"),
+        (["pieri", "--bound", "-1"], "--bound"),
+        (["dump", "q-expansion", "--lambda", "1,2"], "--lambda"),
+    ],
+)
+def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
+    # an input error is neither a theorem failure (1) nor a vacuous pass (0)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
 def test_exit_code_one_on_mismatch(monkeypatch, capsys):
     # force a theorem-mismatch path without corrupting real math
     from queerlab import symfunc
@@ -116,6 +135,28 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert any(line.startswith("Q ") for line in text[1:])
     loaded = cli.load_qpoly_cache(str(cache))
     assert loaded > 0
+
+
+def test_interrupted_cache_write_keeps_old_file(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    assert main(["pieri", "--bound", "2", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    path = cache / "qpoly.cache"
+    before = path.read_text()
+    real = cli.symfunc.qpoly_cache_line
+    calls = []
+
+    def failing_line(lam, N):
+        calls.append(lam)
+        if len(calls) > 2:
+            raise OSError("disk full")
+        return real(lam, N)
+
+    monkeypatch.setattr(cli.symfunc, "qpoly_cache_line", failing_line)
+    with pytest.raises(OSError):
+        cli.write_qpoly_cache(str(cache))
+    assert path.read_text() == before
+    assert os.listdir(cache) == ["qpoly.cache"]
 
 
 def test_stale_cache_ignored(tmp_path):

@@ -11,6 +11,7 @@ from queerlab.partitions import (
     delta,
     enumerate_strict,
     ideal_member,
+    l_max,
     remove_box_candidates,
     staircase,
 )
@@ -51,6 +52,13 @@ def test_staircase():
     assert staircase(0).parts == (1,)
     assert staircase(1).parts == (2, 1)
     assert staircase(2).parts == (3, 2, 1)
+
+
+def test_l_max_is_longest_strict_length():
+    assert [l_max(d) for d in range(0, 11)] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
+    for d in range(0, 13):
+        longest = max(p.length for k in range(d + 1) for p in enumerate_strict(k))
+        assert l_max(d) == longest
 
 
 def test_partial_order_axioms_up_to_8():

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from queerlab import symfunc
 from queerlab.partitions import EMPTY, StrictPartition, enumerate_strict
 from queerlab.symfunc import (
     GammaElement,
@@ -79,6 +82,13 @@ def test_expand_in_Q_roundtrip_and_error():
         expand_in_Q(NVarPoly(2, {(1, 1): Fraction(1)}))  # e_2 is not in Gamma
 
 
+def test_expand_in_Q_refuses_part_longer_than_N():
+    # Q_(3,2,1) vanishes in 2 variables, so a leading x^(3,2,1) cannot be
+    # eliminated against it
+    with pytest.raises(NotInGammaSpan, match="length 3"):
+        expand_in_Q(NVarPoly(2, {(3, 2, 1): Fraction(8)}))
+
+
 def test_gamma_product_examples():
     one = GammaElement.basis(sp(1))
     assert gamma_product(one, one).terms == {sp(2): Fraction(2)}
@@ -88,6 +98,27 @@ def test_gamma_product_examples():
     }
     f = GammaElement({sp(2): Fraction(5, 3), sp(1): 1})
     assert gamma_product(GammaElement.basis(EMPTY), f).terms == f.terms
+
+
+_SMALL_PAIRS = [
+    (lam, mu)
+    for a in range(0, 7)
+    for b in range(0, 7 - a)
+    for lam in enumerate_strict(a)
+    for mu in enumerate_strict(b)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_PAIRS))
+def test_gamma_product_matches_wide_oracle(pair):
+    # oracle: the product expanded in |lambda| + |mu| variables, where every
+    # monomial of the degree has room
+    lam, mu = pair
+    n = lam.size + mu.size
+    want = expand_in_Q(Q_poly(lam, n) * Q_poly(mu, n))
+    got = gamma_product(GammaElement.basis(lam), GammaElement.basis(mu))
+    assert got.terms == want.terms
 
 
 def test_gamma_ring_axioms_random():
@@ -193,7 +224,27 @@ def test_cauchy_degree1_identity():
 
     kern = cauchy_kernel_truncated(1, 2)
     rhs = cauchy_rhs_truncated(1, 2)
-    assert {k: Fraction(v) for k, v in kern.items()} == rhs
+    assert kern == rhs
+    assert all(type(c) is int for c in rhs.values())
+
+
+@pytest.mark.parametrize(
+    "flip",
+    [
+        lambda c: c + 1,  # odd: P_(2,1) = Q_(2,1) / 4 leaves a remainder
+        lambda c: -c,  # divisible by 4, but the wrong value
+    ],
+)
+def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
+    lam = sp(2, 1)
+    good = Q_poly(lam, 3)
+    key = max(good.terms)
+    bad = NVarPoly(3, dict(good.terms))
+    bad.terms[key] = flip(bad.terms[key])
+    monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
+    rep = cauchy_check(3, 3)
+    assert not rep.ok
+    assert rep.first_failure == (3, 3)
 
 
 def test_cache_line_roundtrip():
@@ -205,3 +256,6 @@ def test_cache_line_roundtrip():
     line_empty = qpoly_cache_line(EMPTY, 2)
     lam3, N3, poly3 = parse_qpoly_cache_line(line_empty)
     assert lam3 == EMPTY and poly3 == Q_poly(EMPTY, 2)
+    # Q_() * Q_() is expanded in l_max(0) = 0 variables
+    lam4, N4, poly4 = parse_qpoly_cache_line(qpoly_cache_line(EMPTY, 0))
+    assert (lam4, N4) == (EMPTY, 0) and poly4 == Q_poly(EMPTY, 0)
