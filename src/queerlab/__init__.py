@@ -32,7 +32,6 @@ from .heckeclifford import (
     IsotypicTable,
     braid,
     decompose_regular,
-    hc_mult,
     iota,
     sigma_step,
     transpose,

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +64,13 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     assert code == 0 and payload["status"] is True
 
 
+def test_verify_hecke_ideals_nmax5(capsys):
+    code = main(["verify", "hecke-ideals", "--nmax", "5", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] is True
+    assert len(payload["cases"]) == 28
+
+
 def test_dump_isotypic(capsys):
     code = main(["dump", "isotypic", "--n", "2", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -98,6 +107,10 @@ def test_safe_bounds_guard(capsys):
         (["verify", "cauchy", "--vars", "2", "--degree", "4"], "--vars"),
         (["pieri", "--bound", "-1"], "--bound"),
         (["dump", "q-expansion", "--lambda", "1,2"], "--lambda"),
+        (["verify", "phi-psi", "--n", "0"], "--n"),
+        (["verify", "main-theorem", "--n", "-1"], "--n"),
+        (["verify", "main-theorem", "--m", "0"], "--m"),
+        (["verify", "hecke-ideals", "--nmax", "-1"], "--nmax"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
@@ -106,6 +119,17 @@ def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and flag in captured.err
+
+
+def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
+    # a run that checks nothing must not report success
+    from queerlab import heckeclifford
+
+    monkeypatch.setattr(heckeclifford, "verify_tensor_ideal_theorem", lambda n, seed: [])
+    code = main(["verify", "hecke-ideals", "--nmax", "1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cases"] == [] and payload["status"] is False
+    assert code == 1
 
 
 def test_exit_code_one_on_mismatch(monkeypatch, capsys):
@@ -130,9 +154,9 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     path = cache / "qpoly.cache"
-    text = path.read_text().splitlines()
-    assert text[0] == cli.CACHE_HEADER
-    assert any(line.startswith("Q ") for line in text[1:])
+    header, body = path.read_text().split("\n", 1)
+    assert header == "%s sha256=%s" % (cli.CACHE_HEADER, cli._digest(body))
+    assert any(line.startswith("Q ") for line in body.splitlines())
     loaded = cli.load_qpoly_cache(str(cache))
     assert loaded > 0
 
@@ -164,6 +188,70 @@ def test_stale_cache_ignored(tmp_path):
     os.makedirs(cache)
     (cache / "qpoly.cache").write_text("queerlab-cache v0\nQ 1 2 : 1,0=2/1 0,1=2/1\n")
     assert cli.load_qpoly_cache(str(cache)) == 0
+
+
+def test_unchanged_cache_is_not_rewritten(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    argv = ["pieri", "--bound", "2", "--cache-dir", str(cache)]
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    assert main(argv) == 0
+    # a second run, as a fresh process, finds every entry it needs on disk
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+
+    def no_write(cache_dir):
+        raise AssertionError("cache rewritten with nothing new")
+
+    monkeypatch.setattr(cli, "write_qpoly_cache", no_write)
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def _corrupt_flip(text):
+    # one coefficient of the Q_{(2,1)} line in 3 variables, 4 -> 5
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("Q 2,1 3 :"))
+    assert "=4/1" in lines[i]
+    lines[i] = lines[i].replace("=4/1", "=5/1", 1)
+    return "".join(lines)
+
+
+def _corrupt_truncate(text):
+    return text[:300]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_flip, _corrupt_truncate])
+def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
+    argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--format", "json"]
+    cache = tmp_path / "cache"
+    # each run starts as a fresh process would, with nothing memoized
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    assert main(argv + ["--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    path = cache / "qpoly.cache"
+    good = path.read_text()
+    path.write_text(corrupt(good))
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    code = main(argv + ["--cache-dir", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["status"] is True
+    assert "warning: ignoring corrupt cache" in captured.err
+    assert path.read_text() == good
+    assert cli.load_qpoly_cache(str(cache)) > 0
+
+
+def test_no_sympy_import():
+    # the center splitting finds its roots without sympy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; from queerlab.cli import main; "
+        "assert main(['verify', 'hecke-ideals', '--nmax', '3']) == 0; "
+        "print('sympy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_determinism_same_seed(tmp_path, capsys):

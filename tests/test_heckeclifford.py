@@ -1,21 +1,31 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from queerlab.heckeclifford import (
     HCElement,
+    _center_basis,
+    _rational_roots,
+    _trace_rank,
     all_words,
     braid,
     braid_conjugation_cases,
     decompose_regular,
+    embed_left,
+    embed_right,
     generators,
     iota,
+    product_coefficient,
     sigma_step,
     transpose,
     two_sided_closure,
     verify_tensor_ideal_theorem,
+    word_mult,
 )
+from queerlab.linalg import Echelon, kernel_basis, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
@@ -25,6 +35,13 @@ rng = random.Random(3)
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def block_echelon(n: int, lam: StrictPartition) -> Echelon:
+    """J^lambda = e_lambda H_n at seed 0, by echelon: the oracle for the traces."""
+    e = decompose_regular(n).blocks[lam].idempotent
+    return span((e * HCElement(n, {w: ONE})).terms for w in all_words(n))
 
 
 def test_defining_relations():
@@ -148,13 +165,12 @@ def test_two_sided_closure_trivial():
 
 
 def test_closure_regenerates_simple_bimodule():
-    table = decompose_regular(3)
-    block = table.blocks[sp(2, 1)]
+    basis = block_echelon(3, sp(2, 1))
     # any nonzero element of J^{(2,1)} generates the whole 16-dim ideal
-    vec = next(iter(block.basis.rows.values()))
+    vec = next(iter(basis.rows.values()))
     regen = two_sided_closure(3, [HCElement(3, vec)])
     assert regen.rank == 16
-    assert regen.contains_space(block.basis)
+    assert regen.contains_space(basis)
 
 
 def test_decompose_regular_n1():
@@ -192,13 +208,10 @@ def test_table_json():
 
 
 def test_sigma_step_examples():
-    tables = {n: decompose_regular(n) for n in (2, 3)}
     # Sigma(J^{(2)}) fills H_3
-    out = sigma_step(2, tables[2].blocks[sp(2)].basis)
+    out = sigma_step(2, block_echelon(2, sp(2)))
     assert out.rank == 48
     # Sigma of zero is zero
-    from queerlab.linalg import Echelon
-
     assert sigma_step(2, Echelon()).rank == 0
 
 
@@ -209,12 +222,10 @@ def test_sigma_support_matches_induction_by_one_box():
     for n in (1, 2, 3):
         table = decompose_regular(n)
         target = decompose_regular(n + 1)
-        for lam, blk in table.blocks.items():
-            out = sigma_step(n, blk.basis)
+        for lam in table.blocks:
+            out = sigma_step(n, block_echelon(n, lam))
             observed = {
-                mu
-                for mu, tblk in target.blocks.items()
-                if out.contains_space(tblk.basis)
+                mu for mu in target.blocks if out.contains_space(block_echelon(n + 1, mu))
             }
             assert observed == set(induct_mult(one, lam)), lam
 
@@ -230,6 +241,136 @@ def test_verify_tensor_ideal_theorem_n3():
         }
 
 
+def test_decompose_regular_n5():
+    table = decompose_regular(5, bound=5)
+    assert {b.label: (b.dim_J, b.dim_S, b.type) for b in table.blocks.values()} == {
+        sp(5): (512, 32, "Q"),
+        sp(4, 1): (2304, 48, "M"),
+        sp(3, 2): (1024, 32, "M"),
+    }
+
+
+def center_basis_by_kernel(n, parity):
+    """The constraints z g - g z = 0 over the generators, solved by echelon."""
+    words = [w for w in all_words(n) if w[0].bit_count() % 2 == parity]
+    rows = []
+    for g in generators(n):
+        gword = next(iter(g.terms))
+        constraints = {}
+        for w in words:
+            lhs, s1 = word_mult(w, gword)
+            rhs, s2 = word_mult(gword, w)
+            row = constraints.setdefault(lhs, {})
+            row[w] = row.get(w, Cyclo8Scalar()) + s1
+            row = constraints.setdefault(rhs, {})
+            row[w] = row.get(w, Cyclo8Scalar()) - s2
+        rows += [{w: c for w, c in row.items() if not c.is_zero()} for row in constraints.values()]
+    return [HCElement(n, vec) for vec in kernel_basis(rows, words)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_center_basis_matches_kernel(n, parity):
+    # the orbit construction returns the very basis the echelon kernel does,
+    # so the seeded splitting draws the same random central elements
+    assert _center_basis(n, parity) == center_basis_by_kernel(n, parity)
+
+
 def test_rank_bound_guard():
     with pytest.raises(ValueError):
         decompose_regular(5)
+
+
+def test_product_coefficient_matches_product():
+    words = all_words(3)
+    unit = (0, (0, 1, 2))
+    for _ in range(40):
+        x = HCElement(3, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-2, 2)) for _ in range(6)})
+        y = HCElement(3, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-2, 2)) for _ in range(6)})
+        xy = x * y
+        assert product_coefficient(x, y) == xy.terms.get(unit, Cyclo8Scalar())
+        for w in rng.sample(words, 6) + list(xy.terms)[:3]:
+            assert product_coefficient(x, y, w) == xy.terms.get(w, Cyclo8Scalar())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_central_idempotents(n):
+    # the idempotents built in center coordinates, checked by full products
+    es = [b.idempotent for b in decompose_regular(n).blocks.values()]
+    total = HCElement(n)
+    for e in es:
+        total = total + e
+        assert e * e == e
+        for g in generators(n):
+            assert e * g == g * e
+        for f in es:
+            assert f is e or (e * f).is_zero()
+    assert total == HCElement.unit(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_ranks_match_echelon_ranks(n):
+    # dim_J and the restriction ranks used for labelling, read off the
+    # regular trace, equal the ranks of span(e w) and span(f_emb row)
+    table = decompose_regular(n)
+    prev = decompose_regular(n - 1)
+    for lam, block in table.blocks.items():
+        ech = block_echelon(n, lam)
+        assert block.dim_J == ech.rank
+        for nu, pb in prev.blocks.items():
+            f_emb = embed_left(pb.idempotent, n - 1, 1)
+            sub = span((f_emb * HCElement(n, row)).terms for row in ech.rows.values())
+            assert _trace_rank(f_emb, block.idempotent) == sub.rank
+
+
+def test_semisimple_sigma_support_matches_closure():
+    # the support read off the ranks of e_mu * x, x = iota(1 (x) e_lambda),
+    # equals the mu with e_mu * x != 0 (parts that add up to x) and the
+    # support of the iterated two-sided closure, whose rank is the sum of
+    # the block dims
+    n_max = 4
+    cases = {(c.lam, c.m): c for c in verify_tensor_ideal_theorem(n_max)}
+    assert len(cases) == 18
+    for n0 in range(n_max + 1):
+        for lam in enumerate_strict(n0):
+            current = block_echelon(n0, lam)
+            for m in range(n_max - n0 + 1):
+                if m > 0:
+                    current = sigma_step(n0 + m - 1, current)
+                rank = n0 + m
+                support = {
+                    mu
+                    for mu in decompose_regular(rank).blocks
+                    if current.contains_space(block_echelon(rank, mu))
+                }
+                case = cases[(lam, m)]
+                assert set(case.observed) == support, (lam, m)
+                x = embed_right(decompose_regular(n0).blocks[lam].idempotent, m, n0)
+                parts = {
+                    mu: blk.idempotent * x for mu, blk in decompose_regular(rank).blocks.items()
+                }
+                assert {mu for mu, p in parts.items() if not p.is_zero()} == support
+                total = HCElement(rank)
+                for p in parts.values():
+                    total = total + p
+                assert total == x
+                assert current.rank == sum(
+                    decompose_regular(rank).blocks[mu].dim_J for mu in support
+                )
+                assert case.passed
+
+
+@pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        ([4, 0, -3, 1], [-1, 2, 2]),  # (t - 2)^2 (t + 1): a repeated root
+        ([0, 0, -3, 1], [0, 0, 3]),  # t^2 (t - 3): a zero root
+        ([Fraction(-1, 3), Fraction(1, 6), 1], [Fraction(-2, 3), Fraction(1, 2)]),
+        ([31104, -2232, 2, 1], [-54, 16, 36]),  # met while splitting the center of H_5
+        ([-2, 0, 1], None),  # t^2 - 2 is irreducible over Q
+        ([-1, 1, -1, 1], None),  # (t - 1)(t^2 + 1)
+    ],
+)
+def test_rational_roots(coeffs, roots):
+    got = _rational_roots([Fraction(c) for c in coeffs])
+    assert (got if got is None else sorted(got)) == roots
