@@ -41,7 +41,6 @@ from .heckeclifford import (
 from .queer import QnElement, act_on_U, act_on_V, bracket, chevalley, dim_T, hk_decompose
 from .amodule import (
     SuperPoly,
-    a_mult,
     act,
     determinantal_ideal_check,
     ideal_closure,

@@ -13,7 +13,7 @@ from .linalg import Echelon, kernel_basis
 from .partitions import StrictPartition, contains, enumerate_strict, staircase
 from .queer import QnElement
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
-from .spoly import mono_degree, p_add, p_mul, p_scale
+from .spoly import insert_odd, mono_degree, p_add, p_mul, p_scale
 
 
 class TruncationError(ValueError):
@@ -95,10 +95,6 @@ class SuperPoly:
         return " + ".join(bits)
 
 
-def a_mult(p: SuperPoly, q: SuperPoly) -> SuperPoly:
-    return p * q
-
-
 def mono_biweight(mono, n: int, m: int):
     """(row sums, column sums) of the combined x,y exponents."""
     rows = [0] * n
@@ -154,8 +150,6 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
         tcell = _cell(ti, tj, m)
         if odd_op:
             # new odd factor enters in front of the existing odd block
-            from .spoly import insert_odd
-
             ins = insert_odd(o, tcell, 0)
             if ins is None:
                 continue
@@ -197,8 +191,6 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
             e2[tcell] += 1
             key = (tuple(e2), o_rest)
         else:
-            from .spoly import insert_odd
-
             ins = insert_odd(o_rest, tcell, t)
             if ins is None:
                 continue
@@ -213,15 +205,46 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
             out[key] = s
 
 
-def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int) -> dict:
-    """Superderivation action of (g, 0) or (0, g) on a polynomial dict."""
+def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
+    """The image of one monomial under X_ab/Y_ab, as (monomial, scalar) pairs.
+
+    A scalar equal to 1 is stored as `ONE` itself, so `act_terms` can skip
+    the multiplication by an identity test.
+    """
     out = {}
-    for (i, j), c in g.xmat.items():
-        for mono, cm in terms.items():
-            _act_monomial(side, "X", i, j, mono, c * cm, n, m, out)
-    for (i, j), c in g.ymat.items():
-        for mono, cm in terms.items():
-            _act_monomial(side, "Y", i, j, mono, c * cm, n, m, out)
+    _act_monomial(side, kind, a, b, mono, ONE, n, m, out)
+    return tuple((t, ONE if c == ONE else c) for t, c in out.items())
+
+
+def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) -> dict:
+    """Superderivation action of (g, 0) or (0, g) on a polynomial dict.
+
+    `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
+    that acts on many vectors of one A(n,m) passes one dict, so each image is
+    computed once and each output term costs one multiply-add.
+    """
+    if table is None:
+        table = {}
+    out = {}
+    for kind, mat in (("X", g.xmat), ("Y", g.ymat)):
+        for (a, b), c in mat.items():
+            for mono, cm in terms.items():
+                key = (side, kind, a, b, mono)
+                img = table.get(key)
+                if img is None:
+                    img = table[key] = _monomial_image(side, kind, a, b, mono, n, m)
+                if not img:
+                    continue
+                cc = cm if c is ONE else c * cm
+                for tgt, s in img:
+                    v = cc if s is ONE else cc * s
+                    t = out.get(tgt)
+                    if t is not None:
+                        v = t + v
+                    if v.is_zero():
+                        out.pop(tgt, None)
+                    else:
+                        out[tgt] = v
     return out
 
 
@@ -265,11 +288,22 @@ def _tables(rows, cols):
     return out
 
 
+_WEIGHT_MONOMIALS: dict = {}
+
+
 def weight_space_monomials(n: int, m: int, d: int, w) -> list:
     """All monomials of A(n,m) with total degree d and biweight w."""
     rows, cols = w
+    key = (n, m, d, tuple(rows), tuple(cols))
+    monos = _WEIGHT_MONOMIALS.get(key)
+    if monos is None:
+        monos = _WEIGHT_MONOMIALS[key] = _weight_space_monomials(n, m, d, rows, cols)
+    return list(monos)
+
+
+def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
     if sum(rows) != d or sum(cols) != d:
-        return []
+        return ()
     cells = list(range(n * m))
     out = []
 
@@ -292,7 +326,7 @@ def weight_space_monomials(n: int, m: int, d: int, w) -> list:
             supports(idx + 1, rl, cl, acc + [cells[idx]])
 
     supports(0, list(rows), list(cols), [])
-    return out
+    return tuple(out)
 
 
 def weight_space(n: int, m: int, d: int, w) -> "GradedSubspace":
@@ -337,7 +371,11 @@ def all_operators(n: int, m: int):
 
 
 def lowering_operators(n: int, m: int):
-    """Strictly lower-triangular operators of both factors."""
+    """Strictly lower-triangular operators of both factors.
+
+    `summand` closes under the simple ones only; the closure under all of
+    these is its test oracle.
+    """
     ops = []
     for i in range(1, n + 1):
         for j in range(1, i):
@@ -350,8 +388,22 @@ def lowering_operators(n: int, m: int):
     return ops
 
 
+_SINGULAR_CACHE: dict = {}
+
+
 def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
-    """Weight-(lam,lam) vectors killed by the raising operators of both sides."""
+    """Weight-(lam,lam) vectors killed by the raising operators of both sides.
+
+    Each space is solved once per process; callers get fresh dicts.
+    """
+    key = (n, m, lam)
+    basis = _SINGULAR_CACHE.get(key)
+    if basis is None:
+        basis = _SINGULAR_CACHE[key] = _solve_singular(n, m, lam)
+    return [dict(v) for v in basis]
+
+
+def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
     if lam.length > min(n, m):
         return []
     w = (_pad(lam.parts, n), _pad(lam.parts, m))
@@ -420,12 +472,30 @@ def _within_cap(vec: dict, n: int, m: int, cap) -> bool:
     return not any(rows[kr:]) and not any(cols[kc:])
 
 
+def _simple_lowering_operators(n: int, m: int, cap=None):
+    """X_{i+1,i} and Y_{i+1,i} of both factors, leaving out with cap = (kr, kc)
+    every left operator whose target row is past kr and every right operator
+    whose target column is past kc (its whole image lies outside the cap)."""
+    kr, kc = (n, m) if cap is None else cap
+    ops = []
+    for i in range(1, min(n, kr)):
+        ops.append(("left", QnElement.X(n, i + 1, i)))
+        ops.append(("left", QnElement.Y(n, i + 1, i)))
+    for j in range(1, min(m, kc)):
+        ops.append(("right", QnElement.X(m, j + 1, j)))
+        ops.append(("right", QnElement.Y(m, j + 1, j)))
+    return ops
+
+
 def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSubspace:
     """The lambda summand of the Cauchy decomposition at degree |lambda|,
     generated from its singular vectors by operator closure.
 
     The singular space is stable under both Cartans, so closing under the
-    strictly-lowering operators alone spans the summand; their weights
+    strictly-lowering operators alone spans the summand. Every lowering
+    operator is a supercommutator of simple ones ([X32, X21] = X31,
+    [X32, Y21] = Y31, ...), so a span closed under the simple lowering
+    operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Their weights
     strictly descend, hence the worklist terminates without revisits.
 
     support_cap = (kr, kc) drops components whose weight touches rows past
@@ -433,18 +503,22 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
     late rows and ideal slices at a target biweight only consume components
     with pointwise-smaller weight, so capped components cannot contribute to
     any membership check against targets supported in the first kr rows and
-    kc columns.
+    kc columns. For the same reason a word in the simple operators reaches a
+    component inside the cap only through components inside the cap.
+
+    The monomial images are tabled for the length of one closure.
     """
     space = GradedSubspace(n, m)
     queue = []
     for vec in singular_vectors(n, m, lam):
         if space.insert(vec):
             queue.append(vec)
-    ops = lowering_operators(n, m)
+    ops = _simple_lowering_operators(n, m, support_cap)
+    table = {}
     while queue:
         vec = queue.pop()
         for side, g in ops:
-            img = act_terms(side, g, vec, n, m)
+            img = act_terms(side, g, vec, n, m, table)
             if img and _within_cap(img, n, m, support_cap) and space.insert(img):
                 queue.append(img)
     return space

@@ -57,7 +57,15 @@ class RunConfig:
             )
         if self.bound < 0:
             raise ConfigError("--bound %d is negative" % self.bound)
-        for flag, value, low in (("--n", self.n, 1), ("--m", self.m, 1), ("--nmax", self.nmax, 0)):
+        for flag, value, low in (
+            ("--n", self.n, 1),
+            ("--m", self.m, 1),
+            ("--nmax", self.nmax, 0),
+            ("--dmax", self.dmax, 0),
+            # order 0 truncates away the degree-1 generators
+            ("--jet-order", self.jet_order, 1),
+            ("--jobs", self.jobs, 1),
+        ):
             if value < low:
                 raise ConfigError("%s %d is below %d" % (flag, value, low))
         if self.unsafe:
@@ -342,7 +350,11 @@ def cmd_verify(cfg: RunConfig, target: str) -> int:
 
     if target == "determinantal":
         from .amodule import determinantal_ideal_check
+        from .partitions import staircase
 
+        size = staircase(1).size
+        if size > cfg.dmax:
+            raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, size))
         rep = determinantal_ideal_check(cfg.n, cfg.m, 1, cfg.dmax)
         payload = {
             "target": "determinantal",

@@ -102,23 +102,28 @@ def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
 
     for op_id, (side, g) in enumerate(ops):
         godd = g.parity() == 1
+        # the images of the tensor labels and the A_r monomials under g,
+        # each computed once for all the triples that share it
+        slot = 0 if side == "left" else 1
+        lab_img = {lab: _act_V_tensor(g, lab, ONE) for lab in {k[slot] for k in basis}}
+        mono_img = {mono: act_terms(side, g, {mono: ONE}, n, m) for mono in {k[2] for k in basis}}
         for key in basis:
             vlab, wlab, mono = key
             pv = _label_parity(vlab)
             pw = _label_parity(wlab)
             img = {}
             if side == "left":
-                for vlab2, c in _act_V_tensor(g, vlab, ONE).items():
+                for vlab2, c in lab_img[vlab].items():
                     acc(img, (vlab2, wlab, mono), c)
                 sign = -1 if godd and (pv + pw) % 2 else 1
-                for mono2, c in act_terms("left", g, {mono: ONE}, n, m).items():
+                for mono2, c in mono_img[mono].items():
                     acc(img, (vlab, wlab, mono2), c if sign == 1 else -c)
             else:
                 sign1 = -1 if godd and pv % 2 else 1
-                for wlab2, c in _act_V_tensor(g, wlab, ONE).items():
+                for wlab2, c in lab_img[wlab].items():
                     acc(img, (vlab, wlab2, mono), c if sign1 == 1 else -c)
                 sign2 = -1 if godd and (pv + pw) % 2 else 1
-                for mono2, c in act_terms("right", g, {mono: ONE}, n, m).items():
+                for mono2, c in mono_img[mono].items():
                     acc(img, (vlab, wlab, mono2), c if sign2 == 1 else -c)
             for tgt, c in img.items():
                 row = constraints.setdefault((op_id, tgt), {})
@@ -130,15 +135,9 @@ def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
     return len(kernel_basis(rows, basis))
 
 
-_SIGMA_CACHE: dict = {}
-
-
 def sing_space_dim(n: int, m: int, nu: StrictPartition) -> int:
     """sigma(nu): dimension of the (nu,nu)-bisingular slice of A at degree |nu|."""
-    key = (n, m, nu)
-    if key not in _SIGMA_CACHE:
-        _SIGMA_CACHE[key] = len(singular_vectors(n, m, nu))
-    return _SIGMA_CACHE[key]
+    return len(singular_vectors(n, m, nu))
 
 
 def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:

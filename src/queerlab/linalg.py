@@ -10,24 +10,6 @@ from __future__ import annotations
 from .scalars import Cyclo8Scalar, ONE
 
 
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_scale(u: dict, c: Cyclo8Scalar) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: c * x for k, x in u.items()}
-
-
 def vec_axpy(u: dict, c: Cyclo8Scalar, v: dict) -> dict:
     """u + c*v, dropping zeros."""
     out = dict(u)

@@ -329,11 +329,6 @@ def hk_decompose(g1: QnElement, g2: QnElement):
     return c, (d, e)
 
 
-def h_pair(c: QnElement):
-    """The h-element (c, tau^{-1} c) as a pair of QnElements."""
-    return (c, chevalley_inverse(c))
-
-
 def x_prime(n: int, i: int, j: int):
     """X'_ij = (X_ij, -X_ji), a basis element of h."""
     return (QnElement.X(n, i, j), QnElement.X(n, j, i).scale(-1))

@@ -8,9 +8,12 @@ from queerlab.amodule import (
     GradedSubspace,
     SuperPoly,
     TruncationError,
+    _within_cap,
     act,
+    act_terms,
     determinantal_ideal_check,
     ideal_closure,
+    lowering_operators,
     m_generators,
     m_stability_check,
     membership_cases_for,
@@ -102,29 +105,59 @@ def test_act_leibniz_random():
         assert lhs == rhs
 
 
+BRACKET_PIECES = {
+    2: [
+        (2, ((1, 1), (1, 1))),
+        (2, ((2, 0), (1, 1))),
+        (3, ((2, 1), (2, 1))),
+        (3, ((3, 0), (2, 1))),
+    ],
+    3: [
+        (2, ((1, 1, 0), (1, 1, 0))),
+        (2, ((2, 0, 0), (1, 0, 1))),
+        (3, ((2, 1, 0), (1, 1, 1))),
+        (3, ((1, 1, 1), (2, 1, 0))),
+    ],
+}
+
+
 def test_act_bracket_relation_on_graded_pieces():
-    n = m = 2
     from queerlab.queer import bracket
 
-    pieces = [
-        weight_space_monomials(n, m, 2, ((1, 1), (1, 1))),
-        weight_space_monomials(n, m, 2, ((2, 0), (1, 1))),
-        weight_space_monomials(n, m, 3, ((2, 1), (2, 1))),
-        weight_space_monomials(n, m, 3, ((3, 0), (2, 1))),
-    ]
-    for monos in pieces:
+    kinds = [QnElement.X, QnElement.Y]
+    for rank in (2, 3):
+        n = m = rank
+        pairs = []
         for _ in range(10):
-            kinds = [QnElement.X, QnElement.Y]
-            x = kinds[rng.randint(0, 1)](2, rng.randint(1, 2), rng.randint(1, 2))
-            y = kinds[rng.randint(0, 1)](2, rng.randint(1, 2), rng.randint(1, 2))
-            side = rng.choice(("left", "right"))
-            px, py = x.parity() or 0, y.parity() or 0
-            p = SuperPoly(n, m, {rng.choice(monos): ONE})
-            lhs = act(side, bracket(x, y), p)
-            rhs = act(side, x, act(side, y, p)) - act(
-                side, y, act(side, x, p)
-            ).scale((-1) ** (px * py))
-            assert lhs == rhs
+            x = kinds[rng.randint(0, 1)](rank, rng.randint(1, rank), rng.randint(1, rank))
+            y = kinds[rng.randint(0, 1)](rank, rng.randint(1, rank), rng.randint(1, rank))
+            pairs.append((x, y))
+        if rank == 3:
+            # the relations that make the simple lowering operators generate
+            # all lowering operators: [X32, X21] = X31, [X32, Y21] = Y31,
+            # [Y32, X21] = Y31, [Y32, Y21] = -X31
+            want = {
+                ("X", "X"): QnElement.X(3, 3, 1),
+                ("X", "Y"): QnElement.Y(3, 3, 1),
+                ("Y", "X"): QnElement.Y(3, 3, 1),
+                ("Y", "Y"): QnElement.X(3, 3, 1).scale(-1),
+            }
+            for kx, x in (("X", QnElement.X(3, 3, 2)), ("Y", QnElement.Y(3, 3, 2))):
+                for ky, y in (("X", QnElement.X(3, 2, 1)), ("Y", QnElement.Y(3, 2, 1))):
+                    assert bracket(x, y) == want[(kx, ky)]
+                    pairs.append((x, y))
+        for d, w in BRACKET_PIECES[rank]:
+            monos = weight_space_monomials(n, m, d, w)
+            assert monos
+            for x, y in pairs:
+                px, py = x.parity() or 0, y.parity() or 0
+                for side in ("left", "right"):
+                    p = SuperPoly(n, m, {rng.choice(monos): ONE})
+                    lhs = act(side, bracket(x, y), p)
+                    rhs = act(side, x, act(side, y, p)) - act(
+                        side, y, act(side, x, p)
+                    ).scale((-1) ** (px * py))
+                    assert lhs == rhs
 
 
 def test_weight_space_examples():
@@ -160,6 +193,50 @@ def test_singular_vectors_examples():
     mono_x = next(iter(SuperPoly.x(3, 3, 1, 1).terms))
     mono_y = next(iter(SuperPoly.y(3, 3, 1, 1).terms))
     assert {tuple(sorted(v)) for v in vecs} == {(mono_x,), (mono_y,)}
+
+
+def test_memoized_lists_are_fresh():
+    vecs = singular_vectors(3, 3, sp(2, 1))
+    want = [dict(v) for v in vecs]
+    vecs[0].clear()
+    vecs.append({})
+    assert singular_vectors(3, 3, sp(2, 1)) == want
+    w = ((2, 1, 0), (1, 1, 1))
+    monos = weight_space_monomials(3, 3, 3, w)
+    want = list(monos)
+    monos.pop()
+    monos.append(None)
+    assert weight_space_monomials(3, 3, 3, w) == want
+
+
+def _lowering_closure(n, m, lam, cap):
+    """Oracle: the singular vectors closed under every lowering operator,
+    keeping the images inside the support cap."""
+    space = GradedSubspace(n, m)
+    queue = [v for v in singular_vectors(n, m, lam) if space.insert(v)]
+    ops = lowering_operators(n, m)
+    table = {}
+    while queue:
+        vec = queue.pop()
+        for side, g in ops:
+            img = act_terms(side, g, vec, n, m, table)
+            if img and _within_cap(img, n, m, cap) and space.insert(img):
+                queue.append(img)
+    return space
+
+
+@pytest.mark.parametrize("cap", [None, (1, 1), (2, 2)])
+def test_summand_matches_closure_under_all_lowering_operators(cap):
+    # reduced echelons with minimal-key pivots are canonical, so equal spans
+    # give equal rows
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        for d in range(1, 5):
+            for lam in enumerate_strict(d):
+                fast = summand(n, m, lam, cap)
+                slow = _lowering_closure(n, m, lam, cap)
+                assert fast.components.keys() == slow.components.keys(), (n, m, lam)
+                for key, comp in slow.components.items():
+                    assert fast.components[key].rows == comp.rows, (n, m, lam, key)
 
 
 def test_summand_dimensions_match_cauchy():

@@ -44,24 +44,17 @@ def test_verify_phi_psi(capsys):
 
 
 def test_verify_main_theorem_small_with_jobs(capsys):
-    code = main(
-        [
-            "verify",
-            "main-theorem",
-            "--n",
-            "2",
-            "--m",
-            "2",
-            "--dmax",
-            "2",
-            "--jobs",
-            "2",
-            "--format",
-            "json",
-        ]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0 and payload["status"] is True
+    # each pool worker builds its own memo tables; the cases must not depend
+    # on how the rows are spread over processes
+    payloads = []
+    for jobs in ("2", "1"):
+        argv = ["verify", "main-theorem", "--n", "3", "--m", "3", "--dmax", "3"]
+        code = main(argv + ["--jobs", jobs, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["status"] is True
+        payloads.append(payload)
+    assert payloads[0]["cases"] == payloads[1]["cases"]
+    assert len(payloads[0]["cases"]) == 25
 
 
 def test_verify_hecke_ideals_nmax5(capsys):
@@ -111,6 +104,13 @@ def test_safe_bounds_guard(capsys):
         (["verify", "main-theorem", "--n", "-1"], "--n"),
         (["verify", "main-theorem", "--m", "0"], "--m"),
         (["verify", "hecke-ideals", "--nmax", "-1"], "--nmax"),
+        (["verify", "main-theorem", "--dmax", "-1"], "--dmax"),
+        (["verify", "determinantal", "--dmax", "-1"], "--dmax"),
+        (["verify", "determinantal", "--dmax", "0"], "--dmax"),
+        (["verify", "phi-psi", "--n", "1", "--jet-order", "-1"], "--jet-order"),
+        (["verify", "phi-psi", "--n", "1", "--jet-order", "0"], "--jet-order"),
+        (["verify", "main-theorem", "--jobs", "0"], "--jobs"),
+        (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
