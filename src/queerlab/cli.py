@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .partitions import StrictPartition, enumerate_strict
+from .partitions import StrictPartition, enumerate_strict, staircase
 from . import symfunc
 
 CACHE_HEADER = "queerlab-cache v2"
@@ -350,7 +350,6 @@ def cmd_verify(cfg: RunConfig, target: str) -> int:
 
     if target == "determinantal":
         from .amodule import determinantal_ideal_check
-        from .partitions import staircase
 
         size = staircase(1).size
         if size > cfg.dmax:
