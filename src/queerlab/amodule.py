@@ -464,27 +464,25 @@ class GradedSubspace:
         return self.component(d, w).contains(vec)
 
 
-def _within_cap(vec: dict, n: int, m: int, cap) -> bool:
-    if cap is None:
-        return True
-    kr, kc = cap
-    rows, cols = mono_biweight(next(iter(vec)), n, m)
-    return not any(rows[kr:]) and not any(cols[kc:])
-
-
-def _simple_lowering_operators(n: int, m: int, cap=None):
-    """X_{i+1,i} and Y_{i+1,i} of both factors, leaving out with cap = (kr, kc)
-    every left operator whose target row is past kr and every right operator
-    whose target column is past kc (its whole image lies outside the cap)."""
-    kr, kc = (n, m) if cap is None else cap
+def _simple_lowering_operators(n: int, m: int):
+    """X_{i+1,i} and Y_{i+1,i} of both factors, as (side, operator, i - 1):
+    each moves one unit of weight from row (column) i to row (column) i + 1."""
     ops = []
-    for i in range(1, min(n, kr)):
-        ops.append(("left", QnElement.X(n, i + 1, i)))
-        ops.append(("left", QnElement.Y(n, i + 1, i)))
-    for j in range(1, min(m, kc)):
-        ops.append(("right", QnElement.X(m, j + 1, j)))
-        ops.append(("right", QnElement.Y(m, j + 1, j)))
+    for i in range(1, n):
+        ops.append(("left", QnElement.X(n, i + 1, i), i - 1))
+        ops.append(("left", QnElement.Y(n, i + 1, i), i - 1))
+    for j in range(1, m):
+        ops.append(("right", QnElement.X(m, j + 1, j), j - 1))
+        ops.append(("right", QnElement.Y(m, j + 1, j), j - 1))
     return ops
+
+
+def _tail_sums(w) -> list:
+    """[w_1 + w_2 + ..., w_2 + ..., ..., w_k, 0] for w = (w_1, ..., w_k)."""
+    out = [0] * (len(w) + 1)
+    for k in range(len(w) - 1, -1, -1):
+        out[k] = out[k + 1] + w[k]
+    return out
 
 
 def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSubspace:
@@ -498,28 +496,43 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
     operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Their weights
     strictly descend, hence the worklist terminates without revisits.
 
-    support_cap = (kr, kc) drops components whose weight touches rows past
-    kr or columns past kc. Lowering operators never move weight back out of
-    late rows and ideal slices at a target biweight only consume components
-    with pointwise-smaller weight, so capped components cannot contribute to
-    any membership check against targets supported in the first kr rows and
-    kc columns. For the same reason a word in the simple operators reaches a
-    component inside the cap only through components inside the cap.
+    support_cap = (T_1, T_2, ...) keeps only the components whose row sums
+    and column sums w satisfy w_k + w_{k+1} + ... <= T_k for every k, with
+    T_k = 0 past the end of the tuple; None keeps every component. A simple
+    lowering operator moves one unit of weight from row (column) i to i + 1,
+    so along the closure every tail sum can only grow: a component inside
+    the bound is reached only through components inside it, and equals its
+    uncapped value. An ideal slice at a target biweight only consumes
+    components with pointwise-smaller weight, whose tail sums are at most the
+    target's, so a bound taken over the targets loses no membership check.
+    An operator whose source row (column) is empty, or whose move would lift
+    a tail sum past its bound, is skipped before its image is computed.
 
     The monomial images are tabled for the length of one closure.
     """
+    size = max(n, m) + 1
+    if support_cap is None:
+        bound = [lam.size] * size
+    else:
+        bound = (list(support_cap) + [0] * size)[:size]
     space = GradedSubspace(n, m)
     queue = []
-    for vec in singular_vectors(n, m, lam):
-        if space.insert(vec):
-            queue.append(vec)
-    ops = _simple_lowering_operators(n, m, support_cap)
+    if all(t <= b for t, b in zip(_tail_sums(lam.parts), bound)):
+        for vec in singular_vectors(n, m, lam):
+            if space.insert(vec):
+                queue.append(vec)
+    ops = _simple_lowering_operators(n, m)
     table = {}
     while queue:
         vec = queue.pop()
-        for side, g in ops:
+        rows, cols = mono_biweight(next(iter(vec)), n, m)
+        sides = {"left": (rows, _tail_sums(rows)), "right": (cols, _tail_sums(cols))}
+        for side, g, i in ops:
+            w, tails = sides[side]
+            if not w[i] or tails[i + 1] >= bound[i + 1]:
+                continue
             img = act_terms(side, g, vec, n, m, table)
-            if img and _within_cap(img, n, m, support_cap) and space.insert(img):
+            if img and space.insert(img):
                 queue.append(img)
     return space
 
@@ -666,16 +679,20 @@ def _strict_in_range(d_max: int, maxlen: int):
     return out
 
 
-def _max_candidate_length(d_max: int, maxlen: int) -> int:
-    lengths = [p.length for p in _strict_in_range(d_max, maxlen)]
-    return max(lengths, default=0)
+def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
+    """The support cap of the checks at truncation d_max: T_k is the largest
+    mu_k + mu_{k+1} + ... over the candidates mu of
+    `_strict_in_range(d_max, min(n, m))`, for k = 1, ..., min(n, m)."""
+    bounds = [0] * min(n, m)
+    for mu in _strict_in_range(d_max, min(n, m)):
+        for k, tail in enumerate(_tail_sums(mu.parts)[:-1]):
+            bounds[k] = max(bounds[k], tail)
+    return tuple(bounds)
 
 
 def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
     """Membership row of the main-theorem matrix for one generator lambda."""
-    k = _max_candidate_length(d_max, min(n, m))
-    cap = (k, k) if k < min(n, m) else None
-    gens = summand_cached(n, m, lam, cap)
+    gens = summand_cached(n, m, lam, candidate_tail_bounds(n, m, d_max))
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
     for mu in _strict_in_range(d_max, min(n, m)):
@@ -711,9 +728,7 @@ def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> Determinant
     lam = staircase(r)
     if lam.size > d_max:
         raise ValueError("staircase size exceeds d_max")
-    k = _max_candidate_length(d_max, min(n, m))
-    cap = (k, k) if k < min(n, m) else None
-    gens = summand_cached(n, m, lam, cap)
+    gens = summand_cached(n, m, lam, candidate_tail_bounds(n, m, d_max))
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
     outside = []

@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .partitions import StrictPartition, enumerate_strict, staircase
@@ -327,6 +326,9 @@ def cmd_verify(cfg: RunConfig, target: str) -> int:
         ]
         args = [(cfg.n, cfg.m, t, cfg.dmax) for t in lams]
         if cfg.jobs > 1:
+            # imported here: it loads multiprocessing, which one job never uses
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                 case_rows = list(pool.map(_mt_row, args))
         else:

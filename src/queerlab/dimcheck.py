@@ -19,7 +19,7 @@ from .amodule import (
     weight_space_monomials,
 )
 from .heckeclifford import decompose_regular
-from .linalg import kernel_basis
+from .linalg import kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
 from .queer import QnElement, act_on_V, tensor_basis, _label_parity
 from .scalars import Cyclo8Scalar, ONE
@@ -58,6 +58,14 @@ def _act_V_tensor(g: QnElement, lab: tuple, coeff):
 
 def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
     """dim of the (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b} (x) A_r."""
+    return kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
+
+
+def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
+    """(constraint rows, unknowns) whose kernel is the (wrow, wcol)-singular
+    slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the unknowns are the weight-space
+    basis triples, and each row is one coordinate of one raising operator's
+    image."""
     vlabs = {}
     for lab in tensor_basis(n, a):
         vlabs.setdefault(_tensor_weight(lab, n), []).append(lab)
@@ -88,7 +96,7 @@ def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
                     for mono in monos:
                         basis.append((v, w2, mono))
     if not basis:
-        return 0
+        return [], []
     constraints = {}
     ops = raising_operators(n, m)
 
@@ -132,7 +140,7 @@ def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
         {k: c for k, c in row.items() if not c.is_zero()}
         for row in constraints.values()
     ]
-    return len(kernel_basis(rows, basis))
+    return rows, basis
 
 
 def sing_space_dim(n: int, m: int, nu: StrictPartition) -> int:

@@ -89,6 +89,22 @@ def span(vectors) -> Echelon:
     return ech
 
 
+def _constraint_echelon(constraints: list[dict], order: dict) -> Echelon:
+    """The span of the constraint rows, re-keyed by the unknowns' indices."""
+    ech = Echelon()
+    for row in constraints:
+        if row:
+            ech.insert({order[k]: c for k, c in row.items()})
+    return ech
+
+
+def kernel_dim(constraints: list[dict], unknowns: list) -> int:
+    """Dimension of the joint kernel: the number of unknowns minus the rank
+    of the constraints, with no kernel vector built."""
+    order = {u: i for i, u in enumerate(unknowns)}
+    return len(unknowns) - _constraint_echelon(constraints, order).rank
+
+
 def kernel_basis(constraints: list[dict], unknowns: list) -> list[dict]:
     """Solution basis of the homogeneous system (rows are functionals).
 
@@ -96,10 +112,7 @@ def kernel_basis(constraints: list[dict], unknowns: list) -> list[dict]:
     are dicts unknown-key -> Cyclo8Scalar spanning the joint kernel.
     """
     order = {u: i for i, u in enumerate(unknowns)}
-    ech = Echelon()
-    for row in constraints:
-        if row:
-            ech.insert({order[k]: c for k, c in row.items()})
+    ech = _constraint_echelon(constraints, order)
     pivots = set(ech.rows)
     free = [i for i in range(len(unknowns)) if i not in pivots]
     basis = []

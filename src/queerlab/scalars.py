@@ -32,7 +32,8 @@ class Cyclo8Scalar:
     def __init__(self, n0=0, n1=0, n2=0, n3=0, den=1, _normalized=False):
         if den == 0:
             raise ScalarError("zero denominator")
-        if not _normalized:
+        # den == 1 is already the normal form: the gcd is 1
+        if not _normalized and den != 1:
             if den < 0:
                 n0, n1, n2, n3, den = -n0, -n1, -n2, -n3, -den
             g = _gcd4(n0, n1, n2, n3, den)
@@ -99,9 +100,10 @@ class Cyclo8Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo8Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
         if da == db:
             return Cyclo8Scalar(
@@ -127,9 +129,10 @@ class Cyclo8Scalar:
         )
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo8Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -139,26 +142,28 @@ class Cyclo8Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo8Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
         b0, b1, b2, b3 = other.n0, other.n1, other.n2, other.n3
+        den = self.den * other.den
         if a1 == 0 and a2 == 0 and a3 == 0:
-            return Cyclo8Scalar(
-                a0 * b0, a0 * b1, a0 * b2, a0 * b3, self.den * other.den
-            )
+            if den == 1 and (a0 == 1 or a0 == -1):
+                return other if a0 == 1 else -other
+            return Cyclo8Scalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3, den)
         if b1 == 0 and b2 == 0 and b3 == 0:
-            return Cyclo8Scalar(
-                a0 * b0, a1 * b0, a2 * b0, a3 * b0, self.den * other.den
-            )
+            if den == 1 and (b0 == 1 or b0 == -1):
+                return self if b0 == 1 else -self
+            return Cyclo8Scalar(a0 * b0, a1 * b0, a2 * b0, a3 * b0, den)
         # convolution reduced by w^4 = -1
         return Cyclo8Scalar(
             a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            self.den * other.den,
+            den,
         )
 
     __rmul__ = __mul__
@@ -221,9 +226,10 @@ class Cyclo8Scalar:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo8Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self.den == other.den
             and self.n0 == other.n0

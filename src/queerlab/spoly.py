@@ -85,10 +85,21 @@ def p_scale(p: dict, c) -> dict:
 
 
 def p_mul(p: dict, q: dict, trunc=None) -> dict:
+    """The product p*q, dropping the terms of degree past `trunc`.
+
+    With `trunc`, each monomial's degree is read once and a pair whose
+    degrees add past it is skipped before its product is formed.
+    """
     out = {}
+    qterms = q.items()
+    if trunc is not None:
+        qdeg = [(m2, c2, mono_degree(m2)) for m2, c2 in qterms]
     for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            r = mono_mul(m1, m2, trunc)
+        if trunc is not None:
+            room = trunc - mono_degree(m1)
+            qterms = [(m2, c2) for m2, c2, d2 in qdeg if d2 <= room]
+        for m2, c2 in qterms:
+            r = mono_mul(m1, m2)
             if r is None:
                 continue
             mono, sign = r

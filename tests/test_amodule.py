@@ -8,9 +8,9 @@ from queerlab.amodule import (
     GradedSubspace,
     SuperPoly,
     TruncationError,
-    _within_cap,
     act,
     act_terms,
+    candidate_tail_bounds,
     determinantal_ideal_check,
     ideal_closure,
     lowering_operators,
@@ -20,6 +20,7 @@ from queerlab.amodule import (
     mono_biweight,
     singular_vectors,
     summand,
+    summand_cached,
     summand_membership,
     verify_main_theorem,
     weight_space_monomials,
@@ -209,34 +210,79 @@ def test_memoized_lists_are_fresh():
     assert weight_space_monomials(3, 3, 3, w) == want
 
 
+def _inside_tail_bounds(w, cap):
+    """Every tail sum of the row and column weights at most its bound in cap
+    (0 past the end of the tuple); None bounds nothing."""
+    if cap is None:
+        return True
+    for part in w:
+        for k in range(len(part)):
+            if sum(part[k:]) > (cap[k] if k < len(cap) else 0):
+                return False
+    return True
+
+
 def _lowering_closure(n, m, lam, cap):
     """Oracle: the singular vectors closed under every lowering operator,
-    keeping the images inside the support cap."""
+    keeping the images inside the tail bounds."""
     space = GradedSubspace(n, m)
-    queue = [v for v in singular_vectors(n, m, lam) if space.insert(v)]
+
+    def keep(vec):
+        w = mono_biweight(next(iter(vec)), n, m)
+        return _inside_tail_bounds(w, cap) and space.insert(vec)
+
+    queue = [v for v in singular_vectors(n, m, lam) if keep(v)]
     ops = lowering_operators(n, m)
     table = {}
     while queue:
         vec = queue.pop()
         for side, g in ops:
             img = act_terms(side, g, vec, n, m, table)
-            if img and _within_cap(img, n, m, cap) and space.insert(img):
+            if img and keep(img):
                 queue.append(img)
     return space
 
 
-@pytest.mark.parametrize("cap", [None, (1, 1), (2, 2)])
+# None closes the whole summand; (4,) and (4, 4) are the old (1, 1) and
+# (2, 2) length caps (bound 0 past the first one or two rows and columns);
+# "dmax4" and "dmax5" are the tail bounds that `membership_cases_for` uses
+CAPS = [None, (4,), (4, 4), "dmax4", "dmax5"]
+
+
+def _cap_for(cap, n, m):
+    if isinstance(cap, str):
+        return candidate_tail_bounds(n, m, int(cap[len("dmax"):]))
+    return cap
+
+
+def test_candidate_tail_bounds():
+    assert candidate_tail_bounds(3, 3, 4) == (4, 1, 0)
+    assert candidate_tail_bounds(3, 3, 5) == (5, 2, 0)
+    assert candidate_tail_bounds(3, 3, 6) == (6, 3, 1)
+    assert candidate_tail_bounds(3, 3, 8) == (8, 4, 1)
+    assert candidate_tail_bounds(2, 3, 3) == (3, 1)
+    assert candidate_tail_bounds(1, 3, 0) == (0,)
+
+
+@pytest.mark.parametrize("cap", CAPS)
 def test_summand_matches_closure_under_all_lowering_operators(cap):
     # reduced echelons with minimal-key pivots are canonical, so equal spans
-    # give equal rows
+    # give equal rows; inside the bound every component of the capped summand
+    # is the uncapped one
     for n, m in itertools.product((1, 2, 3), repeat=2):
+        bounds = _cap_for(cap, n, m)
         for d in range(1, 5):
             for lam in enumerate_strict(d):
-                fast = summand(n, m, lam, cap)
-                slow = _lowering_closure(n, m, lam, cap)
+                full = summand_cached(n, m, lam)
+                fast = full if bounds is None else summand(n, m, lam, bounds)
+                slow = _lowering_closure(n, m, lam, bounds)
                 assert fast.components.keys() == slow.components.keys(), (n, m, lam)
                 for key, comp in slow.components.items():
                     assert fast.components[key].rows == comp.rows, (n, m, lam, key)
+                inside = [k for k in full.components if _inside_tail_bounds(k[1], bounds)]
+                assert sorted(fast.components) == sorted(inside), (n, m, lam)
+                for key in inside:
+                    assert fast.components[key].rows == full.components[key].rows
 
 
 def test_summand_dimensions_match_cauchy():
@@ -310,18 +356,17 @@ def test_membership_small_matrix():
 
 
 def test_capped_equals_uncapped():
-    lam = sp(2)
-    capped = summand(3, 3, lam, (2, 2))
-    full = summand(3, 3, lam)
-    icap = EquivariantIdeal(3, 3, capped, 4)
-    ifull = EquivariantIdeal(3, 3, full, 4)
-    for k in range(lam.size, 5):
-        for mu in enumerate_strict(k):
-            if mu.length > 3:
-                continue
-            assert summand_membership(3, 3, icap, mu) == summand_membership(
-                3, 3, ifull, mu
-            )
+    for d_max, lam in itertools.product((4, 5), (sp(2), sp(2, 1))):
+        cap = candidate_tail_bounds(3, 3, d_max)
+        icap = EquivariantIdeal(3, 3, summand(3, 3, lam, cap), d_max)
+        ifull = EquivariantIdeal(3, 3, summand_cached(3, 3, lam), d_max)
+        for k in range(lam.size, d_max + 1):
+            for mu in enumerate_strict(k):
+                if mu.length > 3:
+                    continue
+                assert summand_membership(3, 3, icap, mu) == summand_membership(
+                    3, 3, ifull, mu
+                ), (d_max, lam, mu)
 
 
 def test_membership_examples_from_closure_of_2():

@@ -254,6 +254,20 @@ def test_no_sympy_import():
     assert out.splitlines()[-1] == "False"
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # ProcessPoolExecutor is imported only under --jobs > 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; import queerlab.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_determinism_same_seed(tmp_path, capsys):
     outs = []
     for _ in range(2):

@@ -50,3 +50,26 @@ def test_guard():
 def test_small_sweep():
     cases = hom_dim_sweep(3, 3, 1, 1)
     assert cases and all(c.passed for c in cases)
+
+
+def test_kernel_dim_counts_the_kernel_basis():
+    from itertools import product
+
+    from queerlab.dimcheck import _sing_system
+    from queerlab.linalg import kernel_basis, kernel_dim
+
+    checked = 0
+    for a, b, r in product((0, 1, 2), (0, 1, 2), (0, 1, 2)):
+        if a + b + r > 4:
+            continue
+        d_row, d_col = a + r, b + r
+        for wrow in product(range(d_row + 1), repeat=2):
+            if sum(wrow) != d_row:
+                continue
+            for wcol in product(range(d_col + 1), repeat=2):
+                if sum(wcol) != d_col:
+                    continue
+                rows, basis = _sing_system(2, 2, a, b, r, wrow, wcol)
+                assert kernel_dim(rows, basis) == len(kernel_basis(rows, basis))
+                checked += bool(basis)
+    assert checked

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,3 +108,42 @@ def test_normalization_invariants():
 
     g = gcd(gcd(abs(x.n0), abs(x.n1)), gcd(abs(x.n2), x.den))
     assert g == 1
+
+
+def _normal_form(coeffs):
+    """(n0, n1, n2, n3, den) of four rationals: den the least common
+    denominator, so the five integers have no common factor and den > 0."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return tuple(int(Fraction(c) * den) for c in coeffs) + (den,)
+
+
+def _fields(x):
+    return (x.n0, x.n1, x.n2, x.n3, x.den)
+
+
+small = st.integers(-30, 30)
+# integral scalars and the units take the fast paths; the general ones the gcd
+operands = st.one_of(
+    scalars,
+    st.builds(Cyclo8Scalar, small, small, small, small),
+    st.builds(Cyclo8Scalar.from_int, small),
+    st.sampled_from([ONE, -ONE, ZERO, ZETA, -ZETA]),
+)
+
+
+@given(operands, operands, small)
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_give_the_normal_form(a, b, k):
+    ca, cb = a.coeffs, b.coeffs
+    total = [x + y for x, y in zip(ca, cb)]
+    product = [
+        ca[0] * cb[0] - ca[1] * cb[3] - ca[2] * cb[2] - ca[3] * cb[1],
+        ca[0] * cb[1] + ca[1] * cb[0] - ca[2] * cb[3] - ca[3] * cb[2],
+        ca[0] * cb[2] + ca[1] * cb[1] + ca[2] * cb[0] - ca[3] * cb[3],
+        ca[0] * cb[3] + ca[1] * cb[2] + ca[2] * cb[1] + ca[3] * cb[0],
+    ]
+    assert _fields(a + b) == _normal_form(total)
+    assert _fields(a * b) == _normal_form(product)
+    assert _fields(a + k) == _fields(k + a) == _normal_form([ca[0] + k, *ca[1:]])
+    assert _fields(a * k) == _fields(k * a) == _normal_form([c * k for c in ca])
+    assert hash(a * b) == hash(Cyclo8Scalar.from_coeffs(*product))

@@ -2,7 +2,15 @@ import random
 from itertools import permutations
 
 from queerlab.scalars import Cyclo8Scalar, ONE
-from queerlab.spoly import insert_odd, merge_odd, mono_mul, p_add, p_mul, p_scale
+from queerlab.spoly import (
+    insert_odd,
+    merge_odd,
+    mono_mul,
+    p_add,
+    p_mul,
+    p_scale,
+    p_truncate,
+)
 
 rng = random.Random(6)
 
@@ -82,3 +90,14 @@ def test_odd_square_zero_and_truncation():
     assert mono_mul(((1,), ()), ((1,), ()), trunc=1) is None
     assert p_mul(e, e, trunc=1) == {}
     assert p_add(e, p_scale(e, -1)) == {}
+
+
+def test_truncated_p_mul_is_the_truncated_product():
+    for _ in range(60):
+        a = _rand_poly(3, 3, None)
+        b = _rand_poly(3, 3, None)
+        for t in range(0, 9):
+            got = p_mul(a, b, t)
+            want = p_truncate(p_mul(a, b), t)
+            # same terms in the same order
+            assert list(got.items()) == list(want.items()), t
