@@ -1,5 +1,5 @@
 """queerlab: exact computations with strict partitions, Schur P/Q functions,
-Hecke-Clifford superalgebras, and the queer matrix algebra A(n,m).
+Hecke-Clifford (super)algebras, and the queer matrix algebra A(n,m).
 
 All arithmetic happens in Q(w) with w a primitive 8th root of unity, so zeta
 (a square root of -1) and sqrt(2) are exact and nothing is ever rounded.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Echelon, kernel_basis
-from .partitions import StrictPartition, contains, enumerate_strict, staircase
+from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from .queer import QnElement
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from .spoly import insert_odd, mono_degree, p_add, p_mul, p_scale
@@ -449,12 +449,6 @@ class GradedSubspace:
     def dim(self) -> int:
         return sum(e.rank for e in self.components.values())
 
-    def dims_by_degree(self) -> dict:
-        out = {}
-        for (d, _), e in self.components.items():
-            out[d] = out.get(d, 0) + e.rank
-        return out
-
     def contains(self, vec: dict) -> bool:
         if not vec:
             return True
@@ -672,19 +666,12 @@ class MembershipCase:
         }
 
 
-def _strict_in_range(d_max: int, maxlen: int):
-    out = []
-    for k in range(0, d_max + 1):
-        out.extend(p for p in enumerate_strict(k) if p.length <= maxlen)
-    return out
-
-
 def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
     """The support cap of the checks at truncation d_max: T_k is the largest
     mu_k + mu_{k+1} + ... over the candidates mu of
-    `_strict_in_range(d_max, min(n, m))`, for k = 1, ..., min(n, m)."""
+    `all_strict_upto(d_max, min(n, m))`, for k = 1, ..., min(n, m)."""
     bounds = [0] * min(n, m)
-    for mu in _strict_in_range(d_max, min(n, m)):
+    for mu in all_strict_upto(d_max, min(n, m)):
         for k, tail in enumerate(_tail_sums(mu.parts)[:-1]):
             bounds[k] = max(bounds[k], tail)
     return tuple(bounds)
@@ -695,7 +682,7 @@ def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
     gens = summand_cached(n, m, lam, candidate_tail_bounds(n, m, d_max))
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
-    for mu in _strict_in_range(d_max, min(n, m)):
+    for mu in all_strict_upto(d_max, min(n, m)):
         if mu.size < lam.size:
             observed = False
         else:
@@ -707,7 +694,7 @@ def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
 def verify_main_theorem(n: int, m: int, d_max: int) -> list[MembershipCase]:
     """Check membership(I^lambda, mu) == (lambda inside mu) over the truncation."""
     cases = []
-    for lam in _strict_in_range(d_max, min(n, m)):
+    for lam in all_strict_upto(d_max, min(n, m)):
         cases.extend(membership_cases_for(n, m, lam, d_max))
     return cases
 
@@ -732,7 +719,7 @@ def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> Determinant
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
     outside = []
-    for mu in _strict_in_range(d_max, min(n, m)):
+    for mu in all_strict_upto(d_max, min(n, m)):
         observed = (
             summand_membership(n, m, ideal, mu) if mu.size >= lam.size else False
         )

@@ -12,16 +12,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .partitions import StrictPartition, enumerate_strict, staircase
+from .partitions import StrictPartition, all_strict_upto, staircase
 from . import symfunc
 
 CACHE_HEADER = "queerlab-cache v2"
 
-SAFE_H_RANK = 5
-SAFE_A_RANK = 3
-SAFE_DEGREE = 6
+# The safe bounds, lifted by --unsafe: past them the exact arithmetic costs
+# grow factorially. Each target names the flags it reads against them.
+SAFE_H_RANK = 5  # rank of H_n
+SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
+SAFE_DEGREE = 6  # Cauchy truncation degree
+SAFE_SIZE = 8  # largest partition size of a Pieri or ideal check
 
 
 class ConfigError(ValueError):
@@ -45,18 +48,14 @@ class RunConfig:
     cache_dir: str | None = None
     unsafe: bool = False
 
-    def check(self):
+    def check(self, safe, lam: StrictPartition):
+        """Refuse bad input; without --unsafe, also refuse each (flag, bound)
+        row of `safe` whose value is past its bound. The row "|--lambda|"
+        reads the size of `lam`, every other row the flag's own value."""
         # input errors, refused with or without --unsafe
-        if self.degree < 0:
-            raise ConfigError("--degree %d is negative" % self.degree)
-        if self.variables < self.degree:
-            raise ConfigError(
-                "--vars %d below --degree %d: the Cauchy truncation needs "
-                "--vars >= --degree" % (self.variables, self.degree)
-            )
-        if self.bound < 0:
-            raise ConfigError("--bound %d is negative" % self.bound)
         for flag, value, low in (
+            ("--degree", self.degree, 0),
+            ("--bound", self.bound, 0),
             ("--n", self.n, 1),
             ("--m", self.m, 1),
             ("--nmax", self.nmax, 0),
@@ -67,20 +66,19 @@ class RunConfig:
         ):
             if value < low:
                 raise ConfigError("%s %d is below %d" % (flag, value, low))
+        if self.variables < self.degree:
+            raise ConfigError(
+                "--vars %d below --degree %d: the Cauchy truncation needs "
+                "--vars >= --degree" % (self.variables, self.degree)
+            )
         if self.unsafe:
             return
-        if self.nmax > SAFE_H_RANK:
-            raise ConfigError(
-                "--nmax %d above safe H-rank %d (use --unsafe)" % (self.nmax, SAFE_H_RANK)
-            )
-        if max(self.n, self.m) > SAFE_A_RANK:
-            raise ConfigError(
-                "--n/--m above safe A-rank %d (use --unsafe)" % SAFE_A_RANK
-            )
-        if max(self.degree, self.dmax, self.bound) > 8:
-            raise ConfigError("degree bounds above 8 need --unsafe")
-        if self.degree > SAFE_DEGREE and not self.unsafe:
-            raise ConfigError("--degree above %d needs --unsafe" % SAFE_DEGREE)
+        for flag, bound in safe:
+            value = lam.size if flag == "|--lambda|" else getattr(self, flag[2:])
+            if value > bound:
+                raise ConfigError(
+                    "%s %d above the safe bound %d (use --unsafe)" % (flag, value, bound)
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +203,24 @@ def _print_text(payload: dict):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pieri(cfg: RunConfig) -> int:
+def _pieri(cfg: RunConfig, lam: StrictPartition) -> int:
     from .symfunc import GammaElement, gamma_product, pieri
 
     one_box = StrictPartition((1,))
     cases = []
     rows = []
     ok = True
-    for k in range(0, cfg.bound + 1):
-        for lam in enumerate_strict(k):
-            want = pieri(lam)
-            got = gamma_product(
-                GammaElement.basis(one_box), GammaElement.basis(lam)
-            ).terms
-            got = {mu: int(c) for mu, c in got.items()}
-            match = got == {mu: c for mu, c in want.items()}
-            ok = ok and match
-            cases.append({"lambda": lam.serialize(), "pass": match})
-            for mu, c in sorted(want.items(), key=lambda t: t[0].parts):
-                rows.append([lam.serialize(), mu.serialize(), c])
+    for nu in all_strict_upto(cfg.bound):
+        want = pieri(nu)
+        got = gamma_product(
+            GammaElement.basis(one_box), GammaElement.basis(nu)
+        ).terms
+        got = {mu: int(c) for mu, c in got.items()}
+        match = got == {mu: c for mu, c in want.items()}
+        ok = ok and match
+        cases.append({"lambda": nu.serialize(), "pass": match})
+        for mu, c in sorted(want.items(), key=lambda t: t[0].parts):
+            rows.append([nu.serialize(), mu.serialize(), c])
     payload = {"target": "pieri", "bound": cfg.bound, "cases": cases, "status": ok}
     emit(cfg, payload, rows, ["lambda", "mu", "coeff"])
     return 0 if ok else 1
@@ -243,196 +240,183 @@ def _all_passed(passes) -> bool:
     return bool(passes) and all(passes)
 
 
-def cmd_verify(cfg: RunConfig, target: str) -> int:
-    if target == "cauchy":
-        rep = symfunc.cauchy_check(cfg.degree, cfg.variables)
-        payload = {
-            "target": "cauchy",
-            "degree": cfg.degree,
-            "variables": cfg.variables,
-            "cases": [
-                {
-                    "identity": "prod (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)",
-                    "pass": rep.ok,
-                    "first_failure": rep.first_failure,
-                }
-            ],
-            "status": rep.ok,
-        }
-        emit(cfg, payload)
-        return 0 if rep.ok else 1
+def _verify_cauchy(cfg: RunConfig, lam: StrictPartition) -> int:
+    rep = symfunc.cauchy_check(cfg.degree, cfg.variables)
+    payload = {
+        "target": "cauchy",
+        "degree": cfg.degree,
+        "variables": cfg.variables,
+        "cases": [
+            {
+                "identity": "prod (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)",
+                "pass": rep.ok,
+                "first_failure": rep.first_failure,
+            }
+        ],
+        "status": rep.ok,
+    }
+    emit(cfg, payload)
+    return 0 if rep.ok else 1
 
-    if target == "hecke-ideals":
-        from .heckeclifford import (
-            braid_conjugation_cases,
-            decompose_regular,
-            verify_tensor_ideal_theorem,
+
+def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .heckeclifford import braid_conjugation_cases, verify_tensor_ideal_theorem
+
+    cases = verify_tensor_ideal_theorem(cfg.nmax, seed=cfg.seed)
+    braid = []
+    for (mm, nn) in [(1, 1), (1, 2), (2, 1)]:
+        for b in braid_conjugation_cases(mm, nn):
+            if not b.matches_paper_mn:
+                braid.append(
+                    {
+                        "m": b.m,
+                        "n": b.n,
+                        "x_parity": b.x_parity,
+                        "y_parity": b.y_parity,
+                        "empirical_sign": b.empirical_sign,
+                        "paper_mn_sign": b.paper_mn_sign,
+                    }
+                )
+    ok = _all_passed(c.passed for c in cases)
+    payload = {
+        "target": "hecke-ideals",
+        "nmax": cfg.nmax,
+        "cases": [c.to_dict() for c in cases],
+        "braid_sign_note": {
+            "empirical_law": "sign = (-1)^{|x||y|}",
+            "paper_mn_exponent_mismatches": len(braid),
+            "sample": braid[:4],
+        },
+        "status": ok,
+    }
+    rows = [
+        [
+            c["lambda"],
+            c["m"],
+            ";".join(c["predicted_support"]),
+            ";".join(c["observed_support"]),
+            c["pass"],
+        ]
+        for c in payload["cases"]
+    ]
+    emit(cfg, payload, rows, ["lambda", "m", "predicted", "observed", "pass"])
+    return 0 if ok else 1
+
+
+def _verify_main_theorem(cfg: RunConfig, lam: StrictPartition) -> int:
+    args = [
+        (cfg.n, cfg.m, p.serialize(), cfg.dmax)
+        for p in all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
+    ]
+    if cfg.jobs > 1:
+        # imported here: it loads multiprocessing, which one job never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            case_rows = list(pool.map(_mt_row, args))
+    else:
+        case_rows = [_mt_row(a) for a in args]
+    cases = [c for group in case_rows for c in group]
+    ok = _all_passed(c["pass"] for c in cases)
+    payload = {
+        "target": "main-theorem",
+        "n": cfg.n,
+        "m": cfg.m,
+        "d_max": cfg.dmax,
+        "cases": cases,
+        "status": ok,
+    }
+    rows = [
+        [c["lambda"], c["mu"], c["predicted"], c["observed"], c["pass"]]
+        for c in cases
+    ]
+    emit(cfg, payload, rows, ["lambda", "mu", "predicted", "observed", "pass"])
+    return 0 if ok else 1
+
+
+def _verify_determinantal(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .amodule import determinantal_ideal_check
+
+    size = staircase(1).size
+    if size > cfg.dmax:
+        raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, size))
+    rep = determinantal_ideal_check(cfg.n, cfg.m, 1, cfg.dmax)
+    payload = {
+        "target": "determinantal",
+        "r": rep.r,
+        "cases": [c.to_dict() for c in rep.cases],
+        "quotient_lengths_outside": rep.observed_quotient_lengths,
+        "status": _all_passed(c.passed for c in rep.cases),
+    }
+    emit(cfg, payload)
+    return 0 if payload["status"] else 1
+
+
+def _verify_phi_psi(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .jets import phi_map, phi_apply, psi_of_phi_on_generators
+    from .amodule import SuperPoly, m_generators
+    import random
+
+    cases = []
+    for n in range(1, cfg.n + 1):
+        # multiplicativity on sampled degree-<=2 pairs at jet order 4
+        ring, _ = phi_map(n, 4)
+        rng = random.Random(cfg.seed)
+        gens = []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                gens.append(SuperPoly.x(n, n, i, j))
+                gens.append(SuperPoly.y(n, n, i, j))
+        mult_ok = True
+        for _ in range(8):
+            p = rng.choice(gens) * rng.choice(gens)
+            q = rng.choice(gens) * rng.choice(gens)
+            lhs = phi_apply(n, 4, p * q)
+            rhs = ring.mul(phi_apply(n, 4, p), phi_apply(n, 4, q))
+            mult_ok = mult_ok and lhs == rhs
+        ident_ok = all(
+            ring.constant_term(phi_apply(n, 4, g)).is_zero()
+            for g in m_generators(n)
         )
+        inv_ok = all(
+            got == want
+            for _, got, want in psi_of_phi_on_generators(n, cfg.jet_order)
+        )
+        cases.append(
+            {
+                "n": n,
+                "phi_multiplicative": mult_ok,
+                "m_generators_vanish_at_identity": ident_ok,
+                "psi_phi_identity": inv_ok,
+                "pass": mult_ok and ident_ok and inv_ok,
+            }
+        )
+    payload = {
+        "target": "phi-psi",
+        "jet_order": cfg.jet_order,
+        "note": "localization modeled by jets at the identity point",
+        "cases": cases,
+        "status": _all_passed(c["pass"] for c in cases),
+    }
+    emit(cfg, payload)
+    return 0 if payload["status"] else 1
 
-        cases = verify_tensor_ideal_theorem(cfg.nmax, seed=cfg.seed)
-        dims_ok = True
-        from math import factorial
 
-        for r in range(cfg.nmax + 1):
-            table = decompose_regular(r, seed=cfg.seed, bound=max(4, cfg.nmax))
-            if sum(b.dim_J for b in table.blocks.values()) != (1 << r) * factorial(r):
-                dims_ok = False
-        braid = []
-        for (mm, nn) in [(1, 1), (1, 2), (2, 1)]:
-            for b in braid_conjugation_cases(mm, nn):
-                if not b.matches_paper_mn:
-                    braid.append(
-                        {
-                            "m": b.m,
-                            "n": b.n,
-                            "x_parity": b.x_parity,
-                            "y_parity": b.y_parity,
-                            "empirical_sign": b.empirical_sign,
-                            "paper_mn_sign": b.paper_mn_sign,
-                        }
-                    )
-        ok = dims_ok and _all_passed(c.passed for c in cases)
-        payload = {
-            "target": "hecke-ideals",
-            "nmax": cfg.nmax,
-            "cases": [c.to_dict() for c in cases],
-            "dimension_sums_ok": dims_ok,
-            "braid_sign_note": {
-                "empirical_law": "sign = (-1)^{|x||y|}",
-                "paper_mn_exponent_mismatches": len(braid),
-                "sample": braid[:4],
-            },
-            "status": ok,
-        }
-        rows = [
-            [
-                c["lambda"],
-                c["m"],
-                ";".join(c["predicted_support"]),
-                ";".join(c["observed_support"]),
-                c["pass"],
-            ]
-            for c in payload["cases"]
-        ]
-        emit(cfg, payload, rows, ["lambda", "m", "predicted", "observed", "pass"])
-        return 0 if ok else 1
+def _verify_prop_dim(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .dimcheck import hom_dim_sweep
 
-    if target == "main-theorem":
-        lams = [
-            p.serialize()
-            for k in range(0, cfg.dmax + 1)
-            for p in enumerate_strict(k)
-            if p.length <= min(cfg.n, cfg.m)
-        ]
-        args = [(cfg.n, cfg.m, t, cfg.dmax) for t in lams]
-        if cfg.jobs > 1:
-            # imported here: it loads multiprocessing, which one job never uses
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                case_rows = list(pool.map(_mt_row, args))
-        else:
-            case_rows = [_mt_row(a) for a in args]
-        cases = [c for group in case_rows for c in group]
-        ok = _all_passed(c["pass"] for c in cases)
-        payload = {
-            "target": "main-theorem",
-            "n": cfg.n,
-            "m": cfg.m,
-            "d_max": cfg.dmax,
-            "cases": cases,
-            "status": ok,
-        }
-        rows = [
-            [c["lambda"], c["mu"], c["predicted"], c["observed"], c["pass"]]
-            for c in cases
-        ]
-        emit(cfg, payload, rows, ["lambda", "mu", "predicted", "observed", "pass"])
-        return 0 if ok else 1
-
-    if target == "determinantal":
-        from .amodule import determinantal_ideal_check
-
-        size = staircase(1).size
-        if size > cfg.dmax:
-            raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, size))
-        rep = determinantal_ideal_check(cfg.n, cfg.m, 1, cfg.dmax)
-        payload = {
-            "target": "determinantal",
-            "r": rep.r,
-            "cases": [c.to_dict() for c in rep.cases],
-            "quotient_lengths_outside": rep.observed_quotient_lengths,
-            "status": _all_passed(c.passed for c in rep.cases),
-        }
-        emit(cfg, payload)
-        return 0 if payload["status"] else 1
-
-    if target == "phi-psi":
-        from .jets import phi_map, phi_apply, psi_of_phi_on_generators
-        from .amodule import SuperPoly, m_generators
-        import random
-
-        cases = []
-        for n in range(1, cfg.n + 1):
-            # multiplicativity on sampled degree-<=2 pairs at jet order 4
-            ring, _ = phi_map(n, 4)
-            rng = random.Random(cfg.seed)
-            gens = []
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    gens.append(SuperPoly.x(n, n, i, j))
-                    gens.append(SuperPoly.y(n, n, i, j))
-            mult_ok = True
-            for _ in range(8):
-                p = rng.choice(gens) * rng.choice(gens)
-                q = rng.choice(gens) * rng.choice(gens)
-                lhs = phi_apply(n, 4, p * q)
-                rhs = ring.mul(phi_apply(n, 4, p), phi_apply(n, 4, q))
-                mult_ok = mult_ok and lhs == rhs
-            ident_ok = all(
-                ring.constant_term(phi_apply(n, 4, g)).is_zero()
-                for g in m_generators(n)
-            )
-            inv_ok = all(
-                got == want
-                for _, got, want in psi_of_phi_on_generators(n, cfg.jet_order)
-            )
-            cases.append(
-                {
-                    "n": n,
-                    "phi_multiplicative": mult_ok,
-                    "m_generators_vanish_at_identity": ident_ok,
-                    "psi_phi_identity": inv_ok,
-                    "pass": mult_ok and ident_ok and inv_ok,
-                }
-            )
-        payload = {
-            "target": "phi-psi",
-            "jet_order": cfg.jet_order,
-            "note": "localization modeled by jets at the identity point",
-            "cases": cases,
-            "status": _all_passed(c["pass"] for c in cases),
-        }
-        emit(cfg, payload)
-        return 0 if payload["status"] else 1
-
-    if target == "prop-dim":
-        from .dimcheck import hom_dim_sweep
-
-        cases = hom_dim_sweep(cfg.n, cfg.m, 2, 2)
-        ok = _all_passed(c.passed for c in cases)
-        payload = {
-            "target": "prop-dim",
-            "n": cfg.n,
-            "m": cfg.m,
-            "convention": "total (even+odd) dimensions everywhere",
-            "cases": [c.to_dict() for c in cases],
-            "status": ok,
-        }
-        emit(cfg, payload)
-        return 0 if ok else 1
-
-    raise ConfigError("unknown verify target %r" % target)
+    cases = hom_dim_sweep(cfg.n, cfg.m, 2, 2)
+    ok = _all_passed(c.passed for c in cases)
+    payload = {
+        "target": "prop-dim",
+        "n": cfg.n,
+        "m": cfg.m,
+        "convention": "total (even+odd) dimensions everywhere",
+        "cases": [c.to_dict() for c in cases],
+        "status": ok,
+    }
+    emit(cfg, payload)
+    return 0 if ok else 1
 
 
 def _parse_lambda(text: str | None) -> StrictPartition:
@@ -442,57 +426,75 @@ def _parse_lambda(text: str | None) -> StrictPartition:
         raise ConfigError("--lambda %r is not a strict partition: %s" % (text, exc))
 
 
-def cmd_dump(cfg: RunConfig, table: str, lam_txt: str | None) -> int:
-    if table == "isotypic":
-        from .heckeclifford import decompose_regular
+def _dump_isotypic(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .heckeclifford import decompose_regular
 
-        tab = decompose_regular(cfg.n, seed=cfg.seed, bound=max(4, cfg.n))
-        payload = json.loads(tab.to_json())
-        payload["target"] = "isotypic"
-        rows = [
-            [b["lambda"], b["dim_J"], b["dim_S"], b["type"]]
-            for b in payload["blocks"]
-        ]
-        emit(cfg, payload, rows, ["lambda", "dim_J", "dim_S", "type"])
-        return 0
+    tab = decompose_regular(cfg.n, seed=cfg.seed)
+    payload = json.loads(tab.to_json())
+    payload["target"] = "isotypic"
+    rows = [
+        [b["lambda"], b["dim_J"], b["dim_S"], b["type"]]
+        for b in payload["blocks"]
+    ]
+    emit(cfg, payload, rows, ["lambda", "dim_J", "dim_S", "type"])
+    return 0
 
-    if table == "q-expansion":
-        lam = _parse_lambda(lam_txt)
-        terms = symfunc.q_expansion(lam)
-        bits = []
-        for key, c in sorted(terms, key=lambda t: (-len(t[0]), t[0])):
-            mono = "*".join("q%d" % r for r in key) or "1"
-            bits.append("%s%s" % ("" if c == 1 else "%s*" % c, mono))
-        pretty = " + ".join(bits).replace("+ -", "- ")
-        payload = {
-            "target": "q-expansion",
-            "lambda": lam.serialize(),
-            "terms": [{"q_indices": list(k), "coeff": c} for k, c in terms],
-            "pretty": pretty,
-        }
-        emit(cfg, payload)
-        return 0
 
-    if table == "dims":
-        from .queer import dim_T
+def _dump_q_expansion(cfg: RunConfig, lam: StrictPartition) -> int:
+    terms = symfunc.q_expansion(lam)
+    bits = []
+    for key, c in sorted(terms, key=lambda t: (-len(t[0]), t[0])):
+        mono = "*".join("q%d" % r for r in key) or "1"
+        bits.append("%s%s" % ("" if c == 1 else "%s*" % c, mono))
+    pretty = " + ".join(bits).replace("+ -", "- ")
+    payload = {
+        "target": "q-expansion",
+        "lambda": lam.serialize(),
+        "terms": [{"q_indices": list(k), "coeff": c} for k, c in terms],
+        "pretty": pretty,
+    }
+    emit(cfg, payload)
+    return 0
 
-        lam = _parse_lambda(lam_txt)
-        val = dim_T(lam, cfg.n, seed=cfg.seed)
-        payload = {
-            "target": "dims",
-            "lambda": lam.serialize(),
-            "n": cfg.n,
-            "dim_T": val,
-        }
-        emit(cfg, payload)
-        return 0
 
-    raise ConfigError("unknown dump table %r" % table)
+def _dump_dims(cfg: RunConfig, lam: StrictPartition) -> int:
+    from .queer import dim_T
+
+    val = dim_T(lam, cfg.n, seed=cfg.seed)
+    payload = {
+        "target": "dims",
+        "lambda": lam.serialize(),
+        "n": cfg.n,
+        "dim_T": val,
+    }
+    emit(cfg, payload)
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# dispatch and argument parsing
 # ---------------------------------------------------------------------------
+
+_A_RANK = (("--n", SAFE_A_RANK), ("--m", SAFE_A_RANK))
+
+# (command, target) -> (function, the (flag, safe bound) rows of the flags it
+# reads). A flag no row names is not bounded for that target.
+TARGETS = {
+    ("pieri", None): (_pieri, (("--bound", SAFE_SIZE),)),
+    ("verify", "hecke-ideals"): (_verify_hecke_ideals, (("--nmax", SAFE_H_RANK),)),
+    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_SIZE),)),
+    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_SIZE),)),
+    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE),)),
+    ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),)),
+    ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK),
+    ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),)),
+    ("dump", "q-expansion"): (_dump_q_expansion, ()),
+    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_H_RANK))),
+}
+
+
+def _targets(command: str) -> list[str]:
+    return [t for c, t in TARGETS if c == command]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,58 +525,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pieri", parents=[common], help="check the Pieri rule against products")
 
     v = sub.add_parser("verify", parents=[common], help="run a theorem verification")
-    v.add_argument(
-        "target",
-        choices=[
-            "hecke-ideals",
-            "main-theorem",
-            "determinantal",
-            "cauchy",
-            "phi-psi",
-            "prop-dim",
-        ],
-    )
+    v.add_argument("target", choices=_targets("verify"))
 
     d = sub.add_parser("dump", parents=[common], help="dump a computed table")
-    d.add_argument("table", choices=["isotypic", "q-expansion", "dims"])
+    d.add_argument("target", choices=_targets("dump"))
     d.add_argument("--lambda", dest="lam", type=str, default=None)
     return ap
 
 
 def make_config(args) -> RunConfig:
-    cfg = RunConfig(
-        n=args.n,
-        m=args.m,
-        nmax=args.nmax,
-        dmax=args.dmax,
-        degree=args.degree,
-        variables=args.variables,
-        jet_order=args.jet_order,
-        bound=args.bound,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        fmt=args.fmt,
-        cache_dir=args.cache_dir,
-        unsafe=args.unsafe,
-    )
-    cfg.check()
-    return cfg
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        run, safe = TARGETS[args.command, getattr(args, "target", None)]
+        lam = _parse_lambda(getattr(args, "lam", None))
         cfg = make_config(args)
+        cfg.check(safe, lam)
         loaded = load_qpoly_cache(cfg.cache_dir) if cfg.cache_dir else 0
-        if args.command == "pieri":
-            code = cmd_pieri(cfg)
-        elif args.command == "verify":
-            code = cmd_verify(cfg, args.target)
-        elif args.command == "dump":
-            code = cmd_dump(cfg, args.table, getattr(args, "lam", None))
-        else:  # pragma: no cover
-            raise ConfigError("unknown command")
+        code = run(cfg, lam)
         # the memo holds every entry loaded, so it outgrows them exactly when
         # the file lacks an entry (or was not loaded) and must be rewritten
         if cfg.cache_dir and len(symfunc._QPOLY_CACHE) > loaded:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .amodule import (
+    _pad,
     act_terms,
     raising_operators,
     singular_vectors,
@@ -157,10 +158,6 @@ def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
     if s * s != s2:
         raise HomDimError("sigma(%r) = %d is not of the form s^2 2^-delta" % (nu, sig))
     return s
-
-
-def _pad(parts, k):
-    return tuple(parts) + (0,) * (k - len(parts))
 
 
 @dataclass

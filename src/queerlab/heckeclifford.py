@@ -586,13 +586,8 @@ def _trace_rank(x: HCElement, y: HCElement) -> int:
 _TABLE_CACHE: dict = {}
 
 
-def decompose_regular(n: int, seed: int = 0, bound: int = 4) -> IsotypicTable:
+def decompose_regular(n: int, seed: int = 0) -> IsotypicTable:
     """Two-sided isotypic decomposition of H_n with strict-partition labels."""
-    if n > bound:
-        raise ValueError(
-            "rank %d above configured bound %d (pass a larger bound explicitly)"
-            % (n, bound)
-        )
     key = (n, seed)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
@@ -635,7 +630,7 @@ def decompose_regular(n: int, seed: int = 0, bound: int = 4) -> IsotypicTable:
         raise DecompositionError("isotypic dimensions do not sum to dim H_n")
 
     # inductive labeling by restriction multiplicities against rank n-1
-    prev = decompose_regular(n - 1, seed=seed, bound=max(bound, n))
+    prev = decompose_regular(n - 1, seed=seed)
     one_box = StrictPartition((1,))
     pieri_cache = {
         nu: induct_mult(one_box, nu) for nu in prev.blocks
@@ -711,7 +706,7 @@ def verify_tensor_ideal_theorem(n_max: int = 4, seed: int = 0) -> list[SigmaCase
     an idempotent (e_mu is central), so it is nonzero iff its rank, the
     regular trace, is; and the ranks of the parts must add up to that of x.
     """
-    tables = {r: decompose_regular(r, seed=seed, bound=max(4, n_max)) for r in range(n_max + 1)}
+    tables = {r: decompose_regular(r, seed=seed) for r in range(n_max + 1)}
     cases = []
     for n0 in range(0, n_max + 1):
         for lam in enumerate_strict(n0):

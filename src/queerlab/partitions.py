@@ -88,12 +88,15 @@ def l_max(d: int) -> int:
     return l
 
 
-def all_strict_upto(n: int) -> list[StrictPartition]:
-    """All strict partitions of size 0..n, grouped by size, lex descending."""
-    out = []
-    for k in range(n + 1):
-        out.extend(enumerate_strict(k))
-    return out
+def all_strict_upto(n: int, max_length: int | None = None) -> list[StrictPartition]:
+    """All strict partitions of size 0..n with at most max_length parts,
+    grouped by size, lex descending."""
+    return [
+        p
+        for k in range(n + 1)
+        for p in enumerate_strict(k)
+        if max_length is None or p.length <= max_length
+    ]
 
 
 def staircase(r: int) -> StrictPartition:

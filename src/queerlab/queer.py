@@ -1,4 +1,4 @@
-"""The queer Lie superalgebra q_n: basis, brackets, Chevalley automorphism,
+"""The queer Lie (super)algebra q_n: basis, brackets, Chevalley automorphism,
 actions on V, on U = half(V (x) W), and Sergeev-dual dimensions of T_lambda."""
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ def dim_T(lam: StrictPartition, n: int, seed: int = 0) -> int:
     d = lam.size
     if d == 0:
         return 1
-    table = decompose_regular(d, seed=seed, bound=max(4, d))
+    table = decompose_regular(d, seed=seed)
     block = table.blocks[lam]
     ech = Echelon()
     for lab in tensor_basis(n, d):

@@ -300,19 +300,6 @@ ZETA = Cyclo8Scalar(0, 0, 1, 0, 1, _normalized=True)
 SQRT2 = Cyclo8Scalar(0, 1, 0, -1, 1, _normalized=True)
 
 
-def field_arith(a: Cyclo8Scalar, b: Cyclo8Scalar, op: str) -> Cyclo8Scalar:
-    """Apply one of '+', '-', '*', '/' to two field elements."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError("unknown op %r" % op)
-
-
 def half_power_of_two(k: int) -> Cyclo8Scalar:
     """2^{k/2} as an exact field element; odd k gives a power of sqrt2."""
     if k % 2 == 0:

@@ -113,11 +113,6 @@ def p_mul(p: dict, q: dict, trunc=None) -> dict:
     return out
 
 
-def p_parity(p: dict):
-    ps = {len(m[1]) & 1 for m in p}
-    return ps.pop() if len(ps) == 1 else None
-
-
 def p_truncate(p: dict, trunc: int) -> dict:
     return {m: c for m, c in p.items() if mono_degree(m) <= trunc}
 

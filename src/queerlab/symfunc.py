@@ -72,12 +72,14 @@ class NVarPoly:
         return NVarPoly(self.N, {k: c * x for k, x in self.terms.items()})
 
     def __mul__(self, other):
-        # convolve on bit-packed exponent keys; 5 bits per variable holds
-        # every exponent reached below the packed-degree guard
-        if self.degree() + other.degree() >= 31:
-            return self._mul_tuples(other)
+        # convolve on bit-packed exponent keys: no exponent of the product
+        # exceeds its degree, so the degree's bit length per variable keeps
+        # every sum of two keys from carrying into the next variable. At
+        # least 5 bits: narrower keys gave the same heap but a 0.15 MiB
+        # higher peak RSS on `verify cauchy --degree 5` (allocator layout)
+        bits = max(5, (self.degree() + other.degree()).bit_length())
         N = self.N
-        shifts = [5 * i for i in range(N)]
+        shifts = [bits * i for i in range(N)]
 
         def pack(k):
             key = 0
@@ -103,24 +105,12 @@ class NVarPoly:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        mask = (1 << 5) - 1
+        mask = (1 << bits) - 1
         terms = {
             tuple((k >> sh) & mask for sh in shifts): Fraction(c)
             for k, c in out.items()
         }
         return NVarPoly(self.N, terms)
-
-    def _mul_tuples(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return NVarPoly(self.N, out)
 
     def coefficient(self, expo: tuple) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -91,6 +92,28 @@ def test_safe_bounds_guard(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "safe" in err
+
+
+def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
+    # H_4 is inside the safe H-rank, though 4 is past the safe A-rank
+    code = main(["dump", "isotypic", "--n", "4", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [b["lambda"] for b in payload["blocks"]] == ["3,1", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dump", "isotypic", "--n", "6"], "--n"),
+        # |lambda| is the rank of the H_n that dim_T decomposes
+        (["dump", "dims", "--lambda", "4,2", "--n", "1"], "--lambda"),
+    ],
+)
+def test_h_rank_bound_names_the_flag(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "safe" in err
 
 
 @pytest.mark.parametrize(
@@ -277,3 +300,25 @@ def test_determinism_same_seed(tmp_path, capsys):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_every_module_is_reached_from_the_cli():
+    # a module that no relative import reachable from cli.py names runs on
+    # no production path; __init__.py is left out, since it imports all
+    pkg = os.path.dirname(cli.__file__)
+    modules = {f[:-3] for f in os.listdir(pkg) if f.endswith(".py")} - {"__init__"}
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        with open(os.path.join(pkg, name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    todo.append(node.module.split(".")[0])
+                else:
+                    todo.extend(alias.name for alias in node.names)
+    assert reached == modules

@@ -242,7 +242,7 @@ def test_verify_tensor_ideal_theorem_n3():
 
 
 def test_decompose_regular_n5():
-    table = decompose_regular(5, bound=5)
+    table = decompose_regular(5)
     assert {b.label: (b.dim_J, b.dim_S, b.type) for b in table.blocks.values()} == {
         sp(5): (512, 32, "Q"),
         sp(4, 1): (2304, 48, "M"),
@@ -274,11 +274,6 @@ def test_center_basis_matches_kernel(n, parity):
     # the orbit construction returns the very basis the echelon kernel does,
     # so the seeded splitting draws the same random central elements
     assert _center_basis(n, parity) == center_basis_by_kernel(n, parity)
-
-
-def test_rank_bound_guard():
-    with pytest.raises(ValueError):
-        decompose_regular(5)
 
 
 def test_product_coefficient_matches_product():

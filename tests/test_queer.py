@@ -3,6 +3,7 @@ import random
 import pytest
 
 from queerlab.heckeclifford import HCElement, all_words
+from queerlab.linalg import Echelon
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import (
     ActionError,
@@ -153,6 +154,69 @@ def test_from_ambient_rejects_outside_U():
     us = USpace(1, 1)
     with pytest.raises(ActionError):
         us.from_ambient({(("e", 1), ("e", 1)): ONE})
+
+
+def _alpha(label):
+    """alpha(e_i) = f_i, alpha(f_i) = e_i: the odd structure map of V."""
+    kind, i = label
+    return ("f" if kind == "e" else "e", i)
+
+
+def _alpha_alpha(vec):
+    """alpha (x) alpha on V (x) W under the Koszul sign
+    (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w): an odd v gives -1."""
+    return {(_alpha(a), _alpha(b)): -c if a[0] == "f" else c for (a, b), c in vec.items()}
+
+
+def _alpha_one(vec):
+    """alpha (x) 1: the identity is even, so no sign."""
+    return {(_alpha(a), b): c for (a, b), c in vec.items()}
+
+
+def _ambient_basis(n, m):
+    return [
+        ((k1, i), (k2, j))
+        for k1 in "ef"
+        for i in range(1, n + 1)
+        for k2 in "ef"
+        for j in range(1, m + 1)
+    ]
+
+
+def test_U_basis_is_zeta_eigenspace_of_alpha_tensor_alpha():
+    for n, m in [(1, 1), (1, 2), (2, 2)]:
+        # (alpha (x) alpha)^2 = -1, so its eigenvalues are zeta and -zeta
+        for key in _ambient_basis(n, m):
+            assert _alpha_alpha(_alpha_alpha({key: ONE})) == {key: -ONE}
+        us = USpace(n, m)
+        for lab in us.labels():
+            vec = us.to_ambient({lab: ONE})
+            assert _alpha_alpha(vec) == {k: ZETA * c for k, c in vec.items()}
+
+
+def test_alpha_tensor_one_maps_U_to_minus_zeta_eigenspace():
+    for n, m in [(1, 1), (1, 2), (2, 2)]:
+        us = USpace(n, m)
+        for lab in us.labels():
+            img = _alpha_one(us.to_ambient({lab: ONE}))
+            assert _alpha_alpha(img) == {k: -(ZETA * c) for k, c in img.items()}
+
+
+def test_U_has_nm_even_and_nm_odd_basis_vectors():
+    # with the two tests above: alpha (x) 1 is invertible, so the -zeta
+    # eigenspace is as large as the zeta one, and 2nm independent vectors
+    # in the zeta eigenspace of the 4nm-dimensional V (x) W span all of it
+    for n, m in [(1, 1), (1, 2), (2, 2)]:
+        us = USpace(n, m)
+        labels = list(us.labels())
+        parities = [us.parity(lab) for lab in labels]
+        assert parities.count(0) == parities.count(1) == n * m
+        ech = Echelon()
+        for lab, p in zip(labels, parities):
+            vec = us.to_ambient({lab: ONE})
+            assert {(a[0] == "f") ^ (b[0] == "f") for a, b in vec} == {bool(p)}
+            assert ech.insert(vec)
+        assert ech.rank == 2 * n * m == len(_ambient_basis(n, m)) // 2
 
 
 def test_U_action_satisfies_bracket():

@@ -11,7 +11,6 @@ from queerlab.scalars import (
     ZERO,
     ZETA,
     ScalarDivisionError,
-    field_arith,
     half_power_of_two,
 )
 
@@ -43,16 +42,6 @@ def test_half_power_of_two():
     assert half_power_of_two(0) == ONE
     assert half_power_of_two(-4) == frac(1, 4)
     assert half_power_of_two(3) * half_power_of_two(-3) == ONE
-
-
-def test_field_arith_dispatch():
-    a, b = frac(3, 2), ZETA
-    assert field_arith(a, b, "+") == a + b
-    assert field_arith(a, b, "-") == a - b
-    assert field_arith(a, b, "*") == a * b
-    assert field_arith(a, b, "/") == a / b
-    with pytest.raises(ValueError):
-        field_arith(a, b, "%")
 
 
 def test_division_by_zero_is_distinct():

@@ -30,6 +30,43 @@ def sp(*parts):
     return StrictPartition(tuple(parts))
 
 
+def _convolve(p, q):
+    """The product of two NVarPoly term dicts on exponent tuples."""
+    out = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _random_poly(rng, N, d, integral):
+    """Random terms of degree at most d, with x1^d and xN^d among them, so
+    the product reaches its top exponent in the first and the last slot."""
+    keys = [tuple(rng.randint(0, d // N) for _ in range(N)) for _ in range(8)]
+    keys += [(d,) + (0,) * (N - 1), (0,) * (N - 1) + (d,)]
+    return NVarPoly(
+        N,
+        {
+            k: Fraction(rng.choice([-3, -1, 1, 2, 5]), 1 if integral else rng.randint(1, 4))
+            for k in keys
+        },
+    )
+
+
+@pytest.mark.parametrize("degree", [16, 31, 32, 33, 63, 64])
+def test_polymul_at_degrees_across_bit_widths(degree):
+    # the packed keys take max(5, degree.bit_length()) bits per variable:
+    # 5 up to 31, 6 from 32 and 7 from 64, where a fixed 5 bits would carry
+    rng = random.Random(degree)
+    for integral in (True, False):
+        for N in (1, 3):
+            p = _random_poly(rng, N, degree // 2, integral)
+            q = _random_poly(rng, N, degree - degree // 2, integral)
+            assert p.degree() + q.degree() == degree
+            assert (p * q).terms == _convolve(p, q)
+
+
 def test_q_gen_examples():
     assert q_gen(1, 2).terms == {(1, 0): Fraction(2), (0, 1): Fraction(2)}
     assert q_gen(0, 3).terms == {(0, 0, 0): Fraction(1)}
