@@ -1,11 +1,11 @@
 """queerlab: exact computations with strict partitions, Schur P/Q functions,
 Hecke-Clifford (super)algebras, and the queer matrix algebra A(n,m).
 
-All arithmetic happens in Q(w) with w a primitive 8th root of unity, so zeta
-(a square root of -1) and sqrt(2) are exact and nothing is ever rounded.
+All arithmetic happens in the Gaussian rationals Q(zeta), zeta a square root
+of -1, so every coefficient is exact and nothing is ever rounded.
 """
 
-from .scalars import Cyclo8Scalar, ONE, SQRT2, ZERO, ZETA, half_power_of_two
+from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA
 from .partitions import (
     PosetIdeal,
     StrictPartition,

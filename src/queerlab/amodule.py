@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon, add_term, kernel_basis
 from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from .queer import QnElement
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
@@ -28,7 +28,7 @@ def _cell(i: int, j: int, m: int) -> int:
 
 
 class SuperPoly:
-    """A sparse element of A(n,m) over the cyclotomic field."""
+    """A sparse element of A(n,m) over Q(zeta)."""
 
     __slots__ = ("n", "m", "terms")
 
@@ -159,12 +159,7 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
         else:
             e2[tcell] += 1
             key = (tuple(e2), o)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, key, c)
     # y factors
     for t, idx in enumerate(o):
         i, j = divmod(idx, m)
@@ -197,12 +192,7 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
             o2, sign = ins
             key = (e, o2)
             c = c if sign == 1 else -c
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, key, c)
 
 
 def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
@@ -237,14 +227,7 @@ def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) 
                     continue
                 cc = cm if c is ONE else c * cm
                 for tgt, s in img:
-                    v = cc if s is ONE else cc * s
-                    t = out.get(tgt)
-                    if t is not None:
-                        v = t + v
-                    if v.is_zero():
-                        out.pop(tgt, None)
-                    else:
-                        out[tgt] = v
+                    add_term(out, tgt, cc if s is ONE else cc * s)
     return out
 
 
@@ -415,13 +398,8 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
         for mono in monos:
             img = act_terms(side, g, {mono: ONE}, n, m)
             for tgt, c in img.items():
-                row = constraints.setdefault((op_id, tgt), {})
-                row[mono] = row.get(mono, Cyclo8Scalar()) + c
-    rows = [
-        {k: c for k, c in row.items() if not c.is_zero()}
-        for row in constraints.values()
-    ]
-    return kernel_basis(rows, monos)
+                add_term(constraints.setdefault((op_id, tgt), {}), mono, c)
+    return kernel_basis(list(constraints.values()), monos)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Command-line front end: orchestrates verifications, emits reports,
 and manages the on-disk cache of expensive tables.
 
-Exit codes: 0 all checks passed, 1 a theorem check failed, 2 infrastructure
-error (bad arguments, I/O trouble, internal inconsistency).
+Exit codes: 0 all checks passed, 1 a theorem check failed (a case reported
+false, or an exact identity the check relies on failed: InconsistentMultiplicity,
+DecompositionError), 2 bad input or an internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ CACHE_HEADER = "queerlab-cache v2"
 # grow factorially. Each target names the flags it reads against them.
 SAFE_H_RANK = 5  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
-SAFE_DEGREE = 6  # Cauchy truncation degree
+SAFE_DEGREE = 6  # Cauchy truncation degree and number of variables
 SAFE_SIZE = 8  # largest partition size of a Pieri or ideal check
 
 
@@ -38,7 +39,7 @@ class RunConfig:
     nmax: int = 4
     dmax: int = 5
     degree: int = 6
-    variables: int = 6
+    vars: int = 6
     jet_order: int = 3
     bound: int = 8
     seed: int = 0
@@ -66,10 +67,10 @@ class RunConfig:
         ):
             if value < low:
                 raise ConfigError("%s %d is below %d" % (flag, value, low))
-        if self.variables < self.degree:
+        if self.vars < self.degree:
             raise ConfigError(
                 "--vars %d below --degree %d: the Cauchy truncation needs "
-                "--vars >= --degree" % (self.variables, self.degree)
+                "--vars >= --degree" % (self.vars, self.degree)
             )
         if self.unsafe:
             return
@@ -241,11 +242,11 @@ def _all_passed(passes) -> bool:
 
 
 def _verify_cauchy(cfg: RunConfig, lam: StrictPartition) -> int:
-    rep = symfunc.cauchy_check(cfg.degree, cfg.variables)
+    rep = symfunc.cauchy_check(cfg.degree, cfg.vars)
     payload = {
         "target": "cauchy",
         "degree": cfg.degree,
-        "variables": cfg.variables,
+        "variables": cfg.vars,
         "cases": [
             {
                 "identity": "prod (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)",
@@ -484,7 +485,7 @@ TARGETS = {
     ("verify", "hecke-ideals"): (_verify_hecke_ideals, (("--nmax", SAFE_H_RANK),)),
     ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_SIZE),)),
     ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_SIZE),)),
-    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE),)),
+    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE))),
     ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),)),
     ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),)),
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nmax", type=int, default=4, help="Hecke-Clifford rank bound")
     common.add_argument("--dmax", type=int, default=5, help="ideal truncation degree")
     common.add_argument("--degree", type=int, default=6, help="Cauchy truncation degree")
-    common.add_argument("--vars", dest="variables", type=int, default=6)
+    common.add_argument("--vars", type=int, default=6)
     common.add_argument("--jet-order", type=int, default=3)
     common.add_argument("--bound", type=int, default=8, help="Pieri size bound")
     common.add_argument("--seed", type=int, default=0)
@@ -554,8 +555,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except Exception as exc:  # infrastructure failure, not a theorem mismatch
-        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    except Exception as exc:
+        # imported on the error path only: the top level stays light
+        from .heckeclifford import DecompositionError
+
+        what = "%s: %s" % (type(exc).__name__, exc)
+        if isinstance(exc, (symfunc.InconsistentMultiplicity, DecompositionError)):
+            # an exact identity failed: a theorem failure, not a crash
+            case = " ".join(t for t in (args.command, getattr(args, "target", None)) if t)
+            print("check failed in %s: %s" % (case, what), file=sys.stderr)
+            return 1
+        print("internal error: %s" % what, file=sys.stderr)
         return 2
 
 

@@ -20,10 +20,10 @@ from .amodule import (
     weight_space_monomials,
 )
 from .heckeclifford import decompose_regular
-from .linalg import kernel_dim
+from .linalg import add_term, kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
 from .queer import QnElement, act_on_V, tensor_basis, _label_parity
-from .scalars import Cyclo8Scalar, ONE
+from .scalars import ONE
 from .symfunc import induct_mult
 
 
@@ -47,13 +47,7 @@ def _act_V_tensor(g: QnElement, lab: tuple, coeff):
             if p and sum(1 for s in lab[:t] if s[0] == "f") % 2:
                 c = -c
             for single, cc in act_on_V(gh, {lab[t]: c}).items():
-                lab2 = lab[:t] + (single,) + lab[t + 1 :]
-                s = out.get(lab2)
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    out.pop(lab2, None)
-                else:
-                    out[lab2] = s
+                add_term(out, lab[:t] + (single,) + lab[t + 1 :], cc)
     return out
 
 
@@ -100,15 +94,6 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
         return [], []
     constraints = {}
     ops = raising_operators(n, m)
-
-    def acc(img, key, c):
-        s = img.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            img.pop(key, None)
-        else:
-            img[key] = s
-
     for op_id, (side, g) in enumerate(ops):
         godd = g.parity() == 1
         # the images of the tensor labels and the A_r monomials under g,
@@ -123,25 +108,20 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
             img = {}
             if side == "left":
                 for vlab2, c in lab_img[vlab].items():
-                    acc(img, (vlab2, wlab, mono), c)
+                    add_term(img, (vlab2, wlab, mono), c)
                 sign = -1 if godd and (pv + pw) % 2 else 1
                 for mono2, c in mono_img[mono].items():
-                    acc(img, (vlab, wlab, mono2), c if sign == 1 else -c)
+                    add_term(img, (vlab, wlab, mono2), c if sign == 1 else -c)
             else:
                 sign1 = -1 if godd and pv % 2 else 1
                 for wlab2, c in lab_img[wlab].items():
-                    acc(img, (vlab, wlab2, mono), c if sign1 == 1 else -c)
+                    add_term(img, (vlab, wlab2, mono), c if sign1 == 1 else -c)
                 sign2 = -1 if godd and (pv + pw) % 2 else 1
                 for mono2, c in mono_img[mono].items():
-                    acc(img, (vlab, wlab, mono2), c if sign2 == 1 else -c)
+                    add_term(img, (vlab, wlab, mono2), c if sign2 == 1 else -c)
             for tgt, c in img.items():
-                row = constraints.setdefault((op_id, tgt), {})
-                row[key] = row.get(key, Cyclo8Scalar()) + c
-    rows = [
-        {k: c for k, c in row.items() if not c.is_zero()}
-        for row in constraints.values()
-    ]
-    return rows, basis
+                add_term(constraints.setdefault((op_id, tgt), {}), key, c)
+    return list(constraints.values()), basis
 
 
 def sing_space_dim(n: int, m: int, nu: StrictPartition) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt, lcm
 
-from .linalg import Echelon, span
+from .linalg import Echelon, add_term, span
 from .partitions import StrictPartition, delta, enumerate_strict, contains
 from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA, _coerce
 from .symfunc import induct_mult
@@ -85,7 +85,7 @@ def word_mult(w1: tuple, w2: tuple) -> tuple:
 
 
 class HCElement:
-    """A sparse element of H_n over the cyclotomic field."""
+    """A sparse element of H_n over Q(zeta)."""
 
     __slots__ = ("n", "terms")
 
@@ -127,12 +127,7 @@ class HCElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            add_term(out, w, c)
         return HCElement(self.n, out)
 
     def __neg__(self):
@@ -155,12 +150,7 @@ class HCElement:
             for w2, c2 in other.terms.items():
                 w, sign = word_mult(w1, w2)
                 c = c1 * c2
-                s = out.get(w)
-                s = (c if sign == 1 else -c) if s is None else (s + c if sign == 1 else s - c)
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                add_term(out, w, c if sign == 1 else -c)
         return HCElement(self.n, out)
 
     def parity(self):
@@ -200,13 +190,7 @@ def transpose(x: HCElement) -> HCElement:
         moved = 0
         for v in images:
             moved |= 1 << v
-        w = (moved, q)
-        s = out.get(w)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
+        add_term(out, (moved, q), coeff)
     return HCElement(x.n, out)
 
 
@@ -580,7 +564,7 @@ def _trace_rank(x: HCElement, y: HCElement) -> int:
     t = product_coefficient(x, y) * ((1 << x.n) * factorial(x.n))
     if not t.is_integer():
         raise DecompositionError("regular trace %r is not an integer" % (t,))
-    return t.n0
+    return t.re
 
 
 _TABLE_CACHE: dict = {}

@@ -1,8 +1,9 @@
-"""Exact sparse linear algebra over the cyclotomic scalar field.
+"""Exact sparse linear algebra over the Gaussian rationals Q(zeta).
 
 Vectors are dicts mapping arbitrary sortable keys to nonzero Cyclo8Scalar
-entries. Subspaces live in reduced row-echelon form so membership and rank
-are decidable with no tolerances.
+entries, and `add_term` is the one accumulate-and-drop-zero step every
+module builds them with. Subspaces live in reduced row-echelon form so
+membership and rank are decidable with no tolerances.
 """
 
 from __future__ import annotations
@@ -10,16 +11,26 @@ from __future__ import annotations
 from .scalars import Cyclo8Scalar, ONE
 
 
+def add_term(vec: dict, key, c) -> None:
+    """vec[key] += c, dropping the key when the sum is zero.
+
+    Works for any coefficient type whose zero is falsy (int, Fraction,
+    Cyclo8Scalar).
+    """
+    s = vec.get(key)
+    if s is not None:
+        c = s + c
+    if c:
+        vec[key] = c
+    else:
+        vec.pop(key, None)
+
+
 def vec_axpy(u: dict, c: Cyclo8Scalar, v: dict) -> dict:
     """u + c*v, dropping zeros."""
     out = dict(u)
     for k, x in v.items():
-        s = out.get(k)
-        s = c * x if s is None else s + c * x
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, c * x)
     return out
 
 
@@ -46,12 +57,7 @@ class Echelon:
                 continue
             nc = -c
             for kk, x in self.rows[k].items():
-                s = v.get(kk)
-                s = nc * x if s is None else s + nc * x
-                if s.is_zero():
-                    v.pop(kk, None)
-                else:
-                    v[kk] = s
+                add_term(v, kk, nc * x)
         return v
 
     def insert(self, vec: dict) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .heckeclifford import decompose_regular, _bits
-from .linalg import Echelon
+from .linalg import Echelon, add_term
 from .partitions import StrictPartition, delta
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 
@@ -18,12 +18,7 @@ class ActionError(RuntimeError):
 def _mat_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, c)
     return out
 
 
@@ -45,13 +40,7 @@ def _mat_mul(a: dict, b: dict) -> dict:
         byrow.setdefault(i, []).append((j, c))
     for (i, j), c in a.items():
         for (k, c2) in byrow.get(j, ()):
-            key = (i, k)
-            s = out.get(key)
-            s = c * c2 if s is None else s + c * c2
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (i, k), c * c2)
     return out
 
 
@@ -163,25 +152,16 @@ def act_on_V(x: QnElement, vec: dict) -> dict:
     Y_ij e_k = -d_jk f_i, Y_ij f_k = d_jk e_i.
     """
     out = {}
-
-    def add(label, c):
-        s = out.get(label)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(label, None)
-        else:
-            out[label] = s
-
     for (kind, k), c in vec.items():
         for (i, j), m in x.xmat.items():
             if j == k:
-                add((kind, i), m * c)
+                add_term(out, (kind, i), m * c)
         for (i, j), m in x.ymat.items():
             if j == k:
                 if kind == "e":
-                    add(("f", i), -(m * c))
+                    add_term(out, ("f", i), -(m * c))
                 else:
-                    add(("e", i), m * c)
+                    add_term(out, ("e", i), m * c)
     return out
 
 
@@ -215,22 +195,13 @@ class USpace:
         out = {}
         op = ONE + ZETA
         om = ONE - ZETA
-
-        def add(key, c):
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
         for (kind, i, j), c in vec.items():
             if kind == "v":
-                add((("e", i), ("e", j)), op * c)
-                add((("f", i), ("f", j)), om * c)
+                add_term(out, (("e", i), ("e", j)), op * c)
+                add_term(out, (("f", i), ("f", j)), om * c)
             else:
-                add((("e", i), ("f", j)), op * c)
-                add((("f", i), ("e", j)), om * c)
+                add_term(out, (("e", i), ("f", j)), op * c)
+                add_term(out, (("f", i), ("e", j)), om * c)
         return out
 
     def from_ambient(self, amb: dict) -> dict:
@@ -261,26 +232,17 @@ class USpace:
         """Action of (x, 0) or (0, x) on U via the ambient sign rule."""
         amb = self.to_ambient(vec)
         out_amb = {}
-
-        def add(key, c):
-            s = out_amb.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out_amb.pop(key, None)
-            else:
-                out_amb[key] = s
-
         for p, xh in x.homogeneous_parts().items():
             for (lab1, lab2), c in amb.items():
                 if side == "left":
                     img = act_on_V(xh, {lab1: c})
                     for lab, cc in img.items():
-                        add((lab, lab2), cc)
+                        add_term(out_amb, (lab, lab2), cc)
                 else:
                     sign = -1 if p and lab1[0] == "f" else 1
                     img = act_on_V(xh, {lab2: c if sign == 1 else -c})
                     for lab, cc in img.items():
-                        add((lab1, lab), cc)
+                        add_term(out_amb, (lab1, lab), cc)
         return self.from_ambient(out_amb)
 
 
@@ -391,13 +353,7 @@ def hc_apply(x, lab: tuple) -> dict:
     out = {}
     for w, c in x.terms.items():
         lab2, sign = word_action(w, lab)
-        cc = c if sign == 1 else -c
-        s = out.get(lab2)
-        s = cc if s is None else s + cc
-        if s.is_zero():
-            out.pop(lab2, None)
-        else:
-            out[lab2] = s
+        add_term(out, lab2, c if sign == 1 else -c)
     return out
 
 
@@ -413,13 +369,7 @@ def q_act_tensor(x: QnElement, vec: dict) -> dict:
                     sign = -1 if pre else 1
                 img = act_on_V(xh, {lab[t]: c if sign == 1 else -c})
                 for single, cc in img.items():
-                    lab2 = lab[:t] + (single,) + lab[t + 1 :]
-                    s = out.get(lab2)
-                    s = cc if s is None else s + cc
-                    if s.is_zero():
-                        out.pop(lab2, None)
-                    else:
-                        out[lab2] = s
+                    add_term(out, lab[:t] + (single,) + lab[t + 1 :], cc)
     return out
 
 

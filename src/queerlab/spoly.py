@@ -3,12 +3,14 @@ anticommute and square to zero.
 
 A monomial is a pair (even_exps, odd_support): a tuple of exponents over the
 even variables and a sorted tuple of odd variable indices. Elements are dicts
-monomial -> Cyclo8Scalar, so they plug directly into the echelon machinery.
+monomial -> Cyclo8Scalar, an element of Q(zeta), so they plug directly into
+the echelon machinery.
 """
 
 from __future__ import annotations
 
-from .scalars import Cyclo8Scalar, _coerce
+from .linalg import add_term
+from .scalars import Cyclo8Scalar, ONE, _coerce
 
 
 def merge_odd(o1: tuple, o2: tuple):
@@ -68,12 +70,7 @@ def mono_mul(m1, m2, trunc=None):
 def p_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for k, c in q.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        add_term(out, k, c)
     return out
 
 
@@ -104,12 +101,7 @@ def p_mul(p: dict, q: dict, trunc=None) -> dict:
                 continue
             mono, sign = r
             c = c1 * c2
-            s = out.get(mono)
-            s = (c if sign == 1 else -c) if s is None else (s + c if sign == 1 else s - c)
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            add_term(out, mono, c if sign == 1 else -c)
     return out
 
 
@@ -122,8 +114,6 @@ def constant_term(p: dict, n_even: int) -> Cyclo8Scalar:
 
 
 def p_one(n_even: int) -> dict:
-    from .scalars import ONE
-
     return {((0,) * n_even, ()): ONE}
 
 

@@ -22,7 +22,6 @@ from .partitions import (
     enumerate_strict,
     l_max,
 )
-from .scalars import half_power_of_two
 
 
 class NotInGammaSpan(ValueError):
@@ -437,14 +436,22 @@ def induct_mult(
             - delta(lam)
             + lam.length
         )
-        val = half_power_of_two(e) * c
-        if not val.is_integer():
+        # c is a nonzero rational, so 2^{e/2} c is rational only for even e
+        if e % 2:
             raise InconsistentMultiplicity(
-                "non-integral multiplicity %r at %r" % (val, lam)
+                "irrational multiplicity 2^(%d/2)*%s at %r in [S_%r][S_%r]"
+                % (e, c, lam, mu, nu)
             )
-        m = int(val.as_fraction())
+        val = Fraction(2) ** (e // 2) * c
+        if val.denominator != 1:
+            raise InconsistentMultiplicity(
+                "non-integral multiplicity %s at %r in [S_%r][S_%r]" % (val, lam, mu, nu)
+            )
+        m = int(val)
         if m < 0:
-            raise InconsistentMultiplicity("negative multiplicity %d at %r" % (m, lam))
+            raise InconsistentMultiplicity(
+                "negative multiplicity %d at %r in [S_%r][S_%r]" % (m, lam, mu, nu)
+            )
         if m:
             out[lam] = m
     return out

@@ -134,6 +134,10 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
         (["verify", "phi-psi", "--n", "1", "--jet-order", "0"], "--jet-order"),
         (["verify", "main-theorem", "--jobs", "0"], "--jobs"),
         (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
+        # --vars past the safe bound; --vars below --degree is refused even
+        # with --unsafe
+        (["verify", "cauchy", "--degree", "6", "--vars", "7"], "--vars"),
+        (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
@@ -167,6 +171,55 @@ def test_exit_code_one_on_mismatch(monkeypatch, capsys):
     code = main(["verify", "cauchy", "--degree", "1", "--vars", "1"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
+    from queerlab import symfunc
+
+    class Passed:
+        ok = True
+        first_failure = None
+
+    seen = []
+    monkeypatch.setattr(symfunc, "cauchy_check", lambda d, N: seen.append((d, N)) or Passed())
+    assert main(["verify", "cauchy", "--degree", "6", "--vars", "7", "--unsafe"]) == 0
+    assert seen == [(6, 7)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "module, name, exc_name, argv",
+    [
+        ("symfunc", "cauchy_check", "InconsistentMultiplicity", ["verify", "cauchy", "--degree", "1", "--vars", "1"]),
+        ("heckeclifford", "verify_tensor_ideal_theorem", "DecompositionError", ["verify", "hecke-ideals", "--nmax", "1"]),
+    ],
+)
+def test_failed_exact_identity_exits_one(module, name, exc_name, argv, monkeypatch, capsys):
+    # a failed exact identity is a theorem failure (1), not an internal error (2)
+    import importlib
+
+    mod = importlib.import_module("queerlab." + module)
+    exc = getattr(mod, exc_name)
+
+    def fail(*args, **kwargs):
+        raise exc("forced failure")
+
+    monkeypatch.setattr(mod, name, fail)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    case = " ".join(argv[:2])
+    assert err == "check failed in %s: %s: forced failure\n" % (case, exc_name)
+
+
+def test_other_exceptions_stay_internal_errors(monkeypatch, capsys):
+    from queerlab import symfunc
+
+    def fail(d, N):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(symfunc, "cauchy_check", fail)
+    assert main(["verify", "cauchy", "--degree", "1", "--vars", "1"]) == 2
+    assert capsys.readouterr().err.startswith("internal error: KeyError")
 
 
 def test_cache_roundtrip(tmp_path, capsys):

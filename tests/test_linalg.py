@@ -1,6 +1,7 @@
 import random
+from fractions import Fraction
 
-from queerlab.linalg import Echelon, kernel_basis, span, vec_axpy
+from queerlab.linalg import Echelon, add_term, kernel_basis, span, vec_axpy
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
 
@@ -64,3 +65,18 @@ def test_span_contains_space():
     b = span([{0: s(2), 1: s(3)}])
     assert a.contains_space(b)
     assert not b.contains_space(a)
+
+
+def test_add_term_drops_a_zero_sum():
+    for one in (1, Fraction(1), ONE, ZETA):
+        vec = {}
+        add_term(vec, "a", one)
+        add_term(vec, "b", one)
+        add_term(vec, "a", one)
+        assert vec == {"a": one + one, "b": one}
+        add_term(vec, "b", -one)
+        assert vec == {"a": one + one}
+        add_term(vec, "c", one - one)  # a zero term never enters
+        assert vec == {"a": one + one}
+        add_term(vec, "a", -(one + one))
+        assert vec == {}

@@ -9,6 +9,7 @@ from queerlab import symfunc
 from queerlab.partitions import EMPTY, StrictPartition, enumerate_strict
 from queerlab.symfunc import (
     GammaElement,
+    InconsistentMultiplicity,
     NVarPoly,
     NotInGammaSpan,
     Q_poly,
@@ -201,6 +202,31 @@ def test_induct_mult_examples():
     assert induct_mult(sp(1), sp(1)) == {sp(2): 2}
     assert induct_mult(sp(1), EMPTY) == {sp(1): 1}
     assert set(induct_mult(sp(1), sp(2))) == {sp(3), sp(2, 1)}
+
+
+def test_induct_mult_scales_by_the_even_half_power_of_two(monkeypatch):
+    # e = (d(mu) - l(mu)) + (d(nu) - l(nu)) - (d(lam) - l(lam)); with
+    # delta = l mod 2 each bracket is even, and e = 0 + 0 - (0 - 2) = 2 here
+    def product(c):
+        return lambda f, g: GammaElement({sp(2, 1): c})
+
+    monkeypatch.setattr(symfunc, "gamma_product", product(Fraction(3, 2)))
+    assert induct_mult(sp(1), sp(1)) == {sp(2, 1): 3}
+    monkeypatch.setattr(symfunc, "gamma_product", product(Fraction(1, 4)))
+    with pytest.raises(InconsistentMultiplicity, match="non-integral"):
+        induct_mult(sp(1), sp(1))
+    monkeypatch.setattr(symfunc, "gamma_product", product(-1))
+    with pytest.raises(InconsistentMultiplicity, match="negative"):
+        induct_mult(sp(1), sp(1))
+
+
+def test_induct_mult_odd_exponent_is_inconsistent(monkeypatch):
+    # an odd e makes 2^{e/2} c irrational for every nonzero rational c; the
+    # exponent is even under delta = l mod 2, so delta is replaced to reach it
+    monkeypatch.setattr(symfunc, "gamma_product", lambda f, g: GammaElement({sp(2, 1): 2}))
+    monkeypatch.setattr(symfunc, "delta", lambda lam: 0)
+    with pytest.raises(InconsistentMultiplicity, match=r"irrational multiplicity 2\^\(1/2\)"):
+        induct_mult(sp(1), EMPTY)
 
 
 def test_induct_mult_symmetric():
