@@ -22,10 +22,14 @@ CACHE_HEADER = "queerlab-cache v2"
 
 # The safe bounds, lifted by --unsafe: past them the exact arithmetic costs
 # grow factorially. Each target names the flags it reads against them.
-SAFE_H_RANK = 5  # rank of H_n
+SAFE_H_RANK = 6  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 SAFE_DEGREE = 6  # Cauchy truncation degree and number of variables
 SAFE_SIZE = 8  # largest partition size of a Pieri or ideal check
+# |lambda| of dump dims: dim_T reduces the image of every word of
+# V^{(x)|lambda|} by brute force, (2n)^|lambda| of them; at n = 3, size 4
+# runs in a few seconds and size 5 in minutes
+SAFE_TENSOR_DEGREE = 4
 
 
 class ConfigError(ValueError):
@@ -263,7 +267,7 @@ def _verify_cauchy(cfg: RunConfig, lam: StrictPartition) -> int:
 def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
     from .heckeclifford import braid_conjugation_cases, verify_tensor_ideal_theorem
 
-    cases = verify_tensor_ideal_theorem(cfg.nmax, seed=cfg.seed)
+    cases = verify_tensor_ideal_theorem(cfg.nmax)
     braid = []
     for (mm, nn) in [(1, 1), (1, 2), (2, 1)]:
         for b in braid_conjugation_cases(mm, nn):
@@ -430,7 +434,7 @@ def _parse_lambda(text: str | None) -> StrictPartition:
 def _dump_isotypic(cfg: RunConfig, lam: StrictPartition) -> int:
     from .heckeclifford import decompose_regular
 
-    tab = decompose_regular(cfg.n, seed=cfg.seed)
+    tab = decompose_regular(cfg.n)
     payload = json.loads(tab.to_json())
     payload["target"] = "isotypic"
     rows = [
@@ -461,7 +465,7 @@ def _dump_q_expansion(cfg: RunConfig, lam: StrictPartition) -> int:
 def _dump_dims(cfg: RunConfig, lam: StrictPartition) -> int:
     from .queer import dim_T
 
-    val = dim_T(lam, cfg.n, seed=cfg.seed)
+    val = dim_T(lam, cfg.n)
     payload = {
         "target": "dims",
         "lambda": lam.serialize(),
@@ -490,7 +494,7 @@ TARGETS = {
     ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),)),
     ("dump", "q-expansion"): (_dump_q_expansion, ()),
-    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_H_RANK))),
+    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_TENSOR_DEGREE))),
 }
 
 

@@ -8,11 +8,9 @@ words, so all heavy subspace work stays sparse.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt
 
 from .linalg import Echelon, add_term, span
 from .partitions import StrictPartition, delta, enumerate_strict, contains
@@ -412,75 +410,57 @@ def _center_basis(n: int, parity: int) -> list[HCElement]:
     return [b for _, b in sorted(basis, key=lambda t: t[0])]
 
 
-def _rational_roots(coeffs: list) -> list | None:
-    """Roots of a monic rational polynomial, or None if any factor is nonlinear.
-
-    coeffs are Fractions, lowest degree first. Roots come with multiplicity.
-    By the rational-root theorem a root p/q in lowest terms of the integer
-    polynomial D*f has p | a_0 and q | a_d; each root found is divided out
-    before the next search, so the search fails exactly when what is left
-    has no linear factor over Q.
+def _casimir(n: int) -> HCElement:
+    """z = sum_k M_k^2 over the odd Jucys-Murphy elements
+    M_k = sum_{j<k} (1 + alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math. 127,
+    1997). z is central and acts on J^lambda by `_content_values(n)[lambda]`.
     """
-    poly = [Fraction(c) for c in coeffs]
-    roots = []
-    while len(poly) > 1 and poly[0] == 0:
-        roots.append(Fraction(0))
-        poly = poly[1:]
-    while len(poly) > 1:
-        den = lcm(*(c.denominator for c in poly))
-        a0 = abs(int(poly[0] * den))
-        ad = abs(int(poly[-1] * den))
-        root = next(
-            (
-                r
-                for p in _divisors(a0)
-                for q in _divisors(ad)
-                for r in (Fraction(p, q), Fraction(-p, q))
-                if _horner(poly, r) == 0
-            ),
-            None,
-        )
-        if root is None:
-            return None
-        roots.append(root)
-        poly = _deflate(poly, root)
-    return roots
+    unit = HCElement.unit(n)
+    z = HCElement(n)
+    for k in range(2, n + 1):
+        m = HCElement(n)
+        for j in range(1, k):
+            p = list(range(n))
+            p[j - 1], p[k - 1] = k - 1, j - 1
+            s_jk = HCElement.permutation(n, tuple(p))
+            m = m + (unit + HCElement.alpha(n, j) * HCElement.alpha(n, k)) * s_jk
+        z = z + m * m
+    return z
 
 
-def _divisors(k: int) -> list[int]:
-    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    return small + [k // d for d in reversed(small) if d * d != k]
+def _content_values(n: int) -> dict:
+    """lambda -> v(lambda) = sum_i (lambda_i - 1) lambda_i (lambda_i + 1) / 3
+    for the strict partitions of n, in `enumerate_strict` order.
+
+    v(lambda) is the sum of c(c + 1) over the boxes of the shifted diagram,
+    c = column - row: the scalar by which the Casimir acts on J^lambda. Two
+    partitions sharing a value cannot be told apart by it, so that raises
+    DecompositionError (first at n = 15: (9,5,1) and (8,7) both give 280).
+    """
+    values = {}
+    for lam in enumerate_strict(n):
+        v = sum((p - 1) * p * (p + 1) for p in lam.parts) // 3
+        clash = next((mu for mu, u in values.items() if u == v), None)
+        if clash is not None:
+            raise DecompositionError(
+                "the Casimir of H_%d takes the value %d on both %s and %s"
+                % (n, v, clash.parts, lam.parts)
+            )
+        values[lam] = v
+    return values
 
 
-def _horner(poly: list, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * t + c
-    return acc
+def _split_center(n: int, z0: list[HCElement], values: dict) -> dict:
+    """lambda -> e_lambda, the primitive idempotents of the even center.
 
-
-def _deflate(poly: list, root: Fraction) -> list:
-    """poly / (t - root) for a root of poly, lowest degree first."""
-    out = [Fraction(0)] * (len(poly) - 1)
-    acc = Fraction(0)
-    for i in range(len(poly) - 1, 0, -1):
-        acc = acc * root + poly[i]
-        out[i - 1] = acc
-    return out
-
-
-def _split_center(n: int, z0: list[HCElement], seed: int, retries: int = 32):
-    """Primitive idempotents of the even center, by random splitting elements.
-
-    The work stays inside the k-dimensional center. The echelon rows r_j of
-    z0 have pivot words p_j and a central c equals sum_j c[p_j] r_j, so
-    elements are coordinate vectors and the structure constants are the
-    coefficients (r_a r_b)[p_j], read without forming the products.
+    e_lambda = prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the
+    Casimir z and its block values v = `values`. The work stays inside the
+    k-dimensional center. The echelon rows r_j of z0 have pivot words p_j and
+    a central c equals sum_j c[p_j] r_j, so elements are coordinate vectors
+    and the structure constants are the coefficients (r_a r_b)[p_j], read
+    without forming the products.
     """
     k = len(z0)
-    unit = HCElement.unit(n)
-    if k == 1:
-        return [unit]
     ech = span(b.terms for b in z0)
     pivots = sorted(ech.rows)
     rows = [HCElement(n, ech.rows[p]) for p in pivots]
@@ -499,64 +479,23 @@ def _split_center(n: int, z0: list[HCElement], seed: int, retries: int = 32):
     def coords(x):
         return [x.terms.get(p, ZERO) for p in pivots]
 
-    one = coords(unit)
-    z0_coords = [coords(b) for b in z0]
-    rng = random.Random(seed)
-    for attempt in range(retries):
-        coeffs = [rng.randint(-3, 3) for _ in range(k)]
-        z = [sum((c * b[j] for c, b in zip(coeffs, z0_coords)), ZERO) for j in range(k)]
-        roots = _rational_roots(_min_poly(z, one, mul))
-        if roots is None or len(set(roots)) != k:
-            continue  # collision or irrational eigenvalue; fresh randomness
-        roots = [Cyclo8Scalar.from_fraction(c) for c in sorted(set(roots))]
-        idems = []
-        for c in roots:
-            e = one
-            for c2 in roots:
-                if c2 != c:
-                    inv = (c - c2).inverse()
-                    e = mul(e, [(zj - c2 * oj) * inv for zj, oj in zip(z, one)])
-            if mul(e, e) != e:
-                raise DecompositionError("non-idempotent central projector")
-            idems.append(e)
-        out = []
-        total = HCElement(n)
-        for e in idems:
-            elem = HCElement(n)
-            for c, r in zip(e, rows):
-                elem = elem + r.scale(c)
-            out.append(elem)
-            total = total + elem
-        if total != unit:
-            raise DecompositionError("central idempotents do not sum to 1")
-        return out
-    raise DecompositionError(
-        "center splitting failed after %d random attempts (irrational central "
-        "characters?)" % retries
-    )
-
-
-def _min_poly(z: list, one: list, mul) -> list[Fraction]:
-    """Monic minimal polynomial of z, lowest degree first, from the first
-    linear dependence among the coordinate vectors of 1, z, z^2, ...
-
-    Each power carries a marker key (1, d); once its coordinates reduce to
-    zero, the markers left hold the coefficients of the dependence.
-    """
-    ech = Echelon()
-    power = one
-    for d in range(len(one) + 1):
-        vec = {(0, j): c for j, c in enumerate(power) if not c.is_zero()}
-        vec[(1, d)] = ONE
-        rest = ech.reduce(vec)
-        if all(key[0] == 1 for key in rest):
-            poly = [rest.get((1, i), ZERO) for i in range(d + 1)]
-            if not all(c.is_rational() for c in poly):
-                raise DecompositionError("irrational central minimal polynomial")
-            return [c.as_fraction() for c in poly]
-        ech.insert(rest)
-        power = mul(power, z)
-    raise DecompositionError("no minimal polynomial found")  # pragma: no cover
+    one = coords(HCElement.unit(n))
+    z = coords(_casimir(n))
+    out = {}
+    for lam, v in values.items():
+        e = one
+        for mu, u in values.items():
+            if mu != lam:
+                inv = Cyclo8Scalar.from_int(v - u).inverse()
+                e = mul(e, [(zj - u * oj) * inv for zj, oj in zip(z, one)])
+        # the closed form for the values of z is checked, not assumed
+        if mul(e, e) != e:
+            raise DecompositionError("non-idempotent central projector for %s" % (lam.parts,))
+        elem = HCElement(n)
+        for c, r in zip(e, rows):
+            elem = elem + r.scale(c)
+        out[lam] = elem
+    return out
 
 
 def _trace_rank(x: HCElement, y: HCElement) -> int:
@@ -570,87 +509,76 @@ def _trace_rank(x: HCElement, y: HCElement) -> int:
 _TABLE_CACHE: dict = {}
 
 
-def decompose_regular(n: int, seed: int = 0) -> IsotypicTable:
-    """Two-sided isotypic decomposition of H_n with strict-partition labels."""
-    key = (n, seed)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+def decompose_regular(n: int) -> IsotypicTable:
+    """Two-sided isotypic decomposition of H_n with strict-partition labels.
+
+    Each block is labelled by the value of the Casimir on it; its type and
+    its restriction ranks to H_{n-1} are then checked against that label.
+    """
+    if n in _TABLE_CACHE:
+        return _TABLE_CACHE[n]
     if n == 0:
         unit = HCElement.unit(0)
         blocks = {
             StrictPartition(()): IsotypicBlock(StrictPartition(()), 1, 1, "M", unit)
         }
         table = IsotypicTable(0, blocks)
-        _TABLE_CACHE[key] = table
+        _TABLE_CACHE[n] = table
         return table
 
+    values = _content_values(n)
     z_even = _center_basis(n, 0)
-    expected = len(enumerate_strict(n))
-    if len(z_even) != expected:
+    if len(z_even) != len(values):
         raise DecompositionError(
             "even center of H_%d has dimension %d, expected %d"
-            % (n, len(z_even), expected)
+            % (n, len(z_even), len(values))
         )
-    idems = _split_center(n, z_even, seed)
+    idems = _split_center(n, z_even, values)
     # e*o is central and odd, so it vanishes iff its coefficients at the
     # pivot words of the odd center do
     z_odd = _center_basis(n, 1)
     odd_pivots = list(span(o.terms for o in z_odd).rows)
 
     unit = HCElement.unit(n)
-    blocks_raw = []
-    for e in idems:
+    prev = decompose_regular(n - 1)
+    one_box = StrictPartition((1,))
+    pieri_cache = {nu: induct_mult(one_box, nu) for nu in prev.blocks}
+    restricted = {
+        nu: embed_left(pb.idempotent, n - 1, 1) for nu, pb in prev.blocks.items()
+    }
+    blocks = {}
+    for lam, e in idems.items():
         dim_J = _trace_rank(e, unit)
         is_q = any(
             not product_coefficient(e, o, p).is_zero() for o in z_odd for p in odd_pivots
         )
+        if is_q != (delta(lam) == 1):
+            raise DecompositionError(
+                "block %s is of type %s, but delta = %d"
+                % (lam.parts, "Q" if is_q else "M", delta(lam))
+            )
         dim_S2 = dim_J * (2 if is_q else 1)
         dim_S = isqrt(dim_S2)
         if dim_S * dim_S != dim_S2:
             raise DecompositionError("dim J^lambda = %d is not of the expected form" % dim_J)
-        blocks_raw.append((e, dim_J, dim_S, is_q))
-
-    if sum(b[1] for b in blocks_raw) != (1 << n) * factorial(n):
-        raise DecompositionError("isotypic dimensions do not sum to dim H_n")
-
-    # inductive labeling by restriction multiplicities against rank n-1
-    prev = decompose_regular(n - 1, seed=seed)
-    one_box = StrictPartition((1,))
-    pieri_cache = {
-        nu: induct_mult(one_box, nu) for nu in prev.blocks
-    }
-    blocks = {}
-    restricted = {
-        nu: embed_left(pb.idempotent, n - 1, 1) for nu, pb in prev.blocks.items()
-    }
-    for e, dim_J, dim_S, is_q in blocks_raw:
-        # e is central, so f*e is an idempotent and dim f*J = rank of L_{f*e}
-        observed = {nu: _trace_rank(f, e) for nu, f in restricted.items()}
-        t_copies = dim_J // dim_S
-        candidates = []
-        for lam in enumerate_strict(n):
-            if delta(lam) != (1 if is_q else 0):
-                continue
-            predicted = {}
-            for nu, pb in prev.blocks.items():
-                m = pieri_cache[nu].get(lam, 0)
-                num = m * 2 ** delta(lam) * pb.dim_S * t_copies
-                den = 2 ** delta(nu)
-                if num % den:
-                    break
-                predicted[nu] = num // den
-            else:
-                if predicted == observed:
-                    candidates.append(lam)
-        if len(candidates) != 1:
-            raise DecompositionError(
-                "ambiguous or impossible labeling: candidates %r for block of dim %d"
-                % (candidates, dim_J)
-            )
-        lam = candidates[0]
+        # cross-check the label by restriction: e is central, so f*e is an
+        # idempotent and dim f*J = rank of L_{f*e}, which induction by one
+        # box predicts
+        for nu, f in restricted.items():
+            m = pieri_cache[nu].get(lam, 0)
+            predicted = m * 2 ** delta(lam) * prev.blocks[nu].dim_S * (dim_J // dim_S)
+            observed = _trace_rank(f, e)
+            if observed * 2 ** delta(nu) != predicted:
+                raise DecompositionError(
+                    "block %s restricts to rank %d on %s, predicted %d/%d"
+                    % (lam.parts, observed, nu.parts, predicted, 2 ** delta(nu))
+                )
         blocks[lam] = IsotypicBlock(lam, dim_J, dim_S, "Q" if is_q else "M", e)
+
+    if sum(b.dim_J for b in blocks.values()) != (1 << n) * factorial(n):
+        raise DecompositionError("isotypic dimensions do not sum to dim H_n")
     table = IsotypicTable(n, blocks)
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE[n] = table
     return table
 
 
@@ -681,7 +609,7 @@ class SigmaCase:
         }
 
 
-def verify_tensor_ideal_theorem(n_max: int = 4, seed: int = 0) -> list[SigmaCase]:
+def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
     """Check Sigma^m(J^lambda) = (+) of J^mu over mu containing lambda.
 
     Sigma^m(J^lambda) is the two-sided ideal of H_{n0+m} generated by the
@@ -690,7 +618,7 @@ def verify_tensor_ideal_theorem(n_max: int = 4, seed: int = 0) -> list[SigmaCase
     an idempotent (e_mu is central), so it is nonzero iff its rank, the
     regular trace, is; and the ranks of the parts must add up to that of x.
     """
-    tables = {r: decompose_regular(r, seed=seed) for r in range(n_max + 1)}
+    tables = {r: decompose_regular(r) for r in range(n_max + 1)}
     cases = []
     for n0 in range(0, n_max + 1):
         for lam in enumerate_strict(n0):

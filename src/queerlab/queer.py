@@ -376,7 +376,7 @@ def q_act_tensor(x: QnElement, vec: dict) -> dict:
 _DIM_T_CACHE: dict = {}
 
 
-def dim_T(lam: StrictPartition, n: int, seed: int = 0) -> int:
+def dim_T(lam: StrictPartition, n: int) -> int:
     """Total dimension of the simple polynomial representation T_{lambda,n},
     by brute force through the Sergeev double commutant on V^{(x)|lambda|}."""
     key = (lam, n)
@@ -385,7 +385,7 @@ def dim_T(lam: StrictPartition, n: int, seed: int = 0) -> int:
     d = lam.size
     if d == 0:
         return 1
-    table = decompose_regular(d, seed=seed)
+    table = decompose_regular(d)
     block = table.blocks[lam]
     ech = Echelon()
     for lab in tensor_basis(n, d):

@@ -62,14 +62,6 @@ class Cyclo8Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.im:
-            raise ScalarError("not a rational element: %s" % (self,))
-        return Fraction(self.re, self.den)
-
     def is_integer(self) -> bool:
         return self.im == 0 and self.den == 1
 

@@ -94,6 +94,24 @@ def test_safe_bounds_guard(capsys):
     assert "safe" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "hecke-ideals", "--nmax", "4"], ["dump", "isotypic", "--n", "4"]]
+)
+def test_h_n_output_does_not_depend_on_the_seed(argv, capsys):
+    from queerlab.partitions import enumerate_strict
+
+    outs = []
+    for seed in ("0", "5"):
+        assert main(argv + ["--seed", seed, "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    for case in json.loads(outs[0]).get("cases", []):
+        size = sum(int(p) for p in case["lambda"].split(",") if p) + case["m"]
+        order = [mu.serialize() for mu in enumerate_strict(size)]
+        for key in ("predicted_support", "observed_support"):
+            assert case[key] == [mu for mu in order if mu in case[key]]
+
+
 def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
     # H_4 is inside the safe H-rank, though 4 is past the safe A-rank
     code = main(["dump", "isotypic", "--n", "4", "--format", "json"])
@@ -105,9 +123,10 @@ def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["dump", "isotypic", "--n", "6"], "--n"),
-        # |lambda| is the rank of the H_n that dim_T decomposes
+        (["dump", "isotypic", "--n", "7"], "--n"),
+        # |lambda| is the tensor degree that dim_T decomposes
         (["dump", "dims", "--lambda", "4,2", "--n", "1"], "--lambda"),
+        (["dump", "dims", "--lambda", "3,2", "--n", "3"], "--lambda"),
     ],
 )
 def test_h_rank_bound_names_the_flag(argv, flag, capsys):
@@ -152,7 +171,7 @@ def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
     # a run that checks nothing must not report success
     from queerlab import heckeclifford
 
-    monkeypatch.setattr(heckeclifford, "verify_tensor_ideal_theorem", lambda n, seed: [])
+    monkeypatch.setattr(heckeclifford, "verify_tensor_ideal_theorem", lambda n: [])
     code = main(["verify", "hecke-ideals", "--nmax", "1", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["cases"] == [] and payload["status"] is False
@@ -316,7 +335,7 @@ def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
 
 
 def test_no_sympy_import():
-    # the center splitting finds its roots without sympy
+    # the center splitting runs without sympy
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys; from queerlab.cli import main; "

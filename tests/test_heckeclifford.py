@@ -1,14 +1,15 @@
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import pytest
 
 from queerlab.heckeclifford import (
+    DecompositionError,
     HCElement,
+    _casimir,
     _center_basis,
-    _rational_roots,
+    _content_values,
     _trace_rank,
     all_words,
     braid,
@@ -39,7 +40,7 @@ def sp(*parts):
 
 @lru_cache(maxsize=None)
 def block_echelon(n: int, lam: StrictPartition) -> Echelon:
-    """J^lambda = e_lambda H_n at seed 0, by echelon: the oracle for the traces."""
+    """J^lambda = e_lambda H_n, by echelon: the oracle for the traces."""
     e = decompose_regular(n).blocks[lam].idempotent
     return span((e * HCElement(n, {w: ONE})).terms for w in all_words(n))
 
@@ -271,8 +272,7 @@ def center_basis_by_kernel(n, parity):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_center_basis_matches_kernel(n, parity):
-    # the orbit construction returns the very basis the echelon kernel does,
-    # so the seeded splitting draws the same random central elements
+    # the orbit construction returns the very basis the echelon kernel does
     assert _center_basis(n, parity) == center_basis_by_kernel(n, parity)
 
 
@@ -355,17 +355,24 @@ def test_semisimple_sigma_support_matches_closure():
                 assert case.passed
 
 
-@pytest.mark.parametrize(
-    "coeffs, roots",
-    [
-        ([4, 0, -3, 1], [-1, 2, 2]),  # (t - 2)^2 (t + 1): a repeated root
-        ([0, 0, -3, 1], [0, 0, 3]),  # t^2 (t - 3): a zero root
-        ([Fraction(-1, 3), Fraction(1, 6), 1], [Fraction(-2, 3), Fraction(1, 2)]),
-        ([31104, -2232, 2, 1], [-54, 16, 36]),  # met while splitting the center of H_5
-        ([-2, 0, 1], None),  # t^2 - 2 is irreducible over Q
-        ([-1, 1, -1, 1], None),  # (t - 1)(t^2 + 1)
-    ],
-)
-def test_rational_roots(coeffs, roots):
-    got = _rational_roots([Fraction(c) for c in coeffs])
-    assert (got if got is None else sorted(got)) == roots
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_casimir_is_central_and_acts_by_content(n):
+    z = _casimir(n)
+    for g in generators(n):
+        assert z * g == g * z
+    values = _content_values(n)
+    blocks = decompose_regular(n).blocks
+    assert list(blocks) == list(values) == list(enumerate_strict(n))
+    for lam, block in blocks.items():
+        e = block.idempotent
+        assert z * e == e.scale(values[lam])
+
+
+def test_content_values_separate_up_to_14():
+    assert _content_values(5) == {sp(5): 40, sp(4, 1): 20, sp(3, 2): 10}
+    for n in range(1, 15):
+        values = _content_values(n)
+        assert len(set(values.values())) == len(values) == len(enumerate_strict(n))
+    # (9,5,1) and (8,7) both give 280, so the Casimir cannot split H_15
+    with pytest.raises(DecompositionError, match="280"):
+        _content_values(15)
