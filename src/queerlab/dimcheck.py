@@ -92,6 +92,9 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
                         basis.append((v, w2, mono))
     if not basis:
         return [], []
+    parity = {
+        lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
+    }
     constraints = {}
     ops = raising_operators(n, m)
     for op_id, (side, g) in enumerate(ops):
@@ -103,8 +106,8 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
         mono_img = {mono: act_terms(side, g, {mono: ONE}, n, m) for mono in {k[2] for k in basis}}
         for key in basis:
             vlab, wlab, mono = key
-            pv = _label_parity(vlab)
-            pw = _label_parity(wlab)
+            pv = parity[vlab]
+            pw = parity[wlab]
             img = {}
             if side == "left":
                 for vlab2, c in lab_img[vlab].items():

@@ -1,12 +1,74 @@
 import random
 from fractions import Fraction
+from math import gcd
 
-from queerlab.linalg import Echelon, add_term, kernel_basis, span, vec_axpy
+from hypothesis import given, settings, strategies as st
+
+from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
 
 def s(k):
     return Cyclo8Scalar.from_int(k)
+
+
+# -- oracle: Gauss-Jordan on Cyclo8Scalar entries, every row at pivot 1 -----
+
+
+def vec_axpy(u: dict, c: Cyclo8Scalar, v: dict) -> dict:
+    """u + c*v, dropping zeros."""
+    out = dict(u)
+    for k, x in v.items():
+        add_term(out, k, c * x)
+    return out
+
+
+class OracleEchelon:
+    """A row space in reduced echelon form, pivots chosen by minimal key."""
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot key -> row dict (pivot coefficient 1)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec modulo the current row space.
+
+        Rows are mutually reduced, so no new pivot keys appear during the
+        pass and a single sweep over vec's pivot hits suffices.
+        """
+        v = dict(vec)
+        for k in [k for k in vec if k in self.rows]:
+            c = v.get(k)
+            if c is None:
+                continue
+            nc = -c
+            for kk, x in self.rows[k].items():
+                add_term(v, kk, nc * x)
+        return v
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the space; True if the rank grew."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        piv = min(v)
+        c = v[piv]
+        if c != ONE:
+            inv = c.inverse()
+            v = {k: inv * x for k, x in v.items()}
+        # keep reduced form: clear the new pivot from existing rows
+        for p, row in self.rows.items():
+            c = row.get(piv)
+            if c is not None:
+                self.rows[p] = vec_axpy(row, -c, v)
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
 
 def test_insert_and_rank():
@@ -22,23 +84,50 @@ def test_reduce_is_zero_on_members():
     ech = Echelon()
     ech.insert({0: ONE, 2: ZETA})
     ech.insert({1: s(2), 2: ONE})
-    v = vec_axpy({0: s(3), 2: s(3) * ZETA}, s(5), {1: s(2), 2: ONE})
+    v = {0: s(3), 2: s(3) * ZETA}
+    for k, c in {1: s(2), 2: ONE}.items():
+        add_term(v, k, s(5) * c)
     assert ech.contains(v)
     assert not ech.contains({0: ONE})
 
 
 def test_reduced_form_pivots_unique():
     rng = random.Random(1)
+    integral = lambda: s(rng.randint(-4, 4))
+    # denominators and zeta parts, so the integer rows carry d > 1 and
+    # non-real pivots before they are made real
+    gaussian = lambda: Cyclo8Scalar(rng.randint(-4, 4), rng.randint(-2, 2), rng.randint(1, 6))
+    for entry in (integral, gaussian):
+        ech = Echelon()
+        for _ in range(24):
+            vec = {k: entry() for k in range(8)}
+            vec = {k: c for k, c in vec.items() if not c.is_zero()}
+            ech.insert(vec)
+        pivots = set(ech.rows)
+        for p, row in ech.rows.items():
+            assert row[p] == ONE
+            for other in pivots - {p}:
+                assert other not in row
+
+
+def test_rows_view_follows_inserts():
     ech = Echelon()
-    for _ in range(24):
-        vec = {k: s(rng.randint(-4, 4)) for k in range(8)}
-        vec = {k: c for k, c in vec.items() if not c.is_zero()}
-        ech.insert(vec)
-    pivots = set(ech.rows)
-    for p, row in ech.rows.items():
-        assert row[p] == ONE
-        for other in pivots - {p}:
-            assert other not in row
+    ech.insert({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)})
+    ech.insert({2: ONE, 3: ZETA})
+    before = ech.rows
+    assert before[0] == {0: ONE, 1: Cyclo8Scalar(1, 1, 3), 3: s(-2) * ZETA}
+    # pivot 1 sits in the row of pivot 0, so back-substitution rewrites it
+    assert ech.insert({1: s(3), 3: s(2)})
+    after = ech.rows
+    assert set(after) == {0, 1, 2}
+    assert 1 not in after[0]
+    assert after[0] == {0: ONE, 3: s(-2) * ZETA - Cyclo8Scalar(2, 2, 9)}
+    assert after[1] == {1: ONE, 3: Cyclo8Scalar(2, 0, 3)}
+    assert before is not after and 1 in before[0]
+    oracle = OracleEchelon()
+    for v in ({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)}, {2: ONE, 3: ZETA}, {1: s(3), 3: s(2)}):
+        oracle.insert(v)
+    assert after == oracle.rows
 
 
 def test_kernel_basis():
@@ -80,3 +169,39 @@ def test_add_term_drops_a_zero_sum():
         assert vec == {"a": one + one}
         add_term(vec, "a", -(one + one))
         assert vec == {}
+
+
+KEYS = 8
+ENTRIES = st.builds(
+    Cyclo8Scalar, st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 12)
+).filter(bool)
+VECTORS = st.dictionaries(st.integers(0, KEYS - 1), ENTRIES, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_echelon_matches_the_scalar_oracle(data):
+    vectors = data.draw(st.lists(VECTORS, min_size=1, max_size=7))
+    # repeated rows (c*v_i + v_i) and dependent ones (c*v_i + v_j)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
+        vectors.append(vec_axpy(vectors[j], data.draw(ENTRIES), vectors[i]))
+    vectors = data.draw(st.permutations(vectors))
+    ech, oracle = Echelon(), OracleEchelon()
+    for vec in vectors:
+        assert ech.insert(vec) == oracle.insert(vec)
+        assert ech.rank == oracle.rank
+        assert ech.rows == oracle.rows
+    # the stored rows: integer numerators, pivot (d, 0) with d > 0, content 1
+    for p, num in ech._rows.items():
+        assert num[p][0] > 0 and num[p][1] == 0
+        assert gcd(*(c for pair in num.values() for c in pair)) == 1
+    for vec in vectors:
+        assert ech.contains(vec) and oracle.contains(vec)
+        member = vec_axpy(vec, data.draw(ENTRIES), vectors[0])
+        assert ech.contains(member) and oracle.contains(member)
+        # key KEYS is in no row, so this is never a member
+        outside = {**vec, KEYS: ONE}
+        assert not ech.contains(outside) and not oracle.contains(outside)
+    probe = data.draw(VECTORS)
+    assert ech.contains(probe) == oracle.contains(probe)
