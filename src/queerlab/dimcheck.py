@@ -22,7 +22,7 @@ from .amodule import (
 from .heckeclifford import decompose_regular
 from .linalg import add_term, kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
-from .queer import QnElement, act_on_V, tensor_basis, _label_parity
+from .queer import q_act_tensor, tensor_basis, _label_parity
 from .scalars import ONE
 from .symfunc import induct_mult
 
@@ -36,19 +36,6 @@ def _tensor_weight(lab, n: int):
     for (_, i) in lab:
         w[i - 1] += 1
     return tuple(w)
-
-
-def _act_V_tensor(g: QnElement, lab: tuple, coeff):
-    """Diagonal action on one tensor basis vector, as a dict."""
-    out = {}
-    for p, gh in g.homogeneous_parts().items():
-        for t in range(len(lab)):
-            c = coeff
-            if p and sum(1 for s in lab[:t] if s[0] == "f") % 2:
-                c = -c
-            for single, cc in act_on_V(gh, {lab[t]: c}).items():
-                add_term(out, lab[:t] + (single,) + lab[t + 1 :], cc)
-    return out
 
 
 def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
@@ -102,7 +89,7 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
         # the images of the tensor labels and the A_r monomials under g,
         # each computed once for all the triples that share it
         slot = 0 if side == "left" else 1
-        lab_img = {lab: _act_V_tensor(g, lab, ONE) for lab in {k[slot] for k in basis}}
+        lab_img = {lab: q_act_tensor(g, {lab: ONE}) for lab in {k[slot] for k in basis}}
         mono_img = {mono: act_terms(side, g, {mono: ONE}, n, m) for mono in {k[2] for k in basis}}
         for key in basis:
             vlab, wlab, mono = key

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, isqrt
 
 from .linalg import Echelon, add_term, span
@@ -230,24 +231,8 @@ def braid(m: int, n: int) -> HCElement:
 
 
 def all_words(n: int):
-    perms = _all_perms(n)
+    perms = list(permutations(range(n)))
     return [(mask, p) for mask in range(1 << n) for p in perms]
-
-
-def _all_perms(n: int):
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        for i, v in enumerate(rest):
-            rec(prefix + [v], rest[:i] + rest[i + 1 :])
-
-    rec([], list(range(n)))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -4,11 +4,17 @@ phi sends x_ij, y_ij to polynomials in the K-coordinates a, b, a', b';
 psi inverts it lexicographically into jets of A localized at the
 distinguished maximal ideal (power series in x_ij - delta_ij and y_ij,
 truncated at the jet order).
+
+Both maps read the coordinates a_ti, a'_tj, b_ti, b'_tj through one table
+lookup (`_coords`) and write the product shapes of phi once (`_x_part`,
+`_y_part`); applying either map is one substitution (`_substitute`). Each
+map is built once per (n, order) and shared by its callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from .spoly import p_add, p_inverse, p_mul, p_one, p_scale
@@ -97,198 +103,148 @@ def a_ring(n: int, order: int) -> JetRing:
     return JetRing(tuple(even), tuple(odd), order)
 
 
-def _k_a(ring: JetRing, t: int, i: int):
-    """The coordinate a_{t,i} of B as a jet (t <= i)."""
-    if t == i:
-        return ring.add(ring.one(), ring.even_var(("abar", t, t)))
-    return ring.even_var(("a", t, i))
-
-
-def _k_ap(ring: JetRing, t: int, j: int):
+def _coords(ring: JetRing, t: int, i: int, j: int, table: dict) -> tuple:
+    """(a_ti, a'_tj, b_ti, b'_tj) read from `table`, with a'_tt = 1, b'_tt = 0."""
     if t == j:
-        return ring.one()
-    return ring.even_var(("ap", t, j))
+        return table[("a", t, i)], ring.one(), table[("b", t, i)], {}
+    return table[("a", t, i)], table[("ap", t, j)], table[("b", t, i)], table[("bp", t, j)]
 
 
-def _k_b(ring: JetRing, t: int, i: int):
-    return ring.odd_var(("b", t, i))
+def _x_part(ring: JetRing, a, ap, b, bp):
+    """a a' + zeta b b'."""
+    return ring.add(ring.mul(a, ap), ring.scale(ring.mul(b, bp), ZETA))
 
 
-def _k_bp(ring: JetRing, t: int, j: int):
-    if t == j:
-        return {}
-    return ring.odd_var(("bp", t, j))
+def _y_part(ring: JetRing, a, ap, b, bp):
+    """a b' - zeta b a'."""
+    return ring.add(ring.mul(a, bp), ring.scale(ring.mul(b, ap), -ZETA))
 
 
+def _phi_sums(ring: JetRing, table: dict, i: int, j: int, tmax: int):
+    """The t <= tmax terms of phi(x_ij) and phi(y_ij), coordinates from `table`."""
+    px, py = {}, {}
+    for t in range(1, tmax + 1):
+        c = _coords(ring, t, i, j, table)
+        px = ring.add(px, _x_part(ring, *c))
+        py = ring.add(py, _y_part(ring, *c))
+    return px, py
+
+
+def _substitute(ring: JetRing, terms: dict, even_images, odd_images) -> dict:
+    """sum of c * prod even_images[k]^e_k * prod odd_images[k] over the terms."""
+    out = {}
+    for (e, o), c in terms.items():
+        term = ring.const(c)
+        for idx, ex in enumerate(e):
+            for _ in range(ex):
+                term = ring.mul(term, even_images[idx])
+        for idx in o:
+            term = ring.mul(term, odd_images[idx])
+        out = ring.add(out, term)
+    return out
+
+
+@lru_cache(maxsize=None)
 def phi_map(n: int, order: int):
     """Images of the A(n,n) generators in C[K], truncated at the jet order.
 
     phi(x_ij) = sum_{t <= i,j} a_ti a'_tj + zeta b_ti b'_tj
     phi(y_ij) = sum_{t <= i,j} a_ti b'_tj - zeta b_ti a'_tj
+
+    Built once per (n, order): every caller shares the returned ring and
+    dict, and must not mutate them.
     """
     ring = k_ring(n, order)
+    k = {name: ring.odd_var(name) for name in ring.odd_names}
+    for name in ring.even_names:
+        if name[0] == "abar":  # a_tt = 1 + abar_tt
+            k[("a",) + name[1:]] = ring.add(ring.one(), ring.even_var(name))
+        else:
+            k[name] = ring.even_var(name)
     images = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            px = {}
-            py = {}
-            for t in range(1, min(i, j) + 1):
-                a = _k_a(ring, t, i)
-                ap = _k_ap(ring, t, j)
-                b = _k_b(ring, t, i)
-                bp = _k_bp(ring, t, j)
-                px = ring.add(px, ring.mul(a, ap))
-                px = ring.add(px, ring.scale(ring.mul(b, bp), ZETA))
-                py = ring.add(py, ring.mul(a, bp))
-                py = ring.add(py, ring.scale(ring.mul(b, ap), -ZETA))
-            images[("x", i, j)] = px
-            images[("y", i, j)] = py
+            images[("x", i, j)], images[("y", i, j)] = _phi_sums(ring, k, i, j, min(i, j))
     return ring, images
 
 
 def phi_apply(n: int, order: int, poly) -> dict:
     """phi on a SuperPoly of A(n,n), extended multiplicatively."""
     ring, images = phi_map(n, order)
-    m = poly.m
-    out = {}
-    for (e, o), c in poly.terms.items():
-        term = ring.const(c)
-        for idx, ex in enumerate(e):
-            if ex:
-                i, j = divmod(idx, m)
-                for _ in range(ex):
-                    term = ring.mul(term, images[("x", i + 1, j + 1)])
-        for idx in o:
-            i, j = divmod(idx, m)
-            term = ring.mul(term, images[("y", i + 1, j + 1)])
-        out = ring.add(out, term)
-    return out
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _substitute(
+        ring,
+        poly.terms,
+        [images[("x",) + ij] for ij in cells],
+        [images[("y",) + ij] for ij in cells],
+    )
 
 
+@lru_cache(maxsize=None)
 def psi_map(n: int, order: int):
     """Images of the K-coordinates as jets of A at the maximal ideal.
 
-    Defined lexicographically (second index most significant); the a'/b'
-    step inverts the 2x2 matrix (p, zeta q; -zeta q, p) whose determinant
-    is p^2 exactly since odd jets square to zero.
+    Defined lexicographically (second index most significant): a_ij and
+    b_ij solve the t = i term of phi(x_ji), phi(y_ji); the a'/b' step solves
+    the t = i term of phi(x_ij), phi(y_ij) by inverting the 2x2 matrix
+    (p, zeta q; -zeta q, p), whose determinant is p^2 exactly since odd jets
+    square to zero.
+
+    Built once per (n, order): every caller shares the returned ring and
+    dict, and must not mutate them.
     """
     ring = a_ring(n, order)
-    x = {
-        (i, j): (
-            ring.add(ring.one(), ring.even_var(("xbar", i, j)))
-            if i == j
-            else ring.even_var(("xbar", i, j))
-        )
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
-    y = {
-        (i, j): ring.odd_var(("y", i, j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
+    x = {}
+    y = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            x[(i, j)] = ring.even_var(("xbar", i, j))
+            if i == j:
+                x[(i, j)] = ring.add(ring.one(), x[(i, j)])
+            y[(i, j)] = ring.odd_var(("y", i, j))
     psi = {}
-
-    def p_a(t, i):
-        return psi[("a", t, i)]
-
-    def p_ap(t, j):
-        return ring.one() if t == j else psi[("ap", t, j)]
-
-    def p_b(t, i):
-        return psi[("b", t, i)]
-
-    def p_bp(t, j):
-        return {} if t == j else psi[("bp", t, j)]
-
-    pairs = sorted(
-        ((i, j) for j in range(1, n + 1) for i in range(1, j + 1)),
-        key=lambda ij: (ij[1], ij[0]),
-    )
-    for (i, j) in pairs:
-        acc_a = x[(j, i)]
-        acc_b = ring.scale(y[(j, i)], ZETA)
-        for t in range(1, i):
-            corr = ring.add(
-                ring.mul(p_a(t, j), p_ap(t, i)),
-                ring.scale(ring.mul(p_b(t, j), p_bp(t, i)), ZETA),
-            )
-            acc_a = ring.add(acc_a, ring.scale(corr, -1))
-            corr2 = ring.add(
-                ring.mul(p_a(t, j), p_bp(t, i)),
-                ring.scale(ring.mul(p_b(t, j), p_ap(t, i)), -ZETA),
-            )
-            acc_b = ring.add(acc_b, ring.scale(corr2, -ZETA))
-        psi[("a", i, j)] = acc_a
-        psi[("b", i, j)] = acc_b
-        if i < j:
-            rx = x[(i, j)]
-            ry = y[(i, j)]
-            for t in range(1, i):
-                corr = ring.add(
-                    ring.mul(p_a(t, i), p_ap(t, j)),
-                    ring.scale(ring.mul(p_b(t, i), p_bp(t, j)), ZETA),
-                )
-                rx = ring.add(rx, ring.scale(corr, -1))
-                corr2 = ring.add(
-                    ring.mul(p_a(t, i), p_bp(t, j)),
-                    ring.scale(ring.mul(p_b(t, i), p_ap(t, j)), -ZETA),
-                )
-                ry = ring.add(ry, ring.scale(corr2, -1))
+    for j in range(1, n + 1):
+        for i in range(1, j + 1):
+            sx, sy = _phi_sums(ring, psi, j, i, i - 1)
+            psi[("a", i, j)] = ring.add(x[(j, i)], ring.scale(sx, -1))
+            psi[("b", i, j)] = ring.scale(ring.add(y[(j, i)], ring.scale(sy, -1)), ZETA)
+            if i == j:
+                continue
+            sx, sy = _phi_sums(ring, psi, i, j, i - 1)
+            rx = ring.add(x[(i, j)], ring.scale(sx, -1))
+            ry = ring.add(y[(i, j)], ring.scale(sy, -1))
             p = psi[("a", i, i)]
             q = psi[("b", i, i)]
             if ring.constant_term(p).is_zero():
                 raise JetInversionError("psi inversion needs a unit diagonal entry")
             inv2 = ring.inverse(ring.mul(p, p))
-            ap_val = ring.mul(
+            psi[("ap", i, j)] = ring.mul(
                 inv2,
                 ring.add(ring.mul(p, rx), ring.scale(ring.mul(q, ry), -ZETA)),
             )
-            bp_val = ring.mul(
+            psi[("bp", i, j)] = ring.mul(
                 inv2,
                 ring.add(ring.scale(ring.mul(q, rx), ZETA), ring.mul(p, ry)),
             )
-            psi[("ap", i, j)] = ap_val
-            psi[("bp", i, j)] = bp_val
     return ring, psi
 
 
 def psi_apply(n: int, order: int, kjet, kring: JetRing) -> dict:
     """Substitute the psi images into a jet over the K-coordinates."""
     aring, psi = psi_map(n, order)
-
-    def image(varname):
-        kind = varname[0]
-        _, i, j = varname
-        if kind == "abar":
-            # a_ii = 1 + abar_ii, so abar maps to psi(a_ii) - 1
-            return aring.add(psi[("a", i, i)], aring.scale(aring.one(), -1))
-        if kind == "a":
-            return psi[("a", i, j)]
-        if kind == "ap":
-            return psi[("ap", i, j)]
-        if kind == "b":
-            return psi[("b", i, j)]
-        if kind == "bp":
-            return psi[("bp", i, j)]
-        raise KeyError(varname)
-
-    out = {}
-    for (e, o), c in kjet.items():
-        term = aring.const(c)
-        for idx, ex in enumerate(e):
-            for _ in range(ex):
-                term = aring.mul(term, image(kring.even_names[idx]))
-        for idx in o:
-            term = aring.mul(term, image(kring.odd_names[idx]))
-        out = aring.add(out, term)
-    return out
+    minus_one = aring.const(-1)
+    even = [
+        # a_ii = 1 + abar_ii, so abar maps to psi(a_ii) - 1
+        aring.add(psi[("a",) + name[1:]], minus_one) if name[0] == "abar" else psi[name]
+        for name in kring.even_names
+    ]
+    return _substitute(aring, kjet, even, [psi[name] for name in kring.odd_names])
 
 
 def psi_of_phi_on_generators(n: int, order: int):
     """psi(phi(g)) for every generator g of A(n,n), next to g's own jet."""
     kring, phi = phi_map(n, order)
-    aring = a_ring(n, order)
+    aring, _ = psi_map(n, order)
     results = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -29,7 +29,8 @@ class NotInGammaSpan(ValueError):
 
 
 class NVarPoly:
-    """Sparse polynomial in N variables with Fraction coefficients."""
+    """Sparse polynomial in N variables with exact (int or Fraction)
+    coefficients; every Q_lambda has int coefficients."""
 
     __slots__ = ("N", "terms")
 
@@ -39,7 +40,6 @@ class NVarPoly:
 
     @staticmethod
     def constant(N: int, c) -> "NVarPoly":
-        c = Fraction(c)
         return NVarPoly(N, {(0,) * N: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -65,7 +65,6 @@ class NVarPoly:
         return self + (-other)
 
     def scale(self, c) -> "NVarPoly":
-        c = Fraction(c)
         if not c:
             return NVarPoly(self.N)
         return NVarPoly(self.N, {k: c * x for k, x in self.terms.items()})
@@ -87,16 +86,10 @@ class NVarPoly:
                     key |= e << shifts[i]
             return key
 
-        # plain-int coefficients whenever both factors are integral
-        ints = all(c.denominator == 1 for c in self.terms.values()) and all(
-            c.denominator == 1 for c in other.terms.values()
-        )
-        conv = int if ints else (lambda c: c)
-        p2 = [(pack(k), conv(c)) for k, c in other.terms.items()]
+        p2 = [(pack(k), c) for k, c in other.terms.items()]
         out = {}
         for k1, c1 in self.terms.items():
             kk1 = pack(k1)
-            c1 = conv(c1)
             for k2, c2 in p2:
                 k = kk1 + k2
                 s = out.get(k, 0) + c1 * c2
@@ -106,13 +99,12 @@ class NVarPoly:
                     out.pop(k, None)
         mask = (1 << bits) - 1
         terms = {
-            tuple((k >> sh) & mask for sh in shifts): Fraction(c)
-            for k, c in out.items()
+            tuple((k >> sh) & mask for sh in shifts): c for k, c in out.items()
         }
         return NVarPoly(self.N, terms)
 
-    def coefficient(self, expo: tuple) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+    def coefficient(self, expo: tuple):
+        return self.terms.get(tuple(expo), 0)
 
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -144,7 +136,7 @@ class NVarPoly:
 @lru_cache(maxsize=None)
 def _q_series(rmax: int, N: int) -> tuple:
     """q_0..q_rmax in N variables: coefficients of prod (1+x_i t)/(1-x_i t)."""
-    levels = [{(0,) * N: Fraction(1)}] + [{} for _ in range(rmax)]
+    levels = [{(0,) * N: 1}] + [{} for _ in range(rmax)]
     for i in range(N):
         new = [{} for _ in range(rmax + 1)]
         for r, layer in enumerate(levels):
@@ -284,7 +276,7 @@ def tableau_oracle_Q(lam: StrictPartition, N: int) -> NVarPoly:
             for rank in assignment.values():
                 expo[value(rank) - 1] += 1
             k = tuple(expo)
-            terms[k] = terms.get(k, 0) + Fraction(1)
+            terms[k] = terms.get(k, 0) + 1
             return
         (r, c) = cells[idx]
         left = assignment.get((r, c - 1))
@@ -308,7 +300,8 @@ def tableau_oracle_Q(lam: StrictPartition, N: int) -> NVarPoly:
 
 
 class GammaElement:
-    """A finite Q-basis linear combination with Fraction coefficients."""
+    """A finite Q-basis linear combination with exact (int or Fraction)
+    coefficients."""
 
     __slots__ = ("terms",)
 
@@ -316,7 +309,6 @@ class GammaElement:
         self.terms = {}
         if terms:
             for lam, c in dict(terms).items():
-                c = Fraction(c)
                 if c:
                     self.terms[lam] = c
 
@@ -338,7 +330,6 @@ class GammaElement:
         return GammaElement(out)
 
     def scale(self, c) -> "GammaElement":
-        c = Fraction(c)
         return GammaElement({lam: c * x for lam, x in self.terms.items()})
 
     def __repr__(self):
@@ -378,7 +369,7 @@ def expand_in_Q(f: NVarPoly, d: int | None = None) -> GammaElement:
                 "length %d exceeds variable count %d; expansion unfaithful"
                 % (mu.length, N)
             )
-        c = residual[k] / (Fraction(2) ** mu.length)
+        c = _exact_quotient(residual[k], 1 << mu.length)
         found[mu] = found.get(mu, 0) + c
         for kk, cc in Q_poly(mu, N).terms.items():
             s = residual.get(kk, 0) - c * cc
@@ -498,9 +489,9 @@ def cauchy_kernel_truncated(d: int, N: int) -> dict:
 def _exact_quotient(c, den: int):
     """c / den as an int when the division is exact, else as a Fraction.
 
-    Q_lambda has integer coefficients divisible by 2^{l(lambda)}, so a
-    Fraction appears only for a corrupted Q_lambda; it can never equal an
-    int kernel coefficient, and so shows as a mismatch.
+    In the Cauchy check Q_lambda has integer coefficients divisible by
+    2^{l(lambda)}, so a Fraction appears only for a corrupted Q_lambda; it
+    can never equal an int kernel coefficient, and so shows as a mismatch.
     """
     num, rem = divmod(c.numerator, c.denominator * den)
     return Fraction(c) / den if rem else num
@@ -567,7 +558,7 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
 
 
 # ---------------------------------------------------------------------------
-# cache file format: "Q <lambda> <N> : e1,..,eN=num/den ..."
+# cache file format: "Q <lambda> <N> : e1,..,eN=c/1 ...", c an int
 # ---------------------------------------------------------------------------
 
 
@@ -591,6 +582,8 @@ def parse_qpoly_cache_line(line: str):
     for item in body.split():
         expo, _, frac = item.partition("=")
         num, _, den = frac.partition("/")
+        if int(den) != 1:
+            raise ValueError("non-integral coefficient %r in cache line" % frac)
         # in 0 variables the exponent list is empty
-        terms[tuple(int(t) for t in expo.split(",") if t)] = Fraction(int(num), int(den))
+        terms[tuple(int(t) for t in expo.split(",") if t)] = int(num)
     return lam, N, NVarPoly(N, terms)

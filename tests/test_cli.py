@@ -334,6 +334,32 @@ def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
     assert cli.load_qpoly_cache(str(cache)) > 0
 
 
+def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
+    tmp_path, monkeypatch, capsys
+):
+    argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--format", "json"]
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    assert main(argv + ["--cache-dir", str(cache)]) == 0
+    want = capsys.readouterr().out
+    path = cache / "qpoly.cache"
+    good = path.read_text()
+    # one coefficient of Q_{(2,1)} in 3 variables, 4 -> 9/2, under a digest
+    # that matches the edited body
+    body = good.split("\n", 1)[1]
+    lines = body.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("Q 2,1 3 :"))
+    lines[i] = lines[i].replace("=4/1", "=9/2", 1)
+    body = "".join(lines)
+    path.write_text("%s sha256=%s\n%s" % (cli.CACHE_HEADER, cli._digest(body), body))
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    code = main(argv + ["--cache-dir", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == want
+    assert "warning: ignoring corrupt cache" in captured.err
+    assert path.read_text() == good
+
+
 def test_no_sympy_import():
     # the center splitting runs without sympy
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from queerlab import jets
 from queerlab.amodule import SuperPoly, m_generators
 from queerlab.jets import (
     a_ring,
@@ -11,6 +12,7 @@ from queerlab.jets import (
     psi_map,
     psi_of_phi_on_generators,
 )
+from queerlab.cli import main
 from queerlab.scalars import ZETA
 from queerlab.spoly import p_inverse
 
@@ -96,3 +98,30 @@ def test_truncation():
     x = ring.even_var(("xbar", 1, 1))
     x2 = ring.mul(x, x)
     assert ring.mul(x2, x) == {}  # order-3 terms are cut
+
+
+def test_verify_phi_psi_builds_each_map_once_per_order(monkeypatch, capsys):
+    # n = 1..3 at jet order 4 (multiplicativity) and 3 (psi o phi): six phi
+    # maps and three psi maps, however many generators each one is applied to
+    calls = {"k_ring": 0, "a_ring": 0}
+
+    def counted(name):
+        real = getattr(jets, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(jets, name, counted(name))
+    for cached in (phi_map, psi_map):
+        cached.cache_clear()
+    try:
+        assert main(["verify", "phi-psi"]) == 0
+    finally:
+        for cached in (phi_map, psi_map):
+            cached.cache_clear()
+    capsys.readouterr()
+    assert calls == {"k_ring": 6, "a_ring": 3}

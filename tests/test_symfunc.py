@@ -94,6 +94,15 @@ def test_Q_poly_leading_coefficient():
         assert Q_poly(lam, N).coefficient(expo) == Fraction(2) ** lam.length
 
 
+def test_Q_poly_coefficients_are_ints():
+    for size in range(6):
+        for lam in enumerate_strict(size):
+            for N in (1, 3, 5):
+                assert all(type(c) is int for c in Q_poly(lam, N).terms.values())
+    g = expand_in_Q(Q_poly(sp(2, 1), 3) * Q_poly(sp(1), 3))
+    assert all(type(c) is int for c in g.terms.values())
+
+
 def test_tableau_oracle_small():
     assert tableau_oracle_Q(sp(1), 1).terms == {(1,): Fraction(2)}
     assert tableau_oracle_Q(sp(2), 1).terms == {(2,): Fraction(2)}
@@ -322,3 +331,11 @@ def test_cache_line_roundtrip():
     # Q_() * Q_() is expanded in l_max(0) = 0 variables
     lam4, N4, poly4 = parse_qpoly_cache_line(qpoly_cache_line(EMPTY, 0))
     assert (lam4, N4) == (EMPTY, 0) and poly4 == Q_poly(EMPTY, 0)
+
+
+def test_cache_line_with_non_integral_coefficient_is_refused():
+    with pytest.raises(ValueError):
+        parse_qpoly_cache_line("Q 1 1 : 1=3/2")
+    with pytest.raises(ValueError):
+        parse_qpoly_cache_line("Q 1 1 : 1=4/2")
+    assert parse_qpoly_cache_line("Q 1 1 : 1=2/1")[2].terms == {(1,): 2}
