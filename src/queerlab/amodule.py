@@ -3,17 +3,20 @@
 Generators x_ij (even) and y_ij (odd) transform like the half-tensor basis
 v_ij, w_ij. Everything is graded by total degree and by the torus biweight
 (row sums, column sums), and all subspace work happens per weight component.
+The action writes Gaussian integers, so all subspace work runs on
+Gaussian-integer vectors {monomial: (re, im)}; `SuperPoly` is over Q(zeta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
-from .linalg import Echelon, add_term, kernel_basis
+from .linalg import Echelon, kernel_basis, numerators
 from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from .queer import QnElement
-from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
-from .spoly import insert_odd, mono_degree, p_add, p_mul, p_scale
+from .scalars import Cyclo8Scalar, ONE, _coerce
+from .spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
 
 
 class TruncationError(ValueError):
@@ -123,31 +126,29 @@ def mono_biweight(mono, n: int, m: int):
 #   right Y_ab: x_ij -> -d_bj y_ia         y_ij -> +d_bj x_ia
 
 
-def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
-    """Accumulate the derivation action of X_ab/Y_ab on one monomial."""
+def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
+    """The derivation action of X_ab/Y_ab on one monomial, as
+    (monomial, (re, im)) pairs."""
     e, o = mono
     odd_op = kind == "Y"
+    out = {}
     # x factors
     for idx, ex in enumerate(e):
         if not ex:
             continue
         i, j = divmod(idx, m)
-        i += 1
-        j += 1
         if side == "left":
-            if b != i:
+            if b != i + 1:
                 continue
-            ti, tj = a, j
-            scal = -ZETA if odd_op else ONE
+            tcell = _cell(a, j + 1, m)
+            re, im = (0, -ex) if odd_op else (ex, 0)
         else:
-            if b != j:
+            if b != j + 1:
                 continue
-            ti, tj = i, a
-            scal = -ONE if odd_op else ONE
-        c = coeff * scal * ex
+            tcell = _cell(i + 1, a, m)
+            re, im = (-ex, 0) if odd_op else (ex, 0)
         e2 = list(e)
         e2[idx] -= 1
-        tcell = _cell(ti, tj, m)
         if odd_op:
             # new odd factor enters in front of the existing odd block
             ins = insert_odd(o, tcell, 0)
@@ -155,31 +156,29 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
                 continue
             o2, sign = ins
             key = (tuple(e2), o2)
-            c = c if sign == 1 else -c
+            if sign != 1:
+                re, im = -re, -im
         else:
             e2[tcell] += 1
             key = (tuple(e2), o)
-        add_term(out, key, c)
+        s = out.get(key, (0, 0))
+        out[key] = (s[0] + re, s[1] + im)
     # y factors
     for t, idx in enumerate(o):
         i, j = divmod(idx, m)
-        i += 1
-        j += 1
         if side == "left":
-            if b != i:
+            if b != i + 1:
                 continue
-            ti, tj = a, j
-            scal = -ZETA if odd_op else ONE
+            tcell = _cell(a, j + 1, m)
+            re, im = (0, -1) if odd_op else (1, 0)
         else:
-            if b != j:
+            if b != j + 1:
                 continue
-            ti, tj = i, a
-            scal = ONE
+            tcell = _cell(i + 1, a, m)
+            re, im = 1, 0
         # crossing the t preceding odd factors with an odd operator
-        c = coeff * scal
         if odd_op and t & 1:
-            c = -c
-        tcell = _cell(ti, tj, m)
+            re, im = -re, -im
         o_rest = o[:t] + o[t + 1 :]
         if odd_op:
             e2 = list(e)
@@ -191,23 +190,16 @@ def _act_monomial(side, kind, a, b, mono, coeff, n, m, out):
                 continue
             o2, sign = ins
             key = (e, o2)
-            c = c if sign == 1 else -c
-        add_term(out, key, c)
-
-
-def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
-    """The image of one monomial under X_ab/Y_ab, as (monomial, scalar) pairs.
-
-    A scalar equal to 1 is stored as `ONE` itself, so `act_terms` can skip
-    the multiplication by an identity test.
-    """
-    out = {}
-    _act_monomial(side, kind, a, b, mono, ONE, n, m, out)
-    return tuple((t, ONE if c == ONE else c) for t, c in out.items())
+            if sign != 1:
+                re, im = -re, -im
+        s = out.get(key, (0, 0))
+        out[key] = (s[0] + re, s[1] + im)
+    return tuple(kc for kc in out.items() if kc[1] != (0, 0))
 
 
 def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) -> dict:
-    """Superderivation action of (g, 0) or (0, g) on a polynomial dict.
+    """Superderivation action of (g, 0) or (0, g) on a Gaussian-integer
+    vector {monomial: (re, im)}; g's entries must be Gaussian integers.
 
     `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
     that acts on many vectors of one A(n,m) passes one dict, so each image is
@@ -216,18 +208,27 @@ def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) 
     if table is None:
         table = {}
     out = {}
+    get = out.get
     for kind, mat in (("X", g.xmat), ("Y", g.ymat)):
         for (a, b), c in mat.items():
-            for mono, cm in terms.items():
+            if c.den != 1:
+                raise ValueError("operator entry %r is not a Gaussian integer" % (c,))
+            for mono, (xr, xi) in terms.items():
                 key = (side, kind, a, b, mono)
                 img = table.get(key)
                 if img is None:
                     img = table[key] = _monomial_image(side, kind, a, b, mono, n, m)
-                if not img:
-                    continue
-                cc = cm if c is ONE else c * cm
-                for tgt, s in img:
-                    add_term(out, tgt, cc if s is ONE else cc * s)
+                pr = c.re * xr - c.im * xi
+                pi = c.re * xi + c.im * xr
+                # a key new to out cannot cancel: both factors are nonzero
+                for tgt, (sr, si) in img:
+                    ur, ui = get(tgt, (0, 0))
+                    re = ur + pr * sr - pi * si
+                    im = ui + pr * si + pi * sr
+                    if re or im:
+                        out[tgt] = (re, im)
+                    else:
+                        del out[tgt]
     return out
 
 
@@ -237,7 +238,10 @@ def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
     rank = p.n if side == "left" else p.m
     if g.n != rank:
         raise ValueError("operator rank %d does not match side rank %d" % (g.n, rank))
-    return SuperPoly(p.n, p.m, act_terms(side, g, p.terms, p.n, p.m))
+    # linear: act on p times the lcm of its denominators, and divide back
+    den = lcm(1, *(c.den for c in p.terms.values()))
+    out = act_terms(side, g, numerators(p.terms), p.n, p.m)
+    return SuperPoly(p.n, p.m, {k: Cyclo8Scalar(x, y, den) for k, (x, y) in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +319,7 @@ def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
 def weight_space(n: int, m: int, d: int, w) -> "GradedSubspace":
     """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
     space = GradedSubspace(n, m)
-    for mono in weight_space_monomials(n, m, d, w):
-        space.insert({mono: ONE})
+    space.extend({mono: (1, 0)} for mono in weight_space_monomials(n, m, d, w))
     return space
 
 
@@ -375,7 +378,8 @@ _SINGULAR_CACHE: dict = {}
 
 
 def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
-    """Weight-(lam,lam) vectors killed by the raising operators of both sides.
+    """Weight-(lam,lam) vectors killed by the raising operators of both sides,
+    as primitive Gaussian-integer vectors.
 
     Each space is solved once per process; callers get fresh dicts.
     """
@@ -393,33 +397,43 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
     monos = weight_space_monomials(n, m, lam.size, w)
     if not monos:
         return []
+    # one row per (operator, image monomial); each entry is written once
     constraints = {}
     for op_id, (side, g) in enumerate(raising_operators(n, m)):
         for mono in monos:
-            img = act_terms(side, g, {mono: ONE}, n, m)
-            for tgt, c in img.items():
-                add_term(constraints.setdefault((op_id, tgt), {}), mono, c)
-    return kernel_basis(list(constraints.values()), monos)
+            for tgt, c in act_terms(side, g, {mono: (1, 0)}, n, m).items():
+                constraints.setdefault((op_id, tgt), {})[mono] = c
+    return kernel_basis(constraints.values(), monos)
 
 
 @dataclass
 class GradedSubspace:
-    """Weight-graded subspace: components keyed by (degree, biweight)."""
+    """Weight-graded subspace of Gaussian-integer vectors: components keyed
+    by (degree, biweight)."""
 
     n: int
     m: int
     components: dict = field(default_factory=dict)
 
+    def extend(self, vecs) -> list:
+        """Insert a batch, each vector into its component as one
+        `Echelon.extend` batch; return the vectors that raised the rank."""
+        groups = {}
+        for vec in vecs:
+            if vec:
+                groups.setdefault(self._key(vec), []).append(vec)
+        raised = []
+        for key, group in groups.items():
+            raised += self.components.setdefault(key, Echelon()).extend(group)
+        return raised
+
     def insert(self, vec: dict) -> bool:
-        if not vec:
-            return False
+        return bool(self.extend([vec]))
+
+    def _key(self, vec: dict):
+        """(degree, biweight) of vec's component, read off one monomial."""
         mono = next(iter(vec))
-        d = mono_degree(mono)
-        w = mono_biweight(mono, self.n, self.m)
-        ech = self.components.get((d, w))
-        if ech is None:
-            ech = self.components[(d, w)] = Echelon()
-        return ech.insert(vec)
+        return mono_degree(mono), mono_biweight(mono, self.n, self.m)
 
     def component(self, d, w) -> Echelon:
         return self.components.get((d, w), Echelon())
@@ -428,12 +442,7 @@ class GradedSubspace:
         return sum(e.rank for e in self.components.values())
 
     def contains(self, vec: dict) -> bool:
-        if not vec:
-            return True
-        mono = next(iter(vec))
-        d = mono_degree(mono)
-        w = mono_biweight(mono, self.n, self.m)
-        return self.component(d, w).contains(vec)
+        return not vec or self.component(*self._key(vec)).contains(vec)
 
 
 def _simple_lowering_operators(n: int, m: int):
@@ -465,8 +474,11 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
     strictly-lowering operators alone spans the summand. Every lowering
     operator is a supercommutator of simple ones ([X32, X21] = X31,
     [X32, Y21] = Y31, ...), so a span closed under the simple lowering
-    operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Their weights
-    strictly descend, hence the worklist terminates without revisits.
+    operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Left and
+    right operators supercommute, so closing under the left ones and then
+    the right ones closes under both, and a component takes images from one
+    side only. On a side, each operator raises sum_k k w_k of that side's
+    weight w by one: the closure runs level by level, one batch a level.
 
     support_cap = (T_1, T_2, ...) keeps only the components whose row sums
     and column sums w satisfy w_k + w_{k+1} + ... <= T_k for every k, with
@@ -488,35 +500,24 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
     else:
         bound = (list(support_cap) + [0] * size)[:size]
     space = GradedSubspace(n, m)
-    queue = []
+    found = []
     if all(t <= b for t, b in zip(_tail_sums(lam.parts), bound)):
-        for vec in singular_vectors(n, m, lam):
-            if space.insert(vec):
-                queue.append(vec)
-    ops = _simple_lowering_operators(n, m)
+        found = space.extend(singular_vectors(n, m, lam))
     table = {}
-    while queue:
-        vec = queue.pop()
-        rows, cols = mono_biweight(next(iter(vec)), n, m)
-        sides = {"left": (rows, _tail_sums(rows)), "right": (cols, _tail_sums(cols))}
-        for side, g, i in ops:
-            w, tails = sides[side]
-            if not w[i] or tails[i + 1] >= bound[i + 1]:
-                continue
-            img = act_terms(side, g, vec, n, m, table)
-            if img and space.insert(img):
-                queue.append(img)
+    for side in ("left", "right"):
+        ops = [(g, i) for s, g, i in _simple_lowering_operators(n, m) if s == side]
+        level = found
+        while level:
+            images = []
+            for vec in level:
+                w = mono_biweight(next(iter(vec)), n, m)[side == "right"]
+                tails = _tail_sums(w)
+                for g, i in ops:
+                    if w[i] and tails[i + 1] < bound[i + 1]:
+                        images.append(act_terms(side, g, vec, n, m, table))
+            level = space.extend(images)
+            found = found + level
     return space
-
-
-_SUMMAND_CACHE: dict = {}
-
-
-def summand_cached(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSubspace:
-    key = (n, m, lam, support_cap)
-    if key not in _SUMMAND_CACHE:
-        _SUMMAND_CACHE[key] = summand(n, m, lam, support_cap)
-    return _SUMMAND_CACHE[key]
 
 
 class EquivariantIdeal:
@@ -524,7 +525,9 @@ class EquivariantIdeal:
 
     Since A_1 * (stable subspace) is again stable, the degree-d part is
     A_{d-d0} times the generators; components are computed per biweight on
-    demand and cached.
+    demand and cached. A monomial times a generator row is that row with
+    every key multiplied by the monomial and its sign applied: the map on
+    keys is injective, so nothing accumulates.
     """
 
     def __init__(self, n: int, m: int, gens: GradedSubspace, d_max: int):
@@ -541,7 +544,7 @@ class EquivariantIdeal:
         if key in self._cache:
             return self._cache[key]
         n, m = self.n, self.m
-        ech = Echelon()
+        products = []
         rows_w, cols_w = w
         for (d0, w0), comp in self.gens.components.items():
             if d0 > d or comp.rank == 0:
@@ -550,10 +553,17 @@ class EquivariantIdeal:
             ccols = tuple(a - b for a, b in zip(cols_w, w0[1]))
             if any(c < 0 for c in crows) or any(c < 0 for c in ccols):
                 continue
+            rows = comp.nums.values()
             for mono in weight_space_monomials(n, m, d - d0, (crows, ccols)):
-                mono_poly = {mono: ONE}
-                for row in comp.rows.values():
-                    ech.insert(p_mul(mono_poly, row))
+                for row in rows:
+                    prod = {}
+                    for k, (x, y) in row.items():
+                        r = mono_mul(mono, k)
+                        if r is not None:
+                            prod[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
+                    products.append(prod)
+        ech = Echelon()
+        ech.extend(products)
         self._cache[key] = ech
         return ech
 
@@ -597,18 +607,11 @@ def _compositions(d: int, k: int):
 def ideal_closure(n: int, m: int, gens: GradedSubspace, d_max: int) -> EquivariantIdeal:
     """The equivariant ideal generated by gens (operator-closed degreewise)."""
     closed = GradedSubspace(n, m)
-    queue = []
-    for comp in gens.components.values():
-        for row in comp.rows.values():
-            if closed.insert(dict(row)):
-                queue.append(dict(row))
+    queue = closed.extend(row for comp in gens.components.values() for row in comp.nums.values())
     ops = all_operators(n, m)
     while queue:
         vec = queue.pop()
-        for side, g in ops:
-            img = act_terms(side, g, vec, n, m)
-            if img and closed.insert(img):
-                queue.append(img)
+        queue += closed.extend(act_terms(side, g, vec, n, m) for side, g in ops)
     return EquivariantIdeal(n, m, closed, d_max)
 
 
@@ -657,7 +660,7 @@ def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
 
 def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
     """Membership row of the main-theorem matrix for one generator lambda."""
-    gens = summand_cached(n, m, lam, candidate_tail_bounds(n, m, d_max))
+    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
     for mu in all_strict_upto(d_max, min(n, m)):
@@ -693,7 +696,7 @@ def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> Determinant
     lam = staircase(r)
     if lam.size > d_max:
         raise ValueError("staircase size exceeds d_max")
-    gens = summand_cached(n, m, lam, candidate_tail_bounds(n, m, d_max))
+    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
     ideal = EquivariantIdeal(n, m, gens, d_max)
     cases = []
     outside = []

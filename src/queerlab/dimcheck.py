@@ -15,14 +15,15 @@ from math import isqrt
 from .amodule import (
     _pad,
     act_terms,
+    all_biweights,
     raising_operators,
     singular_vectors,
     weight_space_monomials,
 )
 from .heckeclifford import decompose_regular
-from .linalg import add_term, kernel_dim
+from .linalg import kernel_dim, numerators
 from .partitions import StrictPartition, delta, enumerate_strict
-from .queer import q_act_tensor, tensor_basis, _label_parity
+from .queer import dim_T, q_act_tensor, tensor_basis, _label_parity
 from .scalars import ONE
 from .symfunc import induct_mult
 
@@ -38,16 +39,29 @@ def _tensor_weight(lab, n: int):
     return tuple(w)
 
 
-def _sing_dim_big(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
-    """dim of the (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b} (x) A_r."""
-    return kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
+# (n, m, raising operator index, is monomial, tensor label or monomial) ->
+# its image, as a Gaussian-integer vector; shared by every case of a sweep
+_IMAGES: dict = {}
+
+
+def _image(n: int, m: int, op_id: int, side: str, g, x, is_mono: bool) -> dict:
+    key = (n, m, op_id, is_mono, x)
+    if key not in _IMAGES:
+        # g and the label carry coefficient 1: `numerators` keeps the values
+        _IMAGES[key] = (
+            act_terms(side, g, {x: (1, 0)}, n, m)
+            if is_mono
+            else numerators(q_act_tensor(g, {x: ONE}))
+        )
+    return _IMAGES[key]
 
 
 def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     """(constraint rows, unknowns) whose kernel is the (wrow, wcol)-singular
     slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the unknowns are the weight-space
-    basis triples, and each row is one coordinate of one raising operator's
-    image."""
+    basis triples, each row is one coordinate of one raising operator's
+    image, and a row is a Gaussian-integer dict keyed by the unknowns'
+    indices."""
     vlabs = {}
     for lab in tensor_basis(n, a):
         vlabs.setdefault(_tensor_weight(lab, n), []).append(lab)
@@ -55,13 +69,7 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     for lab in tensor_basis(m, b):
         wlabs.setdefault(_tensor_weight(lab, m), []).append(lab)
     # A_r monomials grouped by biweight
-    from .amodule import all_biweights
-
-    amonos = {}
-    for w in all_biweights(n, m, r):
-        monos = weight_space_monomials(n, m, r, w)
-        if monos:
-            amonos[w] = monos
+    amonos = {w: weight_space_monomials(n, m, r, w) for w in all_biweights(n, m, r)}
     # basis of the target weight slice: triples with weights summing right
     basis = []
     for wv, vl in vlabs.items():
@@ -82,35 +90,26 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     parity = {
         lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
     }
+    # A raising operator changes the weight of the factor it acts on, so the
+    # targets of one triple are distinct and each row entry is written once.
     constraints = {}
-    ops = raising_operators(n, m)
-    for op_id, (side, g) in enumerate(ops):
+    for op_id, (side, g) in enumerate(raising_operators(n, m)):
         godd = g.parity() == 1
-        # the images of the tensor labels and the A_r monomials under g,
-        # each computed once for all the triples that share it
-        slot = 0 if side == "left" else 1
-        lab_img = {lab: q_act_tensor(g, {lab: ONE}) for lab in {k[slot] for k in basis}}
-        mono_img = {mono: act_terms(side, g, {mono: ONE}, n, m) for mono in {k[2] for k in basis}}
-        for key in basis:
-            vlab, wlab, mono = key
+        for col, (vlab, wlab, mono) in enumerate(basis):
             pv = parity[vlab]
             pw = parity[wlab]
-            img = {}
             if side == "left":
-                for vlab2, c in lab_img[vlab].items():
-                    add_term(img, (vlab2, wlab, mono), c)
-                sign = -1 if godd and (pv + pw) % 2 else 1
-                for mono2, c in mono_img[mono].items():
-                    add_term(img, (vlab, wlab, mono2), c if sign == 1 else -c)
+                for vlab2, c in _image(n, m, op_id, side, g, vlab, False).items():
+                    constraints.setdefault((op_id, (vlab2, wlab, mono)), {})[col] = c
             else:
-                sign1 = -1 if godd and pv % 2 else 1
-                for wlab2, c in lab_img[wlab].items():
-                    add_term(img, (vlab, wlab2, mono), c if sign1 == 1 else -c)
-                sign2 = -1 if godd and (pv + pw) % 2 else 1
-                for mono2, c in mono_img[mono].items():
-                    add_term(img, (vlab, wlab, mono2), c if sign2 == 1 else -c)
-            for tgt, c in img.items():
-                add_term(constraints.setdefault((op_id, tgt), {}), key, c)
+                flip = godd and pv % 2
+                for wlab2, (x, y) in _image(n, m, op_id, side, g, wlab, False).items():
+                    row = constraints.setdefault((op_id, (vlab, wlab2, mono)), {})
+                    row[col] = (-x, -y) if flip else (x, y)
+            flip = godd and (pv + pw) % 2
+            for mono2, (x, y) in _image(n, m, op_id, side, g, mono, True).items():
+                row = constraints.setdefault((op_id, (vlab, wlab, mono2)), {})
+                row[col] = (-x, -y) if flip else (x, y)
     return list(constraints.values()), basis
 
 
@@ -185,7 +184,7 @@ def hom_dim_check(
         if 0 <= rv <= r_max:
             wrow = _pad(lam.parts, n)
             wcol = _pad(mu.parts, m)
-            brute = _sing_dim_big(n, m, a, b, rv, wrow, wcol)
+            brute = kernel_dim(*_sing_system(n, m, a, b, rv, wrow, wcol))
         return HomDimCase(
             lam, mu, alpha, beta, -1, brute, 0, {"degree_mismatch": True}
         )
@@ -218,15 +217,13 @@ def hom_dim_check(
     c_alpha = 1 if a == 0 else table_a.blocks[alpha].dim_S // (2 ** delta(alpha))
     c_beta = 1 if b == 0 else table_b.blocks[beta].dim_S // (2 ** delta(beta))
     # tensor powers must be single-block for this realization
-    from .queer import dim_T
-
     if (2 * n) ** a != c_alpha * dim_T(alpha, n):
         raise HomDimError("V^%d is not alpha-isotypic at rank %d" % (a, n))
     if (2 * m) ** b != c_beta * dim_T(beta, m):
         raise HomDimError("W^%d is not beta-isotypic at rank %d" % (b, m))
     wrow = _pad(lam.parts, n)
     wcol = _pad(mu.parts, m)
-    sing = _sing_dim_big(n, m, a, b, r, wrow, wcol)
+    sing = kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
     s_l = copy_singular_dim(n, m, lam)
     s_m = copy_singular_dim(n, m, mu)
     num = sing * (2 ** (delta(lam) + delta(mu)))

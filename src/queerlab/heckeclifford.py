@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
-from .linalg import Echelon, add_term, span
+from .linalg import Echelon, add_term, numerators, span
 from .partitions import StrictPartition, delta, enumerate_strict, contains
 from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA, _coerce
 from .symfunc import induct_mult
@@ -296,14 +296,14 @@ def two_sided_closure(n: int, elements) -> Echelon:
     queue = []
     for x in elements:
         v = dict(x.terms) if isinstance(x, HCElement) else dict(x)
-        if ech.insert(v):
+        if ech.insert(numerators(v)):
             queue.append(v)
     full = (1 << n) * factorial(n)
     while queue and ech.rank < full:
         x = HCElement(n, queue.pop())
         for g in gens:
             for prod in (g * x, x * g):
-                if ech.insert(prod.terms):
+                if ech.insert(numerators(prod.terms)):
                     queue.append(dict(prod.terms))
     return ech
 
@@ -446,9 +446,9 @@ def _split_center(n: int, z0: list[HCElement], values: dict) -> dict:
     without forming the products.
     """
     k = len(z0)
-    ech = span(b.terms for b in z0)
-    pivots = sorted(ech.rows)
-    rows = [HCElement(n, ech.rows[p]) for p in pivots]
+    view = span(numerators(b.terms) for b in z0).rows
+    pivots = sorted(view)
+    rows = [HCElement(n, view[p]) for p in pivots]
     consts = [[[product_coefficient(ra, rb, p) for p in pivots] for rb in rows] for ra in rows]
 
     def mul(x, y):
@@ -522,7 +522,7 @@ def decompose_regular(n: int) -> IsotypicTable:
     # e*o is central and odd, so it vanishes iff its coefficients at the
     # pivot words of the odd center do
     z_odd = _center_basis(n, 1)
-    odd_pivots = list(span(o.terms for o in z_odd).rows)
+    odd_pivots = list(span(numerators(o.terms) for o in z_odd).nums)
 
     unit = HCElement.unit(n)
     prev = decompose_regular(n - 1)

@@ -1,23 +1,20 @@
-"""Exact sparse linear algebra over the Gaussian rationals Q(zeta).
-
-Vectors are dicts mapping arbitrary sortable keys to nonzero Cyclo8Scalar
-entries, and `add_term` is the one accumulate-and-drop-zero step every
-module builds them with.
+"""Exact sparse linear algebra over the Gaussian integers Z[zeta].
 
 `Echelon` keeps a subspace in reduced row-echelon form, so membership and
-rank are decidable with no tolerances. It stores each row as Gaussian-integer
-numerators {key: (re, im)} of Python ints over one positive integer
-denominator: a reduction scales the vector once and then does integer
-multiply-adds, with no gcd per entry and no scalar object per entry.
-Cyclo8Scalar values appear only where a vector enters (`insert`,
-`contains`) and in the `rows` view.
+rank are decidable with no tolerances. It takes Gaussian-integer vectors:
+dicts mapping sortable keys to nonzero pairs (re, im) of ints, standing for
+re + im*zeta. A Cyclo8Scalar vector enters through `numerators`. A reduction
+scales the vector once and then does integer multiply-adds. `extend` inserts
+a batch in descending order of leading key, so each new pivot lands below
+every stored pivot and no stored row needs back-substitution. `add_term` is
+the accumulate-and-drop-zero step for vectors with scalar entries.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Cyclo8Scalar, ONE
+from .scalars import Cyclo8Scalar
 
 
 def add_term(vec: dict, key, c) -> None:
@@ -38,9 +35,10 @@ def add_term(vec: dict, key, c) -> None:
 _ZERO = (0, 0)
 
 
-def _numerators(vec: dict) -> dict:
+def numerators(vec: dict) -> dict:
     """The Cyclo8Scalar vector times the lcm of its denominators, as
-    {key: (re, im)}: a nonzero multiple spans the same line."""
+    {key: (re, im)}: a nonzero multiple spans the same line, and a vector
+    with integral entries keeps its values."""
     den = 1
     for c in vec.values():
         if c.den != 1:
@@ -116,27 +114,30 @@ class Echelon:
     num[p] == (d, 0) with d > 0, and the gcd of all the numerators is 1.
     That form is unique for a row with coefficient 1 at its pivot, and a
     reduced echelon with minimal-key pivots is unique for its space, so two
-    echelons of one space hold equal rows. `rows` shows them as Cyclo8Scalar
-    dicts, built on the first read after an insert.
+    echelons of one space hold equal rows, whatever order the vectors came
+    in. Neither a stored row nor an inserted vector is ever changed in
+    place, so a row may be the very dict that was inserted.
     """
 
     def __init__(self):
         self._rows: dict = {}  # pivot key -> num
-        self._view = None
+        self._low = None  # the lowest pivot key
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     @property
+    def nums(self) -> dict:
+        return self._rows  # pivot key -> num, read only
+
+    @property
     def rows(self) -> dict:
-        """pivot key -> row as a Cyclo8Scalar dict, ONE at the pivot."""
-        if self._view is None:
-            self._view = {
-                p: {k: Cyclo8Scalar(x, y, num[p][0]) for k, (x, y) in num.items()}
-                for p, num in self._rows.items()
-            }
-        return self._view
+        """pivot key -> row as a Cyclo8Scalar dict, ONE at the pivot; new on each read."""
+        return {
+            p: {k: Cyclo8Scalar(x, y, num[p][0]) for k, (x, y) in num.items()}
+            for p, num in self._rows.items()
+        }
 
     def _residual(self, num: dict) -> dict:
         """A nonzero multiple of num's residual modulo the row space (num
@@ -145,9 +146,9 @@ class Echelon:
         hits = [(k, rows[k]) for k in num if k in rows]
         return _eliminate(num, hits) if hits else num
 
-    def insert(self, vec: dict) -> bool:
-        """Add vec to the space; True if the rank grew."""
-        num = self._residual(_numerators(vec))
+    def insert(self, num: dict) -> bool:
+        """Add a Gaussian-integer vector to the space; True if the rank grew."""
+        num = self._residual(num)
         if not num:
             return False
         piv = min(num)
@@ -156,62 +157,62 @@ class Echelon:
             # times the conjugate of the pivot, which becomes a*a + b*b > 0
             num = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in num.items()}
         num = _primitive(num, -1 if a < 0 and not b else 1)
-        # keep reduced form: clear the new pivot from the rows that hold it
         rows = self._rows
-        new = [(piv, num)]
-        for p in [p for p, row in rows.items() if piv in row]:
-            rows[p] = _primitive(_eliminate(rows[p], new))
+        if self._low is None or piv < self._low:
+            # every key of a stored row is at least its pivot, so no row
+            # holds a pivot below the lowest one
+            self._low = piv
+        else:
+            # keep reduced form: clear the new pivot from the rows that hold it
+            new = [(piv, num)]
+            for p in [p for p, row in rows.items() if piv in row]:
+                rows[p] = _primitive(_eliminate(rows[p], new))
         rows[piv] = num
-        self._view = None
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self._residual(_numerators(vec))
+    def extend(self, vecs) -> list:
+        """Insert Gaussian-integer vectors in descending order of their smallest
+        key; return the ones that raised the rank, in that order."""
+        batch = sorted((v for v in vecs if v), key=min, reverse=True)
+        return [v for v in batch if self.insert(v)]
+
+    def contains(self, num: dict) -> bool:
+        return not self._residual(num)
 
     def contains_space(self, other: "Echelon") -> bool:
         return all(not self._residual(num) for num in other._rows.values())
 
 
-def span(vectors) -> Echelon:
+def span(vecs) -> Echelon:
     ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
+    ech.extend(vecs)
     return ech
 
 
-def _constraint_echelon(constraints: list[dict], order: dict) -> Echelon:
-    """The span of the constraint rows, re-keyed by the unknowns' indices."""
-    ech = Echelon()
-    for row in constraints:
-        if row:
-            ech.insert({order[k]: c for k, c in row.items()})
-    return ech
-
-
-def kernel_dim(constraints: list[dict], unknowns: list) -> int:
+def kernel_dim(constraints, unknowns: list) -> int:
     """Dimension of the joint kernel: the number of unknowns minus the rank
-    of the constraints, with no kernel vector built."""
-    order = {u: i for i, u in enumerate(unknowns)}
-    return len(unknowns) - _constraint_echelon(constraints, order).rank
+    of the Gaussian-integer rows, keyed by the unknowns or their indices."""
+    return len(unknowns) - span(constraints).rank
 
 
-def kernel_basis(constraints: list[dict], unknowns: list) -> list[dict]:
+def kernel_basis(constraints, unknowns: list) -> list[dict]:
     """Solution basis of the homogeneous system (rows are functionals).
 
-    `constraints` are dicts unknown-key -> coefficient; the returned vectors
-    are dicts unknown-key -> Cyclo8Scalar spanning the joint kernel.
+    `constraints` are Gaussian-integer dicts unknown -> (re, im); the
+    returned vectors are primitive Gaussian-integer dicts unknown -> (re, im)
+    spanning the joint kernel, one per free unknown f, positive at f.
     """
     order = {u: i for i, u in enumerate(unknowns)}
-    ech = _constraint_echelon(constraints, order)
-    pivots = set(ech.rows)
-    free = [i for i in range(len(unknowns)) if i not in pivots]
+    rows = span({order[k]: c for k, c in row.items()} for row in constraints).nums
     basis = []
-    for f in free:
-        # x_f = 1, pivot variables from the reduced rows
-        vec = {unknowns[f]: ONE}
-        for p, row in ech.rows.items():
-            c = row.get(f)
-            if c is not None:
-                vec[unknowns[p]] = -c
-        basis.append(vec)
+    for f in range(len(unknowns)):
+        if f in rows:
+            continue
+        # x_f = 1 and x_p = -row_p[f] / d_p, times the lcm of those d_p
+        hits = [(p, row) for p, row in rows.items() if f in row]
+        scale = lcm(1, *(row[p][0] for p, row in hits))
+        vec = {unknowns[f]: (scale, 0)}
+        for p, row in hits:
+            vec[unknowns[p]] = tuple(-c * (scale // row[p][0]) for c in row[f])
+        basis.append(_primitive(vec))
     return basis

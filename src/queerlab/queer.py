@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .heckeclifford import decompose_regular, _bits
-from .linalg import Echelon, add_term
+from .linalg import add_term, numerators, span
 from .partitions import StrictPartition, delta
 from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 
@@ -387,9 +387,7 @@ def dim_T(lam: StrictPartition, n: int) -> int:
         return 1
     table = decompose_regular(d)
     block = table.blocks[lam]
-    ech = Echelon()
-    for lab in tensor_basis(n, d):
-        ech.insert(hc_apply(block.idempotent, lab))
+    ech = span(numerators(hc_apply(block.idempotent, lab)) for lab in tensor_basis(n, d))
     num = ech.rank * (2 ** delta(lam))
     if num % block.dim_S:
         raise ActionError("isotypic rank %d not divisible as expected" % ech.rank)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -20,11 +21,11 @@ from queerlab.amodule import (
     mono_biweight,
     singular_vectors,
     summand,
-    summand_cached,
     summand_membership,
     verify_main_theorem,
     weight_space_monomials,
 )
+from queerlab.linalg import numerators
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import QnElement, act_on_U, dim_T
 from queerlab.scalars import ONE
@@ -34,6 +35,12 @@ rng = random.Random(9)
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def full_summand(n, m, lam):
+    """The uncapped summand, built once per test session."""
+    return summand(n, m, lam)
 
 
 def test_a_mult_examples():
@@ -169,9 +176,9 @@ def test_weight_space_examples():
 
     ws = weight_space(2, 2, 1, ((1, 0), (1, 0)))
     assert ws.dim() == 2
-    assert ws.contains(dict(SuperPoly.x(2, 2, 1, 1).terms))
-    assert ws.contains(dict(SuperPoly.y(2, 2, 1, 1).terms))
-    assert not ws.contains(dict(SuperPoly.x(2, 2, 1, 2).terms))
+    assert ws.contains(numerators(SuperPoly.x(2, 2, 1, 1).terms))
+    assert ws.contains(numerators(SuperPoly.y(2, 2, 1, 1).terms))
+    assert not ws.contains(numerators(SuperPoly.x(2, 2, 1, 2).terms))
     # sanity: total dimension of degree-2 piece of A(1,1)
     total = 0
     for w in [((2,), (2,))]:
@@ -273,7 +280,7 @@ def test_summand_matches_closure_under_all_lowering_operators(cap):
         bounds = _cap_for(cap, n, m)
         for d in range(1, 5):
             for lam in enumerate_strict(d):
-                full = summand_cached(n, m, lam)
+                full = full_summand(n, m, lam)
                 fast = full if bounds is None else summand(n, m, lam, bounds)
                 slow = _lowering_closure(n, m, lam, bounds)
                 assert fast.components.keys() == slow.components.keys(), (n, m, lam)
@@ -337,10 +344,32 @@ def test_ideal_closure_monotone_idempotent():
         g2.components.values()
     ):
         for row in comp.rows.values():
-            both.insert(dict(row))
+            both.insert(numerators(row))
     bigger = ideal_closure(n, m, both, 4)
     for key, comp in closed.components.items():
         assert bigger.component(*key).rank >= comp.rank
+
+
+def test_ideal_components_match_literal_products():
+    # the re-keyed generator rows span what the products mono * row do
+    from queerlab.amodule import all_biweights
+    from queerlab.spoly import p_mul
+
+    n = m = 2
+    d_max = 4
+    gens = summand(n, m, sp(2))
+    ideal = EquivariantIdeal(n, m, gens, d_max)
+    literal = GradedSubspace(n, m)
+    for (d0, _), comp in gens.components.items():
+        for d in range(d0, d_max + 1):
+            for w in all_biweights(n, m, d - d0):
+                for mono in weight_space_monomials(n, m, d - d0, w):
+                    for row in comp.rows.values():
+                        literal.insert(numerators(p_mul({mono: ONE}, row)))
+    assert literal.components
+    for d in range(d_max + 1):
+        for w in all_biweights(n, m, d):
+            assert ideal.component(d, w).rows == literal.component(d, w).rows, (d, w)
 
 
 def test_truncation_guard():
@@ -359,7 +388,7 @@ def test_capped_equals_uncapped():
     for d_max, lam in itertools.product((4, 5), (sp(2), sp(2, 1))):
         cap = candidate_tail_bounds(3, 3, d_max)
         icap = EquivariantIdeal(3, 3, summand(3, 3, lam, cap), d_max)
-        ifull = EquivariantIdeal(3, 3, summand_cached(3, 3, lam), d_max)
+        ifull = EquivariantIdeal(3, 3, full_summand(3, 3, lam), d_max)
         for k in range(lam.size, d_max + 1):
             for mu in enumerate_strict(k):
                 if mu.length > 3:

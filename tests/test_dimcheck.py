@@ -70,6 +70,21 @@ def test_kernel_dim_counts_the_kernel_basis():
                 if sum(wcol) != d_col:
                     continue
                 rows, basis = _sing_system(2, 2, a, b, r, wrow, wcol)
-                assert kernel_dim(rows, basis) == len(kernel_basis(rows, basis))
+                # the rows are keyed by the unknowns' indices
+                assert kernel_dim(rows, basis) == len(kernel_basis(rows, range(len(basis))))
                 checked += bool(basis)
     assert checked
+
+
+def test_shared_image_tables_change_no_verdict():
+    # one process, tables shared across the ranks, against each sweep run
+    # again from empty tables
+    from queerlab import dimcheck
+
+    sizes = [(2, 2), (3, 3), (2, 3), (3, 2)]
+    shared = [[c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] for n, m in sizes]
+    assert dimcheck._IMAGES
+    for (n, m), got in zip(sizes, shared):
+        dimcheck._IMAGES.clear()
+        assert [c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] == got, (n, m)
+        assert all(case["pass"] for case in got), (n, m)

@@ -26,7 +26,7 @@ from queerlab.heckeclifford import (
     verify_tensor_ideal_theorem,
     word_mult,
 )
-from queerlab.linalg import Echelon, kernel_basis, span
+from queerlab.linalg import Echelon, kernel_basis, numerators, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
@@ -42,7 +42,7 @@ def sp(*parts):
 def block_echelon(n: int, lam: StrictPartition) -> Echelon:
     """J^lambda = e_lambda H_n, by echelon: the oracle for the traces."""
     e = decompose_regular(n).blocks[lam].idempotent
-    return span((e * HCElement(n, {w: ONE})).terms for w in all_words(n))
+    return span(numerators((e * HCElement(n, {w: ONE})).terms) for w in all_words(n))
 
 
 def test_defining_relations():
@@ -266,7 +266,14 @@ def center_basis_by_kernel(n, parity):
             row = constraints.setdefault(rhs, {})
             row[w] = row.get(w, Cyclo8Scalar()) - s2
         rows += [{w: c for w, c in row.items() if not c.is_zero()} for row in constraints.values()]
-    return [HCElement(n, vec) for vec in kernel_basis(rows, words)]
+    # each kernel vector is a positive multiple of the one with coefficient 1
+    # at its free word, the last of its words in `words` order
+    index = {w: i for i, w in enumerate(words)}
+    out = []
+    for vec in kernel_basis([numerators(row) for row in rows], words):
+        d = vec[max(vec, key=index.get)][0]
+        out.append(HCElement(n, {w: Cyclo8Scalar(x, y, d) for w, (x, y) in vec.items()}))
+    return out
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -314,7 +321,7 @@ def test_trace_ranks_match_echelon_ranks(n):
         assert block.dim_J == ech.rank
         for nu, pb in prev.blocks.items():
             f_emb = embed_left(pb.idempotent, n - 1, 1)
-            sub = span((f_emb * HCElement(n, row)).terms for row in ech.rows.values())
+            sub = span(numerators((f_emb * HCElement(n, row)).terms) for row in ech.rows.values())
             assert _trace_rank(f_emb, block.idempotent) == sub.rank
 
 

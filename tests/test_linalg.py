@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from queerlab.linalg import Echelon, add_term, kernel_basis, span
+from queerlab.linalg import Echelon, add_term, kernel_basis, numerators, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
 
@@ -73,22 +73,22 @@ class OracleEchelon:
 
 def test_insert_and_rank():
     ech = Echelon()
-    assert ech.insert({0: ONE, 1: s(2)})
-    assert not ech.insert({0: s(3), 1: s(6)})
-    assert ech.insert({1: ONE})
+    assert ech.insert(numerators({0: ONE, 1: s(2)}))
+    assert not ech.insert(numerators({0: s(3), 1: s(6)}))
+    assert ech.insert(numerators({1: ONE}))
     assert ech.rank == 2
-    assert ech.contains({0: s(7), 1: s(-4)})
+    assert ech.contains(numerators({0: s(7), 1: s(-4)}))
 
 
 def test_reduce_is_zero_on_members():
     ech = Echelon()
-    ech.insert({0: ONE, 2: ZETA})
-    ech.insert({1: s(2), 2: ONE})
+    ech.insert(numerators({0: ONE, 2: ZETA}))
+    ech.insert(numerators({1: s(2), 2: ONE}))
     v = {0: s(3), 2: s(3) * ZETA}
     for k, c in {1: s(2), 2: ONE}.items():
         add_term(v, k, s(5) * c)
-    assert ech.contains(v)
-    assert not ech.contains({0: ONE})
+    assert ech.contains(numerators(v))
+    assert not ech.contains(numerators({0: ONE}))
 
 
 def test_reduced_form_pivots_unique():
@@ -102,7 +102,7 @@ def test_reduced_form_pivots_unique():
         for _ in range(24):
             vec = {k: entry() for k in range(8)}
             vec = {k: c for k, c in vec.items() if not c.is_zero()}
-            ech.insert(vec)
+            ech.insert(numerators(vec))
         pivots = set(ech.rows)
         for p, row in ech.rows.items():
             assert row[p] == ONE
@@ -112,12 +112,12 @@ def test_reduced_form_pivots_unique():
 
 def test_rows_view_follows_inserts():
     ech = Echelon()
-    ech.insert({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)})
-    ech.insert({2: ONE, 3: ZETA})
+    ech.insert(numerators({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)}))
+    ech.insert(numerators({2: ONE, 3: ZETA}))
     before = ech.rows
     assert before[0] == {0: ONE, 1: Cyclo8Scalar(1, 1, 3), 3: s(-2) * ZETA}
     # pivot 1 sits in the row of pivot 0, so back-substitution rewrites it
-    assert ech.insert({1: s(3), 3: s(2)})
+    assert ech.insert(numerators({1: s(3), 3: s(2)}))
     after = ech.rows
     assert set(after) == {0, 1, 2}
     assert 1 not in after[0]
@@ -133,9 +133,9 @@ def test_rows_view_follows_inserts():
 def test_kernel_basis():
     # x0 + x1 = 0, x1 - x2 = 0 in 3 unknowns: kernel dim 1
     rows = [{0: ONE, 1: ONE}, {1: ONE, 2: s(-1)}]
-    basis = kernel_basis(rows, [0, 1, 2])
+    basis = kernel_basis([numerators(row) for row in rows], [0, 1, 2])
     assert len(basis) == 1
-    vec = basis[0]
+    vec = {k: Cyclo8Scalar(x, y) for k, (x, y) in basis[0].items()}
     for row in rows:
         acc = Cyclo8Scalar()
         for k, c in row.items():
@@ -146,12 +146,12 @@ def test_kernel_basis():
 def test_kernel_full_and_empty():
     assert len(kernel_basis([], [0, 1])) == 2
     rows = [{0: ONE}, {1: ONE}]
-    assert kernel_basis(rows, [0, 1]) == []
+    assert kernel_basis([numerators(row) for row in rows], [0, 1]) == []
 
 
 def test_span_contains_space():
-    a = span([{0: ONE}, {1: ONE}])
-    b = span([{0: s(2), 1: s(3)}])
+    a = span(numerators(v) for v in [{0: ONE}, {1: ONE}])
+    b = span(numerators(v) for v in [{0: s(2), 1: s(3)}])
     assert a.contains_space(b)
     assert not b.contains_space(a)
 
@@ -189,7 +189,7 @@ def test_echelon_matches_the_scalar_oracle(data):
     vectors = data.draw(st.permutations(vectors))
     ech, oracle = Echelon(), OracleEchelon()
     for vec in vectors:
-        assert ech.insert(vec) == oracle.insert(vec)
+        assert ech.insert(numerators(vec)) == oracle.insert(vec)
         assert ech.rank == oracle.rank
         assert ech.rows == oracle.rows
     # the stored rows: integer numerators, pivot (d, 0) with d > 0, content 1
@@ -197,11 +197,42 @@ def test_echelon_matches_the_scalar_oracle(data):
         assert num[p][0] > 0 and num[p][1] == 0
         assert gcd(*(c for pair in num.values() for c in pair)) == 1
     for vec in vectors:
-        assert ech.contains(vec) and oracle.contains(vec)
+        assert ech.contains(numerators(vec)) and oracle.contains(vec)
         member = vec_axpy(vec, data.draw(ENTRIES), vectors[0])
-        assert ech.contains(member) and oracle.contains(member)
+        assert ech.contains(numerators(member)) and oracle.contains(member)
         # key KEYS is in no row, so this is never a member
         outside = {**vec, KEYS: ONE}
-        assert not ech.contains(outside) and not oracle.contains(outside)
+        assert not ech.contains(numerators(outside)) and not oracle.contains(outside)
     probe = data.draw(VECTORS)
-    assert ech.contains(probe) == oracle.contains(probe)
+    assert ech.contains(numerators(probe)) == oracle.contains(probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_entry_matches_sequential_inserts_and_the_oracle(data):
+    vectors = data.draw(st.lists(VECTORS, min_size=1, max_size=9))
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
+        vectors.append(vec_axpy(vectors[j], data.draw(ENTRIES), vectors[i]))
+    nums = [numerators(v) for v in vectors]
+    seq, oracle = Echelon(), OracleEchelon()
+    for vec, num in zip(vectors, nums):
+        seq.insert(num)
+        oracle.insert(vec)
+    smallest = lambda i: min(nums[i])
+    orders = {
+        "shuffled": data.draw(st.permutations(range(len(vectors)))),
+        "ascending": sorted((i for i in range(len(vectors)) if nums[i]), key=smallest),
+        "descending": sorted((i for i in range(len(vectors)) if nums[i]), key=smallest, reverse=True),
+    }
+    for name, order in orders.items():
+        ech = Echelon()
+        raised = ech.extend(nums[i] for i in order)
+        assert ech.rank == seq.rank == oracle.rank, name
+        assert ech.rows == seq.rows == oracle.rows, name
+        # replayed in the batch's insertion order (descending smallest key,
+        # ties in the given order), a vector is returned iff it is outside
+        # the span of the ones before it
+        prefix = OracleEchelon()
+        want = [id(nums[i]) for i in sorted((i for i in order if nums[i]), key=smallest, reverse=True) if prefix.insert(vectors[i])]
+        assert [id(v) for v in raised] == want, name
