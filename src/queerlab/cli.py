@@ -111,19 +111,20 @@ def load_qpoly_cache(cache_dir: str) -> int:
     """Warm the Q-polynomial memo table from the versioned cache file.
 
     The header line is `CACHE_HEADER sha256=<hex digest of the body>`. A file
-    of another version is ignored; a file whose body does not match its
-    digest or does not parse is ignored with a warning, so its entries are
+    of another version is ignored; a file that fails its digest, does not
+    decode or does not parse is ignored with a warning, so its entries are
     recomputed and the file is rewritten at the end of the run.
     """
     path = os.path.join(cache_dir, "qpoly.cache")
     if not os.path.exists(path):
         return 0
-    with open(path) as fh:
-        header, _, body = fh.read().partition("\n")
-    version, _, digest = header.partition(" sha256=")
-    if version != CACHE_HEADER:
-        return 0  # stale or foreign cache: ignore, recompute
     try:
+        # a byte that does not decode raises UnicodeDecodeError, a ValueError
+        with open(path) as fh:
+            header, _, body = fh.read().partition("\n")
+        version, _, digest = header.partition(" sha256=")
+        if version != CACHE_HEADER:
+            return 0  # stale or foreign cache: ignore, recompute
         if digest != _digest(body):
             raise ValueError("checksum mismatch")
         entries = [
@@ -171,7 +172,7 @@ def emit(cfg: RunConfig, payload: dict, rows=None, csv_header=None):
     text = json.dumps(payload, indent=2)
     if cfg.out:
         os.makedirs(os.path.dirname(cfg.out) or ".", exist_ok=True)
-        if cfg.fmt == "csv" and rows is not None:
+        if cfg.fmt == "csv":
             with open(cfg.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(csv_header)
@@ -181,7 +182,7 @@ def emit(cfg: RunConfig, payload: dict, rows=None, csv_header=None):
                 fh.write(text + "\n")
     if cfg.fmt == "json":
         print(text)
-    elif cfg.fmt == "csv" and rows is not None:
+    elif cfg.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(csv_header)
         writer.writerows(rows)
@@ -497,6 +498,11 @@ TARGETS = {
     ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_TENSOR_DEGREE))),
 }
 
+# the targets whose report has a table, and so a --format csv
+CSV_TARGETS = {
+    ("pieri", None), ("verify", "hecke-ideals"), ("verify", "main-theorem"), ("dump", "isotypic")
+}
+
 
 def _targets(command: str) -> list[str]:
     return [t for c, t in TARGETS if c == command]
@@ -545,10 +551,13 @@ def make_config(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run, safe = TARGETS[args.command, getattr(args, "target", None)]
+        target = args.command, getattr(args, "target", None)
+        run, safe = TARGETS[target]
         lam = _parse_lambda(getattr(args, "lam", None))
         cfg = make_config(args)
         cfg.check(safe, lam)
+        if cfg.fmt == "csv" and target not in CSV_TARGETS:
+            raise ConfigError("--format csv: %s has no table" % " ".join(t for t in target if t))
         loaded = load_qpoly_cache(cfg.cache_dir) if cfg.cache_dir else 0
         code = run(cfg, lam)
         # the memo holds every entry loaded, so it outgrows them exactly when

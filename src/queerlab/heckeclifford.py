@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
-from .linalg import Echelon, add_term, numerators, span
+from .linalg import Echelon, add_term, numerators
 from .partitions import StrictPartition, delta, enumerate_strict, contains
 from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA, _coerce
 from .symfunc import induct_mult
@@ -236,24 +236,21 @@ def all_words(n: int):
 
 
 @lru_cache(maxsize=None)
-def _inverse_words(n: int) -> dict:
-    """w -> (w', sign) with w * w' = sign * 1, for every basis word of H_n.
+def _inverse_word(w: tuple) -> tuple:
+    """(w', sign) with w * w' = sign * 1, for a basis word w.
 
     For w = alpha^mask sigma, w' = sigma^{-1} alpha^mask = alpha^{sigma^{-1}(mask)}
     sigma^{-1} up to sign, and no other word multiplies w to a multiple of 1.
     """
-    out = {}
-    for w in all_words(n):
-        mask, p = w
-        q = perm_inverse(p)
-        moved = 0
-        for i in _bits(mask):
-            moved |= 1 << q[i]
-        inv = (moved, q)
-        unit, sign = word_mult(w, inv)
-        assert unit == (0, perm_id(n))
-        out[w] = (inv, sign)
-    return out
+    mask, p = w
+    q = perm_inverse(p)
+    moved = 0
+    for i in _bits(mask):
+        moved |= 1 << q[i]
+    inv = (moved, q)
+    unit, sign = word_mult(w, inv)
+    assert unit == (0, perm_id(len(p)))
+    return inv, sign
 
 
 def product_coefficient(x: HCElement, y: HCElement, w=None) -> Cyclo8Scalar:
@@ -266,10 +263,9 @@ def product_coefficient(x: HCElement, y: HCElement, w=None) -> Cyclo8Scalar:
     u = 1, so the trace of left multiplication by x*y on H_n is
     2^n n! * product_coefficient(x, y).
     """
-    inv = _inverse_words(x.n)
     total = Cyclo8Scalar()
     for u, c in x.terms.items():
-        v, sign = inv[u]
+        v, sign = _inverse_word(u)
         if w is not None:
             v, s = word_mult(v, w)
             sign *= s
@@ -353,24 +349,22 @@ class IsotypicTable:
         )
 
 
-def _center_basis(n: int, parity: int) -> list[HCElement]:
-    """Elements of the given parity commuting with all of H_n (ordinary sense).
+def _center_basis(n: int) -> list[tuple]:
+    """The even center of H_n (ordinary sense), as (word, element) pairs.
 
     Each generator g has g^2 = 1, so z is central iff g z g = z, and g w g is
     a signed basis word for each word w. A central element is therefore
     constant up to those signs on each orbit of the words under the
     generators, and vanishes on an orbit whose signs contradict each other.
-    Each consistent orbit gives one basis element, scaled to 1 at its last
-    word in `all_words` order: the echelon kernel basis of the commutation
-    constraints.
+    Each consistent orbit of even words gives one element, its signed orbit
+    sum, equal to 1 at the orbit's first word in `all_words` order. The
+    orbits are disjoint, so a central c equals sum c[word] * element.
     """
-    words = [w for w in all_words(n) if w[0].bit_count() % 2 == parity]
-    position = {w: i for i, w in enumerate(words)}
     gens = [next(iter(g.terms)) for g in generators(n)]
     seen = set()
-    basis = []
-    for start in words:
-        if start in seen:
+    pairs = []
+    for start in all_words(n):
+        if start in seen or start[0].bit_count() & 1:
             continue
         signs = {start: 1}
         queue = [start]
@@ -388,11 +382,8 @@ def _center_basis(n: int, parity: int) -> list[HCElement]:
                     consistent = False
         seen.update(signs)
         if consistent:
-            last = max(signs, key=position.__getitem__)
-            basis.append(
-                (position[last], HCElement(n, {w: s * signs[last] for w, s in signs.items()}))
-            )
-    return [b for _, b in sorted(basis, key=lambda t: t[0])]
+            pairs.append((start, HCElement(n, signs)))
+    return pairs
 
 
 def _casimir(n: int) -> HCElement:
@@ -435,20 +426,19 @@ def _content_values(n: int) -> dict:
     return values
 
 
-def _split_center(n: int, z0: list[HCElement], values: dict) -> dict:
+def _split_center(n: int, pairs: list[tuple], values: dict) -> dict:
     """lambda -> e_lambda, the primitive idempotents of the even center.
 
     e_lambda = prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the
     Casimir z and its block values v = `values`. The work stays inside the
-    k-dimensional center. The echelon rows r_j of z0 have pivot words p_j and
-    a central c equals sum_j c[p_j] r_j, so elements are coordinate vectors
-    and the structure constants are the coefficients (r_a r_b)[p_j], read
-    without forming the products.
+    k-dimensional center. The `_center_basis` pairs (p_j, r_j) give a central
+    c as sum_j c[p_j] r_j, so elements are coordinate vectors and the
+    structure constants are the coefficients (r_a r_b)[p_j], read without
+    forming the products.
     """
-    k = len(z0)
-    view = span(numerators(b.terms) for b in z0).rows
-    pivots = sorted(view)
-    rows = [HCElement(n, view[p]) for p in pivots]
+    k = len(pairs)
+    pivots = [p for p, _ in pairs]
+    rows = [r for _, r in pairs]
     consts = [[[product_coefficient(ra, rb, p) for p in pivots] for rb in rows] for ra in rows]
 
     def mul(x, y):
@@ -497,8 +487,9 @@ _TABLE_CACHE: dict = {}
 def decompose_regular(n: int) -> IsotypicTable:
     """Two-sided isotypic decomposition of H_n with strict-partition labels.
 
-    Each block is labelled by the value of the Casimir on it; its type and
-    its restriction ranks to H_{n-1} are then checked against that label.
+    Each block is labelled by the value of the Casimir on it; its type, read
+    off dim J^lambda, and its restriction ranks to H_{n-1} are then checked
+    against that label.
     """
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
@@ -512,17 +503,13 @@ def decompose_regular(n: int) -> IsotypicTable:
         return table
 
     values = _content_values(n)
-    z_even = _center_basis(n, 0)
-    if len(z_even) != len(values):
+    pairs = _center_basis(n)
+    if len(pairs) != len(values):
         raise DecompositionError(
             "even center of H_%d has dimension %d, expected %d"
-            % (n, len(z_even), len(values))
+            % (n, len(pairs), len(values))
         )
-    idems = _split_center(n, z_even, values)
-    # e*o is central and odd, so it vanishes iff its coefficients at the
-    # pivot words of the odd center do
-    z_odd = _center_basis(n, 1)
-    odd_pivots = list(span(numerators(o.terms) for o in z_odd).nums)
+    idems = _split_center(n, pairs, values)
 
     unit = HCElement.unit(n)
     prev = decompose_regular(n - 1)
@@ -533,19 +520,19 @@ def decompose_regular(n: int) -> IsotypicTable:
     }
     blocks = {}
     for lam, e in idems.items():
+        # a simple block is M(p|q), of dimension (p+q)^2, or Q(d), of
+        # dimension 2 d^2: exactly one of dim_J and 2 dim_J is a square
         dim_J = _trace_rank(e, unit)
-        is_q = any(
-            not product_coefficient(e, o, p).is_zero() for o in z_odd for p in odd_pivots
-        )
+        is_q = dim_J > 0 and isqrt(dim_J) ** 2 != dim_J
+        dim_S2 = dim_J * (2 if is_q else 1)
+        dim_S = isqrt(max(dim_S2, 0))
+        if dim_J < 1 or dim_S * dim_S != dim_S2:
+            raise DecompositionError("dim J^lambda = %d is not of the expected form" % dim_J)
         if is_q != (delta(lam) == 1):
             raise DecompositionError(
                 "block %s is of type %s, but delta = %d"
                 % (lam.parts, "Q" if is_q else "M", delta(lam))
             )
-        dim_S2 = dim_J * (2 if is_q else 1)
-        dim_S = isqrt(dim_S2)
-        if dim_S * dim_S != dim_S2:
-            raise DecompositionError("dim J^lambda = %d is not of the expected form" % dim_J)
         # cross-check the label by restriction: e is central, so f*e is an
         # idempotent and dim f*J = rank of L_{f*e}, which induction by one
         # box predicts

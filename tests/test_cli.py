@@ -157,14 +157,24 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
         # with --unsafe
         (["verify", "cauchy", "--degree", "6", "--vars", "7"], "--vars"),
         (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
+        # a target without a table has no CSV form
+        (["verify", "cauchy", "--format", "csv"], "--format"),
+        (["verify", "determinantal", "--format", "csv"], "--format"),
+        (["verify", "phi-psi", "--format", "csv"], "--format"),
+        (["verify", "prop-dim", "--format", "csv"], "--format"),
+        (["dump", "q-expansion", "--lambda", "2,1", "--format", "csv"], "--format"),
+        (["dump", "dims", "--lambda", "2", "--n", "1", "--format", "csv"], "--format"),
     ],
 )
-def test_bad_input_exits_two_naming_the_flag(argv, flag, capsys):
-    # an input error is neither a theorem failure (1) nor a vacuous pass (0)
-    assert main(argv) == 2
+def test_bad_input_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):
+    # an input error is neither a theorem failure (1) nor a vacuous pass (0),
+    # and writes no report
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and flag in captured.err
+    assert not out.exists()
 
 
 def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
@@ -301,20 +311,25 @@ def test_unchanged_cache_is_not_rewritten(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _corrupt_flip(text):
+def _corrupt_flip(data):
     # one coefficient of the Q_{(2,1)} line in 3 variables, 4 -> 5
-    lines = text.splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith("Q 2,1 3 :"))
-    assert "=4/1" in lines[i]
-    lines[i] = lines[i].replace("=4/1", "=5/1", 1)
-    return "".join(lines)
+    lines = data.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(b"Q 2,1 3 :"))
+    assert b"=4/1" in lines[i]
+    lines[i] = lines[i].replace(b"=4/1", b"=5/1", 1)
+    return b"".join(lines)
 
 
-def _corrupt_truncate(text):
-    return text[:300]
+def _corrupt_truncate(data):
+    return data[:300]
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_flip, _corrupt_truncate])
+def _corrupt_bytes(data):
+    # two bytes that are not UTF-8, in the body
+    return data[:200] + b"\xff\xfe" + data[202:]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_flip, _corrupt_truncate, _corrupt_bytes])
 def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
     argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--format", "json"]
     cache = tmp_path / "cache"
@@ -323,14 +338,14 @@ def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
     assert main(argv + ["--cache-dir", str(cache)]) == 0
     capsys.readouterr()
     path = cache / "qpoly.cache"
-    good = path.read_text()
-    path.write_text(corrupt(good))
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
     monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
     code = main(argv + ["--cache-dir", str(cache)])
     captured = capsys.readouterr()
     assert code == 0 and json.loads(captured.out)["status"] is True
     assert "warning: ignoring corrupt cache" in captured.err
-    assert path.read_text() == good
+    assert path.read_bytes() == good
     assert cli.load_qpoly_cache(str(cache)) > 0
 
 
@@ -400,11 +415,31 @@ def test_determinism_same_seed(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+# top-level definitions that no production path runs, kept as test oracles
+# or structural checks; the list may only shrink
+UNREACHED = {
+    "amodule": {
+        "StabilityReport", "_in_m_span", "act", "all_operators", "ideal_closure",
+        "lowering_operators", "m_stability_check", "verify_main_theorem", "weight_space",
+    },
+    "heckeclifford": {"sigma_step", "transpose", "two_sided_closure"},
+    "partitions": {"PosetIdeal", "ideal_member", "remove_box_candidates"},
+    "queer": {
+        "USpace", "_mat_mul", "_mat_transpose", "_q_mult", "_strict_lower", "_upper",
+        "act_on_U", "bracket", "chevalley", "chevalley_inverse", "hk_decompose",
+        "x_prime", "y_prime",
+    },
+    "spoly": {"p_truncate"},
+    "symfunc": {"tableau_oracle_Q"},
+}
+
+
 def test_every_module_is_reached_from_the_cli():
     # a module that no relative import reachable from cli.py names runs on
     # no production path; __init__.py is left out, since it imports all
     pkg = os.path.dirname(cli.__file__)
     modules = {f[:-3] for f in os.listdir(pkg) if f.endswith(".py")} - {"__init__"}
+    trees = {}
     reached, todo = set(), ["cli"]
     while todo:
         name = todo.pop()
@@ -412,7 +447,7 @@ def test_every_module_is_reached_from_the_cli():
             continue
         reached.add(name)
         with open(os.path.join(pkg, name + ".py")) as fh:
-            tree = ast.parse(fh.read())
+            trees[name] = tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 if node.module:
@@ -420,3 +455,29 @@ def test_every_module_is_reached_from_the_cli():
                 else:
                     todo.extend(alias.name for alias in node.names)
     assert reached == modules
+
+    # a top-level def or class is reached when a reached body names it, as a
+    # bare name or an attribute; the module-level statements of every module
+    # run on import, and an import alone reaches nothing
+    defining = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    skipped = defining + (ast.Import, ast.ImportFrom)
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defining):
+                defs.setdefault(node.name, []).append((module, node))
+    todo = [node for tree in trees.values() for node in tree.body if not isinstance(node, skipped)]
+    reached = set()
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            for module, node in defs.get(name, ()):
+                if (module, name) not in reached:
+                    reached.add((module, name))
+                    todo.append(node)
+    unreached = {}
+    for name, places in defs.items():
+        for module, _ in places:
+            if (module, name) not in reached:
+                unreached.setdefault(module, set()).add(name)
+    assert unreached == UNREACHED

@@ -279,8 +279,59 @@ def center_basis_by_kernel(n, parity):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_center_basis_matches_kernel(n, parity):
-    # the orbit construction returns the very basis the echelon kernel does
-    assert _center_basis(n, parity) == center_basis_by_kernel(n, parity)
+    kernel = center_basis_by_kernel(n, parity)
+    if parity == 1:
+        # the odd center is not built; it stays the oracle for the types read
+        # off dim J: a block is of type Q iff e_lambda * o != 0 for some odd
+        # central o
+        for block in decompose_regular(n).blocks.values():
+            meets_odd = any(not (block.idempotent * o).is_zero() for o in kernel)
+            assert (block.type == "Q") == meets_odd, block.label
+        return
+    # each even orbit sum is the kernel vector holding its word, rescaled to
+    # 1 at that word
+    pairs = _center_basis(n)
+    assert len(pairs) == len(kernel)
+    for word, element in pairs:
+        assert element.terms[word] == ONE
+        vec = next(v for v in kernel if word in v.terms)
+        assert element == vec.scale(vec.terms[word].inverse())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_sums_are_center_coordinates(n):
+    # a central c equals sum c[word] * element over the pairs
+    pairs = _center_basis(n)
+
+    def rebuild(c):
+        out = HCElement(n)
+        for word, element in pairs:
+            out = out + element.scale(c.terms.get(word, Cyclo8Scalar()))
+        return out
+
+    z = _casimir(n)
+    assert rebuild(z) == z
+    for block in decompose_regular(n).blocks.values():
+        assert rebuild(block.idempotent) == block.idempotent
+
+
+def test_mislabelled_block_is_refused(monkeypatch):
+    # swap the Casimir values of (3) and (2,1): the 16-dimensional block,
+    # of type M, is then labelled (3), which has delta = 1
+    from queerlab import heckeclifford
+
+    real = heckeclifford._content_values
+
+    def swapped(n):
+        values = real(n)
+        if n == 3:
+            values = dict(zip(values, reversed(list(values.values()))))
+        return values
+
+    monkeypatch.setattr(heckeclifford, "_content_values", swapped)
+    monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
+    with pytest.raises(DecompositionError, match="is of type"):
+        decompose_regular(3)
 
 
 def test_product_coefficient_matches_product():
