@@ -25,7 +25,6 @@ from .symfunc import (
     induct_mult,
     pieri,
     q_gen,
-    tableau_oracle_Q,
 )
 from .heckeclifford import (
     HCElement,

@@ -24,7 +24,7 @@ CACHE_HEADER = "queerlab-cache v2"
 # grow factorially. Each target names the flags it reads against them.
 SAFE_H_RANK = 6  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
-SAFE_DEGREE = 6  # Cauchy truncation degree and number of variables
+SAFE_DEGREE = 8  # Cauchy truncation degree and number of variables
 SAFE_SIZE = 8  # largest partition size of a Pieri or ideal check
 # |lambda| of dump dims: dim_T reduces the image of every word of
 # V^{(x)|lambda|} by brute force, (2n)^|lambda| of them; at n = 3, size 4

@@ -1,4 +1,5 @@
-"""Strict partitions, containment order, delta, staircases, poset ideals."""
+"""Strict partitions, containment order, delta, staircases, poset ideals;
+the plain partitions of n."""
 
 from __future__ import annotations
 
@@ -62,21 +63,28 @@ def contains(lam: StrictPartition, mu: StrictPartition) -> bool:
     return all(l <= m for l, m in zip(lam.parts, mu.parts))
 
 
+def _descending(remaining: int, maxpart: int, gap: int):
+    """Part tuples summing to remaining, lexicographically descending, each
+    part at most maxpart and at least gap below the part before it."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, maxpart), 0, -1):
+        for rest in _descending(remaining - first, first - gap, gap):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_strict(n: int) -> tuple[StrictPartition, ...]:
     """All strict partitions of n, lexicographically descending."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return tuple(StrictPartition(p) for p in _descending(n, n, 1))
 
-    def rec(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maxpart), 0, -1):
-            for rest in rec(remaining - first, first - 1):
-                yield (first,) + rest
 
-    return tuple(StrictPartition(p) for p in rec(n, n))
+def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n as tuples of parts, lexicographically descending."""
+    return list(_descending(n, n, 0))
 
 
 def l_max(d: int) -> int:

@@ -1,8 +1,8 @@
 """The ring Gamma of Schur Q-functions over exact rationals.
 
 Q_lambda is built from the generators q_r by the two-row recursion and
-first-row Pfaffian expansion; an independent marked-shifted-tableau
-enumeration serves as the oracle. Products are expanded back into the
+first-row Pfaffian expansion (tests/oracles.py holds an independent
+marked-shifted-tableau enumeration). Products are expanded back into the
 Q-basis by triangular elimination against lex-leading monomials. A product
 of degree d is expanded in l_max(d) variables: Q_nu vanishes in N variables
 when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly independent
@@ -12,13 +12,16 @@ l_max(d) variables see every Q_nu of degree d and nothing else.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .partitions import (
     StrictPartition,
     add_box_candidates,
     delta,
+    enumerate_partitions,
     enumerate_strict,
     l_max,
 )
@@ -249,56 +252,6 @@ def Q_poly(lam: StrictPartition, N: int) -> NVarPoly:
     return out
 
 
-def tableau_oracle_Q(lam: StrictPartition, N: int) -> NVarPoly:
-    """Monomial expansion of Q_lambda by enumerating marked shifted tableaux.
-
-    Letters 1' < 1 < 2' < 2 < ... < N; rows and columns weakly increase,
-    each unprimed letter at most once per column, each primed letter at
-    most once per row. Primes are allowed on the diagonal (Q, not P).
-    """
-    parts = lam.parts
-    cells = []
-    for r, width in enumerate(parts):
-        for c in range(r, r + width):
-            cells.append((r, c))
-    # letter encoding: rank 2k-1 = k', rank 2k = k (k = 1..N)
-    terms = {}
-
-    def value(rank):
-        return (rank + 1) // 2
-
-    def primed(rank):
-        return rank % 2 == 1
-
-    def fill(idx, assignment):
-        if idx == len(cells):
-            expo = [0] * N
-            for rank in assignment.values():
-                expo[value(rank) - 1] += 1
-            k = tuple(expo)
-            terms[k] = terms.get(k, 0) + 1
-            return
-        (r, c) = cells[idx]
-        left = assignment.get((r, c - 1))
-        up = assignment.get((r - 1, c))
-        lo = 1
-        if left is not None:
-            lo = max(lo, left)
-        if up is not None:
-            lo = max(lo, up)
-        for rank in range(lo, 2 * N + 1):
-            if left is not None and rank == left and primed(rank):
-                continue  # primed letters cannot repeat within a row
-            if up is not None and rank == up and not primed(rank):
-                continue  # unprimed letters cannot repeat within a column
-            assignment[(r, c)] = rank
-            fill(idx + 1, assignment)
-        assignment.pop((r, c), None)
-
-    fill(0, {})
-    return NVarPoly(N, {k: c for k, c in terms.items() if c})
-
-
 class GammaElement:
     """A finite Q-basis linear combination with exact (int or Fraction)
     coefficients."""
@@ -453,39 +406,6 @@ def induct_mult(
 # ---------------------------------------------------------------------------
 
 
-def _pack_shift(N: int):
-    # x_i exponent in bits [4i, 4i+4), y_j in [4(N+j), ...), degree on top
-    return 4 * 2 * N
-
-
-def _pack_monomial(xexp, yexp, N):
-    key = 0
-    for i, e in enumerate(xexp):
-        key |= e << (4 * i)
-    for j, e in enumerate(yexp):
-        key |= e << (4 * (N + j))
-    key |= sum(xexp) << _pack_shift(N)
-    return key
-
-
-def cauchy_kernel_truncated(d: int, N: int) -> dict:
-    """prod_{i,j<=N} (1+x_i y_j)/(1-x_i y_j) through x-degree d, packed keys."""
-    degshift = _pack_shift(N)
-    poly = {0: 1}
-    for i in range(N):
-        for j in range(N):
-            base = (1 << (4 * i)) + (1 << (4 * (N + j))) + (1 << degshift)
-            new = dict(poly)
-            for key, c in poly.items():
-                deg = key >> degshift
-                c2 = 2 * c
-                for k in range(1, d - deg + 1):
-                    kk = key + k * base
-                    new[kk] = new.get(kk, 0) + c2
-            poly = new
-    return poly
-
-
 def _exact_quotient(c, den: int):
     """c / den as an int when the division is exact, else as a Fraction.
 
@@ -497,30 +417,26 @@ def _exact_quotient(c, den: int):
     return Fraction(c) / den if rem else num
 
 
-def cauchy_rhs_truncated(d: int, N: int) -> dict:
-    """sum over strict |lambda| <= d of Q_lambda(x) P_lambda(y), packed keys.
+def _dominant_coefficients(lam: StrictPartition, N: int):
+    """[x^alpha]Q_lambda at each partition alpha, or None unless Q_lambda in N
+    variables is symmetric, of degree |lambda|, with 2^{l(lambda)} at x^lambda.
 
-    Runs on ints: P_lambda = Q_lambda / 2^{l(lambda)} is taken as the exact
-    integer quotient.
+    One pass over the terms: each has degree |lambda| and the coefficient at
+    its exponent sorted descending, and the terms fill exactly the orbits of
+    the dominant exponents, so no monomial is missing either.
     """
-    out = {}
-    zeros = (0,) * N
-    for size in range(0, d + 1):
-        for lam in enumerate_strict(size):
-            den = 1 << lam.length
-            qx, py = {}, {}
-            for k, c in Q_poly(lam, N).terms.items():
-                qx[_pack_monomial(k, zeros, N)] = _exact_quotient(c, 1)
-                py[_pack_monomial(zeros, k, N)] = _exact_quotient(c, den)
-            for k1, c1 in qx.items():
-                for k2, c2 in py.items():
-                    k = k1 + k2
-                    s = out.get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-    return out
+    terms = Q_poly(lam, N).terms
+    if terms.get(lam.parts + (0,) * (N - lam.length)) != 1 << lam.length:
+        return None
+    dominant, orbits = {}, 0
+    for expo, c in terms.items():
+        key = tuple(sorted(expo, reverse=True))
+        if sum(expo) != lam.size or terms.get(key) != c:
+            return None
+        if key == expo:
+            dominant[expo] = c
+            orbits += factorial(N) // prod(map(factorial, Counter(expo).values()))
+    return dominant if orbits == len(terms) else None
 
 
 class CauchyReport:
@@ -539,22 +455,84 @@ class CauchyReport:
         return "CauchyReport(FAIL at bidegree %r)" % (self.first_failure,)
 
 
+def _cauchy_kernel():
+    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
+    partitions alpha, beta of one size, with no zero parts.
+
+    The coefficient sums 2^(nonzero entries) over the nonnegative integer
+    matrices with row sums alpha and column sums beta, since (1+t)/(1-t) =
+    1 + 2 sum_{k>=1} t^k. It is counted row by row, memoized on the rows
+    left and the column sums left, sorted descending since permuting the
+    columns permutes the matrices. The memo lives as long as the function.
+    """
+    memo = {}
+
+    def kernel(rows: tuple, cols: tuple) -> int:
+        if not rows:
+            return 1
+        key = (rows, cols)
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            fillings = [((), 0, 1)]  # (column sums left, row sum placed, weight)
+            for c in cols:
+                fillings = [
+                    (left + (c - e,), placed + e, 2 * weight if e else weight)
+                    for left, placed, weight in fillings
+                    for e in range(min(c, rows[0] - placed) + 1)
+                ]
+            for left, placed, weight in fillings:
+                if placed == rows[0]:
+                    rest = tuple(sorted(filter(None, left), reverse=True))
+                    total += weight * kernel(rows[1:], rest)
+            memo[key] = total
+        return total
+
+    return kernel
+
+
 def cauchy_check(d: int, N: int) -> CauchyReport:
-    """Verify the Cauchy identity as truncated polynomials in x_1..x_N, y_1..y_N."""
+    """Verify prod_{i,j<=N} (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)
+    through degree d in x_1..x_N and y_1..y_N, on dominant coefficients.
+
+    Both sides are symmetric in x, and separately in y, so they agree once
+    their coefficients at x^alpha y^beta agree for every pair of partitions
+    alpha, beta of each degree k <= d (Macdonald, Symmetric Functions and
+    Hall Polynomials, 2nd ed., III.8, (8.13)); with N >= d every partition
+    of k fits in N parts. The symmetry of the kernel is built in; that of
+    each Q_lambda is checked term by term first (`_dominant_coefficients`).
+    The identity alone does not fix the Q_lambda: it holds as well for
+    -Q_lambda, and for any basis of degree k that a matrix orthogonal for
+    the weights 2^{-l(lambda)} makes from them. So each Q_lambda must also
+    carry 2^{l(lambda)} at x^lambda. The true Q_mu has no x^lambda unless mu
+    dominates lambda, so taking lambda in descending lex order, that forces
+    the matrix to be the identity matrix.
+
+    The kernel coefficient is counted by `_cauchy_kernel`. The right side
+    reads [x^alpha]Q_lambda and [y^beta]P_lambda off Q_poly, P_lambda
+    as the exact quotient by 2^{l(lambda)}.
+
+    first_failure is (k, k) for the least degree k at which a Q_lambda of
+    size k fails its check or a coefficient of bidegree (k, k) differs.
+    """
     if N < d:
         raise ValueError("need N >= d for a faithful truncation")
-    kernel = cauchy_kernel_truncated(d, N)
-    rhs = cauchy_rhs_truncated(d, N)
-    if kernel == rhs:
-        return CauchyReport(True, d, N)
-    degshift = _pack_shift(N)
-    bad = []
-    for key in set(kernel) | set(rhs):
-        if kernel.get(key, 0) != rhs.get(key, 0):
-            deg = key >> degshift
-            bad.append((deg, key))
-    deg = min(bad)[0]
-    return CauchyReport(False, d, N, first_failure=(deg, deg))
+    kernel = _cauchy_kernel()
+    for k in range(d + 1):
+        dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by exponent
+        for lam in enumerate_strict(k):
+            q = _dominant_coefficients(lam, N)
+            if q is None:
+                return CauchyReport(False, d, N, first_failure=(k, k))
+            den = 1 << lam.length
+            dominant.append((q, {e: _exact_quotient(c, den) for e, c in q.items()}))
+        shapes = [(a, a + (0,) * (N - len(a))) for a in enumerate_partitions(k)]
+        for alpha, x in shapes:
+            for beta, y in shapes:
+                rhs = sum(q.get(x, 0) * p.get(y, 0) for q, p in dominant)
+                if kernel(alpha, beta) != rhs:
+                    return CauchyReport(False, d, N, first_failure=(k, k))
+    return CauchyReport(True, d, N)
 
 
 # ---------------------------------------------------------------------------

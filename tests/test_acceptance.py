@@ -36,11 +36,11 @@ def test_ac1_pieri():
 def test_ac2_cauchy():
     from queerlab.symfunc import cauchy_check
 
-    rep = cauchy_check(6, 6)
+    rep = cauchy_check(8, 8)
     _report(
         "AC-2",
         rep.ok,
-        "Cauchy kernel identity through total degree 6 in 6+6 variables",
+        "Cauchy kernel identity through total degree 8 in 8+8 variables",
     )
 
 
@@ -245,7 +245,8 @@ def test_ac8_structural_suites():
     notes.append("h+k x200")
 
     # Q-polynomials against the shifted-tableau oracle through size 6
-    from queerlab.symfunc import Q_poly, tableau_oracle_Q
+    from oracles import tableau_oracle_Q
+    from queerlab.symfunc import Q_poly
 
     for size in range(0, 7):
         for lam in enumerate_strict(size):

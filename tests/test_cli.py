@@ -155,7 +155,7 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
         (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
         # --vars past the safe bound; --vars below --degree is refused even
         # with --unsafe
-        (["verify", "cauchy", "--degree", "6", "--vars", "7"], "--vars"),
+        (["verify", "cauchy", "--degree", "8", "--vars", "9"], "--vars"),
         (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
         # a target without a table has no CSV form
         (["verify", "cauchy", "--format", "csv"], "--format"),
@@ -211,8 +211,8 @@ def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
 
     seen = []
     monkeypatch.setattr(symfunc, "cauchy_check", lambda d, N: seen.append((d, N)) or Passed())
-    assert main(["verify", "cauchy", "--degree", "6", "--vars", "7", "--unsafe"]) == 0
-    assert seen == [(6, 7)]
+    assert main(["verify", "cauchy", "--degree", "8", "--vars", "9", "--unsafe"]) == 0
+    assert seen == [(8, 9)]
     capsys.readouterr()
 
 
@@ -430,7 +430,6 @@ UNREACHED = {
         "x_prime", "y_prime",
     },
     "spoly": {"p_truncate"},
-    "symfunc": {"tableau_oracle_Q"},
 }
 
 

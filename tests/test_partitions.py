@@ -9,6 +9,7 @@ from queerlab.partitions import (
     all_strict_upto,
     contains,
     delta,
+    enumerate_partitions,
     enumerate_strict,
     ideal_member,
     l_max,
@@ -46,6 +47,12 @@ def test_enumerate_strict():
     assert [p.parts for p in enumerate_strict(4)] == [(4,), (3, 1)]
     assert [p.parts for p in enumerate_strict(0)] == [()]
     assert [p.parts for p in enumerate_strict(6)] == [(6,), (5, 1), (4, 2), (3, 2, 1)]
+
+
+def test_enumerate_partitions():
+    assert enumerate_partitions(0) == [()]
+    assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [len(enumerate_partitions(n)) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 
 
 def test_staircase():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queerlab import symfunc
-from queerlab.partitions import EMPTY, StrictPartition, enumerate_strict
+from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict
 from queerlab.symfunc import (
     GammaElement,
     InconsistentMultiplicity,
@@ -14,7 +14,6 @@ from queerlab.symfunc import (
     NotInGammaSpan,
     Q_poly,
     cauchy_check,
-    cauchy_kernel_truncated,
     expand_in_Q,
     gamma_product,
     induct_mult,
@@ -23,6 +22,12 @@ from queerlab.symfunc import (
     q_expansion,
     q_gen,
     qpoly_cache_line,
+)
+
+from oracles import (
+    cauchy_kernel_truncated,
+    cauchy_rhs_truncated,
+    pack_monomial,
     tableau_oracle_Q,
 )
 
@@ -258,6 +263,29 @@ def test_induct_mult_one_box_supports():
             assert got == want, lam
 
 
+def _brute_kernel(d, N):
+    """prod (1+x_i y_j)/(1-x_i y_j) through x-degree d, keyed by plain
+    (x exponents, y exponents) pairs."""
+    poly = {((0,) * N, (0,) * N): 1}
+    for i in range(N):
+        for j in range(N):
+            new = dict(poly)
+            for (xe, ye), c in poly.items():
+                for k in range(1, d - sum(xe) + 1):
+                    xx = list(xe)
+                    yy = list(ye)
+                    xx[i] += k
+                    yy[j] += k
+                    key = (tuple(xx), tuple(yy))
+                    new[key] = new.get(key, 0) + 2 * c
+            poly = new
+    return poly
+
+
+def _descending(expo):
+    return tuple(sorted(expo, reverse=True))
+
+
 def test_cauchy_small_and_oracle():
     rep = cauchy_check(0, 1)
     assert rep.ok
@@ -265,39 +293,72 @@ def test_cauchy_small_and_oracle():
     assert rep.ok
     # independent oracle for the packed kernel: plain dict product at d <= 3
     d, N = 3, 3
-    kernel = cauchy_kernel_truncated(d, N)
-
-    def brute_kernel(d, N):
-        poly = {((0,) * N, (0,) * N): 1}
-        for i in range(N):
-            for j in range(N):
-                new = dict(poly)
-                for (xe, ye), c in poly.items():
-                    for k in range(1, d - sum(xe) + 1):
-                        xx = list(xe)
-                        yy = list(ye)
-                        xx[i] += k
-                        yy[j] += k
-                        key = (tuple(xx), tuple(yy))
-                        new[key] = new.get(key, 0) + 2 * c
-                poly = new
-        return poly
-
-    brute = brute_kernel(d, N)
-    from queerlab.symfunc import _pack_monomial
-
-    packed_brute = {_pack_monomial(xe, ye, N): c for (xe, ye), c in brute.items()}
-    assert packed_brute == kernel
+    packed_brute = {pack_monomial(xe, ye, N): c for (xe, ye), c in _brute_kernel(d, N).items()}
+    assert packed_brute == cauchy_kernel_truncated(d, N)
 
 
 def test_cauchy_degree1_identity():
     # kernel degree-1 part is 2 sum x_i y_j = Q_1(x) P_1(y)
-    from queerlab.symfunc import cauchy_rhs_truncated
-
     kern = cauchy_kernel_truncated(1, 2)
     rhs = cauchy_rhs_truncated(1, 2)
     assert kern == rhs
     assert all(type(c) is int for c in rhs.values())
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_cauchy_check_agrees_with_the_full_expansion(d):
+    for N in (d, d + 1):
+        assert cauchy_check(d, N).ok
+        assert cauchy_kernel_truncated(d, N) == cauchy_rhs_truncated(d, N)
+
+
+@pytest.mark.parametrize("N", range(5))
+def test_kernel_dp_matches_the_brute_force_kernel(N):
+    # at every dominant (alpha, beta) through degree 4, zero parts stripped
+    # for the DP
+    d = 4
+    kernel = symfunc._cauchy_kernel()
+    brute = _brute_kernel(d, N)
+    assert {pack_monomial(xe, ye, N): c for (xe, ye), c in brute.items()} == cauchy_kernel_truncated(d, N)
+    dominant = {
+        (xe, ye): c for (xe, ye), c in brute.items() if xe == _descending(xe) and ye == _descending(ye)
+    }
+    want = {}
+    for k in range(d + 1):
+        shapes = [p for p in enumerate_partitions(k) if len(p) <= N]
+        for alpha in shapes:
+            for beta in shapes:
+                key = (alpha + (0,) * (N - len(alpha)), beta + (0,) * (N - len(beta)))
+                want[key] = kernel(alpha, beta)
+    assert dominant == want
+
+
+@pytest.mark.parametrize("N", range(5))
+def test_brute_force_kernel_is_symmetric(N):
+    brute = _brute_kernel(4, N)
+    for (xe, ye), c in brute.items():
+        assert brute[(_descending(xe), _descending(ye))] == c
+
+
+def _q21_changed_at_012(terms):
+    terms[(0, 1, 2)] += 1  # the dominant comparison reads (2, 1, 0) only
+
+
+def _q21_with_degree_2_terms(terms):
+    # a whole orbit, so the Q_(2,1) stays symmetric and only the degree
+    # shows the stray terms; the comparison at degree 3 never reads them
+    for key in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]:
+        terms[key] = 4
+
+
+def _q21_negated(terms):
+    # symmetric, divisible by 4, and Q(x) P(y) is unchanged
+    for key in terms:
+        terms[key] = -terms[key]
+
+
+def _q21_missing_012(terms):
+    del terms[(0, 1, 2)]  # each term left still matches its dominant one
 
 
 @pytest.mark.parametrize(
@@ -313,6 +374,19 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
     key = max(good.terms)
     bad = NVarPoly(3, dict(good.terms))
     bad.terms[key] = flip(bad.terms[key])
+    monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
+    rep = cauchy_check(3, 3)
+    assert not rep.ok
+    assert rep.first_failure == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_q21_changed_at_012, _q21_with_degree_2_terms, _q21_negated, _q21_missing_012]
+)
+def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, monkeypatch):
+    lam = sp(2, 1)
+    bad = NVarPoly(3, dict(Q_poly(lam, 3).terms))
+    corrupt(bad.terms)
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
     rep = cauchy_check(3, 3)
     assert not rep.ok
