@@ -17,14 +17,12 @@ from .partitions import (
 )
 from .symfunc import (
     GammaElement,
-    NVarPoly,
     Q_poly,
     cauchy_check,
     expand_in_Q,
     gamma_product,
     induct_mult,
     pieri,
-    q_gen,
 )
 from .heckeclifford import (
     HCElement,

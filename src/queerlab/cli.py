@@ -18,14 +18,15 @@ from dataclasses import dataclass, fields
 from .partitions import StrictPartition, all_strict_upto, staircase
 from . import symfunc
 
-CACHE_HEADER = "queerlab-cache v2"
+CACHE_HEADER = "queerlab-cache v3"
 
 # The safe bounds, lifted by --unsafe: past them the exact arithmetic costs
 # grow factorially. Each target names the flags it reads against them.
 SAFE_H_RANK = 6  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
-SAFE_DEGREE = 8  # Cauchy truncation degree and number of variables
-SAFE_SIZE = 8  # largest partition size of a Pieri or ideal check
+SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
+SAFE_BOUND = 12  # largest |lambda| of a Pieri check
+SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
 # |lambda| of dump dims: dim_T reduces the image of every word of
 # V^{(x)|lambda|} by brute force, (2n)^|lambda| of them; at n = 3, size 4
 # runs in a few seconds and size 5 in minutes
@@ -108,12 +109,14 @@ def _digest(body: str) -> str:
 
 
 def load_qpoly_cache(cache_dir: str) -> int:
-    """Warm the Q-polynomial memo table from the versioned cache file.
+    """Warm the Q_lambda memo table from the versioned cache file.
 
     The header line is `CACHE_HEADER sha256=<hex digest of the body>`. A file
     of another version is ignored; a file that fails its digest, does not
-    decode or does not parse is ignored with a warning, so its entries are
-    recomputed and the file is rewritten at the end of the run.
+    decode or does not parse (a key that is not a partition of |lambda| in
+    at most N parts, a coefficient that is not an int) is ignored with a
+    warning, so its entries are recomputed and the file is rewritten at the
+    end of the run.
     """
     path = os.path.join(cache_dir, "qpoly.cache")
     if not os.path.exists(path):
@@ -135,13 +138,13 @@ def load_qpoly_cache(cache_dir: str) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print("warning: ignoring corrupt cache %s: %s" % (path, exc), file=sys.stderr)
         return 0
-    for lam, N, poly in entries:
-        symfunc._QPOLY_CACHE[(lam, N)] = poly
+    for lam, N, table in entries:
+        symfunc._QPOLY_CACHE[(lam, N)] = table
     return len(entries)
 
 
 def write_qpoly_cache(cache_dir: str):
-    """Persist every memoized Q-polynomial under a header with the body's digest.
+    """Persist every memoized Q_lambda table under a header with the body's digest.
 
     The file is written under a temporary name in the cache directory and
     renamed over `qpoly.cache`, so an interrupted run leaves either the old
@@ -486,10 +489,10 @@ _A_RANK = (("--n", SAFE_A_RANK), ("--m", SAFE_A_RANK))
 # (command, target) -> (function, the (flag, safe bound) rows of the flags it
 # reads). A flag no row names is not bounded for that target.
 TARGETS = {
-    ("pieri", None): (_pieri, (("--bound", SAFE_SIZE),)),
+    ("pieri", None): (_pieri, (("--bound", SAFE_BOUND),)),
     ("verify", "hecke-ideals"): (_verify_hecke_ideals, (("--nmax", SAFE_H_RANK),)),
-    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_SIZE),)),
-    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_SIZE),)),
+    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_DMAX),)),
+    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),)),
     ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE))),
     ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),)),
     ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK),

@@ -1,13 +1,18 @@
 """The ring Gamma of Schur Q-functions over exact rationals.
 
-Q_lambda is built from the generators q_r by the two-row recursion and
-first-row Pfaffian expansion (tests/oracles.py holds an independent
+A symmetric polynomial f in N variables is held as its table {alpha:
+[x^alpha]f}, alpha running over the partitions with at most N parts, written
+without zero parts: a symmetric polynomial is fixed by its coefficients at
+partitions, its expansion in the monomial basis (Macdonald, Symmetric
+Functions and Hall Polynomials, 2nd ed., I.2). Q_lambda is built from the
+generators q_r by the two-row recursion and first-row Pfaffian expansion
+(tests/oracles.py holds the full polynomials and an independent
 marked-shifted-tableau enumeration). Products are expanded back into the
-Q-basis by triangular elimination against lex-leading monomials. A product
-of degree d is expanded in l_max(d) variables: Q_nu vanishes in N variables
+Q-basis by triangular elimination against lex-leading keys. A product of
+degree d is expanded in l_max(d) variables: Q_nu vanishes in N variables
 when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly independent
-(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., III.8), so
-l_max(d) variables see every Q_nu of degree d and nothing else.
+(Macdonald, III.8), so l_max(d) variables see every Q_nu of degree d and
+nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import product
 
 from .partitions import (
     StrictPartition,
@@ -31,147 +36,79 @@ class NotInGammaSpan(ValueError):
     """A symmetric polynomial outside the span of the Q_mu."""
 
 
-class NVarPoly:
-    """Sparse polynomial in N variables with exact (int or Fraction)
-    coefficients; every Q_lambda has int coefficients."""
+@lru_cache(maxsize=None)
+def _partitions(k: int, N: int) -> tuple:
+    """The partitions of k with at most N parts: the keys of a degree-k table."""
+    return tuple(alpha for alpha in enumerate_partitions(k) if len(alpha) <= N)
 
-    __slots__ = ("N", "terms")
 
-    def __init__(self, N: int, terms=None):
-        self.N = N
-        self.terms = terms if terms is not None else {}
+def _is_key(key: tuple, size: int, N: int) -> bool:
+    """Whether key is a partition of size with at most N parts, with no zero part."""
+    return (
+        len(key) <= N
+        and sum(key) == size
+        and all(p > 0 for p in key)
+        and all(p >= q for p, q in zip(key, key[1:]))
+    )
 
-    @staticmethod
-    def constant(N: int, c) -> "NVarPoly":
-        return NVarPoly(N, {(0,) * N: c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.N == other.N and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return NVarPoly(self.N, out)
-
-    def __neg__(self):
-        return NVarPoly(self.N, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "NVarPoly":
-        if not c:
-            return NVarPoly(self.N)
-        return NVarPoly(self.N, {k: c * x for k, x in self.terms.items()})
-
-    def __mul__(self, other):
-        # convolve on bit-packed exponent keys: no exponent of the product
-        # exceeds its degree, so the degree's bit length per variable keeps
-        # every sum of two keys from carrying into the next variable. At
-        # least 5 bits: narrower keys gave the same heap but a 0.15 MiB
-        # higher peak RSS on `verify cauchy --degree 5` (allocator layout)
-        bits = max(5, (self.degree() + other.degree()).bit_length())
-        N = self.N
-        shifts = [bits * i for i in range(N)]
-
-        def pack(k):
-            key = 0
-            for i, e in enumerate(k):
-                if e:
-                    key |= e << shifts[i]
-            return key
-
-        p2 = [(pack(k), c) for k, c in other.terms.items()]
-        out = {}
-        for k1, c1 in self.terms.items():
-            kk1 = pack(k1)
-            for k2, c2 in p2:
-                k = kk1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        mask = (1 << bits) - 1
-        terms = {
-            tuple((k >> sh) & mask for sh in shifts): c for k, c in out.items()
-        }
-        return NVarPoly(self.N, terms)
-
-    def coefficient(self, expo: tuple):
-        return self.terms.get(tuple(expo), 0)
-
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
-    def is_symmetric(self) -> bool:
-        """Check invariance under adjacent transpositions of the variables."""
-        for i in range(self.N - 1):
-            for k, c in self.terms.items():
-                kk = list(k)
-                kk[i], kk[i + 1] = kk[i + 1], kk[i]
-                if self.terms.get(tuple(kk), 0) != c:
-                    return False
-        return True
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                "x%d^%d" % (i + 1, e) if e > 1 else "x%d" % (i + 1)
-                for i, e in enumerate(k)
-                if e
-            )
-            bits.append("%s*%s" % (self.terms[k], mono) if mono else str(self.terms[k]))
-        return " + ".join(bits)
+def _sorted_key(expo) -> tuple:
+    """The partition that an exponent (or a q-key) sorts to, zero parts dropped."""
+    return tuple(sorted(filter(None, expo), reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _q_series(rmax: int, N: int) -> tuple:
-    """q_0..q_rmax in N variables: coefficients of prod (1+x_i t)/(1-x_i t)."""
-    levels = [{(0,) * N: 1}] + [{} for _ in range(rmax)]
-    for i in range(N):
-        new = [{} for _ in range(rmax + 1)]
-        for r, layer in enumerate(levels):
-            for k, c in layer.items():
-                for j in range(0, rmax - r + 1):
-                    # factor (1+x_i t)/(1-x_i t) = 1 + 2 x_i t + 2 x_i^2 t^2 + ...
-                    cc = c if j == 0 else 2 * c
-                    kk = k[:i] + (k[i] + j,) + k[i + 1 :]
-                    tgt = new[r + j]
-                    s = tgt.get(kk, 0) + cc
-                    if s:
-                        tgt[kk] = s
-        levels = new
-    return tuple(NVarPoly(N, lvl) for lvl in levels)
+def _splits(alpha: tuple, a: int) -> tuple:
+    """The exponents beta <= alpha with |beta| = a, as ((sorted beta, sorted
+    alpha - beta), how many beta give that pair)."""
+    out = Counter(
+        (_sorted_key(beta), _sorted_key(p - b for p, b in zip(alpha, beta)))
+        for beta in product(*(range(p + 1) for p in alpha))
+        if sum(beta) == a
+    )
+    return tuple(out.items())
 
 
-def q_gen(r: int, N: int) -> NVarPoly:
-    """The generator q_r of Gamma in N variables (q_0 = 1)."""
-    if r < 0:
-        return NVarPoly(N)
-    return _q_series(r, N)[r]
+def _table_mul(f: dict, g: dict, N: int) -> dict:
+    """The table of f g in N variables, for homogeneous tables f and g.
+
+    [x^alpha](f g) sums f[sorted beta] g[sorted alpha - beta] over the
+    exponents beta <= alpha with |beta| = deg f, since f and g are symmetric.
+    """
+    if not f or not g:
+        return {}
+    a = sum(next(iter(f)))
+    out = {}
+    for alpha in _partitions(a + sum(next(iter(g))), N):
+        c = 0
+        for (beta, gamma), n in _splits(alpha, a):
+            fb = f.get(beta)
+            if fb:
+                c += n * fb * g.get(gamma, 0)
+        if c:
+            out[alpha] = c
+    return out
 
 
-def _qkey_mul(t1: tuple, t2: tuple) -> tuple:
-    return tuple(sorted(t1 + t2, reverse=True))
+@lru_cache(maxsize=None)
+def _q_product(qkey: tuple, N: int) -> dict:
+    """The table of q_{r_1} ... q_{r_k} in N variables, qkey = (r_1, ..., r_k).
+
+    q_r is sum 2^{l(alpha)} m_alpha over the partitions alpha of r, the
+    coefficient of t^r in prod_i (1 + x_i t)/(1 - x_i t). Callers must not
+    change the table.
+    """
+    if not qkey:
+        return {(): 1}
+    q_r = {alpha: 1 << len(alpha) for alpha in _partitions(qkey[-1], N)}
+    return _table_mul(_q_product(qkey[:-1], N), q_r, N)
 
 
 def _qdict_mul(d1: dict, d2: dict) -> dict:
     out = {}
     for k1, c1 in d1.items():
         for k2, c2 in d2.items():
-            k = _qkey_mul(k1, k2)
+            k = _sorted_key(k1 + k2)
             s = out.get(k, 0) + c1 * c2
             if s:
                 out[k] = s
@@ -233,21 +170,20 @@ def q_expansion(lam: StrictPartition) -> tuple:
 _QPOLY_CACHE: dict = {}
 
 
-def Q_poly(lam: StrictPartition, N: int) -> NVarPoly:
-    """The Schur Q-polynomial Q_lambda in N variables.
+def Q_poly(lam: StrictPartition, N: int) -> dict:
+    """The table {alpha: [x^alpha]Q_lambda} of Q_lambda in N variables.
 
     Memoized in a plain dict (atomic get/set under the GIL) so the CLI can
-    seed it from the versioned cache file.
+    seed it from the versioned cache file. Callers must not change a table.
     """
     key = (lam, N)
     out = _QPOLY_CACHE.get(key)
     if out is None:
-        out = NVarPoly(N)
+        out = {}
         for qkey, coeff in q_expansion(lam):
-            prod = NVarPoly.constant(N, 1)
-            for r in qkey:
-                prod = prod * q_gen(r, N)
-            out = out + prod.scale(coeff)
+            for alpha, c in _q_product(qkey, N).items():
+                out[alpha] = out.get(alpha, 0) + coeff * c
+        out = {alpha: c for alpha, c in out.items() if c}
         _QPOLY_CACHE[key] = out
     return out
 
@@ -294,29 +230,22 @@ class GammaElement:
         return " + ".join(bits)
 
 
-def expand_in_Q(f: NVarPoly, d: int | None = None) -> GammaElement:
-    """Q-basis coordinates of a symmetric polynomial in the span of the Q_mu.
+def expand_in_Q(f: dict, N: int) -> GammaElement:
+    """Q-basis coordinates of the table f in N variables, a symmetric
+    polynomial in the span of the Q_mu.
 
-    Triangular elimination against the lex-leading monomial x^mu of Q_mu,
-    whose coefficient is 2^{l(mu)}. Raises NotInGammaSpan on a residual
-    the elimination cannot reach.
+    Triangular elimination against the lex-leading key mu of Q_mu, whose
+    coefficient is 2^{l(mu)}. Raises NotInGammaSpan on a residual the
+    elimination cannot reach.
     """
-    N = f.N
-    residual = dict(f.terms)
+    residual = dict(f)
     found = {}
     while residual:
         k = max(residual)
-        expo = []
-        for x in k:
-            if x == 0:
-                break
-            expo.append(x)
-        if any(k[len(expo) :]):
-            raise NotInGammaSpan("leading monomial %r is not a strict partition" % (k,))
         try:
-            mu = StrictPartition(tuple(expo))
+            mu = StrictPartition(k)
         except ValueError:
-            raise NotInGammaSpan("leading monomial %r is not a strict partition" % (k,))
+            raise NotInGammaSpan("leading key %r is not a strict partition" % (k,))
         if mu.length > N:
             raise NotInGammaSpan(
                 "length %d exceeds variable count %d; expansion unfaithful"
@@ -324,7 +253,7 @@ def expand_in_Q(f: NVarPoly, d: int | None = None) -> GammaElement:
             )
         c = _exact_quotient(residual[k], 1 << mu.length)
         found[mu] = found.get(mu, 0) + c
-        for kk, cc in Q_poly(mu, N).terms.items():
+        for kk, cc in Q_poly(mu, N).items():
             s = residual.get(kk, 0) - c * cc
             if s:
                 residual[kk] = s
@@ -343,8 +272,8 @@ def gamma_product(f: GammaElement, g: GammaElement) -> GammaElement:
     for lam, c1 in f.terms.items():
         for mu, c2 in g.terms.items():
             N = l_max(lam.size + mu.size)
-            prod = Q_poly(lam, N) * Q_poly(mu, N)
-            out = out + expand_in_Q(prod).scale(c1 * c2)
+            prod = _table_mul(Q_poly(lam, N), Q_poly(mu, N), N)
+            out = out + expand_in_Q(prod, N).scale(c1 * c2)
     return out
 
 
@@ -417,26 +346,13 @@ def _exact_quotient(c, den: int):
     return Fraction(c) / den if rem else num
 
 
-def _dominant_coefficients(lam: StrictPartition, N: int):
-    """[x^alpha]Q_lambda at each partition alpha, or None unless Q_lambda in N
-    variables is symmetric, of degree |lambda|, with 2^{l(lambda)} at x^lambda.
-
-    One pass over the terms: each has degree |lambda| and the coefficient at
-    its exponent sorted descending, and the terms fill exactly the orbits of
-    the dominant exponents, so no monomial is missing either.
-    """
-    terms = Q_poly(lam, N).terms
-    if terms.get(lam.parts + (0,) * (N - lam.length)) != 1 << lam.length:
+def _checked_table(lam: StrictPartition, N: int):
+    """Q_poly(lam, N), or None unless each key is a partition of |lambda| with
+    at most N parts and the coefficient at x^lambda is 2^{l(lambda)}."""
+    table = Q_poly(lam, N)
+    if table.get(lam.parts) != 1 << lam.length:
         return None
-    dominant, orbits = {}, 0
-    for expo, c in terms.items():
-        key = tuple(sorted(expo, reverse=True))
-        if sum(expo) != lam.size or terms.get(key) != c:
-            return None
-        if key == expo:
-            dominant[expo] = c
-            orbits += factorial(N) // prod(map(factorial, Counter(expo).values()))
-    return dominant if orbits == len(terms) else None
+    return table if all(_is_key(k, lam.size, N) for k in table) else None
 
 
 class CauchyReport:
@@ -483,8 +399,7 @@ def _cauchy_kernel():
                 ]
             for left, placed, weight in fillings:
                 if placed == rows[0]:
-                    rest = tuple(sorted(filter(None, left), reverse=True))
-                    total += weight * kernel(rows[1:], rest)
+                    total += weight * kernel(rows[1:], _sorted_key(left))
             memo[key] = total
         return total
 
@@ -499,18 +414,19 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
     their coefficients at x^alpha y^beta agree for every pair of partitions
     alpha, beta of each degree k <= d (Macdonald, Symmetric Functions and
     Hall Polynomials, 2nd ed., III.8, (8.13)); with N >= d every partition
-    of k fits in N parts. The symmetry of the kernel is built in; that of
-    each Q_lambda is checked term by term first (`_dominant_coefficients`).
-    The identity alone does not fix the Q_lambda: it holds as well for
-    -Q_lambda, and for any basis of degree k that a matrix orthogonal for
-    the weights 2^{-l(lambda)} makes from them. So each Q_lambda must also
-    carry 2^{l(lambda)} at x^lambda. The true Q_mu has no x^lambda unless mu
-    dominates lambda, so taking lambda in descending lex order, that forces
-    the matrix to be the identity matrix.
+    of k fits in N parts. The symmetry of the kernel is built in, and each
+    Q_lambda is a table, symmetric by construction; its keys are checked to
+    be partitions of |lambda| first (`_checked_table`). The identity alone
+    does not fix the Q_lambda: it holds as well for -Q_lambda, and for any
+    basis of degree k that a matrix orthogonal for the weights 2^{-l(lambda)}
+    makes from them. So each Q_lambda must also carry 2^{l(lambda)} at
+    x^lambda. The true Q_mu has no x^lambda unless mu dominates lambda, so
+    taking lambda in descending lex order, that forces the matrix to be the
+    identity matrix.
 
     The kernel coefficient is counted by `_cauchy_kernel`. The right side
-    reads [x^alpha]Q_lambda and [y^beta]P_lambda off Q_poly, P_lambda
-    as the exact quotient by 2^{l(lambda)}.
+    reads [x^alpha]Q_lambda and [y^beta]P_lambda off the Q_poly tables,
+    P_lambda as the exact quotient by 2^{l(lambda)}.
 
     first_failure is (k, k) for the least degree k at which a Q_lambda of
     size k fails its check or a coefficient of bidegree (k, k) differs.
@@ -519,49 +435,50 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
         raise ValueError("need N >= d for a faithful truncation")
     kernel = _cauchy_kernel()
     for k in range(d + 1):
-        dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by exponent
+        dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by key
         for lam in enumerate_strict(k):
-            q = _dominant_coefficients(lam, N)
+            q = _checked_table(lam, N)
             if q is None:
                 return CauchyReport(False, d, N, first_failure=(k, k))
             den = 1 << lam.length
             dominant.append((q, {e: _exact_quotient(c, den) for e, c in q.items()}))
-        shapes = [(a, a + (0,) * (N - len(a))) for a in enumerate_partitions(k)]
-        for alpha, x in shapes:
-            for beta, y in shapes:
-                rhs = sum(q.get(x, 0) * p.get(y, 0) for q, p in dominant)
+        shapes = enumerate_partitions(k)
+        for alpha in shapes:
+            for beta in shapes:
+                rhs = sum(q.get(alpha, 0) * p.get(beta, 0) for q, p in dominant)
                 if kernel(alpha, beta) != rhs:
                     return CauchyReport(False, d, N, first_failure=(k, k))
     return CauchyReport(True, d, N)
 
 
 # ---------------------------------------------------------------------------
-# cache file format: "Q <lambda> <N> : e1,..,eN=c/1 ...", c an int
+# cache file format: "Q <lambda> <N> : a1,..,al=c ...", each key a partition
+# of |lambda| with at most N parts ("-" for the empty one), c an int
 # ---------------------------------------------------------------------------
 
 
 def qpoly_cache_line(lam: StrictPartition, N: int) -> str:
-    p = Q_poly(lam, N)
     body = " ".join(
-        "%s=%d/%d" % (",".join(map(str, k)), c.numerator, c.denominator)
-        for k, c in sorted(p.terms.items())
+        "%s=%d" % (",".join(map(str, k)) or "-", c)
+        for k, c in sorted(Q_poly(lam, N).items())
     )
     return "Q %s %d : %s" % (lam.serialize() or "-", N, body)
 
 
 def parse_qpoly_cache_line(line: str):
+    """(lambda, N, table) of a cache line; ValueError unless every key is a
+    partition of |lambda| with at most N parts and every coefficient an int."""
     head, _, body = line.partition(":")
     tag, lamtxt, ntxt = head.split()
     if tag != "Q":
         raise ValueError("bad cache line: %r" % line)
     lam = StrictPartition.parse("" if lamtxt == "-" else lamtxt)
     N = int(ntxt)
-    terms = {}
+    table = {}
     for item in body.split():
-        expo, _, frac = item.partition("=")
-        num, _, den = frac.partition("/")
-        if int(den) != 1:
-            raise ValueError("non-integral coefficient %r in cache line" % frac)
-        # in 0 variables the exponent list is empty
-        terms[tuple(int(t) for t in expo.split(",") if t)] = int(num)
-    return lam, N, NVarPoly(N, terms)
+        keytxt, _, ctxt = item.partition("=")
+        key = () if keytxt == "-" else tuple(int(t) for t in keytxt.split(","))
+        if not _is_key(key, lam.size, N):
+            raise ValueError("key %r is not a partition of %d in %d parts" % (key, lam.size, N))
+        table[key] = int(ctxt)
+    return lam, N, table

@@ -1,14 +1,161 @@
 """Brute-force oracles that the fast paths of `queerlab` are tested against.
 
-`tableau_oracle_Q` builds Q_lambda from marked shifted tableaux, apart from
-the q_r recursion of `symfunc.Q_poly`. `cauchy_kernel_truncated` and
-`cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
+`NVarPoly` holds a full polynomial in N variables, every monomial, where
+`symfunc` holds a symmetric polynomial as its table of dominant coefficients
+(`dominant` reads that table off a full polynomial, `orbit_poly` expands a
+table back). `full_Q_poly` multiplies out the full generators `q_gen` along
+`symfunc.q_expansion`, and `tableau_oracle_Q` builds Q_lambda from marked
+shifted tableaux, apart from the q_r recursion. `cauchy_kernel_truncated`
+and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
 dominant coefficients only.
 """
 
+from functools import lru_cache
+from itertools import permutations
+
 from queerlab.partitions import StrictPartition, enumerate_strict
-from queerlab.symfunc import NVarPoly, Q_poly, _exact_quotient
+from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
+
+
+class NVarPoly:
+    """Sparse polynomial in N variables with exact (int or Fraction)
+    coefficients."""
+
+    __slots__ = ("N", "terms")
+
+    def __init__(self, N: int, terms=None):
+        self.N = N
+        self.terms = terms if terms is not None else {}
+
+    @staticmethod
+    def constant(N: int, c) -> "NVarPoly":
+        return NVarPoly(N, {(0,) * N: c} if c else {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.N == other.N and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return NVarPoly(self.N, out)
+
+    def scale(self, c) -> "NVarPoly":
+        if not c:
+            return NVarPoly(self.N)
+        return NVarPoly(self.N, {k: c * x for k, x in self.terms.items()})
+
+    def __mul__(self, other):
+        # convolve on bit-packed exponent keys: no exponent of the product
+        # exceeds its degree, so the degree's bit length per variable (at
+        # least 5) keeps every sum of two keys from carrying into the next
+        # variable
+        bits = max(5, (self.degree() + other.degree()).bit_length())
+        N = self.N
+        shifts = [bits * i for i in range(N)]
+
+        def pack(k):
+            key = 0
+            for i, e in enumerate(k):
+                if e:
+                    key |= e << shifts[i]
+            return key
+
+        p2 = [(pack(k), c) for k, c in other.terms.items()]
+        out = {}
+        for k1, c1 in self.terms.items():
+            kk1 = pack(k1)
+            for k2, c2 in p2:
+                k = kk1 + k2
+                s = out.get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        mask = (1 << bits) - 1
+        terms = {
+            tuple((k >> sh) & mask for sh in shifts): c for k, c in out.items()
+        }
+        return NVarPoly(self.N, terms)
+
+    def degree(self) -> int:
+        return max((sum(k) for k in self.terms), default=0)
+
+    def is_symmetric(self) -> bool:
+        """Check invariance under adjacent transpositions of the variables."""
+        for i in range(self.N - 1):
+            for k, c in self.terms.items():
+                kk = list(k)
+                kk[i], kk[i + 1] = kk[i + 1], kk[i]
+                if self.terms.get(tuple(kk), 0) != c:
+                    return False
+        return True
+
+
+@lru_cache(maxsize=None)
+def _q_series(rmax: int, N: int) -> tuple:
+    """q_0..q_rmax in N variables: coefficients of prod (1+x_i t)/(1-x_i t)."""
+    levels = [{(0,) * N: 1}] + [{} for _ in range(rmax)]
+    for i in range(N):
+        new = [{} for _ in range(rmax + 1)]
+        for r, layer in enumerate(levels):
+            for k, c in layer.items():
+                for j in range(0, rmax - r + 1):
+                    # factor (1+x_i t)/(1-x_i t) = 1 + 2 x_i t + 2 x_i^2 t^2 + ...
+                    cc = c if j == 0 else 2 * c
+                    kk = k[:i] + (k[i] + j,) + k[i + 1 :]
+                    tgt = new[r + j]
+                    s = tgt.get(kk, 0) + cc
+                    if s:
+                        tgt[kk] = s
+        levels = new
+    return tuple(NVarPoly(N, lvl) for lvl in levels)
+
+
+def q_gen(r: int, N: int) -> NVarPoly:
+    """The generator q_r of Gamma in N variables (q_0 = 1)."""
+    if r < 0:
+        return NVarPoly(N)
+    return _q_series(r, N)[r]
+
+
+def full_Q_poly(lam: StrictPartition, N: int) -> NVarPoly:
+    """Q_lambda in N variables, every monomial: the q_expansion of lambda
+    multiplied out in full polynomials."""
+    out = NVarPoly(N)
+    for qkey, coeff in q_expansion(lam):
+        prod = NVarPoly.constant(N, 1)
+        for r in qkey:
+            prod = prod * q_gen(r, N)
+        out = out + prod.scale(coeff)
+    return out
+
+
+def dominant(poly: NVarPoly) -> dict:
+    """The table of a polynomial: its coefficients at descending exponents,
+    zero parts dropped. It is the whole polynomial when that is symmetric."""
+    return {
+        tuple(e for e in k if e): c
+        for k, c in poly.terms.items()
+        if list(k) == sorted(k, reverse=True)
+    }
+
+
+def orbit_poly(table: dict, N: int) -> NVarPoly:
+    """The symmetric polynomial in N variables with the given table."""
+    terms = {}
+    for key, c in table.items():
+        for expo in set(permutations(key + (0,) * (N - len(key)))):
+            terms[expo] = c
+    return NVarPoly(N, terms)
 
 
 def tableau_oracle_Q(lam: StrictPartition, N: int) -> NVarPoly:
@@ -106,7 +253,7 @@ def cauchy_rhs_truncated(d: int, N: int) -> dict:
         for lam in enumerate_strict(size):
             den = 1 << lam.length
             qx, py = {}, {}
-            for k, c in Q_poly(lam, N).terms.items():
+            for k, c in orbit_poly(Q_poly(lam, N), N).terms.items():
                 qx[pack_monomial(k, zeros, N)] = _exact_quotient(c, 1)
                 py[pack_monomial(zeros, k, N)] = _exact_quotient(c, den)
             for k1, c1 in qx.items():

@@ -155,7 +155,7 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
         (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
         # --vars past the safe bound; --vars below --degree is refused even
         # with --unsafe
-        (["verify", "cauchy", "--degree", "8", "--vars", "9"], "--vars"),
+        (["verify", "cauchy", "--degree", "10", "--vars", "11"], "--vars"),
         (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
         # a target without a table has no CSV form
         (["verify", "cauchy", "--format", "csv"], "--format"),
@@ -164,6 +164,8 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
         (["verify", "prop-dim", "--format", "csv"], "--format"),
         (["dump", "q-expansion", "--lambda", "2,1", "--format", "csv"], "--format"),
         (["dump", "dims", "--lambda", "2", "--n", "1", "--format", "csv"], "--format"),
+        # one step past the safe truncation degree of A(n,m)
+        (["verify", "main-theorem", "--dmax", "9"], "--dmax"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -211,8 +213,8 @@ def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
 
     seen = []
     monkeypatch.setattr(symfunc, "cauchy_check", lambda d, N: seen.append((d, N)) or Passed())
-    assert main(["verify", "cauchy", "--degree", "8", "--vars", "9", "--unsafe"]) == 0
-    assert seen == [(8, 9)]
+    assert main(["verify", "cauchy", "--degree", "10", "--vars", "11", "--unsafe"]) == 0
+    assert seen == [(10, 11)]
     capsys.readouterr()
 
 
@@ -313,20 +315,25 @@ def test_unchanged_cache_is_not_rewritten(tmp_path, monkeypatch, capsys):
 
 def _corrupt_flip(data):
     # one coefficient of the Q_{(2,1)} line in 3 variables, 4 -> 5
+    return _edit_q21_line(data, b"2,1=4", b"2,1=5")
+
+
+def _edit_q21_line(data, old, new):
     lines = data.splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith(b"Q 2,1 3 :"))
-    assert b"=4/1" in lines[i]
-    lines[i] = lines[i].replace(b"=4/1", b"=5/1", 1)
+    assert old in lines[i]
+    lines[i] = lines[i].replace(old, new, 1)
     return b"".join(lines)
 
 
 def _corrupt_truncate(data):
-    return data[:300]
+    return data[: len(data) * 2 // 3]
 
 
 def _corrupt_bytes(data):
     # two bytes that are not UTF-8, in the body
-    return data[:200] + b"\xff\xfe" + data[202:]
+    i = data.index(b"\n") + 10
+    return data[:i] + b"\xff\xfe" + data[i + 2 :]
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_flip, _corrupt_truncate, _corrupt_bytes])
@@ -349,9 +356,16 @@ def test_corrupt_cache_is_recomputed(corrupt, tmp_path, monkeypatch, capsys):
     assert cli.load_qpoly_cache(str(cache)) > 0
 
 
-def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
-    tmp_path, monkeypatch, capsys
-):
+def _rewrite_under_valid_digest(path, edit):
+    body = path.read_text().split("\n", 1)[1]
+    body = _edit_q21_line(body.encode(), *edit).decode()
+    path.write_text("%s sha256=%s\n%s" % (cli.CACHE_HEADER, cli._digest(body), body))
+
+
+def _recomputes_after(edit, tmp_path, monkeypatch, capsys):
+    """Fill a cache, apply edit to its Q_(2,1) line under a digest that matches
+    the edited body, and check that the next run warns, recomputes the same
+    report and rewrites the good file."""
     argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--format", "json"]
     cache = tmp_path / "cache"
     monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
@@ -359,20 +373,66 @@ def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
     want = capsys.readouterr().out
     path = cache / "qpoly.cache"
     good = path.read_text()
-    # one coefficient of Q_{(2,1)} in 3 variables, 4 -> 9/2, under a digest
-    # that matches the edited body
-    body = good.split("\n", 1)[1]
-    lines = body.splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith("Q 2,1 3 :"))
-    lines[i] = lines[i].replace("=4/1", "=9/2", 1)
-    body = "".join(lines)
-    path.write_text("%s sha256=%s\n%s" % (cli.CACHE_HEADER, cli._digest(body), body))
+    _rewrite_under_valid_digest(path, edit)
     monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
     code = main(argv + ["--cache-dir", str(cache)])
     captured = capsys.readouterr()
     assert code == 0 and captured.out == want
     assert "warning: ignoring corrupt cache" in captured.err
     assert path.read_text() == good
+
+
+def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
+    tmp_path, monkeypatch, capsys
+):
+    # one coefficient of Q_{(2,1)} in 3 variables, 4 -> 9/2
+    _recomputes_after((b"2,1=4", b"2,1=9/2"), tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (b"2,1=4", b"1,2=4"),  # not a partition
+        (b"2,1=4", b"2,1,0=4"),  # a zero part
+        (b"2,1=4", b"2,2=4"),  # a partition of 4, not of |lambda| = 3
+        (b"Q 2,1 3 :", b"Q 2,1 2 :"),  # the key 1,1,1 has 3 parts in 2 variables
+    ],
+    ids=["not-a-partition", "zero-part", "wrong-size", "more-than-N-parts"],
+)
+def test_cache_with_valid_digest_but_a_bad_key_is_ignored(edit, tmp_path, monkeypatch, capsys):
+    # a table cannot hold such a key, so it can only be a damaged file
+    _recomputes_after(edit, tmp_path, monkeypatch, capsys)
+
+
+def test_v2_cache_is_ignored_and_rewritten(tmp_path, capsys):
+    # a v2 line holds the full polynomial, exponents with zeros, c/1
+    cache = tmp_path / "cache"
+    os.makedirs(cache)
+    body = "Q 1 1 : 1=2/1\n"
+    (cache / "qpoly.cache").write_text("queerlab-cache v2 sha256=%s\n%s" % (cli._digest(body), body))
+    assert cli.load_qpoly_cache(str(cache)) == 0
+    assert main(["pieri", "--bound", "2", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    header, body = (cache / "qpoly.cache").read_text().split("\n", 1)
+    assert header == "queerlab-cache v3 sha256=%s" % cli._digest(body)
+    assert "Q 1 1 : 1=2\n" in body
+
+
+@pytest.mark.parametrize(
+    "argv, flag, bound",
+    [
+        (["pieri", "--bound", "%d"], "--bound", cli.SAFE_BOUND),
+        (["verify", "cauchy", "--degree", "%d", "--vars", "%d"], "--degree", cli.SAFE_DEGREE),
+    ],
+)
+def test_raised_gamma_bounds(argv, flag, bound, capsys):
+    # each safe bound runs and passes without --unsafe, and one step past it
+    # exits 2 naming the flag
+    assert main([a % bound if "%" in a else a for a in argv]) == 0
+    assert "status: True" in capsys.readouterr().out
+    assert main([a % (bound + 1) if "%" in a else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "--unsafe" in err
 
 
 def test_no_sympy_import():

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queerlab import symfunc
-from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict
+from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict, l_max
 from queerlab.symfunc import (
     GammaElement,
     InconsistentMultiplicity,
-    NVarPoly,
     NotInGammaSpan,
     Q_poly,
+    _table_mul,
     cauchy_check,
     expand_in_Q,
     gamma_product,
@@ -20,14 +20,18 @@ from queerlab.symfunc import (
     parse_qpoly_cache_line,
     pieri,
     q_expansion,
-    q_gen,
     qpoly_cache_line,
 )
 
 from oracles import (
+    NVarPoly,
     cauchy_kernel_truncated,
     cauchy_rhs_truncated,
+    dominant,
+    full_Q_poly,
+    orbit_poly,
     pack_monomial,
+    q_gen,
     tableau_oracle_Q,
 )
 
@@ -95,16 +99,15 @@ def test_Q_poly_leading_coefficient():
     for parts in [(1,), (2,), (2, 1), (3, 1), (3, 2, 1)]:
         lam = sp(*parts)
         N = max(lam.size, lam.length)
-        expo = parts + (0,) * (N - len(parts))
-        assert Q_poly(lam, N).coefficient(expo) == Fraction(2) ** lam.length
+        assert Q_poly(lam, N)[parts] == 2 ** lam.length
 
 
 def test_Q_poly_coefficients_are_ints():
     for size in range(6):
         for lam in enumerate_strict(size):
             for N in (1, 3, 5):
-                assert all(type(c) is int for c in Q_poly(lam, N).terms.values())
-    g = expand_in_Q(Q_poly(sp(2, 1), 3) * Q_poly(sp(1), 3))
+                assert all(type(c) is int for c in Q_poly(lam, N).values())
+    g = expand_in_Q(_table_mul(Q_poly(sp(2, 1), 3), Q_poly(sp(1), 3), 3), 3)
     assert all(type(c) is int for c in g.terms.values())
 
 
@@ -117,28 +120,59 @@ def test_oracle_agreement_upto_5():
     for n in range(1, 6):
         for lam in enumerate_strict(n):
             N = max(4, lam.size)
-            assert Q_poly(lam, N) == tableau_oracle_Q(lam, N), lam
+            assert orbit_poly(Q_poly(lam, N), N) == tableau_oracle_Q(lam, N), lam
+
+
+_STRICT_UPTO_6 = [lam for n in range(7) for lam in enumerate_strict(n)]
+
+
+@pytest.mark.parametrize("lam", _STRICT_UPTO_6, ids=repr)
+def test_table_is_the_dominant_part_of_the_tableau_oracle(lam):
+    # a symmetric polynomial is fixed by its dominant coefficients, so these
+    # two tests pin the whole polynomial
+    for N in range(7):
+        full = tableau_oracle_Q(lam, N)
+        assert full.is_symmetric()
+        assert dominant(full) == Q_poly(lam, N), N
 
 
 def test_Q_polys_symmetric():
-    for lam in [sp(2, 1), sp(3, 1), sp(4, 2)]:
-        assert Q_poly(lam, 4).is_symmetric()
+    # the full q-route, multiplied out monomial by monomial, is symmetric and
+    # equals the table expanded over its orbits
+    for lam in [sp(2, 1), sp(3, 1), sp(4, 2), sp(3, 2, 1)]:
+        for N in (lam.length, 4, 6):
+            full = full_Q_poly(lam, N)
+            assert full.is_symmetric()
+            assert full == orbit_poly(Q_poly(lam, N), N)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_split_product_is_the_dominant_part_of_the_full_product(d):
+    # every pair of Q tables of total degree d, in N = d and in the l_max(d)
+    # variables of gamma_product
+    pairs = [
+        (lam, mu) for a in range(d + 1) for lam in enumerate_strict(a) for mu in enumerate_strict(d - a)
+    ]
+    for N in {d, l_max(d)}:
+        for lam, mu in pairs:
+            full = tableau_oracle_Q(lam, N) * tableau_oracle_Q(mu, N)
+            assert _table_mul(Q_poly(lam, N), Q_poly(mu, N), N) == dominant(full), (lam, mu, N)
 
 
 def test_expand_in_Q_roundtrip_and_error():
-    g = expand_in_Q(Q_poly(sp(3, 1), 4))
+    g = expand_in_Q(Q_poly(sp(3, 1), 4), 4)
     assert g.terms == {sp(3, 1): Fraction(1)}
-    q1 = q_gen(1, 2)
-    assert expand_in_Q(q1 * q1).terms == {sp(2): Fraction(2)}
+    q1 = {(1,): 2}
+    assert expand_in_Q(_table_mul(q1, q1, 2), 2).terms == {sp(2): Fraction(2)}
     with pytest.raises(NotInGammaSpan):
-        expand_in_Q(NVarPoly(2, {(1, 1): Fraction(1)}))  # e_2 is not in Gamma
+        expand_in_Q({(1, 1): 1}, 2)  # e_2 is not in Gamma
 
 
 def test_expand_in_Q_refuses_part_longer_than_N():
     # Q_(3,2,1) vanishes in 2 variables, so a leading x^(3,2,1) cannot be
     # eliminated against it
     with pytest.raises(NotInGammaSpan, match="length 3"):
-        expand_in_Q(NVarPoly(2, {(3, 2, 1): Fraction(8)}))
+        expand_in_Q({(3, 2, 1): 8}, 2)
 
 
 def test_gamma_product_examples():
@@ -168,7 +202,7 @@ def test_gamma_product_matches_wide_oracle(pair):
     # monomial of the degree has room
     lam, mu = pair
     n = lam.size + mu.size
-    want = expand_in_Q(Q_poly(lam, n) * Q_poly(mu, n))
+    want = expand_in_Q(dominant(full_Q_poly(lam, n) * full_Q_poly(mu, n)), n)
     got = gamma_product(GammaElement.basis(lam), GammaElement.basis(mu))
     assert got.terms == want.terms
 
@@ -194,7 +228,7 @@ def test_Q_basis_linear_independence_degree_5():
     # every Q_mu of degree 5 straightens to exactly its own basis vector:
     # the elimination pivots on 2^{l} coefficients and never degenerates
     for mu in enumerate_strict(5):
-        g = expand_in_Q(Q_poly(mu, 5))
+        g = expand_in_Q(Q_poly(mu, 5), 5)
         assert g.terms == {mu: Fraction(1)}
 
 
@@ -340,25 +374,41 @@ def test_brute_force_kernel_is_symmetric(N):
         assert brute[(_descending(xe), _descending(ye))] == c
 
 
-def _q21_changed_at_012(terms):
-    terms[(0, 1, 2)] += 1  # the dominant comparison reads (2, 1, 0) only
+# Table corruptions on Q_(2,1) in 3 variables, {(2,1): 4, (1,1,1): 8}. The
+# comparison reads partition keys of the right size only, so the first three
+# pass it unseen and must be refused by the key check.
 
 
-def _q21_with_degree_2_terms(terms):
-    # a whole orbit, so the Q_(2,1) stays symmetric and only the degree
-    # shows the stray terms; the comparison at degree 3 never reads them
-    for key in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-        terms[key] = 4
+def _q21_key_not_a_partition(table):
+    table[(1, 2)] = 4
 
 
-def _q21_negated(terms):
-    # symmetric, divisible by 4, and Q(x) P(y) is unchanged
-    for key in terms:
-        terms[key] = -terms[key]
+def _q21_zero_part_key(table):
+    table[(2, 1, 0)] = 4
 
 
-def _q21_missing_012(terms):
-    del terms[(0, 1, 2)]  # each term left still matches its dominant one
+def _q21_key_of_wrong_size(table):
+    table[(1, 1)] = 4
+
+
+def _q21_key_with_more_than_N_parts(table):
+    # every partition of 3 has at most 3 parts, so a key past N = 3 parts is
+    # also of the wrong size here; the cache tests reach the parts check alone
+    table[(1, 1, 1, 1)] = 16
+
+
+def _q21_negated(table):
+    # divisible by 4, and Q(x) P(y) is unchanged
+    for key in table:
+        table[key] = -table[key]
+
+
+def _q21_missing_dominant_key(table):
+    del table[(1, 1, 1)]
+
+
+def _q21_flipped_at_lambda(table):
+    table[(2, 1)] = -table[(2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -370,10 +420,9 @@ def _q21_missing_012(terms):
 )
 def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
     lam = sp(2, 1)
-    good = Q_poly(lam, 3)
-    key = max(good.terms)
-    bad = NVarPoly(3, dict(good.terms))
-    bad.terms[key] = flip(bad.terms[key])
+    bad = dict(Q_poly(lam, 3))
+    key = max(bad)
+    bad[key] = flip(bad[key])
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
     rep = cauchy_check(3, 3)
     assert not rep.ok
@@ -381,12 +430,21 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_q21_changed_at_012, _q21_with_degree_2_terms, _q21_negated, _q21_missing_012]
+    "corrupt",
+    [
+        _q21_key_not_a_partition,
+        _q21_zero_part_key,
+        _q21_key_of_wrong_size,
+        _q21_key_with_more_than_N_parts,
+        _q21_negated,
+        _q21_missing_dominant_key,
+        _q21_flipped_at_lambda,
+    ],
 )
 def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, monkeypatch):
     lam = sp(2, 1)
-    bad = NVarPoly(3, dict(Q_poly(lam, 3).terms))
-    corrupt(bad.terms)
+    bad = dict(Q_poly(lam, 3))
+    corrupt(bad)
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
     rep = cauchy_check(3, 3)
     assert not rep.ok
@@ -396,9 +454,9 @@ def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, 
 def test_cache_line_roundtrip():
     lam = sp(2, 1)
     line = qpoly_cache_line(lam, 3)
-    lam2, N2, poly = parse_qpoly_cache_line(line)
+    lam2, N2, table = parse_qpoly_cache_line(line)
     assert (lam2, N2) == (lam, 3)
-    assert poly == Q_poly(lam, 3)
+    assert table == Q_poly(lam, 3)
     line_empty = qpoly_cache_line(EMPTY, 2)
     lam3, N3, poly3 = parse_qpoly_cache_line(line_empty)
     assert lam3 == EMPTY and poly3 == Q_poly(EMPTY, 2)
@@ -407,9 +465,30 @@ def test_cache_line_roundtrip():
     assert (lam4, N4) == (EMPTY, 0) and poly4 == Q_poly(EMPTY, 0)
 
 
+def test_cache_line_format():
+    assert qpoly_cache_line(sp(2, 1), 3) == "Q 2,1 3 : 1,1,1=8 2,1=4"
+    assert qpoly_cache_line(EMPTY, 2) == "Q - 2 : -=1"
+    assert qpoly_cache_line(sp(1), 0) == "Q 1 0 : "
+
+
 def test_cache_line_with_non_integral_coefficient_is_refused():
+    for coeff in ("3/2", "4/2", "2/1", "2.0"):
+        with pytest.raises(ValueError):
+            parse_qpoly_cache_line("Q 1 1 : 1=%s" % coeff)
+    assert parse_qpoly_cache_line("Q 1 1 : 1=2")[2] == {(1,): 2}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Q 2,1 3 : 1,1,1=8 1,2=4",  # not a partition
+        "Q 2,1 3 : 1,1,1=8 2,1,0=4",  # a zero part
+        "Q 2,1 3 : 1,1,1=8 2,2=4",  # a partition of 4, not of |lambda| = 3
+        "Q 2,1 2 : 1,1,1=8 2,1=4",  # 3 parts in 2 variables
+        "Q 2,1 3 : =8",  # an empty key is written "-"
+        "Q - 2 : 1=1",
+    ],
+)
+def test_cache_line_with_a_bad_key_is_refused(line):
     with pytest.raises(ValueError):
-        parse_qpoly_cache_line("Q 1 1 : 1=3/2")
-    with pytest.raises(ValueError):
-        parse_qpoly_cache_line("Q 1 1 : 1=4/2")
-    assert parse_qpoly_cache_line("Q 1 1 : 1=2/1")[2].terms == {(1,): 2}
+        parse_qpoly_cache_line(line)
