@@ -7,14 +7,14 @@ of -1, so every coefficient is exact and nothing is ever rounded.
 
 from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA
 from .partitions import (
-    PosetIdeal,
     StrictPartition,
     contains,
     delta,
     enumerate_strict,
-    ideal_member,
     staircase,
 )
+from .linalg import Echelon
+from .spoly import p_mul
 from .symfunc import (
     GammaElement,
     Q_poly,
@@ -30,22 +30,15 @@ from .heckeclifford import (
     braid,
     decompose_regular,
     iota,
-    sigma_step,
-    transpose,
-    two_sided_closure,
     verify_tensor_ideal_theorem,
 )
-from .queer import QnElement, act_on_U, act_on_V, bracket, chevalley, dim_T, hk_decompose
+from .queer import QnElement, act_on_V, dim_T
 from .amodule import (
     SuperPoly,
-    act,
     determinantal_ideal_check,
-    ideal_closure,
-    m_stability_check,
+    membership_cases_for,
     singular_vectors,
     summand_membership,
-    verify_main_theorem,
-    weight_space,
 )
 from .dimcheck import hom_dim_check
 from .jets import phi_map, psi_map

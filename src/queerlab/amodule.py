@@ -10,12 +10,11 @@ Gaussian-integer vectors {monomial: (re, im)}; `SuperPoly` is over Q(zeta).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
-from .linalg import Echelon, kernel_basis, numerators
+from .linalg import Echelon, kernel_basis
 from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from .queer import QnElement
-from .scalars import Cyclo8Scalar, ONE, _coerce
+from .scalars import ONE, _coerce
 from .spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
 
 
@@ -232,18 +231,6 @@ def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) 
     return out
 
 
-def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    rank = p.n if side == "left" else p.m
-    if g.n != rank:
-        raise ValueError("operator rank %d does not match side rank %d" % (g.n, rank))
-    # linear: act on p times the lcm of its denominators, and divide back
-    den = lcm(1, *(c.den for c in p.terms.values()))
-    out = act_terms(side, g, numerators(p.terms), p.n, p.m)
-    return SuperPoly(p.n, p.m, {k: Cyclo8Scalar(x, y, den) for k, (x, y) in out.items()})
-
-
 # ---------------------------------------------------------------------------
 # weight spaces
 # ---------------------------------------------------------------------------
@@ -316,13 +303,6 @@ def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
     return tuple(out)
 
 
-def weight_space(n: int, m: int, d: int, w) -> "GradedSubspace":
-    """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
-    space = GradedSubspace(n, m)
-    space.extend({mono: (1, 0)} for mono in weight_space_monomials(n, m, d, w))
-    return space
-
-
 # ---------------------------------------------------------------------------
 # singular vectors and the lambda summand
 # ---------------------------------------------------------------------------
@@ -340,37 +320,6 @@ def raising_operators(n: int, m: int):
     for j in range(1, m):
         ops.append(("right", QnElement.X(m, j, j + 1)))
         ops.append(("right", QnElement.Y(m, j, j + 1)))
-    return ops
-
-
-def all_operators(n: int, m: int):
-    ops = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ops.append(("left", QnElement.X(n, i, j)))
-            ops.append(("left", QnElement.Y(n, i, j)))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            ops.append(("right", QnElement.X(m, i, j)))
-            ops.append(("right", QnElement.Y(m, i, j)))
-    return ops
-
-
-def lowering_operators(n: int, m: int):
-    """Strictly lower-triangular operators of both factors.
-
-    `summand` closes under the simple ones only; the closure under all of
-    these is its test oracle.
-    """
-    ops = []
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            ops.append(("left", QnElement.X(n, i, j)))
-            ops.append(("left", QnElement.Y(n, i, j)))
-    for i in range(1, m + 1):
-        for j in range(1, i):
-            ops.append(("right", QnElement.X(m, i, j)))
-            ops.append(("right", QnElement.Y(m, i, j)))
     return ops
 
 
@@ -437,9 +386,6 @@ class GradedSubspace:
 
     def component(self, d, w) -> Echelon:
         return self.components.get((d, w), Echelon())
-
-    def dim(self) -> int:
-        return sum(e.rank for e in self.components.values())
 
     def contains(self, vec: dict) -> bool:
         return not vec or self.component(*self._key(vec)).contains(vec)
@@ -567,21 +513,6 @@ class EquivariantIdeal:
         self._cache[key] = ech
         return ech
 
-    def full_closure(self) -> GradedSubspace:
-        """Materialize every component up to d_max (the literal closure)."""
-        out = GradedSubspace(self.n, self.m)
-        degrees = sorted({d0 for (d0, _) in self.gens.components})
-        if not degrees:
-            return out
-        dmin = degrees[0]
-        for d in range(dmin, self.d_max + 1):
-            for w in all_biweights(self.n, self.m, d):
-                ech = self.component(d, w)
-                if ech.rank:
-                    out.components[(d, w)] = ech
-        return out
-
-
 def all_biweights(n: int, m: int, d: int):
     rws = _compositions(d, n)
     cws = _compositions(d, m)
@@ -602,17 +533,6 @@ def _compositions(d: int, k: int):
 
     rec(d, [])
     return out
-
-
-def ideal_closure(n: int, m: int, gens: GradedSubspace, d_max: int) -> EquivariantIdeal:
-    """The equivariant ideal generated by gens (operator-closed degreewise)."""
-    closed = GradedSubspace(n, m)
-    queue = closed.extend(row for comp in gens.components.values() for row in comp.nums.values())
-    ops = all_operators(n, m)
-    while queue:
-        vec = queue.pop()
-        queue += closed.extend(act_terms(side, g, vec, n, m) for side, g in ops)
-    return EquivariantIdeal(n, m, closed, d_max)
 
 
 def summand_membership(n: int, m: int, ideal: EquivariantIdeal, mu: StrictPartition) -> bool:
@@ -672,14 +592,6 @@ def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
     return cases
 
 
-def verify_main_theorem(n: int, m: int, d_max: int) -> list[MembershipCase]:
-    """Check membership(I^lambda, mu) == (lambda inside mu) over the truncation."""
-    cases = []
-    for lam in all_strict_upto(d_max, min(n, m)):
-        cases.extend(membership_cases_for(n, m, lam, d_max))
-    return cases
-
-
 @dataclass
 class DeterminantalReport:
     r: int
@@ -712,7 +624,7 @@ def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> Determinant
 
 
 # ---------------------------------------------------------------------------
-# m-stability of the distinguished maximal ideal
+# the distinguished maximal ideal m
 # ---------------------------------------------------------------------------
 
 
@@ -727,48 +639,3 @@ def m_generators(n: int) -> list[SuperPoly]:
             gens.append(g)
             gens.append(SuperPoly.y(n, n, i, j))
     return gens
-
-
-def _in_m_span(p: SuperPoly, n: int) -> bool:
-    """Is p a linear combination of the generators of the maximal ideal?"""
-    const = Cyclo8Scalar()
-    diag = Cyclo8Scalar()
-    zero_e = (0,) * (n * n)
-    for (e, o), c in p.terms.items():
-        d = sum(e) + len(o)
-        if d == 0:
-            const = c
-        elif d != 1:
-            return False
-    for i in range(1, n + 1):
-        e = [0] * (n * n)
-        e[_cell(i, i, n)] = 1
-        diag = diag + p.terms.get((tuple(e), ()), Cyclo8Scalar())
-    return (const + diag).is_zero()
-
-
-@dataclass
-class StabilityReport:
-    failures: list
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
-def m_stability_check(n: int) -> StabilityReport:
-    """Every X'_ij, Y'_ij maps every generator of m into the span of generators."""
-    from .queer import x_prime, y_prime
-
-    failures = []
-    hbasis = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            hbasis.append(("X'", (i, j), x_prime(n, i, j)))
-            hbasis.append(("Y'", (i, j), y_prime(n, i, j)))
-    for name, idx, (gl, gr) in hbasis:
-        for gen in m_generators(n):
-            img = act("left", gl, gen) + act("right", gr, gen)
-            if not _in_m_span(img, n):
-                failures.append((name, idx, repr(gen)))
-    return StabilityReport(failures)

@@ -13,9 +13,9 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
-from .linalg import Echelon, add_term, numerators
+from .linalg import add_term
 from .partitions import StrictPartition, delta, enumerate_strict, contains
-from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA, _coerce
+from .scalars import Cyclo8Scalar, ONE, ZERO, _coerce
 from .symfunc import induct_mult
 
 
@@ -174,25 +174,6 @@ class HCElement:
         return " + ".join(bits)
 
 
-def transpose(x: HCElement) -> HCElement:
-    """zeta^{k^2} sigma^{-1} alpha_{i_k} ... alpha_{i_1}, extended linearly."""
-    out = {}
-    for (mask, p), c in x.terms.items():
-        k = mask.bit_count()
-        coeff = c * (ZETA ** (k * k))
-        if (k * (k - 1) // 2) & 1:
-            coeff = -coeff  # reverse the ascending Clifford letters
-        q = perm_inverse(p)
-        images = [q[i] for i in _bits(mask)]
-        if _sort_sign(images) < 0:
-            coeff = -coeff
-        moved = 0
-        for v in images:
-            moved |= 1 << v
-        add_term(out, (moved, q), coeff)
-    return HCElement(x.n, out)
-
-
 def embed_left(x: HCElement, m: int, n: int) -> HCElement:
     """H_m -> H_{m+n} on the first m letters."""
     tail = tuple(range(m, m + n))
@@ -282,34 +263,6 @@ def generators(n: int) -> list[HCElement]:
     for i in range(1, n):
         gens.append(HCElement.transposition(n, i))
     return gens
-
-
-def two_sided_closure(n: int, elements) -> Echelon:
-    """Smallest subspace containing the elements closed under left/right
-    multiplication by H_n, as an echelon of word-coordinate vectors."""
-    gens = generators(n)
-    ech = Echelon()
-    queue = []
-    for x in elements:
-        v = dict(x.terms) if isinstance(x, HCElement) else dict(x)
-        if ech.insert(numerators(v)):
-            queue.append(v)
-    full = (1 << n) * factorial(n)
-    while queue and ech.rank < full:
-        x = HCElement(n, queue.pop())
-        for g in gens:
-            for prod in (g * x, x * g):
-                if ech.insert(numerators(prod.terms)):
-                    queue.append(dict(prod.terms))
-    return ech
-
-
-def sigma_step(n: int, subspace: Echelon) -> Echelon:
-    """Two-sided ideal of H_{n+1} generated by iota_{1,n}(1 (x) J)."""
-    shifted = []
-    for row in subspace.rows.values():
-        shifted.append(embed_right(HCElement(n, row), 1, n))
-    return two_sided_closure(n + 1, shifted)
 
 
 # ---------------------------------------------------------------------------

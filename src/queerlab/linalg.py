@@ -7,14 +7,13 @@ re + im*zeta. A Cyclo8Scalar vector enters through `numerators`. A reduction
 scales the vector once and then does integer multiply-adds. `extend` inserts
 a batch in descending order of leading key, so each new pivot lands below
 every stored pivot and no stored row needs back-substitution. `add_term` is
-the accumulate-and-drop-zero step for vectors with scalar entries.
+the accumulate-and-drop-zero step for sparse vectors with Cyclo8Scalar,
+int or Fraction entries.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-
-from .scalars import Cyclo8Scalar
 
 
 def add_term(vec: dict, key, c) -> None:
@@ -131,14 +130,6 @@ class Echelon:
     def nums(self) -> dict:
         return self._rows  # pivot key -> num, read only
 
-    @property
-    def rows(self) -> dict:
-        """pivot key -> row as a Cyclo8Scalar dict, ONE at the pivot; new on each read."""
-        return {
-            p: {k: Cyclo8Scalar(x, y, num[p][0]) for k, (x, y) in num.items()}
-            for p, num in self._rows.items()
-        }
-
     def _residual(self, num: dict) -> dict:
         """A nonzero multiple of num's residual modulo the row space (num
         itself when it holds no pivot key)."""
@@ -178,9 +169,6 @@ class Echelon:
 
     def contains(self, num: dict) -> bool:
         return not self._residual(num)
-
-    def contains_space(self, other: "Echelon") -> bool:
-        return all(not self._residual(num) for num in other._rows.values())
 
 
 def span(vecs) -> Echelon:

@@ -1,4 +1,4 @@
-"""Strict partitions, containment order, delta, staircases, poset ideals;
+"""Strict partitions, containment order, delta, staircases, adding a box;
 the plain partitions of n."""
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class StrictPartition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def part(self, i: int) -> int:
-        """The i-th part, 1-based; missing parts read as 0."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -124,43 +120,3 @@ def add_box_candidates(lam: StrictPartition) -> list[StrictPartition]:
     if not parts or parts[-1] > 1:
         out.append(StrictPartition(parts + (1,)))
     return out
-
-
-def remove_box_candidates(lam: StrictPartition) -> list[StrictPartition]:
-    """Strict partitions obtained from lam by removing one box."""
-    out = []
-    parts = lam.parts
-    for i in range(len(parts)):
-        if parts[i] - 1 > (parts[i + 1] if i + 1 < len(parts) else 0):
-            out.append(StrictPartition(parts[:i] + (parts[i] - 1,) + parts[i + 1 :]))
-        elif parts[i] == 1:
-            out.append(StrictPartition(parts[:i]))
-    return out
-
-
-class PosetIdeal:
-    """Upward-closed set of strict partitions, stored by a reduced antichain."""
-
-    def __init__(self, generators):
-        gens = set(generators)
-        reduced = {
-            g
-            for g in gens
-            if not any(h != g and contains(h, g) for h in gens)
-        }
-        self.generators = frozenset(reduced)
-
-    def __eq__(self, other):
-        return isinstance(other, PosetIdeal) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
-    def __repr__(self):
-        gens = sorted(self.generators)
-        return "PosetIdeal{%s}" % ", ".join(map(repr, gens))
-
-
-def ideal_member(ideal: PosetIdeal, mu: StrictPartition) -> bool:
-    """True iff some generator of the ideal is contained in mu."""
-    return any(contains(g, mu) for g in ideal.generators)

@@ -105,10 +105,6 @@ def p_mul(p: dict, q: dict, trunc=None) -> dict:
     return out
 
 
-def p_truncate(p: dict, trunc: int) -> dict:
-    return {m: c for m, c in p.items() if mono_degree(m) <= trunc}
-
-
 def constant_term(p: dict, n_even: int) -> Cyclo8Scalar:
     return p.get(((0,) * n_even, ()), Cyclo8Scalar())
 

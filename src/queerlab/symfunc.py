@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from .linalg import add_term
 from .partitions import (
     StrictPartition,
     add_box_candidates,
@@ -108,12 +109,7 @@ def _qdict_mul(d1: dict, d2: dict) -> dict:
     out = {}
     for k1, c1 in d1.items():
         for k2, c2 in d2.items():
-            k = _sorted_key(k1 + k2)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, _sorted_key(k1 + k2), c1 * c2)
     return out
 
 
@@ -121,18 +117,9 @@ def _qdict_mul(d1: dict, d2: dict) -> dict:
 def _two_row_q(a: int, b: int) -> tuple:
     """Q_(a,b) as a formal polynomial in the q_r, for a > b >= 0."""
     out = {}
-
-    def put(r1, r2, coeff):
-        key = tuple(sorted((x for x in (r1, r2) if x > 0), reverse=True))
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-    put(a, b, 1)
+    add_term(out, _sorted_key((a, b)), 1)
     for i in range(1, b + 1):
-        put(a + i, b - i, 2 * (-1) ** i)
+        add_term(out, _sorted_key((a + i, b - i)), 2 * (-1) ** i)
     return tuple(sorted(out.items()))
 
 
@@ -159,11 +146,7 @@ def q_expansion(lam: StrictPartition) -> tuple:
         rest = dict(q_expansion(StrictPartition(rest_parts)))
         sign = (-1) ** (j + 1)  # (-1)^j for 1-based column j+1
         for k, c in _qdict_mul(head, rest).items():
-            s = out.get(k, 0) + sign * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, k, sign * c)
     return tuple(sorted(out.items()))
 
 
@@ -211,11 +194,7 @@ class GammaElement:
     def __add__(self, other):
         out = dict(self.terms)
         for lam, c in other.terms.items():
-            s = out.get(lam, 0) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
+            add_term(out, lam, c)
         return GammaElement(out)
 
     def scale(self, c) -> "GammaElement":

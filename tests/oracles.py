@@ -1,4 +1,5 @@
-"""Brute-force oracles that the fast paths of `queerlab` are tested against.
+"""Brute-force oracles and test-only paper checks that `queerlab` is
+tested against. None of this runs on a CLI path.
 
 `NVarPoly` holds a full polynomial in N variables, every monomial, where
 `symfunc` holds a symmetric polynomial as its table of dominant coefficients
@@ -9,12 +10,46 @@ shifted tableaux, apart from the q_r recursion. `cauchy_kernel_truncated`
 and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
 dominant coefficients only.
+
+`scalar_rows` reads an `Echelon` as Cyclo8Scalar rows at pivot 1. In H_n,
+`two_sided_closure` and `sigma_step` build ideals by literal closure, where
+the CLI reads the blocks off regular traces, and `transpose` is the paper's
+anti-automorphism. In q_n, `bracket`, `chevalley`, the half tensor product
+`USpace` and `hk_decompose` check the structure behind phi and psi. In
+A(n,m), `act` acts on a `SuperPoly`, `ideal_closure` closes an ideal under
+every operator, `lowering_operators` closes a summand under all lowering
+operators (the CLI uses the simple ones), and `m_stability_check` checks
+that h preserves the maximal ideal m.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import factorial, lcm
 
+from queerlab.amodule import (
+    EquivariantIdeal,
+    GradedSubspace,
+    SuperPoly,
+    _cell,
+    act_terms,
+    all_biweights,
+    m_generators,
+    weight_space_monomials,
+)
+from queerlab.heckeclifford import (
+    HCElement,
+    _bits,
+    _sort_sign,
+    embed_right,
+    generators,
+    perm_inverse,
+)
+from queerlab.linalg import Echelon, add_term, numerators
 from queerlab.partitions import StrictPartition, enumerate_strict
+from queerlab.queer import ActionError, QnElement, _mat_add, _mat_scale, act_on_V
+from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
+from queerlab.spoly import mono_degree
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
 
 
@@ -265,3 +300,385 @@ def cauchy_rhs_truncated(d: int, N: int) -> dict:
                     else:
                         out.pop(k, None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# echelons
+# ---------------------------------------------------------------------------
+
+
+def scalar_rows(ech: Echelon) -> dict:
+    """pivot key -> row of ech as a Cyclo8Scalar dict, ONE at the pivot; new
+    on each call."""
+    return {
+        p: {k: Cyclo8Scalar(x, y, num[p][0]) for k, (x, y) in num.items()}
+        for p, num in ech.nums.items()
+    }
+
+
+def contains_space(big: Echelon, small: Echelon) -> bool:
+    return all(big.contains(num) for num in small.nums.values())
+
+
+# ---------------------------------------------------------------------------
+# Hecke-Clifford algebras: the transpose and literal two-sided ideals
+# ---------------------------------------------------------------------------
+
+
+def transpose(x: HCElement) -> HCElement:
+    """zeta^{k^2} sigma^{-1} alpha_{i_k} ... alpha_{i_1}, extended linearly."""
+    out = {}
+    for (mask, p), c in x.terms.items():
+        k = mask.bit_count()
+        coeff = c * (ZETA ** (k * k))
+        if (k * (k - 1) // 2) & 1:
+            coeff = -coeff  # reverse the ascending Clifford letters
+        q = perm_inverse(p)
+        images = [q[i] for i in _bits(mask)]
+        if _sort_sign(images) < 0:
+            coeff = -coeff
+        moved = 0
+        for v in images:
+            moved |= 1 << v
+        add_term(out, (moved, q), coeff)
+    return HCElement(x.n, out)
+
+
+def two_sided_closure(n: int, elements) -> Echelon:
+    """Smallest subspace containing the elements closed under left/right
+    multiplication by H_n, as an echelon of word-coordinate vectors."""
+    gens = generators(n)
+    ech = Echelon()
+    queue = []
+    for x in elements:
+        v = dict(x.terms) if isinstance(x, HCElement) else dict(x)
+        if ech.insert(numerators(v)):
+            queue.append(v)
+    full = (1 << n) * factorial(n)
+    while queue and ech.rank < full:
+        x = HCElement(n, queue.pop())
+        for g in gens:
+            for prod in (g * x, x * g):
+                if ech.insert(numerators(prod.terms)):
+                    queue.append(dict(prod.terms))
+    return ech
+
+
+def sigma_step(n: int, subspace: Echelon) -> Echelon:
+    """Two-sided ideal of H_{n+1} generated by iota_{1,n}(1 (x) J)."""
+    shifted = [embed_right(HCElement(n, row), 1, n) for row in scalar_rows(subspace).values()]
+    return two_sided_closure(n + 1, shifted)
+
+
+# ---------------------------------------------------------------------------
+# q_n: brackets, the Chevalley automorphism, U and the h (+) k decomposition
+# ---------------------------------------------------------------------------
+
+
+def _mat_transpose(a: dict) -> dict:
+    return {(j, i): c for (i, j), c in a.items()}
+
+
+def _mat_mul(a: dict, b: dict) -> dict:
+    out = {}
+    byrow = {}
+    for (i, j), c in b.items():
+        byrow.setdefault(i, []).append((j, c))
+    for (i, j), c in a.items():
+        for (k, c2) in byrow.get(j, ()):
+            add_term(out, (i, k), c * c2)
+    return out
+
+
+def _q_mult(x: QnElement, y: QnElement) -> QnElement:
+    """Matrix product of block matrices, expressed in q_n again.
+
+    {a,b}{a',b'} = (a b; -b a)(a' b'; -b' a') = {aa' - bb', ab' + ba'}.
+    """
+    a, b = x.xmat, x.ymat
+    a2, b2 = y.xmat, y.ymat
+    xpart = _mat_add(_mat_mul(a, a2), _mat_scale(_mat_mul(b, b2), -1))
+    ypart = _mat_add(_mat_mul(a, b2), _mat_mul(b, a2))
+    return QnElement(x.n, xpart, ypart)
+
+
+def bracket(x: QnElement, y: QnElement) -> QnElement:
+    """Super-commutator in the matrix realization."""
+    out = QnElement(x.n)
+    for px, xh in x.homogeneous_parts().items():
+        for py, yh in y.homogeneous_parts().items():
+            sign = -1 if px and py else 1
+            out = out + _q_mult(xh, yh) - _q_mult(yh, xh).scale(sign)
+    return out
+
+
+def chevalley(x: QnElement) -> QnElement:
+    """tau{a, b} = {-a^t, -zeta b^t}; order four."""
+    return QnElement(
+        x.n,
+        _mat_scale(_mat_transpose(x.xmat), -1),
+        _mat_scale(_mat_transpose(x.ymat), -ZETA),
+    )
+
+
+def chevalley_inverse(x: QnElement) -> QnElement:
+    """tau^{-1}{a, b} = {-a^t, zeta b^t}."""
+    return QnElement(
+        x.n,
+        _mat_scale(_mat_transpose(x.xmat), -1),
+        _mat_scale(_mat_transpose(x.ymat), ZETA),
+    )
+
+
+class USpace:
+    """U = half(V (x) W) with its basis v_ij (even), w_ij (odd).
+
+    v_ij = (1+zeta) e_i (x) e_j + (1-zeta) f_i (x) f_j
+    w_ij = (1+zeta) e_i (x) f_j + (1-zeta) f_i (x) e_j
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n = n
+        self.m = m
+
+    def labels(self):
+        for i in range(1, self.n + 1):
+            for j in range(1, self.m + 1):
+                yield ("v", i, j)
+                yield ("w", i, j)
+
+    def parity(self, label) -> int:
+        return 0 if label[0] == "v" else 1
+
+    def to_ambient(self, vec: dict) -> dict:
+        """Expand a v/w combination in the e/f (x) e/f basis."""
+        out = {}
+        op = ONE + ZETA
+        om = ONE - ZETA
+        for (kind, i, j), c in vec.items():
+            if kind == "v":
+                add_term(out, (("e", i), ("e", j)), op * c)
+                add_term(out, (("f", i), ("f", j)), om * c)
+            else:
+                add_term(out, (("e", i), ("f", j)), op * c)
+                add_term(out, (("f", i), ("e", j)), om * c)
+        return out
+
+    def from_ambient(self, amb: dict) -> dict:
+        """Express an ambient vector in the v/w basis; error if outside U."""
+        out = {}
+        op = ONE + ZETA
+        om = ONE - ZETA
+        remaining = dict(amb)
+        for key in list(remaining):
+            (kind1, i), (kind2, j) = key
+            if kind1 != "e":
+                continue
+            c = remaining.pop(key)
+            label = ("v", i, j) if kind2 == "e" else ("w", i, j)
+            coeff = c / op
+            # the matching (1-zeta) partner component must be present exactly
+            partner = (("f", i), ("f", j)) if kind2 == "e" else (("f", i), ("e", j))
+            got = remaining.pop(partner, Cyclo8Scalar())
+            if got != om * coeff:
+                raise ActionError("vector leaves the half tensor product U")
+            if not coeff.is_zero():
+                out[label] = coeff
+        if remaining:
+            raise ActionError("vector leaves the half tensor product U")
+        return out
+
+    def act(self, side: str, x: QnElement, vec: dict) -> dict:
+        """Action of (x, 0) or (0, x) on U via the ambient sign rule."""
+        amb = self.to_ambient(vec)
+        out_amb = {}
+        for p, xh in x.homogeneous_parts().items():
+            for (lab1, lab2), c in amb.items():
+                if side == "left":
+                    img = act_on_V(xh, {lab1: c})
+                    for lab, cc in img.items():
+                        add_term(out_amb, (lab, lab2), cc)
+                else:
+                    sign = -1 if p and lab1[0] == "f" else 1
+                    img = act_on_V(xh, {lab2: c if sign == 1 else -c})
+                    for lab, cc in img.items():
+                        add_term(out_amb, (lab1, lab), cc)
+        return self.from_ambient(out_amb)
+
+
+def act_on_U(side: str, x: QnElement, u: dict, n: int, m: int) -> dict:
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return USpace(n, m).act(side, x, u)
+
+
+def _upper(mat: dict) -> dict:
+    return {(i, j): c for (i, j), c in mat.items() if i <= j}
+
+
+def _strict_lower(mat: dict) -> dict:
+    return {(i, j): c for (i, j), c in mat.items() if i > j}
+
+
+def hk_decompose(g1: QnElement, g2: QnElement):
+    """Unique (c, tau^{-1} c) + ((d, e)) with d upper and e strictly upper.
+
+    Solves a1 + b1^t = d1 + e1^t and a2 + zeta b2^t = d2 + zeta e2^t by the
+    upper/strictly-lower split, then c = a - d.
+    """
+    n = g1.n
+    a1, a2 = g1.xmat, g1.ymat
+    b1, b2 = g2.xmat, g2.ymat
+
+    A1 = _mat_add(a1, _mat_transpose(b1))
+    d1 = _upper(A1)
+    e1 = _mat_transpose(_strict_lower(A1))
+    c1 = _mat_add(a1, _mat_scale(d1, -1))
+
+    A2 = _mat_add(a2, _mat_scale(_mat_transpose(b2), ZETA))
+    d2 = _upper(A2)
+    e2 = _mat_scale(_mat_transpose(_strict_lower(A2)), ZETA.inverse())
+    c2 = _mat_add(a2, _mat_scale(d2, -1))
+
+    return QnElement(n, c1, c2), (QnElement(n, d1, d2), QnElement(n, e1, e2))
+
+
+def x_prime(n: int, i: int, j: int):
+    """X'_ij = (X_ij, -X_ji), a basis element of h."""
+    return (QnElement.X(n, i, j), QnElement.X(n, j, i).scale(-1))
+
+
+def y_prime(n: int, i: int, j: int):
+    """Y'_ij = (Y_ij, zeta Y_ji)."""
+    return (QnElement.Y(n, i, j), QnElement.Y(n, j, i).scale(ZETA))
+
+
+# ---------------------------------------------------------------------------
+# A(n,m): the action on SuperPoly, literal closures, m-stability
+# ---------------------------------------------------------------------------
+
+
+def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    rank = p.n if side == "left" else p.m
+    if g.n != rank:
+        raise ValueError("operator rank %d does not match side rank %d" % (g.n, rank))
+    # linear: act on p times the lcm of its denominators, and divide back
+    den = lcm(1, *(c.den for c in p.terms.values()))
+    out = act_terms(side, g, numerators(p.terms), p.n, p.m)
+    return SuperPoly(p.n, p.m, {k: Cyclo8Scalar(x, y, den) for k, (x, y) in out.items()})
+
+
+def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
+    """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
+    space = GradedSubspace(n, m)
+    space.extend({mono: (1, 0)} for mono in weight_space_monomials(n, m, d, w))
+    return space
+
+
+def all_operators(n: int, m: int):
+    ops = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            ops.append(("left", QnElement.X(n, i, j)))
+            ops.append(("left", QnElement.Y(n, i, j)))
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            ops.append(("right", QnElement.X(m, i, j)))
+            ops.append(("right", QnElement.Y(m, i, j)))
+    return ops
+
+
+def lowering_operators(n: int, m: int):
+    """Strictly lower-triangular operators of both factors.
+
+    `summand` closes under the simple ones only; the closure under all of
+    these is its test oracle.
+    """
+    ops = []
+    for i in range(1, n + 1):
+        for j in range(1, i):
+            ops.append(("left", QnElement.X(n, i, j)))
+            ops.append(("left", QnElement.Y(n, i, j)))
+    for i in range(1, m + 1):
+        for j in range(1, i):
+            ops.append(("right", QnElement.X(m, i, j)))
+            ops.append(("right", QnElement.Y(m, i, j)))
+    return ops
+
+
+def ideal_closure(n: int, m: int, gens: GradedSubspace, d_max: int) -> EquivariantIdeal:
+    """The equivariant ideal generated by gens (operator-closed degreewise)."""
+    closed = GradedSubspace(n, m)
+    queue = closed.extend(row for comp in gens.components.values() for row in comp.nums.values())
+    ops = all_operators(n, m)
+    while queue:
+        vec = queue.pop()
+        queue += closed.extend(act_terms(side, g, vec, n, m) for side, g in ops)
+    return EquivariantIdeal(n, m, closed, d_max)
+
+
+def full_closure(ideal: EquivariantIdeal) -> GradedSubspace:
+    """Every nonzero component of the ideal up to its d_max (the literal closure)."""
+    out = GradedSubspace(ideal.n, ideal.m)
+    degrees = sorted({d0 for (d0, _) in ideal.gens.components})
+    if not degrees:
+        return out
+    for d in range(degrees[0], ideal.d_max + 1):
+        for w in all_biweights(ideal.n, ideal.m, d):
+            ech = ideal.component(d, w)
+            if ech.rank:
+                out.components[(d, w)] = ech
+    return out
+
+
+def _in_m_span(p: SuperPoly, n: int) -> bool:
+    """Is p a linear combination of the generators of the maximal ideal?"""
+    const = Cyclo8Scalar()
+    diag = Cyclo8Scalar()
+    for (e, o), c in p.terms.items():
+        d = sum(e) + len(o)
+        if d == 0:
+            const = c
+        elif d != 1:
+            return False
+    for i in range(1, n + 1):
+        e = [0] * (n * n)
+        e[_cell(i, i, n)] = 1
+        diag = diag + p.terms.get((tuple(e), ()), Cyclo8Scalar())
+    return (const + diag).is_zero()
+
+
+@dataclass
+class StabilityReport:
+    failures: list
+
+    @property
+    def passed(self):
+        return not self.failures
+
+
+def m_stability_check(n: int) -> StabilityReport:
+    """Every X'_ij, Y'_ij maps every generator of m into the span of generators."""
+    failures = []
+    hbasis = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            hbasis.append(("X'", (i, j), x_prime(n, i, j)))
+            hbasis.append(("Y'", (i, j), y_prime(n, i, j)))
+    for name, idx, (gl, gr) in hbasis:
+        for gen in m_generators(n):
+            img = act("left", gl, gen) + act("right", gr, gen)
+            if not _in_m_span(img, n):
+                failures.append((name, idx, repr(gen)))
+    return StabilityReport(failures)
+
+
+# ---------------------------------------------------------------------------
+# supercommutative polynomials
+# ---------------------------------------------------------------------------
+
+
+def p_truncate(p: dict, trunc: int) -> dict:
+    return {m: c for m, c in p.items() if mono_degree(m) <= trunc}

@@ -190,6 +190,33 @@ def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
     assert code == 1
 
 
+def test_braid_parity_law_break_fails_the_run(monkeypatch, capsys):
+    # the report states sign = (-1)^{|x||y|} and counts the cases that break
+    # it; one such case is a theorem failure
+    import dataclasses
+
+    from queerlab import heckeclifford
+
+    argv = ["verify", "hecke-ideals", "--nmax", "1", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["braid_sign_note"]["parity_law_mismatches"] == 0
+    real = heckeclifford.braid_conjugation_cases
+
+    def one_broken(m, n):
+        cases = real(m, n)
+        if (m, n) == (1, 1):
+            cases[0] = dataclasses.replace(cases[0], empirical_sign=-cases[0].empirical_sign)
+        return cases
+
+    monkeypatch.setattr(heckeclifford, "braid_conjugation_cases", one_broken)
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["braid_sign_note"]["parity_law_mismatches"] == 1
+    assert payload["status"] is False
+    assert all(c["pass"] for c in payload["cases"])
+
+
 def test_exit_code_one_on_mismatch(monkeypatch, capsys):
     # force a theorem-mismatch path without corrupting real math
     from queerlab import symfunc
@@ -475,24 +502,6 @@ def test_determinism_same_seed(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-# top-level definitions that no production path runs, kept as test oracles
-# or structural checks; the list may only shrink
-UNREACHED = {
-    "amodule": {
-        "StabilityReport", "_in_m_span", "act", "all_operators", "ideal_closure",
-        "lowering_operators", "m_stability_check", "verify_main_theorem", "weight_space",
-    },
-    "heckeclifford": {"sigma_step", "transpose", "two_sided_closure"},
-    "partitions": {"PosetIdeal", "ideal_member", "remove_box_candidates"},
-    "queer": {
-        "USpace", "_mat_mul", "_mat_transpose", "_q_mult", "_strict_lower", "_upper",
-        "act_on_U", "bracket", "chevalley", "chevalley_inverse", "hk_decompose",
-        "x_prime", "y_prime",
-    },
-    "spoly": {"p_truncate"},
-}
-
-
 def test_every_module_is_reached_from_the_cli():
     # a module that no relative import reachable from cli.py names runs on
     # no production path; __init__.py is left out, since it imports all
@@ -517,26 +526,49 @@ def test_every_module_is_reached_from_the_cli():
 
     # a top-level def or class is reached when a reached body names it, as a
     # bare name or an attribute; the module-level statements of every module
-    # run on import, and an import alone reaches nothing
-    defining = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    # run on import, and an import alone reaches nothing. A reached class
+    # runs its own body and its dunder methods; any other method or property
+    # is reached when a reached body names it as an attribute
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defining = functions + (ast.ClassDef,)
     skipped = defining + (ast.Import, ast.ImportFrom)
-    defs = {}
+    tops, methods = {}, {}
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, defining):
-                defs.setdefault(node.name, []).append((module, node))
+                tops.setdefault(node.name, []).append((module, node))
     todo = [node for tree in trees.values() for node in tree.body if not isinstance(node, skipped)]
-    reached = set()
+    reached, attrs = set(), set()
+
+    def reach(key, node):
+        if key in reached:
+            return
+        reached.add(key)
+        if not isinstance(node, ast.ClassDef):
+            todo.append(node)
+            return
+        todo.extend(node.decorator_list + node.bases + node.keywords)
+        for item in node.body:
+            if not isinstance(item, functions) or item.name.endswith("__"):
+                todo.append(item)
+            elif item.name in attrs:
+                reach(key + (item.name,), item)
+            else:
+                methods.setdefault(item.name, []).append((key + (item.name,), item))
+
     while todo:
         for sub in ast.walk(todo.pop()):
-            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
-            for module, node in defs.get(name, ()):
-                if (module, name) not in reached:
-                    reached.add((module, name))
-                    todo.append(node)
-    unreached = {}
-    for name, places in defs.items():
-        for module, _ in places:
-            if (module, name) not in reached:
-                unreached.setdefault(module, set()).add(name)
-    assert unreached == UNREACHED
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+                attrs.add(name)
+                for key, node in methods.pop(name, ()):
+                    reach(key, node)
+            else:
+                continue
+            for module, node in tops.get(name, ()):
+                reach((module, name), node)
+    defined = [(module, name) for name, places in tops.items() for module, _ in places]
+    defined += [key for places in methods.values() for key, _ in places]
+    assert sorted(".".join(key) for key in defined if key not in reached) == []

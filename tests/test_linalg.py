@@ -4,6 +4,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import contains_space, scalar_rows
 from queerlab.linalg import Echelon, add_term, kernel_basis, numerators, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
@@ -103,8 +104,9 @@ def test_reduced_form_pivots_unique():
             vec = {k: entry() for k in range(8)}
             vec = {k: c for k, c in vec.items() if not c.is_zero()}
             ech.insert(numerators(vec))
-        pivots = set(ech.rows)
-        for p, row in ech.rows.items():
+        rows = scalar_rows(ech)
+        pivots = set(rows)
+        for p, row in rows.items():
             assert row[p] == ONE
             for other in pivots - {p}:
                 assert other not in row
@@ -114,11 +116,11 @@ def test_rows_view_follows_inserts():
     ech = Echelon()
     ech.insert(numerators({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)}))
     ech.insert(numerators({2: ONE, 3: ZETA}))
-    before = ech.rows
+    before = scalar_rows(ech)
     assert before[0] == {0: ONE, 1: Cyclo8Scalar(1, 1, 3), 3: s(-2) * ZETA}
     # pivot 1 sits in the row of pivot 0, so back-substitution rewrites it
     assert ech.insert(numerators({1: s(3), 3: s(2)}))
-    after = ech.rows
+    after = scalar_rows(ech)
     assert set(after) == {0, 1, 2}
     assert 1 not in after[0]
     assert after[0] == {0: ONE, 3: s(-2) * ZETA - Cyclo8Scalar(2, 2, 9)}
@@ -152,8 +154,8 @@ def test_kernel_full_and_empty():
 def test_span_contains_space():
     a = span(numerators(v) for v in [{0: ONE}, {1: ONE}])
     b = span(numerators(v) for v in [{0: s(2), 1: s(3)}])
-    assert a.contains_space(b)
-    assert not b.contains_space(a)
+    assert contains_space(a, b)
+    assert not contains_space(b, a)
 
 
 def test_add_term_drops_a_zero_sum():
@@ -191,7 +193,7 @@ def test_echelon_matches_the_scalar_oracle(data):
     for vec in vectors:
         assert ech.insert(numerators(vec)) == oracle.insert(vec)
         assert ech.rank == oracle.rank
-        assert ech.rows == oracle.rows
+        assert scalar_rows(ech) == oracle.rows
     # the stored rows: integer numerators, pivot (d, 0) with d > 0, content 1
     for p, num in ech._rows.items():
         assert num[p][0] > 0 and num[p][1] == 0
@@ -229,7 +231,8 @@ def test_batch_entry_matches_sequential_inserts_and_the_oracle(data):
         ech = Echelon()
         raised = ech.extend(nums[i] for i in order)
         assert ech.rank == seq.rank == oracle.rank, name
-        assert ech.rows == seq.rows == oracle.rows, name
+        assert ech.nums == seq.nums, name
+        assert scalar_rows(ech) == oracle.rows, name
         # replayed in the batch's insertion order (descending smallest key,
         # ties in the given order), a vector is returned iff it is outside
         # the span of the ones before it

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from queerlab.partitions import (
     EMPTY,
-    PosetIdeal,
     StrictPartition,
     add_box_candidates,
     all_strict_upto,
@@ -11,9 +10,7 @@ from queerlab.partitions import (
     delta,
     enumerate_partitions,
     enumerate_strict,
-    ideal_member,
     l_max,
-    remove_box_candidates,
     staircase,
 )
 
@@ -84,32 +81,6 @@ def test_partial_order_axioms_up_to_8():
             assert contains(a, c)
 
 
-def test_ideal_member_examples():
-    I = PosetIdeal([sp(2)])
-    assert ideal_member(I, sp(3, 1))
-    assert not ideal_member(I, sp(1))
-    I2 = PosetIdeal([staircase(2)])
-    for mu in all_strict_upto(9):
-        if mu.length > 2:
-            assert ideal_member(I2, mu)
-
-
-def test_ideal_reduction_antichain():
-    I = PosetIdeal([sp(2), sp(3, 1), sp(2, 1)])
-    # (3,1) contains (2); (2,1) contains (2): the antichain is {(2)}
-    assert I.generators == frozenset({sp(2)})
-    assert I == PosetIdeal([sp(2)])
-
-
-def test_ideal_member_monotone():
-    univ = all_strict_upto(7)
-    I = PosetIdeal([sp(3), sp(2, 1)])
-    for mu in univ:
-        for nu in univ:
-            if contains(mu, nu) and ideal_member(I, mu):
-                assert ideal_member(I, nu)
-
-
 def test_staircase_boundedness():
     # every strict mu with l(mu) >= k contains the staircase with top part k,
     # and hence any lambda with lambda_1 = k; exhaustive for k <= 4, |mu| <= 12
@@ -130,8 +101,6 @@ def test_box_moves():
     assert {p.parts for p in add_box_candidates(sp(2))} == {(3,), (2, 1)}
     assert {p.parts for p in add_box_candidates(EMPTY)} == {(1,)}
     assert {p.parts for p in add_box_candidates(sp(3, 1))} == {(4, 1), (3, 2)}
-    assert {p.parts for p in remove_box_candidates(sp(3, 1))} == {(2, 1), (3,)}
-    assert {p.parts for p in remove_box_candidates(sp(1))} == {()}
 
 
 @given(st.integers(0, 10))

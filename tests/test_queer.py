@@ -2,25 +2,27 @@ import random
 
 import pytest
 
+from oracles import (
+    USpace,
+    act_on_U,
+    bracket,
+    chevalley,
+    chevalley_inverse,
+    hk_decompose,
+    x_prime,
+    y_prime,
+)
 from queerlab.heckeclifford import HCElement, all_words
 from queerlab.linalg import Echelon, numerators
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import (
     ActionError,
     QnElement,
-    USpace,
-    act_on_U,
     act_on_V,
-    bracket,
-    chevalley,
-    chevalley_inverse,
     dim_T,
     hc_apply,
-    hk_decompose,
     q_act_tensor,
     tensor_basis,
-    x_prime,
-    y_prime,
 )
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 

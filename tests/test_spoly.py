@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+from oracles import p_truncate
 from queerlab.scalars import Cyclo8Scalar, ONE
 from queerlab.spoly import (
     insert_odd,
@@ -9,7 +10,6 @@ from queerlab.spoly import (
     p_add,
     p_mul,
     p_scale,
-    p_truncate,
 )
 
 rng = random.Random(6)
