@@ -35,8 +35,7 @@ from .heckeclifford import (
 from .queer import QnElement, act_on_V, dim_T
 from .amodule import (
     SuperPoly,
-    determinantal_ideal_check,
-    membership_cases_for,
+    one_box_steps,
     singular_vectors,
     summand_membership,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Echelon, kernel_basis
-from .partitions import StrictPartition, all_strict_upto, contains, staircase
+from .partitions import StrictPartition, all_strict_upto, enumerate_strict
 from .queer import QnElement
 from .scalars import ONE, _coerce
 from .spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
@@ -578,49 +578,41 @@ def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
     return tuple(bounds)
 
 
-def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
-    """Membership row of the main-theorem matrix for one generator lambda."""
-    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
-    ideal = EquivariantIdeal(n, m, gens, d_max)
-    cases = []
-    for mu in all_strict_upto(d_max, min(n, m)):
-        if mu.size < lam.size:
-            observed = False
-        else:
-            observed = summand_membership(n, m, ideal, mu)
-        cases.append(MembershipCase(lam, mu, contains(lam, mu), observed))
-    return cases
+def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
+    """{kappa: L_kappa lies in A_1 * L_nu} over the strict kappa of size
+    |nu| + 1 and length <= min(n, m): one row of the one-box relation.
+
+    The ideal of L_nu is built to degree |nu| + 1 only, from the summand
+    inside the support cap of those kappa."""
+    d = nu.size + 1
+    ideal = EquivariantIdeal(n, m, summand(n, m, nu, candidate_tail_bounds(n, m, d)), d)
+    return {
+        kappa: summand_membership(n, m, ideal, kappa)
+        for kappa in enumerate_strict(d)
+        if kappa.length <= min(n, m)
+    }
 
 
-@dataclass
-class DeterminantalReport:
-    r: int
-    cases: list
-    observed_quotient_lengths: list
+def ideal_summands(n: int, m: int, lam: StrictPartition, d_max: int, relation: dict) -> set:
+    """The mu, |mu| <= d_max, whose summand lies in the ideal generated by
+    L_lam, by a level-by-level walk along the one-box relation.
 
-    @property
-    def passed(self):
-        return all(c.passed for c in self.cases)
-
-
-def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> DeterminantalReport:
-    """The staircase summand generates exactly the mu with l(mu) > r."""
-    lam = staircase(r)
-    if lam.size > d_max:
-        raise ValueError("staircase size exceeds d_max")
-    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
-    ideal = EquivariantIdeal(n, m, gens, d_max)
-    cases = []
-    outside = []
-    for mu in all_strict_upto(d_max, min(n, m)):
-        observed = (
-            summand_membership(n, m, ideal, mu) if mu.size >= lam.size else False
-        )
-        predicted = mu.length > r
-        cases.append(MembershipCase(lam, mu, predicted, observed))
-        if not observed:
-            outside.append(mu.length)
-    return DeterminantalReport(r, cases, sorted(set(outside)))
+    A is generated in degree 1, so the ideal in degree d + 1 is A_1 times its
+    degree-d part; A_d is multiplicity-free, so that part is the sum of the
+    L_nu reached at level d, and the next level is every kappa one step from
+    one of them. `relation` maps nu to `one_box_steps(n, m, nu)`; a row the
+    walk needs and lacks is computed and added to it.
+    """
+    reached = level = {lam}
+    for _ in range(lam.size, d_max):
+        nxt = set()
+        for nu in level:
+            if nu not in relation:
+                relation[nu] = one_box_steps(n, m, nu)
+            nxt.update(kappa for kappa, inside in relation[nu].items() if inside)
+        level = nxt
+        reached |= level
+    return reached
 
 
 # ---------------------------------------------------------------------------

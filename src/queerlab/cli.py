@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .partitions import StrictPartition, all_strict_upto, staircase
+from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from . import symfunc
 
 CACHE_HEADER = "queerlab-cache v3"
@@ -235,14 +235,6 @@ def _pieri(cfg: RunConfig, lam: StrictPartition) -> int:
     return 0 if ok else 1
 
 
-def _mt_row(args):
-    n, m, lam_txt, dmax = args
-    from .amodule import membership_cases_for
-
-    lam = StrictPartition.parse(lam_txt)
-    return [c.to_dict() for c in membership_cases_for(n, m, lam, dmax)]
-
-
 def _all_passed(passes) -> bool:
     """True when at least one case was checked and every case passed."""
     passes = list(passes)
@@ -317,25 +309,31 @@ def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
 
 
 def _verify_main_theorem(cfg: RunConfig, lam: StrictPartition) -> int:
-    args = [
-        (cfg.n, cfg.m, p.serialize(), cfg.dmax)
-        for p in all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
-    ]
+    from .amodule import MembershipCase, ideal_summands, one_box_steps
+
+    cands = all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
+    relation = {}
     if cfg.jobs > 1:
         # imported here: it loads multiprocessing, which one job never uses
         from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
 
+        # each row is independent; with one job the walks compute them
+        nus = [nu for nu in cands if nu.size < cfg.dmax]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            case_rows = list(pool.map(_mt_row, args))
-    else:
-        case_rows = [_mt_row(a) for a in args]
-    cases = [c for group in case_rows for c in group]
+            rows = pool.map(partial(one_box_steps, cfg.n, cfg.m), nus)
+            relation = dict(zip(nus, rows))
+    cases = []
+    for lam in cands:
+        reached = ideal_summands(cfg.n, cfg.m, lam, cfg.dmax, relation)
+        cases += [MembershipCase(lam, mu, contains(lam, mu), mu in reached).to_dict() for mu in cands]
     ok = _all_passed(c["pass"] for c in cases)
     payload = {
         "target": "main-theorem",
         "n": cfg.n,
         "m": cfg.m,
         "d_max": cfg.dmax,
+        "one_box_pairs": sum(len(row) for row in relation.values()),
         "cases": cases,
         "status": ok,
     }
@@ -348,18 +346,27 @@ def _verify_main_theorem(cfg: RunConfig, lam: StrictPartition) -> int:
 
 
 def _verify_determinantal(cfg: RunConfig, lam: StrictPartition) -> int:
-    from .amodule import determinantal_ideal_check
+    """The staircase (r+1, ..., 1) generates exactly the mu with l(mu) > r:
+    row r of the main-theorem matrix, walked from the staircase alone."""
+    from .amodule import MembershipCase, ideal_summands
 
-    size = staircase(1).size
-    if size > cfg.dmax:
-        raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, size))
-    rep = determinantal_ideal_check(cfg.n, cfg.m, 1, cfg.dmax)
+    r = 1
+    stair = staircase(r)
+    if stair.size > cfg.dmax:
+        raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, stair.size))
+    relation = {}
+    reached = ideal_summands(cfg.n, cfg.m, stair, cfg.dmax, relation)
+    cases = [
+        MembershipCase(stair, mu, mu.length > r, mu in reached)
+        for mu in all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
+    ]
     payload = {
         "target": "determinantal",
-        "r": rep.r,
-        "cases": [c.to_dict() for c in rep.cases],
-        "quotient_lengths_outside": rep.observed_quotient_lengths,
-        "status": _all_passed(c.passed for c in rep.cases),
+        "r": r,
+        "cases": [c.to_dict() for c in cases],
+        "quotient_lengths_outside": sorted({c.mu.length for c in cases if not c.observed}),
+        "one_box_pairs": sum(len(row) for row in relation.values()),
+        "status": _all_passed(c.passed for c in cases),
     }
     emit(cfg, payload)
     return 0 if payload["status"] else 1

@@ -18,8 +18,10 @@ anti-automorphism. In q_n, `bracket`, `chevalley`, the half tensor product
 `USpace` and `hk_decompose` check the structure behind phi and psi. In
 A(n,m), `act` acts on a `SuperPoly`, `ideal_closure` closes an ideal under
 every operator, `lowering_operators` closes a summand under all lowering
-operators (the CLI uses the simple ones), and `m_stability_check` checks
-that h preserves the maximal ideal m.
+operators (the CLI uses the simple ones), `membership_cases_for` and
+`determinantal_ideal_check` read membership off the ideal built directly to
+the truncation degree (the CLI walks the one-box relation), and
+`m_stability_check` checks that h preserves the maximal ideal m.
 """
 
 from dataclasses import dataclass
@@ -30,11 +32,15 @@ from math import factorial, lcm
 from queerlab.amodule import (
     EquivariantIdeal,
     GradedSubspace,
+    MembershipCase,
     SuperPoly,
     _cell,
     act_terms,
     all_biweights,
+    candidate_tail_bounds,
     m_generators,
+    summand,
+    summand_membership,
     weight_space_monomials,
 )
 from queerlab.heckeclifford import (
@@ -46,7 +52,7 @@ from queerlab.heckeclifford import (
     perm_inverse,
 )
 from queerlab.linalg import Echelon, add_term, numerators
-from queerlab.partitions import StrictPartition, enumerate_strict
+from queerlab.partitions import StrictPartition, all_strict_upto, contains, enumerate_strict, staircase
 from queerlab.queer import ActionError, QnElement, _mat_add, _mat_scale, act_on_V
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.spoly import mono_degree
@@ -631,6 +637,53 @@ def full_closure(ideal: EquivariantIdeal) -> GradedSubspace:
             if ech.rank:
                 out.components[(d, w)] = ech
     return out
+
+
+def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
+    """Membership row of the main-theorem matrix for one generator lambda,
+    from the ideal of L_lambda built directly to degree d_max."""
+    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
+    ideal = EquivariantIdeal(n, m, gens, d_max)
+    cases = []
+    for mu in all_strict_upto(d_max, min(n, m)):
+        if mu.size < lam.size:
+            observed = False
+        else:
+            observed = summand_membership(n, m, ideal, mu)
+        cases.append(MembershipCase(lam, mu, contains(lam, mu), observed))
+    return cases
+
+
+@dataclass
+class DeterminantalReport:
+    r: int
+    cases: list
+    observed_quotient_lengths: list
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.cases)
+
+
+def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> DeterminantalReport:
+    """The staircase summand generates exactly the mu with l(mu) > r, from
+    the ideal of the staircase built directly to degree d_max."""
+    lam = staircase(r)
+    if lam.size > d_max:
+        raise ValueError("staircase size exceeds d_max")
+    gens = summand(n, m, lam, candidate_tail_bounds(n, m, d_max))
+    ideal = EquivariantIdeal(n, m, gens, d_max)
+    cases = []
+    outside = []
+    for mu in all_strict_upto(d_max, min(n, m)):
+        observed = (
+            summand_membership(n, m, ideal, mu) if mu.size >= lam.size else False
+        )
+        predicted = mu.length > r
+        cases.append(MembershipCase(lam, mu, predicted, observed))
+        if not observed:
+            outside.append(mu.length)
+    return DeterminantalReport(r, cases, sorted(set(outside)))
 
 
 def _in_m_span(p: SuperPoly, n: int) -> bool:

@@ -72,27 +72,39 @@ def test_ac3_hecke_clifford_ideals():
 
 
 def test_ac4_main_theorem():
-    from queerlab.amodule import membership_cases_for
-    from queerlab.partitions import all_strict_upto
+    from oracles import membership_cases_for
+    from queerlab.amodule import ideal_summands
+    from queerlab.partitions import all_strict_upto, contains
 
-    cases = [c for lam in all_strict_upto(5, 3) for c in membership_cases_for(3, 3, lam, 5)]
-    bad = [c for c in cases if not c.passed]
+    cands = all_strict_upto(5, 3)
+    relation = {}
+    bad = []
+    for lam in cands:
+        reached = ideal_summands(3, 3, lam, 5, relation)
+        bad += [(lam, mu) for mu in cands if contains(lam, mu) != (mu in reached)]
+        direct = membership_cases_for(3, 3, lam, 5)
+        if reached != {c.mu for c in direct if c.observed}:
+            _report("AC-4", False, "step closure differs from the direct ideal at %r" % lam)
     _report(
         "AC-4",
-        cases and not bad,
-        "membership(I^lambda, mu) = (lambda inside mu) over %d pairs at n=m=3, d_max=5"
-        % len(cases),
+        not bad,
+        "membership(I^lambda, mu) = (lambda inside mu) over %d pairs at n=m=3, d_max=5, "
+        "from %d one-box pairs" % (len(cands) ** 2, sum(len(row) for row in relation.values())),
     )
 
 
 def test_ac5_determinantal():
-    from queerlab.amodule import determinantal_ideal_check, membership_cases_for
+    from oracles import determinantal_ideal_check
+    from queerlab.amodule import ideal_summands
+    from queerlab.partitions import all_strict_upto, staircase
 
+    cands = all_strict_upto(5, 3)
+    walked = ideal_summands(3, 3, staircase(1), 5, {})
+    ok = walked == {mu for mu in cands if mu.length > 1}
     rep = determinantal_ideal_check(3, 3, 1, 5)
-    ok = rep.passed
+    ok = ok and rep.passed and walked == {c.mu for c in rep.cases if c.observed}
     # boundedness: within truncation, everything outside I^{(2)} has length < 2
-    rows = membership_cases_for(3, 3, sp(2), 5)
-    outside = [c.mu.length for c in rows if not c.observed]
+    outside = [mu.length for mu in cands if mu not in ideal_summands(3, 3, sp(2), 5, {})]
     ok = ok and max(outside) < 2
     _report(
         "AC-5",

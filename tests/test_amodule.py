@@ -8,10 +8,12 @@ from oracles import (
     act,
     act_on_U,
     bracket,
+    determinantal_ideal_check,
     full_closure,
     ideal_closure,
     lowering_operators,
     m_stability_check,
+    membership_cases_for,
     scalar_rows,
     weight_space,
     x_prime,
@@ -24,17 +26,24 @@ from queerlab.amodule import (
     act_terms,
     all_biweights,
     candidate_tail_bounds,
-    determinantal_ideal_check,
+    ideal_summands,
     m_generators,
-    membership_cases_for,
     mono_biweight,
+    one_box_steps,
     singular_vectors,
     summand,
     summand_membership,
     weight_space_monomials,
 )
 from queerlab.linalg import numerators
-from queerlab.partitions import StrictPartition, all_strict_upto, delta, enumerate_strict
+from queerlab.partitions import (
+    StrictPartition,
+    all_strict_upto,
+    contains,
+    delta,
+    enumerate_strict,
+    staircase,
+)
 from queerlab.queer import QnElement, dim_T
 from queerlab.scalars import ONE
 
@@ -416,6 +425,32 @@ def test_determinantal_r0():
     for c in rep.cases:
         if c.mu.length >= 1:
             assert c.observed
+
+
+def test_one_box_relation_is_box_containment():
+    # the theorem, one step at a time: L_kappa lies in A_1 * L_nu iff nu is
+    # inside kappa, for every pair through degree 5
+    for nu in all_strict_upto(4, 3):
+        want = {kappa: contains(nu, kappa) for kappa in enumerate_strict(nu.size + 1) if kappa.length <= 3}
+        assert one_box_steps(3, 3, nu) == want, nu
+
+
+@pytest.mark.parametrize("n, m, d_max", [(2, 2, 5), (2, 3, 4), (3, 3, 5)])
+def test_step_closure_equals_direct_ideal(n, m, d_max):
+    relation = {}
+    for lam in all_strict_upto(d_max, min(n, m)):
+        direct = membership_cases_for(n, m, lam, d_max)
+        assert ideal_summands(n, m, lam, d_max, relation) == {c.mu for c in direct if c.observed}, lam
+    # the walks built no ideal past degree d_max
+    assert {nu.size for nu in relation} == set(range(d_max))
+
+
+@pytest.mark.parametrize("n, m, r, d_max", [(3, 3, 1, 5), (2, 2, 0, 3)])
+def test_determinantal_walk_equals_direct_ideal(n, m, r, d_max):
+    rep = determinantal_ideal_check(n, m, r, d_max)
+    assert rep.passed
+    walked = ideal_summands(n, m, staircase(r), d_max, {})
+    assert walked == {c.mu for c in rep.cases if c.observed}
 
 
 def test_m_stability():

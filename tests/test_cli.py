@@ -56,6 +56,56 @@ def test_verify_main_theorem_small_with_jobs(capsys):
         payloads.append(payload)
     assert payloads[0]["cases"] == payloads[1]["cases"]
     assert len(payloads[0]["cases"]) == 25
+    assert payloads[0]["one_box_pairs"] == payloads[1]["one_box_pairs"] == 4
+
+
+def test_verify_determinantal_walks_from_the_staircase(capsys):
+    code = main(["verify", "determinantal", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["status"] is True
+    assert payload["quotient_lengths_outside"] == [0, 1]
+    # the rows of (2,1) and (3,1): 2 + 3 pairs
+    assert payload["one_box_pairs"] == 5
+
+
+def _corrupt_step(monkeypatch, kappa, inside):
+    """Make the one-box row of (2,1) drop kappa (inside None) or set it."""
+    from queerlab import amodule
+    from queerlab.partitions import StrictPartition
+
+    true_steps = amodule.one_box_steps
+
+    def steps(n, m, nu):
+        row = true_steps(n, m, nu)
+        if nu == StrictPartition((2, 1)):
+            if inside is None:
+                del row[StrictPartition(kappa)]
+            else:
+                row[StrictPartition(kappa)] = inside
+        return row
+
+    monkeypatch.setattr(amodule, "one_box_steps", steps)
+
+
+def _failed_pairs(argv, capsys):
+    code = main(argv + ["--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["status"] is False
+    return [(c["lambda"], c["mu"]) for c in payload["cases"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+def test_a_dropped_one_box_step_fails_the_verdict(target, monkeypatch, capsys):
+    # from (2,1), every mu of size 4 or 5 is reached through (3,1) only
+    _corrupt_step(monkeypatch, (3, 1), None)
+    assert _failed_pairs(["verify", target], capsys) == [("2,1", "3,1"), ("2,1", "4,1"), ("2,1", "3,2")]
+
+
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+def test_a_false_one_box_step_fails_the_verdict(target, monkeypatch, capsys):
+    # (2,1) is inside neither (4) nor (5), which the walk then reaches
+    _corrupt_step(monkeypatch, (4,), True)
+    assert _failed_pairs(["verify", target], capsys) == [("2,1", "4"), ("2,1", "5")]
 
 
 def test_verify_hecke_ideals_nmax5(capsys):
