@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .partitions import StrictPartition, all_strict_upto, contains, staircase
 from . import symfunc
 
 CACHE_HEADER = "queerlab-cache v3"
+CACHE_FILE = "qpoly.cache"
 
 # The safe bounds, lifted by --unsafe: past them the exact arithmetic costs
 # grow factorially. Each target names the flags it reads against them.
@@ -32,59 +33,58 @@ SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
 # runs in a few seconds and size 5 in minutes
 SAFE_TENSOR_DEGREE = 4
 
+# The int flags of every subcommand: flag -> (default, lowest value, help).
+# A value below the lowest is bad input, refused with or without --unsafe.
+FLAGS = {
+    "--n": (3, 1, None),
+    "--m": (3, 1, None),
+    "--nmax": (4, 0, "Hecke-Clifford rank bound"),
+    "--dmax": (5, 0, "ideal truncation degree"),
+    "--degree": (6, 0, "Cauchy truncation degree"),
+    "--vars": (6, 0, None),
+    # order 0 truncates away the degree-1 generators
+    "--jet-order": (3, 1, None),
+    "--bound": (8, 0, "Pieri size bound"),
+    "--seed": (0, None, None),  # any int seeds random.Random
+    "--jobs": (1, 1, None),
+}
+
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    n: int = 3
-    m: int = 3
-    nmax: int = 4
-    dmax: int = 5
-    degree: int = 6
-    vars: int = 6
-    jet_order: int = 3
-    bound: int = 8
-    seed: int = 0
-    jobs: int = 1
-    out: str | None = None
-    fmt: str = "text"
-    cache_dir: str | None = None
-    unsafe: bool = False
+def _value(args, flag: str) -> int:
+    """The value of an int flag; the row "|--lambda|" reads the size of --lambda."""
+    if flag == "|--lambda|":
+        return args.lam.size
+    return getattr(args, flag[2:].replace("-", "_"))
 
-    def check(self, safe, lam: StrictPartition):
-        """Refuse bad input; without --unsafe, also refuse each (flag, bound)
-        row of `safe` whose value is past its bound. The row "|--lambda|"
-        reads the size of `lam`, every other row the flag's own value."""
-        # input errors, refused with or without --unsafe
-        for flag, value, low in (
-            ("--degree", self.degree, 0),
-            ("--bound", self.bound, 0),
-            ("--n", self.n, 1),
-            ("--m", self.m, 1),
-            ("--nmax", self.nmax, 0),
-            ("--dmax", self.dmax, 0),
-            # order 0 truncates away the degree-1 generators
-            ("--jet-order", self.jet_order, 1),
-            ("--jobs", self.jobs, 1),
-        ):
-            if value < low:
-                raise ConfigError("%s %d is below %d" % (flag, value, low))
-        if self.vars < self.degree:
+
+def _check(args, safe):
+    """Refuse a flag below its lowest value; without --unsafe, also refuse
+    each (flag, bound) row of `safe` whose value is past its bound."""
+    for flag, (_, low, _) in FLAGS.items():
+        if low is not None and _value(args, flag) < low:
+            raise ConfigError("%s %d is below %d" % (flag, _value(args, flag), low))
+    for flag, bound in () if args.unsafe else safe:
+        if _value(args, flag) > bound:
             raise ConfigError(
-                "--vars %d below --degree %d: the Cauchy truncation needs "
-                "--vars >= --degree" % (self.vars, self.degree)
+                "%s %d above the safe bound %d (use --unsafe)" % (flag, _value(args, flag), bound)
             )
-        if self.unsafe:
-            return
-        for flag, bound in safe:
-            value = lam.size if flag == "|--lambda|" else getattr(self, flag[2:])
-            if value > bound:
-                raise ConfigError(
-                    "%s %d above the safe bound %d (use --unsafe)" % (flag, value, bound)
-                )
+
+
+def _writable(flag: str, path: str):
+    """Create the directory of the file `path` that `flag` writes. A directory
+    that cannot be made (a regular file on its path, no permission), or a
+    directory at `path` itself, is bad input."""
+    folder = os.path.dirname(path) or "."
+    try:
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("%s: cannot make the directory %s: %s" % (flag, folder, exc.strerror or exc))
+    if os.path.isdir(path):
+        raise ConfigError("%s: %s is a directory" % (flag, path))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def load_qpoly_cache(cache_dir: str) -> int:
     warning, so its entries are recomputed and the file is rewritten at the
     end of the run.
     """
-    path = os.path.join(cache_dir, "qpoly.cache")
+    path = os.path.join(cache_dir, CACHE_FILE)
     if not os.path.exists(path):
         return 0
     try:
@@ -146,12 +146,11 @@ def load_qpoly_cache(cache_dir: str) -> int:
 def write_qpoly_cache(cache_dir: str):
     """Persist every memoized Q_lambda table under a header with the body's digest.
 
-    The file is written under a temporary name in the cache directory and
-    renamed over `qpoly.cache`, so an interrupted run leaves either the old
-    file or the new one, never a truncated one.
+    The file is written under a temporary name in the cache directory, which
+    must exist, and renamed over `qpoly.cache`, so an interrupted run leaves
+    either the old file or the new one, never a truncated one.
     """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, "qpoly.cache")
+    path = os.path.join(cache_dir, CACHE_FILE)
     keys = sorted(symfunc._QPOLY_CACHE, key=lambda k: (k[0].size, k[0].parts, k[1]))
     body = "".join(symfunc.qpoly_cache_line(lam, N) + "\n" for lam, N in keys)
     tmp = "%s.%d.tmp" % (path, os.getpid())  # one writer per process
@@ -171,55 +170,50 @@ def write_qpoly_cache(cache_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def emit(cfg: RunConfig, payload: dict, rows=None, csv_header=None):
-    text = json.dumps(payload, indent=2)
-    if cfg.out:
-        os.makedirs(os.path.dirname(cfg.out) or ".", exist_ok=True)
-        if cfg.fmt == "csv":
-            with open(cfg.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(csv_header)
-                writer.writerows(rows)
-        else:
-            with open(cfg.out, "w") as fh:
-                fh.write(text + "\n")
-    if cfg.fmt == "json":
-        print(text)
-    elif cfg.fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(csv_header)
-        writer.writerows(rows)
-    else:
-        _print_text(payload)
+def _render(fmt: str, payload: dict, rows, header) -> str:
+    """The report as JSON, as the CSV table (header, rows), or as text: one
+    line per scalar field and per case."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header] + rows)
+        return buf.getvalue()
+    lines = ["target: %s" % payload.get("target")]
+    lines += [
+        "  %s: %s" % (k, v)
+        for k, v in payload.items()
+        if k not in ("target", "status", "cases") and not isinstance(v, (list, dict))
+    ]
+    lines += ["  " + " ".join("%s=%s" % kv for kv in case.items()) for case in payload.get("cases", [])]
+    if payload.get("status") is not None:
+        lines.append("status: %s" % payload["status"])
+    return "\n".join(lines) + "\n"
 
 
-def _print_text(payload: dict):
-    status = payload.get("status")
-    print("target: %s" % payload.get("target"))
-    for k, v in payload.items():
-        if k in ("target", "status", "cases") or isinstance(v, (list, dict)):
-            continue
-        print("  %s: %s" % (k, v))
-    for case in payload.get("cases", []):
-        line = "  " + " ".join("%s=%s" % (k, v) for k, v in case.items())
-        print(line)
-    if status is not None:
-        print("status: %s" % status)
+def emit(args, payload: dict, rows, header):
+    """Print the report in --format and write it to the --out file, which
+    holds the JSON form under --format text."""
+    text = _render(args.fmt, payload, rows, header)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(_render("json", payload, rows, header) if args.fmt == "text" else text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and the rows of its CSV table
 # ---------------------------------------------------------------------------
 
 
-def _pieri(cfg: RunConfig, lam: StrictPartition) -> int:
+def _pieri(args):
     from .symfunc import GammaElement, gamma_product, pieri
 
     one_box = StrictPartition((1,))
     cases = []
     rows = []
     ok = True
-    for nu in all_strict_upto(cfg.bound):
+    for nu in all_strict_upto(args.bound):
         want = pieri(nu)
         got = gamma_product(
             GammaElement.basis(one_box), GammaElement.basis(nu)
@@ -230,9 +224,7 @@ def _pieri(cfg: RunConfig, lam: StrictPartition) -> int:
         cases.append({"lambda": nu.serialize(), "pass": match})
         for mu, c in sorted(want.items(), key=lambda t: t[0].parts):
             rows.append([nu.serialize(), mu.serialize(), c])
-    payload = {"target": "pieri", "bound": cfg.bound, "cases": cases, "status": ok}
-    emit(cfg, payload, rows, ["lambda", "mu", "coeff"])
-    return 0 if ok else 1
+    return {"target": "pieri", "bound": args.bound, "cases": cases, "status": ok}, rows
 
 
 def _all_passed(passes) -> bool:
@@ -241,12 +233,17 @@ def _all_passed(passes) -> bool:
     return bool(passes) and all(passes)
 
 
-def _verify_cauchy(cfg: RunConfig, lam: StrictPartition) -> int:
-    rep = symfunc.cauchy_check(cfg.degree, cfg.vars)
+def _verify_cauchy(args):
+    if args.vars < args.degree:
+        raise ConfigError(
+            "--vars %d below --degree %d: the Cauchy truncation needs "
+            "--vars >= --degree" % (args.vars, args.degree)
+        )
+    rep = symfunc.cauchy_check(args.degree, args.vars)
     payload = {
         "target": "cauchy",
-        "degree": cfg.degree,
-        "variables": cfg.vars,
+        "degree": args.degree,
+        "variables": args.vars,
         "cases": [
             {
                 "identity": "prod (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)",
@@ -256,14 +253,13 @@ def _verify_cauchy(cfg: RunConfig, lam: StrictPartition) -> int:
         ],
         "status": rep.ok,
     }
-    emit(cfg, payload)
-    return 0 if rep.ok else 1
+    return payload, None
 
 
-def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
+def _verify_hecke_ideals(args):
     from .heckeclifford import braid_conjugation_cases, verify_tensor_ideal_theorem
 
-    cases = verify_tensor_ideal_theorem(cfg.nmax)
+    cases = verify_tensor_ideal_theorem(args.nmax)
     braid = []
     law_breaks = 0
     for (mm, nn) in [(1, 1), (1, 2), (2, 1)]:
@@ -284,7 +280,7 @@ def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
     ok = _all_passed(c.passed for c in cases) and not law_breaks
     payload = {
         "target": "hecke-ideals",
-        "nmax": cfg.nmax,
+        "nmax": args.nmax,
         "cases": [c.to_dict() for c in cases],
         "braid_sign_note": {
             "empirical_law": "sign = (-1)^{|x||y|}",
@@ -304,61 +300,56 @@ def _verify_hecke_ideals(cfg: RunConfig, lam: StrictPartition) -> int:
         ]
         for c in payload["cases"]
     ]
-    emit(cfg, payload, rows, ["lambda", "m", "predicted", "observed", "pass"])
-    return 0 if ok else 1
+    return payload, rows
 
 
-def _verify_main_theorem(cfg: RunConfig, lam: StrictPartition) -> int:
+def _verify_main_theorem(args):
     from .amodule import MembershipCase, ideal_summands, one_box_steps
 
-    cands = all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
+    cands = all_strict_upto(args.dmax, min(args.n, args.m))
+    # each row is independent; with one job the walks compute them. A pool
+    # starts all its workers at once, so it gets no more than there are rows
+    nus = [nu for nu in cands if nu.size < args.dmax]
+    workers = min(args.jobs, len(nus))
     relation = {}
-    if cfg.jobs > 1:
+    if workers > 1:
         # imported here: it loads multiprocessing, which one job never uses
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        # each row is independent; with one job the walks compute them
-        nus = [nu for nu in cands if nu.size < cfg.dmax]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = pool.map(partial(one_box_steps, cfg.n, cfg.m), nus)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = pool.map(partial(one_box_steps, args.n, args.m), nus)
             relation = dict(zip(nus, rows))
     cases = []
     for lam in cands:
-        reached = ideal_summands(cfg.n, cfg.m, lam, cfg.dmax, relation)
+        reached = ideal_summands(args.n, args.m, lam, args.dmax, relation)
         cases += [MembershipCase(lam, mu, contains(lam, mu), mu in reached).to_dict() for mu in cands]
-    ok = _all_passed(c["pass"] for c in cases)
     payload = {
         "target": "main-theorem",
-        "n": cfg.n,
-        "m": cfg.m,
-        "d_max": cfg.dmax,
+        "n": args.n,
+        "m": args.m,
+        "d_max": args.dmax,
         "one_box_pairs": sum(len(row) for row in relation.values()),
         "cases": cases,
-        "status": ok,
+        "status": _all_passed(c["pass"] for c in cases),
     }
-    rows = [
-        [c["lambda"], c["mu"], c["predicted"], c["observed"], c["pass"]]
-        for c in cases
-    ]
-    emit(cfg, payload, rows, ["lambda", "mu", "predicted", "observed", "pass"])
-    return 0 if ok else 1
+    return payload, [[c[k] for k in _CASE_COLUMNS] for c in cases]
 
 
-def _verify_determinantal(cfg: RunConfig, lam: StrictPartition) -> int:
+def _verify_determinantal(args):
     """The staircase (r+1, ..., 1) generates exactly the mu with l(mu) > r:
     row r of the main-theorem matrix, walked from the staircase alone."""
     from .amodule import MembershipCase, ideal_summands
 
     r = 1
     stair = staircase(r)
-    if stair.size > cfg.dmax:
-        raise ConfigError("--dmax %d is below the staircase size %d" % (cfg.dmax, stair.size))
+    if stair.size > args.dmax:
+        raise ConfigError("--dmax %d is below the staircase size %d" % (args.dmax, stair.size))
     relation = {}
-    reached = ideal_summands(cfg.n, cfg.m, stair, cfg.dmax, relation)
+    reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)
     cases = [
         MembershipCase(stair, mu, mu.length > r, mu in reached)
-        for mu in all_strict_upto(cfg.dmax, min(cfg.n, cfg.m))
+        for mu in all_strict_upto(args.dmax, min(args.n, args.m))
     ]
     payload = {
         "target": "determinantal",
@@ -368,20 +359,19 @@ def _verify_determinantal(cfg: RunConfig, lam: StrictPartition) -> int:
         "one_box_pairs": sum(len(row) for row in relation.values()),
         "status": _all_passed(c.passed for c in cases),
     }
-    emit(cfg, payload)
-    return 0 if payload["status"] else 1
+    return payload, None
 
 
-def _verify_phi_psi(cfg: RunConfig, lam: StrictPartition) -> int:
+def _verify_phi_psi(args):
     from .jets import phi_map, phi_apply, psi_of_phi_on_generators
     from .amodule import SuperPoly, m_generators
     import random
 
     cases = []
-    for n in range(1, cfg.n + 1):
+    for n in range(1, args.n + 1):
         # multiplicativity on sampled degree-<=2 pairs at jet order 4
         ring, _ = phi_map(n, 4)
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         gens = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -400,7 +390,7 @@ def _verify_phi_psi(cfg: RunConfig, lam: StrictPartition) -> int:
         )
         inv_ok = all(
             got == want
-            for _, got, want in psi_of_phi_on_generators(n, cfg.jet_order)
+            for _, got, want in psi_of_phi_on_generators(n, args.jet_order)
         )
         cases.append(
             {
@@ -413,30 +403,27 @@ def _verify_phi_psi(cfg: RunConfig, lam: StrictPartition) -> int:
         )
     payload = {
         "target": "phi-psi",
-        "jet_order": cfg.jet_order,
+        "jet_order": args.jet_order,
         "note": "localization modeled by jets at the identity point",
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
     }
-    emit(cfg, payload)
-    return 0 if payload["status"] else 1
+    return payload, None
 
 
-def _verify_prop_dim(cfg: RunConfig, lam: StrictPartition) -> int:
+def _verify_prop_dim(args):
     from .dimcheck import hom_dim_sweep
 
-    cases = hom_dim_sweep(cfg.n, cfg.m, 2, 2)
-    ok = _all_passed(c.passed for c in cases)
+    cases = hom_dim_sweep(args.n, args.m, 2, 2)
     payload = {
         "target": "prop-dim",
-        "n": cfg.n,
-        "m": cfg.m,
+        "n": args.n,
+        "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
         "cases": [c.to_dict() for c in cases],
-        "status": ok,
+        "status": _all_passed(c.passed for c in cases),
     }
-    emit(cfg, payload)
-    return 0 if ok else 1
+    return payload, None
 
 
 def _parse_lambda(text: str | None) -> StrictPartition:
@@ -446,22 +433,17 @@ def _parse_lambda(text: str | None) -> StrictPartition:
         raise ConfigError("--lambda %r is not a strict partition: %s" % (text, exc))
 
 
-def _dump_isotypic(cfg: RunConfig, lam: StrictPartition) -> int:
+def _dump_isotypic(args):
     from .heckeclifford import decompose_regular
 
-    tab = decompose_regular(cfg.n)
+    tab = decompose_regular(args.n)
     payload = json.loads(tab.to_json())
     payload["target"] = "isotypic"
-    rows = [
-        [b["lambda"], b["dim_J"], b["dim_S"], b["type"]]
-        for b in payload["blocks"]
-    ]
-    emit(cfg, payload, rows, ["lambda", "dim_J", "dim_S", "type"])
-    return 0
+    return payload, [[b[k] for k in _BLOCK_COLUMNS] for b in payload["blocks"]]
 
 
-def _dump_q_expansion(cfg: RunConfig, lam: StrictPartition) -> int:
-    terms = symfunc.q_expansion(lam)
+def _dump_q_expansion(args):
+    terms = symfunc.q_expansion(args.lam)
     bits = []
     for key, c in sorted(terms, key=lambda t: (-len(t[0]), t[0])):
         mono = "*".join("q%d" % r for r in key) or "1"
@@ -469,26 +451,24 @@ def _dump_q_expansion(cfg: RunConfig, lam: StrictPartition) -> int:
     pretty = " + ".join(bits).replace("+ -", "- ")
     payload = {
         "target": "q-expansion",
-        "lambda": lam.serialize(),
+        "lambda": args.lam.serialize(),
         "terms": [{"q_indices": list(k), "coeff": c} for k, c in terms],
         "pretty": pretty,
     }
-    emit(cfg, payload)
-    return 0
+    return payload, None
 
 
-def _dump_dims(cfg: RunConfig, lam: StrictPartition) -> int:
+def _dump_dims(args):
     from .queer import dim_T
 
-    val = dim_T(lam, cfg.n)
+    val = dim_T(args.lam, args.n)
     payload = {
         "target": "dims",
-        "lambda": lam.serialize(),
-        "n": cfg.n,
+        "lambda": args.lam.serialize(),
+        "n": args.n,
         "dim_T": val,
     }
-    emit(cfg, payload)
-    return 0
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -496,25 +476,27 @@ def _dump_dims(cfg: RunConfig, lam: StrictPartition) -> int:
 # ---------------------------------------------------------------------------
 
 _A_RANK = (("--n", SAFE_A_RANK), ("--m", SAFE_A_RANK))
+_CASE_COLUMNS = ["lambda", "mu", "predicted", "observed", "pass"]
+_BLOCK_COLUMNS = ["lambda", "dim_J", "dim_S", "type"]
 
 # (command, target) -> (function, the (flag, safe bound) rows of the flags it
-# reads). A flag no row names is not bounded for that target.
+# reads, the header of its CSV table). A flag no row names is not bounded for
+# that target; a target whose header is None has no --format csv.
 TARGETS = {
-    ("pieri", None): (_pieri, (("--bound", SAFE_BOUND),)),
-    ("verify", "hecke-ideals"): (_verify_hecke_ideals, (("--nmax", SAFE_H_RANK),)),
-    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_DMAX),)),
-    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),)),
-    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE))),
-    ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),)),
-    ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK),
-    ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),)),
-    ("dump", "q-expansion"): (_dump_q_expansion, ()),
-    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_TENSOR_DEGREE))),
-}
-
-# the targets whose report has a table, and so a --format csv
-CSV_TARGETS = {
-    ("pieri", None), ("verify", "hecke-ideals"), ("verify", "main-theorem"), ("dump", "isotypic")
+    ("pieri", None): (_pieri, (("--bound", SAFE_BOUND),), ["lambda", "mu", "coeff"]),
+    ("verify", "hecke-ideals"): (
+        _verify_hecke_ideals,
+        (("--nmax", SAFE_H_RANK),),
+        ["lambda", "m", "predicted", "observed", "pass"],
+    ),
+    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_DMAX),), _CASE_COLUMNS),
+    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),), None),
+    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE)), None),
+    ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),), None),
+    ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK, None),
+    ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),), _BLOCK_COLUMNS),
+    ("dump", "q-expansion"): (_dump_q_expansion, (), None),
+    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_TENSOR_DEGREE)), None),
 }
 
 
@@ -524,16 +506,8 @@ def _targets(command: str) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=3)
-    common.add_argument("--m", type=int, default=3)
-    common.add_argument("--nmax", type=int, default=4, help="Hecke-Clifford rank bound")
-    common.add_argument("--dmax", type=int, default=5, help="ideal truncation degree")
-    common.add_argument("--degree", type=int, default=6, help="Cauchy truncation degree")
-    common.add_argument("--vars", type=int, default=6)
-    common.add_argument("--jet-order", type=int, default=3)
-    common.add_argument("--bound", type=int, default=8, help="Pieri size bound")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
+    for flag, (default, _, text) in FLAGS.items():
+        common.add_argument(flag, type=int, default=default, help=text)
     common.add_argument("--out", type=str, default=None)
     common.add_argument(
         "--format", dest="fmt", choices=["json", "csv", "text"], default="text"
@@ -558,27 +532,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def make_config(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    target = args.command, getattr(args, "target", None)
+    name = " ".join(t for t in target if t)
     try:
-        target = args.command, getattr(args, "target", None)
-        run, safe = TARGETS[target]
-        lam = _parse_lambda(getattr(args, "lam", None))
-        cfg = make_config(args)
-        cfg.check(safe, lam)
-        if cfg.fmt == "csv" and target not in CSV_TARGETS:
-            raise ConfigError("--format csv: %s has no table" % " ".join(t for t in target if t))
-        loaded = load_qpoly_cache(cfg.cache_dir) if cfg.cache_dir else 0
-        code = run(cfg, lam)
+        run, safe, header = TARGETS[target]
+        args.lam = _parse_lambda(getattr(args, "lam", None))
+        _check(args, safe)
+        if args.fmt == "csv" and header is None:
+            raise ConfigError("--format csv: %s has no table" % name)
+        if args.out:
+            _writable("--out", args.out)
+        if args.cache_dir:
+            _writable("--cache-dir", os.path.join(args.cache_dir, CACHE_FILE))
+        loaded = load_qpoly_cache(args.cache_dir) if args.cache_dir else 0
+        payload, rows = run(args)
+        emit(args, payload, rows, header)
         # the memo holds every entry loaded, so it outgrows them exactly when
         # the file lacks an entry (or was not loaded) and must be rewritten
-        if cfg.cache_dir and len(symfunc._QPOLY_CACHE) > loaded:
-            write_qpoly_cache(cfg.cache_dir)
-        return code
+        if args.cache_dir and len(symfunc._QPOLY_CACHE) > loaded:
+            write_qpoly_cache(args.cache_dir)
+        return 0 if payload.get("status", True) else 1
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -589,8 +564,7 @@ def main(argv=None) -> int:
         what = "%s: %s" % (type(exc).__name__, exc)
         if isinstance(exc, (symfunc.InconsistentMultiplicity, DecompositionError)):
             # an exact identity failed: a theorem failure, not a crash
-            case = " ".join(t for t in (args.command, getattr(args, "target", None)) if t)
-            print("check failed in %s: %s" % (case, what), file=sys.stderr)
+            print("check failed in %s: %s" % (name, what), file=sys.stderr)
             return 1
         print("internal error: %s" % what, file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ def test_pieri_small(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["status"] is True
     assert len(payload["cases"]) == 5  # strict partitions of size <= 3
-    capsys.readouterr()
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_pieri_csv(tmp_path, capsys):
@@ -28,7 +28,8 @@ def test_pieri_csv(tmp_path, capsys):
     assert lines[0] == "lambda,mu,coeff"
     rows = {tuple(l.split(",", 2)) for l in lines[1:]}
     assert ("", "1", "1") in rows
-    capsys.readouterr()
+    # bytes: the CSV rows end in \r\n, which read_text would translate
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_verify_cauchy_small(capsys):
@@ -57,6 +58,36 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     assert payloads[0]["cases"] == payloads[1]["cases"]
     assert len(payloads[0]["cases"]) == 25
     assert payloads[0]["one_box_pairs"] == payloads[1]["one_box_pairs"] == 4
+
+
+@pytest.mark.parametrize("dmax, workers", [(3, [3]), (1, []), (0, [])])
+def test_jobs_pool_has_no_more_workers_than_rows(dmax, workers, monkeypatch, capsys):
+    # a pool starts all its workers at once: --dmax 3 has the three rows of
+    # sizes 0, 1 and 2, --dmax 1 one row, which needs no pool, --dmax 0 none
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ["verify", "main-theorem", "--dmax", str(dmax), "--format", "json"]
+    assert main(argv + ["--jobs", "8"]) == 0
+    assert seen == workers
+    pooled = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == pooled
 
 
 def test_verify_determinantal_walks_from_the_staircase(capsys):
@@ -227,6 +258,27 @@ def test_bad_input_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and flag in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, path",
+    [
+        ("--out", "file/report.json"),
+        ("--out", "dir"),
+        ("--cache-dir", "file"),
+        ("--cache-dir", "file/cache"),
+        ("--cache-dir", "dir"),
+    ],
+)
+def test_unusable_path_exits_two_naming_the_flag(flag, path, tmp_path, capsys):
+    # a regular file where a directory must go, or a directory where the
+    # report or the cache file must go, is bad input, not an internal error
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "qpoly.cache").mkdir(parents=True)
+    assert main(["pieri", "--bound", "2", flag, str(tmp_path / path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: %s" % flag)
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
@@ -500,6 +552,9 @@ def test_v2_cache_is_ignored_and_rewritten(tmp_path, capsys):
     [
         (["pieri", "--bound", "%d"], "--bound", cli.SAFE_BOUND),
         (["verify", "cauchy", "--degree", "%d", "--vars", "%d"], "--degree", cli.SAFE_DEGREE),
+        # --degree is read by verify cauchy alone, so a --degree above the
+        # default --vars does not stop pieri
+        (["pieri", "--degree", "7", "--bound", "%d"], "--bound", cli.SAFE_BOUND),
     ],
 )
 def test_raised_gamma_bounds(argv, flag, bound, capsys):
