@@ -23,7 +23,7 @@ CACHE_FILE = "qpoly.cache"
 
 # The safe bounds, lifted by --unsafe: past them the exact arithmetic costs
 # grow factorially. Each target names the flags it reads against them.
-SAFE_H_RANK = 6  # rank of H_n
+SAFE_H_RANK = 7  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 12  # largest |lambda| of a Pieri check
@@ -257,7 +257,7 @@ def _verify_cauchy(args):
 
 
 def _verify_hecke_ideals(args):
-    from .heckeclifford import braid_conjugation_cases, verify_tensor_ideal_theorem
+    from .heckeclifford import braid_conjugation_cases, decompose_regular, verify_tensor_ideal_theorem
 
     cases = verify_tensor_ideal_theorem(args.nmax)
     braid = []
@@ -282,6 +282,11 @@ def _verify_hecke_ideals(args):
         "target": "hecke-ideals",
         "nmax": args.nmax,
         "cases": [c.to_dict() for c in cases],
+        # the signed classes of each H_n: the center's dimension and support
+        "center": {
+            t.n: {"classes": len(t.types), "support": t.support}
+            for t in map(decompose_regular, range(args.nmax + 1))
+        },
         "braid_sign_note": {
             "empirical_law": "sign = (-1)^{|x||y|}",
             "parity_law_mismatches": law_breaks,

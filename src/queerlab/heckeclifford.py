@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
@@ -32,14 +32,7 @@ def perm_id(n: int) -> tuple:
 
 def perm_compose(p: tuple, q: tuple) -> tuple:
     """(p q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+    return tuple(map(p.__getitem__, q))
 
 
 def _bits(mask: int):
@@ -105,13 +98,6 @@ class HCElement:
     def alpha(n: int, i: int) -> "HCElement":
         """The Clifford generator alpha_i (1-based)."""
         return HCElement(n, {(1 << (i - 1), perm_id(n)): ONE})
-
-    @staticmethod
-    def transposition(n: int, i: int) -> "HCElement":
-        """The simple transposition s_i of letters i, i+1 (1-based)."""
-        p = list(range(n))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        return HCElement(n, {(0, tuple(p)): ONE})
 
     @staticmethod
     def permutation(n: int, p: tuple) -> "HCElement":
@@ -216,58 +202,69 @@ def all_words(n: int):
     return [(mask, p) for mask in range(1 << n) for p in perms]
 
 
-@lru_cache(maxsize=None)
-def _inverse_word(w: tuple) -> tuple:
-    """(w', sign) with w * w' = sign * 1, for a basis word w.
-
-    For w = alpha^mask sigma, w' = sigma^{-1} alpha^mask = alpha^{sigma^{-1}(mask)}
-    sigma^{-1} up to sign, and no other word multiplies w to a multiple of 1.
-    """
-    mask, p = w
-    q = perm_inverse(p)
-    moved = 0
-    for i in _bits(mask):
-        moved |= 1 << q[i]
-    inv = (moved, q)
-    unit, sign = word_mult(w, inv)
-    assert unit == (0, perm_id(len(p)))
-    return inv, sign
-
-
-def product_coefficient(x: HCElement, y: HCElement, w=None) -> Cyclo8Scalar:
-    """(x*y)[w], the coefficient of the word w (default: the unit) in x*y,
-    without forming x*y.
-
-    Only one word v of y meets a word u of x in w: u*v = +-w forces
-    v = +-u^{-1} w. So this costs one dict lookup per term of x. Left
-    multiplication by a basis word u has a nonzero diagonal entry only when
-    u = 1, so the trace of left multiplication by x*y on H_n is
-    2^n n! * product_coefficient(x, y).
-    """
-    total = Cyclo8Scalar()
-    for u, c in x.terms.items():
-        v, sign = _inverse_word(u)
-        if w is not None:
-            v, s = word_mult(v, w)
-            sign *= s
-        d = y.terms.get(v)
-        if d is not None:
-            total = total + c * d if sign == 1 else total - c * d
-    return total
-
-
-def generators(n: int) -> list[HCElement]:
-    gens = []
-    if n >= 1:
-        gens.append(HCElement.alpha(n, 1))
-    for i in range(1, n):
-        gens.append(HCElement.transposition(n, i))
-    return gens
-
-
 # ---------------------------------------------------------------------------
 # isotypic decomposition of the regular module
 # ---------------------------------------------------------------------------
+
+
+def _odd_cycles(p: tuple):
+    """The cycles of p, each from its least letter, or None if one has even length."""
+    cycles, seen = [], set()
+    for i in range(len(p)):
+        if i not in seen:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            if not len(cycle) & 1:
+                return None
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+@lru_cache(maxsize=None)
+def _signed_classes(n: int) -> tuple:
+    """The even center of H_n (ordinary sense) as signed class sums C_j:
+    (starts, types, index).
+
+    alpha_1 and the s_i square to 1, so z is central iff g z g = z for each
+    of them, and g w g is a signed basis word. For w = alpha^mask sigma,
+    alpha_a w alpha_a toggles the bits a and sigma(a) of the mask, with the
+    sign of the number of bits below a plus the number above sigma(a) once a
+    is toggled. So the parity of the bits on each cycle of sigma is an
+    invariant, and the classes on which these signs agree are those of odd
+    cycle type with an even number of bits on each cycle, one per strict
+    partition of n (Stembridge, Adv. Math. 74, 1989). Every other even word
+    has coefficient 0 in every central element.
+
+    types[j] is the cycle type of C_j, and starts[j] = (0, p) its word with
+    coefficient 1, p the first permutation of that type in lexicographic
+    order; the classes are numbered in that order. index maps each
+    permutation p of odd cycle type to (j, signs): the word alpha^mask p is
+    in C_j with coefficient signs[mask] = +-1. A central c is
+    sum_j c[starts[j]] C_j.
+    """
+    starts, types, index = [], [], {}
+    for p in permutations(range(n)):
+        cycles = _odd_cycles(p)
+        if cycles is None:
+            continue
+        t = tuple(sorted(map(len, cycles), reverse=True))
+        if t not in types:
+            types.append(t)
+            starts.append((0, p))
+        j = types.index(t)
+        # conjugate by alpha_a for each letter a but the last of each cycle:
+        # these toggles span the masks with an even number of bits per cycle
+        signs = {0: 1}
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:]):
+                for mask, s in list(signs.items()):
+                    below = (mask & (1 << a) - 1).bit_count()
+                    above = ((mask ^ 1 << a) >> b + 1).bit_count()
+                    signs[mask ^ 1 << a ^ 1 << b] = -s if (below + above) & 1 else s
+        index[p] = (j, signs)
+    return starts, types, index
 
 
 @dataclass
@@ -276,13 +273,29 @@ class IsotypicBlock:
     dim_J: int
     dim_S: int
     type: str  # "M" or "Q"
-    idempotent: HCElement
+    coords: list  # e_lambda = sum_j coords[j] C_j, over `_signed_classes`
+
+    @cached_property
+    def idempotent(self) -> HCElement:
+        """e_lambda as an element of H_n, n = |lambda|."""
+        n, c = self.label.size, self.coords
+        return HCElement(
+            n,
+            {
+                (mask, p): c[j] if s == 1 else -c[j]
+                for p, (j, signs) in _signed_classes(n)[2].items()
+                for mask, s in signs.items()
+            },
+        )
 
 
 @dataclass
 class IsotypicTable:
     n: int
     blocks: dict
+    types: list  # the cycle type of each class C_j
+    weights: list  # (C_j C_j)[1], one per class
+    support: int  # the number of words in the classes
 
     def to_json(self) -> str:
         return json.dumps(
@@ -300,43 +313,6 @@ class IsotypicTable:
             },
             indent=2,
         )
-
-
-def _center_basis(n: int) -> list[tuple]:
-    """The even center of H_n (ordinary sense), as (word, element) pairs.
-
-    Each generator g has g^2 = 1, so z is central iff g z g = z, and g w g is
-    a signed basis word for each word w. A central element is therefore
-    constant up to those signs on each orbit of the words under the
-    generators, and vanishes on an orbit whose signs contradict each other.
-    Each consistent orbit of even words gives one element, its signed orbit
-    sum, equal to 1 at the orbit's first word in `all_words` order. The
-    orbits are disjoint, so a central c equals sum c[word] * element.
-    """
-    gens = [next(iter(g.terms)) for g in generators(n)]
-    seen = set()
-    pairs = []
-    for start in all_words(n):
-        if start in seen or start[0].bit_count() & 1:
-            continue
-        signs = {start: 1}
-        queue = [start]
-        consistent = True
-        while queue:
-            w = queue.pop()
-            for g in gens:
-                u, s1 = word_mult(g, w)
-                v, s2 = word_mult(u, g)
-                s = signs[w] * s1 * s2
-                if v not in signs:
-                    signs[v] = s
-                    queue.append(v)
-                elif signs[v] != s:
-                    consistent = False
-        seen.update(signs)
-        if consistent:
-            pairs.append((start, HCElement(n, signs)))
-    return pairs
 
 
 def _casimir(n: int) -> HCElement:
@@ -379,20 +355,31 @@ def _content_values(n: int) -> dict:
     return values
 
 
-def _split_center(n: int, pairs: list[tuple], values: dict) -> dict:
-    """lambda -> e_lambda, the primitive idempotents of the even center.
+def _split_center(n: int, values: dict) -> tuple:
+    """(lambda -> the coordinates of e_lambda, the structure constants).
 
     e_lambda = prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the
     Casimir z and its block values v = `values`. The work stays inside the
-    k-dimensional center. The `_center_basis` pairs (p_j, r_j) give a central
-    c as sum_j c[p_j] r_j, so elements are coordinate vectors and the
-    structure constants are the coefficients (r_a r_b)[p_j], read without
-    forming the products.
+    k-dimensional center, on the `_signed_classes` coordinates.
+
+    The structure constants consts[a][b][j] = (C_a C_b)[starts[j]] are
+    integers. A word u meets starts[j] only with the word u' starts[j], u'
+    the inverse word of u (u u' = t * 1, t = +-1). C_a holds u' with
+    C_a[u'] = t C_a[u]: this holds at the start word, and conjugation by a
+    generator keeps it. So (C_a C_b)[starts[j]] is the sum of
+    C_a[u'] C_b[u' starts[j]] over the words u' of C_a, and for
+    u' = alpha^mask p that word is alpha^mask (p q), q the permutation of
+    starts[j]: one lookup of p q per permutation p and j.
     """
-    k = len(pairs)
-    pivots = [p for p, _ in pairs]
-    rows = [r for _, r in pairs]
-    consts = [[[product_coefficient(ra, rb, p) for p in pivots] for rb in rows] for ra in rows]
+    starts, _, index = _signed_classes(n)
+    k = len(starts)
+    consts = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for p, (a, signs) in index.items():
+        for j, (_, q) in enumerate(starts):
+            hit = index.get(perm_compose(p, q))
+            if hit is not None:
+                b, other = hit
+                consts[a][b][j] += sum(s * other.get(mask, 0) for mask, s in signs.items())
 
     def mul(x, y):
         out = [ZERO] * k
@@ -405,7 +392,7 @@ def _split_center(n: int, pairs: list[tuple], values: dict) -> dict:
         return out
 
     def coords(x):
-        return [x.terms.get(p, ZERO) for p in pivots]
+        return [x.terms.get(p, ZERO) for p in starts]
 
     one = coords(HCElement.unit(n))
     z = coords(_casimir(n))
@@ -419,16 +406,25 @@ def _split_center(n: int, pairs: list[tuple], values: dict) -> dict:
         # the closed form for the values of z is checked, not assumed
         if mul(e, e) != e:
             raise DecompositionError("non-idempotent central projector for %s" % (lam.parts,))
-        elem = HCElement(n)
-        for c, r in zip(e, rows):
-            elem = elem + r.scale(c)
-        out[lam] = elem
-    return out
+        out[lam] = e
+    return out, consts
 
 
-def _trace_rank(x: HCElement, y: HCElement) -> int:
-    """Rank of left multiplication by the idempotent x*y on H_n, as its trace."""
-    t = product_coefficient(x, y) * ((1 << x.n) * factorial(x.n))
+def _trace_rank(small: IsotypicTable, x: list, big: IsotypicTable, y: list) -> int:
+    """Rank of left multiplication by the idempotent x*y on H_N, N = big.n,
+    as its trace 2^N N! (x*y)[1] (a word u has L_u diagonal only if u = 1).
+
+    x = sum_i x_i C_i is central in H_k, k = small.n, and embedded on k of the
+    N letters; y = sum_j y_j C_j is central in H_N. The embedded C_i lies in
+    the class of H_N whose cycle type adds N - k fixed points, with the same
+    signs, and (C_i C_j)[1] = 0 for j != i, since the inverse of a word is in
+    its own class. So (x*y)[1] is a sum of k terms x_i y_i' (C_i C_i)[1].
+    """
+    pad = (1,) * (big.n - small.n)
+    t = ZERO
+    for xi, ti, w in zip(x, small.types, small.weights):
+        t = t + xi * y[big.types.index(ti + pad)] * w
+    t = t * ((1 << big.n) * factorial(big.n))
     if not t.is_integer():
         raise DecompositionError("regular trace %r is not an integer" % (t,))
     return t.re
@@ -446,36 +442,23 @@ def decompose_regular(n: int) -> IsotypicTable:
     """
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
-    if n == 0:
-        unit = HCElement.unit(0)
-        blocks = {
-            StrictPartition(()): IsotypicBlock(StrictPartition(()), 1, 1, "M", unit)
-        }
-        table = IsotypicTable(0, blocks)
-        _TABLE_CACHE[n] = table
-        return table
-
     values = _content_values(n)
-    pairs = _center_basis(n)
-    if len(pairs) != len(values):
+    starts, types, index = _signed_classes(n)
+    if len(starts) != len(values):
         raise DecompositionError(
             "even center of H_%d has dimension %d, expected %d"
-            % (n, len(pairs), len(values))
+            % (n, len(starts), len(values))
         )
-    idems = _split_center(n, pairs, values)
-
-    unit = HCElement.unit(n)
-    prev = decompose_regular(n - 1)
-    one_box = StrictPartition((1,))
-    pieri_cache = {nu: induct_mult(one_box, nu) for nu in prev.blocks}
-    restricted = {
-        nu: embed_left(pb.idempotent, n - 1, 1) for nu, pb in prev.blocks.items()
-    }
-    blocks = {}
+    idems, consts = _split_center(n, values)
+    weights = [consts[j][j][0] for j in range(len(types))]
+    table = IsotypicTable(n, {}, types, weights, sum(len(signs) for _, signs in index.values()))
+    unit = [ONE] + [ZERO] * (len(types) - 1)  # starts[0] is the unit word
+    prev = decompose_regular(n - 1) if n else None
+    induced = {nu: induct_mult(StrictPartition((1,)), nu) for nu in (prev.blocks if n else ())}
     for lam, e in idems.items():
         # a simple block is M(p|q), of dimension (p+q)^2, or Q(d), of
         # dimension 2 d^2: exactly one of dim_J and 2 dim_J is a square
-        dim_J = _trace_rank(e, unit)
+        dim_J = _trace_rank(table, e, table, unit)
         is_q = dim_J > 0 and isqrt(dim_J) ** 2 != dim_J
         dim_S2 = dim_J * (2 if is_q else 1)
         dim_S = isqrt(max(dim_S2, 0))
@@ -489,20 +472,19 @@ def decompose_regular(n: int) -> IsotypicTable:
         # cross-check the label by restriction: e is central, so f*e is an
         # idempotent and dim f*J = rank of L_{f*e}, which induction by one
         # box predicts
-        for nu, f in restricted.items():
-            m = pieri_cache[nu].get(lam, 0)
-            predicted = m * 2 ** delta(lam) * prev.blocks[nu].dim_S * (dim_J // dim_S)
-            observed = _trace_rank(f, e)
+        for nu, product in induced.items():
+            pb = prev.blocks[nu]
+            predicted = product.get(lam, 0) * 2 ** delta(lam) * pb.dim_S * (dim_J // dim_S)
+            observed = _trace_rank(prev, pb.coords, table, e)
             if observed * 2 ** delta(nu) != predicted:
                 raise DecompositionError(
                     "block %s restricts to rank %d on %s, predicted %d/%d"
                     % (lam.parts, observed, nu.parts, predicted, 2 ** delta(nu))
                 )
-        blocks[lam] = IsotypicBlock(lam, dim_J, dim_S, "Q" if is_q else "M", e)
+        table.blocks[lam] = IsotypicBlock(lam, dim_J, dim_S, "Q" if is_q else "M", e)
 
-    if sum(b.dim_J for b in blocks.values()) != (1 << n) * factorial(n):
+    if sum(b.dim_J for b in table.blocks.values()) != (1 << n) * factorial(n):
         raise DecompositionError("isotypic dimensions do not sum to dim H_n")
-    table = IsotypicTable(n, blocks)
     _TABLE_CACHE[n] = table
     return table
 
@@ -546,20 +528,16 @@ def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
     tables = {r: decompose_regular(r) for r in range(n_max + 1)}
     cases = []
     for n0 in range(0, n_max + 1):
+        small = tables[n0]
         for lam in enumerate_strict(n0):
-            e = tables[n0].blocks[lam].idempotent
+            e = small.blocks[lam].coords
             for m in range(0, n_max - n0 + 1):
-                rank = n0 + m
-                x = embed_right(e, m, n0)
-                predicted = [
-                    mu for mu in enumerate_strict(rank) if contains(lam, mu)
-                ]
-                ranks = {
-                    mu: _trace_rank(blk.idempotent, x)
-                    for mu, blk in tables[rank].blocks.items()
-                }
+                big = tables[n0 + m]
+                predicted = [mu for mu in enumerate_strict(n0 + m) if contains(lam, mu)]
+                ranks = {mu: _trace_rank(small, e, big, b.coords) for mu, b in big.blocks.items()}
                 observed = [mu for mu, r in ranks.items() if r]
-                dims_ok = sum(ranks.values()) == _trace_rank(x, HCElement.unit(rank))
+                unit = [ONE] + [ZERO] * (len(big.types) - 1)
+                dims_ok = sum(ranks.values()) == _trace_rank(small, e, big, unit)
                 cases.append(SigmaCase(lam, m, predicted, observed, dims_ok))
     return cases
 

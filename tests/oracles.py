@@ -12,9 +12,12 @@ and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 dominant coefficients only.
 
 `scalar_rows` reads an `Echelon` as Cyclo8Scalar rows at pivot 1. In H_n,
-`two_sided_closure` and `sigma_step` build ideals by literal closure, where
-the CLI reads the blocks off regular traces, and `transpose` is the paper's
-anti-automorphism. In q_n, `bracket`, `chevalley`, the half tensor product
+`orbit_center_basis` finds the even center by a search over all words, where
+the CLI enumerates its signed classes; `product_coefficient` and
+`regular_trace_rank` read products and traces off expanded elements, where
+the CLI works in class coordinates; `two_sided_closure` and `sigma_step`
+build ideals by literal closure, where the CLI reads the blocks off regular
+traces; and `transpose` is the paper's anti-automorphism. In q_n, `bracket`, `chevalley`, the half tensor product
 `USpace` and `hk_decompose` check the structure behind phi and psi. In
 A(n,m), `act` acts on a `SuperPoly`, `ideal_closure` closes an ideal under
 every operator, `lowering_operators` closes a summand under all lowering
@@ -47,9 +50,10 @@ from queerlab.heckeclifford import (
     HCElement,
     _bits,
     _sort_sign,
+    all_words,
     embed_right,
-    generators,
-    perm_inverse,
+    perm_id,
+    word_mult,
 )
 from queerlab.linalg import Echelon, add_term, numerators
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, enumerate_strict, staircase
@@ -327,8 +331,113 @@ def contains_space(big: Echelon, small: Echelon) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hecke-Clifford algebras: the transpose and literal two-sided ideals
+# Hecke-Clifford algebras: the center by orbits, traces by words, the
+# transpose and literal two-sided ideals
 # ---------------------------------------------------------------------------
+
+
+def transposition(n: int, i: int) -> HCElement:
+    """The simple transposition s_i of letters i, i+1 (1-based)."""
+    p = list(range(n))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return HCElement.permutation(n, tuple(p))
+
+
+def generators(n: int) -> list[HCElement]:
+    """alpha_1 and the simple transpositions, which generate H_n."""
+    gens = []
+    if n >= 1:
+        gens.append(HCElement.alpha(n, 1))
+    for i in range(1, n):
+        gens.append(transposition(n, i))
+    return gens
+
+
+def orbit_center_basis(n: int) -> list[tuple]:
+    """The even center of H_n (ordinary sense), as (word, element) pairs, by
+    a search over all 2^n n! words.
+
+    Each generator g has g^2 = 1, so z is central iff g z g = z, and g w g is
+    a signed basis word for each word w. A central element is therefore
+    constant up to those signs on each orbit of the words under the
+    generators, and vanishes on an orbit whose signs contradict each other.
+    Each consistent orbit of even words gives one element, its signed orbit
+    sum, equal to 1 at the orbit's first word in `all_words` order.
+    """
+    gens = [next(iter(g.terms)) for g in generators(n)]
+    seen = set()
+    pairs = []
+    for start in all_words(n):
+        if start in seen or start[0].bit_count() & 1:
+            continue
+        signs = {start: 1}
+        queue = [start]
+        consistent = True
+        while queue:
+            w = queue.pop()
+            for g in gens:
+                u, s1 = word_mult(g, w)
+                v, s2 = word_mult(u, g)
+                s = signs[w] * s1 * s2
+                if v not in signs:
+                    signs[v] = s
+                    queue.append(v)
+                elif signs[v] != s:
+                    consistent = False
+        seen.update(signs)
+        if consistent:
+            pairs.append((start, HCElement(n, signs)))
+    return pairs
+
+
+def perm_inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _inverse_word(w: tuple) -> tuple:
+    """(w', sign) with w * w' = sign * 1, for a basis word w.
+
+    For w = alpha^mask sigma, w' = sigma^{-1} alpha^mask = alpha^{sigma^{-1}(mask)}
+    sigma^{-1} up to sign, and no other word multiplies w to a multiple of 1.
+    """
+    mask, p = w
+    q = perm_inverse(p)
+    moved = 0
+    for i in _bits(mask):
+        moved |= 1 << q[i]
+    inv = (moved, q)
+    unit, sign = word_mult(w, inv)
+    assert unit == (0, perm_id(len(p)))
+    return inv, sign
+
+
+def product_coefficient(x: HCElement, y: HCElement, w=None) -> Cyclo8Scalar:
+    """(x*y)[w], the coefficient of the word w (default: the unit) in x*y,
+    without forming x*y: u*v = +-w forces v = +-u^{-1} w, so this costs one
+    lookup per term of x."""
+    total = Cyclo8Scalar()
+    for u, c in x.terms.items():
+        v, sign = _inverse_word(u)
+        if w is not None:
+            v, s = word_mult(v, w)
+            sign *= s
+        d = y.terms.get(v)
+        if d is not None:
+            total = total + c * d if sign == 1 else total - c * d
+    return total
+
+
+def regular_trace_rank(x: HCElement, y: HCElement) -> int:
+    """Rank of left multiplication by the idempotent x*y on H_n, as its trace
+    2^n n! (x*y)[1], summed over the smaller support: (x*y)[1] = (y*x)[1]."""
+    if len(y.terms) < len(x.terms):
+        x, y = y, x
+    t = product_coefficient(x, y) * ((1 << x.n) * factorial(x.n))
+    assert t.is_integer(), t
+    return t.re
 
 
 def transpose(x: HCElement) -> HCElement:

@@ -180,7 +180,8 @@ def test_ac8_structural_suites():
     notes.append("transpose")
 
     # iota homomorphism and transpose compatibility on generators
-    from queerlab.heckeclifford import generators, iota
+    from oracles import generators
+    from queerlab.heckeclifford import iota
 
     for m, n in [(1, 2), (2, 2)]:
         for f in generators(m) + [HCElement.unit(m)]:

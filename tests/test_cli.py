@@ -144,6 +144,51 @@ def test_verify_hecke_ideals_nmax5(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["status"] is True
     assert len(payload["cases"]) == 28
+    # the classes are the strict partitions of n; the support is their words
+    assert payload["center"] == {
+        str(n): {"classes": k, "support": w}
+        for n, (k, w) in enumerate([(1, 1), (1, 1), (1, 1), (2, 9), (2, 33), (3, 465)])
+    }
+
+
+def test_a_flipped_class_sign_fails_the_run(monkeypatch, capsys):
+    from queerlab import heckeclifford
+
+    real = heckeclifford._signed_classes
+
+    def flipped(n):
+        starts, types, index = real(n)
+        if n == 4:
+            # the sign of one word alpha^mask p of the class of the 3-cycles
+            index = dict(index)
+            p = next(p for p, (j, _) in index.items() if j == 1)
+            j, signs = index[p]
+            mask = max(signs)
+            index[p] = (j, {**signs, mask: -signs[mask]})
+        return starts, types, index
+
+    monkeypatch.setattr(heckeclifford, "_signed_classes", flipped)
+    monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
+    assert main(["verify", "hecke-ideals", "--nmax", "4"]) == 1
+    assert "DecompositionError" in capsys.readouterr().err
+
+
+def test_h_n_verdicts_never_list_all_words(monkeypatch, capsys):
+    # the center is built from its signed classes, not from all 2^n n! words;
+    # only the braid cases, at n <= 2, list every word
+    from queerlab import heckeclifford
+
+    real = heckeclifford.all_words
+
+    def small_only(n):
+        assert n < 3, "all_words(%d) on the verdict path" % n
+        return real(n)
+
+    monkeypatch.setattr(heckeclifford, "all_words", small_only)
+    monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
+    assert main(["verify", "hecke-ideals", "--nmax", "5"]) == 0
+    assert main(["dump", "isotypic", "--n", "5"]) == 0
+    capsys.readouterr()
 
 
 def test_dump_isotypic(capsys):
@@ -204,7 +249,7 @@ def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["dump", "isotypic", "--n", "7"], "--n"),
+        (["dump", "isotypic", "--n", "8"], "--n"),
         # |lambda| is the tensor degree that dim_T decomposes
         (["dump", "dims", "--lambda", "4,2", "--n", "1"], "--lambda"),
         (["dump", "dims", "--lambda", "3,2", "--n", "3"], "--lambda"),

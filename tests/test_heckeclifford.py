@@ -4,13 +4,26 @@ from math import factorial
 
 import pytest
 
-from oracles import contains_space, scalar_rows, sigma_step, transpose, two_sided_closure
+from oracles import (
+    _inverse_word,
+    contains_space,
+    generators,
+    orbit_center_basis,
+    product_coefficient,
+    regular_trace_rank,
+    scalar_rows,
+    sigma_step,
+    transpose,
+    transposition,
+    two_sided_closure,
+)
 from queerlab.heckeclifford import (
     DecompositionError,
     HCElement,
     _casimir,
-    _center_basis,
     _content_values,
+    _signed_classes,
+    _split_center,
     _trace_rank,
     all_words,
     braid,
@@ -18,15 +31,13 @@ from queerlab.heckeclifford import (
     decompose_regular,
     embed_left,
     embed_right,
-    generators,
     iota,
-    product_coefficient,
     verify_tensor_ideal_theorem,
     word_mult,
 )
 from queerlab.linalg import Echelon, kernel_basis, numerators, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
-from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
+from queerlab.scalars import Cyclo8Scalar, ONE, ZERO, ZETA
 from queerlab.symfunc import induct_mult
 
 rng = random.Random(3)
@@ -46,7 +57,7 @@ def block_echelon(n: int, lam: StrictPartition) -> Echelon:
 def test_defining_relations():
     a1 = HCElement.alpha(2, 1)
     a2 = HCElement.alpha(2, 2)
-    s1 = HCElement.transposition(2, 1)
+    s1 = transposition(2, 1)
     assert a1 * a1 == HCElement.unit(2)
     assert a2 * a1 == (a1 * a2).scale(-1)
     assert (s1 * a1) * s1 == a2
@@ -106,8 +117,8 @@ def test_iota_examples():
     one1 = HCElement.unit(1)
     assert iota(1, 1, x, one1) == HCElement.alpha(2, 1)
     assert iota(1, 1, one1, x) == HCElement.alpha(2, 2)
-    assert iota(1, 2, HCElement.unit(1), HCElement.transposition(2, 1)) == (
-        HCElement.transposition(3, 2)
+    assert iota(1, 2, HCElement.unit(1), transposition(2, 1)) == (
+        transposition(3, 2)
     )
 
 
@@ -140,7 +151,7 @@ def test_iota_respects_transpose_on_generators():
 
 
 def test_braid_examples():
-    assert braid(1, 1) == HCElement.transposition(2, 1)
+    assert braid(1, 1) == transposition(2, 1)
     assert braid(2, 0) == HCElement.unit(2)
     assert braid(1, 2) * braid(2, 1) == HCElement.unit(3)
 
@@ -274,6 +285,16 @@ def center_basis_by_kernel(n, parity):
     return out
 
 
+def class_sums(n):
+    """The signed class sums of `_signed_classes(n)` as (start word, element)
+    pairs, in class order."""
+    starts, _, index = _signed_classes(n)
+    terms = [{} for _ in starts]
+    for p, (j, signs) in index.items():
+        terms[j].update(((mask, p), s) for mask, s in signs.items())
+    return [(p, HCElement(n, t)) for p, t in zip(starts, terms)]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_center_basis_matches_kernel(n, parity):
@@ -286,9 +307,9 @@ def test_center_basis_matches_kernel(n, parity):
             meets_odd = any(not (block.idempotent * o).is_zero() for o in kernel)
             assert (block.type == "Q") == meets_odd, block.label
         return
-    # each even orbit sum is the kernel vector holding its word, rescaled to
-    # 1 at that word
-    pairs = _center_basis(n)
+    # each signed class sum is the kernel vector holding its word, rescaled
+    # to 1 at that word
+    pairs = class_sums(n)
     assert len(pairs) == len(kernel)
     for word, element in pairs:
         assert element.terms[word] == ONE
@@ -299,7 +320,7 @@ def test_center_basis_matches_kernel(n, parity):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orbit_sums_are_center_coordinates(n):
     # a central c equals sum c[word] * element over the pairs
-    pairs = _center_basis(n)
+    pairs = class_sums(n)
 
     def rebuild(c):
         out = HCElement(n)
@@ -371,7 +392,66 @@ def test_trace_ranks_match_echelon_ranks(n):
         for nu, pb in prev.blocks.items():
             f_emb = embed_left(pb.idempotent, n - 1, 1)
             sub = span(numerators((f_emb * HCElement(n, row)).terms) for row in scalar_rows(ech).values())
-            assert _trace_rank(f_emb, block.idempotent) == sub.rank
+            assert regular_trace_rank(f_emb, block.idempotent) == sub.rank
+            assert _trace_rank(prev, pb.coords, table, block.coords) == sub.rank
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_signed_classes_match_orbit_search(n):
+    # the same class sums, start words and order as the search over all words
+    assert class_sums(n) == orbit_center_basis(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_signs_match_orbit_search_on_every_even_word(n):
+    index = _signed_classes(n)[2]
+    orbit = {}
+    for _, element in orbit_center_basis(n):
+        orbit.update(element.terms)
+    for w in all_words(n):
+        if not w[0].bit_count() & 1:
+            expected = orbit.get(w, Cyclo8Scalar())
+            sign = index[w[1]][1].get(w[0], 0) if w[1] in index else 0
+            assert Cyclo8Scalar.from_int(sign) == expected, w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structure_constants_match_product_coefficient(n):
+    pairs = class_sums(n)
+    consts = _split_center(n, _content_values(n))[1]
+    for a, (_, ca) in enumerate(pairs):
+        for b, (_, cb) in enumerate(pairs):
+            for j, (p, _) in enumerate(pairs):
+                assert Cyclo8Scalar.from_int(consts[a][b][j]) == product_coefficient(ca, cb, p)
+
+
+def test_regular_trace_is_symmetric():
+    words = all_words(4)
+    for _ in range(40):
+        x = HCElement(4, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-3, 3)) for _ in range(30)})
+        y = HCElement(4, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-3, 3)) for _ in range(5)})
+        x = x + HCElement(4, {v: ONE for v, _ in map(_inverse_word, y.terms)})
+        assert regular_trace_rank(x, y) == regular_trace_rank(y, x)
+        assert product_coefficient(x, y) == product_coefficient(y, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_traces_match_word_traces(n):
+    # dims, restriction ranks and the Sigma ranks in class coordinates, against
+    # the traces of the expanded elements
+    table = decompose_regular(n)
+    unit = [ONE] + [ZERO] * (len(table.types) - 1)
+    for k in range(n + 1):
+        small = decompose_regular(k)
+        for block in small.blocks.values():
+            left = embed_left(block.idempotent, k, n - k)
+            right = embed_right(block.idempotent, n - k, k)
+            dim = regular_trace_rank(right, HCElement.unit(n))
+            assert _trace_rank(small, block.coords, table, unit) == dim
+            for big in table.blocks.values():
+                rank = _trace_rank(small, block.coords, table, big.coords)
+                assert rank == regular_trace_rank(left, big.idempotent)
+                assert rank == regular_trace_rank(right, big.idempotent)
 
 
 def test_semisimple_sigma_support_matches_closure():
