@@ -28,10 +28,6 @@ SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 12  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
-# |lambda| of dump dims: dim_T reduces the image of every word of
-# V^{(x)|lambda|} by brute force, (2n)^|lambda| of them; at n = 3, size 4
-# runs in a few seconds and size 5 in minutes
-SAFE_TENSOR_DEGREE = 4
 
 # The int flags of every subcommand: flag -> (default, lowest value, help).
 # A value below the lowest is bad input, refused with or without --unsafe.
@@ -501,7 +497,8 @@ TARGETS = {
     ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK, None),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),), _BLOCK_COLUMNS),
     ("dump", "q-expansion"): (_dump_q_expansion, (), None),
-    ("dump", "dims"): (_dump_dims, (("--n", SAFE_A_RANK), ("|--lambda|", SAFE_TENSOR_DEGREE)), None),
+    # dim_T is a trace over the center of H_|lambda|, whatever --n is
+    ("dump", "dims"): (_dump_dims, (("|--lambda|", SAFE_H_RANK),), None),
 }
 
 

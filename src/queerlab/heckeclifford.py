@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
@@ -89,10 +89,6 @@ class HCElement:
                 c = _coerce(c)
                 if not c.is_zero():
                     self.terms[w] = c
-
-    @staticmethod
-    def unit(n: int) -> "HCElement":
-        return HCElement(n, {(0, perm_id(n)): ONE})
 
     @staticmethod
     def alpha(n: int, i: int) -> "HCElement":
@@ -275,19 +271,6 @@ class IsotypicBlock:
     type: str  # "M" or "Q"
     coords: list  # e_lambda = sum_j coords[j] C_j, over `_signed_classes`
 
-    @cached_property
-    def idempotent(self) -> HCElement:
-        """e_lambda as an element of H_n, n = |lambda|."""
-        n, c = self.label.size, self.coords
-        return HCElement(
-            n,
-            {
-                (mask, p): c[j] if s == 1 else -c[j]
-                for p, (j, signs) in _signed_classes(n)[2].items()
-                for mask, s in signs.items()
-            },
-        )
-
 
 @dataclass
 class IsotypicTable:
@@ -315,24 +298,6 @@ class IsotypicTable:
         )
 
 
-def _casimir(n: int) -> HCElement:
-    """z = sum_k M_k^2 over the odd Jucys-Murphy elements
-    M_k = sum_{j<k} (1 + alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math. 127,
-    1997). z is central and acts on J^lambda by `_content_values(n)[lambda]`.
-    """
-    unit = HCElement.unit(n)
-    z = HCElement(n)
-    for k in range(2, n + 1):
-        m = HCElement(n)
-        for j in range(1, k):
-            p = list(range(n))
-            p[j - 1], p[k - 1] = k - 1, j - 1
-            s_jk = HCElement.permutation(n, tuple(p))
-            m = m + (unit + HCElement.alpha(n, j) * HCElement.alpha(n, k)) * s_jk
-        z = z + m * m
-    return z
-
-
 def _content_values(n: int) -> dict:
     """lambda -> v(lambda) = sum_i (lambda_i - 1) lambda_i (lambda_i + 1) / 3
     for the strict partitions of n, in `enumerate_strict` order.
@@ -353,6 +318,19 @@ def _content_values(n: int) -> dict:
             )
         values[lam] = v
     return values
+
+
+def casimir_coords(n: int) -> list:
+    """The class coordinates of z = sum_k M_k^2 over the odd Jucys-Murphy
+    elements M_k = sum_{j<k} (1 + alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math.
+    127, 1997). z is central and acts on J^lambda by `_content_values(n)[lambda]`.
+
+    z is n(n-1) times the unit plus the class of the 3-cycles (z = 0 for
+    n <= 1): each ((1 + alpha_j alpha_k) s_{jk})^2 is 2, and the cross terms
+    of the M_k^2 sum to the signed 3-cycle class.
+    """
+    one, three = (1,) * n, (3,) + (1,) * (n - 3)
+    return [Cyclo8Scalar.from_int(n * (n - 1) * (t == one) + (t == three)) for t in _signed_classes(n)[1]]
 
 
 def _split_center(n: int, values: dict) -> tuple:
@@ -391,11 +369,8 @@ def _split_center(n: int, values: dict) -> tuple:
                 out = [o + c * t for o, t in zip(out, consts[a][b])]
         return out
 
-    def coords(x):
-        return [x.terms.get(p, ZERO) for p in starts]
-
-    one = coords(HCElement.unit(n))
-    z = coords(_casimir(n))
+    one = [ONE] + [ZERO] * (k - 1)  # starts[0] is the unit word
+    z = casimir_coords(n)
     out = {}
     for lam, v in values.items():
         e = one

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .heckeclifford import decompose_regular, _bits
-from .linalg import add_term, numerators, span
+from .heckeclifford import decompose_regular
+from .linalg import add_term
 from .partitions import StrictPartition, delta
-from .scalars import ONE, _coerce
+from .scalars import ONE, ZERO, _coerce
 
 
 class ActionError(RuntimeError):
@@ -109,7 +109,7 @@ def act_on_V(x: QnElement, vec: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sergeev duality: H_d acting on V^{(x)d}, and dim T_{lambda,n}
+# V^{(x)d}, and dim T_{lambda,n} by Sergeev duality
 # ---------------------------------------------------------------------------
 
 
@@ -124,44 +124,6 @@ def tensor_basis(n: int, d: int):
 
 def _label_parity(lab) -> int:
     return sum(1 for s in lab if s[0] == "f") % 2
-
-
-def word_action(word: tuple, lab: tuple):
-    """Apply a basis word of H_d to a tensor basis vector; returns (label, sign).
-
-    The word alpha^mask * sigma acts by the signed slot permutation first,
-    then the queer structure map on each masked slot, highest slot first.
-    """
-    mask, perm = word
-    d = len(perm)
-    # sigma: result[perm[t]] = lab[t], Koszul sign over inverted odd pairs
-    sign = 1
-    new = [None] * d
-    for t in range(d):
-        new[perm[t]] = lab[t]
-    for t in range(d):
-        for s in range(t + 1, d):
-            if perm[t] > perm[s] and lab[t][0] == "f" and lab[s][0] == "f":
-                sign = -sign
-    cur = new
-    # alpha_j for j in mask, applied highest index first; alpha is odd:
-    # crossing the slots before j picks up their parity sign
-    for j in sorted(_bits(mask), reverse=True):
-        pre = sum(1 for s in cur[:j] if s[0] == "f") % 2
-        if pre:
-            sign = -sign
-        kind, idx = cur[j]
-        cur = cur[:j] + [("f" if kind == "e" else "e", idx)] + cur[j + 1 :]
-    return tuple(cur), sign
-
-
-def hc_apply(x, lab: tuple) -> dict:
-    """Apply a Hecke-Clifford element to a tensor basis vector."""
-    out = {}
-    for w, c in x.terms.items():
-        lab2, sign = word_action(w, lab)
-        add_term(out, lab2, c if sign == 1 else -c)
-    return out
 
 
 def q_act_tensor(x: QnElement, vec: dict) -> dict:
@@ -180,24 +142,25 @@ def q_act_tensor(x: QnElement, vec: dict) -> dict:
     return out
 
 
-_DIM_T_CACHE: dict = {}
-
-
 def dim_T(lam: StrictPartition, n: int) -> int:
     """Total dimension of the simple polynomial representation T_{lambda,n},
-    by brute force through the Sergeev double commutant on V^{(x)|lambda|}."""
-    key = (lam, n)
-    if key in _DIM_T_CACHE:
-        return _DIM_T_CACHE[key]
-    d = lam.size
-    if d == 0:
-        return 1
-    table = decompose_regular(d)
+    through Sergeev duality: e_lambda V^{(x)d}, d = |lambda|, is
+    dim S^lambda / 2^delta(lambda) copies of T_{lambda,n}.
+
+    e_lambda acts on V^{(x)d} as an idempotent, so that dimension is its trace.
+    Each word of the signed class C_j is, with its class sign, a conjugate of
+    the start permutation of C_j, so tr C_j = |C_j| tr(start_j). A
+    permutation of odd cycle type fixes the (2n)^(number of cycles) labels
+    constant on its cycles, each with Koszul sign +1 (an odd cycle is an even
+    permutation). |C_j| is `IsotypicTable.weights[j]` = (C_j C_j)[1], so the
+    trace is a sum of k terms.
+    """
+    table = decompose_regular(lam.size)
     block = table.blocks[lam]
-    ech = span(numerators(hc_apply(block.idempotent, lab)) for lab in tensor_basis(n, d))
-    num = ech.rank * (2 ** delta(lam))
-    if num % block.dim_S:
-        raise ActionError("isotypic rank %d not divisible as expected" % ech.rank)
-    out = num // block.dim_S
-    _DIM_T_CACHE[key] = out
-    return out
+    t = ZERO
+    for c, w, ty in zip(block.coords, table.weights, table.types):
+        t = t + c * (w * (2 * n) ** len(ty))
+    num = t.re * 2 ** delta(lam)
+    if not t.is_integer() or num % block.dim_S:
+        raise ActionError("isotypic trace %r not divisible as expected" % (t,))
+    return num // block.dim_S

@@ -55,16 +55,12 @@ def mono_degree(mono) -> int:
     return sum(mono[0]) + len(mono[1])
 
 
-def mono_mul(m1, m2, trunc=None):
-    """Product of monomials; (monomial, sign) or None if zero/truncated."""
+def mono_mul(m1, m2):
+    """Product of monomials; (monomial, sign) or None if zero."""
     om = merge_odd(m1[1], m2[1])
     if om is None:
         return None
-    e = tuple(a + b for a, b in zip(m1[0], m2[0]))
-    mono = (e, om[0])
-    if trunc is not None and sum(e) + len(om[0]) > trunc:
-        return None
-    return mono, om[1]
+    return (tuple(a + b for a, b in zip(m1[0], m2[0])), om[0]), om[1]
 
 
 def p_add(p: dict, q: dict) -> dict:

@@ -15,10 +15,15 @@ dominant coefficients only.
 `orbit_center_basis` finds the even center by a search over all words, where
 the CLI enumerates its signed classes; `product_coefficient` and
 `regular_trace_rank` read products and traces off expanded elements, where
-the CLI works in class coordinates; `two_sided_closure` and `sigma_step`
-build ideals by literal closure, where the CLI reads the blocks off regular
-traces; and `transpose` is the paper's anti-automorphism. In q_n, `bracket`, `chevalley`, the half tensor product
-`USpace` and `hk_decompose` check the structure behind phi and psi. In
+the CLI works in class coordinates; `casimir` builds the Casimir from
+words and `class_element` and `idempotent` expand central elements to
+words, where the CLI keeps both as class coordinates; `two_sided_closure` and `sigma_step` build ideals by literal
+closure, where the CLI reads the blocks off regular traces; and `transpose`
+is the paper's anti-automorphism. `word_action` and `hc_apply` let H_d act
+on V^{(x)d}, and `dim_T_by_echelon` reads dim T_lambda off the echelon rank
+of e_lambda V^{(x)d}, where the CLI takes the trace of e_lambda. In q_n,
+`bracket`, `chevalley`, the half tensor product `USpace` and `hk_decompose`
+check the structure behind phi and psi. In
 A(n,m), `act` acts on a `SuperPoly`, `ideal_closure` closes an ideal under
 every operator, `lowering_operators` closes a summand under all lowering
 operators (the CLI uses the simple ones), `membership_cases_for` and
@@ -48,16 +53,19 @@ from queerlab.amodule import (
 )
 from queerlab.heckeclifford import (
     HCElement,
+    IsotypicBlock,
     _bits,
+    _signed_classes,
     _sort_sign,
     all_words,
+    decompose_regular,
     embed_right,
     perm_id,
     word_mult,
 )
-from queerlab.linalg import Echelon, add_term, numerators
-from queerlab.partitions import StrictPartition, all_strict_upto, contains, enumerate_strict, staircase
-from queerlab.queer import ActionError, QnElement, _mat_add, _mat_scale, act_on_V
+from queerlab.linalg import Echelon, add_term, numerators, span
+from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
+from queerlab.queer import ActionError, QnElement, _mat_add, _mat_scale, act_on_V, tensor_basis
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.spoly import mono_degree
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
@@ -336,6 +344,10 @@ def contains_space(big: Echelon, small: Echelon) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def hc_unit(n: int) -> HCElement:
+    return HCElement(n, {(0, perm_id(n)): ONE})
+
+
 def transposition(n: int, i: int) -> HCElement:
     """The simple transposition s_i of letters i, i+1 (1-based)."""
     p = list(range(n))
@@ -483,6 +495,96 @@ def sigma_step(n: int, subspace: Echelon) -> Echelon:
     """Two-sided ideal of H_{n+1} generated by iota_{1,n}(1 (x) J)."""
     shifted = [embed_right(HCElement(n, row), 1, n) for row in scalar_rows(subspace).values()]
     return two_sided_closure(n + 1, shifted)
+
+
+def casimir(n: int) -> HCElement:
+    """z = sum_k M_k^2 built from words, over the odd Jucys-Murphy elements
+    M_k = sum_{j<k} (1 + alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math. 127,
+    1997); the CLI takes its class coordinates in closed form."""
+    unit = hc_unit(n)
+    z = HCElement(n)
+    for k in range(2, n + 1):
+        m = HCElement(n)
+        for j in range(1, k):
+            p = list(range(n))
+            p[j - 1], p[k - 1] = k - 1, j - 1
+            s_jk = HCElement.permutation(n, tuple(p))
+            m = m + (unit + HCElement.alpha(n, j) * HCElement.alpha(n, k)) * s_jk
+        z = z + m * m
+    return z
+
+
+def class_element(n: int, c: list) -> HCElement:
+    """sum_j c[j] C_j expanded to words of H_n, each with its class sign."""
+    return HCElement(
+        n,
+        {
+            (mask, p): c[j] if s == 1 else -c[j]
+            for p, (j, signs) in _signed_classes(n)[2].items()
+            for mask, s in signs.items()
+        },
+    )
+
+
+def idempotent(block: IsotypicBlock) -> HCElement:
+    """e_lambda expanded to words of H_n, n = |lambda|."""
+    return class_element(block.label.size, block.coords)
+
+
+# ---------------------------------------------------------------------------
+# Sergeev duality: H_d acting on V^{(x)d}
+# ---------------------------------------------------------------------------
+
+
+def word_action(word: tuple, lab: tuple):
+    """Apply a basis word of H_d to a tensor basis vector; returns (label, sign).
+
+    The word alpha^mask * sigma acts by the signed slot permutation first,
+    then the queer structure map on each masked slot, highest slot first.
+    """
+    mask, perm = word
+    d = len(perm)
+    # sigma: result[perm[t]] = lab[t], Koszul sign over inverted odd pairs
+    sign = 1
+    new = [None] * d
+    for t in range(d):
+        new[perm[t]] = lab[t]
+    for t in range(d):
+        for s in range(t + 1, d):
+            if perm[t] > perm[s] and lab[t][0] == "f" and lab[s][0] == "f":
+                sign = -sign
+    cur = new
+    # alpha_j for j in mask, applied highest index first; alpha is odd:
+    # crossing the slots before j picks up their parity sign
+    for j in sorted(_bits(mask), reverse=True):
+        pre = sum(1 for s in cur[:j] if s[0] == "f") % 2
+        if pre:
+            sign = -sign
+        kind, idx = cur[j]
+        cur = cur[:j] + [("f" if kind == "e" else "e", idx)] + cur[j + 1 :]
+    return tuple(cur), sign
+
+
+def hc_apply(x: HCElement, lab: tuple) -> dict:
+    """Apply a Hecke-Clifford element to a tensor basis vector."""
+    out = {}
+    for w, c in x.terms.items():
+        lab2, sign = word_action(w, lab)
+        add_term(out, lab2, c if sign == 1 else -c)
+    return out
+
+
+def dim_T_by_echelon(lam: StrictPartition, n: int) -> int:
+    """dim T_{lambda,n} from the echelon rank of e_lambda V^{(x)d}, d = |lambda|,
+    spanned by the images of all (2n)^d tensor basis vectors; the CLI reads
+    the same rank off the trace of e_lambda in class coordinates."""
+    d = lam.size
+    block = decompose_regular(d).blocks[lam]
+    e = idempotent(block)
+    rank = span(numerators(hc_apply(e, lab)) for lab in tensor_basis(n, d)).rank
+    num = rank * 2 ** delta(lam)
+    assert num % block.dim_S == 0, (lam, n, rank)
+    return num // block.dim_S
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,12 @@ def test_ac8_structural_suites():
     notes.append("transpose")
 
     # iota homomorphism and transpose compatibility on generators
-    from oracles import generators
+    from oracles import generators, hc_unit
     from queerlab.heckeclifford import iota
 
     for m, n in [(1, 2), (2, 2)]:
-        for f in generators(m) + [HCElement.unit(m)]:
-            for g in generators(n) + [HCElement.unit(n)]:
+        for f in generators(m) + [hc_unit(m)]:
+            for g in generators(n) + [hc_unit(n)]:
                 ok = ok and transpose(iota(m, n, f, g)) == iota(
                     m, n, transpose(f), transpose(g)
                 )

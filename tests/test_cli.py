@@ -250,15 +250,41 @@ def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
     "argv, flag",
     [
         (["dump", "isotypic", "--n", "8"], "--n"),
-        # |lambda| is the tensor degree that dim_T decomposes
-        (["dump", "dims", "--lambda", "4,2", "--n", "1"], "--lambda"),
-        (["dump", "dims", "--lambda", "3,2", "--n", "3"], "--lambda"),
+        # |lambda| is the rank of the H_n whose center dim_T reads
+        (["dump", "dims", "--lambda", "5,3", "--n", "1"], "--lambda"),
+        (["dump", "dims", "--lambda", "4,3,1", "--n", "3"], "--lambda"),
     ],
 )
 def test_h_rank_bound_names_the_flag(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "safe" in err
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["dump", "dims", "--lambda", "4,3", "--n", "3"], 96),
+        # --n is not bounded: the cost of dim_T does not depend on it
+        (["dump", "dims", "--lambda", "2", "--n", "9"], 162),
+    ],
+)
+def test_dump_dims_inside_the_h_rank_bound(argv, dim, capsys):
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_T"] == dim
+
+
+def test_dump_dims_lists_no_tensor_basis(monkeypatch, capsys):
+    # dim_T is a trace over the center of H_|lambda|, not a rank over the
+    # (2n)^|lambda| tensor labels
+    from queerlab import queer
+
+    def refuse(n, d):
+        raise AssertionError("tensor_basis(%d, %d) on the dump dims path" % (n, d))
+
+    monkeypatch.setattr(queer, "tensor_basis", refuse)
+    assert main(["dump", "dims", "--lambda", "4,3", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_T"] == 96
 
 
 @pytest.mark.parametrize(

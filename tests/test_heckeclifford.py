@@ -6,8 +6,12 @@ import pytest
 
 from oracles import (
     _inverse_word,
+    casimir,
+    class_element,
     contains_space,
     generators,
+    hc_unit,
+    idempotent,
     orbit_center_basis,
     product_coefficient,
     regular_trace_rank,
@@ -20,7 +24,6 @@ from oracles import (
 from queerlab.heckeclifford import (
     DecompositionError,
     HCElement,
-    _casimir,
     _content_values,
     _signed_classes,
     _split_center,
@@ -28,6 +31,7 @@ from queerlab.heckeclifford import (
     all_words,
     braid,
     braid_conjugation_cases,
+    casimir_coords,
     decompose_regular,
     embed_left,
     embed_right,
@@ -50,7 +54,7 @@ def sp(*parts):
 @lru_cache(maxsize=None)
 def block_echelon(n: int, lam: StrictPartition) -> Echelon:
     """J^lambda = e_lambda H_n, by echelon: the oracle for the traces."""
-    e = decompose_regular(n).blocks[lam].idempotent
+    e = idempotent(decompose_regular(n).blocks[lam])
     return span(numerators((e * HCElement(n, {w: ONE})).terms) for w in all_words(n))
 
 
@@ -58,15 +62,15 @@ def test_defining_relations():
     a1 = HCElement.alpha(2, 1)
     a2 = HCElement.alpha(2, 2)
     s1 = transposition(2, 1)
-    assert a1 * a1 == HCElement.unit(2)
+    assert a1 * a1 == hc_unit(2)
     assert a2 * a1 == (a1 * a2).scale(-1)
     assert (s1 * a1) * s1 == a2
-    assert s1 * s1 == HCElement.unit(2)
+    assert s1 * s1 == hc_unit(2)
 
 
 def test_multiplication_associative_and_unital():
     words = all_words(3)
-    one = HCElement.unit(3)
+    one = hc_unit(3)
     for _ in range(80):
         x = HCElement(3, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-2, 2))})
         y = HCElement(3, {rng.choice(words): Cyclo8Scalar.from_int(rng.randint(-2, 2))})
@@ -114,10 +118,10 @@ def test_transpose_squared():
 
 def test_iota_examples():
     x = HCElement.alpha(1, 1)
-    one1 = HCElement.unit(1)
+    one1 = hc_unit(1)
     assert iota(1, 1, x, one1) == HCElement.alpha(2, 1)
     assert iota(1, 1, one1, x) == HCElement.alpha(2, 2)
-    assert iota(1, 2, HCElement.unit(1), transposition(2, 1)) == (
+    assert iota(1, 2, hc_unit(1), transposition(2, 1)) == (
         transposition(3, 2)
     )
 
@@ -141,8 +145,8 @@ def test_iota_homomorphism_law():
 def test_iota_respects_transpose_on_generators():
     # it suffices to check on algebra generators
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        gens_m = generators(m) + [HCElement.unit(m)]
-        gens_n = generators(n) + [HCElement.unit(n)]
+        gens_m = generators(m) + [hc_unit(m)]
+        gens_n = generators(n) + [hc_unit(n)]
         for f in gens_m:
             for g in gens_n:
                 assert transpose(iota(m, n, f, g)) == iota(
@@ -152,8 +156,8 @@ def test_iota_respects_transpose_on_generators():
 
 def test_braid_examples():
     assert braid(1, 1) == transposition(2, 1)
-    assert braid(2, 0) == HCElement.unit(2)
-    assert braid(1, 2) * braid(2, 1) == HCElement.unit(3)
+    assert braid(2, 0) == hc_unit(2)
+    assert braid(1, 2) * braid(2, 1) == hc_unit(3)
 
 
 def test_braid_conjugation_sign_law():
@@ -169,7 +173,7 @@ def test_braid_conjugation_sign_law():
 
 
 def test_two_sided_closure_trivial():
-    full = two_sided_closure(2, [HCElement.unit(2)])
+    full = two_sided_closure(2, [hc_unit(2)])
     assert full.rank == 8
     assert two_sided_closure(2, [HCElement(2)]).rank == 0
 
@@ -197,12 +201,12 @@ def test_decompose_regular_n3():
     }
     assert sum(b.dim_J for b in table.blocks.values()) == (1 << 3) * factorial(3)
     # idempotents are orthogonal and sum to 1
-    es = [b.idempotent for b in table.blocks.values()]
+    es = [idempotent(b) for b in table.blocks.values()]
     total = HCElement(3)
     for e in es:
         total = total + e
         assert (e * e - e).is_zero()
-    assert total == HCElement.unit(3)
+    assert total == hc_unit(3)
     # type matches the parity of the number of parts
     for b in table.blocks.values():
         assert (b.type == "Q") == (b.label.length % 2 == 1)
@@ -304,7 +308,7 @@ def test_center_basis_matches_kernel(n, parity):
         # off dim J: a block is of type Q iff e_lambda * o != 0 for some odd
         # central o
         for block in decompose_regular(n).blocks.values():
-            meets_odd = any(not (block.idempotent * o).is_zero() for o in kernel)
+            meets_odd = any(not (idempotent(block) * o).is_zero() for o in kernel)
             assert (block.type == "Q") == meets_odd, block.label
         return
     # each signed class sum is the kernel vector holding its word, rescaled
@@ -328,10 +332,10 @@ def test_orbit_sums_are_center_coordinates(n):
             out = out + element.scale(c.terms.get(word, Cyclo8Scalar()))
         return out
 
-    z = _casimir(n)
+    z = casimir(n)
     assert rebuild(z) == z
     for block in decompose_regular(n).blocks.values():
-        assert rebuild(block.idempotent) == block.idempotent
+        assert rebuild(idempotent(block)) == idempotent(block)
 
 
 def test_mislabelled_block_is_refused(monkeypatch):
@@ -368,7 +372,7 @@ def test_product_coefficient_matches_product():
 @pytest.mark.parametrize("n", [3, 4])
 def test_central_idempotents(n):
     # the idempotents built in center coordinates, checked by full products
-    es = [b.idempotent for b in decompose_regular(n).blocks.values()]
+    es = [idempotent(b) for b in decompose_regular(n).blocks.values()]
     total = HCElement(n)
     for e in es:
         total = total + e
@@ -377,7 +381,7 @@ def test_central_idempotents(n):
             assert e * g == g * e
         for f in es:
             assert f is e or (e * f).is_zero()
-    assert total == HCElement.unit(n)
+    assert total == hc_unit(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -390,9 +394,9 @@ def test_trace_ranks_match_echelon_ranks(n):
         ech = block_echelon(n, lam)
         assert block.dim_J == ech.rank
         for nu, pb in prev.blocks.items():
-            f_emb = embed_left(pb.idempotent, n - 1, 1)
+            f_emb = embed_left(idempotent(pb), n - 1, 1)
             sub = span(numerators((f_emb * HCElement(n, row)).terms) for row in scalar_rows(ech).values())
-            assert regular_trace_rank(f_emb, block.idempotent) == sub.rank
+            assert regular_trace_rank(f_emb, idempotent(block)) == sub.rank
             assert _trace_rank(prev, pb.coords, table, block.coords) == sub.rank
 
 
@@ -444,14 +448,14 @@ def test_class_traces_match_word_traces(n):
     for k in range(n + 1):
         small = decompose_regular(k)
         for block in small.blocks.values():
-            left = embed_left(block.idempotent, k, n - k)
-            right = embed_right(block.idempotent, n - k, k)
-            dim = regular_trace_rank(right, HCElement.unit(n))
+            left = embed_left(idempotent(block), k, n - k)
+            right = embed_right(idempotent(block), n - k, k)
+            dim = regular_trace_rank(right, hc_unit(n))
             assert _trace_rank(small, block.coords, table, unit) == dim
             for big in table.blocks.values():
                 rank = _trace_rank(small, block.coords, table, big.coords)
-                assert rank == regular_trace_rank(left, big.idempotent)
-                assert rank == regular_trace_rank(right, big.idempotent)
+                assert rank == regular_trace_rank(left, idempotent(big))
+                assert rank == regular_trace_rank(right, idempotent(big))
 
 
 def test_semisimple_sigma_support_matches_closure():
@@ -476,9 +480,9 @@ def test_semisimple_sigma_support_matches_closure():
                 }
                 case = cases[(lam, m)]
                 assert set(case.observed) == support, (lam, m)
-                x = embed_right(decompose_regular(n0).blocks[lam].idempotent, m, n0)
+                x = embed_right(idempotent(decompose_regular(n0).blocks[lam]), m, n0)
                 parts = {
-                    mu: blk.idempotent * x for mu, blk in decompose_regular(rank).blocks.items()
+                    mu: idempotent(blk) * x for mu, blk in decompose_regular(rank).blocks.items()
                 }
                 assert {mu for mu, p in parts.items() if not p.is_zero()} == support
                 total = HCElement(rank)
@@ -493,15 +497,22 @@ def test_semisimple_sigma_support_matches_closure():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_casimir_is_central_and_acts_by_content(n):
-    z = _casimir(n)
+    z = casimir(n)
     for g in generators(n):
         assert z * g == g * z
     values = _content_values(n)
     blocks = decompose_regular(n).blocks
     assert list(blocks) == list(values) == list(enumerate_strict(n))
     for lam, block in blocks.items():
-        e = block.idempotent
+        e = idempotent(block)
         assert z * e == e.scale(values[lam])
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_closed_form_casimir_matches_words(n):
+    # n(n-1) + the 3-cycle class, expanded with every word's class sign,
+    # is the Casimir built from the odd Jucys-Murphy elements
+    assert class_element(n, casimir_coords(n)) == casimir(n)
 
 
 def test_content_values_separate_up_to_14():

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -8,6 +10,8 @@ from oracles import (
     bracket,
     chevalley,
     chevalley_inverse,
+    dim_T_by_echelon,
+    hc_apply,
     hk_decompose,
     x_prime,
     y_prime,
@@ -20,11 +24,11 @@ from queerlab.queer import (
     QnElement,
     act_on_V,
     dim_T,
-    hc_apply,
     q_act_tensor,
     tensor_basis,
 )
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
+from queerlab.symfunc import Q_poly
 
 rng = random.Random(5)
 
@@ -328,6 +332,30 @@ def test_dim_T_examples():
     assert dim_T(sp(1), 3) == 6
     assert dim_T(sp(2, 1), 1) == 0
     assert dim_T(sp(2), 1) == 2
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 4), (3, 3)])
+def test_dim_T_trace_matches_echelon_rank(n, d):
+    for size in range(d + 1):
+        for lam in enumerate_strict(size):
+            assert dim_T(lam, n) == dim_T_by_echelon(lam, n), (lam, n)
+
+
+def test_dim_T_is_Q_lambda_at_ones():
+    # dim T_{lambda,n} = Q_lambda(1^n) / 2^((l(lambda) - delta(lambda))/2),
+    # read off Gamma, which shares no code with H_n; Q_lambda(1^n) sums each
+    # coefficient of the dominant table times the orderings of its key
+    for n in range(1, 6):
+        for size in range(8):
+            for lam in enumerate_strict(size):
+                total = 0
+                for alpha, c in Q_poly(lam, n).items():
+                    orderings = factorial(n) // factorial(n - len(alpha))
+                    for k in Counter(alpha).values():
+                        orderings //= factorial(k)
+                    total += c * orderings
+                assert total == dim_T(lam, n) * 2 ** ((lam.length - delta(lam)) // 2), (lam, n)
+                assert (total == 0) == (lam.length > n)
 
 
 def test_cauchy_dimension_identity():

@@ -6,7 +6,6 @@ from queerlab.scalars import Cyclo8Scalar, ONE
 from queerlab.spoly import (
     insert_odd,
     merge_odd,
-    mono_mul,
     p_add,
     p_mul,
     p_scale,
@@ -87,7 +86,6 @@ def test_odd_square_zero_and_truncation():
     x = {((0,), (0,)): ONE}
     assert p_mul(x, x) == {}
     e = {((1,), ()): ONE}
-    assert mono_mul(((1,), ()), ((1,), ()), trunc=1) is None
     assert p_mul(e, e, trunc=1) == {}
     assert p_add(e, p_scale(e, -1)) == {}
 
