@@ -5,6 +5,8 @@ All arithmetic happens in the Gaussian rationals Q(zeta), zeta a square root
 of -1, so every coefficient is exact and nothing is ever rounded.
 """
 
+# Every module is imported here, not lazily: bench/tracer.py wraps each layer
+# it finds in sys.modules once `queerlab.cli` is imported.
 from .scalars import Cyclo8Scalar, ONE, ZERO, ZETA
 from .partitions import (
     StrictPartition,
@@ -25,16 +27,12 @@ from .symfunc import (
     pieri,
 )
 from .heckeclifford import (
-    HCElement,
     IsotypicTable,
-    braid,
     decompose_regular,
-    iota,
     verify_tensor_ideal_theorem,
 )
-from .queer import QnElement, act_on_V, dim_T
+from .queer import dim_T
 from .amodule import (
-    SuperPoly,
     one_box_steps,
     singular_vectors,
     summand_membership,

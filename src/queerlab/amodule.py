@@ -3,8 +3,9 @@
 Generators x_ij (even) and y_ij (odd) transform like the half-tensor basis
 v_ij, w_ij. Everything is graded by total degree and by the torus biweight
 (row sums, column sums), and all subspace work happens per weight component.
-The action writes Gaussian integers, so all subspace work runs on
-Gaussian-integer vectors {monomial: (re, im)}; `SuperPoly` is over Q(zeta).
+The basis operators X_ab, Y_ab of q_n and q_m act by writing Gaussian
+integers, so all subspace work runs on Gaussian-integer vectors
+{monomial: (re, im)}.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from dataclasses import dataclass, field
 
 from .linalg import Echelon, kernel_basis
 from .partitions import StrictPartition, all_strict_upto, enumerate_strict
-from .queer import QnElement
-from .scalars import ONE, _coerce
-from .spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
+from .spoly import insert_odd, mono_degree, mono_mul
 
 
 class TruncationError(ValueError):
@@ -27,74 +26,6 @@ class TruncationError(ValueError):
 
 def _cell(i: int, j: int, m: int) -> int:
     return (i - 1) * m + (j - 1)
-
-
-class SuperPoly:
-    """A sparse element of A(n,m) over Q(zeta)."""
-
-    __slots__ = ("n", "m", "terms")
-
-    def __init__(self, n: int, m: int, terms=None):
-        self.n = n
-        self.m = m
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce(c)
-                if not c.is_zero():
-                    self.terms[mono] = c
-
-    @staticmethod
-    def x(n: int, m: int, i: int, j: int) -> "SuperPoly":
-        e = [0] * (n * m)
-        e[_cell(i, j, m)] = 1
-        return SuperPoly(n, m, {(tuple(e), ()): ONE})
-
-    @staticmethod
-    def y(n: int, m: int, i: int, j: int) -> "SuperPoly":
-        return SuperPoly(n, m, {((0,) * (n * m), (_cell(i, j, m),)): ONE})
-
-    @staticmethod
-    def one(n: int, m: int) -> "SuperPoly":
-        return SuperPoly(n, m, {((0,) * (n * m), ()): ONE})
-
-    def __add__(self, other):
-        return SuperPoly(self.n, self.m, p_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SuperPoly":
-        return SuperPoly(self.n, self.m, p_scale(self.terms, c))
-
-    def __mul__(self, other):
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError("rank mismatch")
-        return SuperPoly(self.n, self.m, p_mul(self.terms, other.terms))
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (e, o), c in sorted(self.terms.items()):
-            mono = []
-            for idx, ex in enumerate(e):
-                if ex:
-                    i, j = divmod(idx, self.m)
-                    mono.append(
-                        "x%d%d^%d" % (i + 1, j + 1, ex) if ex > 1 else "x%d%d" % (i + 1, j + 1)
-                    )
-            for idx in o:
-                i, j = divmod(idx, self.m)
-                mono.append("y%d%d" % (i + 1, j + 1))
-            bits.append("%r*%s" % (c, "*".join(mono) or "1"))
-        return " + ".join(bits)
 
 
 def mono_biweight(mono, n: int, m: int):
@@ -196,9 +127,10 @@ def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
     return tuple(kc for kc in out.items() if kc[1] != (0, 0))
 
 
-def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) -> dict:
-    """Superderivation action of (g, 0) or (0, g) on a Gaussian-integer
-    vector {monomial: (re, im)}; g's entries must be Gaussian integers.
+def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> dict:
+    """Superderivation action of the basis operator op = (kind, a, b), X_ab
+    or Y_ab of the left or right factor, on a Gaussian-integer vector
+    {monomial: (re, im)}.
 
     `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
     that acts on many vectors of one A(n,m) passes one dict, so each image is
@@ -206,28 +138,23 @@ def act_terms(side: str, g: QnElement, terms: dict, n: int, m: int, table=None) 
     """
     if table is None:
         table = {}
+    kind, a, b = op
     out = {}
     get = out.get
-    for kind, mat in (("X", g.xmat), ("Y", g.ymat)):
-        for (a, b), c in mat.items():
-            if c.den != 1:
-                raise ValueError("operator entry %r is not a Gaussian integer" % (c,))
-            for mono, (xr, xi) in terms.items():
-                key = (side, kind, a, b, mono)
-                img = table.get(key)
-                if img is None:
-                    img = table[key] = _monomial_image(side, kind, a, b, mono, n, m)
-                pr = c.re * xr - c.im * xi
-                pi = c.re * xi + c.im * xr
-                # a key new to out cannot cancel: both factors are nonzero
-                for tgt, (sr, si) in img:
-                    ur, ui = get(tgt, (0, 0))
-                    re = ur + pr * sr - pi * si
-                    im = ui + pr * si + pi * sr
-                    if re or im:
-                        out[tgt] = (re, im)
-                    else:
-                        del out[tgt]
+    for mono, (xr, xi) in terms.items():
+        key = (side, kind, a, b, mono)
+        img = table.get(key)
+        if img is None:
+            img = table[key] = _monomial_image(side, kind, a, b, mono, n, m)
+        # a key new to out cannot cancel: both factors are nonzero
+        for tgt, (sr, si) in img:
+            ur, ui = get(tgt, (0, 0))
+            re = ur + xr * sr - xi * si
+            im = ui + xr * si + xi * sr
+            if re or im:
+                out[tgt] = (re, im)
+            else:
+                del out[tgt]
     return out
 
 
@@ -313,14 +240,13 @@ def _pad(parts, k):
 
 
 def raising_operators(n: int, m: int):
-    ops = []
-    for i in range(1, n):
-        ops.append(("left", QnElement.X(n, i, i + 1)))
-        ops.append(("left", QnElement.Y(n, i, i + 1)))
-    for j in range(1, m):
-        ops.append(("right", QnElement.X(m, j, j + 1)))
-        ops.append(("right", QnElement.Y(m, j, j + 1)))
-    return ops
+    """X_{i,i+1} and Y_{i,i+1} of both factors, as (side, (kind, i, i + 1))."""
+    return [
+        (side, (kind, i, i + 1))
+        for side, rank in (("left", n), ("right", m))
+        for i in range(1, rank)
+        for kind in ("X", "Y")
+    ]
 
 
 _SINGULAR_CACHE: dict = {}
@@ -348,9 +274,9 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
         return []
     # one row per (operator, image monomial); each entry is written once
     constraints = {}
-    for op_id, (side, g) in enumerate(raising_operators(n, m)):
+    for op_id, (side, op) in enumerate(raising_operators(n, m)):
         for mono in monos:
-            for tgt, c in act_terms(side, g, {mono: (1, 0)}, n, m).items():
+            for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
                 constraints.setdefault((op_id, tgt), {})[mono] = c
     return kernel_basis(constraints.values(), monos)
 
@@ -392,16 +318,15 @@ class GradedSubspace:
 
 
 def _simple_lowering_operators(n: int, m: int):
-    """X_{i+1,i} and Y_{i+1,i} of both factors, as (side, operator, i - 1):
-    each moves one unit of weight from row (column) i to row (column) i + 1."""
-    ops = []
-    for i in range(1, n):
-        ops.append(("left", QnElement.X(n, i + 1, i), i - 1))
-        ops.append(("left", QnElement.Y(n, i + 1, i), i - 1))
-    for j in range(1, m):
-        ops.append(("right", QnElement.X(m, j + 1, j), j - 1))
-        ops.append(("right", QnElement.Y(m, j + 1, j), j - 1))
-    return ops
+    """X_{i+1,i} and Y_{i+1,i} of both factors, as (side, (kind, i + 1, i),
+    i - 1): each moves one unit of weight from row (column) i to row
+    (column) i + 1."""
+    return [
+        (side, (kind, i + 1, i), i - 1)
+        for side, rank in (("left", n), ("right", m))
+        for i in range(1, rank)
+        for kind in ("X", "Y")
+    ]
 
 
 def _tail_sums(w) -> list:
@@ -451,16 +376,16 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
         found = space.extend(singular_vectors(n, m, lam))
     table = {}
     for side in ("left", "right"):
-        ops = [(g, i) for s, g, i in _simple_lowering_operators(n, m) if s == side]
+        ops = [(op, i) for s, op, i in _simple_lowering_operators(n, m) if s == side]
         level = found
         while level:
             images = []
             for vec in level:
                 w = mono_biweight(next(iter(vec)), n, m)[side == "right"]
                 tails = _tail_sums(w)
-                for g, i in ops:
+                for op, i in ops:
                     if w[i] and tails[i + 1] < bound[i + 1]:
-                        images.append(act_terms(side, g, vec, n, m, table))
+                        images.append(act_terms(side, op, vec, n, m, table))
             level = space.extend(images)
             found = found + level
     return space
@@ -613,21 +538,3 @@ def ideal_summands(n: int, m: int, lam: StrictPartition, d_max: int, relation: d
         level = nxt
         reached |= level
     return reached
-
-
-# ---------------------------------------------------------------------------
-# the distinguished maximal ideal m
-# ---------------------------------------------------------------------------
-
-
-def m_generators(n: int) -> list[SuperPoly]:
-    """x_ij - delta_ij and y_ij for A(n,n)."""
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g = SuperPoly.x(n, n, i, j)
-            if i == j:
-                g = g - SuperPoly.one(n, n)
-            gens.append(g)
-            gens.append(SuperPoly.y(n, n, i, j))
-    return gens

@@ -21,10 +21,9 @@ from .amodule import (
     weight_space_monomials,
 )
 from .heckeclifford import decompose_regular
-from .linalg import kernel_dim, numerators
+from .linalg import kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
-from .queer import dim_T, q_act_tensor, tensor_basis, _label_parity
-from .scalars import ONE
+from .queer import dim_T, tensor_basis, tensor_image, _label_parity
 from .symfunc import induct_mult
 
 
@@ -44,15 +43,10 @@ def _tensor_weight(lab, n: int):
 _IMAGES: dict = {}
 
 
-def _image(n: int, m: int, op_id: int, side: str, g, x, is_mono: bool) -> dict:
+def _image(n: int, m: int, op_id: int, side: str, op: tuple, x, is_mono: bool) -> dict:
     key = (n, m, op_id, is_mono, x)
     if key not in _IMAGES:
-        # g and the label carry coefficient 1: `numerators` keeps the values
-        _IMAGES[key] = (
-            act_terms(side, g, {x: (1, 0)}, n, m)
-            if is_mono
-            else numerators(q_act_tensor(g, {x: ONE}))
-        )
+        _IMAGES[key] = act_terms(side, op, {x: (1, 0)}, n, m) if is_mono else tensor_image(op, x)
     return _IMAGES[key]
 
 
@@ -93,21 +87,21 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     # A raising operator changes the weight of the factor it acts on, so the
     # targets of one triple are distinct and each row entry is written once.
     constraints = {}
-    for op_id, (side, g) in enumerate(raising_operators(n, m)):
-        godd = g.parity() == 1
+    for op_id, (side, op) in enumerate(raising_operators(n, m)):
+        godd = op[0] == "Y"
         for col, (vlab, wlab, mono) in enumerate(basis):
             pv = parity[vlab]
             pw = parity[wlab]
             if side == "left":
-                for vlab2, c in _image(n, m, op_id, side, g, vlab, False).items():
+                for vlab2, c in _image(n, m, op_id, side, op, vlab, False).items():
                     constraints.setdefault((op_id, (vlab2, wlab, mono)), {})[col] = c
             else:
                 flip = godd and pv % 2
-                for wlab2, (x, y) in _image(n, m, op_id, side, g, wlab, False).items():
+                for wlab2, (x, y) in _image(n, m, op_id, side, op, wlab, False).items():
                     row = constraints.setdefault((op_id, (vlab, wlab2, mono)), {})
                     row[col] = (-x, -y) if flip else (x, y)
             flip = godd and (pv + pw) % 2
-            for mono2, (x, y) in _image(n, m, op_id, side, g, mono, True).items():
+            for mono2, (x, y) in _image(n, m, op_id, side, op, mono, True).items():
                 row = constraints.setdefault((op_id, (vlab, wlab, mono2)), {})
                 row[col] = (-x, -y) if flip else (x, y)
     return list(constraints.values()), basis

@@ -7,15 +7,13 @@ words, so all heavy subspace work stays sparse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
 
-from .linalg import add_term
 from .partitions import StrictPartition, delta, enumerate_strict, contains
-from .scalars import Cyclo8Scalar, ONE, ZERO, _coerce
+from .scalars import Cyclo8Scalar, ONE, ZERO
 from .symfunc import induct_mult
 
 
@@ -24,10 +22,6 @@ class DecompositionError(RuntimeError):
 
 
 # permutations are tuples p with p[i] = image of letter i (0-indexed)
-
-
-def perm_id(n: int) -> tuple:
-    return tuple(range(n))
 
 
 def perm_compose(p: tuple, q: tuple) -> tuple:
@@ -74,123 +68,6 @@ def word_mult(w1: tuple, w2: tuple) -> tuple:
     else:
         mask = c1
     return (mask, perm_compose(p1, p2)), sign
-
-
-class HCElement:
-    """A sparse element of H_n over Q(zeta)."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = _coerce(c)
-                if not c.is_zero():
-                    self.terms[w] = c
-
-    @staticmethod
-    def alpha(n: int, i: int) -> "HCElement":
-        """The Clifford generator alpha_i (1-based)."""
-        return HCElement(n, {(1 << (i - 1), perm_id(n)): ONE})
-
-    @staticmethod
-    def permutation(n: int, p: tuple) -> "HCElement":
-        return HCElement(n, {(0, tuple(p)): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return HCElement(self.n, out)
-
-    def __neg__(self):
-        return HCElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "HCElement":
-        c = _coerce(c)
-        if c.is_zero():
-            return HCElement(self.n)
-        return HCElement(self.n, {w: c * x for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w, sign = word_mult(w1, w2)
-                c = c1 * c2
-                add_term(out, w, c if sign == 1 else -c)
-        return HCElement(self.n, out)
-
-    def parity(self):
-        ps = {w[0].bit_count() & 1 for w in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def homogeneous_parts(self):
-        parts = {0: {}, 1: {}}
-        for w, c in self.terms.items():
-            parts[w[0].bit_count() & 1][w] = c
-        return {p: HCElement(self.n, t) for p, t in parts.items() if t}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            mask, p = w
-            mono = "".join("a%d" % (i + 1) for i in _bits(mask))
-            ptxt = "" if p == perm_id(self.n) else "s" + "".join(str(i) for i in p)
-            bits.append("%r*%s" % (self.terms[w], (mono + ptxt) or "1"))
-        return " + ".join(bits)
-
-
-def embed_left(x: HCElement, m: int, n: int) -> HCElement:
-    """H_m -> H_{m+n} on the first m letters."""
-    tail = tuple(range(m, m + n))
-    return HCElement(
-        m + n, {(mask, p + tail): c for (mask, p), c in x.terms.items()}
-    )
-
-
-def embed_right(y: HCElement, m: int, n: int) -> HCElement:
-    """H_n -> H_{m+n} on the last n letters."""
-    head = tuple(range(m))
-    return HCElement(
-        m + n,
-        {
-            (mask << m, head + tuple(v + m for v in p)): c
-            for (mask, p), c in y.terms.items()
-        },
-    )
-
-
-def iota(m: int, n: int, x: HCElement, y: HCElement) -> HCElement:
-    """iota_{m,n}(x (x) y) in H_{m+n}."""
-    if x.n != m or y.n != n:
-        raise ValueError("rank mismatch")
-    return embed_left(x, m, n) * embed_right(y, m, n)
-
-
-def braid(m: int, n: int) -> HCElement:
-    """The block swap tau_{m,n} as an algebra element of H_{m+n}."""
-    p = [0] * (m + n)
-    for i in range(m):
-        p[i] = i + n
-    for i in range(m, m + n):
-        p[i] = i - m
-    return HCElement.permutation(m + n, tuple(p))
 
 
 def all_words(n: int):
@@ -280,22 +157,19 @@ class IsotypicTable:
     weights: list  # (C_j C_j)[1], one per class
     support: int  # the number of words in the classes
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "blocks": [
-                    {
-                        "lambda": b.label.serialize(),
-                        "dim_J": b.dim_J,
-                        "dim_S": b.dim_S,
-                        "type": b.type,
-                    }
-                    for b in sorted(self.blocks.values(), key=lambda b: b.label.parts)
-                ],
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "blocks": [
+                {
+                    "lambda": b.label.serialize(),
+                    "dim_J": b.dim_J,
+                    "dim_S": b.dim_S,
+                    "type": b.type,
+                }
+                for b in sorted(self.blocks.values(), key=lambda b: b.label.parts)
+            ],
+        }
 
 
 def _content_values(n: int) -> dict:
@@ -535,22 +409,28 @@ class BraidSignCase:
         return self.empirical_sign == self.paper_mn_sign
 
 
+def _iota_word(m: int, n: int, wx: tuple, wy: tuple) -> tuple:
+    """iota_{m,n}(wx (x) wy) for basis words wx of H_m and wy of H_n: wx on
+    the first m letters of H_{m+n} times wy on the last n, as ((mask, perm), sign)."""
+    (cx, px), (cy, py) = wx, wy
+    left = (cx, px + tuple(range(m, m + n)))
+    right = (cy << m, tuple(range(m)) + tuple(v + m for v in py))
+    return word_mult(left, right)
+
+
 def braid_conjugation_cases(m: int, n: int) -> list[BraidSignCase]:
-    """Empirical sign in tau iota(x,y) tau^{-1} = sign * iota(y,x) on basis words."""
-    tau = braid(m, n)
-    tau_inv = braid(n, m)
+    """Empirical sign in tau iota(x,y) tau^{-1} = sign * iota(y,x) on basis
+    words, tau = tau_{m,n} the block swap of H_{m+n} and tau^{-1} = tau_{n,m}."""
+    tau = (0, tuple(range(n, m + n)) + tuple(range(n)))
+    tau_inv = (0, tuple(range(m, m + n)) + tuple(range(m)))
     out = []
     for wx in all_words(m):
         for wy in all_words(n):
-            x = HCElement(m, {wx: ONE})
-            y = HCElement(n, {wy: ONE})
-            lhs = tau * iota(m, n, x, y) * tau_inv
-            rhs = iota(n, m, y, x)
-            if lhs == rhs:
-                sign = 1
-            elif lhs == -rhs:
-                sign = -1
-            else:
+            w, s1 = _iota_word(m, n, wx, wy)
+            w, s2 = word_mult(tau, w)
+            w, s3 = word_mult(w, tau_inv)
+            rhs, s4 = _iota_word(n, m, wy, wx)
+            if w != rhs:
                 raise DecompositionError("braid conjugation is not +-iota(y,x)")
             out.append(
                 BraidSignCase(
@@ -558,7 +438,7 @@ def braid_conjugation_cases(m: int, n: int) -> list[BraidSignCase]:
                     n,
                     wx[0].bit_count() & 1,
                     wy[0].bit_count() & 1,
-                    sign,
+                    s1 * s2 * s3 * s4,
                     (-1) ** (m * n),
                 )
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import Cyclo8Scalar, ONE, ZETA, _coerce
+from .scalars import ONE, ZETA
 from .spoly import p_add, p_inverse, p_mul, p_one, p_scale
 
 
@@ -48,7 +48,7 @@ class JetRing:
         return p_one(self.n_even)
 
     def const(self, c):
-        return p_scale(self.one(), _coerce(c))
+        return p_scale(self.one(), c)
 
     def even_var(self, name):
         e = [0] * self.n_even
@@ -72,9 +72,6 @@ class JetRing:
             return p_inverse(p, self.n_even, self.order)
         except ZeroDivisionError as exc:
             raise JetInversionError(str(exc)) from exc
-
-    def constant_term(self, p) -> Cyclo8Scalar:
-        return p.get(((0,) * self.n_even, ()), Cyclo8Scalar())
 
 
 def k_ring(n: int, order: int) -> JetRing:
@@ -168,13 +165,14 @@ def phi_map(n: int, order: int):
     return ring, images
 
 
-def phi_apply(n: int, order: int, poly) -> dict:
-    """phi on a SuperPoly of A(n,n), extended multiplicatively."""
+def phi_apply(n: int, order: int, terms: dict) -> dict:
+    """phi on an element of A(n,n), a `spoly` dict over the n*n cells (i, j)
+    in row-major order, extended multiplicatively."""
     ring, images = phi_map(n, order)
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     return _substitute(
         ring,
-        poly.terms,
+        terms,
         [images[("x",) + ij] for ij in cells],
         [images[("y",) + ij] for ij in cells],
     )
@@ -215,8 +213,7 @@ def psi_map(n: int, order: int):
             ry = ring.add(y[(i, j)], ring.scale(sy, -1))
             p = psi[("a", i, i)]
             q = psi[("b", i, i)]
-            if ring.constant_term(p).is_zero():
-                raise JetInversionError("psi inversion needs a unit diagonal entry")
+            # raises JetInversionError unless p, so p^2, has a unit constant term
             inv2 = ring.inverse(ring.mul(p, p))
             psi[("ap", i, j)] = ring.mul(
                 inv2,

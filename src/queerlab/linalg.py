@@ -3,12 +3,12 @@
 `Echelon` keeps a subspace in reduced row-echelon form, so membership and
 rank are decidable with no tolerances. It takes Gaussian-integer vectors:
 dicts mapping sortable keys to nonzero pairs (re, im) of ints, standing for
-re + im*zeta. A Cyclo8Scalar vector enters through `numerators`. A reduction
-scales the vector once and then does integer multiply-adds. `extend` inserts
-a batch in descending order of leading key, so each new pivot lands below
-every stored pivot and no stored row needs back-substitution. `add_term` is
-the accumulate-and-drop-zero step for sparse vectors with Cyclo8Scalar,
-int or Fraction entries.
+re + im*zeta. A reduction scales the vector once and then does integer
+multiply-adds. `extend` inserts a batch in descending order of leading key,
+so each new pivot lands below every stored pivot and no stored row needs
+back-substitution. `add_term` is the accumulate-and-drop-zero step for the
+sparse polynomials of `symfunc` and `spoly`, with int, Fraction or
+Cyclo8Scalar entries.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ def add_term(vec: dict, key, c) -> None:
 
 
 _ZERO = (0, 0)
-
-
-def numerators(vec: dict) -> dict:
-    """The Cyclo8Scalar vector times the lcm of its denominators, as
-    {key: (re, im)}: a nonzero multiple spans the same line, and a vector
-    with integral entries keeps its values."""
-    den = 1
-    for c in vec.values():
-        if c.den != 1:
-            den = lcm(den, c.den)
-    if den == 1:
-        return {k: (c.re, c.im) for k, c in vec.items()}
-    return {k: (c.re * (den // c.den), c.im * (den // c.den)) for k, c in vec.items()}
 
 
 def _eliminate(num: dict, hits: list) -> dict:

@@ -1,111 +1,17 @@
-"""The queer Lie (super)algebra q_n: basis, the action on V and on its tensor
-powers, and Sergeev-dual dimensions of T_lambda."""
+"""The queer Lie (super)algebra q_n: its basis operators X_ab, Y_ab acting on
+the tensor powers of V = C^{n|n}, and Sergeev-dual dimensions of T_lambda.
+
+An operator is the key (kind, a, b) with kind "X" or "Y"; a tensor basis
+vector is a tuple of ('e'|'f', i) labels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .heckeclifford import decompose_regular
-from .linalg import add_term
 from .partitions import StrictPartition, delta
-from .scalars import ONE, ZERO, _coerce
 
 
 class ActionError(RuntimeError):
     """An action left the space it must preserve."""
-
-
-def _mat_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        add_term(out, k, c)
-    return out
-
-
-def _mat_scale(a: dict, c) -> dict:
-    c = _coerce(c)
-    if c.is_zero():
-        return {}
-    return {k: c * x for k, x in a.items()}
-
-
-@dataclass
-class QnElement:
-    """An element of q_n in block form {a, b} = (a b; -b a): X-part a, Y-part b."""
-
-    n: int
-    xmat: dict = field(default_factory=dict)  # (i, j) 1-based -> scalar
-    ymat: dict = field(default_factory=dict)
-
-    @staticmethod
-    def X(n: int, i: int, j: int) -> "QnElement":
-        return QnElement(n, {(i, j): ONE}, {})
-
-    @staticmethod
-    def Y(n: int, i: int, j: int) -> "QnElement":
-        return QnElement(n, {}, {(i, j): ONE})
-
-    def __add__(self, other):
-        return QnElement(
-            self.n, _mat_add(self.xmat, other.xmat), _mat_add(self.ymat, other.ymat)
-        )
-
-    def scale(self, c) -> "QnElement":
-        return QnElement(self.n, _mat_scale(self.xmat, c), _mat_scale(self.ymat, c))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            self.n == other.n and self.xmat == other.xmat and self.ymat == other.ymat
-        )
-
-    def is_zero(self):
-        return not self.xmat and not self.ymat
-
-    def parity(self):
-        if self.xmat and not self.ymat:
-            return 0
-        if self.ymat and not self.xmat:
-            return 1
-        return None
-
-    def homogeneous_parts(self):
-        out = {}
-        if self.xmat:
-            out[0] = QnElement(self.n, self.xmat, {})
-        if self.ymat:
-            out[1] = QnElement(self.n, {}, self.ymat)
-        return out
-
-    def __repr__(self):
-        bits = []
-        for (i, j), c in sorted(self.xmat.items()):
-            bits.append("%r*X%d%d" % (c, i, j))
-        for (i, j), c in sorted(self.ymat.items()):
-            bits.append("%r*Y%d%d" % (c, i, j))
-        return " + ".join(bits) if bits else "0"
-
-
-def act_on_V(x: QnElement, vec: dict) -> dict:
-    """Action on C^{n|n} with basis labels ('e', i), ('f', i).
-
-    X_ij e_k = d_jk e_i, X_ij f_k = d_jk f_i,
-    Y_ij e_k = -d_jk f_i, Y_ij f_k = d_jk e_i.
-    """
-    out = {}
-    for (kind, k), c in vec.items():
-        for (i, j), m in x.xmat.items():
-            if j == k:
-                add_term(out, (kind, i), m * c)
-        for (i, j), m in x.ymat.items():
-            if j == k:
-                if kind == "e":
-                    add_term(out, ("f", i), -(m * c))
-                else:
-                    add_term(out, ("e", i), m * c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +32,28 @@ def _label_parity(lab) -> int:
     return sum(1 for s in lab if s[0] == "f") % 2
 
 
-def q_act_tensor(x: QnElement, vec: dict) -> dict:
-    """Diagonal action of q_n on V^{(x)d} with Koszul signs."""
+def tensor_image(op: tuple, lab: tuple) -> dict:
+    """The diagonal action of the basis operator op = (kind, a, b), X_ab or
+    Y_ab of q_n, on the tensor basis vector lab, as {label: (c, 0)}.
+
+    X_ab sends e_b to e_a and f_b to f_a; Y_ab sends e_b to -f_a and f_b to
+    e_a, and the odd Y_ab picks up a Koszul sign for each f factor before
+    the slot it acts on. No coefficient cancels: the images of different
+    slots are different labels, except under X_aa, which adds 1 per slot.
+    """
+    kind, a, b = op
     out = {}
-    for p, xh in x.homogeneous_parts().items():
-        for lab, c in vec.items():
-            for t in range(len(lab)):
-                sign = 1
-                if p:
-                    pre = sum(1 for s in lab[:t] if s[0] == "f") % 2
-                    sign = -1 if pre else 1
-                img = act_on_V(xh, {lab[t]: c if sign == 1 else -c})
-                for single, cc in img.items():
-                    add_term(out, lab[:t] + (single,) + lab[t + 1 :], cc)
-    return out
+    odd = False  # an odd number of f factors before slot t
+    for t, (s, i) in enumerate(lab):
+        if i == b:
+            if kind == "X":
+                single, c = (s, a), 1
+            else:
+                single, c = ("e" if s == "f" else "f", a), -1 if (s == "e") != odd else 1
+            key = lab[:t] + (single,) + lab[t + 1 :]
+            out[key] = out.get(key, 0) + c
+        odd ^= s == "f"
+    return {k: (c, 0) for k, c in out.items()}
 
 
 def dim_T(lam: StrictPartition, n: int) -> int:
@@ -157,9 +71,8 @@ def dim_T(lam: StrictPartition, n: int) -> int:
     """
     table = decompose_regular(lam.size)
     block = table.blocks[lam]
-    t = ZERO
-    for c, w, ty in zip(block.coords, table.weights, table.types):
-        t = t + c * (w * (2 * n) ** len(ty))
+    weights = zip(block.coords, table.weights, table.types)
+    t = sum(c * (w * (2 * n) ** len(ty)) for c, w, ty in weights)
     num = t.re * 2 ** delta(lam)
     if not t.is_integer() or num % block.dim_S:
         raise ActionError("isotypic trace %r not divisible as expected" % (t,))

@@ -91,12 +91,6 @@ class Cyclo8Scalar:
                 return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if type(other) is not Cyclo8Scalar:
             other = _coerce(other)
@@ -123,32 +117,6 @@ class Cyclo8Scalar:
         if a == 0 and b == 0:
             raise ScalarDivisionError("inverse of zero")
         return Cyclo8Scalar(self.den * a, -self.den * b, a * a + b * b)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ScalarDivisionError("division by zero")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparison / hashing -------------------------------------------
 

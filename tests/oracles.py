@@ -11,28 +11,42 @@ and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
 dominant coefficients only.
 
-`scalar_rows` reads an `Echelon` as Cyclo8Scalar rows at pivot 1. In H_n,
-`orbit_center_basis` finds the even center by a search over all words, where
-the CLI enumerates its signed classes; `product_coefficient` and
-`regular_trace_rank` read products and traces off expanded elements, where
-the CLI works in class coordinates; `casimir` builds the Casimir from
-words and `class_element` and `idempotent` expand central elements to
-words, where the CLI keeps both as class coordinates; `two_sided_closure` and `sigma_step` build ideals by literal
-closure, where the CLI reads the blocks off regular traces; and `transpose`
-is the paper's anti-automorphism. `word_action` and `hc_apply` let H_d act
-on V^{(x)d}, and `dim_T_by_echelon` reads dim T_lambda off the echelon rank
-of e_lambda V^{(x)d}, where the CLI takes the trace of e_lambda. In q_n,
-`bracket`, `chevalley`, the half tensor product `USpace` and `hk_decompose`
-check the structure behind phi and psi. In
-A(n,m), `act` acts on a `SuperPoly`, `ideal_closure` closes an ideal under
-every operator, `lowering_operators` closes a summand under all lowering
-operators (the CLI uses the simple ones), `membership_cases_for` and
-`determinantal_ideal_check` read membership off the ideal built directly to
-the truncation degree (the CLI walks the one-box relation), and
-`m_stability_check` checks that h preserves the maximal ideal m.
+`numerators` brings a Cyclo8Scalar vector into an `Echelon`, and
+`scalar_rows` reads an `Echelon` back as Cyclo8Scalar rows at pivot 1.
+
+In H_n, `HCElement` is a general element over Q(zeta), with the embeddings
+`embed_left`, `embed_right`, `iota` and the block swaps `braid`, where the
+CLI multiplies signed basis words (`braid_signs_by_elements` is its braid
+sign note on elements). `orbit_center_basis` finds the even center by a
+search over all words, where the CLI enumerates its signed classes;
+`product_coefficient` and `regular_trace_rank` read products and traces off
+expanded elements, where the CLI works in class coordinates; `casimir`
+builds the Casimir from words and `class_element` and `idempotent` expand
+central elements to words, where the CLI keeps both as class coordinates;
+`two_sided_closure` and `sigma_step` build ideals by literal closure, where
+the CLI reads the blocks off regular traces; and `transpose` is the paper's
+anti-automorphism. `word_action` and `hc_apply` let H_d act on V^{(x)d}, and
+`dim_T_by_echelon` reads dim T_lambda off the echelon rank of e_lambda
+V^{(x)d}, where the CLI takes the trace of e_lambda.
+
+In q_n, `QnElement` is a general element, acting on V by `act_on_V` and on
+V^{(x)d} by `q_act_tensor`, where the CLI acts with the basis operators as
+keys (kind, a, b) (`queer.tensor_image`); `bracket`, `chevalley`, the half
+tensor product `USpace` and `hk_decompose` check the structure behind phi
+and psi.
+
+In A(n,m), `SuperPoly` is a general element over Q(zeta) and `m_generators`
+lists the generators of the maximal ideal m, where the CLI works on
+Gaussian-integer vectors and `spoly` dicts; `act` acts on a `SuperPoly` as
+a sum of `act_terms` over the entries of the operator, `ideal_closure`
+closes an ideal under every operator, `lowering_operators` closes a summand
+under all lowering operators (the CLI uses the simple ones),
+`membership_cases_for` and `determinantal_ideal_check` read membership off
+the ideal built directly to the truncation degree (the CLI walks the
+one-box relation), and `m_stability_check` checks that h preserves m.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, lcm
@@ -41,33 +55,28 @@ from queerlab.amodule import (
     EquivariantIdeal,
     GradedSubspace,
     MembershipCase,
-    SuperPoly,
     _cell,
     act_terms,
     all_biweights,
     candidate_tail_bounds,
-    m_generators,
     summand,
     summand_membership,
     weight_space_monomials,
 )
 from queerlab.heckeclifford import (
-    HCElement,
     IsotypicBlock,
     _bits,
     _signed_classes,
     _sort_sign,
     all_words,
     decompose_regular,
-    embed_right,
-    perm_id,
     word_mult,
 )
-from queerlab.linalg import Echelon, add_term, numerators, span
+from queerlab.linalg import Echelon, add_term, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
-from queerlab.queer import ActionError, QnElement, _mat_add, _mat_scale, act_on_V, tensor_basis
-from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
-from queerlab.spoly import mono_degree
+from queerlab.queer import ActionError, tensor_basis
+from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
+from queerlab.spoly import mono_degree, p_add, p_mul, p_scale
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
 
 
@@ -325,6 +334,19 @@ def cauchy_rhs_truncated(d: int, N: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def numerators(vec: dict) -> dict:
+    """The Cyclo8Scalar vector times the lcm of its denominators, as
+    {key: (re, im)}: a nonzero multiple spans the same line, and a vector
+    with integral entries keeps its values."""
+    den = 1
+    for c in vec.values():
+        if c.den != 1:
+            den = lcm(den, c.den)
+    if den == 1:
+        return {k: (c.re, c.im) for k, c in vec.items()}
+    return {k: (c.re * (den // c.den), c.im * (den // c.den)) for k, c in vec.items()}
+
+
 def scalar_rows(ech: Echelon) -> dict:
     """pivot key -> row of ech as a Cyclo8Scalar dict, ONE at the pivot; new
     on each call."""
@@ -342,6 +364,144 @@ def contains_space(big: Echelon, small: Echelon) -> bool:
 # Hecke-Clifford algebras: the center by orbits, traces by words, the
 # transpose and literal two-sided ideals
 # ---------------------------------------------------------------------------
+
+
+def perm_id(n: int) -> tuple:
+    return tuple(range(n))
+
+
+class HCElement:
+    """A sparse element of H_n over Q(zeta); the CLI multiplies signed basis
+    words with `word_mult` instead."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms = {}
+        if terms:
+            for w, c in terms.items():
+                c = _coerce(c)
+                if not c.is_zero():
+                    self.terms[w] = c
+
+    @staticmethod
+    def alpha(n: int, i: int) -> "HCElement":
+        """The Clifford generator alpha_i (1-based)."""
+        return HCElement(n, {(1 << (i - 1), perm_id(n)): ONE})
+
+    @staticmethod
+    def permutation(n: int, p: tuple) -> "HCElement":
+        return HCElement(n, {(0, tuple(p)): ONE})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return self.n == other.n and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            add_term(out, w, c)
+        return HCElement(self.n, out)
+
+    def __neg__(self):
+        return HCElement(self.n, {w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c) -> "HCElement":
+        c = _coerce(c)
+        if c.is_zero():
+            return HCElement(self.n)
+        return HCElement(self.n, {w: c * x for w, x in self.terms.items()})
+
+    def __mul__(self, other):
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w, sign = word_mult(w1, w2)
+                c = c1 * c2
+                add_term(out, w, c if sign == 1 else -c)
+        return HCElement(self.n, out)
+
+    def parity(self):
+        ps = {w[0].bit_count() & 1 for w in self.terms}
+        return ps.pop() if len(ps) == 1 else None
+
+    def homogeneous_parts(self):
+        parts = {0: {}, 1: {}}
+        for w, c in self.terms.items():
+            parts[w[0].bit_count() & 1][w] = c
+        return {p: HCElement(self.n, t) for p, t in parts.items() if t}
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for w in sorted(self.terms):
+            mask, p = w
+            mono = "".join("a%d" % (i + 1) for i in _bits(mask))
+            ptxt = "" if p == perm_id(self.n) else "s" + "".join(str(i) for i in p)
+            bits.append("%r*%s" % (self.terms[w], (mono + ptxt) or "1"))
+        return " + ".join(bits)
+
+
+def embed_left(x: HCElement, m: int, n: int) -> HCElement:
+    """H_m -> H_{m+n} on the first m letters."""
+    tail = tuple(range(m, m + n))
+    return HCElement(
+        m + n, {(mask, p + tail): c for (mask, p), c in x.terms.items()}
+    )
+
+
+def embed_right(y: HCElement, m: int, n: int) -> HCElement:
+    """H_n -> H_{m+n} on the last n letters."""
+    head = tuple(range(m))
+    return HCElement(
+        m + n,
+        {
+            (mask << m, head + tuple(v + m for v in p)): c
+            for (mask, p), c in y.terms.items()
+        },
+    )
+
+
+def iota(m: int, n: int, x: HCElement, y: HCElement) -> HCElement:
+    """iota_{m,n}(x (x) y) in H_{m+n}."""
+    if x.n != m or y.n != n:
+        raise ValueError("rank mismatch")
+    return embed_left(x, m, n) * embed_right(y, m, n)
+
+
+def braid(m: int, n: int) -> HCElement:
+    """The block swap tau_{m,n} as an algebra element of H_{m+n}."""
+    p = [0] * (m + n)
+    for i in range(m):
+        p[i] = i + n
+    for i in range(m, m + n):
+        p[i] = i - m
+    return HCElement.permutation(m + n, tuple(p))
+
+
+def braid_signs_by_elements(m: int, n: int) -> list:
+    """The sign in tau iota(x,y) tau^{-1} = sign * iota(y,x) for each pair of
+    basis words, in `all_words` order, from products of elements; the CLI
+    multiplies the signed words."""
+    tau = braid(m, n)
+    tau_inv = braid(n, m)
+    signs = []
+    for wx in all_words(m):
+        for wy in all_words(n):
+            lhs = tau * iota(m, n, HCElement(m, {wx: ONE}), HCElement(n, {wy: ONE})) * tau_inv
+            rhs = iota(n, m, HCElement(n, {wy: ONE}), HCElement(m, {wx: ONE}))
+            assert lhs == rhs or lhs == -rhs
+            signs.append(1 if lhs == rhs else -1)
+    return signs
 
 
 def hc_unit(n: int) -> HCElement:
@@ -457,7 +617,7 @@ def transpose(x: HCElement) -> HCElement:
     out = {}
     for (mask, p), c in x.terms.items():
         k = mask.bit_count()
-        coeff = c * (ZETA ** (k * k))
+        coeff = c * (ONE, ZETA, -ONE, -ZETA)[k * k % 4]
         if (k * (k - 1) // 2) & 1:
             coeff = -coeff  # reverse the ascending Clifford letters
         q = perm_inverse(p)
@@ -592,6 +752,116 @@ def dim_T_by_echelon(lam: StrictPartition, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _mat_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        add_term(out, k, c)
+    return out
+
+
+def _mat_scale(a: dict, c) -> dict:
+    c = _coerce(c)
+    if c.is_zero():
+        return {}
+    return {k: c * x for k, x in a.items()}
+
+
+@dataclass
+class QnElement:
+    """An element of q_n in block form {a, b} = (a b; -b a): X-part a, Y-part b.
+    The CLI acts with the basis operators only, as keys (kind, a, b)."""
+
+    n: int
+    xmat: dict = field(default_factory=dict)  # (i, j) 1-based -> scalar
+    ymat: dict = field(default_factory=dict)
+
+    @staticmethod
+    def X(n: int, i: int, j: int) -> "QnElement":
+        return QnElement(n, {(i, j): ONE}, {})
+
+    @staticmethod
+    def Y(n: int, i: int, j: int) -> "QnElement":
+        return QnElement(n, {}, {(i, j): ONE})
+
+    def __add__(self, other):
+        return QnElement(
+            self.n, _mat_add(self.xmat, other.xmat), _mat_add(self.ymat, other.ymat)
+        )
+
+    def scale(self, c) -> "QnElement":
+        return QnElement(self.n, _mat_scale(self.xmat, c), _mat_scale(self.ymat, c))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __eq__(self, other):
+        return (
+            self.n == other.n and self.xmat == other.xmat and self.ymat == other.ymat
+        )
+
+    def is_zero(self):
+        return not self.xmat and not self.ymat
+
+    def parity(self):
+        if self.xmat and not self.ymat:
+            return 0
+        if self.ymat and not self.xmat:
+            return 1
+        return None
+
+    def homogeneous_parts(self):
+        out = {}
+        if self.xmat:
+            out[0] = QnElement(self.n, self.xmat, {})
+        if self.ymat:
+            out[1] = QnElement(self.n, {}, self.ymat)
+        return out
+
+    def __repr__(self):
+        bits = []
+        for (i, j), c in sorted(self.xmat.items()):
+            bits.append("%r*X%d%d" % (c, i, j))
+        for (i, j), c in sorted(self.ymat.items()):
+            bits.append("%r*Y%d%d" % (c, i, j))
+        return " + ".join(bits) if bits else "0"
+
+
+def act_on_V(x: QnElement, vec: dict) -> dict:
+    """Action on C^{n|n} with basis labels ('e', i), ('f', i).
+
+    X_ij e_k = d_jk e_i, X_ij f_k = d_jk f_i,
+    Y_ij e_k = -d_jk f_i, Y_ij f_k = d_jk e_i.
+    """
+    out = {}
+    for (kind, k), c in vec.items():
+        for (i, j), m in x.xmat.items():
+            if j == k:
+                add_term(out, (kind, i), m * c)
+        for (i, j), m in x.ymat.items():
+            if j == k:
+                if kind == "e":
+                    add_term(out, ("f", i), -(m * c))
+                else:
+                    add_term(out, ("e", i), m * c)
+    return out
+
+
+def q_act_tensor(x: QnElement, vec: dict) -> dict:
+    """Diagonal action of q_n on V^{(x)d} with Koszul signs."""
+    out = {}
+    for p, xh in x.homogeneous_parts().items():
+        for lab, c in vec.items():
+            for t in range(len(lab)):
+                sign = 1
+                if p:
+                    pre = sum(1 for s in lab[:t] if s[0] == "f") % 2
+                    sign = -1 if pre else 1
+                img = act_on_V(xh, {lab[t]: c if sign == 1 else -c})
+                for single, cc in img.items():
+                    add_term(out, lab[:t] + (single,) + lab[t + 1 :], cc)
+    return out
+
+
 def _mat_transpose(a: dict) -> dict:
     return {(j, i): c for (i, j), c in a.items()}
 
@@ -693,7 +963,7 @@ class USpace:
                 continue
             c = remaining.pop(key)
             label = ("v", i, j) if kind2 == "e" else ("w", i, j)
-            coeff = c / op
+            coeff = c * op.inverse()
             # the matching (1-zeta) partner component must be present exactly
             partner = (("f", i), ("f", j)) if kind2 == "e" else (("f", i), ("e", j))
             got = remaining.pop(partner, Cyclo8Scalar())
@@ -775,7 +1045,90 @@ def y_prime(n: int, i: int, j: int):
 # ---------------------------------------------------------------------------
 
 
+class SuperPoly:
+    """A sparse element of A(n,m) over Q(zeta)."""
+
+    __slots__ = ("n", "m", "terms")
+
+    def __init__(self, n: int, m: int, terms=None):
+        self.n = n
+        self.m = m
+        self.terms = {}
+        if terms:
+            for mono, c in terms.items():
+                c = _coerce(c)
+                if not c.is_zero():
+                    self.terms[mono] = c
+
+    @staticmethod
+    def x(n: int, m: int, i: int, j: int) -> "SuperPoly":
+        e = [0] * (n * m)
+        e[_cell(i, j, m)] = 1
+        return SuperPoly(n, m, {(tuple(e), ()): ONE})
+
+    @staticmethod
+    def y(n: int, m: int, i: int, j: int) -> "SuperPoly":
+        return SuperPoly(n, m, {((0,) * (n * m), (_cell(i, j, m),)): ONE})
+
+    @staticmethod
+    def one(n: int, m: int) -> "SuperPoly":
+        return SuperPoly(n, m, {((0,) * (n * m), ()): ONE})
+
+    def __add__(self, other):
+        return SuperPoly(self.n, self.m, p_add(self.terms, other.terms))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "SuperPoly":
+        return SuperPoly(self.n, self.m, p_scale(self.terms, c))
+
+    def __mul__(self, other):
+        if (self.n, self.m) != (other.n, other.m):
+            raise ValueError("rank mismatch")
+        return SuperPoly(self.n, self.m, p_mul(self.terms, other.terms))
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for (e, o), c in sorted(self.terms.items()):
+            mono = []
+            for idx, ex in enumerate(e):
+                if ex:
+                    i, j = divmod(idx, self.m)
+                    mono.append(
+                        "x%d%d^%d" % (i + 1, j + 1, ex) if ex > 1 else "x%d%d" % (i + 1, j + 1)
+                    )
+            for idx in o:
+                i, j = divmod(idx, self.m)
+                mono.append("y%d%d" % (i + 1, j + 1))
+            bits.append("%r*%s" % (c, "*".join(mono) or "1"))
+        return " + ".join(bits)
+
+
+def m_generators(n: int) -> list[SuperPoly]:
+    """x_ij - delta_ij and y_ij for A(n,n)."""
+    gens = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            g = SuperPoly.x(n, n, i, j)
+            if i == j:
+                g = g - SuperPoly.one(n, n)
+            gens.append(g)
+            gens.append(SuperPoly.y(n, n, i, j))
+    return gens
+
+
 def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
+    """The action of (g, 0) or (0, g) on p: the sum over the entries c of g
+    of c times `act_terms` of that entry's basis operator."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     rank = p.n if side == "left" else p.m
@@ -783,8 +1136,13 @@ def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
         raise ValueError("operator rank %d does not match side rank %d" % (g.n, rank))
     # linear: act on p times the lcm of its denominators, and divide back
     den = lcm(1, *(c.den for c in p.terms.values()))
-    out = act_terms(side, g, numerators(p.terms), p.n, p.m)
-    return SuperPoly(p.n, p.m, {k: Cyclo8Scalar(x, y, den) for k, (x, y) in out.items()})
+    num = numerators(p.terms)
+    out = {}
+    for kind, mat in (("X", g.xmat), ("Y", g.ymat)):
+        for (a, b), c in mat.items():
+            for k, (x, y) in act_terms(side, (kind, a, b), num, p.n, p.m).items():
+                add_term(out, k, c * Cyclo8Scalar(x, y, den))
+    return SuperPoly(p.n, p.m, out)
 
 
 def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
@@ -795,34 +1153,24 @@ def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
 
 
 def all_operators(n: int, m: int):
-    ops = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ops.append(("left", QnElement.X(n, i, j)))
-            ops.append(("left", QnElement.Y(n, i, j)))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            ops.append(("right", QnElement.X(m, i, j)))
-            ops.append(("right", QnElement.Y(m, i, j)))
-    return ops
+    """Every basis operator of both factors, as (side, (kind, a, b))."""
+    return [
+        (side, (kind, a, b))
+        for side, rank in (("left", n), ("right", m))
+        for a in range(1, rank + 1)
+        for b in range(1, rank + 1)
+        for kind in ("X", "Y")
+    ]
 
 
 def lowering_operators(n: int, m: int):
-    """Strictly lower-triangular operators of both factors.
+    """Strictly lower-triangular operators of both factors, as
+    (side, (kind, a, b)) with a > b.
 
     `summand` closes under the simple ones only; the closure under all of
     these is its test oracle.
     """
-    ops = []
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            ops.append(("left", QnElement.X(n, i, j)))
-            ops.append(("left", QnElement.Y(n, i, j)))
-    for i in range(1, m + 1):
-        for j in range(1, i):
-            ops.append(("right", QnElement.X(m, i, j)))
-            ops.append(("right", QnElement.Y(m, i, j)))
-    return ops
+    return [(side, op) for side, op in all_operators(n, m) if op[1] > op[2]]
 
 
 def ideal_closure(n: int, m: int, gens: GradedSubspace, d_max: int) -> EquivariantIdeal:

@@ -5,6 +5,8 @@ from functools import lru_cache
 import pytest
 
 from oracles import (
+    QnElement,
+    SuperPoly,
     act,
     act_on_U,
     bracket,
@@ -12,8 +14,10 @@ from oracles import (
     full_closure,
     ideal_closure,
     lowering_operators,
+    m_generators,
     m_stability_check,
     membership_cases_for,
+    numerators,
     scalar_rows,
     weight_space,
     x_prime,
@@ -21,13 +25,11 @@ from oracles import (
 from queerlab.amodule import (
     EquivariantIdeal,
     GradedSubspace,
-    SuperPoly,
     TruncationError,
     act_terms,
     all_biweights,
     candidate_tail_bounds,
     ideal_summands,
-    m_generators,
     mono_biweight,
     one_box_steps,
     singular_vectors,
@@ -35,7 +37,6 @@ from queerlab.amodule import (
     summand_membership,
     weight_space_monomials,
 )
-from queerlab.linalg import numerators
 from queerlab.partitions import (
     StrictPartition,
     all_strict_upto,
@@ -44,8 +45,8 @@ from queerlab.partitions import (
     enumerate_strict,
     staircase,
 )
-from queerlab.queer import QnElement, dim_T
-from queerlab.scalars import ONE
+from queerlab.queer import dim_T
+from queerlab.scalars import Cyclo8Scalar, ONE
 
 rng = random.Random(9)
 
@@ -130,6 +131,65 @@ def test_act_leibniz_random():
         sign = (-1) ** ((g.parity() or 0) * (len(next(iter(p.terms))[1]) & 1))
         rhs = act(side, g, p) * q + (p * act(side, g, q)).scale(sign)
         assert lhs == rhs
+
+
+def _generator_image(side, g, f, n, m):
+    """g acting on the generator f = x_ij or y_ij, read off the action on
+    U = half(V (x) W), where f is v_ij or w_ij."""
+    (e, o), = f.terms
+    idx = o[0] if o else e.index(1)
+    ulab = ("w" if o else "v", idx // m + 1, idx % m + 1)
+    out = SuperPoly(n, m)
+    for (k2, i2, j2), c in act_on_U(side, g, {ulab: ONE}, n, m).items():
+        out = out + (SuperPoly.x if k2 == "v" else SuperPoly.y)(n, m, i2, j2).scale(c)
+    return out
+
+
+def _leibniz(side, g, mono, n, m):
+    """g acting on the monomial by the Leibniz rule over its factors (the x
+    factors, then the y factors in increasing cell order), each factor's
+    image read off the action on U."""
+    e, o = mono
+    factors = [
+        SuperPoly.x(n, m, idx // m + 1, idx % m + 1) for idx, ex in enumerate(e) for _ in range(ex)
+    ]
+    factors += [SuperPoly.y(n, m, idx // m + 1, idx % m + 1) for idx in o]
+    prod = SuperPoly.one(n, m)
+    for f in factors:
+        prod = prod * f
+    assert prod == SuperPoly(n, m, {mono: ONE})
+    out = SuperPoly(n, m)
+    odd = 0  # the parity of the factors before t
+    for t, f in enumerate(factors):
+        term = SuperPoly.one(n, m)
+        for s, h in enumerate(factors):
+            term = term * (_generator_image(side, g, h, n, m) if s == t else h)
+        out = out + term.scale(-1 if g.parity() and odd else 1)
+        odd ^= len(next(iter(f.terms))[1])
+    return out
+
+
+def test_keyed_act_terms_match_superpoly_leibniz():
+    # act_terms on Gaussian-integer combinations of monomials of degree 2 and
+    # 3, for X_ab and Y_ab on both sides, against the Leibniz rule over
+    # SuperPoly factors; no part of the oracle calls act_terms
+    draw = random.Random(4)
+    for n, m in ((2, 2), (2, 3)):
+        monos = [
+            mono
+            for d in (2, 3)
+            for w in all_biweights(n, m, d)
+            for mono in weight_space_monomials(n, m, d, w)
+        ]
+        for side, rank in (("left", n), ("right", m)):
+            for kind in ("X", "Y"):
+                for a, b in itertools.product(range(1, rank + 1), repeat=2):
+                    g = QnElement.X(rank, a, b) if kind == "X" else QnElement.Y(rank, a, b)
+                    vec = {mono: (draw.randint(-3, 3), draw.randint(1, 3)) for mono in draw.sample(monos, 4)}
+                    want = SuperPoly(n, m)
+                    for mono, (re, im) in vec.items():
+                        want = want + _leibniz(side, g, mono, n, m).scale(Cyclo8Scalar(re, im))
+                    assert act_terms(side, (kind, a, b), vec, n, m) == numerators(want.terms)
 
 
 BRACKET_PIECES = {

@@ -667,6 +667,21 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_tracer_wraps_every_layer_after_cli_import():
+    # bench/tracer.py wraps the layers it finds in sys.modules once
+    # queerlab.cli is imported; a layer imported lazily would be missing
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    code = (
+        "import sys; import queerlab.cli as cli; import tracer; "
+        "tracer.Tracer().install(); "
+        "sys.exit(cli.main(['verify', 'hecke-ideals', '--nmax', '2']))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_determinism_same_seed(tmp_path, capsys):
     outs = []
     for _ in range(2):

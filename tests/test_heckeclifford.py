@@ -5,13 +5,20 @@ from math import factorial
 import pytest
 
 from oracles import (
+    HCElement,
     _inverse_word,
+    braid,
+    braid_signs_by_elements,
     casimir,
     class_element,
     contains_space,
+    embed_left,
+    embed_right,
     generators,
     hc_unit,
     idempotent,
+    iota,
+    numerators,
     orbit_center_basis,
     product_coefficient,
     regular_trace_rank,
@@ -23,23 +30,18 @@ from oracles import (
 )
 from queerlab.heckeclifford import (
     DecompositionError,
-    HCElement,
     _content_values,
     _signed_classes,
     _split_center,
     _trace_rank,
     all_words,
-    braid,
     braid_conjugation_cases,
     casimir_coords,
     decompose_regular,
-    embed_left,
-    embed_right,
-    iota,
     verify_tensor_ideal_theorem,
     word_mult,
 )
-from queerlab.linalg import Echelon, kernel_basis, numerators, span
+from queerlab.linalg import Echelon, kernel_basis, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
 from queerlab.scalars import Cyclo8Scalar, ONE, ZERO, ZETA
 from queerlab.symfunc import induct_mult
@@ -172,6 +174,14 @@ def test_braid_conjugation_sign_law():
     assert mismatches, "expected the displayed mn-sign to disagree somewhere"
 
 
+def test_word_braid_signs_match_element_products():
+    # the signed-word products of the braid note against HCElement products
+    for m in range(5):
+        for n in range(5 - m):
+            cases = braid_conjugation_cases(m, n)
+            assert [c.empirical_sign for c in cases] == braid_signs_by_elements(m, n), (m, n)
+
+
 def test_two_sided_closure_trivial():
     full = two_sided_closure(2, [hc_unit(2)])
     assert full.rank == 8
@@ -213,10 +223,8 @@ def test_decompose_regular_n3():
 
 
 def test_table_json():
-    import json
-
     table = decompose_regular(2)
-    data = json.loads(table.to_json())
+    data = table.to_dict()
     assert data["n"] == 2
     assert data["blocks"] == [{"lambda": "2", "dim_J": 8, "dim_S": 4, "type": "Q"}]
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from oracles import SuperPoly, m_generators
 from queerlab import jets
-from queerlab.amodule import SuperPoly, m_generators
 from queerlab.jets import (
+    JetInversionError,
     a_ring,
     k_ring,
     phi_apply,
@@ -12,9 +13,9 @@ from queerlab.jets import (
     psi_map,
     psi_of_phi_on_generators,
 )
-from queerlab.cli import main
+from queerlab.cli import _a_generators, main
 from queerlab.scalars import ZETA
-from queerlab.spoly import p_inverse
+from queerlab.spoly import constant_term, p_inverse, p_mul
 
 rng = random.Random(2)
 
@@ -44,7 +45,7 @@ def test_phi_vanishes_at_identity_on_m_generators():
     for n in (1, 2, 3):
         ring, _ = phi_map(n, 3)
         for g in m_generators(n):
-            assert ring.constant_term(phi_apply(n, 3, g)).is_zero()
+            assert constant_term(phi_apply(n, 3, g.terms), ring.n_even).is_zero()
 
 
 def test_phi_multiplicative_on_degree_two_pairs():
@@ -58,8 +59,8 @@ def test_phi_multiplicative_on_degree_two_pairs():
         for _ in range(8):
             p = rng.choice(gens) * rng.choice(gens)
             q = rng.choice(gens) * rng.choice(gens)
-            assert phi_apply(n, 4, p * q) == ring.mul(
-                phi_apply(n, 4, p), phi_apply(n, 4, q)
+            assert phi_apply(n, 4, (p * q).terms) == ring.mul(
+                phi_apply(n, 4, p.terms), phi_apply(n, 4, q.terms)
             )
 
 
@@ -82,6 +83,37 @@ def test_jet_inverse():
     assert ring.mul(p, inv) == ring.one()
     with pytest.raises(ZeroDivisionError):
         p_inverse(ring.even_var(("xbar", 1, 1)), ring.n_even, 5)
+
+
+def test_jet_with_zero_constant_term_has_no_inverse():
+    ring = a_ring(2, 3)
+    for p in (
+        {},
+        ring.even_var(("xbar", 1, 2)),
+        ring.add(ring.even_var(("xbar", 2, 2)), ring.odd_var(("y", 1, 1))),
+    ):
+        with pytest.raises(JetInversionError):
+            ring.inverse(p)
+
+
+def test_cli_generators_and_products_match_superpoly():
+    # the dicts `verify phi-psi` samples, and their products, against the
+    # SuperPoly oracle; phi agrees on every product of two generators
+    for n in (1, 2, 3):
+        want = [
+            f(n, n, i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for f in (SuperPoly.x, SuperPoly.y)
+        ]
+        gens = _a_generators(n)
+        assert gens == [g.terms for g in want]
+        ring, _ = phi_map(n, 4)
+        for g, wg in zip(gens, want):
+            for h, wh in zip(gens, want):
+                prod = p_mul(g, h)
+                assert prod == (wg * wh).terms
+                assert phi_apply(n, 4, prod) == ring.mul(phi_apply(n, 4, g), phi_apply(n, 4, h))
 
 
 def test_odd_jets_square_to_zero():

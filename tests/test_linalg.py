@@ -5,7 +5,8 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from oracles import contains_space, scalar_rows
-from queerlab.linalg import Echelon, add_term, kernel_basis, numerators, span
+from oracles import numerators
+from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
 

@@ -5,27 +5,30 @@ from math import factorial
 import pytest
 
 from oracles import (
+    HCElement,
+    QnElement,
     USpace,
     act_on_U,
+    act_on_V,
     bracket,
     chevalley,
     chevalley_inverse,
     dim_T_by_echelon,
     hc_apply,
     hk_decompose,
+    numerators,
+    q_act_tensor,
     x_prime,
     y_prime,
 )
-from queerlab.heckeclifford import HCElement, all_words
-from queerlab.linalg import Echelon, numerators
+from queerlab.heckeclifford import all_words
+from queerlab.linalg import Echelon
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import (
     ActionError,
-    QnElement,
-    act_on_V,
     dim_T,
-    q_act_tensor,
     tensor_basis,
+    tensor_image,
 )
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import Q_poly
@@ -103,6 +106,19 @@ def test_act_on_V_table():
     assert act_on_V(QnElement.X(n, 1, 2), {("f", 2): ONE}) == {("f", 1): ONE}
     assert act_on_V(QnElement.Y(n, 1, 2), {("e", 2): ONE}) == {("f", 1): -ONE}
     assert act_on_V(QnElement.Y(n, 1, 2), {("f", 2): ONE}) == {("e", 1): ONE}
+
+
+def test_tensor_image_matches_q_act_tensor():
+    # the keyed action on tensor labels against the QnElement oracle, for
+    # every basis operator X_ab, Y_ab
+    for n in (1, 2, 3):
+        cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        for d in range(3):
+            for lab in tensor_basis(n, d):
+                for a, b in cells:
+                    for kind, g in (("X", QnElement.X(n, a, b)), ("Y", QnElement.Y(n, a, b))):
+                        want = numerators(q_act_tensor(g, {lab: ONE}))
+                        assert tensor_image((kind, a, b), lab) == want, (kind, a, b, lab)
 
 
 def test_act_on_U_left_X():

