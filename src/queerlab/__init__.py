@@ -32,11 +32,7 @@ from .heckeclifford import (
     verify_tensor_ideal_theorem,
 )
 from .queer import dim_T
-from .amodule import (
-    one_box_steps,
-    singular_vectors,
-    summand_membership,
-)
+from .amodule import one_box_steps, singular_vectors
 from .dimcheck import hom_dim_check
 from .jets import phi_map, psi_map
 

@@ -2,23 +2,34 @@
 
 Generators x_ij (even) and y_ij (odd) transform like the half-tensor basis
 v_ij, w_ij. Everything is graded by total degree and by the torus biweight
-(row sums, column sums), and all subspace work happens per weight component.
-The basis operators X_ab, Y_ab of q_n and q_m act by writing Gaussian
-integers, so all subspace work runs on Gaussian-integer vectors
+(row sums, column sums). The basis operators X_ab, Y_ab of q_n and q_m act
+by writing Gaussian integers, so vectors are Gaussian-integer dicts
 {monomial: (re, im)}.
+
+The one-box relation of the ideal classification is read off the Fischer
+form <x^a y^S, x^b y^T> = delta_ab delta_ST prod a_ij!, Hermitian over Z[i]
+(Howe, Trans. AMS 313, 1989). Multiplication by x_ij is adjoint to d/dx_ij
+and multiplication by y_ij to the left derivative d/dy_ij, so X_ab is
+adjoint to X_ba and Y_ab to -Y_ba: the form is contravariant and positive
+definite. Each A_d is multiplicity-free under q(n) x q(m) (Cheng and Wang,
+AMS GSM 144, ch. 3), so its summands L_mu are orthogonal, and L_kappa lies
+in a submodule M iff M is not orthogonal to the singular vectors S_kappa.
+`contravariance_check` checks the adjoints exactly on A_1; `one_box_steps`
+pairs the covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial
 
-from .linalg import Echelon, kernel_basis
-from .partitions import StrictPartition, all_strict_upto, enumerate_strict
-from .spoly import insert_odd, mono_degree, mono_mul
+from .linalg import kernel_basis
+from .partitions import StrictPartition, enumerate_strict
+from .spoly import insert_odd, mono_mul
 
 
-class TruncationError(ValueError):
-    pass
+class ContravarianceError(ArithmeticError):
+    """A basis operator is not adjoint to its partner under the Fischer form."""
 
 
 # a monomial of A(n,m) is ((x exponents, flattened n*m), (sorted y cells))
@@ -26,23 +37,6 @@ class TruncationError(ValueError):
 
 def _cell(i: int, j: int, m: int) -> int:
     return (i - 1) * m + (j - 1)
-
-
-def mono_biweight(mono, n: int, m: int):
-    """(row sums, column sums) of the combined x,y exponents."""
-    rows = [0] * n
-    cols = [0] * m
-    e, o = mono
-    for idx, ex in enumerate(e):
-        if ex:
-            i, j = divmod(idx, m)
-            rows[i] += ex
-            cols[j] += ex
-    for idx in o:
-        i, j = divmod(idx, m)
-        rows[i] += 1
-        cols[j] += 1
-    return tuple(rows), tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +225,7 @@ def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# singular vectors and the lambda summand
+# singular vectors
 # ---------------------------------------------------------------------------
 
 
@@ -281,163 +275,6 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
     return kernel_basis(constraints.values(), monos)
 
 
-@dataclass
-class GradedSubspace:
-    """Weight-graded subspace of Gaussian-integer vectors: components keyed
-    by (degree, biweight)."""
-
-    n: int
-    m: int
-    components: dict = field(default_factory=dict)
-
-    def extend(self, vecs) -> list:
-        """Insert a batch, each vector into its component as one
-        `Echelon.extend` batch; return the vectors that raised the rank."""
-        groups = {}
-        for vec in vecs:
-            if vec:
-                groups.setdefault(self._key(vec), []).append(vec)
-        raised = []
-        for key, group in groups.items():
-            raised += self.components.setdefault(key, Echelon()).extend(group)
-        return raised
-
-    def insert(self, vec: dict) -> bool:
-        return bool(self.extend([vec]))
-
-    def _key(self, vec: dict):
-        """(degree, biweight) of vec's component, read off one monomial."""
-        mono = next(iter(vec))
-        return mono_degree(mono), mono_biweight(mono, self.n, self.m)
-
-    def component(self, d, w) -> Echelon:
-        return self.components.get((d, w), Echelon())
-
-    def contains(self, vec: dict) -> bool:
-        return not vec or self.component(*self._key(vec)).contains(vec)
-
-
-def _simple_lowering_operators(n: int, m: int):
-    """X_{i+1,i} and Y_{i+1,i} of both factors, as (side, (kind, i + 1, i),
-    i - 1): each moves one unit of weight from row (column) i to row
-    (column) i + 1."""
-    return [
-        (side, (kind, i + 1, i), i - 1)
-        for side, rank in (("left", n), ("right", m))
-        for i in range(1, rank)
-        for kind in ("X", "Y")
-    ]
-
-
-def _tail_sums(w) -> list:
-    """[w_1 + w_2 + ..., w_2 + ..., ..., w_k, 0] for w = (w_1, ..., w_k)."""
-    out = [0] * (len(w) + 1)
-    for k in range(len(w) - 1, -1, -1):
-        out[k] = out[k + 1] + w[k]
-    return out
-
-
-def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSubspace:
-    """The lambda summand of the Cauchy decomposition at degree |lambda|,
-    generated from its singular vectors by operator closure.
-
-    The singular space is stable under both Cartans, so closing under the
-    strictly-lowering operators alone spans the summand. Every lowering
-    operator is a supercommutator of simple ones ([X32, X21] = X31,
-    [X32, Y21] = Y31, ...), so a span closed under the simple lowering
-    operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Left and
-    right operators supercommute, so closing under the left ones and then
-    the right ones closes under both, and a component takes images from one
-    side only. On a side, each operator raises sum_k k w_k of that side's
-    weight w by one: the closure runs level by level, one batch a level.
-
-    support_cap = (T_1, T_2, ...) keeps only the components whose row sums
-    and column sums w satisfy w_k + w_{k+1} + ... <= T_k for every k, with
-    T_k = 0 past the end of the tuple; None keeps every component. A simple
-    lowering operator moves one unit of weight from row (column) i to i + 1,
-    so along the closure every tail sum can only grow: a component inside
-    the bound is reached only through components inside it, and equals its
-    uncapped value. An ideal slice at a target biweight only consumes
-    components with pointwise-smaller weight, whose tail sums are at most the
-    target's, so a bound taken over the targets loses no membership check.
-    An operator whose source row (column) is empty, or whose move would lift
-    a tail sum past its bound, is skipped before its image is computed.
-
-    The monomial images are tabled for the length of one closure.
-    """
-    size = max(n, m) + 1
-    if support_cap is None:
-        bound = [lam.size] * size
-    else:
-        bound = (list(support_cap) + [0] * size)[:size]
-    space = GradedSubspace(n, m)
-    found = []
-    if all(t <= b for t, b in zip(_tail_sums(lam.parts), bound)):
-        found = space.extend(singular_vectors(n, m, lam))
-    table = {}
-    for side in ("left", "right"):
-        ops = [(op, i) for s, op, i in _simple_lowering_operators(n, m) if s == side]
-        level = found
-        while level:
-            images = []
-            for vec in level:
-                w = mono_biweight(next(iter(vec)), n, m)[side == "right"]
-                tails = _tail_sums(w)
-                for op, i in ops:
-                    if w[i] and tails[i + 1] < bound[i + 1]:
-                        images.append(act_terms(side, op, vec, n, m, table))
-            level = space.extend(images)
-            found = found + level
-    return space
-
-
-class EquivariantIdeal:
-    """The ideal of A(n,m) generated by an operator-closed graded subspace.
-
-    Since A_1 * (stable subspace) is again stable, the degree-d part is
-    A_{d-d0} times the generators; components are computed per biweight on
-    demand and cached. A monomial times a generator row is that row with
-    every key multiplied by the monomial and its sign applied: the map on
-    keys is injective, so nothing accumulates.
-    """
-
-    def __init__(self, n: int, m: int, gens: GradedSubspace, d_max: int):
-        self.n = n
-        self.m = m
-        self.gens = gens
-        self.d_max = d_max
-        self._cache: dict = {}
-
-    def component(self, d: int, w) -> Echelon:
-        if d > self.d_max:
-            raise TruncationError("degree %d beyond d_max %d" % (d, self.d_max))
-        key = (d, w)
-        if key in self._cache:
-            return self._cache[key]
-        n, m = self.n, self.m
-        products = []
-        rows_w, cols_w = w
-        for (d0, w0), comp in self.gens.components.items():
-            if d0 > d or comp.rank == 0:
-                continue
-            crows = tuple(a - b for a, b in zip(rows_w, w0[0]))
-            ccols = tuple(a - b for a, b in zip(cols_w, w0[1]))
-            if any(c < 0 for c in crows) or any(c < 0 for c in ccols):
-                continue
-            rows = comp.nums.values()
-            for mono in weight_space_monomials(n, m, d - d0, (crows, ccols)):
-                for row in rows:
-                    prod = {}
-                    for k, (x, y) in row.items():
-                        r = mono_mul(mono, k)
-                        if r is not None:
-                            prod[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
-                    products.append(prod)
-        ech = Echelon()
-        ech.extend(products)
-        self._cache[key] = ech
-        return ech
-
 def all_biweights(n: int, m: int, d: int):
     rws = _compositions(d, n)
     cws = _compositions(d, m)
@@ -458,17 +295,6 @@ def _compositions(d: int, k: int):
 
     rec(d, [])
     return out
-
-
-def summand_membership(n: int, m: int, ideal: EquivariantIdeal, mu: StrictPartition) -> bool:
-    """True iff the whole mu summand lies in the ideal (multiplicity-freeness
-    reduces this to containment of the singular vectors)."""
-    if mu.length > min(n, m):
-        raise ValueError("l(mu) exceeds min(n, m); summand vanishes at this rank")
-    sings = singular_vectors(n, m, mu)
-    w = (_pad(mu.parts, n), _pad(mu.parts, m))
-    comp = ideal.component(mu.size, w)
-    return all(comp.contains(s) for s in sings)
 
 
 @dataclass
@@ -492,30 +318,109 @@ class MembershipCase:
         }
 
 
-def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
-    """The support cap of the checks at truncation d_max: T_k is the largest
-    mu_k + mu_{k+1} + ... over the candidates mu of
-    `all_strict_upto(d_max, min(n, m))`, for k = 1, ..., min(n, m)."""
-    bounds = [0] * min(n, m)
-    for mu in all_strict_upto(d_max, min(n, m)):
-        for k, tail in enumerate(_tail_sums(mu.parts)[:-1]):
-            bounds[k] = max(bounds[k], tail)
-    return tuple(bounds)
+# ---------------------------------------------------------------------------
+# the Fischer form and the one-box relation
+# ---------------------------------------------------------------------------
+
+
+def _degree_one(n: int, m: int, cell: int) -> tuple:
+    """The monomials x_ij and y_ij of the cell (i - 1) * m + (j - 1)."""
+    zero = (0,) * (n * m)
+    return (zero[:cell] + (1,) + zero[cell + 1 :], ()), (zero, (cell,))
+
+
+def contravariance_check(n: int, m: int) -> int:
+    """Check that the Fischer form is contravariant on A_1: for every basis
+    operator of both sides, the matrix of X_ab is the conjugate transpose
+    of that of X_ba, and the matrix of Y_ab that of -Y_ba (on A_1 the form
+    is the standard Hermitian one). One `act_terms` call per (operator,
+    degree-1 monomial).
+
+    Returns the number of (operator, u, v) entries compared; raises
+    ContravarianceError at the first operator that fails.
+    """
+    basis = [mono for cell in range(n * m) for mono in _degree_one(n, m, cell)]
+    ops = [
+        (side, (kind, a, b))
+        for side, rank in (("left", n), ("right", m))
+        for kind in ("X", "Y")
+        for a in range(1, rank + 1)
+        for b in range(1, rank + 1)
+    ]
+    # (side, op) -> {(v, u): the coefficient of v in op(u)}
+    mats = {
+        (side, op): {(v, u): c for u in basis for v, c in act_terms(side, op, {u: (1, 0)}, n, m).items()}
+        for side, op in ops
+    }
+    for side, (kind, a, b) in ops:
+        sign = 1 if kind == "X" else -1
+        partner = mats[side, (kind, b, a)]
+        adjoint = {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in partner.items()}
+        if mats[side, (kind, a, b)] != adjoint:
+            raise ContravarianceError(
+                "on A_1 of A(%d,%d), %s %s_%d%d is not the adjoint of %s%s_%d%d"
+                % (n, m, side, kind, a, b, "" if sign == 1 else "-", kind, b, a)
+            )
+    return len(ops) * len(basis) ** 2
+
+
+def added_box(nu: StrictPartition, kappa: StrictPartition):
+    """The row a with kappa = nu + e_a, parts zero-padded, or None."""
+    k = max(nu.length, kappa.length)
+    diff = [x - y for x, y in zip(_pad(kappa.parts, k), _pad(nu.parts, k))]
+    if sorted(diff) != [0] * (k - 1) + [1]:
+        return None
+    return diff.index(1) + 1
+
+
+def _times(mono, vec: dict) -> dict:
+    """The monomial times vec: a signed re-keying of vec, since multiplying
+    by a monomial is injective on monomials."""
+    out = {}
+    for k, (x, y) in vec.items():
+        r = mono_mul(mono, k)
+        if r is not None:
+            out[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
+    return out
+
+
+def _fischer(u: dict, v: dict) -> tuple:
+    """<u, v> = sum over the monomials k of u_k conj(v_k) prod a_ij!, as (re, im)."""
+    re = im = 0
+    for k, (vr, vi) in v.items():
+        c = u.get(k)
+        if c is not None:
+            w = 1
+            for ex in k[0]:
+                w *= factorial(ex)
+            re += w * (c[0] * vr + c[1] * vi)
+            im += w * (c[1] * vr - c[0] * vi)
+    return re, im
 
 
 def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
     """{kappa: L_kappa lies in A_1 * L_nu} over the strict kappa of size
     |nu| + 1 and length <= min(n, m): one row of the one-box relation.
 
-    The ideal of L_nu is built to degree |nu| + 1 only, from the summand
-    inside the support cap of those kappa."""
-    d = nu.size + 1
-    ideal = EquivariantIdeal(n, m, summand(n, m, nu, candidate_tail_bounds(n, m, d)), d)
-    return {
-        kappa: summand_membership(n, m, ideal, kappa)
-        for kappa in enumerate_strict(d)
-        if kappa.length <= min(n, m)
-    }
+    q acts by superderivations, so A_1 * L_nu = U(g)(A_1 * S_nu). The
+    adjoint of n^- lies in n^+, which kills S_kappa; and n^+ kills S_nu, so
+    U(n^+) U(h) keeps A_1 * S_nu, whose biweights are (nu + e_i, nu + e_j).
+    So A_1 * L_nu is not orthogonal to S_kappa iff kappa = nu + e_a
+    (`added_box`) and some <x_aa s, t> or <y_aa s, t>, s in S_nu and t in
+    S_kappa, is nonzero: every other kappa is out by weight alone.
+    """
+    row = {}
+    sings = singular_vectors(n, m, nu)
+    for kappa in enumerate_strict(nu.size + 1):
+        if kappa.length > min(n, m):
+            continue
+        a = added_box(nu, kappa)
+        if a is None:
+            row[kappa] = False
+            continue
+        covers = [_times(g, s) for g in _degree_one(n, m, _cell(a, a, m)) for s in sings]
+        row[kappa] = any(_fischer(z, t) != (0, 0) for t in singular_vectors(n, m, kappa) for z in covers)
+    return row
 
 
 def ideal_summands(n: int, m: int, lam: StrictPartition, d_max: int, relation: dict) -> set:

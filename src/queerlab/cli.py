@@ -3,7 +3,7 @@ and manages the on-disk cache of expensive tables.
 
 Exit codes: 0 all checks passed, 1 a theorem check failed (a case reported
 false, or an exact identity the check relies on failed: InconsistentMultiplicity,
-DecompositionError), 2 bad input or an internal error.
+DecompositionError, ContravarianceError), 2 bad input or an internal error.
 """
 
 from __future__ import annotations
@@ -304,9 +304,32 @@ def _verify_hecke_ideals(args):
     return payload, rows
 
 
-def _verify_main_theorem(args):
-    from .amodule import MembershipCase, ideal_summands, one_box_steps
+# what the one-box relation takes from the literature, not from this run
+_ONE_BOX_ASSUMES = [
+    "each A_d is multiplicity-free under q(n) x q(m) (Cheng and Wang, AMS GSM 144, ch. 3), "
+    "so its summands are orthogonal under the Fischer form",
+]
 
+
+def _one_box_report(relation: dict, checks: int) -> dict:
+    """The report keys of a walk along the one-box relation: its pairs, how
+    each was decided, and the contravariance checks they rest on."""
+    from .amodule import added_box
+
+    pairs = sum(len(row) for row in relation.values())
+    paired = sum(added_box(nu, kappa) is not None for nu, row in relation.items() for kappa in row)
+    return {
+        "one_box_pairs": pairs,
+        "one_box_decided": {"weight": pairs - paired, "pairing": paired},
+        "contravariance_checks": checks,
+        "assumes": _ONE_BOX_ASSUMES,
+    }
+
+
+def _verify_main_theorem(args):
+    from .amodule import MembershipCase, contravariance_check, ideal_summands, one_box_steps
+
+    checks = contravariance_check(args.n, args.m)
     cands = all_strict_upto(args.dmax, min(args.n, args.m))
     # each row is independent; with one job the walks compute them. A pool
     # starts all its workers at once, so it gets no more than there are rows
@@ -330,7 +353,7 @@ def _verify_main_theorem(args):
         "n": args.n,
         "m": args.m,
         "d_max": args.dmax,
-        "one_box_pairs": sum(len(row) for row in relation.values()),
+        **_one_box_report(relation, checks),
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
     }
@@ -340,12 +363,13 @@ def _verify_main_theorem(args):
 def _verify_determinantal(args):
     """The staircase (r+1, ..., 1) generates exactly the mu with l(mu) > r:
     row r of the main-theorem matrix, walked from the staircase alone."""
-    from .amodule import MembershipCase, ideal_summands
+    from .amodule import MembershipCase, contravariance_check, ideal_summands
 
     r = 1
     stair = staircase(r)
     if stair.size > args.dmax:
         raise ConfigError("--dmax %d is below the staircase size %d" % (args.dmax, stair.size))
+    checks = contravariance_check(args.n, args.m)
     relation = {}
     reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)
     cases = [
@@ -357,7 +381,7 @@ def _verify_determinantal(args):
         "r": r,
         "cases": [c.to_dict() for c in cases],
         "quotient_lengths_outside": sorted({c.mu.length for c in cases if not c.observed}),
-        "one_box_pairs": sum(len(row) for row in relation.values()),
+        **_one_box_report(relation, checks),
         "status": _all_passed(c.passed for c in cases),
     }
     return payload, None
@@ -572,10 +596,11 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         # imported on the error path only: the top level stays light
+        from .amodule import ContravarianceError
         from .heckeclifford import DecompositionError
 
         what = "%s: %s" % (type(exc).__name__, exc)
-        if isinstance(exc, (symfunc.InconsistentMultiplicity, DecompositionError)):
+        if isinstance(exc, (symfunc.InconsistentMultiplicity, DecompositionError, ContravarianceError)):
             # an exact identity failed: a theorem failure, not a crash
             print("check failed in %s: %s" % (name, what), file=sys.stderr)
             return 1

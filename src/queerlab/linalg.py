@@ -154,9 +154,6 @@ class Echelon:
         batch = sorted((v for v in vecs if v), key=min, reverse=True)
         return [v for v in batch if self.insert(v)]
 
-    def contains(self, num: dict) -> bool:
-        return not self._residual(num)
-
 
 def span(vecs) -> Echelon:
     ech = Echelon()

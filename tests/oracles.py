@@ -38,12 +38,17 @@ and psi.
 In A(n,m), `SuperPoly` is a general element over Q(zeta) and `m_generators`
 lists the generators of the maximal ideal m, where the CLI works on
 Gaussian-integer vectors and `spoly` dicts; `act` acts on a `SuperPoly` as
-a sum of `act_terms` over the entries of the operator, `ideal_closure`
-closes an ideal under every operator, `lowering_operators` closes a summand
-under all lowering operators (the CLI uses the simple ones),
-`membership_cases_for` and `determinantal_ideal_check` read membership off
-the ideal built directly to the truncation degree (the CLI walks the
-one-box relation), and `m_stability_check` checks that h preserves m.
+a sum of `act_terms` over the entries of the operator. `summand` closes the
+singular vectors of L_lambda under the simple lowering operators into a
+`GradedSubspace`, `EquivariantIdeal` echelons the ideal it generates one
+weight component at a time, and `one_box_steps_by_closure` reads a row of
+the one-box relation off that ideal, where the CLI pairs singular vectors
+under the Fischer form; `ideal_closure` closes an ideal under every
+operator, `lowering_operators` closes a summand under all lowering
+operators, `membership_cases_for` and `determinantal_ideal_check` read
+membership off the ideal built directly to the truncation degree (the CLI
+walks the one-box relation), and `m_stability_check` checks that h
+preserves m.
 """
 
 from dataclasses import dataclass, field
@@ -52,15 +57,12 @@ from itertools import permutations
 from math import factorial, lcm
 
 from queerlab.amodule import (
-    EquivariantIdeal,
-    GradedSubspace,
     MembershipCase,
     _cell,
+    _pad,
     act_terms,
     all_biweights,
-    candidate_tail_bounds,
-    summand,
-    summand_membership,
+    singular_vectors,
     weight_space_monomials,
 )
 from queerlab.heckeclifford import (
@@ -76,7 +78,7 @@ from queerlab.linalg import Echelon, add_term, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
 from queerlab.queer import ActionError, tensor_basis
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
-from queerlab.spoly import mono_degree, p_add, p_mul, p_scale
+from queerlab.spoly import mono_degree, mono_mul, p_add, p_mul, p_scale
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
 
 
@@ -356,8 +358,13 @@ def scalar_rows(ech: Echelon) -> dict:
     }
 
 
+def in_span(ech: Echelon, num: dict) -> bool:
+    """num lies in the row space of ech: its residual is zero."""
+    return not ech._residual(num)
+
+
 def contains_space(big: Echelon, small: Echelon) -> bool:
-    return all(big.contains(num) for num in small.nums.values())
+    return all(in_span(big, num) for num in small.nums.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1143,6 +1150,220 @@ def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
             for k, (x, y) in act_terms(side, (kind, a, b), num, p.n, p.m).items():
                 add_term(out, k, c * Cyclo8Scalar(x, y, den))
     return SuperPoly(p.n, p.m, out)
+
+
+class TruncationError(ValueError):
+    pass
+
+
+def mono_biweight(mono, n: int, m: int):
+    """(row sums, column sums) of the combined x,y exponents."""
+    rows = [0] * n
+    cols = [0] * m
+    e, o = mono
+    for idx, ex in enumerate(e):
+        if ex:
+            i, j = divmod(idx, m)
+            rows[i] += ex
+            cols[j] += ex
+    for idx in o:
+        i, j = divmod(idx, m)
+        rows[i] += 1
+        cols[j] += 1
+    return tuple(rows), tuple(cols)
+
+
+@dataclass
+class GradedSubspace:
+    """Weight-graded subspace of Gaussian-integer vectors: components keyed
+    by (degree, biweight)."""
+
+    n: int
+    m: int
+    components: dict = field(default_factory=dict)
+
+    def extend(self, vecs) -> list:
+        """Insert a batch, each vector into its component as one
+        `Echelon.extend` batch; return the vectors that raised the rank."""
+        groups = {}
+        for vec in vecs:
+            if vec:
+                groups.setdefault(self._key(vec), []).append(vec)
+        raised = []
+        for key, group in groups.items():
+            raised += self.components.setdefault(key, Echelon()).extend(group)
+        return raised
+
+    def insert(self, vec: dict) -> bool:
+        return bool(self.extend([vec]))
+
+    def _key(self, vec: dict):
+        """(degree, biweight) of vec's component, read off one monomial."""
+        mono = next(iter(vec))
+        return mono_degree(mono), mono_biweight(mono, self.n, self.m)
+
+    def component(self, d, w) -> Echelon:
+        return self.components.get((d, w), Echelon())
+
+    def contains(self, vec: dict) -> bool:
+        return not vec or in_span(self.component(*self._key(vec)), vec)
+
+
+def _simple_lowering_operators(n: int, m: int):
+    """X_{i+1,i} and Y_{i+1,i} of both factors, as (side, (kind, i + 1, i),
+    i - 1): each moves one unit of weight from row (column) i to row
+    (column) i + 1."""
+    return [
+        (side, (kind, i + 1, i), i - 1)
+        for side, rank in (("left", n), ("right", m))
+        for i in range(1, rank)
+        for kind in ("X", "Y")
+    ]
+
+
+def _tail_sums(w) -> list:
+    """[w_1 + w_2 + ..., w_2 + ..., ..., w_k, 0] for w = (w_1, ..., w_k)."""
+    out = [0] * (len(w) + 1)
+    for k in range(len(w) - 1, -1, -1):
+        out[k] = out[k + 1] + w[k]
+    return out
+
+
+def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSubspace:
+    """The lambda summand of the Cauchy decomposition at degree |lambda|,
+    generated from its singular vectors by operator closure.
+
+    The singular space is stable under both Cartans, so closing under the
+    strictly-lowering operators alone spans the summand. Every lowering
+    operator is a supercommutator of simple ones ([X32, X21] = X31,
+    [X32, Y21] = Y31, ...), so a span closed under the simple lowering
+    operators X_{i+1,i}, Y_{i+1,i} is closed under all of them. Left and
+    right operators supercommute, so closing under the left ones and then
+    the right ones closes under both, and a component takes images from one
+    side only. On a side, each operator raises sum_k k w_k of that side's
+    weight w by one: the closure runs level by level, one batch a level.
+
+    support_cap = (T_1, T_2, ...) keeps only the components whose row sums
+    and column sums w satisfy w_k + w_{k+1} + ... <= T_k for every k, with
+    T_k = 0 past the end of the tuple; None keeps every component. A simple
+    lowering operator moves one unit of weight from row (column) i to i + 1,
+    so along the closure every tail sum can only grow: a component inside
+    the bound is reached only through components inside it, and equals its
+    uncapped value. An ideal slice at a target biweight only consumes
+    components with pointwise-smaller weight, whose tail sums are at most the
+    target's, so a bound taken over the targets loses no membership check.
+    An operator whose source row (column) is empty, or whose move would lift
+    a tail sum past its bound, is skipped before its image is computed.
+
+    The monomial images are tabled for the length of one closure.
+    """
+    size = max(n, m) + 1
+    if support_cap is None:
+        bound = [lam.size] * size
+    else:
+        bound = (list(support_cap) + [0] * size)[:size]
+    space = GradedSubspace(n, m)
+    found = []
+    if all(t <= b for t, b in zip(_tail_sums(lam.parts), bound)):
+        found = space.extend(singular_vectors(n, m, lam))
+    table = {}
+    for side in ("left", "right"):
+        ops = [(op, i) for s, op, i in _simple_lowering_operators(n, m) if s == side]
+        level = found
+        while level:
+            images = []
+            for vec in level:
+                w = mono_biweight(next(iter(vec)), n, m)[side == "right"]
+                tails = _tail_sums(w)
+                for op, i in ops:
+                    if w[i] and tails[i + 1] < bound[i + 1]:
+                        images.append(act_terms(side, op, vec, n, m, table))
+            level = space.extend(images)
+            found = found + level
+    return space
+
+
+class EquivariantIdeal:
+    """The ideal of A(n,m) generated by an operator-closed graded subspace.
+
+    Since A_1 * (stable subspace) is again stable, the degree-d part is
+    A_{d-d0} times the generators; components are computed per biweight on
+    demand and cached. A monomial times a generator row is that row with
+    every key multiplied by the monomial and its sign applied: the map on
+    keys is injective, so nothing accumulates.
+    """
+
+    def __init__(self, n: int, m: int, gens: GradedSubspace, d_max: int):
+        self.n = n
+        self.m = m
+        self.gens = gens
+        self.d_max = d_max
+        self._cache: dict = {}
+
+    def component(self, d: int, w) -> Echelon:
+        if d > self.d_max:
+            raise TruncationError("degree %d beyond d_max %d" % (d, self.d_max))
+        key = (d, w)
+        if key in self._cache:
+            return self._cache[key]
+        n, m = self.n, self.m
+        products = []
+        rows_w, cols_w = w
+        for (d0, w0), comp in self.gens.components.items():
+            if d0 > d or comp.rank == 0:
+                continue
+            crows = tuple(a - b for a, b in zip(rows_w, w0[0]))
+            ccols = tuple(a - b for a, b in zip(cols_w, w0[1]))
+            if any(c < 0 for c in crows) or any(c < 0 for c in ccols):
+                continue
+            rows = comp.nums.values()
+            for mono in weight_space_monomials(n, m, d - d0, (crows, ccols)):
+                for row in rows:
+                    prod = {}
+                    for k, (x, y) in row.items():
+                        r = mono_mul(mono, k)
+                        if r is not None:
+                            prod[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
+                    products.append(prod)
+        ech = Echelon()
+        ech.extend(products)
+        self._cache[key] = ech
+        return ech
+
+
+def summand_membership(n: int, m: int, ideal: EquivariantIdeal, mu: StrictPartition) -> bool:
+    """True iff the whole mu summand lies in the ideal (multiplicity-freeness
+    reduces this to containment of the singular vectors)."""
+    if mu.length > min(n, m):
+        raise ValueError("l(mu) exceeds min(n, m); summand vanishes at this rank")
+    sings = singular_vectors(n, m, mu)
+    w = (_pad(mu.parts, n), _pad(mu.parts, m))
+    comp = ideal.component(mu.size, w)
+    return all(in_span(comp, s) for s in sings)
+
+
+def candidate_tail_bounds(n: int, m: int, d_max: int) -> tuple:
+    """The support cap of the checks at truncation d_max: T_k is the largest
+    mu_k + mu_{k+1} + ... over the candidates mu of
+    `all_strict_upto(d_max, min(n, m))`, for k = 1, ..., min(n, m)."""
+    bounds = [0] * min(n, m)
+    for mu in all_strict_upto(d_max, min(n, m)):
+        for k, tail in enumerate(_tail_sums(mu.parts)[:-1]):
+            bounds[k] = max(bounds[k], tail)
+    return tuple(bounds)
+
+
+def one_box_steps_by_closure(n: int, m: int, nu: StrictPartition) -> dict:
+    """The row of `amodule.one_box_steps` read off the ideal of L_nu built
+    to degree |nu| + 1, from the summand inside the support cap of the
+    kappa of that size."""
+    d = nu.size + 1
+    ideal = EquivariantIdeal(n, m, summand(n, m, nu, candidate_tail_bounds(n, m, d)), d)
+    return {
+        kappa: summand_membership(n, m, ideal, kappa)
+        for kappa in enumerate_strict(d)
+        if kappa.length <= min(n, m)
+    }
 
 
 def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:

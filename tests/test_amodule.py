@@ -1,15 +1,20 @@
 import itertools
+import math
 import random
 from functools import lru_cache
 
 import pytest
 
 from oracles import (
+    EquivariantIdeal,
+    GradedSubspace,
     QnElement,
     SuperPoly,
+    TruncationError,
     act,
     act_on_U,
     bracket,
+    candidate_tail_bounds,
     determinantal_ideal_check,
     full_closure,
     ideal_closure,
@@ -17,24 +22,24 @@ from oracles import (
     m_generators,
     m_stability_check,
     membership_cases_for,
+    mono_biweight,
     numerators,
+    one_box_steps_by_closure,
     scalar_rows,
+    summand,
+    summand_membership,
     weight_space,
     x_prime,
 )
 from queerlab.amodule import (
-    EquivariantIdeal,
-    GradedSubspace,
-    TruncationError,
+    _fischer,
     act_terms,
+    added_box,
     all_biweights,
-    candidate_tail_bounds,
+    contravariance_check,
     ideal_summands,
-    mono_biweight,
     one_box_steps,
     singular_vectors,
-    summand,
-    summand_membership,
     weight_space_monomials,
 )
 from queerlab.partitions import (
@@ -489,10 +494,98 @@ def test_determinantal_r0():
 
 def test_one_box_relation_is_box_containment():
     # the theorem, one step at a time: L_kappa lies in A_1 * L_nu iff nu is
-    # inside kappa, for every pair through degree 5
-    for nu in all_strict_upto(4, 3):
-        want = {kappa: contains(nu, kappa) for kappa in enumerate_strict(nu.size + 1) if kappa.length <= 3}
-        assert one_box_steps(3, 3, nu) == want, nu
+    # inside kappa, for every pair through degree 5 at n = m = 3 and
+    # through degree 8 at n = m = 4
+    for rank, size in ((3, 4), (4, 7)):
+        for nu in all_strict_upto(size, rank):
+            want = {kappa: contains(nu, kappa) for kappa in enumerate_strict(nu.size + 1) if kappa.length <= rank}
+            assert one_box_steps(rank, rank, nu) == want, (rank, nu)
+
+
+@pytest.mark.parametrize("n, m, d_max", [(1, 3, 6), (2, 2, 6), (2, 3, 6), (3, 2, 6), (3, 3, 6)])
+def test_pairing_rows_equal_closure_rows(n, m, d_max):
+    for nu in all_strict_upto(d_max - 1, min(n, m)):
+        assert one_box_steps(n, m, nu) == one_box_steps_by_closure(n, m, nu), nu
+
+
+def _fischer_weight(mono):
+    w = 1
+    for ex in mono[0]:
+        w *= math.factorial(ex)
+    return w
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 3)])
+def test_fischer_form_is_contravariant_on_low_degrees(n, m):
+    # <g u, v> = <u, g' v> on every pair of monomials u, v of A_d, d <= 2,
+    # with g' = X_ba for g = X_ab and g' = -Y_ba for g = Y_ab; the form
+    # weighs a monomial by prod a_ij! and conjugates its second argument.
+    # Each side is kept as {(u, v): value} over its nonzero values
+    for d in (1, 2):
+        monos = [mono for w in all_biweights(n, m, d) for mono in weight_space_monomials(n, m, d, w)]
+        for side, rank in (("left", n), ("right", m)):
+            for kind in ("X", "Y"):
+                sign = 1 if kind == "X" else -1
+                images = {
+                    (a, b): {u: act_terms(side, (kind, a, b), {u: (1, 0)}, n, m) for u in monos}
+                    for a in range(1, rank + 1)
+                    for b in range(1, rank + 1)
+                }
+                for (a, b), image in images.items():
+                    lhs = {
+                        (u, v): (re * _fischer_weight(v), im * _fischer_weight(v))
+                        for u in monos
+                        for v, (re, im) in image[u].items()
+                    }
+                    rhs = {
+                        (u, v): (sign * pr * _fischer_weight(u), -sign * pi * _fischer_weight(u))
+                        for v in monos
+                        for u, (pr, pi) in images[b, a][v].items()
+                    }
+                    assert lhs == rhs, (d, side, kind, a, b)
+
+
+def test_distinct_summands_are_orthogonal_under_the_fischer_form():
+    # the weight-(kappa, kappa) rows of every other summand L_mu of A_d pair
+    # to zero with S_kappa, and the form is positive on S_kappa itself
+    for n, m in ((2, 2), (2, 3), (3, 3)):
+        for d in range(1, 5):
+            parts = [lam for lam in enumerate_strict(d) if lam.length <= min(n, m)]
+            for kappa in parts:
+                sings = singular_vectors(n, m, kappa)
+                assert all(_fischer(t, t)[0] > 0 and _fischer(t, t)[1] == 0 for t in sings)
+                key = (d, ((kappa.parts + (0,) * n)[:n], (kappa.parts + (0,) * m)[:m]))
+                for mu in parts:
+                    comp = full_summand(n, m, mu).components.get(key)
+                    if mu == kappa or comp is None:
+                        continue
+                    assert comp.rank, (n, m, mu, kappa)
+                    for row in comp.nums.values():
+                        assert all(_fischer(row, t) == (0, 0) for t in sings), (n, m, mu, kappa)
+
+
+def test_contravariance_check_counts_every_entry():
+    # 2 (n^2 + m^2) basis operators, each compared on (2nm)^2 entries of A_1
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        assert contravariance_check(n, m) == 2 * (n * n + m * m) * (2 * n * m) ** 2
+
+
+def test_fischer_form_values():
+    # Hermitian, conjugate-linear in the second argument, and x_11^2 weighs 2!
+    x, y = ((1, 0, 0, 0), ()), ((0, 0, 0, 0), (0,))
+    xx = ((2, 0, 0, 0), ())
+    assert _fischer({x: (1, 1)}, {x: (1, 0)}) == (1, 1)
+    assert _fischer({x: (1, 0)}, {x: (1, 1)}) == (1, -1)
+    assert _fischer({xx: (3, 0), y: (0, 2)}, {xx: (1, 0), y: (0, 1)}) == (8, 0)
+    assert _fischer({x: (1, 0)}, {y: (1, 0)}) == (0, 0)
+
+
+def test_added_box():
+    assert added_box(sp(2, 1), sp(3, 1)) == 1
+    assert added_box(sp(2), sp(2, 1)) == 2
+    assert added_box(sp(), sp(1)) == 1
+    assert added_box(sp(2, 1), sp(4)) is None
+    assert added_box(sp(3), sp(2, 1)) is None
 
 
 @pytest.mark.parametrize("n, m, d_max", [(2, 2, 5), (2, 3, 4), (3, 3, 5)])

@@ -58,6 +58,11 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     assert payloads[0]["cases"] == payloads[1]["cases"]
     assert len(payloads[0]["cases"]) == 25
     assert payloads[0]["one_box_pairs"] == payloads[1]["one_box_pairs"] == 4
+    # () -> (1) -> (2) -> (3), (2,1): every kappa is nu plus one box
+    assert payloads[0]["one_box_decided"] == payloads[1]["one_box_decided"] == {"weight": 0, "pairing": 4}
+    # 36 basis operators, each compared on the 18^2 entries of A_1
+    assert payloads[0]["contravariance_checks"] == 36 * 18**2
+    assert "multiplicity-free" in payloads[0]["assumes"][0]
 
 
 @pytest.mark.parametrize("dmax, workers", [(3, [3]), (1, []), (0, [])])
@@ -95,8 +100,12 @@ def test_verify_determinantal_walks_from_the_staircase(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["status"] is True
     assert payload["quotient_lengths_outside"] == [0, 1]
-    # the rows of (2,1) and (3,1): 2 + 3 pairs
+    # the rows of (2,1) and (3,1): 2 + 3 pairs, of which (2,1) -> (4) and
+    # (3,1) -> (5) are decided by weight alone
     assert payload["one_box_pairs"] == 5
+    assert payload["one_box_decided"] == {"weight": 2, "pairing": 3}
+    assert payload["contravariance_checks"] == 36 * 18**2
+    assert "multiplicity-free" in payload["assumes"][0]
 
 
 def _corrupt_step(monkeypatch, kappa, inside):
@@ -137,6 +146,29 @@ def test_a_false_one_box_step_fails_the_verdict(target, monkeypatch, capsys):
     # (2,1) is inside neither (4) nor (5), which the walk then reaches
     _corrupt_step(monkeypatch, (4,), True)
     assert _failed_pairs(["verify", target], capsys) == [("2,1", "4"), ("2,1", "5")]
+
+
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeypatch, capsys):
+    # right Y_21 sends x_11 to -y_12 and right Y_12 sends y_12 to x_11, so
+    # with the first sign flipped Y_12 is no longer the adjoint of -Y_21
+    from queerlab import amodule
+
+    real = amodule._monomial_image
+    x11 = ((1,) + (0,) * 8, ())
+
+    def flipped(side, kind, a, b, mono, n, m):
+        img = real(side, kind, a, b, mono, n, m)
+        if (side, kind, a, b, mono) == ("right", "Y", 2, 1, x11):
+            img = tuple((k, (-re, -im)) for k, (re, im) in img)
+        return img
+
+    monkeypatch.setattr(amodule, "_monomial_image", flipped)
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    assert main(["verify", target]) == 1
+    err = capsys.readouterr().err
+    assert "check failed in verify %s: ContravarianceError" % target in err
+    assert "right Y_12 is not the adjoint of -Y_21" in err
 
 
 def test_verify_hecke_ideals_nmax5(capsys):
