@@ -233,12 +233,18 @@ def _pad(parts, k):
     return tuple(parts) + (0,) * (k - len(parts))
 
 
-def raising_operators(n: int, m: int):
-    """X_{i,i+1} and Y_{i,i+1} of both factors, as (side, (kind, i, i + 1))."""
+def raising_operators(w):
+    """X_{i,i+1} and Y_{i,i+1} of both factors, as (side, (kind, i, i + 1)),
+    that can act on the biweight w = (rows, cols), padded to (n, m).
+
+    Each lowers index i + 1 of its factor, so where w is 0 at i + 1 no
+    vector of the slice uses that index and the operator writes nothing.
+    """
     return [
         (side, (kind, i, i + 1))
-        for side, rank in (("left", n), ("right", m))
-        for i in range(1, rank)
+        for side, wt in (("left", w[0]), ("right", w[1]))
+        for i in range(1, len(wt))
+        if wt[i]
         for kind in ("X", "Y")
     ]
 
@@ -268,33 +274,11 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
         return []
     # one row per (operator, image monomial); each entry is written once
     constraints = {}
-    for op_id, (side, op) in enumerate(raising_operators(n, m)):
+    for side, op in raising_operators(w):
         for mono in monos:
             for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
-                constraints.setdefault((op_id, tgt), {})[mono] = c
+                constraints.setdefault((side, op, tgt), {})[mono] = c
     return kernel_basis(constraints.values(), monos)
-
-
-def all_biweights(n: int, m: int, d: int):
-    rws = _compositions(d, n)
-    cws = _compositions(d, m)
-    return [(r, c) for r in rws for c in cws]
-
-
-def _compositions(d: int, k: int):
-    if k == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(left, acc):
-        if len(acc) == k - 1:
-            out.append(tuple(acc + [left]))
-            return
-        for v in range(left + 1):
-            rec(left - v, acc + [v])
-
-    rec(d, [])
-    return out
 
 
 @dataclass

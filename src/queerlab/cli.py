@@ -456,6 +456,8 @@ def _verify_prop_dim(args):
         "n": args.n,
         "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
+        # the longest partition checked: a rank past it repeats its cases
+        "effective_rank": max(p.length for c in cases for p in (c.lam, c.mu, c.alpha, c.beta)),
         "cases": [c.to_dict() for c in cases],
         "status": _all_passed(c.passed for c in cases),
     }

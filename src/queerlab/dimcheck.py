@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .amodule import (
     _pad,
     act_terms,
-    all_biweights,
     raising_operators,
     singular_vectors,
     weight_space_monomials,
@@ -31,23 +31,34 @@ class HomDimError(RuntimeError):
     pass
 
 
-def _tensor_weight(lab, n: int):
-    w = [0] * n
-    for (_, i) in lab:
-        w[i - 1] += 1
-    return tuple(w)
+def _labels_by_weight(k: int, d: int, weight) -> dict:
+    """Labels of the d-th tensor power of C^{k|k} on the indices where weight
+    is nonzero, grouped by their own weight."""
+    out = {}
+    for lab in tensor_basis(k, d, weight):
+        w = [0] * k
+        for (_, i) in lab:
+            w[i - 1] += 1
+        out.setdefault(tuple(w), []).append(lab)
+    return out
 
 
-# (n, m, raising operator index, is monomial, tensor label or monomial) ->
+# (n, m, side, raising operator, is monomial, tensor label or monomial) ->
 # its image, as a Gaussian-integer vector; shared by every case of a sweep
 _IMAGES: dict = {}
 
 
-def _image(n: int, m: int, op_id: int, side: str, op: tuple, x, is_mono: bool) -> dict:
-    key = (n, m, op_id, is_mono, x)
+def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool) -> dict:
+    key = (n, m, side, op, is_mono, x)
     if key not in _IMAGES:
         _IMAGES[key] = act_terms(side, op, {x: (1, 0)}, n, m) if is_mono else tensor_image(op, x)
     return _IMAGES[key]
+
+
+@lru_cache(maxsize=None)
+def _induced(mu: StrictPartition, nu: StrictPartition) -> dict:
+    """`induct_mult(mu, nu)`, once per pair; callers must not mutate it."""
+    return induct_mult(mu, nu)
 
 
 def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
@@ -55,15 +66,17 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the unknowns are the weight-space
     basis triples, each row is one coordinate of one raising operator's
     image, and a row is a Gaussian-integer dict keyed by the unknowns'
-    indices."""
-    vlabs = {}
-    for lab in tensor_basis(n, a):
-        vlabs.setdefault(_tensor_weight(lab, n), []).append(lab)
-    wlabs = {}
-    for lab in tensor_basis(m, b):
-        wlabs.setdefault(_tensor_weight(lab, m), []).append(lab)
-    # A_r monomials grouped by biweight
-    amonos = {w: weight_space_monomials(n, m, r, w) for w in all_biweights(n, m, r)}
+    indices.
+
+    The system is built on the support of the weight: no label or monomial
+    of the slice uses an index where (wrow, wcol) is 0, and no raising
+    operator that lowers such an index writes a row (`raising_operators`).
+    The unknowns and rows, in the n x m layout, are those of the full-rank
+    system, which has no other row; how many there are depends on the
+    weight, not on n and m.
+    """
+    vlabs = _labels_by_weight(n, a, wrow)
+    wlabs = _labels_by_weight(m, b, wcol)
     # basis of the target weight slice: triples with weights summing right
     basis = []
     for wv, vl in vlabs.items():
@@ -72,9 +85,7 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
             need_cols = tuple(x - y for x, y in zip(wcol, ww))
             if any(c < 0 for c in need_rows) or any(c < 0 for c in need_cols):
                 continue
-            monos = amonos.get((need_rows, need_cols))
-            if not monos:
-                continue
+            monos = weight_space_monomials(n, m, r, (need_rows, need_cols))
             for v in vl:
                 for w2 in wl:
                     for mono in monos:
@@ -87,22 +98,22 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     # A raising operator changes the weight of the factor it acts on, so the
     # targets of one triple are distinct and each row entry is written once.
     constraints = {}
-    for op_id, (side, op) in enumerate(raising_operators(n, m)):
+    for side, op in raising_operators((wrow, wcol)):
         godd = op[0] == "Y"
         for col, (vlab, wlab, mono) in enumerate(basis):
             pv = parity[vlab]
             pw = parity[wlab]
             if side == "left":
-                for vlab2, c in _image(n, m, op_id, side, op, vlab, False).items():
-                    constraints.setdefault((op_id, (vlab2, wlab, mono)), {})[col] = c
+                for vlab2, c in _image(n, m, side, op, vlab, False).items():
+                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
             else:
                 flip = godd and pv % 2
-                for wlab2, (x, y) in _image(n, m, op_id, side, op, wlab, False).items():
-                    row = constraints.setdefault((op_id, (vlab, wlab2, mono)), {})
+                for wlab2, (x, y) in _image(n, m, side, op, wlab, False).items():
+                    row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
                     row[col] = (-x, -y) if flip else (x, y)
             flip = godd and (pv + pw) % 2
-            for mono2, (x, y) in _image(n, m, op_id, side, op, mono, True).items():
-                row = constraints.setdefault((op_id, (vlab, wlab, mono2)), {})
+            for mono2, (x, y) in _image(n, m, side, op, mono, True).items():
+                row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
                 row[col] = (-x, -y) if flip else (x, y)
     return list(constraints.values()), basis
 
@@ -194,8 +205,8 @@ def hom_dim_check(
     for gamma in enumerate_strict(r):
         if gamma.length > min(n, m):
             continue
-        m1 = induct_mult(alpha, gamma).get(lam, 0)
-        m2 = induct_mult(beta, gamma).get(mu, 0)
+        m1 = _induced(alpha, gamma).get(lam, 0)
+        m2 = _induced(beta, gamma).get(mu, 0)
         f1 = m1 * 2 ** delta(lam)
         f2 = m2 * 2 ** delta(mu)
         total += Fraction(f1 * f2, 2 ** delta(gamma))

@@ -19,9 +19,11 @@ class ActionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def tensor_basis(n: int, d: int):
-    """Basis labels of V^{(x)d}: tuples of ('e'|'f', i)."""
-    singles = [("e", i) for i in range(1, n + 1)] + [("f", i) for i in range(1, n + 1)]
+def tensor_basis(n: int, d: int, weight=None):
+    """Basis labels of V^{(x)d}: tuples of ('e'|'f', i), with i only where
+    weight, if given, is nonzero."""
+    live = [i for i in range(1, n + 1) if weight is None or weight[i - 1]]
+    singles = [("e", i) for i in live] + [("f", i) for i in live]
     out = [()]
     for _ in range(d):
         out = [t + (s,) for t in out for s in singles]

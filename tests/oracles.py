@@ -48,7 +48,9 @@ operator, `lowering_operators` closes a summand under all lowering
 operators, `membership_cases_for` and `determinantal_ideal_check` read
 membership off the ideal built directly to the truncation degree (the CLI
 walks the one-box relation), and `m_stability_check` checks that h
-preserves m.
+preserves m. `sing_system_full` builds the singular system of the
+Hom-dimension check on the full rank, every label, biweight and raising
+operator, where the CLI builds it on the support of its weight.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +63,6 @@ from queerlab.amodule import (
     _cell,
     _pad,
     act_terms,
-    all_biweights,
     singular_vectors,
     weight_space_monomials,
 )
@@ -76,7 +77,7 @@ from queerlab.heckeclifford import (
 )
 from queerlab.linalg import Echelon, add_term, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
-from queerlab.queer import ActionError, tensor_basis
+from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from queerlab.spoly import mono_degree, mono_mul, p_add, p_mul, p_scale
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
@@ -1366,6 +1367,29 @@ def one_box_steps_by_closure(n: int, m: int, nu: StrictPartition) -> dict:
     }
 
 
+def all_biweights(n: int, m: int, d: int):
+    """Every biweight (rows, cols) of A(n,m)_d."""
+    rws = _compositions(d, n)
+    cws = _compositions(d, m)
+    return [(r, c) for r in rws for c in cws]
+
+
+def _compositions(d: int, k: int):
+    if k == 0:
+        return [()] if d == 0 else []
+    out = []
+
+    def rec(left, acc):
+        if len(acc) == k - 1:
+            out.append(tuple(acc + [left]))
+            return
+        for v in range(left + 1):
+            rec(left - v, acc + [v])
+
+    rec(d, [])
+    return out
+
+
 def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
     """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
     space = GradedSubspace(n, m)
@@ -1392,6 +1416,63 @@ def lowering_operators(n: int, m: int):
     these is its test oracle.
     """
     return [(side, op) for side, op in all_operators(n, m) if op[1] > op[2]]
+
+
+def all_raising_operators(n: int, m: int):
+    """X_{i,i+1} and Y_{i,i+1} of both factors at full rank, as
+    (side, (kind, i, i + 1)), whatever the weight they act on."""
+    return [
+        (side, (kind, i, i + 1))
+        for side, rank in (("left", n), ("right", m))
+        for i in range(1, rank)
+        for kind in ("X", "Y")
+    ]
+
+
+def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
+    """`dimcheck._sing_system` on the full rank: every label of V^{(x)a} and
+    W^{(x)b}, the monomials of every biweight of A_r, and every raising
+    operator on every unknown, in the same row and unknown layout."""
+
+    def by_weight(k, d):
+        out = {}
+        for lab in tensor_basis(k, d):
+            w = [0] * k
+            for (_, i) in lab:
+                w[i - 1] += 1
+            out.setdefault(tuple(w), []).append(lab)
+        return out
+
+    vlabs = by_weight(n, a)
+    wlabs = by_weight(m, b)
+    amonos = {w: weight_space_monomials(n, m, r, w) for w in all_biweights(n, m, r)}
+    basis = []
+    for wv, vl in vlabs.items():
+        for ww, wl in wlabs.items():
+            need_rows = tuple(x - y for x, y in zip(wrow, wv))
+            need_cols = tuple(x - y for x, y in zip(wcol, ww))
+            monos = amonos.get((need_rows, need_cols), ())
+            basis.extend((v, w2, mono) for v in vl for w2 in wl for mono in monos)
+    if not basis:
+        return [], []
+    constraints = {}
+    for side, op in all_raising_operators(n, m):
+        godd = op[0] == "Y"
+        for col, (vlab, wlab, mono) in enumerate(basis):
+            pv, pw = _label_parity(vlab), _label_parity(wlab)
+            if side == "left":
+                for vlab2, c in tensor_image(op, vlab).items():
+                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
+            else:
+                flip = godd and pv % 2
+                for wlab2, (x, y) in tensor_image(op, wlab).items():
+                    row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
+                    row[col] = (-x, -y) if flip else (x, y)
+            flip = godd and (pv + pw) % 2
+            for mono2, (x, y) in act_terms(side, op, {mono: (1, 0)}, n, m).items():
+                row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
+                row[col] = (-x, -y) if flip else (x, y)
+    return list(constraints.values()), basis
 
 
 def ideal_closure(n: int, m: int, gens: GradedSubspace, d_max: int) -> EquivariantIdeal:

@@ -13,6 +13,7 @@ from oracles import (
     TruncationError,
     act,
     act_on_U,
+    all_biweights,
     bracket,
     candidate_tail_bounds,
     determinantal_ideal_check,
@@ -35,7 +36,6 @@ from queerlab.amodule import (
     _fischer,
     act_terms,
     added_box,
-    all_biweights,
     contravariance_check,
     ideal_summands,
     one_box_steps,

@@ -699,6 +699,18 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_verify_prop_dim_reports_its_effective_rank(capsys):
+    # n = m = 3 checks no partition longer than 2, so it repeats n = m = 2
+    payloads = []
+    for rank in ("2", "3"):
+        code = main(["verify", "prop-dim", "--n", rank, "--m", rank, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["status"] is True
+        assert payload["effective_rank"] == 2
+        payloads.append(payload)
+    assert payloads[0]["cases"] == payloads[1]["cases"]
+
+
 def test_tracer_wraps_every_layer_after_cli_import():
     # bench/tracer.py wraps the layers it finds in sys.modules once
     # queerlab.cli is imported; a layer imported lazily would be missing

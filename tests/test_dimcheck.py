@@ -1,7 +1,21 @@
+from itertools import chain, product
+
 import pytest
 
-from queerlab.dimcheck import copy_singular_dim, hom_dim_check, hom_dim_sweep
-from queerlab.partitions import EMPTY, StrictPartition
+from oracles import all_raising_operators, sing_system_full
+from queerlab import dimcheck
+from queerlab.amodule import (
+    _pad,
+    _solve_singular,
+    act_terms,
+    raising_operators,
+    weight_space_monomials,
+)
+from queerlab.dimcheck import _sing_system, copy_singular_dim, hom_dim_check, hom_dim_sweep
+from queerlab.linalg import kernel_basis, kernel_dim
+from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto
+from queerlab.queer import tensor_image
+from queerlab.symfunc import induct_mult
 
 
 def sp(*parts):
@@ -53,38 +67,152 @@ def test_small_sweep():
 
 
 def test_kernel_dim_counts_the_kernel_basis():
-    from itertools import product
-
-    from queerlab.dimcheck import _sing_system
-    from queerlab.linalg import kernel_basis, kernel_dim
-
     checked = 0
-    for a, b, r in product((0, 1, 2), (0, 1, 2), (0, 1, 2)):
-        if a + b + r > 4:
-            continue
-        d_row, d_col = a + r, b + r
-        for wrow in product(range(d_row + 1), repeat=2):
-            if sum(wrow) != d_row:
-                continue
-            for wcol in product(range(d_col + 1), repeat=2):
-                if sum(wcol) != d_col:
-                    continue
-                rows, basis = _sing_system(2, 2, a, b, r, wrow, wcol)
-                # the rows are keyed by the unknowns' indices
-                assert kernel_dim(rows, basis) == len(kernel_basis(rows, range(len(basis))))
-                checked += bool(basis)
+    for args in _composition_systems(2, 2):
+        rows, basis = _sing_system(2, 2, *args)
+        # the rows are keyed by the unknowns' indices
+        assert kernel_dim(rows, basis) == len(kernel_basis(rows, range(len(basis))))
+        checked += bool(basis)
     assert checked
 
 
 def test_shared_image_tables_change_no_verdict():
     # one process, tables shared across the ranks, against each sweep run
     # again from empty tables
-    from queerlab import dimcheck
-
     sizes = [(2, 2), (3, 3), (2, 3), (3, 2)]
     shared = [[c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] for n, m in sizes]
     assert dimcheck._IMAGES
     for (n, m), got in zip(sizes, shared):
         dimcheck._IMAGES.clear()
+        dimcheck._induced.cache_clear()
         assert [c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] == got, (n, m)
         assert all(case["pass"] for case in got), (n, m)
+
+
+def _composition_systems(n, m, ab_max=2, total=4):
+    """(a, b, r, wrow, wcol) for every composition weight of V^{(x)a} (x)
+    W^{(x)b} (x) A_r at rank (n, m), non-dominant ones included."""
+    for a, b, r in product(range(ab_max + 1), range(ab_max + 1), range(3)):
+        if a + b + r > total:
+            continue
+        for wrow in product(range(a + r + 1), repeat=n):
+            if sum(wrow) != a + r:
+                continue
+            for wcol in product(range(b + r + 1), repeat=m):
+                if sum(wcol) == b + r:
+                    yield a, b, r, wrow, wcol
+
+
+def _sweep_systems(n, m):
+    """(a, b, r, wrow, wcol) of every case of the default sweep at (n, m)
+    that builds a singular system."""
+    for c in hom_dim_sweep(n, m, 2, 2):
+        a, b = c.alpha.size, c.beta.size
+        r = c.lam.size - a
+        if 0 <= r <= 3:
+            yield a, b, r, _pad(c.lam.parts, n), _pad(c.mu.parts, m)
+
+
+def test_support_system_matches_the_full_rank_oracle():
+    # the same unknowns and rows, in the same order, so the same kernel
+    built = 0
+    for n, m, systems in [(2, 2, _composition_systems(2, 2))] + [
+        (n, m, _sweep_systems(n, m)) for n, m in ((2, 3), (3, 2), (3, 3), (4, 4))
+    ]:
+        for args in systems:
+            rows, basis = _sing_system(n, m, *args)
+            full_rows, full_basis = sing_system_full(n, m, *args)
+            assert (rows, basis) == (full_rows, full_basis), (n, m, args)
+            assert kernel_dim(rows, basis) == kernel_dim(full_rows, full_basis), (n, m, args)
+            built += bool(basis)
+    assert built > 100
+
+
+def test_skipped_raising_operators_write_nothing():
+    # an operator left out of a system lowers an index where the weight is
+    # 0, and its image of every label and monomial of the slice is empty
+    checked = 0
+    for n, m in product((1, 2, 3), repeat=2):
+        systems = chain(_composition_systems(n, m, total=3), _sweep_systems(n, m))
+        for a, b, r, wrow, wcol in systems:
+            live = raising_operators((wrow, wcol))
+            dead = [so for so in all_raising_operators(n, m) if so not in live]
+            basis = sing_system_full(n, m, a, b, r, wrow, wcol)[1]
+            for side, op in dead:
+                for vlab, wlab, mono in basis:
+                    assert not tensor_image(op, vlab if side == "left" else wlab)
+                    assert not act_terms(side, op, {mono: (1, 0)}, n, m)
+                    checked += 1
+        # the singular vectors of L_lam: weight (lam, lam) in A_|lam|
+        for lam in all_strict_upto(5):
+            if lam.length > min(n, m):
+                continue
+            w = (_pad(lam.parts, n), _pad(lam.parts, m))
+            live = raising_operators(w)
+            dead = [so for so in all_raising_operators(n, m) if so not in live]
+            assert all(op[2] > lam.length for _, op in dead)
+            for side, op in dead:
+                for mono in weight_space_monomials(n, m, lam.size, w):
+                    assert not act_terms(side, op, {mono: (1, 0)}, n, m)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_singular_vectors_need_no_dead_operator(monkeypatch):
+    # the full operator list gives the same singular basis
+    from queerlab import amodule
+
+    lams = [lam for lam in all_strict_upto(5) if lam.length <= 3]
+    live = [_solve_singular(3, 3, lam) for lam in lams]
+    monkeypatch.setattr(amodule, "raising_operators", lambda w: all_raising_operators(3, 3))
+    assert [_solve_singular(3, 3, lam) for lam in lams] == live
+
+
+def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
+    # rank 3 checks the cases of rank 2 and builds systems of the same size,
+    # listing as many labels and looking up as many images
+    counts = {"labels": 0, "images": 0}
+    tensor_basis, image = dimcheck.tensor_basis, dimcheck._image
+
+    def counted(key, f):
+        def wrapped(*args):
+            out = f(*args)
+            counts[key] += len(out) if key == "labels" else 1
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(dimcheck, "tensor_basis", counted("labels", tensor_basis))
+    monkeypatch.setattr(dimcheck, "_image", counted("images", image))
+
+    def build(n, m, args):
+        counts.update(labels=0, images=0)
+        rows, basis = _sing_system(n, m, *args)
+        return len(rows), len(basis), sum(map(len, rows)), counts["labels"], counts["images"]
+
+    small, large = list(_sweep_systems(2, 2)), list(_sweep_systems(3, 3))
+    assert len(small) == len(large) == 50
+    for (a, b, r, wrow, wcol), args in zip(small, large):
+        assert args == (a, b, r, wrow + (0,), wcol + (0,))
+        assert build(2, 2, (a, b, r, wrow, wcol)) == build(3, 3, args), args
+
+
+def test_sweep_is_stable_in_the_rank():
+    cases = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
+    assert cases[0] == cases[1] == cases[2]
+    assert all(c["pass"] for c in cases[0])
+
+
+def test_induct_mult_runs_once_per_pair(monkeypatch):
+    calls = []
+
+    def counting(mu, nu):
+        calls.append((mu, nu))
+        return induct_mult(mu, nu)
+
+    dimcheck._induced.cache_clear()
+    monkeypatch.setattr(dimcheck, "induct_mult", counting)
+    hom_dim_sweep(3, 3, 2, 2)
+    hom_dim_sweep(3, 3, 2, 2)
+    dimcheck._induced.cache_clear()
+    assert len(calls) == len(set(calls)) == 9
