@@ -20,7 +20,6 @@ pairs the covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .linalg import kernel_basis
@@ -197,28 +196,39 @@ def weight_space_monomials(n: int, m: int, d: int, w) -> list:
 
 
 def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
+    """The walk over the live cells: those whose row and column weights are
+    both nonzero. No monomial of the slice uses another cell, so a dead cell
+    only ever takes exponent 0, and skipping it leaves the order of the
+    monomials as it is; the recursion is as deep as the live cells are many,
+    not n * m."""
     if sum(rows) != d or sum(cols) != d:
         return ()
-    cells = list(range(n * m))
+    live_rows = [i for i in range(n) if rows[i]]
+    live_cols = [j for j in range(m) if cols[j]]
+    # the live cells in row-major order, the order of `_tables` on the margins
+    cells = [(i, j, i * m + j) for i in live_rows for j in live_cols]
     out = []
 
     def supports(idx, rleft, cleft, acc):
         if idx == len(cells):
-            xr = tuple(rleft)
-            xc = tuple(cleft)
+            xr = tuple(rleft[i] for i in live_rows)
+            xc = tuple(cleft[j] for j in live_cols)
             if sum(xr) != sum(xc):
                 return
             for table in _tables(xr, xc):
-                out.append((table, tuple(acc)))
+                x = [0] * (n * m)
+                for (_, _, cell), e in zip(cells, table):
+                    x[cell] = e
+                out.append((tuple(x), tuple(acc)))
             return
         supports(idx + 1, rleft, cleft, acc)
-        i, j = divmod(cells[idx], m)
+        i, j, cell = cells[idx]
         if rleft[i] > 0 and cleft[j] > 0:
             rl = list(rleft)
             cl = list(cleft)
             rl[i] -= 1
             cl[j] -= 1
-            supports(idx + 1, rl, cl, acc + [cells[idx]])
+            supports(idx + 1, rl, cl, acc + [cell])
 
     supports(0, list(rows), list(cols), [])
     return tuple(out)
@@ -281,12 +291,14 @@ def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
     return kernel_basis(constraints.values(), monos)
 
 
-@dataclass
 class MembershipCase:
-    lam: StrictPartition
-    mu: StrictPartition
-    predicted: bool
-    observed: bool
+    __slots__ = ("lam", "mu", "predicted", "observed")
+
+    def __init__(self, lam: StrictPartition, mu: StrictPartition, predicted: bool, observed: bool):
+        self.lam = lam
+        self.mu = mu
+        self.predicted = predicted
+        self.observed = observed
 
     @property
     def passed(self):

@@ -9,7 +9,6 @@ DecompositionError, ContravarianceError), 2 bad input or an internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -25,6 +24,9 @@ CACHE_FILE = "qpoly.cache"
 # grow factorially. Each target names the flags it reads against them.
 SAFE_H_RANK = 7  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
+# n and m of verify prop-dim: its systems are built on the support of their
+# weights, so each rank costs about what rank 2 does, up to this one
+SAFE_PROP_RANK = 12
 SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 12  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
@@ -172,6 +174,9 @@ def _render(fmt: str, payload: dict, rows, header) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
+        # imported here: only --format csv loads it
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf).writerows([header] + rows)
         return buf.getvalue()
@@ -221,6 +226,12 @@ def _pieri(args):
         for mu, c in sorted(want.items(), key=lambda t: t[0].parts):
             rows.append([nu.serialize(), mu.serialize(), c])
     return {"target": "pieri", "bound": args.bound, "cases": cases, "status": ok}, rows
+
+
+def _effective_rank(partitions) -> int:
+    """The length of the longest partition a report checks: a rank past it
+    repeats the report's cases."""
+    return max(p.length for p in partitions)
 
 
 def _all_passed(passes) -> bool:
@@ -353,6 +364,7 @@ def _verify_main_theorem(args):
         "n": args.n,
         "m": args.m,
         "d_max": args.dmax,
+        "effective_rank": _effective_rank(cands),
         **_one_box_report(relation, checks),
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
@@ -372,13 +384,12 @@ def _verify_determinantal(args):
     checks = contravariance_check(args.n, args.m)
     relation = {}
     reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)
-    cases = [
-        MembershipCase(stair, mu, mu.length > r, mu in reached)
-        for mu in all_strict_upto(args.dmax, min(args.n, args.m))
-    ]
+    mus = all_strict_upto(args.dmax, min(args.n, args.m))
+    cases = [MembershipCase(stair, mu, mu.length > r, mu in reached) for mu in mus]
     payload = {
         "target": "determinantal",
         "r": r,
+        "effective_rank": _effective_rank([stair] + mus),
         "cases": [c.to_dict() for c in cases],
         "quotient_lengths_outside": sorted({c.mu.length for c in cases if not c.observed}),
         **_one_box_report(relation, checks),
@@ -456,8 +467,7 @@ def _verify_prop_dim(args):
         "n": args.n,
         "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
-        # the longest partition checked: a rank past it repeats its cases
-        "effective_rank": max(p.length for c in cases for p in (c.lam, c.mu, c.alpha, c.beta)),
+        "effective_rank": _effective_rank(p for c in cases for p in (c.lam, c.mu, c.alpha, c.beta)),
         "cases": [c.to_dict() for c in cases],
         "status": _all_passed(c.passed for c in cases),
     }
@@ -514,6 +524,7 @@ def _dump_dims(args):
 # ---------------------------------------------------------------------------
 
 _A_RANK = (("--n", SAFE_A_RANK), ("--m", SAFE_A_RANK))
+_PROP_RANK = (("--n", SAFE_PROP_RANK), ("--m", SAFE_PROP_RANK))
 _CASE_COLUMNS = ["lambda", "mu", "predicted", "observed", "pass"]
 _BLOCK_COLUMNS = ["lambda", "dim_J", "dim_S", "type"]
 
@@ -531,7 +542,7 @@ TARGETS = {
     ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),), None),
     ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE)), None),
     ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),), None),
-    ("verify", "prop-dim"): (_verify_prop_dim, _A_RANK, None),
+    ("verify", "prop-dim"): (_verify_prop_dim, _PROP_RANK, None),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),), _BLOCK_COLUMNS),
     ("dump", "q-expansion"): (_dump_q_expansion, (), None),
     # dim_T is a trace over the center of H_|lambda|, whatever --n is

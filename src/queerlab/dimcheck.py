@@ -8,7 +8,6 @@ coefficients; both under the total-dimension convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -134,16 +133,28 @@ def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
     return s
 
 
-@dataclass
 class HomDimCase:
-    lam: StrictPartition
-    mu: StrictPartition
-    alpha: StrictPartition
-    beta: StrictPartition
-    r: int
-    brute: int
-    formula: int
-    details: dict
+    __slots__ = ("lam", "mu", "alpha", "beta", "r", "brute", "formula", "details")
+
+    def __init__(
+        self,
+        lam: StrictPartition,
+        mu: StrictPartition,
+        alpha: StrictPartition,
+        beta: StrictPartition,
+        r: int,
+        brute: int,
+        formula: int,
+        details: dict,
+    ):
+        self.lam = lam
+        self.mu = mu
+        self.alpha = alpha
+        self.beta = beta
+        self.r = r
+        self.brute = brute
+        self.formula = formula
+        self.details = details
 
     @property
     def passed(self):

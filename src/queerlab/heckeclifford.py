@@ -7,7 +7,6 @@ words, so all heavy subspace work stays sparse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt
@@ -140,22 +139,26 @@ def _signed_classes(n: int) -> tuple:
     return starts, types, index
 
 
-@dataclass
 class IsotypicBlock:
-    label: StrictPartition
-    dim_J: int
-    dim_S: int
-    type: str  # "M" or "Q"
-    coords: list  # e_lambda = sum_j coords[j] C_j, over `_signed_classes`
+    __slots__ = ("label", "dim_J", "dim_S", "type", "coords")
+
+    def __init__(self, label: StrictPartition, dim_J: int, dim_S: int, type: str, coords: list):
+        self.label = label
+        self.dim_J = dim_J
+        self.dim_S = dim_S
+        self.type = type  # "M" or "Q"
+        self.coords = coords  # e_lambda = sum_j coords[j] C_j, over `_signed_classes`
 
 
-@dataclass
 class IsotypicTable:
-    n: int
-    blocks: dict
-    types: list  # the cycle type of each class C_j
-    weights: list  # (C_j C_j)[1], one per class
-    support: int  # the number of words in the classes
+    __slots__ = ("n", "blocks", "types", "weights", "support")
+
+    def __init__(self, n: int, blocks: dict, types: list, weights: list, support: int):
+        self.n = n
+        self.blocks = blocks
+        self.types = types  # the cycle type of each class C_j
+        self.weights = weights  # (C_j C_j)[1], one per class
+        self.support = support  # the number of words in the classes
 
     def to_dict(self) -> dict:
         return {
@@ -343,13 +346,17 @@ def decompose_regular(n: int) -> IsotypicTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SigmaCase:
-    lam: StrictPartition
-    m: int
-    predicted: list
-    observed: list
-    dims_match: bool
+    __slots__ = ("lam", "m", "predicted", "observed", "dims_match")
+
+    def __init__(
+        self, lam: StrictPartition, m: int, predicted: list, observed: list, dims_match: bool
+    ):
+        self.lam = lam
+        self.m = m
+        self.predicted = predicted
+        self.observed = observed
+        self.dims_match = dims_match
 
     @property
     def passed(self) -> bool:
@@ -391,14 +398,18 @@ def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
     return cases
 
 
-@dataclass
 class BraidSignCase:
-    m: int
-    n: int
-    x_parity: int
-    y_parity: int
-    empirical_sign: int
-    paper_mn_sign: int
+    __slots__ = ("m", "n", "x_parity", "y_parity", "empirical_sign", "paper_mn_sign")
+
+    def __init__(
+        self, m: int, n: int, x_parity: int, y_parity: int, empirical_sign: int, paper_mn_sign: int
+    ):
+        self.m = m
+        self.n = n
+        self.x_parity = x_parity
+        self.y_parity = y_parity
+        self.empirical_sign = empirical_sign
+        self.paper_mn_sign = paper_mn_sign
 
     @property
     def matches_parity_law(self):

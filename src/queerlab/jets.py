@@ -13,7 +13,6 @@ map is built once per (n, order) and shared by its callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import ONE, ZETA
@@ -24,21 +23,17 @@ class JetInversionError(ZeroDivisionError):
     pass
 
 
-@dataclass(frozen=True)
 class JetRing:
     """A truncated supercommutative polynomial ring with named variables."""
 
-    even_names: tuple
-    odd_names: tuple
-    order: int
+    __slots__ = ("even_names", "odd_names", "order", "_even_idx", "_odd_idx")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_even_idx", {v: i for i, v in enumerate(self.even_names)}
-        )
-        object.__setattr__(
-            self, "_odd_idx", {v: i for i, v in enumerate(self.odd_names)}
-        )
+    def __init__(self, even_names: tuple, odd_names: tuple, order: int):
+        self.even_names = even_names
+        self.odd_names = odd_names
+        self.order = order
+        self._even_idx = {v: i for i, v in enumerate(even_names)}
+        self._odd_idx = {v: i for i, v in enumerate(odd_names)}
 
     @property
     def n_even(self):

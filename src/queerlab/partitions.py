@@ -3,24 +3,66 @@ the plain partitions of n."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
 class StrictPartition:
-    """A strictly decreasing sequence of positive integers."""
+    """A strictly decreasing sequence of positive integers.
 
-    parts: tuple[int, ...] = ()
+    Immutable, and compared and ordered by `parts` alone. The hash is that
+    of the tuple (parts,): sets of partitions iterate in an order fixed by
+    it, and reports print some of them in that order. A plain slotted class,
+    not a dataclass, so that starting the CLI does not import `dataclasses`.
+    """
 
-    def __post_init__(self):
-        p = tuple(self.parts)
-        object.__setattr__(self, "parts", p)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()):
+        p = tuple(parts)
         for i, x in enumerate(p):
             if x <= 0:
                 raise ValueError("parts must be positive: %r" % (p,))
             if i + 1 < len(p) and p[i + 1] >= x:
                 raise ValueError("parts must strictly decrease: %r" % (p,))
+        object.__setattr__(self, "parts", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StrictPartition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("StrictPartition is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting the slot
+        return StrictPartition, (self.parts,)
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __eq__(self, other):
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __le__(self, other):
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts <= other.parts
+
+    def __gt__(self, other):
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts > other.parts
+
+    def __ge__(self, other):
+        if other.__class__ is not StrictPartition:
+            return NotImplemented
+        return self.parts >= other.parts
 
     @property
     def size(self) -> int:

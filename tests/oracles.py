@@ -50,7 +50,10 @@ membership off the ideal built directly to the truncation degree (the CLI
 walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
 Hom-dimension check on the full rank, every label, biweight and raising
-operator, where the CLI builds it on the support of its weight.
+operator, where the CLI builds it on the support of its weight;
+`weight_space_monomials_all_cells` lists a weight space by walking every
+cell of the n x m grid, where the CLI walks only the cells the weight
+reaches.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +65,7 @@ from queerlab.amodule import (
     MembershipCase,
     _cell,
     _pad,
+    _tables,
     act_terms,
     singular_vectors,
     weight_space_monomials,
@@ -1387,6 +1391,33 @@ def _compositions(d: int, k: int):
             rec(left - v, acc + [v])
 
     rec(d, [])
+    return out
+
+
+def weight_space_monomials_all_cells(n: int, m: int, d: int, w) -> list:
+    """`amodule.weight_space_monomials` by the walk over all n * m cells:
+    each cell either skipped or taken as a y factor, then every x table with
+    the remaining margins over all n rows and m columns."""
+    rows, cols = w
+    if sum(rows) != d or sum(cols) != d:
+        return []
+    out = []
+
+    def supports(cell, rleft, cleft, acc):
+        if cell == n * m:
+            if sum(rleft) == sum(cleft):
+                out.extend((table, tuple(acc)) for table in _tables(tuple(rleft), tuple(cleft)))
+            return
+        supports(cell + 1, rleft, cleft, acc)
+        i, j = divmod(cell, m)
+        if rleft[i] > 0 and cleft[j] > 0:
+            rl = list(rleft)
+            cl = list(cleft)
+            rl[i] -= 1
+            cl[j] -= 1
+            supports(cell + 1, rl, cl, acc + [cell])
+
+    supports(0, list(rows), list(cols), [])
     return out
 
 

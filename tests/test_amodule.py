@@ -30,6 +30,7 @@ from oracles import (
     summand,
     summand_membership,
     weight_space,
+    weight_space_monomials_all_cells,
     x_prime,
 )
 from queerlab.amodule import (
@@ -264,6 +265,30 @@ def test_weight_space_examples():
     for w in [((2,), (2,))]:
         total += len(weight_space_monomials(1, 1, 2, w))
     assert total == 2
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+def test_live_cell_walk_equals_all_cell_walk(n, m):
+    # the same monomials in the same order, dead rows and columns included
+    for d in range(5):
+        for w in all_biweights(n, m, d):
+            assert weight_space_monomials(n, m, d, w) == weight_space_monomials_all_cells(n, m, d, w), w
+
+
+def test_weight_space_walk_is_as_deep_as_its_live_cells():
+    # at n = m = 30 a walk over every cell would recurse past the
+    # interpreter's limit; the slice is that of (2, 2), each cell moved to
+    # its place
+    n = m = 30
+    moved = {i * 2 + j: i * m + j for i in range(2) for j in range(2)}
+    want = []
+    for x, y in weight_space_monomials(2, 2, 3, ((2, 1), (1, 2))):
+        big = [0] * (n * m)
+        for cell, e in enumerate(x):
+            big[moved[cell]] = e
+        want.append((tuple(big), tuple(moved[cell] for cell in y)))
+    w = ((2, 1) + (0,) * (n - 2), (1, 2) + (0,) * (m - 2))
+    assert weight_space_monomials(n, m, 3, w) == want
 
 
 def test_mono_biweight():

@@ -398,8 +398,6 @@ def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
 def test_braid_parity_law_break_fails_the_run(monkeypatch, capsys):
     # the report states sign = (-1)^{|x||y|} and counts the cases that break
     # it; one such case is a theorem failure
-    import dataclasses
-
     from queerlab import heckeclifford
 
     argv = ["verify", "hecke-ideals", "--nmax", "1", "--format", "json"]
@@ -411,7 +409,10 @@ def test_braid_parity_law_break_fails_the_run(monkeypatch, capsys):
     def one_broken(m, n):
         cases = real(m, n)
         if (m, n) == (1, 1):
-            cases[0] = dataclasses.replace(cases[0], empirical_sign=-cases[0].empirical_sign)
+            c = cases[0]
+            cases[0] = heckeclifford.BraidSignCase(
+                c.m, c.n, c.x_parity, c.y_parity, -c.empirical_sign, c.paper_mn_sign
+            )
         return cases
 
     monkeypatch.setattr(heckeclifford, "braid_conjugation_cases", one_broken)
@@ -686,12 +687,13 @@ def test_no_sympy_import():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # ProcessPoolExecutor is imported only under --jobs > 1
+    # every job pays for what `import queerlab.cli` loads: ProcessPoolExecutor
+    # is imported only under --jobs > 1, csv only under --format csv, and
+    # dataclasses (with inspect) not at all. pytest itself imports
+    # dataclasses, so the check runs in a fresh interpreter
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = (
-        "import sys; import queerlab.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+    unused = ("multiprocessing", "concurrent.futures", "dataclasses", "inspect", "csv")
+    code = "import sys; import queerlab.cli; print(sorted(m for m in %r if m in sys.modules))" % (unused,)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -700,15 +702,36 @@ def test_cli_import_leaves_out_the_process_pool():
 
 
 def test_verify_prop_dim_reports_its_effective_rank(capsys):
-    # n = m = 3 checks no partition longer than 2, so it repeats n = m = 2
+    # n = m = 3 checks no partition longer than 2, so it repeats n = m = 2;
+    # so do the safe bound of prop-dim, 12, without --unsafe, and a rank far
+    # past it, where a walk over every cell would pass the recursion limit.
+    # One step past the bound exits 2 naming the flag
+    def run(rank, *flags):
+        code = main(["verify", "prop-dim", "--n", str(rank), "--m", str(rank), "--format", "json", *flags])
+        out = capsys.readouterr()
+        return code, json.loads(out.out) if code == 0 else out.err
+
     payloads = []
-    for rank in ("2", "3"):
-        code = main(["verify", "prop-dim", "--n", rank, "--m", rank, "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
+    for rank, flags in ((2, ()), (3, ()), (12, ()), (30, ("--unsafe",))):
+        code, payload = run(rank, *flags)
         assert code == 0 and payload["status"] is True
         assert payload["effective_rank"] == 2
         payloads.append(payload)
-    assert payloads[0]["cases"] == payloads[1]["cases"]
+    assert all(p["cases"] == payloads[0]["cases"] for p in payloads)
+    code, err = run(13)
+    assert code == 2
+    assert err.startswith("error: --n 13 above the safe bound 12") and "--unsafe" in err
+
+
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+@pytest.mark.parametrize("flags", [(), ("--n", "4", "--m", "4", "--dmax", "5", "--unsafe")])
+def test_ideal_targets_report_their_effective_rank(target, flags, capsys):
+    # no strict partition of size <= 5 is longer than 2, so rank 4 repeats
+    # the cases of rank 2; effective_rank is a report key, not a case field
+    assert main(["verify", target, "--format", "json", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["effective_rank"] == 2
+    assert all("effective_rank" not in c for c in payload["cases"])
 
 
 def test_tracer_wraps_every_layer_after_cli_import():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +29,38 @@ def test_validation():
         sp(1, 2)
     with pytest.raises(ValueError):
         sp(0)
+    with pytest.raises(ValueError):
+        sp(3, -1)
+
+
+def test_value_semantics():
+    # equal, hashed and ordered by parts alone, immutable, and never equal
+    # to its parts tuple
+    ps = [p for n in range(8) for p in enumerate_strict(n)]
+    for p in ps:
+        q = StrictPartition(p.parts)
+        assert p == q and p is not q and not p != q
+        assert hash(p) == hash(q) == hash((p.parts,))
+        assert p != p.parts and p.parts != p
+        assert {p: 1}[q] == 1
+    assert [p.parts for p in sorted(ps)] == sorted(p.parts for p in ps)
+    assert [p.parts for p in sorted(ps, reverse=True)] == sorted((p.parts for p in ps), reverse=True)
+    assert sp(2, 1) < sp(3) <= sp(3) and sp(3) > sp(2, 1) >= sp(2, 1)
+    with pytest.raises(TypeError):
+        sp(2) < (3,)
+    assert StrictPartition() == EMPTY and StrictPartition([2, 1]).parts == (2, 1)
+    with pytest.raises(AttributeError):
+        sp(2).parts = (3,)
+    with pytest.raises(AttributeError):
+        sp(2).other = 1
+    with pytest.raises(AttributeError):
+        del sp(2).parts
+
+
+def test_pickle_and_copy_round_trip():
+    for p in (EMPTY, sp(1), sp(4, 2, 1)):
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p) and type(q) is StrictPartition
 
 
 def test_delta():
