@@ -2,16 +2,16 @@
 
 Basis words are alpha_1^{e_1}...alpha_n^{e_n} * sigma (Clifford monomial
 first, then permutation); products of basis words are single signed basis
-words, so all heavy subspace work stays sparse.
+words. The isotypic ideals are read off the even center, a central element
+being its k coordinates on the signed class sums; no word list is formed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
-from math import factorial, isqrt
+from itertools import combinations, permutations
+from math import factorial, isqrt, prod
 
-from .partitions import StrictPartition, delta, enumerate_strict, contains
+from .partitions import StrictPartition, contains, delta, enumerate_partitions, enumerate_strict
 from .scalars import Cyclo8Scalar, ONE, ZERO
 from .symfunc import induct_mult
 
@@ -79,64 +79,55 @@ def all_words(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _odd_cycles(p: tuple):
-    """The cycles of p, each from its least letter, or None if one has even length."""
-    cycles, seen = [], set()
-    for i in range(len(p)):
-        if i not in seen:
-            cycle = [i]
-            while p[cycle[-1]] != i:
-                cycle.append(p[cycle[-1]])
-            if not len(cycle) & 1:
-                return None
-            seen.update(cycle)
-            cycles.append(cycle)
-    return cycles
+def _class_types(n: int) -> list:
+    """The cycle types of the signed classes C_t of H_n: the partitions of n
+    into odd parts, ascending, so that C_0 is the unit."""
+    return [t for t in reversed(enumerate_partitions(n)) if all(part & 1 for part in t)]
 
 
-@lru_cache(maxsize=None)
-def _signed_classes(n: int) -> tuple:
-    """The even center of H_n (ordinary sense) as signed class sums C_j:
-    (starts, types, index).
+def _class_size(t: tuple) -> int:
+    """|C_t| = n!/z_t 2^(n - l(t)): the permutations of type t, each with the
+    2^(c-1) masks even on each of its cycles of length c."""
+    z = prod(part ** t.count(part) * factorial(t.count(part)) for part in set(t))
+    return factorial(sum(t)) // z << sum(t) - len(t)
 
-    alpha_1 and the s_i square to 1, so z is central iff g z g = z for each
-    of them, and g w g is a signed basis word. For w = alpha^mask sigma,
-    alpha_a w alpha_a toggles the bits a and sigma(a) of the mask, with the
-    sign of the number of bits below a plus the number above sigma(a) once a
-    is toggled. So the parity of the bits on each cycle of sigma is an
-    invariant, and the classes on which these signs agree are those of odd
-    cycle type with an even number of bits on each cycle, one per strict
-    partition of n (Stembridge, Adv. Math. 74, 1989). Every other even word
-    has coefficient 0 in every central element.
 
-    types[j] is the cycle type of C_j, and starts[j] = (0, p) its word with
-    coefficient 1, p the first permutation of that type in lexicographic
-    order; the classes are numbered in that order. index maps each
-    permutation p of odd cycle type to (j, signs): the word alpha^mask p is
-    in C_j with coefficient signs[mask] = +-1. A central c is
-    sum_j c[starts[j]] C_j.
+def _class_word(mask: int, p: tuple):
+    """(t, +-1): the class C_t holding alpha^mask p and the word's coefficient
+    in it; None if no central element holds the word.
+
+    z is central iff g z g = z for alpha_1 and each s_i, as they square to 1.
+    alpha_a (alpha^mask sigma) alpha_a toggles the bits a and sigma(a) of the
+    mask, with the sign of the number of bits below a plus the number above
+    sigma(a) once a is toggled. So the even center is spanned by one signed
+    class sum per odd cycle type, holding the words with an even number of
+    bits on each cycle (Stembridge, Adv. Math. 74, 1989), and 1 at its words
+    alpha^0 p, which the s_i permute with sign +1. Walking each cycle from
+    its least letter, the toggles at every letter but the last reach each
+    such mask once: the toggle at a is taken iff the mask has odd parity on
+    the cycle up to a, and the sign is theirs in that order.
     """
-    starts, types, index = [], [], {}
-    for p in permutations(range(n)):
-        cycles = _odd_cycles(p)
-        if cycles is None:
+    lengths, seen, built, sign = [], 0, 0, 1
+    for start in range(len(p)):
+        if seen >> start & 1:
             continue
-        t = tuple(sorted(map(len, cycles), reverse=True))
-        if t not in types:
-            types.append(t)
-            starts.append((0, p))
-        j = types.index(t)
-        # conjugate by alpha_a for each letter a but the last of each cycle:
-        # these toggles span the masks with an even number of bits per cycle
-        signs = {0: 1}
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                for mask, s in list(signs.items()):
-                    below = (mask & (1 << a) - 1).bit_count()
-                    above = ((mask ^ 1 << a) >> b + 1).bit_count()
-                    signs[mask ^ 1 << a ^ 1 << b] = -s if (below + above) & 1 else s
-        index[p] = (j, signs)
-    return starts, types, index
+        a, length, odd = start, 1, mask >> start & 1
+        seen |= 1 << start
+        while p[a] != start:
+            b = p[a]
+            if odd:
+                below = (built & (1 << a) - 1).bit_count()
+                above = ((built ^ 1 << a) >> b + 1).bit_count()
+                if (below + above) & 1:
+                    sign = -sign
+                built ^= 1 << a | 1 << b
+            odd ^= mask >> b & 1
+            seen |= 1 << b
+            a, length = b, length + 1
+        if odd or not length & 1:
+            return None
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True)), sign
 
 
 class IsotypicBlock:
@@ -147,18 +138,17 @@ class IsotypicBlock:
         self.dim_J = dim_J
         self.dim_S = dim_S
         self.type = type  # "M" or "Q"
-        self.coords = coords  # e_lambda = sum_j coords[j] C_j, over `_signed_classes`
+        self.coords = coords  # e_lambda = sum_j coords[j] C_j, C_j of type types[j]
 
 
 class IsotypicTable:
-    __slots__ = ("n", "blocks", "types", "weights", "support")
+    __slots__ = ("n", "blocks", "types", "weights")
 
-    def __init__(self, n: int, blocks: dict, types: list, weights: list, support: int):
+    def __init__(self, n: int, blocks: dict, types: list, weights: list):
         self.n = n
         self.blocks = blocks
         self.types = types  # the cycle type of each class C_j
-        self.weights = weights  # (C_j C_j)[1], one per class
-        self.support = support  # the number of words in the classes
+        self.weights = weights  # (C_j C_j)[1] = |C_j|, one per class
 
     def to_dict(self) -> dict:
         return {
@@ -197,69 +187,66 @@ def _content_values(n: int) -> dict:
     return values
 
 
-def casimir_coords(n: int) -> list:
-    """The class coordinates of z = sum_k M_k^2 over the odd Jucys-Murphy
-    elements M_k = sum_{j<k} (1 + alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math.
-    127, 1997). z is central and acts on J^lambda by `_content_values(n)[lambda]`.
+def casimir_rows(n: int) -> list:
+    """rows[i][b] = the coefficient of C_i in z C_b, for the Casimir z =
+    sum_k M_k^2 over the odd Jucys-Murphy elements M_k = sum_{j<k} (1 +
+    alpha_j alpha_k) s_{jk} (Nazarov, Adv. Math. 127, 1997), which acts on
+    J^lambda by `_content_values(n)[lambda]`.
 
-    z is n(n-1) times the unit plus the class of the 3-cycles (z = 0 for
-    n <= 1): each ((1 + alpha_j alpha_k) s_{jk})^2 is 2, and the cross terms
-    of the M_k^2 sum to the signed 3-cycle class.
+    z is n(n-1) plus the class C_3 of the 3-cycles: each ((1 + alpha_j
+    alpha_k) s_{jk})^2 is 2, and the cross terms sum to C_3. C_i holds 1 at
+    q_i, its permutation on consecutive letters. A word u of C_3 meets q_i
+    only with u' q_i, u u' = t * 1 (t = +-1), and C_3[u'] = t C_3[u]; so
+    (C_3 C_b)[q_i] sums C_3[u'] C_b[alpha^mask (p q_i)] over the 8 C(n, 3)
+    words u' = alpha^mask p of C_3.
     """
-    one, three = (1,) * n, (3,) + (1,) * (n - 3)
-    return [Cyclo8Scalar.from_int(n * (n - 1) * (t == one) + (t == three)) for t in _signed_classes(n)[1]]
+    types = _class_types(n)
+    index = {t: j for j, t in enumerate(types)}
+    starts = []
+    for t in types:
+        q = []
+        for length in t:
+            q += [*range(len(q) + 1, len(q) + length), len(q)]
+        starts.append(tuple(q))
+    rows = [[n * (n - 1) * (i == b) for b in range(len(types))] for i in range(len(types))]
+    for x, y, w in combinations(range(n), 3):
+        for a, b, c in ((x, y, w), (x, w, y)):
+            p = list(range(n))
+            p[a], p[b], p[c] = b, c, a
+            for mask in (0, 1 << a | 1 << b, 1 << b | 1 << c, 1 << a | 1 << c):
+                hits = [_class_word(mask, perm_compose(p, q)) for q in starts]
+                sign = hits[0][1]  # q_0 = 1: the coefficient C_3[u']
+                for row, hit in zip(rows, hits):
+                    if hit is not None:
+                        row[index[hit[0]]] += sign * hit[1]
+    return rows
 
 
-def _split_center(n: int, values: dict) -> tuple:
-    """(lambda -> the coordinates of e_lambda, the structure constants).
+def _project(rows: list, values: list, x: list) -> list:
+    """prod (z - u) over the u in values, applied to the integer vector x."""
+    for u in values:
+        x = [sum(r * y for r, y in zip(row, x)) - u * xi for row, xi in zip(rows, x)]
+    return x
 
-    e_lambda = prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the
-    Casimir z and its block values v = `values`. The work stays inside the
-    k-dimensional center, on the `_signed_classes` coordinates.
 
-    The structure constants consts[a][b][j] = (C_a C_b)[starts[j]] are
-    integers. A word u meets starts[j] only with the word u' starts[j], u'
-    the inverse word of u (u u' = t * 1, t = +-1). C_a holds u' with
-    C_a[u'] = t C_a[u]: this holds at the start word, and conjugation by a
-    generator keeps it. So (C_a C_b)[starts[j]] is the sum of
-    C_a[u'] C_b[u' starts[j]] over the words u' of C_a, and for
-    u' = alpha^mask p that word is alpha^mask (p q), q the permutation of
-    starts[j]: one lookup of p q per permutation p and j.
+def _split_center(n: int, values: dict) -> dict:
+    """lambda -> the class coordinates of e_lambda = p(z) 1, p(z) =
+    prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the Casimir z
+    and its block values v, by the matrix `casimir_rows(n)`: the work stays
+    inside the k-dimensional center, on integers over one denominator d.
     """
-    starts, _, index = _signed_classes(n)
-    k = len(starts)
-    consts = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for p, (a, signs) in index.items():
-        for j, (_, q) in enumerate(starts):
-            hit = index.get(perm_compose(p, q))
-            if hit is not None:
-                b, other = hit
-                consts[a][b][j] += sum(s * other.get(mask, 0) for mask, s in signs.items())
-
-    def mul(x, y):
-        out = [ZERO] * k
-        for a, xa in enumerate(x):
-            for b, yb in enumerate(y):
-                if xa.is_zero() or yb.is_zero():
-                    continue
-                c = xa * yb
-                out = [o + c * t for o, t in zip(out, consts[a][b])]
-        return out
-
-    one = [ONE] + [ZERO] * (k - 1)  # starts[0] is the unit word
-    z = casimir_coords(n)
+    rows = casimir_rows(n)
+    unit = [1] + [0] * (len(rows) - 1)  # C_0 is the unit
     out = {}
     for lam, v in values.items():
-        e = one
-        for mu, u in values.items():
-            if mu != lam:
-                inv = Cyclo8Scalar.from_int(v - u).inverse()
-                e = mul(e, [(zj - u * oj) * inv for zj, oj in zip(z, one)])
-        # the closed form for the values of z is checked, not assumed
-        if mul(e, e) != e:
+        others = [u for mu, u in values.items() if mu != lam]
+        e, d = _project(rows, others, unit), prod(v - u for u in others)
+        # e e = p(z) e: the closed form for the values of z is checked, not
+        # assumed
+        if _project(rows, others, e) != [d * x for x in e]:
             raise DecompositionError("non-idempotent central projector for %s" % (lam.parts,))
-        out[lam] = e
-    return out, consts
+        out[lam] = [Cyclo8Scalar(x, 0, d) for x in e]
+    return out
 
 
 def _trace_rank(small: IsotypicTable, x: list, big: IsotypicTable, y: list) -> int:
@@ -295,16 +282,10 @@ def decompose_regular(n: int) -> IsotypicTable:
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
     values = _content_values(n)
-    starts, types, index = _signed_classes(n)
-    if len(starts) != len(values):
-        raise DecompositionError(
-            "even center of H_%d has dimension %d, expected %d"
-            % (n, len(starts), len(values))
-        )
-    idems, consts = _split_center(n, values)
-    weights = [consts[j][j][0] for j in range(len(types))]
-    table = IsotypicTable(n, {}, types, weights, sum(len(signs) for _, signs in index.values()))
-    unit = [ONE] + [ZERO] * (len(types) - 1)  # starts[0] is the unit word
+    types = _class_types(n)
+    idems = _split_center(n, values)
+    table = IsotypicTable(n, {}, types, [_class_size(t) for t in types])
+    unit = [ONE] + [ZERO] * (len(types) - 1)  # C_0 is the unit
     prev = decompose_regular(n - 1) if n else None
     induced = {nu: induct_mult(StrictPartition((1,)), nu) for nu in (prev.blocks if n else ())}
     for lam, e in idems.items():

@@ -18,7 +18,9 @@ In H_n, `HCElement` is a general element over Q(zeta), with the embeddings
 `embed_left`, `embed_right`, `iota` and the block swaps `braid`, where the
 CLI multiplies signed basis words (`braid_signs_by_elements` is its braid
 sign note on elements). `orbit_center_basis` finds the even center by a
-search over all words, where the CLI enumerates its signed classes;
+search over all words, and `_signed_classes` enumerates its signed classes
+over all n! permutations, where the CLI reads one word's class and sign at a
+time (`_class_word`) and the class sizes in closed form;
 `product_coefficient` and `regular_trace_rank` read products and traces off
 expanded elements, where the CLI works in class coordinates; `casimir`
 builds the Casimir from words and `class_element` and `idempotent` expand
@@ -73,7 +75,6 @@ from queerlab.amodule import (
 from queerlab.heckeclifford import (
     IsotypicBlock,
     _bits,
-    _signed_classes,
     _sort_sign,
     all_words,
     decompose_regular,
@@ -537,6 +538,57 @@ def generators(n: int) -> list[HCElement]:
     return gens
 
 
+def _odd_cycles(p: tuple):
+    """The cycles of p, each from its least letter, or None if one has even length."""
+    cycles, seen = [], set()
+    for i in range(len(p)):
+        if i not in seen:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            if not len(cycle) & 1:
+                return None
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+@lru_cache(maxsize=None)
+def _signed_classes(n: int) -> tuple:
+    """The even center of H_n (ordinary sense) as signed class sums C_j:
+    (starts, types, index), by a walk over all n! permutations.
+
+    types[j] is the cycle type of C_j, and starts[j] = (0, p) its word with
+    coefficient 1, p the first permutation of that type in lexicographic
+    order; the classes are numbered in that order, which is not the order of
+    `heckeclifford._class_types` from n = 7 on. index maps each permutation p
+    of odd cycle type to (j, signs): the word alpha^mask p is in C_j with
+    coefficient signs[mask] = +-1. A central c is sum_j c[starts[j]] C_j.
+    See `heckeclifford._class_word` for why these are the classes and signs.
+    """
+    starts, types, index = [], [], {}
+    for p in permutations(range(n)):
+        cycles = _odd_cycles(p)
+        if cycles is None:
+            continue
+        t = tuple(sorted(map(len, cycles), reverse=True))
+        if t not in types:
+            types.append(t)
+            starts.append((0, p))
+        j = types.index(t)
+        # conjugate by alpha_a for each letter a but the last of each cycle:
+        # these toggles span the masks with an even number of bits per cycle
+        signs = {0: 1}
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:]):
+                for mask, s in list(signs.items()):
+                    below = (mask & (1 << a) - 1).bit_count()
+                    above = ((mask ^ 1 << a) >> b + 1).bit_count()
+                    signs[mask ^ 1 << a ^ 1 << b] = -s if (below + above) & 1 else s
+        index[p] = (j, signs)
+    return starts, types, index
+
+
 def orbit_center_basis(n: int) -> list[tuple]:
     """The even center of H_n (ordinary sense), as (word, element) pairs, by
     a search over all 2^n n! words.
@@ -686,21 +738,25 @@ def casimir(n: int) -> HCElement:
     return z
 
 
-def class_element(n: int, c: list) -> HCElement:
-    """sum_j c[j] C_j expanded to words of H_n, each with its class sign."""
+def class_element(n: int, c: dict) -> HCElement:
+    """sum_t c[t] C_t expanded to words of H_n, each with its class sign; c
+    maps the cycle type t of each class to its coefficient."""
+    _, types, index = _signed_classes(n)
     return HCElement(
         n,
         {
-            (mask, p): c[j] if s == 1 else -c[j]
-            for p, (j, signs) in _signed_classes(n)[2].items()
+            (mask, p): c[types[j]] if s == 1 else -c[types[j]]
+            for p, (j, signs) in index.items()
             for mask, s in signs.items()
         },
     )
 
 
 def idempotent(block: IsotypicBlock) -> HCElement:
-    """e_lambda expanded to words of H_n, n = |lambda|."""
-    return class_element(block.label.size, block.coords)
+    """e_lambda expanded to words of H_n, n = |lambda|, its coordinates read
+    by cycle type."""
+    n = block.label.size
+    return class_element(n, dict(zip(decompose_regular(n).types, block.coords)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from queerlab import cli
 from queerlab.cli import main
+from queerlab.partitions import enumerate_strict
 
 
 def test_pieri_small(tmp_path, capsys):
@@ -184,43 +185,60 @@ def test_verify_hecke_ideals_nmax5(capsys):
 
 
 def test_a_flipped_class_sign_fails_the_run(monkeypatch, capsys):
+    # flip the sign of one word alpha^mask p of the class of the 3-cycles of
+    # H_4, the first whose flip changes the matrix of the Casimir
     from queerlab import heckeclifford
 
-    real = heckeclifford._signed_classes
+    real = heckeclifford._class_word
+    rows = heckeclifford.casimir_rows(4)
 
-    def flipped(n):
-        starts, types, index = real(n)
-        if n == 4:
-            # the sign of one word alpha^mask p of the class of the 3-cycles
-            index = dict(index)
-            p = next(p for p, (j, _) in index.items() if j == 1)
-            j, signs = index[p]
-            mask = max(signs)
-            index[p] = (j, {**signs, mask: -signs[mask]})
-        return starts, types, index
+    def flipping(word):
+        def flipped(mask, p):
+            hit = real(mask, p)
+            return (hit[0], -hit[1]) if (mask, tuple(p)) == word else hit
 
-    monkeypatch.setattr(heckeclifford, "_signed_classes", flipped)
+        return flipped
+
+    words = [(mask, p) for mask, p in heckeclifford.all_words(4) if real(mask, p) and real(mask, p)[0] == (3, 1)]
+    assert len(words) == 32
+    for mask, p in words:
+        monkeypatch.setattr(heckeclifford, "_class_word", flipping((mask, p)))
+        if heckeclifford.casimir_rows(4) != rows:
+            break
+    else:
+        raise AssertionError("no flip changes the matrix")
     monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
     assert main(["verify", "hecke-ideals", "--nmax", "4"]) == 1
-    assert "DecompositionError" in capsys.readouterr().err
+    assert "check failed in verify hecke-ideals: DecompositionError" in capsys.readouterr().err
 
 
 def test_h_n_verdicts_never_list_all_words(monkeypatch, capsys):
-    # the center is built from its signed classes, not from all 2^n n! words;
-    # only the braid cases, at n <= 2, list every word
+    # the center is built from its signed classes, one word at a time, not
+    # from all 2^n n! words nor all n! permutations; only the braid cases, at
+    # n <= 2, list every word
     from queerlab import heckeclifford
 
-    real = heckeclifford.all_words
+    real_words, real_perms = heckeclifford.all_words, heckeclifford.permutations
 
-    def small_only(n):
+    def small_words(n):
         assert n < 3, "all_words(%d) on the verdict path" % n
-        return real(n)
+        return real_words(n)
 
-    monkeypatch.setattr(heckeclifford, "all_words", small_only)
+    def small_perms(letters, *r):
+        assert len(letters) < 3, "permutations of %d letters on the verdict path" % len(letters)
+        return real_perms(letters, *r)
+
+    monkeypatch.setattr(heckeclifford, "all_words", small_words)
+    monkeypatch.setattr(heckeclifford, "permutations", small_perms)
     monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
     assert main(["verify", "hecke-ideals", "--nmax", "5"]) == 0
     assert main(["dump", "isotypic", "--n", "5"]) == 0
     capsys.readouterr()
+    assert main(["verify", "hecke-ideals", "--nmax", "9", "--unsafe", "--format", "json"]) == 0
+    center = json.loads(capsys.readouterr().out)["center"]
+    # |C_t| = n!/z_t 2^(n - l(t)) summed over the odd cycle types t
+    supports = [1, 1, 1, 9, 33, 465, 3105, 58905, 580545, 13775265]
+    assert center == {str(n): {"classes": len(enumerate_strict(n)), "support": w} for n, w in enumerate(supports)}
 
 
 def test_dump_isotypic(capsys):
@@ -256,8 +274,6 @@ def test_safe_bounds_guard(capsys):
     "argv", [["verify", "hecke-ideals", "--nmax", "4"], ["dump", "isotypic", "--n", "4"]]
 )
 def test_h_n_output_does_not_depend_on_the_seed(argv, capsys):
-    from queerlab.partitions import enumerate_strict
-
     outs = []
     for seed in ("0", "5"):
         assert main(argv + ["--seed", seed, "--format", "json"]) == 0
@@ -281,16 +297,41 @@ def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["dump", "isotypic", "--n", "8"], "--n"),
+        (["dump", "isotypic", "--n", "13"], "--n"),
         # |lambda| is the rank of the H_n whose center dim_T reads
-        (["dump", "dims", "--lambda", "5,3", "--n", "1"], "--lambda"),
-        (["dump", "dims", "--lambda", "4,3,1", "--n", "3"], "--lambda"),
+        (["dump", "dims", "--lambda", "8,5", "--n", "1"], "--lambda"),
+        (["dump", "dims", "--lambda", "6,4,3", "--n", "3"], "--lambda"),
     ],
 )
 def test_h_rank_bound_names_the_flag(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "safe" in err
+
+
+def test_h_rank_bound_runs(capsys):
+    # the safe H-rank finishes and passes without --unsafe
+    assert cli.SAFE_H_RANK == 12
+    assert main(["verify", "hecke-ideals", "--nmax", "12"]) == 0
+    assert "status: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "hecke-ideals", "--nmax", "15"], "--nmax"),
+        (["dump", "isotypic", "--n", "15"], "--n"),
+        (["dump", "dims", "--lambda", "8,7", "--n", "2"], "--lambda"),
+    ],
+)
+def test_a_casimir_clash_is_bad_input(argv, flag, tmp_path, capsys):
+    # from H_15 on two blocks share a value of the Casimir, (9,5,1) and (8,7)
+    # at 280: a limit of the method, not a failed theorem
+    out = tmp_path / "report.json"
+    assert main(argv + ["--unsafe", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "280" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

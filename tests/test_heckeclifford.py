@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     HCElement,
     _inverse_word,
+    _signed_classes,
     braid,
     braid_signs_by_elements,
     casimir,
@@ -30,13 +31,13 @@ from oracles import (
 )
 from queerlab.heckeclifford import (
     DecompositionError,
+    _class_types,
+    _class_word,
     _content_values,
-    _signed_classes,
-    _split_center,
     _trace_rank,
     all_words,
     braid_conjugation_cases,
-    casimir_coords,
+    casimir_rows,
     decompose_regular,
     verify_tensor_ideal_theorem,
     word_mult,
@@ -428,13 +429,53 @@ def test_class_signs_match_orbit_search_on_every_even_word(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_word_matches_the_oracle_on_every_even_word(n):
+    # the class and sign of each word, read off its own cycles, against the
+    # walk over all permutations; a word that no class holds gives None
+    _, types, index = _signed_classes(n)
+    for mask, p in all_words(n):
+        if not mask.bit_count() & 1:
+            j, signs = index.get(p, (None, {}))
+            expected = (types[j], signs[mask]) if mask in signs else None
+            assert _class_word(mask, p) == expected, (mask, p)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_types_and_sizes_match_the_oracle(n):
+    # the classes, as the cycle types of the walk over all permutations, and
+    # |C_t| in closed form against the number of words of each class
+    _, types, index = _signed_classes(n)
+    sizes = dict.fromkeys(types, 0)
+    for j, signs in index.values():
+        sizes[types[j]] += len(signs)
+    table = decompose_regular(n)
+    assert table.types == _class_types(n) and sorted(table.types) == sorted(types)
+    assert dict(zip(table.types, table.weights)) == sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_weights_are_the_unit_coefficient_of_the_square(n):
+    # weights[j] is (C_j C_j)[1], the coefficient that the traces read
+    table = decompose_regular(n)
+    weights = dict(zip(table.types, table.weights))
+    _, types, _ = _signed_classes(n)
+    for t, (_, element) in zip(types, class_sums(n)):
+        assert Cyclo8Scalar.from_int(weights[t]) == product_coefficient(element, element)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_structure_constants_match_product_coefficient(n):
-    pairs = class_sums(n)
-    consts = _split_center(n, _content_values(n))[1]
-    for a, (_, ca) in enumerate(pairs):
-        for b, (_, cb) in enumerate(pairs):
-            for j, (p, _) in enumerate(pairs):
-                assert Cyclo8Scalar.from_int(consts[a][b][j]) == product_coefficient(ca, cb, p)
+    # the structure constants of multiplication by the Casimir: rows[i][b]
+    # is the coefficient (z C_b)[start_i] of the word at which C_i holds 1
+    z = casimir(n)
+    _, types, _ = _signed_classes(n)
+    pairs = dict(zip(types, class_sums(n)))
+    classes = _class_types(n)
+    rows = casimir_rows(n)
+    for i, ti in enumerate(classes):
+        for b, tb in enumerate(classes):
+            expected = product_coefficient(z, pairs[tb][1], pairs[ti][0])
+            assert Cyclo8Scalar.from_int(rows[i][b]) == expected, (ti, tb)
 
 
 def test_regular_trace_is_symmetric():
@@ -518,9 +559,13 @@ def test_casimir_is_central_and_acts_by_content(n):
 
 @pytest.mark.parametrize("n", range(8))
 def test_closed_form_casimir_matches_words(n):
-    # n(n-1) + the 3-cycle class, expanded with every word's class sign,
-    # is the Casimir built from the odd Jucys-Murphy elements
-    assert class_element(n, casimir_coords(n)) == casimir(n)
+    # z * 1, column 0 of the matrix: n(n-1) + the 3-cycle class, expanded
+    # with every word's class sign, is the Casimir built from the odd
+    # Jucys-Murphy elements
+    column = {t: Cyclo8Scalar.from_int(row[0]) for t, row in zip(_class_types(n), casimir_rows(n))}
+    one, three = (1,) * n, (3,) + (1,) * (n - 3)
+    assert column == {t: n * (n - 1) * (t == one) + (t == three) for t in column}
+    assert class_element(n, column) == casimir(n)
 
 
 def test_content_values_separate_up_to_14():
