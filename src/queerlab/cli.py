@@ -22,7 +22,7 @@ CACHE_FILE = "qpoly.cache"
 
 # The safe bounds, lifted by --unsafe: past them a run is not known to finish
 # within about a second. Each target names the flags it reads against them.
-SAFE_H_RANK = 12  # rank of H_n
+SAFE_H_RANK = 13  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 # n and m of verify prop-dim: its systems are built on the support of their
 # weights, so each rank costs about what rank 2 does, up to this one
@@ -70,18 +70,6 @@ def _check(args, safe):
             raise ConfigError(
                 "%s %d above the safe bound %d (use --unsafe)" % (flag, _value(args, flag), bound)
             )
-
-
-def _casimir_splits(flag: str, n: int):
-    """Refuse an H-rank n from 15 on, where two blocks of H_15 share the value
-    of the Casimir: a limit of the method, not a failed theorem."""
-    from .heckeclifford import DecompositionError, _content_values
-
-    try:
-        for r in range(n + 1):
-            _content_values(r)
-    except DecompositionError as exc:
-        raise ConfigError("%s %d is past what the Casimir splits: %s" % (flag, n, exc))
 
 
 def _writable(flag: str, path: str):
@@ -278,7 +266,6 @@ def _verify_cauchy(args):
 def _verify_hecke_ideals(args):
     from .heckeclifford import braid_conjugation_cases, decompose_regular, verify_tensor_ideal_theorem
 
-    _casimir_splits("--nmax", args.nmax)
     cases = verify_tensor_ideal_theorem(args.nmax)
     braid = []
     law_breaks = 0
@@ -498,7 +485,6 @@ def _parse_lambda(text: str | None) -> StrictPartition:
 def _dump_isotypic(args):
     from .heckeclifford import decompose_regular
 
-    _casimir_splits("--n", args.n)
     tab = decompose_regular(args.n)
     payload = tab.to_dict()
     payload["target"] = "isotypic"
@@ -524,7 +510,6 @@ def _dump_q_expansion(args):
 def _dump_dims(args):
     from .queer import dim_T
 
-    _casimir_splits("|--lambda|", args.lam.size)
     val = dim_T(args.lam, args.n)
     payload = {
         "target": "dims",

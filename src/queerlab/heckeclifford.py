@@ -4,6 +4,9 @@ Basis words are alpha_1^{e_1}...alpha_n^{e_n} * sigma (Clifford monomial
 first, then permutation); products of basis words are single signed basis
 words. The isotypic ideals are read off the even center, a central element
 being its k coordinates on the signed class sums; no word list is formed.
+The central idempotents come in closed form from the spin character table,
+the coefficients of the Q_lambda in the odd power sums p_t of Gamma, and the
+Casimir checks them.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import factorial, isqrt, prod
 
-from .partitions import StrictPartition, contains, delta, enumerate_partitions, enumerate_strict
-from .scalars import Cyclo8Scalar, ONE, ZERO
-from .symfunc import induct_mult
+from .partitions import StrictPartition, contains, delta, enumerate_partitions, enumerate_strict, l_max
+from .symfunc import _table_mul, expand_in_Q, induct_mult
 
 
 class DecompositionError(RuntimeError):
@@ -138,16 +140,17 @@ class IsotypicBlock:
         self.dim_J = dim_J
         self.dim_S = dim_S
         self.type = type  # "M" or "Q"
-        self.coords = coords  # e_lambda = sum_j coords[j] C_j, C_j of type types[j]
+        self.coords = coords  # e_lambda = sum_j coords[j] C_j / n!, C_j of type types[j]
 
 
 class IsotypicTable:
-    __slots__ = ("n", "blocks", "types", "weights")
+    __slots__ = ("n", "blocks", "types", "index", "weights")
 
     def __init__(self, n: int, blocks: dict, types: list, weights: list):
         self.n = n
         self.blocks = blocks
         self.types = types  # the cycle type of each class C_j
+        self.index = {t: j for j, t in enumerate(types)}  # the j of each type
         self.weights = weights  # (C_j C_j)[1] = |C_j|, one per class
 
     def to_dict(self) -> dict:
@@ -171,20 +174,10 @@ def _content_values(n: int) -> dict:
 
     v(lambda) is the sum of c(c + 1) over the boxes of the shifted diagram,
     c = column - row: the scalar by which the Casimir acts on J^lambda. Two
-    partitions sharing a value cannot be told apart by it, so that raises
-    DecompositionError (first at n = 15: (9,5,1) and (8,7) both give 280).
+    blocks may share a value (first at n = 15: (9,5,1) and (8,7) both give
+    280), so the values check the blocks and do not label them.
     """
-    values = {}
-    for lam in enumerate_strict(n):
-        v = sum((p - 1) * p * (p + 1) for p in lam.parts) // 3
-        clash = next((mu for mu, u in values.items() if u == v), None)
-        if clash is not None:
-            raise DecompositionError(
-                "the Casimir of H_%d takes the value %d on both %s and %s"
-                % (n, v, clash.parts, lam.parts)
-            )
-        values[lam] = v
-    return values
+    return {lam: sum((p - 1) * p * (p + 1) for p in lam.parts) // 3 for lam in enumerate_strict(n)}
 
 
 def casimir_rows(n: int) -> list:
@@ -222,30 +215,24 @@ def casimir_rows(n: int) -> list:
     return rows
 
 
-def _project(rows: list, values: list, x: list) -> list:
-    """prod (z - u) over the u in values, applied to the integer vector x."""
-    for u in values:
-        x = [sum(r * y for r, y in zip(row, x)) - u * xi for row, xi in zip(rows, x)]
-    return x
+def _spin_characters(n: int, types: list) -> dict:
+    """lambda -> [c_lambda(t) for t in types]: c_lambda(t) = [Q_lambda] p_t,
+    the coefficient of Q_lambda in the power sum p_t, for the strict
+    partitions lambda of n in `enumerate_strict` order.
 
-
-def _split_center(n: int, values: dict) -> dict:
-    """lambda -> the class coordinates of e_lambda = p(z) 1, p(z) =
-    prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the Casimir z
-    and its block values v, by the matrix `casimir_rows(n)`: the work stays
-    inside the k-dimensional center, on integers over one denominator d.
+    p_t is the `symfunc` table of the product of its p_r, each the table
+    {(r,): 1}, in l_max(n) variables, where every Q_lambda of degree n
+    survives and they stay independent; `expand_in_Q` reads it in the Q-basis.
     """
-    rows = casimir_rows(n)
-    unit = [1] + [0] * (len(rows) - 1)  # C_0 is the unit
-    out = {}
-    for lam, v in values.items():
-        others = [u for mu, u in values.items() if mu != lam]
-        e, d = _project(rows, others, unit), prod(v - u for u in others)
-        # e e = p(z) e: the closed form for the values of z is checked, not
-        # assumed
-        if _project(rows, others, e) != [d * x for x in e]:
-            raise DecompositionError("non-idempotent central projector for %s" % (lam.parts,))
-        out[lam] = [Cyclo8Scalar(x, 0, d) for x in e]
+    N = l_max(n)
+    out = {lam: [] for lam in enumerate_strict(n)}
+    for t in types:
+        p_t = {(): 1}
+        for r in t:
+            p_t = _table_mul(p_t, {(r,): 1}, N)
+        coeffs = expand_in_Q(p_t, N).terms
+        for lam, row in out.items():
+            row.append(coeffs.get(lam, 0))
     return out
 
 
@@ -253,20 +240,19 @@ def _trace_rank(small: IsotypicTable, x: list, big: IsotypicTable, y: list) -> i
     """Rank of left multiplication by the idempotent x*y on H_N, N = big.n,
     as its trace 2^N N! (x*y)[1] (a word u has L_u diagonal only if u = 1).
 
-    x = sum_i x_i C_i is central in H_k, k = small.n, and embedded on k of the
-    N letters; y = sum_j y_j C_j is central in H_N. The embedded C_i lies in
-    the class of H_N whose cycle type adds N - k fixed points, with the same
-    signs, and (C_i C_j)[1] = 0 for j != i, since the inverse of a word is in
-    its own class. So (x*y)[1] is a sum of k terms x_i y_i' (C_i C_i)[1].
+    x = sum_i x_i C_i / k! is central in H_k, k = small.n, and embedded on k
+    of the N letters; y = sum_j y_j C_j / N! is central in H_N. The embedded
+    C_i lies in the class of H_N whose cycle type adds N - k fixed points,
+    with the same signs, and (C_i C_j)[1] = 0 for j != i, since the inverse
+    of a word is in its own class. So the trace is 2^N / k! times a sum of k
+    terms x_i y_i' (C_i C_i)[1].
     """
     pad = (1,) * (big.n - small.n)
-    t = ZERO
-    for xi, ti, w in zip(x, small.types, small.weights):
-        t = t + xi * y[big.types.index(ti + pad)] * w
-    t = t * ((1 << big.n) * factorial(big.n))
-    if not t.is_integer():
-        raise DecompositionError("regular trace %r is not an integer" % (t,))
-    return t.re
+    t = sum(xi * y[big.index[ti + pad]] * w for xi, ti, w in zip(x, small.types, small.weights))
+    rank, rem = divmod(t << big.n, factorial(small.n))
+    if rem:
+        raise DecompositionError("regular trace %d/%d is not an integer" % (t << big.n, factorial(small.n)))
+    return rank
 
 
 _TABLE_CACHE: dict = {}
@@ -275,23 +261,42 @@ _TABLE_CACHE: dict = {}
 def decompose_regular(n: int) -> IsotypicTable:
     """Two-sided isotypic decomposition of H_n with strict-partition labels.
 
-    Each block is labelled by the value of the Casimir on it; its type, read
-    off dim J^lambda, and its restriction ranks to H_{n-1} are then checked
-    against that label.
+    Each e_lambda is read off the spin character table, as the integer
+    numerators over n! of e_lambda[t] = 2^(l(t) + l(lambda)) c_lambda(1^n)
+    c_lambda(t) / n!. As the regular trace is 2^n n! x[1], the central
+    idempotent of an ungraded simple module U holds dim U tr_U(q_t) / 2^n n!
+    at q_t. D^lambda, of dimension d and trace chi, is one such U, or two of
+    dimension d/2 if of type Q, so e_lambda[t] = d chi(q_t) / 2^(n +
+    delta(lambda)) n!. By Sergeev duality V^(x)n, V = C^(N|N), is the sum of the
+    2^-delta(lambda) T_lambda (x) D^lambda, T_lambda of character
+    2^((delta(lambda) - l(lambda))/2) Q_lambda, and diag(x|x) q_t has the
+    trace 2^l(t) p_t(x) there (2 p_r(x) per odd cycle of length r). So chi(t)
+    = 2^(l(t) + (l(lambda) + delta(lambda))/2) c_lambda(t) and d = chi(1^n).
+    Each e_lambda is then checked: the Casimir acts on it by v(lambda), they
+    sum to the unit, each block's type, read off dim J^lambda, matches
+    delta(lambda), and its restriction ranks to H_{n-1} match induction.
     """
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
-    values = _content_values(n)
     types = _class_types(n)
-    idems = _split_center(n, values)
     table = IsotypicTable(n, {}, types, [_class_size(t) for t in types])
-    unit = [ONE] + [ZERO] * (len(types) - 1)  # C_0 is the unit
+    rows = casimir_rows(n)
+    values = _content_values(n)
+    total = [0] * len(types)
     prev = decompose_regular(n - 1) if n else None
     induced = {nu: induct_mult(StrictPartition((1,)), nu) for nu in (prev.blocks if n else ())}
-    for lam, e in idems.items():
+    for lam, c in _spin_characters(n, types).items():
+        e = [c[0] * x * (1 << len(t) + lam.length) for x, t in zip(c, types)]
+        if any(x.denominator != 1 for x in e):
+            raise DecompositionError("e_%s is not integral over %d!" % (lam.parts, n))
+        e = [int(x) for x in e]
+        if [sum(r * x for r, x in zip(row, e)) for row in rows] != [values[lam] * x for x in e]:
+            raise DecompositionError("the Casimir does not act on e_%s by %d" % (lam.parts, values[lam]))
+        total = [a + x for a, x in zip(total, e)]
         # a simple block is M(p|q), of dimension (p+q)^2, or Q(d), of
-        # dimension 2 d^2: exactly one of dim_J and 2 dim_J is a square
-        dim_J = _trace_rank(table, e, table, unit)
+        # dimension 2 d^2: exactly one of dim_J and 2 dim_J is a square.
+        # dim_J is the regular trace of e, 2^n n! e[1], and C_0 is the unit
+        dim_J = e[0] << n
         is_q = dim_J > 0 and isqrt(dim_J) ** 2 != dim_J
         dim_S2 = dim_J * (2 if is_q else 1)
         dim_S = isqrt(max(dim_S2, 0))
@@ -316,6 +321,8 @@ def decompose_regular(n: int) -> IsotypicTable:
                 )
         table.blocks[lam] = IsotypicBlock(lam, dim_J, dim_S, "Q" if is_q else "M", e)
 
+    if total != [factorial(n)] + [0] * (len(types) - 1):
+        raise DecompositionError("the central idempotents of H_%d do not sum to the unit" % n)
     if sum(b.dim_J for b in table.blocks.values()) != (1 << n) * factorial(n):
         raise DecompositionError("isotypic dimensions do not sum to dim H_n")
     _TABLE_CACHE[n] = table
@@ -373,7 +380,7 @@ def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
                 predicted = [mu for mu in enumerate_strict(n0 + m) if contains(lam, mu)]
                 ranks = {mu: _trace_rank(small, e, big, b.coords) for mu, b in big.blocks.items()}
                 observed = [mu for mu, r in ranks.items() if r]
-                unit = [ONE] + [ZERO] * (len(big.types) - 1)
+                unit = [factorial(big.n)] + [0] * (len(big.types) - 1)
                 dims_ok = sum(ranks.values()) == _trace_rank(small, e, big, unit)
                 cases.append(SigmaCase(lam, m, predicted, observed, dims_ok))
     return cases

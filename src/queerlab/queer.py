@@ -6,6 +6,8 @@ vector is a tuple of ('e'|'f', i) labels."""
 
 from __future__ import annotations
 
+from math import factorial
+
 from .heckeclifford import decompose_regular
 from .partitions import StrictPartition, delta
 
@@ -68,14 +70,15 @@ def dim_T(lam: StrictPartition, n: int) -> int:
     the start permutation of C_j, so tr C_j = |C_j| tr(start_j). A
     permutation of odd cycle type fixes the (2n)^(number of cycles) labels
     constant on its cycles, each with Koszul sign +1 (an odd cycle is an even
-    permutation). |C_j| is `IsotypicTable.weights[j]` = (C_j C_j)[1], so the
-    trace is a sum of k terms.
+    permutation). |C_j| is `IsotypicTable.weights[j]` = (C_j C_j)[1], and the
+    coordinates of e_lambda are integers over d!, so the trace is a sum of k
+    terms over d!.
     """
     table = decompose_regular(lam.size)
     block = table.blocks[lam]
     weights = zip(block.coords, table.weights, table.types)
-    t = sum(c * (w * (2 * n) ** len(ty)) for c, w, ty in weights)
-    num = t.re * 2 ** delta(lam)
-    if not t.is_integer() or num % block.dim_S:
-        raise ActionError("isotypic trace %r not divisible as expected" % (t,))
-    return num // block.dim_S
+    t = sum(c * w * (2 * n) ** len(ty) for c, w, ty in weights)
+    dim, rem = divmod(t << delta(lam), factorial(lam.size) * block.dim_S)
+    if rem:
+        raise ActionError("isotypic trace %d/%d! not divisible by %d" % (t, lam.size, block.dim_S))
+    return dim

@@ -62,9 +62,6 @@ class Cyclo8Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.den == 1
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

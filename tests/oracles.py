@@ -25,6 +25,8 @@ time (`_class_word`) and the class sizes in closed form;
 expanded elements, where the CLI works in class coordinates; `casimir`
 builds the Casimir from words and `class_element` and `idempotent` expand
 central elements to words, where the CLI keeps both as class coordinates;
+`split_center` splits the center by a Lagrange product in the Casimir, where
+the CLI reads the central idempotents off the spin character table;
 `two_sided_closure` and `sigma_step` build ideals by literal closure, where
 the CLI reads the blocks off regular traces; and `transpose` is the paper's
 anti-automorphism. `word_action` and `hc_apply` let H_d act on V^{(x)d}, and
@@ -59,9 +61,10 @@ reaches.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from queerlab.amodule import (
     MembershipCase,
@@ -75,8 +78,10 @@ from queerlab.amodule import (
 from queerlab.heckeclifford import (
     IsotypicBlock,
     _bits,
+    _content_values,
     _sort_sign,
     all_words,
+    casimir_rows,
     decompose_regular,
     word_mult,
 )
@@ -672,7 +677,7 @@ def regular_trace_rank(x: HCElement, y: HCElement) -> int:
     if len(y.terms) < len(x.terms):
         x, y = y, x
     t = product_coefficient(x, y) * ((1 << x.n) * factorial(x.n))
-    assert t.is_integer(), t
+    assert t.im == 0 and t.den == 1, t
     return t.re
 
 
@@ -754,9 +759,39 @@ def class_element(n: int, c: dict) -> HCElement:
 
 def idempotent(block: IsotypicBlock) -> HCElement:
     """e_lambda expanded to words of H_n, n = |lambda|, its coordinates read
-    by cycle type."""
+    by cycle type as numerators over n!."""
     n = block.label.size
-    return class_element(n, dict(zip(decompose_regular(n).types, block.coords)))
+    coords = (Cyclo8Scalar(x, 0, factorial(n)) for x in block.coords)
+    return class_element(n, dict(zip(decompose_regular(n).types, coords)))
+
+
+def _project(rows: list, values: list, x: list) -> list:
+    """prod (z - u) over the u in values, applied to the integer vector x."""
+    for u in values:
+        x = [sum(r * y for r, y in zip(row, x)) - u * xi for row, xi in zip(rows, x)]
+    return x
+
+
+def split_center(n: int) -> dict:
+    """lambda -> the class coordinates of e_lambda = p(z) 1, p(z) =
+    prod_{mu != lambda} (z - v(mu)) / (v(lambda) - v(mu)) for the Casimir z
+    and its block values v, as Fractions, by the matrix `casimir_rows(n)`:
+    the Lagrange split of the center, on integers over one denominator, where
+    the CLI reads e_lambda off the spin character table. It needs the values
+    distinct, so n <= 14.
+    """
+    values = _content_values(n)
+    rows = casimir_rows(n)
+    unit = [1] + [0] * (len(rows) - 1)  # C_0 is the unit
+    out = {}
+    for lam, v in values.items():
+        others = [u for mu, u in values.items() if mu != lam]
+        e, d = _project(rows, others, unit), prod(v - u for u in others)
+        # e e = p(z) e: the closed form for the values of z is checked, not
+        # assumed
+        assert _project(rows, others, e) == [d * x for x in e], lam
+        out[lam] = [Fraction(x, d) for x in e]
+    return out
 
 
 # ---------------------------------------------------------------------------

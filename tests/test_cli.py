@@ -8,7 +8,7 @@ import pytest
 
 from queerlab import cli
 from queerlab.cli import main
-from queerlab.partitions import enumerate_strict
+from queerlab.partitions import StrictPartition, enumerate_strict
 
 
 def test_pieri_small(tmp_path, capsys):
@@ -212,6 +212,26 @@ def test_a_flipped_class_sign_fails_the_run(monkeypatch, capsys):
     assert "check failed in verify hecke-ideals: DecompositionError" in capsys.readouterr().err
 
 
+def test_a_flipped_character_sign_fails_the_run(monkeypatch, capsys):
+    # flip the sign of c_(3,1)(t) at the 3-cycles t of H_4: the Casimir no
+    # longer acts on e_(3,1) by a scalar
+    from queerlab import heckeclifford
+
+    real = heckeclifford._spin_characters
+
+    def flipped(n, types):
+        table = real(n, types)
+        if n == 4:
+            row = table[StrictPartition((3, 1))]
+            row[types.index((3, 1))] *= -1
+        return table
+
+    monkeypatch.setattr(heckeclifford, "_spin_characters", flipped)
+    monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
+    assert main(["verify", "hecke-ideals", "--nmax", "4"]) == 1
+    assert "check failed in verify hecke-ideals: DecompositionError" in capsys.readouterr().err
+
+
 def test_h_n_verdicts_never_list_all_words(monkeypatch, capsys):
     # the center is built from its signed classes, one word at a time, not
     # from all 2^n n! words nor all n! permutations; only the braid cases, at
@@ -297,10 +317,10 @@ def test_dump_isotypic_reads_n_as_the_h_rank(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["dump", "isotypic", "--n", "13"], "--n"),
+        (["dump", "isotypic", "--n", "14"], "--n"),
         # |lambda| is the rank of the H_n whose center dim_T reads
-        (["dump", "dims", "--lambda", "8,5", "--n", "1"], "--lambda"),
-        (["dump", "dims", "--lambda", "6,4,3", "--n", "3"], "--lambda"),
+        (["dump", "dims", "--lambda", "8,6", "--n", "1"], "--lambda"),
+        (["dump", "dims", "--lambda", "6,5,3", "--n", "3"], "--lambda"),
     ],
 )
 def test_h_rank_bound_names_the_flag(argv, flag, capsys):
@@ -311,8 +331,8 @@ def test_h_rank_bound_names_the_flag(argv, flag, capsys):
 
 def test_h_rank_bound_runs(capsys):
     # the safe H-rank finishes and passes without --unsafe
-    assert cli.SAFE_H_RANK == 12
-    assert main(["verify", "hecke-ideals", "--nmax", "12"]) == 0
+    assert cli.SAFE_H_RANK == 13
+    assert main(["verify", "hecke-ideals", "--nmax", "13"]) == 0
     assert "status: True" in capsys.readouterr().out
 
 
@@ -325,13 +345,30 @@ def test_h_rank_bound_runs(capsys):
     ],
 )
 def test_a_casimir_clash_is_bad_input(argv, flag, tmp_path, capsys):
-    # from H_15 on two blocks share a value of the Casimir, (9,5,1) and (8,7)
-    # at 280: a limit of the method, not a failed theorem
+    # the H-ranks where two blocks share a value of the Casimir are bad input
+    # only as ranks past the safe bound: the refusal names the flag, not the
+    # clash, and --unsafe runs them to a report
     out = tmp_path / "report.json"
-    assert main(argv + ["--unsafe", "--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err and "280" in err
+    assert err.startswith("error: ") and flag in err and "safe" in err and "280" not in err
     assert not out.exists()
+    assert main(argv + ["--unsafe", "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_h_15_splits_past_the_casimir_clash(capsys):
+    # from H_15 on two blocks share a value of the Casimir, (9,5,1) and (8,7)
+    # at 280; the blocks are read off the character table, which the
+    # Casimir only checks
+    assert main(["dump", "isotypic", "--n", "15", "--unsafe", "--format", "json"]) == 0
+    blocks = {b["lambda"]: b["type"] for b in json.loads(capsys.readouterr().out)["blocks"]}
+    assert len(blocks) == 27 and blocks["9,5,1"] == "Q" and blocks["8,7"] == "M"
+    assert main(["verify", "hecke-ideals", "--nmax", "15", "--unsafe", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] is True
+    # Q_(8,7)(1, 1) = 8, over 2^((l - delta)/2) = 2
+    assert main(["dump", "dims", "--lambda", "8,7", "--n", "2", "--unsafe", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_T"] == 4
 
 
 @pytest.mark.parametrize(

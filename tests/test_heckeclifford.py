@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -25,15 +28,18 @@ from oracles import (
     regular_trace_rank,
     scalar_rows,
     sigma_step,
+    split_center,
     transpose,
     transposition,
     two_sided_closure,
 )
+from queerlab import heckeclifford, queer
 from queerlab.heckeclifford import (
     DecompositionError,
     _class_types,
     _class_word,
     _content_values,
+    _spin_characters,
     _trace_rank,
     all_words,
     braid_conjugation_cases,
@@ -44,7 +50,7 @@ from queerlab.heckeclifford import (
 )
 from queerlab.linalg import Echelon, kernel_basis, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
-from queerlab.scalars import Cyclo8Scalar, ONE, ZERO, ZETA
+from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
 
 rng = random.Random(3)
@@ -348,10 +354,8 @@ def test_orbit_sums_are_center_coordinates(n):
 
 
 def test_mislabelled_block_is_refused(monkeypatch):
-    # swap the Casimir values of (3) and (2,1): the 16-dimensional block,
-    # of type M, is then labelled (3), which has delta = 1
-    from queerlab import heckeclifford
-
+    # swap the Casimir values of (3) and (2,1): the block read off the
+    # character table as (3) no longer carries the value the label predicts
     real = heckeclifford._content_values
 
     def swapped(n):
@@ -362,8 +366,27 @@ def test_mislabelled_block_is_refused(monkeypatch):
 
     monkeypatch.setattr(heckeclifford, "_content_values", swapped)
     monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", {})
-    with pytest.raises(DecompositionError, match="is of type"):
+    with pytest.raises(DecompositionError, match="the Casimir does not act"):
         decompose_regular(3)
+
+
+def test_blocks_with_one_casimir_value_are_told_apart(monkeypatch):
+    # (9,5,1) and (8,7) share the Casimir value 280; with their rows of the
+    # character table swapped, the restriction ranks to H_14 refuse the labels
+    real = heckeclifford._spin_characters
+
+    def swapped(n, types):
+        table = real(n, types)
+        if n == 15:
+            a, b = sp(9, 5, 1), sp(8, 7)
+            table[a], table[b] = table[b], table[a]
+        return table
+
+    monkeypatch.setattr(heckeclifford, "_spin_characters", swapped)
+    cache = {n: t for n, t in heckeclifford._TABLE_CACHE.items() if n < 15}
+    monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", cache)
+    with pytest.raises(DecompositionError, match="restricts to rank"):
+        decompose_regular(15)
 
 
 def test_product_coefficient_matches_product():
@@ -493,7 +516,7 @@ def test_class_traces_match_word_traces(n):
     # dims, restriction ranks and the Sigma ranks in class coordinates, against
     # the traces of the expanded elements
     table = decompose_regular(n)
-    unit = [ONE] + [ZERO] * (len(table.types) - 1)
+    unit = [factorial(n)] + [0] * (len(table.types) - 1)
     for k in range(n + 1):
         small = decompose_regular(k)
         for block in small.blocks.values():
@@ -573,6 +596,38 @@ def test_content_values_separate_up_to_14():
     for n in range(1, 15):
         values = _content_values(n)
         assert len(set(values.values())) == len(values) == len(enumerate_strict(n))
-    # (9,5,1) and (8,7) both give 280, so the Casimir cannot split H_15
-    with pytest.raises(DecompositionError, match="280"):
-        _content_values(15)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_closed_form_idempotents_match_the_casimir_split(n):
+    # e_lambda read off the spin character table, against the Lagrange
+    # product in the Casimir, where its values are distinct
+    table = decompose_regular(n)
+    split = split_center(n)
+    assert list(table.blocks) == list(split)
+    for lam, block in table.blocks.items():
+        assert [Fraction(x, factorial(n)) for x in block.coords] == split[lam], lam
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_both_numerators_of_the_closed_form_are_integers(n):
+    # 2^l(lambda) c_lambda(1^n) and 2^l(t) c_lambda(t)
+    types = _class_types(n)
+    for lam, c in _spin_characters(n, types).items():
+        assert Fraction(c[0] * 2 ** lam.length).denominator == 1, lam
+        for x, t in zip(c, types):
+            assert Fraction(x * 2 ** len(t)).denominator == 1, (lam, t)
+
+
+@pytest.mark.parametrize("module", [heckeclifford, queer])
+def test_the_center_imports_no_scalars(module):
+    # the center of H_n and the traces of dim_T run on ints over n!
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert not any("scalars" in name.split(".") for name in names), names
+
