@@ -255,6 +255,21 @@ def _trace_rank(small: IsotypicTable, x: list, big: IsotypicTable, y: list) -> i
     return rank
 
 
+def _check_orthogonal(table: IsotypicTable):
+    """The orthogonality trace: raise unless the regular trace of e_lambda
+    e_mu, 2^n n! (e_lambda e_mu)[1], is that of e_lambda for mu = lambda and
+    0 otherwise. As (C_i C_j)[1] is |C_i| for j = i and 0 otherwise, on the
+    integer numerators over n! the sum over classes of e_lambda[j] e_mu[j]
+    |C_j| must be n! e_lambda[0], or 0."""
+    blocks = list(table.blocks.values())
+    for i, a in enumerate(blocks):
+        for b in blocks[i:]:
+            t = sum(x * y * w for x, y, w in zip(a.coords, b.coords, table.weights))
+            if t != (factorial(table.n) * a.coords[0] if a is b else 0):
+                what = (a.label.parts, b.label.parts, t, table.n)
+                raise DecompositionError("e_%s e_%s fails the orthogonality trace: it holds %d/(%d!)^2 at 1" % what)
+
+
 _TABLE_CACHE: dict = {}
 
 
@@ -274,7 +289,9 @@ def decompose_regular(n: int) -> IsotypicTable:
     = 2^(l(t) + (l(lambda) + delta(lambda))/2) c_lambda(t) and d = chi(1^n).
     Each e_lambda is then checked: the Casimir acts on it by v(lambda), they
     sum to the unit, each block's type, read off dim J^lambda, matches
-    delta(lambda), and its restriction ranks to H_{n-1} match induction.
+    delta(lambda), its restriction ranks to H_{n-1} match induction, and
+    e_lambda e_mu has the regular trace of e_lambda for mu = lambda and 0
+    otherwise (`_check_orthogonal`).
     """
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
@@ -325,6 +342,7 @@ def decompose_regular(n: int) -> IsotypicTable:
         raise DecompositionError("the central idempotents of H_%d do not sum to the unit" % n)
     if sum(b.dim_J for b in table.blocks.values()) != (1 << n) * factorial(n):
         raise DecompositionError("isotypic dimensions do not sum to dim H_n")
+    _check_orthogonal(table)
     _TABLE_CACHE[n] = table
     return table
 

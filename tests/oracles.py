@@ -58,8 +58,13 @@ operator, where the CLI builds it on the support of its weight;
 `weight_space_monomials_all_cells` lists a weight space by walking every
 cell of the n x m grid, where the CLI walks only the cells the weight
 reaches.
+
+`build_parser` is the argparse parser the CLI once read its command line
+with, where the CLI reads argv against `FLAGS`, `STR_FLAGS` and `TARGETS`
+(`cli.parse_argv`).
 """
 
+import argparse
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -75,6 +80,7 @@ from queerlab.amodule import (
     singular_vectors,
     weight_space_monomials,
 )
+from queerlab.cli import FLAGS, TARGETS
 from queerlab.heckeclifford import (
     IsotypicBlock,
     _bits,
@@ -1718,3 +1724,37 @@ def m_stability_check(n: int) -> StabilityReport:
 
 def p_truncate(p: dict, trunc: int) -> dict:
     return {m: c for m, c in p.items() if mono_degree(m) <= trunc}
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the CLI, from the same FLAGS and TARGETS."""
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, (default, _, text) in FLAGS.items():
+        common.add_argument(flag, type=int, default=default, help=text)
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument(
+        "--format", dest="fmt", choices=["json", "csv", "text"], default="text"
+    )
+    common.add_argument("--cache-dir", type=str, default=None)
+    common.add_argument("--unsafe", action="store_true", help="lift the safe bounds")
+
+    ap = argparse.ArgumentParser(
+        prog="queerlab",
+        description="Exact verification of Hecke-Clifford / queer-matrix theorems",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("pieri", parents=[common], help="check the Pieri rule against products")
+
+    v = sub.add_parser("verify", parents=[common], help="run a theorem verification")
+    v.add_argument("target", choices=[t for c, t in TARGETS if c == "verify"])
+
+    d = sub.add_parser("dump", parents=[common], help="dump a computed table")
+    d.add_argument("target", choices=[t for c, t in TARGETS if c == "dump"])
+    d.add_argument("--lambda", dest="lam", type=str, default=None)
+    return ap

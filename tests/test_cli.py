@@ -1,11 +1,15 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import build_parser
 from queerlab import cli
 from queerlab.cli import main
 from queerlab.partitions import StrictPartition, enumerate_strict
@@ -428,6 +432,17 @@ def test_dump_dims_lists_no_tensor_basis(monkeypatch, capsys):
         (["dump", "dims", "--lambda", "2", "--n", "1", "--format", "csv"], "--format"),
         # one step past the safe truncation degree of A(n,m)
         (["verify", "main-theorem", "--dmax", "9"], "--dmax"),
+        # parse errors leave by the same path
+        (["verify", "main-theorem", "--bogus", "1"], "--bogus"),
+        (["verify", "main-theorem", "--n"], "--n"),
+        (["verify", "main-theorem", "--n", "x"], "--n"),
+        (["verify", "main-theorem", "--format", "xml"], "--format"),
+        (["verity", "main-theorem"], "verity"),
+        (["verify"], "verify"),
+        (["verify", "main-theorem-2"], "main-theorem-2"),
+        (["verify", "main-theorem", "--lambda", "2,1"], "--lambda"),
+        (["verify", "main-theorem", "--d", "4"], "--d"),
+        (["pieri", "main-theorem"], "main-theorem"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -770,13 +785,108 @@ def test_cli_import_leaves_out_the_process_pool():
     # dataclasses (with inspect) not at all. pytest itself imports
     # dataclasses, so the check runs in a fresh interpreter
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    unused = ("multiprocessing", "concurrent.futures", "dataclasses", "inspect", "csv")
+    unused = ("multiprocessing", "concurrent.futures", "dataclasses", "inspect", "csv", "argparse", "gettext", "locale")
     code = "import sys; import queerlab.cli; print(sorted(m for m in %r if m in sys.modules))" % (unused,)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_run_loads_no_argparse():
+    # the command line is read off FLAGS, STR_FLAGS and TARGETS: no job of
+    # any command loads argparse, nor gettext and locale, which argparse
+    # loads for its messages
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    jobs = [
+        ["pieri", "--bound", "3"],
+        ["verify", "hecke-ideals", "--nmax", "3"],
+        ["verify", "main-theorem", "--dmax", "3"],
+        ["dump", "dims", "--lambda", "2", "--n", "1"],
+    ]
+    unused = ("argparse", "gettext", "locale")
+    code = (
+        "import sys; from queerlab.cli import main; "
+        "assert all(main(argv + ['--out', '/dev/null']) == 0 for argv in %r); "
+        "print(sorted(m for m in %r if m in sys.modules))" % (jobs, unused)
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def _parsed(argv):
+    """The attributes both parsers read off argv, or None from each that
+    refuses it; the argparse oracle sets no target for pieri and no lam
+    outside dump."""
+    try:
+        ours = vars(cli.parse_argv(list(argv)))
+    except cli.ConfigError:
+        ours = None
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            theirs = {"target": None, "lam": None, **vars(build_parser().parse_args(argv))}
+    except SystemExit as exc:
+        assert exc.code == 2
+        theirs = None
+    return ours, theirs
+
+
+_VALUES = ["0", "3", "-1", "x", "", "-x", "json", "csv", "xml", "2,1", "-"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then in any order a target and flags: each spelled out or
+    by a prefix, with its value apart, after '=' or missing, maybe repeated."""
+    groups = []
+    if draw(st.booleans()):
+        groups.append([draw(st.sampled_from([t for _, t in cli.TARGETS if t] + ["bogus"]))])
+    names = [*cli.FLAGS, *cli.STR_FLAGS, "--unsafe", "--bogus", "-x"]
+    for flag in draw(st.lists(st.sampled_from(names), max_size=5)):
+        if flag.startswith("--") and draw(st.booleans()):
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        value = draw(st.sampled_from(_VALUES + [str(draw(st.integers(-2, 20)))]))
+        form = draw(st.sampled_from(["apart", "=", "missing"] if flag[:3] != "--u" else ["missing", "="]))
+        groups.append({"apart": [flag, value], "=": [flag + "=" + value], "missing": [flag]}[form])
+    command = draw(st.sampled_from(["pieri", "verify", "dump", "bogus"]))
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+# flags before the target, the = form, prefixes, repeats
+@example(["verify", "--dmax", "4", "main-theorem"])
+@example(["verify", "main-theorem", "--dmax=4", "--format=json"])
+@example(["verify", "--dm", "4", "main-theorem", "--fo", "json", "--c", "cache"])
+@example(["verify", "main-theorem", "--n", "2", "--n", "1", "--unsafe", "--unsafe"])
+@example(["dump", "q-expansion", "--l=2,1", "--out", "-"])
+@example(["verify", "cauchy", "--n", "-1", "--out", "-1"])
+# a flag followed by a flag, or by nothing, has no value
+@example(["verify", "main-theorem", "--out", "--n", "3"])
+@example(["verify", "main-theorem", "--out"])
+@example(["verify", "main-theorem", "--out", "-x"])
+# an ambiguous prefix, an unknown flag, a value given to --unsafe, two targets
+@example(["verify", "main-theorem", "--j", "2"])
+@example(["pieri", "--lambda", "2"])
+@example(["pieri", "--unsafe=1"])
+@example(["verify", "main-theorem", "cauchy"])
+@example([])
+def test_parser_matches_argparse(argv):
+    # both parsers give the same attributes, or both refuse
+    ours, theirs = _parsed(argv)
+    assert ours == theirs
+
+
+def test_help_prints_every_target_and_flag(capsys):
+    for argv in (["--help"], ["verify", "-h"], ["dump", "dims", "--he"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert all(t in out for _, t in cli.TARGETS if t)
+        assert all(f in out for f in [*cli.FLAGS, *cli.STR_FLAGS, "--unsafe"])
 
 
 def test_verify_prop_dim_reports_its_effective_rank(capsys):

@@ -36,6 +36,9 @@ from oracles import (
 from queerlab import heckeclifford, queer
 from queerlab.heckeclifford import (
     DecompositionError,
+    IsotypicBlock,
+    IsotypicTable,
+    _check_orthogonal,
     _class_types,
     _class_word,
     _content_values,
@@ -387,6 +390,27 @@ def test_blocks_with_one_casimir_value_are_told_apart(monkeypatch):
     monkeypatch.setattr(heckeclifford, "_TABLE_CACHE", cache)
     with pytest.raises(DecompositionError, match="restricts to rank"):
         decompose_regular(15)
+
+
+def test_orthogonality_trace_refuses_idempotents_mixed_in_one_casimir_value():
+    # moving x, with x[0] = 0, from e_(8,7) to e_(9,5,1) keeps the Casimir
+    # check (both carry 280), the sum of the e_lambda and every dim J; the
+    # pair is no longer orthogonal, and the trace of their product says so
+    table = decompose_regular(15)
+    a, b = table.blocks[sp(9, 5, 1)], table.blocks[sp(8, 7)]
+    x = [b.coords[0] * u - a.coords[0] * v for u, v in zip(a.coords, b.coords)]
+    assert x[0] == 0 and any(x)
+    mixed = IsotypicTable(15, dict(table.blocks), table.types, table.weights)
+    for block, sign in ((a, 1), (b, -1)):
+        coords = [u + sign * y for u, y in zip(block.coords, x)]
+        mixed.blocks[block.label] = IsotypicBlock(block.label, block.dim_J, block.dim_S, block.type, coords)
+    rows = casimir_rows(15)
+    for lam in (a.label, b.label):
+        e = mixed.blocks[lam].coords
+        assert [sum(r * c for r, c in zip(row, e)) for row in rows] == [280 * c for c in e]
+    _check_orthogonal(table)
+    with pytest.raises(DecompositionError, match="fails the orthogonality trace"):
+        _check_orthogonal(mixed)
 
 
 def test_product_coefficient_matches_product():
