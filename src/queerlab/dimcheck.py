@@ -16,7 +16,6 @@ from .amodule import (
     _pad,
     act_terms,
     raising_operators,
-    singular_vectors,
     weight_space_monomials,
 )
 from .heckeclifford import decompose_regular
@@ -61,22 +60,40 @@ def _induced(mu: StrictPartition, nu: StrictPartition) -> dict:
 
 
 def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
-    """(constraint rows, unknowns) whose kernel is the (wrow, wcol)-singular
-    slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the unknowns are the weight-space
-    basis triples, each row is one coordinate of one raising operator's
-    image, and a row is a Gaussian-integer dict keyed by the unknowns'
-    indices.
+    """(constraint rows, unknowns) whose kernel is the even half of the
+    (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the
+    unknowns are the weight-space basis triples (v, w, mono) of even total
+    parity, each row is one coordinate of one raising operator's image, and
+    a row is a Gaussian-integer dict keyed by the unknowns' indices.
+
+    The even half is all that needs solving (Cheng and Wang, AMS GSM 144,
+    ch. 1-3). Its kernel is half the singular slice at every nonzero weight
+    and all of it at the zero weight (`_sing_dim` applies the factor):
+    - no row mixes parities: X_ab is even and Y_ab odd, so every unknown of
+      a row has the parity of the row's target plus that of its operator;
+    - the odd Cartan element Hbar_i = Y_ii of the left factor, for an i with
+      wrow_i != 0, maps singular vectors to singular vectors, as [hbar, n+]
+      lies in n+; the right Y_jj does the same where only wcol is nonzero;
+    - Hbar_i^2 = -X_ii in these signs (Y_ii sends e_i to -f_i and f_i to
+      e_i), which acts on the slice as the nonzero scalar -wrow_i: Hbar_i is
+      an odd isomorphism from the even singular vectors onto the odd ones;
+    - the only zero weight is a = b = r = 0, whose slice is the even scalar
+      line.
+    The full system on both parities is the test oracle `sing_system_full`.
 
     The system is built on the support of the weight: no label or monomial
     of the slice uses an index where (wrow, wcol) is 0, and no raising
     operator that lowers such an index writes a row (`raising_operators`).
-    The unknowns and rows, in the n x m layout, are those of the full-rank
-    system, which has no other row; how many there are depends on the
-    weight, not on n and m.
+    The unknowns and rows, in the n x m layout, are the even block of the
+    full-rank system, which has no other row; how many there are depends on
+    the weight, not on n and m.
     """
     vlabs = _labels_by_weight(n, a, wrow)
     wlabs = _labels_by_weight(m, b, wcol)
-    # basis of the target weight slice: triples with weights summing right
+    parity = {
+        lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
+    }
+    # basis of the target weight slice: even triples with weights summing right
     basis = []
     for wv, vl in vlabs.items():
         for ww, wl in wlabs.items():
@@ -87,39 +104,57 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
             monos = weight_space_monomials(n, m, r, (need_rows, need_cols))
             for v in vl:
                 for w2 in wl:
-                    for mono in monos:
-                        basis.append((v, w2, mono))
+                    p = parity[v] + parity[w2]
+                    basis.extend((v, w2, mono) for mono in monos if not (p + len(mono[1])) % 2)
     if not basis:
         return [], []
-    parity = {
-        lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
-    }
     # A raising operator changes the weight of the factor it acts on, so the
     # targets of one triple are distinct and each row entry is written once.
     constraints = {}
     for side, op in raising_operators((wrow, wcol)):
         godd = op[0] == "Y"
+        # this operator's image of each label and each monomial, looked up once
+        lab_images, mono_images = {}, {}
         for col, (vlab, wlab, mono) in enumerate(basis):
             pv = parity[vlab]
-            pw = parity[wlab]
+            lab = vlab if side == "left" else wlab
+            image = lab_images.get(lab)
+            if image is None:
+                image = lab_images[lab] = _image(n, m, side, op, lab, False)
             if side == "left":
-                for vlab2, c in _image(n, m, side, op, vlab, False).items():
+                for vlab2, c in image.items():
                     constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
             else:
                 flip = godd and pv % 2
-                for wlab2, (x, y) in _image(n, m, side, op, wlab, False).items():
+                for wlab2, (x, y) in image.items():
                     row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
                     row[col] = (-x, -y) if flip else (x, y)
-            flip = godd and (pv + pw) % 2
-            for mono2, (x, y) in _image(n, m, side, op, mono, True).items():
+            image = mono_images.get(mono)
+            if image is None:
+                image = mono_images[mono] = _image(n, m, side, op, mono, True)
+            flip = godd and (pv + parity[wlab]) % 2
+            for mono2, (x, y) in image.items():
                 row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
                 row[col] = (-x, -y) if flip else (x, y)
     return list(constraints.values()), basis
 
 
+def _sing_dim(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
+    """Dimension of the (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b}
+    (x) A_r: twice the kernel of the even half (`_sing_system`), or once at
+    the zero weight."""
+    half = kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
+    return 2 * half if any(wrow) or any(wcol) else half
+
+
+@lru_cache(maxsize=None)
 def sing_space_dim(n: int, m: int, nu: StrictPartition) -> int:
-    """sigma(nu): dimension of the (nu,nu)-bisingular slice of A at degree |nu|."""
-    return len(singular_vectors(n, m, nu))
+    """sigma(nu): dimension of the (nu,nu)-bisingular slice of A at degree
+    |nu|, the singular slice of V^{(x)0} (x) W^{(x)0} (x) A_|nu|; once per
+    (n, m, nu)."""
+    if nu.length > min(n, m):
+        return 0
+    return _sing_dim(n, m, 0, 0, nu.size, _pad(nu.parts, n), _pad(nu.parts, m))
 
 
 def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
@@ -188,6 +223,14 @@ def hom_dim_check(
     Brute force realizes T_alpha (x) T_beta inside V^{(x)|alpha|} (x)
     W^{(x)|beta|}, which is alpha-isotypic for |alpha| <= 2 (the only strict
     partitions of 1 and 2 are (1) and (2)); this is asserted via dimensions.
+
+    Each singular slice is counted on its even half (`_sing_dim`): at a
+    nonzero weight the odd half has the same dimension, and the zero weight
+    is the even scalar line. No row of the system mixes parities; the odd
+    Cartan element Y_ii (or the right Y_jj) keeps singular vectors singular,
+    since [hbar, n+] lies in n+; its square -X_ii is the nonzero scalar
+    -wrow_i on the slice, so it maps the even half onto the odd half; and
+    the only zero weight is a = b = r = 0 (proof in `_sing_system`).
     """
     a, b = alpha.size, beta.size
     if a > 2 or b > 2:
@@ -200,7 +243,7 @@ def hom_dim_check(
         if 0 <= rv <= r_max:
             wrow = _pad(lam.parts, n)
             wcol = _pad(mu.parts, m)
-            brute = kernel_dim(*_sing_system(n, m, a, b, rv, wrow, wcol))
+            brute = _sing_dim(n, m, a, b, rv, wrow, wcol)
         return HomDimCase(
             lam, mu, alpha, beta, -1, brute, 0, {"degree_mismatch": True}
         )
@@ -239,7 +282,7 @@ def hom_dim_check(
         raise HomDimError("W^%d is not beta-isotypic at rank %d" % (b, m))
     wrow = _pad(lam.parts, n)
     wcol = _pad(mu.parts, m)
-    sing = kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
+    sing = _sing_dim(n, m, a, b, r, wrow, wcol)
     s_l = copy_singular_dim(n, m, lam)
     s_m = copy_singular_dim(n, m, mu)
     num = sing * (2 ** (delta(lam) + delta(mu)))

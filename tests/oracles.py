@@ -54,7 +54,8 @@ membership off the ideal built directly to the truncation degree (the CLI
 walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
 Hom-dimension check on the full rank, every label, biweight and raising
-operator, where the CLI builds it on the support of its weight;
+operator, and both parities, where the CLI builds the even half on the
+support of its weight;
 `weight_space_monomials_all_cells` lists a weight space by walking every
 cell of the n x m grid, where the CLI walks only the cells the weight
 reaches.
@@ -1558,9 +1559,10 @@ def all_raising_operators(n: int, m: int):
 
 
 def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
-    """`dimcheck._sing_system` on the full rank: every label of V^{(x)a} and
-    W^{(x)b}, the monomials of every biweight of A_r, and every raising
-    operator on every unknown, in the same row and unknown layout."""
+    """The singular system of `dimcheck._sing_system` on the full rank and
+    on both parities: every label of V^{(x)a} and W^{(x)b}, the monomials of
+    every biweight of A_r, and every raising operator on every unknown, in
+    the same row and unknown layout. `_sing_system` is its even block."""
 
     def by_weight(k, d):
         out = {}

@@ -11,10 +11,16 @@ from queerlab.amodule import (
     raising_operators,
     weight_space_monomials,
 )
-from queerlab.dimcheck import _sing_system, copy_singular_dim, hom_dim_check, hom_dim_sweep
-from queerlab.linalg import kernel_basis, kernel_dim
+from queerlab.dimcheck import (
+    _sing_system,
+    copy_singular_dim,
+    hom_dim_check,
+    hom_dim_sweep,
+    sing_space_dim,
+)
+from queerlab.linalg import kernel_basis, kernel_dim, span
 from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto
-from queerlab.queer import tensor_image
+from queerlab.queer import _label_parity, tensor_image
 from queerlab.symfunc import induct_mult
 
 
@@ -85,6 +91,7 @@ def test_shared_image_tables_change_no_verdict():
     for (n, m), got in zip(sizes, shared):
         dimcheck._IMAGES.clear()
         dimcheck._induced.cache_clear()
+        dimcheck.sing_space_dim.cache_clear()
         assert [c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] == got, (n, m)
         assert all(case["pass"] for case in got), (n, m)
 
@@ -113,19 +120,140 @@ def _sweep_systems(n, m):
             yield a, b, r, _pad(c.lam.parts, n), _pad(c.mu.parts, m)
 
 
+def _oracle_systems():
+    """(n, m, system) for the (2, 2) compositions and the sweep systems at
+    (2, 3), (3, 2), (3, 3) and (4, 4)."""
+    yield from ((2, 2, args) for args in _composition_systems(2, 2))
+    for n, m in ((2, 3), (3, 2), (3, 3), (4, 4)):
+        yield from ((n, m, args) for args in _sweep_systems(n, m))
+
+
+def _triple_parity(triple):
+    vlab, wlab, mono = triple
+    return (_label_parity(vlab) + _label_parity(wlab) + len(mono[1])) % 2
+
+
+def _parity_block(rows, basis, parity):
+    """The rows and unknowns of one parity of a full system, the unknowns
+    re-indexed in their order; a row that mixes parities raises KeyError."""
+    cols = [c for c, triple in enumerate(basis) if _triple_parity(triple) == parity]
+    index = {c: k for k, c in enumerate(cols)}
+    block = [{index[c]: x for c, x in row.items()} for row in rows if min(row) in index]
+    return block, [basis[c] for c in cols]
+
+
+def _halving_factor(wrow, wcol):
+    return 2 if any(wrow) or any(wcol) else 1
+
+
 def test_support_system_matches_the_full_rank_oracle():
-    # the same unknowns and rows, in the same order, so the same kernel
+    # the even block of the full system: the same unknowns and rows, in the
+    # same order, so the same kernel
     built = 0
-    for n, m, systems in [(2, 2, _composition_systems(2, 2))] + [
-        (n, m, _sweep_systems(n, m)) for n, m in ((2, 3), (3, 2), (3, 3), (4, 4))
-    ]:
-        for args in systems:
-            rows, basis = _sing_system(n, m, *args)
-            full_rows, full_basis = sing_system_full(n, m, *args)
-            assert (rows, basis) == (full_rows, full_basis), (n, m, args)
-            assert kernel_dim(rows, basis) == kernel_dim(full_rows, full_basis), (n, m, args)
-            built += bool(basis)
+    for n, m, args in _oracle_systems():
+        rows, basis = _sing_system(n, m, *args)
+        even_rows, even_basis = _parity_block(*sing_system_full(n, m, *args), 0)
+        assert (rows, basis) == (even_rows, even_basis), (n, m, args)
+        assert kernel_dim(rows, basis) == kernel_dim(even_rows, even_basis), (n, m, args)
+        built += bool(basis)
     assert built > 100
+
+
+def test_the_odd_half_of_a_singular_slice_mirrors_the_even_half():
+    # no oracle row mixes parities, and the odd block's kernel is as large
+    # as the even block's, except at the zero weight, where it is empty
+    nonzero = 0
+    for n, m, (a, b, r, wrow, wcol) in _oracle_systems():
+        rows, basis = sing_system_full(n, m, a, b, r, wrow, wcol)
+        for row in rows:
+            assert len({_triple_parity(basis[c]) for c in row}) == 1, (n, m, a, b, r, wrow, wcol)
+        even = kernel_dim(*_parity_block(rows, basis, 0))
+        odd = kernel_dim(*_parity_block(rows, basis, 1))
+        factor = _halving_factor(wrow, wcol)
+        assert kernel_dim(rows, basis) == factor * even, (n, m, a, b, r, wrow, wcol)
+        assert odd == (factor - 1) * even, (n, m, a, b, r, wrow, wcol)
+        assert dimcheck._sing_dim(n, m, a, b, r, wrow, wcol) == kernel_dim(rows, basis)
+        nonzero += factor == 2 and even > 0
+    assert nonzero > 50
+
+
+def _act_on_triples(n, m, side, op, vec):
+    """A raising or Cartan operator on a vector {(v, w, mono): (re, im)} of
+    V^{(x)a} (x) W^{(x)b} (x) A_r, with the Koszul signs of the rows of
+    `sing_system_full`."""
+    odd = op[0] == "Y"
+    out = {}
+    for (vlab, wlab, mono), (xr, xi) in vec.items():
+        pv, pw = _label_parity(vlab), _label_parity(wlab)
+        terms = []
+        if side == "left":
+            terms += [((v2, wlab, mono), c) for v2, c in tensor_image(op, vlab).items()]
+        else:
+            sign = -1 if odd and pv else 1
+            terms += [
+                ((vlab, w2, mono), (sign * c[0], sign * c[1]))
+                for w2, c in tensor_image(op, wlab).items()
+            ]
+        sign = -1 if odd and (pv + pw) % 2 else 1
+        terms += [
+            ((vlab, wlab, mono2), (sign * c[0], sign * c[1]))
+            for mono2, c in act_terms(side, op, {mono: (1, 0)}, n, m).items()
+        ]
+        for key, (sr, si) in terms:
+            ur, ui = out.get(key, (0, 0))
+            out[key] = (ur + xr * sr - xi * si, ui + xr * si + xi * sr)
+    return {k: c for k, c in out.items() if c != (0, 0)}
+
+
+def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
+    # Y_ii (or the right Y_jj) squares to -wrow_i, keeps every raising
+    # operator's kernel, and is one to one on the even kernel
+    checked = 0
+    for n, m, (a, b, r, wrow, wcol) in chain(
+        ((2, 2, args) for args in _composition_systems(2, 2, total=3)),
+        ((3, 3, args) for args in _sweep_systems(3, 3)),
+    ):
+        if not any(wrow) and not any(wcol):
+            continue
+        side, wt = ("left", wrow) if any(wrow) else ("right", wcol)
+        i = next(k for k, x in enumerate(wt, 1) if x)
+        hbar = ("Y", i, i)
+        rows, basis = _sing_system(n, m, a, b, r, wrow, wcol)
+        evens = [{basis[c]: x for c, x in v.items()} for v in kernel_basis(rows, range(len(basis)))]
+        odds = [_act_on_triples(n, m, side, hbar, v) for v in evens]
+        assert span(odds).rank == len(evens)
+        for v, w in zip(evens, odds):
+            assert all(_triple_parity(t) == 1 for t in w)
+            scalar = -wt[i - 1]
+            assert _act_on_triples(n, m, side, hbar, w) == {
+                t: (scalar * x, scalar * y) for t, (x, y) in v.items()
+            }
+            for so in raising_operators((wrow, wcol)):
+                assert not _act_on_triples(n, m, *so, w)
+            checked += 1
+    assert checked > 100
+
+
+def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
+    fast = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
+    monkeypatch.setattr(dimcheck, "_sing_dim", lambda *args: kernel_dim(*sing_system_full(*args)))
+    dimcheck.sing_space_dim.cache_clear()
+    try:
+        full = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
+    finally:
+        dimcheck.sing_space_dim.cache_clear()
+    assert full == fast
+    assert all(c["pass"] for c in fast[0])
+
+
+def test_sigma_is_the_halved_bisingular_slice():
+    # sigma(nu) from the a = b = 0 system, against the singular basis of L_nu
+    checked = 0
+    for nu in all_strict_upto(6):
+        if nu.length <= 3:
+            assert sing_space_dim(3, 3, nu) == len(_solve_singular(3, 3, nu)), nu
+            checked += 1
+    assert checked > 10
 
 
 def test_skipped_raising_operators_write_nothing():
