@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from math import factorial
 
-from .linalg import kernel_basis
+from .linalg import _primitive, kernel_basis
 from .partitions import StrictPartition, enumerate_strict
+from .queer import _label_parity, tensor_basis, tensor_image
 from .spoly import insert_odd, mono_mul
 
 
@@ -259,36 +260,150 @@ def raising_operators(w):
     ]
 
 
+def _labels_by_weight(k: int, d: int, weight) -> dict:
+    """Labels of the d-th tensor power of C^{k|k} on the indices where weight
+    is nonzero, grouped by their own weight."""
+    out = {}
+    for lab in tensor_basis(k, d, weight):
+        w = [0] * k
+        for (_, i) in lab:
+            w[i - 1] += 1
+        out.setdefault(tuple(w), []).append(lab)
+    return out
+
+
+# (n, m, side, raising operator, is monomial, tensor label or monomial) ->
+# its image, as (target, (re, im)) pairs; shared by the systems with a
+# tensor factor, whose labels and A_r monomials recur across a sweep
+_IMAGES: dict = {}
+
+
+def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -> tuple:
+    key = (n, m, side, op, is_mono, x)
+    image = _IMAGES.get(key)
+    if image is None:
+        image = _monomial_image(side, *op, x, n, m) if is_mono else tuple(tensor_image(op, x).items())
+        if keep:
+            _IMAGES[key] = image
+    return image
+
+
+def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
+    """(constraint rows, unknowns) whose kernel is the even half of the
+    (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the
+    unknowns are the weight-space basis triples (v, w, mono) of even total
+    parity, each row is one coordinate of one raising operator's image, and
+    a row is a Gaussian-integer dict keyed by the unknowns' indices. At
+    a = b = 0 this is the (wrow, wcol) weight space of A_r.
+
+    The even half is all that needs solving (Cheng and Wang, AMS GSM 144,
+    ch. 1-3). Its kernel is half the singular slice at every nonzero weight
+    and all of it at the zero weight (`dimcheck._sing_dim` doubles the
+    count, `singular_vectors` maps the even basis by Y_11):
+    - no row mixes parities: X_ab is even and Y_ab odd, so every unknown of
+      a row has the parity of the row's target plus that of its operator;
+    - the odd Cartan element Hbar_i = Y_ii of the left factor, for an i with
+      wrow_i != 0, maps singular vectors to singular vectors, as [hbar, n+]
+      lies in n+; the right Y_jj does the same where only wcol is nonzero;
+    - Hbar_i^2 = -X_ii in these signs (Y_ii sends e_i to -f_i and f_i to
+      e_i), which acts on the slice as the nonzero scalar -wrow_i: Hbar_i is
+      an odd isomorphism from the even singular vectors onto the odd ones;
+    - the only zero weight is a = b = r = 0, whose slice is the even scalar
+      line.
+    The full system on both parities is the test oracle `sing_system_full`.
+
+    The system is built on the support of the weight: no label or monomial
+    of the slice uses an index where (wrow, wcol) is 0, and no raising
+    operator that lowers such an index writes a row (`raising_operators`).
+    The unknowns and rows, in the n x m layout, are the even block of the
+    full-rank system, which has no other row; how many there are depends on
+    the weight, not on n and m.
+    """
+    vlabs = _labels_by_weight(n, a, wrow)
+    wlabs = _labels_by_weight(m, b, wcol)
+    parity = {
+        lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
+    }
+    # basis of the target weight slice: even triples with weights summing right
+    basis = []
+    for wv, vl in vlabs.items():
+        for ww, wl in wlabs.items():
+            need_rows = tuple(x - y for x, y in zip(wrow, wv))
+            need_cols = tuple(x - y for x, y in zip(wcol, ww))
+            if any(c < 0 for c in need_rows) or any(c < 0 for c in need_cols):
+                continue
+            monos = weight_space_monomials(n, m, r, (need_rows, need_cols))
+            for v in vl:
+                for w2 in wl:
+                    p = parity[v] + parity[w2]
+                    basis.extend((v, w2, mono) for mono in monos if not (p + len(mono[1])) % 2)
+    if not basis:
+        return [], []
+    # A bare slice of A (a = b = 0) is one biweight of A_r, whose monomials
+    # lie in no other bare slice, and `singular_vectors` solves it once: each
+    # image is written into its rows and dropped, as none is looked up again.
+    keep = bool(a or b)
+    # A raising operator changes the weight of the factor it acts on, so the
+    # targets of one triple are distinct and each row entry is written once.
+    constraints = {}
+    for side, op in raising_operators((wrow, wcol)):
+        godd = op[0] == "Y"
+        # this operator's image of each label and each monomial, looked up once
+        lab_images, mono_images = {}, {}
+        for col, (vlab, wlab, mono) in enumerate(basis):
+            pv = parity[vlab]
+            lab = vlab if side == "left" else wlab
+            image = lab_images.get(lab)
+            if image is None:
+                image = lab_images[lab] = _image(n, m, side, op, lab, False, keep)
+            if side == "left":
+                for vlab2, c in image:
+                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
+            else:
+                flip = godd and pv % 2
+                for wlab2, (x, y) in image:
+                    row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
+                    row[col] = (-x, -y) if flip else (x, y)
+            image = mono_images.get(mono)
+            if image is None:
+                image = _image(n, m, side, op, mono, True, keep)
+                if keep:
+                    mono_images[mono] = image
+            flip = godd and (pv + parity[wlab]) % 2
+            for mono2, (x, y) in image:
+                row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
+                row[col] = (-x, -y) if flip else (x, y)
+    return list(constraints.values()), basis
+
+
 _SINGULAR_CACHE: dict = {}
 
 
 def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
-    """Weight-(lam,lam) vectors killed by the raising operators of both sides,
-    as primitive Gaussian-integer vectors.
+    """Weight-(lam,lam) vectors of A_|lam| killed by the raising operators of
+    both sides, as primitive Gaussian-integer vectors: a kernel basis of the
+    even half (`_sing_system` at a = b = 0), then the image of each vector
+    under the left Y_11, brought to content 1, which spans the odd half.
+    Since lam_1 != 0, Y_11^2 = -X_11 is the scalar -lam_1 on the slice, so
+    the images are independent (proof in `_sing_system`); the zero weight,
+    lam = (), is the even scalar line.
 
     Each space is solved once per process; callers get fresh dicts.
     """
     key = (n, m, lam)
     basis = _SINGULAR_CACHE.get(key)
     if basis is None:
-        basis = _SINGULAR_CACHE[key] = _solve_singular(n, m, lam)
+        basis = []
+        if lam.length <= min(n, m):
+            w = (_pad(lam.parts, n), _pad(lam.parts, m))
+            rows, unknowns = _sing_system(n, m, 0, 0, lam.size, *w)
+            even = kernel_basis(rows, range(len(unknowns)))
+            del rows  # the bulk of the memory: freed before the odd half is built
+            basis = [{unknowns[c][2]: x for c, x in v.items()} for v in even]
+            if lam.parts:
+                basis += [_primitive(act_terms("left", ("Y", 1, 1), v, n, m)) for v in basis]
+        _SINGULAR_CACHE[key] = basis
     return [dict(v) for v in basis]
-
-
-def _solve_singular(n: int, m: int, lam: StrictPartition) -> list[dict]:
-    if lam.length > min(n, m):
-        return []
-    w = (_pad(lam.parts, n), _pad(lam.parts, m))
-    monos = weight_space_monomials(n, m, lam.size, w)
-    if not monos:
-        return []
-    # one row per (operator, image monomial); each entry is written once
-    constraints = {}
-    for side, op in raising_operators(w):
-        for mono in monos:
-            for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
-                constraints.setdefault((side, op, tgt), {})[mono] = c
-    return kernel_basis(constraints.values(), monos)
 
 
 class MembershipCase:

@@ -7,8 +7,8 @@ building its parser took about 2.5 ms of every run.
 
 Exit codes: 0 all checks passed, 1 a theorem check failed (a case reported
 false, or an exact identity the check relies on failed: InconsistentMultiplicity,
-DecompositionError, ContravarianceError), 2 bad input (parse errors included) or
-an internal error.
+DecompositionError, ContravarianceError, HomDimError, ActionError), 2 bad input
+(parse errors included) or an internal error.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ FLAGS = {
     "--jet-order": (3, 1, None),
     "--bound": (8, 0, "Pieri size bound"),
     "--seed": (0, None, None),  # any int seeds random.Random
+    # sets nothing; accepted because the benchmark passes --jobs 1
     "--jobs": (1, 1, None),
 }
 
@@ -344,23 +345,11 @@ def _one_box_report(relation: dict, checks: int) -> dict:
 
 
 def _verify_main_theorem(args):
-    from .amodule import MembershipCase, contravariance_check, ideal_summands, one_box_steps
+    from .amodule import MembershipCase, contravariance_check, ideal_summands
 
     checks = contravariance_check(args.n, args.m)
     cands = all_strict_upto(args.dmax, min(args.n, args.m))
-    # each row is independent; with one job the walks compute them. A pool
-    # starts all its workers at once, so it gets no more than there are rows
-    nus = [nu for nu in cands if nu.size < args.dmax]
-    workers = min(args.jobs, len(nus))
     relation = {}
-    if workers > 1:
-        # imported here: it loads multiprocessing, which one job never uses
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(partial(one_box_steps, args.n, args.m), nus)
-            relation = dict(zip(nus, rows))
     cases = []
     for lam in cands:
         reached = ideal_summands(args.n, args.m, lam, args.dmax, relation)
@@ -690,10 +679,13 @@ def main(argv=None) -> int:
     except Exception as exc:
         # imported on the error path only: the top level stays light
         from .amodule import ContravarianceError
+        from .dimcheck import HomDimError
         from .heckeclifford import DecompositionError
+        from .queer import ActionError
 
         what = "%s: %s" % (type(exc).__name__, exc)
-        if isinstance(exc, (symfunc.InconsistentMultiplicity, DecompositionError, ContravarianceError)):
+        failed = (symfunc.InconsistentMultiplicity, DecompositionError, ContravarianceError, HomDimError, ActionError)
+        if isinstance(exc, failed):
             # an exact identity failed: a theorem failure, not a crash
             print("check failed in %s: %s" % (name, what), file=sys.stderr)
             return 1

@@ -54,8 +54,9 @@ membership off the ideal built directly to the truncation degree (the CLI
 walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
 Hom-dimension check on the full rank, every label, biweight and raising
-operator, and both parities, where the CLI builds the even half on the
-support of its weight;
+operator, and both parities, and `solve_singular_full` solves the singular
+vectors of L_lambda on both parities, where the CLI builds the even half on
+the support of its weight and maps it by Y_11;
 `weight_space_monomials_all_cells` lists a weight space by walking every
 cell of the n x m grid, where the CLI walks only the cells the weight
 reaches.
@@ -78,6 +79,7 @@ from queerlab.amodule import (
     _pad,
     _tables,
     act_terms,
+    raising_operators,
     singular_vectors,
     weight_space_monomials,
 )
@@ -92,7 +94,7 @@ from queerlab.heckeclifford import (
     decompose_regular,
     word_mult,
 )
-from queerlab.linalg import Echelon, add_term, span
+from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
@@ -1558,8 +1560,27 @@ def all_raising_operators(n: int, m: int):
     ]
 
 
+def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
+    """A kernel basis of the weight-(lam,lam) slice of A_|lam| under the
+    raising operators, solved on both parities at once: one row per
+    (operator, image monomial), one unknown per monomial of the slice.
+    `amodule.singular_vectors` solves the even half and maps it by Y_11."""
+    if lam.length > min(n, m):
+        return []
+    w = (_pad(lam.parts, n), _pad(lam.parts, m))
+    monos = weight_space_monomials(n, m, lam.size, w)
+    if not monos:
+        return []
+    constraints = {}
+    for side, op in raising_operators(w):
+        for mono in monos:
+            for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
+                constraints.setdefault((side, op, tgt), {})[mono] = c
+    return kernel_basis(constraints.values(), monos)
+
+
 def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
-    """The singular system of `dimcheck._sing_system` on the full rank and
+    """The singular system of `amodule._sing_system` on the full rank and
     on both parities: every label of V^{(x)a} and W^{(x)b}, the monomials of
     every biweight of A_r, and every raising operator on every unknown, in
     the same row and unknown layout. `_sing_system` is its even block."""

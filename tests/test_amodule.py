@@ -27,6 +27,7 @@ from oracles import (
     numerators,
     one_box_steps_by_closure,
     scalar_rows,
+    solve_singular_full,
     summand,
     summand_membership,
     weight_space,
@@ -43,6 +44,7 @@ from queerlab.amodule import (
     singular_vectors,
     weight_space_monomials,
 )
+from queerlab.linalg import span
 from queerlab.partitions import (
     StrictPartition,
     all_strict_upto,
@@ -306,6 +308,29 @@ def test_singular_vectors_examples():
     mono_x = next(iter(SuperPoly.x(3, 3, 1, 1).terms))
     mono_y = next(iter(SuperPoly.y(3, 3, 1, 1).terms))
     assert {tuple(sorted(v)) for v in vecs} == {(mono_x,), (mono_y,)}
+
+
+@pytest.mark.parametrize("n, m, size", [(n, m, 8) for n in (1, 2, 3) for m in (1, 2, 3)] + [(4, 4, 7)])
+def test_singular_vectors_span_the_full_parity_solve(n, m, size):
+    # the even kernel and its Y_11 images are independent and span the
+    # kernel solved on both parities at once
+    for lam in all_strict_upto(size, min(n, m)):
+        vecs = singular_vectors(n, m, lam)
+        full = solve_singular_full(n, m, lam)
+        ours = span(vecs)
+        assert ours.rank == len(vecs) == len(full), lam
+        assert ours.nums == span(full).nums, lam
+
+
+def test_singular_vectors_are_primitive():
+    # every vector has content 1, the Y_11 images too: in A(1,1), Y_11 sends
+    # x_11^2 to -2 zeta x_11 y_11, which is divided by 2
+    x2, xy = ((2,), ()), ((1,), (0,))
+    assert singular_vectors(1, 1, sp(2)) == [{x2: (1, 0)}, {xy: (0, -1)}]
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        for lam in all_strict_upto(6, min(n, m)):
+            for v in singular_vectors(n, m, lam):
+                assert math.gcd(*(c for pair in v.values() for c in pair)) == 1, (n, m, lam)
 
 
 def test_memoized_lists_are_fresh():

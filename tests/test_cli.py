@@ -51,8 +51,7 @@ def test_verify_phi_psi(capsys):
 
 
 def test_verify_main_theorem_small_with_jobs(capsys):
-    # each pool worker builds its own memo tables; the cases must not depend
-    # on how the rows are spread over processes
+    # --jobs is accepted and sets nothing: the cases are the same at every value
     payloads = []
     for jobs in ("2", "1"):
         argv = ["verify", "main-theorem", "--n", "3", "--m", "3", "--dmax", "3"]
@@ -68,36 +67,6 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     # 36 basis operators, each compared on the 18^2 entries of A_1
     assert payloads[0]["contravariance_checks"] == 36 * 18**2
     assert "multiplicity-free" in payloads[0]["assumes"][0]
-
-
-@pytest.mark.parametrize("dmax, workers", [(3, [3]), (1, []), (0, [])])
-def test_jobs_pool_has_no_more_workers_than_rows(dmax, workers, monkeypatch, capsys):
-    # a pool starts all its workers at once: --dmax 3 has the three rows of
-    # sizes 0, 1 and 2, --dmax 1 one row, which needs no pool, --dmax 0 none
-    import concurrent.futures
-
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    argv = ["verify", "main-theorem", "--dmax", str(dmax), "--format", "json"]
-    assert main(argv + ["--jobs", "8"]) == 0
-    assert seen == workers
-    pooled = capsys.readouterr().out
-    assert main(argv) == 0
-    assert capsys.readouterr().out == pooled
 
 
 def test_verify_determinantal_walks_from_the_staircase(capsys):
@@ -549,6 +518,8 @@ def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
     [
         ("symfunc", "cauchy_check", "InconsistentMultiplicity", ["verify", "cauchy", "--degree", "1", "--vars", "1"]),
         ("heckeclifford", "verify_tensor_ideal_theorem", "DecompositionError", ["verify", "hecke-ideals", "--nmax", "1"]),
+        ("dimcheck", "hom_dim_sweep", "HomDimError", ["verify", "prop-dim", "--n", "2", "--m", "2"]),
+        ("queer", "dim_T", "ActionError", ["dump", "dims", "--lambda", "2", "--n", "1"]),
     ],
 )
 def test_failed_exact_identity_exits_one(module, name, exc_name, argv, monkeypatch, capsys):
@@ -566,6 +537,18 @@ def test_failed_exact_identity_exits_one(module, name, exc_name, argv, monkeypat
     err = capsys.readouterr().err
     case = " ".join(argv[:2])
     assert err == "check failed in %s: %s: forced failure\n" % (case, exc_name)
+
+
+def test_a_non_square_sigma_fails_prop_dim(monkeypatch, capsys):
+    # with one singular vector kept, sigma((1)) = 1 and sigma 2^delta = 2 is
+    # no square: a failed identity, exit 1
+    from queerlab import dimcheck
+
+    real = dimcheck.singular_vectors
+    monkeypatch.setattr(dimcheck, "singular_vectors", lambda n, m, nu: real(n, m, nu)[:1])
+    assert main(["verify", "prop-dim", "--n", "2", "--m", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed in verify prop-dim: HomDimError: sigma((1)) = 1 ")
 
 
 def test_other_exceptions_stay_internal_errors(monkeypatch, capsys):
@@ -780,14 +763,24 @@ def test_no_sympy_import():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # every job pays for what `import queerlab.cli` loads: ProcessPoolExecutor
-    # is imported only under --jobs > 1, csv only under --format csv, and
-    # dataclasses (with inspect) not at all. pytest itself imports
+    # every job pays for what `import queerlab.cli` loads: csv is imported
+    # only under --format csv, and dataclasses (with inspect) not at all; no
+    # job, `--jobs 2` included, loads a process pool. pytest itself imports
     # dataclasses, so the check runs in a fresh interpreter
     src = os.path.dirname(os.path.dirname(cli.__file__))
     unused = ("multiprocessing", "concurrent.futures", "dataclasses", "inspect", "csv", "argparse", "gettext", "locale")
     code = "import sys; import queerlab.cli; print(sorted(m for m in %r if m in sys.modules))" % (unused,)
     env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+    pool = ("multiprocessing", "concurrent.futures")
+    argv = ["verify", "main-theorem", "--dmax", "4", "--jobs", "2", "--out", os.devnull]
+    code = (
+        "import sys; from queerlab.cli import main; assert main(%r) == 0; "
+        "print(sorted(m for m in %r if m in sys.modules))" % (argv, pool)
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout

@@ -2,21 +2,20 @@ from itertools import chain, product
 
 import pytest
 
-from oracles import all_raising_operators, sing_system_full
-from queerlab import dimcheck
+from oracles import all_raising_operators, sing_system_full, solve_singular_full
+from queerlab import amodule, dimcheck
 from queerlab.amodule import (
     _pad,
-    _solve_singular,
+    _sing_system,
     act_terms,
     raising_operators,
+    singular_vectors,
     weight_space_monomials,
 )
 from queerlab.dimcheck import (
-    _sing_system,
     copy_singular_dim,
     hom_dim_check,
     hom_dim_sweep,
-    sing_space_dim,
 )
 from queerlab.linalg import kernel_basis, kernel_dim, span
 from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto
@@ -87,11 +86,11 @@ def test_shared_image_tables_change_no_verdict():
     # again from empty tables
     sizes = [(2, 2), (3, 3), (2, 3), (3, 2)]
     shared = [[c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] for n, m in sizes]
-    assert dimcheck._IMAGES
+    assert amodule._IMAGES
     for (n, m), got in zip(sizes, shared):
-        dimcheck._IMAGES.clear()
+        amodule._IMAGES.clear()
+        amodule._SINGULAR_CACHE.clear()
         dimcheck._induced.cache_clear()
-        dimcheck.sing_space_dim.cache_clear()
         assert [c.to_dict() for c in hom_dim_sweep(n, m, 2, 2)] == got, (n, m)
         assert all(case["pass"] for case in got), (n, m)
 
@@ -235,23 +234,23 @@ def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
 
 
 def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
+    # both the brute side and sigma from systems solved on both parities
     fast = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
     monkeypatch.setattr(dimcheck, "_sing_dim", lambda *args: kernel_dim(*sing_system_full(*args)))
-    dimcheck.sing_space_dim.cache_clear()
-    try:
-        full = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
-    finally:
-        dimcheck.sing_space_dim.cache_clear()
+    monkeypatch.setattr(dimcheck, "singular_vectors", solve_singular_full)
+    full = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
     assert full == fast
     assert all(c["pass"] for c in fast[0])
 
 
 def test_sigma_is_the_halved_bisingular_slice():
-    # sigma(nu) from the a = b = 0 system, against the singular basis of L_nu
+    # sigma(nu), the length of the singular basis of L_nu, is the halved
+    # count of the a = b = 0 system and the length of the full-parity basis
     checked = 0
     for nu in all_strict_upto(6):
         if nu.length <= 3:
-            assert sing_space_dim(3, 3, nu) == len(_solve_singular(3, 3, nu)), nu
+            halved = dimcheck._sing_dim(3, 3, 0, 0, nu.size, _pad(nu.parts, 3), _pad(nu.parts, 3))
+            assert halved == len(singular_vectors(3, 3, nu)) == len(solve_singular_full(3, 3, nu)), nu
             checked += 1
     assert checked > 10
 
@@ -288,19 +287,19 @@ def test_skipped_raising_operators_write_nothing():
 
 def test_singular_vectors_need_no_dead_operator(monkeypatch):
     # the full operator list gives the same singular basis
-    from queerlab import amodule
-
     lams = [lam for lam in all_strict_upto(5) if lam.length <= 3]
-    live = [_solve_singular(3, 3, lam) for lam in lams]
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    live = [singular_vectors(3, 3, lam) for lam in lams]
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
     monkeypatch.setattr(amodule, "raising_operators", lambda w: all_raising_operators(3, 3))
-    assert [_solve_singular(3, 3, lam) for lam in lams] == live
+    assert [singular_vectors(3, 3, lam) for lam in lams] == live
 
 
 def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
     # rank 3 checks the cases of rank 2 and builds systems of the same size,
     # listing as many labels and looking up as many images
     counts = {"labels": 0, "images": 0}
-    tensor_basis, image = dimcheck.tensor_basis, dimcheck._image
+    tensor_basis, image = amodule.tensor_basis, amodule._image
 
     def counted(key, f):
         def wrapped(*args):
@@ -310,8 +309,8 @@ def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(dimcheck, "tensor_basis", counted("labels", tensor_basis))
-    monkeypatch.setattr(dimcheck, "_image", counted("images", image))
+    monkeypatch.setattr(amodule, "tensor_basis", counted("labels", tensor_basis))
+    monkeypatch.setattr(amodule, "_image", counted("images", image))
 
     def build(n, m, args):
         counts.update(labels=0, images=0)
