@@ -14,8 +14,8 @@ adjoint to X_ba and Y_ab to -Y_ba: the form is contravariant and positive
 definite. Each A_d is multiplicity-free under q(n) x q(m) (Cheng and Wang,
 AMS GSM 144, ch. 3), so its summands L_mu are orthogonal, and L_kappa lies
 in a submodule M iff M is not orthogonal to the singular vectors S_kappa.
-`contravariance_check` checks the adjoints exactly on A_1; `one_box_steps`
-pairs the covers.
+`contravariance_check` checks the adjoints, and Y_aa^2 = -X_aa, exactly on
+A_1; `one_box_steps` pairs the covers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .spoly import insert_odd, mono_mul
 
 
 class ContravarianceError(ArithmeticError):
-    """A basis operator is not adjoint to its partner under the Fischer form."""
+    """A basis operator is not adjoint to its partner under the Fischer form,
+    or an odd Cartan element Y_aa does not square to -X_aa."""
 
 
 # a monomial of A(n,m) is ((x exponents, flattened n*m), (sorted y cells))
@@ -52,73 +53,68 @@ def _cell(i: int, j: int, m: int) -> int:
 
 def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
     """The derivation action of X_ab/Y_ab on one monomial, as
-    (monomial, (re, im)) pairs."""
+    (monomial, (re, im)) pairs.
+
+    The operator lowers index b of its factor only, so the walk reads the m
+    cells of row b on the left, the n cells of column b on the right, and
+    the odd factors that lie there; a factor at cell c moves to c + (a - b) m
+    on the left and c + (a - b) on the right. X_aa sends every factor it
+    reads back onto mono, so its image is mono times their number. For every
+    other operator no two factors read give the same target, so each term is
+    appended as it comes: an x term changes e at its own cell and a y term
+    changes o at its own cell; for X an x term changes e and a y term does
+    not, and for Y an x term lowers e and a y term raises it.
+    """
     e, o = mono
+    if side == "left":
+        cells = range((b - 1) * m, b * m)
+        shift = (a - b) * m
+    else:
+        cells = range(b - 1, n * m, m)
+        shift = a - b
+    if kind == "X" and a == b:
+        count = sum(e[c] for c in cells) + sum(1 for c in o if c in cells)
+        return ((mono, (count, 0)),) if count else ()
     odd_op = kind == "Y"
-    out = {}
+    out = []
     # x factors
-    for idx, ex in enumerate(e):
+    for c in cells:
+        ex = e[c]
         if not ex:
             continue
-        i, j = divmod(idx, m)
-        if side == "left":
-            if b != i + 1:
-                continue
-            tcell = _cell(a, j + 1, m)
-            re, im = (0, -ex) if odd_op else (ex, 0)
-        else:
-            if b != j + 1:
-                continue
-            tcell = _cell(i + 1, a, m)
-            re, im = (-ex, 0) if odd_op else (ex, 0)
         e2 = list(e)
-        e2[idx] -= 1
+        e2[c] -= 1
         if odd_op:
             # new odd factor enters in front of the existing odd block
-            ins = insert_odd(o, tcell, 0)
+            ins = insert_odd(o, c + shift, 0)
             if ins is None:
                 continue
             o2, sign = ins
-            key = (tuple(e2), o2)
-            if sign != 1:
-                re, im = -re, -im
+            re, im = (0, -sign * ex) if side == "left" else (-sign * ex, 0)
+            out.append(((tuple(e2), o2), (re, im)))
         else:
-            e2[tcell] += 1
-            key = (tuple(e2), o)
-        s = out.get(key, (0, 0))
-        out[key] = (s[0] + re, s[1] + im)
+            e2[c + shift] += 1
+            out.append(((tuple(e2), o), (ex, 0)))
     # y factors
-    for t, idx in enumerate(o):
-        i, j = divmod(idx, m)
-        if side == "left":
-            if b != i + 1:
-                continue
-            tcell = _cell(a, j + 1, m)
-            re, im = (0, -1) if odd_op else (1, 0)
-        else:
-            if b != j + 1:
-                continue
-            tcell = _cell(i + 1, a, m)
-            re, im = 1, 0
+    for t, c in enumerate(o):
+        if c not in cells:
+            continue
+        re, im = (0, -1) if odd_op and side == "left" else (1, 0)
         # crossing the t preceding odd factors with an odd operator
         if odd_op and t & 1:
             re, im = -re, -im
         o_rest = o[:t] + o[t + 1 :]
         if odd_op:
             e2 = list(e)
-            e2[tcell] += 1
-            key = (tuple(e2), o_rest)
+            e2[c + shift] += 1
+            out.append(((tuple(e2), o_rest), (re, im)))
         else:
-            ins = insert_odd(o_rest, tcell, t)
+            ins = insert_odd(o_rest, c + shift, t)
             if ins is None:
                 continue
             o2, sign = ins
-            key = (e, o2)
-            if sign != 1:
-                re, im = -re, -im
-        s = out.get(key, (0, 0))
-        out[key] = (s[0] + re, s[1] + im)
-    return tuple(kc for kc in out.items() if kc[1] != (0, 0))
+            out.append(((e, o2), (sign * re, sign * im)))
+    return tuple(out)
 
 
 def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> dict:
@@ -128,7 +124,8 @@ def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> 
 
     `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
     that acts on many vectors of one A(n,m) passes one dict, so each image is
-    computed once and each output term costs one multiply-add.
+    computed once and each output term costs one multiply-add
+    (`singular_vectors` shares one across the even vectors of a slice).
     """
     if table is None:
         table = {}
@@ -186,22 +183,25 @@ def _tables(rows, cols):
 _WEIGHT_MONOMIALS: dict = {}
 
 
-def weight_space_monomials(n: int, m: int, d: int, w) -> list:
-    """All monomials of A(n,m) with total degree d and biweight w."""
+def weight_space_monomials(n: int, m: int, d: int, w, parity=None) -> list:
+    """All monomials of A(n,m) with total degree d and biweight w; with a
+    parity (0 or 1), only those with that many odd factors mod 2, in the
+    same order."""
     rows, cols = w
-    key = (n, m, d, tuple(rows), tuple(cols))
+    key = (n, m, d, tuple(rows), tuple(cols), parity)
     monos = _WEIGHT_MONOMIALS.get(key)
     if monos is None:
-        monos = _WEIGHT_MONOMIALS[key] = _weight_space_monomials(n, m, d, rows, cols)
+        monos = _WEIGHT_MONOMIALS[key] = _weight_space_monomials(n, m, d, rows, cols, parity)
     return list(monos)
 
 
-def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
+def _weight_space_monomials(n, m, d, rows, cols, parity) -> tuple:
     """The walk over the live cells: those whose row and column weights are
     both nonzero. No monomial of the slice uses another cell, so a dead cell
     only ever takes exponent 0, and skipping it leaves the order of the
     monomials as it is; the recursion is as deep as the live cells are many,
-    not n * m."""
+    not n * m. A leaf whose odd support has the other parity is left before
+    its x tables are listed."""
     if sum(rows) != d or sum(cols) != d:
         return ()
     live_rows = [i for i in range(n) if rows[i]]
@@ -212,6 +212,8 @@ def _weight_space_monomials(n, m, d, rows, cols) -> tuple:
 
     def supports(idx, rleft, cleft, acc):
         if idx == len(cells):
+            if parity is not None and len(acc) % 2 != parity:
+                return
             xr = tuple(rleft[i] for i in live_rows)
             xc = tuple(cleft[j] for j in live_cols)
             if sum(xr) != sum(xc):
@@ -299,7 +301,7 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     The even half is all that needs solving (Cheng and Wang, AMS GSM 144,
     ch. 1-3). Its kernel is half the singular slice at every nonzero weight
     and all of it at the zero weight (`dimcheck._sing_dim` doubles the
-    count, `singular_vectors` maps the even basis by Y_11):
+    count, `singular_vectors` maps the even basis by Y_ll, l = l(lam)):
     - no row mixes parities: X_ab is even and Y_ab odd, so every unknown of
       a row has the parity of the row's target plus that of its operator;
     - the odd Cartan element Hbar_i = Y_ii of the left factor, for an i with
@@ -332,11 +334,15 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
             need_cols = tuple(x - y for x, y in zip(wcol, ww))
             if any(c < 0 for c in need_rows) or any(c < 0 for c in need_cols):
                 continue
-            monos = weight_space_monomials(n, m, r, (need_rows, need_cols))
+            # q -> the monomials with q odd factors mod 2: those that make a
+            # label pair of parity q even
+            monos = {}
             for v in vl:
                 for w2 in wl:
-                    p = parity[v] + parity[w2]
-                    basis.extend((v, w2, mono) for mono in monos if not (p + len(mono[1])) % 2)
+                    q = (parity[v] + parity[w2]) % 2
+                    if q not in monos:
+                        monos[q] = weight_space_monomials(n, m, r, (need_rows, need_cols), q)
+                    basis.extend((v, w2, mono) for mono in monos[q])
     if not basis:
         return [], []
     # A bare slice of A (a = b = 0) is one biweight of A_r, whose monomials
@@ -383,10 +389,12 @@ def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
     """Weight-(lam,lam) vectors of A_|lam| killed by the raising operators of
     both sides, as primitive Gaussian-integer vectors: a kernel basis of the
     even half (`_sing_system` at a = b = 0), then the image of each vector
-    under the left Y_11, brought to content 1, which spans the odd half.
-    Since lam_1 != 0, Y_11^2 = -X_11 is the scalar -lam_1 on the slice, so
-    the images are independent (proof in `_sing_system`); the zero weight,
-    lam = (), is the even scalar line.
+    under the left Y_ll, l = l(lam), brought to content 1, which spans the
+    odd half. Since lam_l != 0, Y_ll^2 = -X_ll is the scalar -lam_l on the
+    slice, so the images are independent (proof in `_sing_system`); the zero
+    weight, lam = (), is the even scalar line. Row l holds the fewest
+    factors of each monomial, and the even vectors share their monomials, so
+    one image table serves them all.
 
     Each space is solved once per process; callers get fresh dicts.
     """
@@ -397,11 +405,12 @@ def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
         if lam.length <= min(n, m):
             w = (_pad(lam.parts, n), _pad(lam.parts, m))
             rows, unknowns = _sing_system(n, m, 0, 0, lam.size, *w)
-            even = kernel_basis(rows, range(len(unknowns)))
+            even = kernel_basis(rows, len(unknowns))
             del rows  # the bulk of the memory: freed before the odd half is built
             basis = [{unknowns[c][2]: x for c, x in v.items()} for v in even]
             if lam.parts:
-                basis += [_primitive(act_terms("left", ("Y", 1, 1), v, n, m)) for v in basis]
+                y_ll, table = ("Y", lam.length, lam.length), {}
+                basis += [_primitive(act_terms("left", y_ll, v, n, m, table)) for v in basis]
         _SINGULAR_CACHE[key] = basis
     return [dict(v) for v in basis]
 
@@ -444,8 +453,10 @@ def contravariance_check(n: int, m: int) -> int:
     """Check that the Fischer form is contravariant on A_1: for every basis
     operator of both sides, the matrix of X_ab is the conjugate transpose
     of that of X_ba, and the matrix of Y_ab that of -Y_ba (on A_1 the form
-    is the standard Hermitian one). One `act_terms` call per (operator,
-    degree-1 monomial).
+    is the standard Hermitian one). Each matrix is read off `_monomial_image`
+    of every degree-1 monomial, when its pair is first compared. Then check
+    Y_aa^2 = -X_aa on A_1, the relation by which `singular_vectors` maps its
+    even half onto the odd half.
 
     Returns the number of (operator, u, v) entries compared; raises
     ContravarianceError at the first operator that fails.
@@ -458,20 +469,35 @@ def contravariance_check(n: int, m: int) -> int:
         for a in range(1, rank + 1)
         for b in range(1, rank + 1)
     ]
-    # (side, op) -> {(v, u): the coefficient of v in op(u)}
-    mats = {
-        (side, op): {(v, u): c for u in basis for v, c in act_terms(side, op, {u: (1, 0)}, n, m).items()}
-        for side, op in ops
-    }
+    mats = {}  # (side, op) -> {(v, u): the coefficient of v in op(u)}
+
+    def mat(side, op):
+        if (side, op) not in mats:
+            mats[side, op] = {(v, u): c for u in basis for v, c in _monomial_image(side, *op, u, n, m)}
+        return mats[side, op]
+
     for side, (kind, a, b) in ops:
         sign = 1 if kind == "X" else -1
-        partner = mats[side, (kind, b, a)]
-        adjoint = {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in partner.items()}
-        if mats[side, (kind, a, b)] != adjoint:
+        adjoint = {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in mat(side, (kind, b, a)).items()}
+        if mat(side, (kind, a, b)) != adjoint:
             raise ContravarianceError(
                 "on A_1 of A(%d,%d), %s %s_%d%d is not the adjoint of %s%s_%d%d"
                 % (n, m, side, kind, a, b, "" if sign == 1 else "-", kind, b, a)
             )
+    for side, rank in (("left", n), ("right", m)):
+        for a in range(1, rank + 1):
+            y = mat(side, ("Y", a, a)).items()
+            square = {}
+            for (w, v), (re, im) in y:
+                for (v2, u), (re2, im2) in y:
+                    if v2 == v:
+                        sr, si = square.get((w, u), (0, 0))
+                        square[w, u] = (sr + re * re2 - im * im2, si + re * im2 + im * re2)
+            minus_x = {k: (-re, -im) for k, (re, im) in mat(side, ("X", a, a)).items()}
+            if {k: c for k, c in square.items() if c != (0, 0)} != minus_x:
+                raise ContravarianceError(
+                    "on A_1 of A(%d,%d), %s Y_%d%d^2 is not -X_%d%d" % (n, m, side, a, a, a, a)
+                )
     return len(ops) * len(basis) ** 2
 
 

@@ -167,24 +167,24 @@ def kernel_dim(constraints, unknowns: list) -> int:
     return len(unknowns) - span(constraints).rank
 
 
-def kernel_basis(constraints, unknowns: list) -> list[dict]:
-    """Solution basis of the homogeneous system (rows are functionals).
+def kernel_basis(constraints, k: int) -> list[dict]:
+    """Solution basis of the homogeneous system in the unknowns 0, ..., k - 1
+    (rows are functionals).
 
-    `constraints` are Gaussian-integer dicts unknown -> (re, im); the
-    returned vectors are primitive Gaussian-integer dicts unknown -> (re, im)
+    `constraints` are Gaussian-integer dicts index -> (re, im); the
+    returned vectors are primitive Gaussian-integer dicts index -> (re, im)
     spanning the joint kernel, one per free unknown f, positive at f.
     """
-    order = {u: i for i, u in enumerate(unknowns)}
-    rows = span({order[k]: c for k, c in row.items()} for row in constraints).nums
+    rows = span(constraints).nums
     basis = []
-    for f in range(len(unknowns)):
+    for f in range(k):
         if f in rows:
             continue
         # x_f = 1 and x_p = -row_p[f] / d_p, times the lcm of those d_p
         hits = [(p, row) for p, row in rows.items() if f in row]
         scale = lcm(1, *(row[p][0] for p, row in hits))
-        vec = {unknowns[f]: (scale, 0)}
+        vec = {f: (scale, 0)}
         for p, row in hits:
-            vec[unknowns[p]] = tuple(-c * (scale // row[p][0]) for c in row[f])
+            vec[p] = tuple(-c * (scale // row[p][0]) for c in row[f])
         basis.append(_primitive(vec))
     return basis

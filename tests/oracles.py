@@ -59,7 +59,9 @@ vectors of L_lambda on both parities, where the CLI builds the even half on
 the support of its weight and maps it by Y_11;
 `weight_space_monomials_all_cells` lists a weight space by walking every
 cell of the n x m grid, where the CLI walks only the cells the weight
-reaches.
+reaches; `monomial_image_all_cells` acts on a monomial by walking every
+cell and summing the terms in a dict, where the CLI reads only the row or
+column the operator lowers.
 
 `build_parser` is the argparse parser the CLI once read its command line
 with, where the CLI reads argv against `FLAGS`, `STR_FLAGS` and `TARGETS`
@@ -98,7 +100,7 @@ from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
-from queerlab.spoly import mono_degree, mono_mul, p_add, p_mul, p_scale
+from queerlab.spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
 from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
 
 
@@ -354,6 +356,14 @@ def cauchy_rhs_truncated(d: int, N: int) -> dict:
 # ---------------------------------------------------------------------------
 # echelons
 # ---------------------------------------------------------------------------
+
+
+def kernel_basis_keyed(constraints, unknowns: list) -> list[dict]:
+    """`linalg.kernel_basis` for rows keyed by the unknowns themselves: the
+    rows are re-keyed to the unknowns' indices, and the kernel vectors back."""
+    order = {u: i for i, u in enumerate(unknowns)}
+    rows = [{order[k]: c for k, c in row.items()} for row in constraints]
+    return [{unknowns[i]: c for i, c in vec.items()} for vec in kernel_basis(rows, len(unknowns))]
 
 
 def numerators(vec: dict) -> dict:
@@ -1521,6 +1531,78 @@ def weight_space_monomials_all_cells(n: int, m: int, d: int, w) -> list:
     return out
 
 
+def monomial_image_all_cells(side, kind, a, b, mono, n, m) -> tuple:
+    """`amodule._monomial_image` by the walk over all n * m cells: every x
+    exponent and every odd factor is tested against index b, and the terms
+    are summed in a dict and filtered for zeros."""
+    e, o = mono
+    odd_op = kind == "Y"
+    out = {}
+    # x factors
+    for idx, ex in enumerate(e):
+        if not ex:
+            continue
+        i, j = divmod(idx, m)
+        if side == "left":
+            if b != i + 1:
+                continue
+            tcell = _cell(a, j + 1, m)
+            re, im = (0, -ex) if odd_op else (ex, 0)
+        else:
+            if b != j + 1:
+                continue
+            tcell = _cell(i + 1, a, m)
+            re, im = (-ex, 0) if odd_op else (ex, 0)
+        e2 = list(e)
+        e2[idx] -= 1
+        if odd_op:
+            # new odd factor enters in front of the existing odd block
+            ins = insert_odd(o, tcell, 0)
+            if ins is None:
+                continue
+            o2, sign = ins
+            key = (tuple(e2), o2)
+            if sign != 1:
+                re, im = -re, -im
+        else:
+            e2[tcell] += 1
+            key = (tuple(e2), o)
+        s = out.get(key, (0, 0))
+        out[key] = (s[0] + re, s[1] + im)
+    # y factors
+    for t, idx in enumerate(o):
+        i, j = divmod(idx, m)
+        if side == "left":
+            if b != i + 1:
+                continue
+            tcell = _cell(a, j + 1, m)
+            re, im = (0, -1) if odd_op else (1, 0)
+        else:
+            if b != j + 1:
+                continue
+            tcell = _cell(i + 1, a, m)
+            re, im = 1, 0
+        # crossing the t preceding odd factors with an odd operator
+        if odd_op and t & 1:
+            re, im = -re, -im
+        o_rest = o[:t] + o[t + 1 :]
+        if odd_op:
+            e2 = list(e)
+            e2[tcell] += 1
+            key = (tuple(e2), o_rest)
+        else:
+            ins = insert_odd(o_rest, tcell, t)
+            if ins is None:
+                continue
+            o2, sign = ins
+            key = (e, o2)
+            if sign != 1:
+                re, im = -re, -im
+        s = out.get(key, (0, 0))
+        out[key] = (s[0] + re, s[1] + im)
+    return tuple(kc for kc in out.items() if kc[1] != (0, 0))
+
+
 def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
     """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
     space = GradedSubspace(n, m)
@@ -1576,7 +1658,7 @@ def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
         for mono in monos:
             for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
                 constraints.setdefault((side, op, tgt), {})[mono] = c
-    return kernel_basis(constraints.values(), monos)
+    return kernel_basis_keyed(constraints.values(), monos)
 
 
 def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):

@@ -14,6 +14,7 @@ from oracles import (
     act,
     act_on_U,
     all_biweights,
+    all_operators,
     bracket,
     candidate_tail_bounds,
     determinantal_ideal_check,
@@ -24,6 +25,7 @@ from oracles import (
     m_stability_check,
     membership_cases_for,
     mono_biweight,
+    monomial_image_all_cells,
     numerators,
     one_box_steps_by_closure,
     scalar_rows,
@@ -36,6 +38,7 @@ from oracles import (
 )
 from queerlab.amodule import (
     _fischer,
+    _monomial_image,
     act_terms,
     added_box,
     contravariance_check,
@@ -44,7 +47,7 @@ from queerlab.amodule import (
     singular_vectors,
     weight_space_monomials,
 )
-from queerlab.linalg import span
+from queerlab.linalg import _primitive, span
 from queerlab.partitions import (
     StrictPartition,
     all_strict_upto,
@@ -277,6 +280,18 @@ def test_live_cell_walk_equals_all_cell_walk(n, m):
             assert weight_space_monomials(n, m, d, w) == weight_space_monomials_all_cells(n, m, d, w), w
 
 
+@pytest.mark.parametrize("n,m", list(itertools.product((1, 2, 3), repeat=2)))
+def test_parity_lists_filter_the_full_list(n, m):
+    # the parity lists are the full list filtered by the number of odd
+    # factors mod 2, in the same order
+    for d in range(5):
+        for w in all_biweights(n, m, d):
+            full = weight_space_monomials(n, m, d, w)
+            for q in (0, 1):
+                want = [x for x in full if len(x[1]) % 2 == q]
+                assert weight_space_monomials(n, m, d, w, q) == want, (d, w, q)
+
+
 def test_weight_space_walk_is_as_deep_as_its_live_cells():
     # at n = m = 30 a walk over every cell would recurse past the
     # interpreter's limit; the slice is that of (2, 2), each cell moved to
@@ -291,6 +306,27 @@ def test_weight_space_walk_is_as_deep_as_its_live_cells():
         want.append((tuple(big), tuple(moved[cell] for cell in y)))
     w = ((2, 1) + (0,) * (n - 2), (1, 2) + (0,) * (m - 2))
     assert weight_space_monomials(n, m, 3, w) == want
+
+
+def _monomials_upto(n, m, d):
+    return [
+        x for k in range(d + 1) for w in all_biweights(n, m, k) for x in weight_space_monomials_all_cells(n, m, k, w)
+    ]
+
+
+@pytest.mark.parametrize("n,m,d", [(n, m, 3) for n in (1, 2, 3) for m in (1, 2, 3)] + [(4, 4, 2)])
+def test_row_local_image_equals_all_cell_walk(n, m, d):
+    # the same terms in the same order for every basis operator of both
+    # sides, and nothing on a monomial with no factor in the lowered index
+    for mono in _monomials_upto(n, m, d):
+        e, o = mono
+        cells = [c for c, ex in enumerate(e) if ex] + list(o)
+        for side, (kind, a, b) in all_operators(n, m):
+            img = _monomial_image(side, kind, a, b, mono, n, m)
+            assert img == monomial_image_all_cells(side, kind, a, b, mono, n, m), (side, kind, a, b, mono)
+            lowered = [c for c in cells if (c // m if side == "left" else c % m) == b - 1]
+            if not lowered:
+                assert img == (), (side, kind, a, b, mono)
 
 
 def test_mono_biweight():
@@ -312,7 +348,7 @@ def test_singular_vectors_examples():
 
 @pytest.mark.parametrize("n, m, size", [(n, m, 8) for n in (1, 2, 3) for m in (1, 2, 3)] + [(4, 4, 7)])
 def test_singular_vectors_span_the_full_parity_solve(n, m, size):
-    # the even kernel and its Y_11 images are independent and span the
+    # the even kernel and its Y_ll images are independent and span the
     # kernel solved on both parities at once
     for lam in all_strict_upto(size, min(n, m)):
         vecs = singular_vectors(n, m, lam)
@@ -323,7 +359,7 @@ def test_singular_vectors_span_the_full_parity_solve(n, m, size):
 
 
 def test_singular_vectors_are_primitive():
-    # every vector has content 1, the Y_11 images too: in A(1,1), Y_11 sends
+    # every vector has content 1, the Y_ll images too: in A(1,1), Y_11 sends
     # x_11^2 to -2 zeta x_11 y_11, which is divided by 2
     x2, xy = ((2,), ()), ((1,), (0,))
     assert singular_vectors(1, 1, sp(2)) == [{x2: (1, 0)}, {xy: (0, -1)}]
@@ -331,6 +367,26 @@ def test_singular_vectors_are_primitive():
         for lam in all_strict_upto(6, min(n, m)):
             for v in singular_vectors(n, m, lam):
                 assert math.gcd(*(c for pair in v.values() for c in pair)) == 1, (n, m, lam)
+
+
+@pytest.mark.parametrize("n,m", list(itertools.product((1, 2, 3), repeat=2)))
+def test_odd_half_is_the_y_ll_image_of_the_even_half(n, m):
+    # the first half of the vectors is even and the second half is its
+    # primitive image under the left Y_ll, l = l(lam); one image table shared
+    # by every vector changes no image
+    for lam in all_strict_upto(6, min(n, m)):
+        vecs = singular_vectors(n, m, lam)
+        if not lam.parts:
+            assert vecs == [{((0,) * (n * m), ()): (1, 0)}]
+            continue
+        half = len(vecs) // 2
+        even, odd = vecs[:half], vecs[half:]
+        assert all(len(x[1]) % 2 == 0 for v in even for x in v), (n, m, lam)
+        y_ll = ("Y", lam.length, lam.length)
+        images = [act_terms("left", y_ll, v, n, m) for v in even]
+        assert odd == [_primitive(img) for img in images], (n, m, lam)
+        table = {}
+        assert [act_terms("left", y_ll, v, n, m, table) for v in even] == images, (n, m, lam)
 
 
 def test_memoized_lists_are_fresh():

@@ -145,6 +145,28 @@ def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeyp
     assert "right Y_12 is not the adjoint of -Y_21" in err
 
 
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+def test_a_cartan_image_without_its_odd_factor_fails_the_check(target, monkeypatch, capsys):
+    # left X_11 with y_11 left out is still self-adjoint on A_1, but then
+    # left Y_11^2, which sends y_11 to -y_11, is no longer -X_11
+    from queerlab import amodule
+
+    real = amodule._monomial_image
+    y11 = ((0,) * 9, (0,))
+
+    def dropped(side, kind, a, b, mono, n, m):
+        if (side, kind, a, b, mono) == ("left", "X", 1, 1, y11):
+            return ()
+        return real(side, kind, a, b, mono, n, m)
+
+    monkeypatch.setattr(amodule, "_monomial_image", dropped)
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    assert main(["verify", target]) == 1
+    err = capsys.readouterr().err
+    assert "check failed in verify %s: ContravarianceError" % target in err
+    assert "left Y_11^2 is not -X_11" in err
+
+
 def test_verify_hecke_ideals_nmax5(capsys):
     code = main(["verify", "hecke-ideals", "--nmax", "5", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

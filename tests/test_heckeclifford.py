@@ -22,6 +22,7 @@ from oracles import (
     hc_unit,
     idempotent,
     iota,
+    kernel_basis_keyed,
     numerators,
     orbit_center_basis,
     product_coefficient,
@@ -51,7 +52,7 @@ from queerlab.heckeclifford import (
     verify_tensor_ideal_theorem,
     word_mult,
 )
-from queerlab.linalg import Echelon, kernel_basis, span
+from queerlab.linalg import Echelon, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
@@ -301,7 +302,7 @@ def center_basis_by_kernel(n, parity):
     # at its free word, the last of its words in `words` order
     index = {w: i for i, w in enumerate(words)}
     out = []
-    for vec in kernel_basis([numerators(row) for row in rows], words):
+    for vec in kernel_basis_keyed([numerators(row) for row in rows], words):
         d = vec[max(vec, key=index.get)][0]
         out.append(HCElement(n, {w: Cyclo8Scalar(x, y, d) for w, (x, y) in vec.items()}))
     return out

@@ -5,7 +5,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from oracles import contains_space, in_span, scalar_rows
-from oracles import numerators
+from oracles import kernel_basis_keyed, numerators
 from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 
@@ -136,7 +136,7 @@ def test_rows_view_follows_inserts():
 def test_kernel_basis():
     # x0 + x1 = 0, x1 - x2 = 0 in 3 unknowns: kernel dim 1
     rows = [{0: ONE, 1: ONE}, {1: ONE, 2: s(-1)}]
-    basis = kernel_basis([numerators(row) for row in rows], [0, 1, 2])
+    basis = kernel_basis([numerators(row) for row in rows], 3)
     assert len(basis) == 1
     vec = {k: Cyclo8Scalar(x, y) for k, (x, y) in basis[0].items()}
     for row in rows:
@@ -144,12 +144,16 @@ def test_kernel_basis():
         for k, c in row.items():
             acc = acc + c * vec.get(k, Cyclo8Scalar())
         assert acc.is_zero()
+    # the same system keyed by names, re-keyed by the oracle
+    names = ["a", "b", "c"]
+    keyed = [{names[k]: c for k, c in numerators(row).items()} for row in rows]
+    assert kernel_basis_keyed(keyed, names) == [{names[k]: c for k, c in basis[0].items()}]
 
 
 def test_kernel_full_and_empty():
-    assert len(kernel_basis([], [0, 1])) == 2
+    assert len(kernel_basis([], 2)) == 2
     rows = [{0: ONE}, {1: ONE}]
-    assert kernel_basis([numerators(row) for row in rows], [0, 1]) == []
+    assert kernel_basis([numerators(row) for row in rows], 2) == []
 
 
 def test_span_contains_space():
