@@ -24,7 +24,7 @@ from math import factorial
 
 from .linalg import _primitive, kernel_basis
 from .partitions import StrictPartition, enumerate_strict
-from .queer import _label_parity, tensor_basis, tensor_image
+from .queer import _label_parity, sym_image, sym_label, tensor_basis
 from .spoly import insert_odd, mono_mul
 
 
@@ -201,7 +201,7 @@ def _weight_space_monomials(n, m, d, rows, cols, parity) -> tuple:
     only ever takes exponent 0, and skipping it leaves the order of the
     monomials as it is; the recursion is as deep as the live cells are many,
     not n * m. A leaf whose odd support has the other parity is left before
-    its x tables are listed."""
+    its x tables are listed, and the tables of each margin are listed once."""
     if sum(rows) != d or sum(cols) != d:
         return ()
     live_rows = [i for i in range(n) if rows[i]]
@@ -209,6 +209,7 @@ def _weight_space_monomials(n, m, d, rows, cols, parity) -> tuple:
     # the live cells in row-major order, the order of `_tables` on the margins
     cells = [(i, j, i * m + j) for i in live_rows for j in live_cols]
     out = []
+    tables = {}
 
     def supports(idx, rleft, cleft, acc):
         if idx == len(cells):
@@ -218,7 +219,9 @@ def _weight_space_monomials(n, m, d, rows, cols, parity) -> tuple:
             xc = tuple(cleft[j] for j in live_cols)
             if sum(xr) != sum(xc):
                 return
-            for table in _tables(xr, xc):
+            if (xr, xc) not in tables:
+                tables[xr, xc] = _tables(xr, xc)
+            for table in tables[xr, xc]:
                 x = [0] * (n * m)
                 for (_, _, cell), e in zip(cells, table):
                     x[cell] = e
@@ -263,10 +266,10 @@ def raising_operators(w):
 
 
 def _labels_by_weight(k: int, d: int, weight) -> dict:
-    """Labels of the d-th tensor power of C^{k|k} on the indices where weight
-    is nonzero, grouped by their own weight."""
+    """Labels of S^d C^{k|k}, d <= 2 (`queer.sym_label`), on the indices where
+    weight is nonzero, grouped by their own weight."""
     out = {}
-    for lab in tensor_basis(k, d, weight):
+    for lab in filter(sym_label, tensor_basis(k, d, weight)):
         w = [0] * k
         for (_, i) in lab:
             w[i - 1] += 1
@@ -284,7 +287,7 @@ def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -
     key = (n, m, side, op, is_mono, x)
     image = _IMAGES.get(key)
     if image is None:
-        image = _monomial_image(side, *op, x, n, m) if is_mono else tuple(tensor_image(op, x).items())
+        image = _monomial_image(side, *op, x, n, m) if is_mono else sym_image(op, x)
         if keep:
             _IMAGES[key] = image
     return image
@@ -292,11 +295,18 @@ def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -
 
 def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     """(constraint rows, unknowns) whose kernel is the even half of the
-    (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b} (x) A_r: the
+    (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r, a, b <= 2: the
     unknowns are the weight-space basis triples (v, w, mono) of even total
-    parity, each row is one coordinate of one raising operator's image, and
-    a row is a Gaussian-integer dict keyed by the unknowns' indices. At
-    a = b = 0 this is the (wrow, wcol) weight space of A_r.
+    parity, v and w labels of S^aV and S^bW (`queer.sym_label`), each row is
+    one coordinate of one raising operator's image, and a row is a
+    Gaussian-integer dict keyed by the unknowns' indices. At a = b = 0 this
+    is the (wrow, wcol) weight space of A_r.
+
+    S^dV is a submodule of V^{(x)d}, so each image lies in S^aV (x) S^bW (x)
+    A_r and is zero iff its coordinates at the triples of symmetric labels
+    are: those are its rows (`queer.sym_image`). At d <= 2 S^dV is one copy
+    of T_(d), and V^{(x)d} is c_(d) of them (`dimcheck.hom_dim_check`
+    checks both by dimension); at d <= 1 S^dV is all of V^{(x)d}.
 
     The even half is all that needs solving (Cheng and Wang, AMS GSM 144,
     ch. 1-3). Its kernel is half the singular slice at every nonzero weight
@@ -318,8 +328,8 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     of the slice uses an index where (wrow, wcol) is 0, and no raising
     operator that lowers such an index writes a row (`raising_operators`).
     The unknowns and rows, in the n x m layout, are the even block of the
-    full-rank system, which has no other row; how many there are depends on
-    the weight, not on n and m.
+    full-rank system on S^aV (x) S^bW, which has no other row; how many
+    there are depends on the weight, not on n and m.
     """
     vlabs = _labels_by_weight(n, a, wrow)
     wlabs = _labels_by_weight(m, b, wcol)
@@ -555,8 +565,10 @@ def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
         if a is None:
             row[kappa] = False
             continue
-        covers = [_times(g, s) for g in _degree_one(n, m, _cell(a, a, m)) for s in sings]
-        row[kappa] = any(_fischer(z, t) != (0, 0) for t in singular_vectors(n, m, kappa) for z in covers)
+        # lazy covers: `any` stops before the later ones are built
+        targets = singular_vectors(n, m, kappa)
+        covers = (_times(g, s) for g in _degree_one(n, m, _cell(a, a, m)) for s in sings)
+        row[kappa] = any(_fischer(z, t) != (0, 0) for z in covers for t in targets)
     return row
 
 

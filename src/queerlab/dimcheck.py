@@ -1,8 +1,8 @@
 """Two-route check of the Hom-dimension identity.
 
 dim Hom(T_lam (x) T_mu, T_alpha (x) T_beta (x) A_r) is computed once by
-brute-force singular-vector counting in V^{(x)a} (x) W^{(x)b} (x) A_r and
-once by the sum over gamma of 2^{-delta(gamma)} f f with Grothendieck-ring
+brute-force singular-vector counting in S^aV (x) S^bW (x) A_r and once by
+the sum over gamma of 2^{-delta(gamma)} f f with Grothendieck-ring
 coefficients; both under the total-dimension convention.
 """
 
@@ -16,7 +16,7 @@ from .amodule import _pad, _sing_system, singular_vectors
 from .heckeclifford import decompose_regular
 from .linalg import kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
-from .queer import dim_T
+from .queer import dim_T, sym_label, tensor_basis
 from .symfunc import induct_mult
 
 
@@ -30,10 +30,16 @@ def _induced(mu: StrictPartition, nu: StrictPartition) -> dict:
     return induct_mult(mu, nu)
 
 
+@lru_cache(maxsize=None)
+def _sym_dim(k: int, d: int) -> int:
+    """dim S^d C^{k|k}, d <= 2: the number of its labels (`queer.sym_label`)."""
+    return sum(map(sym_label, tensor_basis(k, d)))
+
+
 def _sing_dim(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
-    """Dimension of the (wrow, wcol)-singular slice of V^{(x)a} (x) W^{(x)b}
-    (x) A_r: twice the kernel of the even half (`_sing_system`), or once at
-    the zero weight."""
+    """Dimension of the (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r:
+    twice the kernel of the even half (`_sing_system`), or once at the zero
+    weight."""
     half = kernel_dim(*_sing_system(n, m, a, b, r, wrow, wcol))
     return 2 * half if any(wrow) or any(wcol) else half
 
@@ -102,9 +108,14 @@ def hom_dim_check(
 ) -> HomDimCase:
     """Both sides of the Hom-dimension identity for one case.
 
-    Brute force realizes T_alpha (x) T_beta inside V^{(x)|alpha|} (x)
-    W^{(x)|beta|}, which is alpha-isotypic for |alpha| <= 2 (the only strict
-    partitions of 1 and 2 are (1) and (2)); this is asserted via dimensions.
+    Brute force realizes T_alpha (x) T_beta as S^aV (x) S^bW, a = |alpha|,
+    b = |beta| <= 2. The only strict partitions of 1 and 2 are (1) and (2),
+    so V^{(x)a} is c_alpha copies of T_alpha (Sergeev duality; Cheng and
+    Wang, AMS GSM 144, ch. 3), and its submodule S^aV is one copy as soon as
+    its dimension is dim T_alpha. Both facts are asserted via dimensions:
+    (2n)^a = c_alpha dim T_alpha and dim S^aV = dim T_alpha. The report's
+    `sing_dim` is the count on the full powers, c_alpha c_beta times the
+    one-copy count.
 
     Each singular slice is counted on its even half (`_sing_dim`): at a
     nonzero weight the odd half has the same dimension, and the zero weight
@@ -157,25 +168,27 @@ def hom_dim_check(
     table_b = decompose_regular(b) if b else None
     c_alpha = 1 if a == 0 else table_a.blocks[alpha].dim_S // (2 ** delta(alpha))
     c_beta = 1 if b == 0 else table_b.blocks[beta].dim_S // (2 ** delta(beta))
-    # tensor powers must be single-block for this realization
-    if (2 * n) ** a != c_alpha * dim_T(alpha, n):
-        raise HomDimError("V^%d is not alpha-isotypic at rank %d" % (a, n))
-    if (2 * m) ** b != c_beta * dim_T(beta, m):
-        raise HomDimError("W^%d is not beta-isotypic at rank %d" % (b, m))
+    # tensor powers must be single-block, and S^aV one copy of the block
+    for k, d, c, nu in ((n, a, c_alpha, alpha), (m, b, c_beta, beta)):
+        dim = dim_T(nu, k)
+        if (2 * k) ** d != c * dim:
+            raise HomDimError("V^{(x)%d} is not %r-isotypic at rank %d" % (d, nu, k))
+        if _sym_dim(k, d) != dim:
+            raise HomDimError("S^%dV is not one copy of T_%r at rank %d" % (d, nu, k))
     wrow = _pad(lam.parts, n)
     wcol = _pad(mu.parts, m)
-    sing = _sing_dim(n, m, a, b, r, wrow, wcol)
+    one = _sing_dim(n, m, a, b, r, wrow, wcol)
     s_l = copy_singular_dim(n, m, lam)
     s_m = copy_singular_dim(n, m, mu)
-    num = sing * (2 ** (delta(lam) + delta(mu)))
-    den = c_alpha * c_beta * s_l * s_m
+    num = one * (2 ** (delta(lam) + delta(mu)))
+    den = s_l * s_m
     if num % den:
         raise HomDimError(
-            "brute-force count %d/%d is not integral (sing=%d)" % (num, den, sing)
+            "brute-force count %d/%d is not integral (one copy: %d)" % (num, den, one)
         )
     brute = num // den
     details = {
-        "sing_dim": sing,
+        "sing_dim": c_alpha * c_beta * one,
         "c_alpha": c_alpha,
         "c_beta": c_beta,
         "s_lambda": s_l,

@@ -60,6 +60,35 @@ def tensor_image(op: tuple, lab: tuple) -> dict:
     return {k: (c, 0) for k, c in out.items()}
 
 
+# ---------------------------------------------------------------------------
+# S^dV, d <= 2: one copy of T_(d) inside V^{(x)d}
+# ---------------------------------------------------------------------------
+
+
+def sym_label(lab) -> bool:
+    """Whether lab is a basis label of the super-symmetric power S^dV, d <= 2:
+    sorted, with no f letter repeated. (u, u') stands for u (x) u' +
+    (-1)^{|u||u'|} u' (x) u, and (e_i, e_i) for e_i (x) e_i."""
+    return len(lab) < 2 or lab[0] < lab[1] or lab[0] == lab[1] and lab[0][0] == "e"
+
+
+def sym_image(op: tuple, lab: tuple) -> tuple:
+    """The image under op of the S^dV basis vector lab (`sym_label`), d <= 2,
+    read at the labels of S^dV, as (label, (c, 0)) pairs.
+
+    S^dV is a submodule, so the image is super-symmetric: its coordinate at
+    (t', t), t < t', is (-1)^{|t||t'|} times that at (t, t'), and at
+    (f_i, f_i) it is 0. Each basis vector has coordinate 1 at its own label,
+    so these coordinates are the image's coefficients in the basis.
+    """
+    out = tensor_image(op, lab)
+    if len(lab) == 2 and lab[0] != lab[1]:
+        sign = -1 if lab[0][0] == lab[1][0] == "f" else 1
+        for t, (c, _) in tensor_image(op, lab[::-1]).items():
+            out[t] = (out.get(t, (0, 0))[0] + sign * c, 0)
+    return tuple((t, c) for t, c in out.items() if c[0] and sym_label(t))
+
+
 def dim_T(lam: StrictPartition, n: int) -> int:
     """Total dimension of the simple polynomial representation T_{lambda,n},
     through Sergeev duality: e_lambda V^{(x)d}, d = |lambda|, is

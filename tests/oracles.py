@@ -53,8 +53,9 @@ operators, `membership_cases_for` and `determinantal_ideal_check` read
 membership off the ideal built directly to the truncation degree (the CLI
 walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
-Hom-dimension check on the full rank, every label, biweight and raising
-operator, and both parities, and `solve_singular_full` solves the singular
+Hom-dimension check on the full rank, every label of V^{(x)a} (x) W^{(x)b}
+(the CLI builds it on S^aV (x) S^bW, whose labels `sym_terms` expands into
+tensor terms), biweight and raising operator, and both parities, and `solve_singular_full` solves the singular
 vectors of L_lambda on both parities, where the CLI builds the even half on
 the support of its weight and maps it by Y_11;
 `weight_space_monomials_all_cells` lists a weight space by walking every
@@ -1661,11 +1662,22 @@ def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
     return kernel_basis_keyed(constraints.values(), monos)
 
 
+def sym_terms(lab) -> list:
+    """The tensor terms of the S^dV basis vector lab, d <= 2, as (label,
+    sign) pairs: (u, u') is u (x) u' + (-1)^{|u||u'|} u' (x) u for u != u',
+    and (u, u) is u (x) u."""
+    if len(lab) < 2 or lab[0] == lab[1]:
+        return [(lab, 1)]
+    return [(lab, 1), (lab[::-1], (-1) ** (_label_parity(lab[:1]) * _label_parity(lab[1:])))]
+
+
 def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     """The singular system of `amodule._sing_system` on the full rank and
     on both parities: every label of V^{(x)a} and W^{(x)b}, the monomials of
-    every biweight of A_r, and every raising operator on every unknown, in
-    the same row and unknown layout. `_sing_system` is its even block."""
+    every biweight of A_r, and every raising operator on every unknown.
+    Its kernel is c_alpha c_beta times the count `dimcheck._sing_dim` makes
+    on S^aV (x) S^bW (x) A_r, and its even unknowns that are triples of
+    `queer.sym_label`s are those of `_sing_system`, in the same order."""
 
     def by_weight(k, d):
         out = {}

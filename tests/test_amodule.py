@@ -36,6 +36,7 @@ from oracles import (
     weight_space_monomials_all_cells,
     x_prime,
 )
+from queerlab import amodule
 from queerlab.amodule import (
     _fischer,
     _monomial_image,
@@ -306,6 +307,17 @@ def test_weight_space_walk_is_as_deep_as_its_live_cells():
         want.append((tuple(big), tuple(moved[cell] for cell in y)))
     w = ((2, 1) + (0,) * (n - 2), (1, 2) + (0,) * (m - 2))
     assert weight_space_monomials(n, m, 3, w) == want
+
+
+def test_weight_space_lists_the_tables_of_each_margin_once(monkeypatch):
+    # the 138 odd supports of the (3,2,1) slice of A(3,3) leave 82 x margins
+    calls = []
+    tables = amodule._tables
+    monkeypatch.setattr(amodule, "_tables", lambda rows, cols: calls.append((rows, cols)) or tables(rows, cols))
+    monkeypatch.setattr(amodule, "_WEIGHT_MONOMIALS", {})
+    w = ((3, 2, 1), (3, 2, 1))
+    assert weight_space_monomials(3, 3, 6, w) == weight_space_monomials_all_cells(3, 3, 6, w)
+    assert len(calls) == len(set(calls)) == 82
 
 
 def _monomials_upto(n, m, d):
@@ -612,6 +624,27 @@ def test_one_box_relation_is_box_containment():
 def test_pairing_rows_equal_closure_rows(n, m, d_max):
     for nu in all_strict_upto(d_max - 1, min(n, m)):
         assert one_box_steps(n, m, nu) == one_box_steps_by_closure(n, m, nu), nu
+
+
+def test_one_box_steps_builds_covers_until_a_pairing_is_nonzero(monkeypatch):
+    # every kappa = nu + e_a is in at these ranks, and its first cover pairs
+    # nonzero with its first singular vector: one cover and one pairing each
+    counts = {"covers": 0, "pairings": 0, "steps": 0}
+
+    def counted(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(amodule, "_times", counted("covers", amodule._times))
+    monkeypatch.setattr(amodule, "_fischer", counted("pairings", amodule._fischer))
+    for nu in all_strict_upto(5, 3):
+        row = one_box_steps(3, 3, nu)
+        counts["steps"] += sum(added_box(nu, kappa) is not None for kappa in row)
+        assert all(row[kappa] for kappa in row if added_box(nu, kappa) is not None), nu
+    assert counts["covers"] == counts["pairings"] == counts["steps"] > 10
 
 
 def _fischer_weight(mono):

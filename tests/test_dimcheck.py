@@ -2,7 +2,7 @@ from itertools import chain, product
 
 import pytest
 
-from oracles import all_raising_operators, sing_system_full, solve_singular_full
+from oracles import all_raising_operators, sing_system_full, solve_singular_full, sym_terms
 from queerlab import amodule, dimcheck
 from queerlab.amodule import (
     _pad,
@@ -19,7 +19,7 @@ from queerlab.dimcheck import (
 )
 from queerlab.linalg import kernel_basis, kernel_dim, span
 from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto
-from queerlab.queer import _label_parity, tensor_image
+from queerlab.queer import _label_parity, dim_T, sym_label, tensor_image
 from queerlab.symfunc import induct_mult
 
 
@@ -145,17 +145,48 @@ def _halving_factor(wrow, wcol):
     return 2 if any(wrow) or any(wcol) else 1
 
 
+# c_alpha for alpha = (), (1), (2): V^{(x)a} is c_alpha copies of T_alpha
+_COPIES = (1, 1, 2)
+
+
+def test_the_symmetric_power_is_one_copy_of_T():
+    for a in range(3):
+        for n in range(1, 5):
+            alpha = StrictPartition((a,) if a else ())
+            assert dimcheck._sym_dim(n, a) == dim_T(alpha, n), (a, n)
+            assert (2 * n) ** a == _COPIES[a] * dim_T(alpha, n), (a, n)
+
+
+def test_a_symmetric_power_of_the_wrong_dimension_is_refused(monkeypatch):
+    # all of V^{(x)2} taken for one copy of T_(2)
+    monkeypatch.setattr(dimcheck, "_sym_dim", lambda k, d: (2 * k) ** d)
+    with pytest.raises(dimcheck.HomDimError, match=r"S\^2V is not one copy of T_\(2\) at rank 3"):
+        hom_dim_check(sp(2), EMPTY, sp(2), EMPTY)
+
+
 def test_support_system_matches_the_full_rank_oracle():
-    # the even block of the full system: the same unknowns and rows, in the
-    # same order, so the same kernel
+    # the even block of the full system on S^aV (x) S^bW: the unknowns are
+    # its triples of symmetric labels, in the same order, and the full even
+    # kernel is c_alpha c_beta copies of the one-copy kernel
     built = 0
     for n, m, args in _oracle_systems():
+        a, b = args[:2]
         rows, basis = _sing_system(n, m, *args)
         even_rows, even_basis = _parity_block(*sing_system_full(n, m, *args), 0)
-        assert (rows, basis) == (even_rows, even_basis), (n, m, args)
-        assert kernel_dim(rows, basis) == kernel_dim(even_rows, even_basis), (n, m, args)
+        assert basis == [t for t in even_basis if sym_label(t[0]) and sym_label(t[1])], (n, m, args)
+        assert _COPIES[a] * _COPIES[b] * kernel_dim(rows, basis) == kernel_dim(even_rows, even_basis), (n, m, args)
         built += bool(basis)
     assert built > 100
+
+
+def test_the_largest_default_sweep_system_has_64_unknowns():
+    # (a, b, r) = (2, 2, 2) at ((3,1), (3,1)): 256 even unknowns on the full
+    # tensor powers
+    sizes = {args: len(_sing_system(3, 3, *args)[1]) for args in _sweep_systems(3, 3)}
+    largest = max(sizes, key=sizes.get)
+    assert sizes[largest] == 64
+    assert largest == (2, 2, 2, (3, 1, 0), (3, 1, 0))
+    assert len(_parity_block(*sing_system_full(3, 3, *largest), 0)[1]) == 256
 
 
 def test_the_odd_half_of_a_singular_slice_mirrors_the_even_half():
@@ -171,9 +202,22 @@ def test_the_odd_half_of_a_singular_slice_mirrors_the_even_half():
         factor = _halving_factor(wrow, wcol)
         assert kernel_dim(rows, basis) == factor * even, (n, m, a, b, r, wrow, wcol)
         assert odd == (factor - 1) * even, (n, m, a, b, r, wrow, wcol)
-        assert dimcheck._sing_dim(n, m, a, b, r, wrow, wcol) == kernel_dim(rows, basis)
+        # the one-copy count, c_alpha c_beta times, is the full count
+        one = dimcheck._sing_dim(n, m, a, b, r, wrow, wcol)
+        assert _COPIES[a] * _COPIES[b] * one == kernel_dim(rows, basis), (n, m, a, b, r, wrow, wcol)
         nonzero += factor == 2 and even > 0
     assert nonzero > 50
+
+
+def _expand(vec):
+    """A vector {(v, w, mono): (re, im)} of S^aV (x) S^bW (x) A_r, its labels
+    expanded into the tensor terms of V^{(x)a} (x) W^{(x)b} (`sym_terms`)."""
+    out = {}
+    for (vlab, wlab, mono), (xr, xi) in vec.items():
+        for v, sv in sym_terms(vlab):
+            for w, sw in sym_terms(wlab):
+                out[v, w, mono] = (sv * sw * xr, sv * sw * xi)
+    return out
 
 
 def _act_on_triples(n, m, side, op, vec):
@@ -205,8 +249,10 @@ def _act_on_triples(n, m, side, op, vec):
 
 
 def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
-    # Y_ii (or the right Y_jj) squares to -wrow_i, keeps every raising
-    # operator's kernel, and is one to one on the even kernel
+    # the even kernel, expanded into V^{(x)a} (x) W^{(x)b}, is killed by
+    # every raising operator of the full system; Y_ii (or the right Y_jj)
+    # squares to -wrow_i, keeps every raising operator's kernel, and is one
+    # to one on the even kernel
     checked = 0
     for n, m, (a, b, r, wrow, wcol) in chain(
         ((2, 2, args) for args in _composition_systems(2, 2, total=3)),
@@ -218,8 +264,9 @@ def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
         i = next(k for k, x in enumerate(wt, 1) if x)
         hbar = ("Y", i, i)
         rows, basis = _sing_system(n, m, a, b, r, wrow, wcol)
-        evens = [{basis[c]: x for c, x in v.items()} for v in kernel_basis(rows, len(basis))]
+        evens = [_expand({basis[c]: x for c, x in v.items()}) for v in kernel_basis(rows, len(basis))]
         odds = [_act_on_triples(n, m, side, hbar, v) for v in evens]
+        assert span(evens).rank == len(evens)
         assert span(odds).rank == len(evens)
         for v, w in zip(evens, odds):
             assert all(_triple_parity(t) == 1 for t in w)
@@ -227,16 +274,24 @@ def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
             assert _act_on_triples(n, m, side, hbar, w) == {
                 t: (scalar * x, scalar * y) for t, (x, y) in v.items()
             }
-            for so in raising_operators((wrow, wcol)):
+            for so in all_raising_operators(n, m):
+                assert not _act_on_triples(n, m, *so, v)
                 assert not _act_on_triples(n, m, *so, w)
             checked += 1
     assert checked > 100
 
 
 def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
-    # both the brute side and sigma from systems solved on both parities
+    # both the brute side, from the full tensor powers over c_alpha c_beta,
+    # and sigma from systems solved on both parities
     fast = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
-    monkeypatch.setattr(dimcheck, "_sing_dim", lambda *args: kernel_dim(*sing_system_full(*args)))
+
+    def full_per_copy(n, m, a, b, *args):
+        count, rem = divmod(kernel_dim(*sing_system_full(n, m, a, b, *args)), _COPIES[a] * _COPIES[b])
+        assert not rem
+        return count
+
+    monkeypatch.setattr(dimcheck, "_sing_dim", full_per_copy)
     monkeypatch.setattr(dimcheck, "singular_vectors", solve_singular_full)
     full = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
     assert full == fast

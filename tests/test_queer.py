@@ -18,6 +18,7 @@ from oracles import (
     hk_decompose,
     numerators,
     q_act_tensor,
+    sym_terms,
     x_prime,
     y_prime,
 )
@@ -27,6 +28,8 @@ from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import (
     ActionError,
     dim_T,
+    sym_image,
+    sym_label,
     tensor_basis,
     tensor_image,
 )
@@ -119,6 +122,28 @@ def test_tensor_image_matches_q_act_tensor():
                     for kind, g in (("X", QnElement.X(n, a, b)), ("Y", QnElement.Y(n, a, b))):
                         want = numerators(q_act_tensor(g, {lab: ONE}))
                         assert tensor_image((kind, a, b), lab) == want, (kind, a, b, lab)
+
+
+def test_sym_image_reads_the_image_of_the_symmetric_vector():
+    # the image of each basis vector of S^dV, d <= 2, expanded into tensor
+    # terms, is super-symmetric, and sym_image is its coordinates at the
+    # symmetric labels
+    for n in (1, 2, 3):
+        labs = [lab for d in range(3) for lab in tensor_basis(n, d) if sym_label(lab)]
+        assert len(labs) == 1 + 2 * n + 2 * n * n
+        ops = [(kind, a, b) for kind in "XY" for a in range(1, n + 1) for b in range(1, n + 1)]
+        for lab in labs:
+            for op in ops:
+                full = Counter()
+                for t, sign in sym_terms(lab):
+                    for u, (c, _) in tensor_image(op, t).items():
+                        full[u] += sign * c
+                full = {u: c for u, c in full.items() if c}
+                for u, c in full.items():
+                    if len(u) == 2:
+                        assert full.get(u[::-1], 0) == (-c if u[0][0] == u[1][0] == "f" else c), (op, lab, u)
+                want = {u: (c, 0) for u, c in full.items() if sym_label(u)}
+                assert dict(sym_image(op, lab)) == want, (op, lab)
 
 
 def test_act_on_U_left_X():
