@@ -20,6 +20,7 @@ A_1; `one_box_steps` pairs the covers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .linalg import _primitive, kernel_basis
@@ -125,7 +126,7 @@ def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> 
     `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
     that acts on many vectors of one A(n,m) passes one dict, so each image is
     computed once and each output term costs one multiply-add
-    (`singular_vectors` shares one across the even vectors of a slice).
+    (`_singular_basis` shares one across the even vectors of a slice).
     """
     if table is None:
         table = {}
@@ -265,9 +266,11 @@ def raising_operators(w):
     ]
 
 
-def _labels_by_weight(k: int, d: int, weight) -> dict:
+@lru_cache(maxsize=None)
+def _labels_by_weight(k: int, d: int, weight: tuple) -> dict:
     """Labels of S^d C^{k|k}, d <= 2 (`queer.sym_label`), on the indices where
-    weight is nonzero, grouped by their own weight."""
+    weight is nonzero, grouped by their own weight; once per key, and callers
+    must not mutate it."""
     out = {}
     for lab in filter(sym_label, tensor_basis(k, d, weight)):
         w = [0] * k
@@ -397,32 +400,62 @@ _SINGULAR_CACHE: dict = {}
 
 def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
     """Weight-(lam,lam) vectors of A_|lam| killed by the raising operators of
-    both sides, as primitive Gaussian-integer vectors: a kernel basis of the
-    even half (`_sing_system` at a = b = 0), then the image of each vector
-    under the left Y_ll, l = l(lam), brought to content 1, which spans the
-    odd half. Since lam_l != 0, Y_ll^2 = -X_ll is the scalar -lam_l on the
-    slice, so the images are independent (proof in `_sing_system`); the zero
-    weight, lam = (), is the even scalar line. Row l holds the fewest
-    factors of each monomial, and the even vectors share their monomials, so
-    one image table serves them all.
+    both sides, as primitive Gaussian-integer vectors: a basis of the even
+    half, then its image under the left Y_ll, l = l(lam), brought to content
+    1, which spans the odd half (`_singular_basis`); callers get fresh dicts.
+    """
+    return [dict(v) for v in _singular_basis(n, m, lam)]
 
-    Each space is solved once per process; callers get fresh dicts.
+
+def singular_dim(n: int, m: int, lam: StrictPartition) -> int:
+    """len(singular_vectors(n, m, lam)), without copying the basis."""
+    return len(_singular_basis(n, m, lam))
+
+
+def _singular_basis(n: int, m: int, lam: StrictPartition) -> list[dict]:
+    """The basis of `singular_vectors`, built once per process; callers must
+    not mutate it. Since lam_l != 0, Y_ll^2 = -X_ll is the scalar -lam_l on
+    the slice, so the Y_ll images of the even half are independent (proof in
+    `_sing_system`); the zero weight, lam = (), is the even scalar line.
+
+    Where lam_1 >= lam_2 + 2 the basis is x_11 times that of nu = lam - e_1,
+    which is strict and of the same length l:
+    - every raising operator lowers an index >= 2, so it kills x_11; they act
+      by superderivations, so x_11 S_nu lies in S_lam;
+    - x_11 is even and no zero divisor, so x_11 S_nu has dimension dim S_nu,
+      and dim S_lam = dim S_nu, as the highest-weight space of a q(n) x q(m)
+      summand has a dimension set by l(lam) alone (Cheng and Wang, AMS GSM
+      144, ch. 3);
+    - at l >= 2, Y_ll kills x_11 too, so x_11 times the odd half of nu is the
+      primitive Y_ll image of x_11 times its even half; at l = 1, Y_11 x_11
+      is not 0, so the even half alone is multiplied and mapped by Y_11.
+    Only where lam_1 = lam_2 + 1 is the even half solved (`_sing_system` at
+    a = b = 0). Row l holds the fewest factors of each monomial, and the
+    even vectors share their monomials, so one image table serves them all.
     """
     key = (n, m, lam)
     basis = _SINGULAR_CACHE.get(key)
     if basis is None:
-        basis = []
-        if lam.length <= min(n, m):
-            w = (_pad(lam.parts, n), _pad(lam.parts, m))
+        parts, l = lam.parts, lam.length
+        basis, even_only = [], True
+        if l > min(n, m):
+            pass
+        elif l and parts[0] >= _pad(parts, 2)[1] + 2:
+            nu = _singular_basis(n, m, StrictPartition((parts[0] - 1,) + parts[1:]))
+            x_11 = _degree_one(n, m, 0)[0]
+            even_only = l == 1
+            basis = [_times(x_11, v) for v in (nu[: len(nu) // 2] if even_only else nu)]
+        else:
+            w = (_pad(parts, n), _pad(parts, m))
             rows, unknowns = _sing_system(n, m, 0, 0, lam.size, *w)
             even = kernel_basis(rows, len(unknowns))
             del rows  # the bulk of the memory: freed before the odd half is built
             basis = [{unknowns[c][2]: x for c, x in v.items()} for v in even]
-            if lam.parts:
-                y_ll, table = ("Y", lam.length, lam.length), {}
-                basis += [_primitive(act_terms("left", y_ll, v, n, m, table)) for v in basis]
+        if l and even_only:
+            y_ll, table = ("Y", l, l), {}
+            basis += [_primitive(act_terms("left", y_ll, v, n, m, table)) for v in basis]
         _SINGULAR_CACHE[key] = basis
-    return [dict(v) for v in basis]
+    return basis
 
 
 class MembershipCase:

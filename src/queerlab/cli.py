@@ -326,6 +326,8 @@ def _verify_hecke_ideals(args):
 _ONE_BOX_ASSUMES = [
     "each A_d is multiplicity-free under q(n) x q(m) (Cheng and Wang, AMS GSM 144, ch. 3), "
     "so its summands are orthogonal under the Fischer form",
+    "the highest-weight space of a q(n) x q(m) summand L_kappa has a dimension set by l(kappa) alone "
+    "(Cheng and Wang, AMS GSM 144, ch. 3), so S_kappa = x_11 S_(kappa - e_1) where kappa_1 >= kappa_2 + 2",
 ]
 
 

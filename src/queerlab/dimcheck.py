@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .amodule import _pad, _sing_system, singular_vectors
+from .amodule import _pad, _sing_system, singular_dim
 from .heckeclifford import decompose_regular
 from .linalg import kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
@@ -48,7 +48,7 @@ def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
     """s(nu): singular-space dimension of one copy of T_nu, from
     sigma(nu) = s(nu)^2 2^{-delta(nu)}, where sigma(nu) is the dimension of
     the (nu,nu)-bisingular slice of A_|nu|."""
-    sig = len(singular_vectors(n, m, nu))
+    sig = singular_dim(n, m, nu)
     s2 = sig * (2 ** delta(nu))
     s = isqrt(s2)
     if s * s != s2:

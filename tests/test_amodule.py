@@ -370,6 +370,25 @@ def test_singular_vectors_span_the_full_parity_solve(n, m, size):
         assert ours.nums == span(full).nums, lam
 
 
+def test_a_gap_of_two_multiplies_the_space_one_box_smaller():
+    # at l >= 2 both halves of nu's basis, vector for vector; at l = 1 the
+    # even half only, since Y_11 x_11 != 0
+    checked = 0
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        x_11 = ((1,) + (0,) * (n * m - 1), ())
+        for kappa in all_strict_upto(8, min(n, m)):
+            parts = kappa.parts
+            if not parts or parts[0] < (parts[1] if kappa.length > 1 else 0) + 2:
+                continue
+            nu = singular_vectors(n, m, StrictPartition((parts[0] - 1,) + parts[1:]))
+            vecs = singular_vectors(n, m, kappa)
+            if kappa.length == 1:
+                nu, vecs = nu[: len(nu) // 2], vecs[: len(vecs) // 2]
+            assert vecs == [amodule._times(x_11, v) for v in nu], (n, m, kappa)
+            checked += 1
+    assert checked > 50
+
+
 def test_singular_vectors_are_primitive():
     # every vector has content 1, the Y_ll images too: in A(1,1), Y_11 sends
     # x_11^2 to -2 zeta x_11 y_11, which is divided by 2

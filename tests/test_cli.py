@@ -69,6 +69,27 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     assert "multiplicity-free" in payloads[0]["assumes"][0]
 
 
+def test_main_theorem_solves_only_the_gap_one_slices(monkeypatch, capsys):
+    # every other space of the walk is x_11 times the space one box smaller
+    from queerlab import amodule
+
+    real = amodule._sing_system
+    solved = []
+
+    def counted(n, m, a, b, r, wrow, wcol):
+        if a == b == 0:
+            solved.append(tuple(x for x in wrow if x))
+        return real(n, m, a, b, r, wrow, wcol)
+
+    monkeypatch.setattr(amodule, "_sing_system", counted)
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    assert main(["verify", "main-theorem", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["cases"]) == 100
+    assert sorted(solved) == [(), (1,), (2, 1), (3, 2)]
+    assert "l(kappa) alone" in payload["assumes"][1]
+
+
 def test_verify_determinantal_walks_from_the_staircase(capsys):
     code = main(["verify", "determinantal", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -562,12 +583,12 @@ def test_failed_exact_identity_exits_one(module, name, exc_name, argv, monkeypat
 
 
 def test_a_non_square_sigma_fails_prop_dim(monkeypatch, capsys):
-    # with one singular vector kept, sigma((1)) = 1 and sigma 2^delta = 2 is
-    # no square: a failed identity, exit 1
+    # with the singular count capped at 1, sigma((1)) = 1 and sigma 2^delta
+    # = 2 is no square: a failed identity, exit 1
     from queerlab import dimcheck
 
-    real = dimcheck.singular_vectors
-    monkeypatch.setattr(dimcheck, "singular_vectors", lambda n, m, nu: real(n, m, nu)[:1])
+    real = dimcheck.singular_dim
+    monkeypatch.setattr(dimcheck, "singular_dim", lambda n, m, nu: min(real(n, m, nu), 1))
     assert main(["verify", "prop-dim", "--n", "2", "--m", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed in verify prop-dim: HomDimError: sigma((1)) = 1 ")

@@ -292,7 +292,7 @@ def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
         return count
 
     monkeypatch.setattr(dimcheck, "_sing_dim", full_per_copy)
-    monkeypatch.setattr(dimcheck, "singular_vectors", solve_singular_full)
+    monkeypatch.setattr(dimcheck, "singular_dim", lambda n, m, nu: len(solve_singular_full(n, m, nu)))
     full = [[c.to_dict() for c in hom_dim_sweep(k, k, 2, 2)] for k in (2, 3, 4)]
     assert full == fast
     assert all(c["pass"] for c in fast[0])
@@ -369,6 +369,7 @@ def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
 
     def build(n, m, args):
         counts.update(labels=0, images=0)
+        amodule._labels_by_weight.cache_clear()
         rows, basis = _sing_system(n, m, *args)
         return len(rows), len(basis), sum(map(len, rows)), counts["labels"], counts["images"]
 
@@ -398,3 +399,17 @@ def test_induct_mult_runs_once_per_pair(monkeypatch):
     hom_dim_sweep(3, 3, 2, 2)
     dimcheck._induced.cache_clear()
     assert len(calls) == len(set(calls)) == 9
+
+
+def test_labels_are_listed_once_per_weight(monkeypatch):
+    # the default sweep, run twice, lists the labels of each of its 13
+    # (rank, size, weight) keys once
+    calls = []
+    tensor_basis = amodule.tensor_basis
+    monkeypatch.setattr(amodule, "tensor_basis", lambda *args: calls.append(args) or tensor_basis(*args))
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    amodule._labels_by_weight.cache_clear()
+    hom_dim_sweep(3, 3, 2, 2)
+    hom_dim_sweep(3, 3, 2, 2)
+    amodule._labels_by_weight.cache_clear()
+    assert len(calls) == len(set(calls)) == 13
