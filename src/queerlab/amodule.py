@@ -493,55 +493,49 @@ def _degree_one(n: int, m: int, cell: int) -> tuple:
 
 
 def contravariance_check(n: int, m: int) -> int:
-    """Check that the Fischer form is contravariant on A_1: for every basis
-    operator of both sides, the matrix of X_ab is the conjugate transpose
-    of that of X_ba, and the matrix of Y_ab that of -Y_ba (on A_1 the form
-    is the standard Hermitian one). Each matrix is read off `_monomial_image`
-    of every degree-1 monomial, when its pair is first compared. Then check
-    Y_aa^2 = -X_aa on A_1, the relation by which `singular_vectors` maps its
-    even half onto the odd half.
+    """Check that the Fischer form is contravariant on A_1: for every pair of
+    basis operators of both sides, the matrix of X_ab is the conjugate
+    transpose of that of X_ba, and the matrix of Y_ab that of -Y_ba (on A_1
+    the form is the standard Hermitian one). The relation is symmetric in
+    (a, b), so each pair is compared once, at a <= b, every entry of both
+    matrices read off `_monomial_image` of every degree-1 monomial. Then
+    check Y_aa^2 = -X_aa on A_1, the relation by which `singular_vectors`
+    maps its even half onto the odd half, by applying Y_aa twice to each
+    degree-1 monomial.
 
     Returns the number of (operator, u, v) entries compared; raises
     ContravarianceError at the first operator that fails.
     """
     basis = [mono for cell in range(n * m) for mono in _degree_one(n, m, cell)]
-    ops = [
-        (side, (kind, a, b))
-        for side, rank in (("left", n), ("right", m))
-        for kind in ("X", "Y")
-        for a in range(1, rank + 1)
-        for b in range(1, rank + 1)
-    ]
-    mats = {}  # (side, op) -> {(v, u): the coefficient of v in op(u)}
 
     def mat(side, op):
-        if (side, op) not in mats:
-            mats[side, op] = {(v, u): c for u in basis for v, c in _monomial_image(side, *op, u, n, m)}
-        return mats[side, op]
+        """{(v, u): the coefficient of v in op(u)} on A_1."""
+        return {(v, u): c for u in basis for v, c in _monomial_image(side, *op, u, n, m)}
 
-    for side, (kind, a, b) in ops:
-        sign = 1 if kind == "X" else -1
-        adjoint = {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in mat(side, (kind, b, a)).items()}
-        if mat(side, (kind, a, b)) != adjoint:
-            raise ContravarianceError(
-                "on A_1 of A(%d,%d), %s %s_%d%d is not the adjoint of %s%s_%d%d"
-                % (n, m, side, kind, a, b, "" if sign == 1 else "-", kind, b, a)
-            )
+    for side, rank in (("left", n), ("right", m)):
+        for kind in ("X", "Y"):
+            sign = 1 if kind == "X" else -1
+            for a in range(1, rank + 1):
+                for b in range(a, rank + 1):
+                    op = mat(side, (kind, a, b))
+                    partner = op if a == b else mat(side, (kind, b, a))
+                    if op != {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in partner.items()}:
+                        raise ContravarianceError(
+                            "on A_1 of A(%d,%d), %s %s_%d%d is not the adjoint of %s%s_%d%d"
+                            % (n, m, side, kind, a, b, "" if sign == 1 else "-", kind, b, a)
+                        )
+    table = {}  # the Y_aa images of the basis, shared by both applications
     for side, rank in (("left", n), ("right", m)):
         for a in range(1, rank + 1):
-            y = mat(side, ("Y", a, a)).items()
-            square = {}
-            for (w, v), (re, im) in y:
-                for (v2, u), (re2, im2) in y:
-                    if v2 == v:
-                        sr, si = square.get((w, u), (0, 0))
-                        square[w, u] = (sr + re * re2 - im * im2, si + re * im2 + im * re2)
-            minus_x = {k: (-re, -im) for k, (re, im) in mat(side, ("X", a, a)).items()}
-            if {k: c for k, c in square.items() if c != (0, 0)} != minus_x:
-                raise ContravarianceError(
-                    "on A_1 of A(%d,%d), %s Y_%d%d^2 is not -X_%d%d" % (n, m, side, a, a, a, a)
-                )
-    return len(ops) * len(basis) ** 2
+            y = ("Y", a, a)
+            for u in basis:
+                square = act_terms(side, y, act_terms(side, y, {u: (1, 0)}, n, m, table), n, m, table)
+                if square != {v: (-re, -im) for v, (re, im) in _monomial_image(side, "X", a, a, u, n, m)}:
+                    raise ContravarianceError(
+                        "on A_1 of A(%d,%d), %s Y_%d%d^2 is not -X_%d%d" % (n, m, side, a, a, a, a)
+                    )
+    # 2 (n^2 + m^2) basis operators, each read on every (u, v)
+    return 2 * (n * n + m * m) * len(basis) ** 2
 
 
 def added_box(nu: StrictPartition, kappa: StrictPartition):

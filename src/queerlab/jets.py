@@ -7,7 +7,7 @@ truncated at the jet order).
 
 Both maps read the coordinates a_ti, a'_tj, b_ti, b'_tj through one table
 lookup (`_coords`) and write the product shapes of phi once (`_x_part`,
-`_y_part`); applying either map is one substitution (`_substitute`). Each
+`_y_part`); applying psi is one substitution (`_substitute`). Each
 map is built once per (n, order) and shared by its callers.
 """
 
@@ -158,19 +158,6 @@ def phi_map(n: int, order: int):
         for j in range(1, n + 1):
             images[("x", i, j)], images[("y", i, j)] = _phi_sums(ring, k, i, j, min(i, j))
     return ring, images
-
-
-def phi_apply(n: int, order: int, terms: dict) -> dict:
-    """phi on an element of A(n,n), a `spoly` dict over the n*n cells (i, j)
-    in row-major order, extended multiplicatively."""
-    ring, images = phi_map(n, order)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return _substitute(
-        ring,
-        terms,
-        [images[("x",) + ij] for ij in cells],
-        [images[("y",) + ij] for ij in cells],
-    )
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,10 @@ and psi.
 
 In A(n,m), `SuperPoly` is a general element over Q(zeta) and `m_generators`
 lists the generators of the maximal ideal m, where the CLI works on
-Gaussian-integer vectors and `spoly` dicts; `act` acts on a `SuperPoly` as
+Gaussian-integer vectors and `spoly` dicts; `_a_generators` lists the
+generators of A(n,n) as `spoly` dicts, and `phi_apply` applies phi to any
+element of A(n,n), where `verify phi-psi` reads phi off the parities of its
+images; `act` acts on a `SuperPoly` as
 a sum of `act_terms` over the entries of the operator. `summand` closes the
 singular vectors of L_lambda under the simple lowering operators into a
 `GradedSubspace`, `EquivariantIdeal` echelons the ideal it generates one
@@ -97,6 +100,7 @@ from queerlab.heckeclifford import (
     decompose_regular,
     word_mult,
 )
+from queerlab.jets import _substitute, phi_map
 from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
@@ -1247,6 +1251,30 @@ def m_generators(n: int) -> list[SuperPoly]:
             gens.append(g)
             gens.append(SuperPoly.y(n, n, i, j))
     return gens
+
+
+def _a_generators(n: int) -> list:
+    """x_ij and y_ij of A(n,n), in the order x_11, y_11, x_12, ..., as
+    `spoly` dicts over the n*n cells in row-major order."""
+    zero = (0,) * (n * n)
+    gens = []
+    for c in range(n * n):
+        gens.append({(zero[:c] + (1,) + zero[c + 1 :], ()): ONE})
+        gens.append({(zero, (c,)): ONE})
+    return gens
+
+
+def phi_apply(n: int, order: int, terms: dict) -> dict:
+    """phi on an element of A(n,n), a `spoly` dict over the n*n cells (i, j)
+    in row-major order, extended multiplicatively."""
+    ring, images = phi_map(n, order)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _substitute(
+        ring,
+        terms,
+        [images[("x",) + ij] for ij in cells],
+        [images[("y",) + ij] for ij in cells],
+    )
 
 
 def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:

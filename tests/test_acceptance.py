@@ -129,8 +129,8 @@ def test_ac6_dimension_identity():
 def test_ac7_phi_psi():
     import random as _r
 
-    from oracles import SuperPoly, m_generators
-    from queerlab.jets import phi_apply, phi_map, psi_of_phi_on_generators
+    from oracles import SuperPoly, m_generators, phi_apply
+    from queerlab.jets import phi_map, psi_of_phi_on_generators
     from queerlab.spoly import constant_term
 
     rng = _r.Random(0)

@@ -307,15 +307,17 @@ def test_safe_bounds_guard(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "hecke-ideals", "--nmax", "4"], ["dump", "isotypic", "--n", "4"]]
+    "argv",
+    [["verify", "hecke-ideals", "--nmax", "4"], ["dump", "isotypic", "--n", "4"], ["verify", "phi-psi"]],
 )
-def test_h_n_output_does_not_depend_on_the_seed(argv, capsys):
+def test_output_does_not_depend_on_the_seed(argv, capsys):
     outs = []
     for seed in ("0", "5"):
         assert main(argv + ["--seed", seed, "--format", "json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    for case in json.loads(outs[0]).get("cases", []):
+    # the H_n reports list their supports in enumerate_strict order
+    for case in json.loads(outs[0]).get("cases", []) if argv[1] != "phi-psi" else []:
         size = sum(int(p) for p in case["lambda"].split(",") if p) + case["m"]
         order = [mu.serialize() for mu in enumerate_strict(size)]
         for key in ("predicted_support", "observed_support"):
@@ -833,15 +835,17 @@ def test_cli_import_leaves_out_the_process_pool():
 def test_cli_run_loads_no_argparse():
     # the command line is read off FLAGS, STR_FLAGS and TARGETS: no job of
     # any command loads argparse, nor gettext and locale, which argparse
-    # loads for its messages
+    # loads for its messages; and no job draws a sample, so none loads random.
+    # -S keeps out site-packages, whose .pth files may load random at start-up
     src = os.path.dirname(os.path.dirname(cli.__file__))
     jobs = [
         ["pieri", "--bound", "3"],
         ["verify", "hecke-ideals", "--nmax", "3"],
         ["verify", "main-theorem", "--dmax", "3"],
         ["dump", "dims", "--lambda", "2", "--n", "1"],
+        ["verify", "phi-psi", "--seed", "3"],
     ]
-    unused = ("argparse", "gettext", "locale")
+    unused = ("argparse", "gettext", "locale", "random")
     code = (
         "import sys; from queerlab.cli import main; "
         "assert all(main(argv + ['--out', '/dev/null']) == 0 for argv in %r); "
@@ -849,7 +853,7 @@ def test_cli_run_loads_no_argparse():
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "[]"
 

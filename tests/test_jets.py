@@ -1,19 +1,19 @@
+import json
 import random
 
 import pytest
 
-from oracles import SuperPoly, m_generators
+from oracles import SuperPoly, _a_generators, m_generators, phi_apply
 from queerlab import jets
 from queerlab.jets import (
     JetInversionError,
     a_ring,
     k_ring,
-    phi_apply,
     phi_map,
     psi_map,
     psi_of_phi_on_generators,
 )
-from queerlab.cli import _a_generators, main
+from queerlab.cli import _parities_hold, main
 from queerlab.scalars import ZETA
 from queerlab.spoly import constant_term, p_inverse, p_mul
 
@@ -97,7 +97,7 @@ def test_jet_with_zero_constant_term_has_no_inverse():
 
 
 def test_cli_generators_and_products_match_superpoly():
-    # the dicts `verify phi-psi` samples, and their products, against the
+    # the generators as `spoly` dicts, and their products, against the
     # SuperPoly oracle; phi agrees on every product of two generators
     for n in (1, 2, 3):
         want = [
@@ -133,7 +133,7 @@ def test_truncation():
 
 
 def test_verify_phi_psi_builds_each_map_once_per_order(monkeypatch, capsys):
-    # n = 1..3 at jet order 4 (multiplicativity) and 3 (psi o phi): six phi
+    # n = 1..3 at jet order 4 (phi's parities) and 3 (psi o phi): six phi
     # maps and three psi maps, however many generators each one is applied to
     calls = {"k_ring": 0, "a_ring": 0}
 
@@ -157,3 +157,38 @@ def test_verify_phi_psi_builds_each_map_once_per_order(monkeypatch, capsys):
             cached.cache_clear()
     capsys.readouterr()
     assert calls == {"k_ring": 6, "a_ring": 3}
+
+
+@pytest.mark.parametrize(
+    "name, key, term, field",
+    [
+        # a_13 a_12 in phi(y_32) makes phi(y_32)^2 nonzero, so phi is no longer
+        # a homomorphism; a product of generators without y_32 does not see it
+        (
+            "phi_map",
+            ("y", 3, 2),
+            lambda ring: ring.mul(ring.even_var(("a", 1, 3)), ring.even_var(("a", 1, 2))),
+            "phi_multiplicative",
+        ),
+        # an even term in psi(b_11): psi is no longer a homomorphism, so
+        # psi o phi = id on the generators would not carry over to all of A
+        ("psi_map", ("b", 1, 1), lambda ring: ring.even_var(("xbar", 1, 2)), "psi_phi_identity"),
+    ],
+    ids=["phi", "psi"],
+)
+def test_a_wrong_parity_image_fails_the_check(name, key, term, field, monkeypatch, capsys):
+    real = getattr(jets, name)
+
+    def patched(n, order):
+        ring, images = real(n, order)
+        if n == 3:
+            images = dict(images)  # the cached map stays as built
+            images[key] = ring.add(images[key], term(ring))
+        return ring, images
+
+    assert _parities_hold(real(3, 3)[1])
+    monkeypatch.setattr(jets, name, patched)
+    assert not _parities_hold(patched(3, 3)[1])
+    assert main(["verify", "phi-psi", "--seed", "1", "--format", "json"]) == 1
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert [c[field] for c in cases] == [True, True, False]
