@@ -18,7 +18,6 @@ from .partitions import (
 from .linalg import Echelon
 from .spoly import p_mul
 from .symfunc import (
-    GammaElement,
     Q_poly,
     cauchy_check,
     expand_in_Q,

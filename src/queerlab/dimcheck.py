@@ -8,7 +8,6 @@ coefficients; both under the total-dimension convention.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -129,25 +128,16 @@ def hom_dim_check(
     if a > 2 or b > 2:
         raise ValueError("brute-force realization needs |alpha|, |beta| <= 2")
     if lam.size - a != mu.size - b:
-        # degree mismatch: both sides must vanish; the brute-force slice is
-        # computed honestly (it is empty already at the weight level)
-        rv = lam.size - a
-        brute = 0
-        if 0 <= rv <= r_max:
-            wrow = _pad(lam.parts, n)
-            wcol = _pad(mu.parts, m)
-            brute = _sing_dim(n, m, a, b, rv, wrow, wcol)
-        return HomDimCase(
-            lam, mu, alpha, beta, -1, brute, 0, {"degree_mismatch": True}
-        )
+        raise ValueError("|lambda| - |alpha| and |mu| - |beta| differ")
     r = lam.size - a
     if r < 0 or r > r_max:
         raise ValueError("r out of range")
     if max(lam.length, mu.length, alpha.length, beta.length) > min(n, m):
         raise ValueError("partition length exceeds truncation rank")
 
-    # formula side: sum over gamma of 2^{-d(gamma)} f^lam_{alpha gamma} f^mu_{beta gamma}
-    total = Fraction(0)
+    # formula side: sum over gamma of 2^{-d(gamma)} f^lam_{alpha gamma}
+    # f^mu_{beta gamma}, summed twice over in ints, as d(gamma) is 0 or 1
+    twice = 0
     f_detail = {}
     for gamma in enumerate_strict(r):
         if gamma.length > min(n, m):
@@ -156,12 +146,12 @@ def hom_dim_check(
         m2 = _induced(beta, gamma).get(mu, 0)
         f1 = m1 * 2 ** delta(lam)
         f2 = m2 * 2 ** delta(mu)
-        total += Fraction(f1 * f2, 2 ** delta(gamma))
+        twice += 2 * f1 * f2 >> delta(gamma)
         if f1 * f2:
             f_detail[gamma.serialize()] = [f1, f2, delta(gamma)]
-    if total.denominator != 1:
-        raise HomDimError("formula side is not integral: %s" % total)
-    formula = int(total)
+    formula, rem = divmod(twice, 2)
+    if rem:
+        raise HomDimError("formula side is not integral: %d/2" % twice)
 
     # brute-force side
     table_a = decompose_regular(a) if a else None

@@ -216,13 +216,14 @@ def casimir_rows(n: int) -> list:
 
 
 def _spin_characters(n: int, types: list) -> dict:
-    """lambda -> [c_lambda(t) for t in types]: c_lambda(t) = [Q_lambda] p_t,
-    the coefficient of Q_lambda in the power sum p_t, for the strict
-    partitions lambda of n in `enumerate_strict` order.
+    """lambda -> [2^L c_lambda(t) for t in types], L = l_max(n): c_lambda(t)
+    = [Q_lambda] p_t, the coefficient of Q_lambda in the power sum p_t, for
+    the strict partitions lambda of n in `enumerate_strict` order.
 
     p_t is the `symfunc` table of the product of its p_r, each the table
-    {(r,): 1}, in l_max(n) variables, where every Q_lambda of degree n
-    survives and they stay independent; `expand_in_Q` reads it in the Q-basis.
+    {(r,): 1}, in L variables, where every Q_lambda of degree n survives and
+    they stay independent; `expand_in_Q` reads its P-coordinates, the ints
+    2^l(lambda) c_lambda(t) (Macdonald, III.8), and l(lambda) <= L.
     """
     N = l_max(n)
     out = {lam: [] for lam in enumerate_strict(n)}
@@ -230,9 +231,9 @@ def _spin_characters(n: int, types: list) -> dict:
         p_t = {(): 1}
         for r in t:
             p_t = _table_mul(p_t, {(r,): 1}, N)
-        coeffs = expand_in_Q(p_t, N).terms
+        coeffs = expand_in_Q(p_t, N)
         for lam, row in out.items():
-            row.append(coeffs.get(lam, 0))
+            row.append(coeffs.get(lam, 0) << N - lam.length)
     return out
 
 
@@ -278,9 +279,10 @@ def decompose_regular(n: int) -> IsotypicTable:
 
     Each e_lambda is read off the spin character table, as the integer
     numerators over n! of e_lambda[t] = 2^(l(t) + l(lambda)) c_lambda(1^n)
-    c_lambda(t) / n!. As the regular trace is 2^n n! x[1], the central
-    idempotent of an ungraded simple module U holds dim U tr_U(q_t) / 2^n n!
-    at q_t. D^lambda, of dimension d and trace chi, is one such U, or two of
+    c_lambda(t) / n!, divided exactly by 2^2L from the numerators 2^L
+    c_lambda of `_spin_characters`. As the regular trace is 2^n n! x[1], the
+    central idempotent of an ungraded simple module U holds dim U tr_U(q_t)
+    / 2^n n! at q_t. D^lambda, of dimension d and trace chi, is one such U, or two of
     dimension d/2 if of type Q, so e_lambda[t] = d chi(q_t) / 2^(n +
     delta(lambda)) n!. By Sergeev duality V^(x)n, V = C^(N|N), is the sum of the
     2^-delta(lambda) T_lambda (x) D^lambda, T_lambda of character
@@ -302,11 +304,12 @@ def decompose_regular(n: int) -> IsotypicTable:
     total = [0] * len(types)
     prev = decompose_regular(n - 1) if n else None
     induced = {nu: induct_mult(StrictPartition((1,)), nu) for nu in (prev.blocks if n else ())}
+    den = 1 << 2 * l_max(n)
     for lam, c in _spin_characters(n, types).items():
-        e = [c[0] * x * (1 << len(t) + lam.length) for x, t in zip(c, types)]
-        if any(x.denominator != 1 for x in e):
+        e = [divmod(c[0] * x << len(t) + lam.length, den) for x, t in zip(c, types)]
+        if any(rem for _, rem in e):
             raise DecompositionError("e_%s is not integral over %d!" % (lam.parts, n))
-        e = [int(x) for x in e]
+        e = [q for q, _ in e]
         if [sum(r * x for r, x in zip(row, e)) for row in rows] != [values[lam] * x for x in e]:
             raise DecompositionError("the Casimir does not act on e_%s by %d" % (lam.parts, values[lam]))
         total = [a + x for a, x in zip(total, e)]

@@ -7,8 +7,8 @@ re + im*zeta. A reduction scales the vector once and then does integer
 multiply-adds. `extend` inserts a batch in descending order of leading key,
 so each new pivot lands below every stored pivot and no stored row needs
 back-substitution. `add_term` is the accumulate-and-drop-zero step for the
-sparse polynomials of `symfunc` and `spoly`, with int, Fraction or
-Cyclo8Scalar entries.
+sparse polynomials of `symfunc` and `spoly`, with int or Cyclo8Scalar
+entries.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from math import gcd, lcm
 def add_term(vec: dict, key, c) -> None:
     """vec[key] += c, dropping the key when the sum is zero.
 
-    Works for any coefficient type whose zero is falsy (int, Fraction,
-    Cyclo8Scalar).
+    Works for any coefficient type whose zero is falsy (int, Cyclo8Scalar).
     """
     s = vec.get(key)
     if s is not None:

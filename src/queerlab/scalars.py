@@ -8,7 +8,6 @@ is decided by parity in `symfunc.induct_mult` without leaving Q.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -51,11 +50,6 @@ class Cyclo8Scalar:
     @staticmethod
     def from_int(k: int) -> "Cyclo8Scalar":
         return Cyclo8Scalar(k, 0, 1, _normalized=True)
-
-    @staticmethod
-    def from_fraction(q) -> "Cyclo8Scalar":
-        q = Fraction(q)
-        return Cyclo8Scalar(q.numerator, 0, q.denominator, _normalized=True)
 
     # -- views ---------------------------------------------------------
 
@@ -131,14 +125,20 @@ class Cyclo8Scalar:
         return self.re != 0 or self.im != 0
 
     def __repr__(self):
-        re = Fraction(self.re, self.den)
-        im = Fraction(self.im, self.den)
-        if not im:
-            return str(re)
-        zeta = "zeta" if im == 1 else "-zeta" if im == -1 else "%s*zeta" % im
-        if not re:
+        re = _ratio(self.re, self.den)
+        if not self.im:
+            return re
+        im = _ratio(self.im, self.den)
+        zeta = "zeta" if im == "1" else "-zeta" if im == "-1" else "%s*zeta" % im
+        if not self.re:
             return zeta
-        return "%s %s %s" % (re, "-" if im < 0 else "+", zeta.lstrip("-"))
+        return "%s %s %s" % (re, "-" if self.im < 0 else "+", zeta.lstrip("-"))
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, written as an int when it is one."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else "%d/%d" % (num // g, den // g)
 
 
 def _coerce(x):
@@ -146,8 +146,6 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return Cyclo8Scalar.from_int(x)
-    if isinstance(x, Fraction):
-        return Cyclo8Scalar.from_fraction(x)
     return NotImplemented
 
 

@@ -1,4 +1,4 @@
-"""The ring Gamma of Schur Q-functions over exact rationals.
+"""The ring Gamma of Schur Q-functions, on integer coefficients.
 
 A symmetric polynomial f in N variables is held as its table {alpha:
 [x^alpha]f}, alpha running over the partitions with at most N parts, written
@@ -7,18 +7,18 @@ partitions, its expansion in the monomial basis (Macdonald, Symmetric
 Functions and Hall Polynomials, 2nd ed., I.2). Q_lambda is built from the
 generators q_r by the two-row recursion and first-row Pfaffian expansion
 (tests/oracles.py holds the full polynomials and an independent
-marked-shifted-tableau enumeration). Products are expanded back into the
-Q-basis by triangular elimination against lex-leading keys. A product of
-degree d is expanded in l_max(d) variables: Q_nu vanishes in N variables
-when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly independent
-(Macdonald, III.8), so l_max(d) variables see every Q_nu of degree d and
-nothing else.
+marked-shifted-tableau enumeration). Products are expanded back by
+triangular elimination against the lex-leading keys of the P_mu = 2^{-l(mu)}
+Q_mu, which have integer coefficients, so every coefficient is an int. A
+product of degree d is expanded in l_max(d) variables: Q_nu vanishes in N
+variables when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly
+independent (Macdonald, III.8), so l_max(d) variables see every Q_nu of
+degree d and nothing else.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -171,51 +171,19 @@ def Q_poly(lam: StrictPartition, N: int) -> dict:
     return out
 
 
-class GammaElement:
-    """A finite Q-basis linear combination with exact (int or Fraction)
-    coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for lam, c in dict(terms).items():
-                if c:
-                    self.terms[lam] = c
-
-    @staticmethod
-    def basis(lam: StrictPartition) -> "GammaElement":
-        return GammaElement({lam: 1})
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            add_term(out, lam, c)
-        return GammaElement(out)
-
-    def scale(self, c) -> "GammaElement":
-        return GammaElement({lam: c * x for lam, x in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam in sorted(self.terms, key=lambda p: (p.size, p.parts)):
-            bits.append("%s*Q%r" % (self.terms[lam], lam))
-        return " + ".join(bits)
+class InconsistentMultiplicity(ArithmeticError):
+    """A Q-coordinate of a product in Gamma failed to be an integer, or a
+    Grothendieck-ring coefficient a nonnegative integer."""
 
 
-def expand_in_Q(f: dict, N: int) -> GammaElement:
-    """Q-basis coordinates of the table f in N variables, a symmetric
-    polynomial in the span of the Q_mu.
+def expand_in_Q(f: dict, N: int) -> dict[StrictPartition, int]:
+    """{mu: 2^{l(mu)} [Q_mu] f}: the P-basis coordinates of the table f in N
+    variables, a symmetric polynomial in the span of the Q_mu.
 
-    Triangular elimination against the lex-leading key mu of Q_mu, whose
-    coefficient is 2^{l(mu)}. Raises NotInGammaSpan on a residual the
-    elimination cannot reach.
+    Triangular elimination against the lex-leading key mu of P_mu = Q_mu /
+    2^{l(mu)}, whose table has integer coefficients and 1 at mu (Macdonald,
+    III.8), so an int table never leaves the ints. Raises NotInGammaSpan on
+    a residual the elimination cannot reach.
     """
     residual = dict(f)
     found = {}
@@ -230,29 +198,35 @@ def expand_in_Q(f: dict, N: int) -> GammaElement:
                 "length %d exceeds variable count %d; expansion unfaithful"
                 % (mu.length, N)
             )
-        c = _exact_quotient(residual[k], 1 << mu.length)
-        found[mu] = found.get(mu, 0) + c
+        c = found[mu] = residual[k]
+        shift = mu.length
         for kk, cc in Q_poly(mu, N).items():
-            s = residual.get(kk, 0) - c * cc
+            s = residual.get(kk, 0) - c * (cc >> shift)
             if s:
                 residual[kk] = s
             else:
                 residual.pop(kk, None)
-    return GammaElement(found)
+        # a no-op on a table with 1 at mu; on any other it ends the loop
+        residual.pop(k, None)
+    return found
 
 
-def gamma_product(f: GammaElement, g: GammaElement) -> GammaElement:
-    """Product in Gamma, expanded back into the Q-basis.
+def gamma_product(lam: StrictPartition, mu: StrictPartition) -> dict[StrictPartition, int]:
+    """{nu: [Q_nu] Q_lambda Q_mu}, the product in Gamma in the Q-basis.
 
-    Each Q_lambda Q_mu is expanded in l_max(|lambda| + |mu|) variables, the
-    fewest in which every Q_nu of that degree survives.
+    The product is expanded in l_max(|lambda| + |mu|) variables, the fewest
+    in which every Q_nu of that degree survives, and each P-coordinate is
+    shifted down by l(nu); a remainder is an InconsistentMultiplicity.
     """
-    out = GammaElement()
-    for lam, c1 in f.terms.items():
-        for mu, c2 in g.terms.items():
-            N = l_max(lam.size + mu.size)
-            prod = _table_mul(Q_poly(lam, N), Q_poly(mu, N), N)
-            out = out + expand_in_Q(prod, N).scale(c1 * c2)
+    N = l_max(lam.size + mu.size)
+    out = {}
+    for nu, c in expand_in_Q(_table_mul(Q_poly(lam, N), Q_poly(mu, N), N), N).items():
+        q, rem = divmod(c, 1 << nu.length)
+        if rem:
+            raise InconsistentMultiplicity(
+                "non-integral coefficient %d/2^%d of Q_%r in Q_%r Q_%r" % (c, nu.length, nu, lam, mu)
+            )
+        out[nu] = q
     return out
 
 
@@ -264,10 +238,6 @@ def pieri(lam: StrictPartition) -> dict[StrictPartition, int]:
     return out
 
 
-class InconsistentMultiplicity(ArithmeticError):
-    """A Grothendieck-ring coefficient failed to be a nonnegative integer."""
-
-
 def induct_mult(
     mu: StrictPartition, nu: StrictPartition
 ) -> dict[StrictPartition, int]:
@@ -277,29 +247,20 @@ def induct_mult(
     so m^lambda = c_lambda * 2^{(d(mu)-l(mu)+d(nu)-l(nu)-d(lam)+l(lam))/2}
     where c are the Q-basis coefficients of Q_mu Q_nu.
     """
-    prod = gamma_product(GammaElement.basis(mu), GammaElement.basis(nu))
     out = {}
-    for lam, c in prod.terms.items():
-        e = (
-            delta(mu)
-            - mu.length
-            + delta(nu)
-            - nu.length
-            - delta(lam)
-            + lam.length
-        )
-        # c is a nonzero rational, so 2^{e/2} c is rational only for even e
+    for lam, c in gamma_product(mu, nu).items():
+        e = delta(mu) - mu.length + delta(nu) - nu.length - delta(lam) + lam.length
+        # c is a nonzero integer, so 2^{e/2} c is rational only for even e
         if e % 2:
             raise InconsistentMultiplicity(
                 "irrational multiplicity 2^(%d/2)*%s at %r in [S_%r][S_%r]"
                 % (e, c, lam, mu, nu)
             )
-        val = Fraction(2) ** (e // 2) * c
-        if val.denominator != 1:
+        m, rem = (c << e // 2, 0) if e >= 0 else divmod(c, 1 << -e // 2)
+        if rem:
             raise InconsistentMultiplicity(
-                "non-integral multiplicity %s at %r in [S_%r][S_%r]" % (val, lam, mu, nu)
+                "non-integral multiplicity %d/2^%d at %r in [S_%r][S_%r]" % (c, -e // 2, lam, mu, nu)
             )
-        m = int(val)
         if m < 0:
             raise InconsistentMultiplicity(
                 "negative multiplicity %d at %r in [S_%r][S_%r]" % (m, lam, mu, nu)
@@ -312,17 +273,6 @@ def induct_mult(
 # ---------------------------------------------------------------------------
 # Cauchy kernel check
 # ---------------------------------------------------------------------------
-
-
-def _exact_quotient(c, den: int):
-    """c / den as an int when the division is exact, else as a Fraction.
-
-    In the Cauchy check Q_lambda has integer coefficients divisible by
-    2^{l(lambda)}, so a Fraction appears only for a corrupted Q_lambda; it
-    can never equal an int kernel coefficient, and so shows as a mismatch.
-    """
-    num, rem = divmod(c.numerator, c.denominator * den)
-    return Fraction(c) / den if rem else num
 
 
 def _checked_table(lam: StrictPartition, N: int):
@@ -405,7 +355,8 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
 
     The kernel coefficient is counted by `_cauchy_kernel`. The right side
     reads [x^alpha]Q_lambda and [y^beta]P_lambda off the Q_poly tables,
-    P_lambda as the exact quotient by 2^{l(lambda)}.
+    P_lambda shifted down by l(lambda): a table wrong at a key other than
+    lambda is caught at (that key, lambda), where P_lambda holds 1.
 
     first_failure is (k, k) for the least degree k at which a Q_lambda of
     size k fails its check or a coefficient of bidegree (k, k) differs.
@@ -419,8 +370,7 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
             q = _checked_table(lam, N)
             if q is None:
                 return CauchyReport(False, d, N, first_failure=(k, k))
-            den = 1 << lam.length
-            dominant.append((q, {e: _exact_quotient(c, den) for e, c in q.items()}))
+            dominant.append((q, {e: c >> lam.length for e, c in q.items()}))
         shapes = enumerate_partitions(k)
         for alpha in shapes:
             for beta in shapes:
@@ -433,6 +383,7 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
 # ---------------------------------------------------------------------------
 # cache file format: "Q <lambda> <N> : a1,..,al=c ...", each key a partition
 # of |lambda| with at most N parts ("-" for the empty one), c an int
+# divisible by 2^{l(lambda)}
 # ---------------------------------------------------------------------------
 
 
@@ -446,7 +397,9 @@ def qpoly_cache_line(lam: StrictPartition, N: int) -> str:
 
 def parse_qpoly_cache_line(line: str):
     """(lambda, N, table) of a cache line; ValueError unless every key is a
-    partition of |lambda| with at most N parts and every coefficient an int."""
+    partition of |lambda| in at most N parts and every coefficient an int
+    multiple of 2^{l(lambda)}, and 2^{l(lambda)} itself at x^lambda if
+    l(lambda) <= N: `expand_in_Q` pivots on P_lambda = Q_lambda >> l(lambda)."""
     head, _, body = line.partition(":")
     tag, lamtxt, ntxt = head.split()
     if tag != "Q":
@@ -459,5 +412,10 @@ def parse_qpoly_cache_line(line: str):
         key = () if keytxt == "-" else tuple(int(t) for t in keytxt.split(","))
         if not _is_key(key, lam.size, N):
             raise ValueError("key %r is not a partition of %d in %d parts" % (key, lam.size, N))
-        table[key] = int(ctxt)
+        c = int(ctxt)
+        if c % (1 << lam.length):
+            raise ValueError("coefficient %d at %r is not divisible by 2^%d" % (c, key, lam.length))
+        table[key] = c
+    if lam.length <= N and table.get(lam.parts) != 1 << lam.length:
+        raise ValueError("the coefficient at x^%r is not 2^%d" % (lam.parts, lam.length))
     return lam, N, table

@@ -9,7 +9,9 @@ table back). `full_Q_poly` multiplies out the full generators `q_gen` along
 shifted tableaux, apart from the q_r recursion. `cauchy_kernel_truncated`
 and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
-dominant coefficients only.
+dominant coefficients only. `gamma_mul` multiplies Q-basis combinations by
+bilinearity, where the CLI multiplies two basis elements
+(`symfunc.gamma_product`).
 
 `numerators` brings a Cyclo8Scalar vector into an `Echelon`, and
 `scalar_rows` reads an `Echelon` back as Cyclo8Scalar rows at pivot 1.
@@ -106,7 +108,7 @@ from queerlab.partitions import StrictPartition, all_strict_upto, contains, delt
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from queerlab.spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
-from queerlab.symfunc import Q_poly, _exact_quotient, q_expansion
+from queerlab.symfunc import Q_poly, gamma_product, q_expansion
 
 
 class NVarPoly:
@@ -330,6 +332,24 @@ def cauchy_kernel_truncated(d: int, N: int) -> dict:
                     new[kk] = new.get(kk, 0) + c2
             poly = new
     return poly
+
+
+def _exact_quotient(c, den: int):
+    """c / den as an int when the division is exact, else as a Fraction, which
+    can never equal an int kernel coefficient and so shows as a mismatch."""
+    num, rem = divmod(c.numerator, c.denominator * den)
+    return Fraction(c) / den if rem else num
+
+
+def gamma_mul(f: dict, g: dict) -> dict:
+    """The product in Gamma of two Q-basis combinations {lambda: c}, by
+    bilinearity from `gamma_product` on basis elements."""
+    out = {}
+    for lam, c1 in f.items():
+        for mu, c2 in g.items():
+            for nu, c in gamma_product(lam, mu).items():
+                add_term(out, nu, c1 * c2 * c)
+    return out
 
 
 def cauchy_rhs_truncated(d: int, N: int) -> dict:

@@ -21,14 +21,12 @@ def _report(tag, ok, detail=""):
 
 
 def test_ac1_pieri():
-    from queerlab.symfunc import GammaElement, gamma_product, pieri
+    from queerlab.symfunc import gamma_product, pieri
 
-    one = GammaElement.basis(sp(1))
     checked = 0
     for k in range(0, 13):
         for lam in enumerate_strict(k):
-            got = gamma_product(one, GammaElement.basis(lam)).terms
-            if {mu: int(c) for mu, c in got.items()} != pieri(lam):
+            if gamma_product(sp(1), lam) != pieri(lam):
                 _report("AC-1", False, "mismatch at %r" % lam)
             checked += 1
     _report("AC-1", True, "Pieri rule = Q_1 product for %d strict shapes, |lambda| <= 12" % checked)

@@ -736,11 +736,24 @@ def _recomputes_after(edit, tmp_path, monkeypatch, capsys):
     assert path.read_text() == good
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (b"2,1=4", b"2,1=9/2"),
+        # an int that 2^l(lambda) = 4 does not divide: expand_in_Q shifts it
+        # down by l(lambda), and verify cauchy would fail on it
+        (b"2,1=4", b"2,1=5"),
+        (b"1,1,1=8", b"1,1,1=9"),
+        # divisible, but P_(2,1) = Q_(2,1) >> 2 no longer holds 1 at (2,1)
+        (b"2,1=4", b"2,1=8"),
+    ],
+    ids=["not-an-int", "not-divisible", "not-divisible-off-lambda", "not-2-to-the-length-at-lambda"],
+)
 def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
-    tmp_path, monkeypatch, capsys
+    edit, tmp_path, monkeypatch, capsys
 ):
-    # one coefficient of Q_{(2,1)} in 3 variables, 4 -> 9/2
-    _recomputes_after((b"2,1=4", b"2,1=9/2"), tmp_path, monkeypatch, capsys)
+    # one coefficient of Q_{(2,1)} in 3 variables
+    _recomputes_after(edit, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
@@ -844,8 +857,12 @@ def test_cli_run_loads_no_argparse():
         ["verify", "main-theorem", "--dmax", "3"],
         ["dump", "dims", "--lambda", "2", "--n", "1"],
         ["verify", "phi-psi", "--seed", "3"],
+        ["verify", "cauchy", "--degree", "3", "--vars", "3"],
+        ["verify", "prop-dim"],
     ]
-    unused = ("argparse", "gettext", "locale", "random")
+    # and Gamma, H_n and the Hom-dimension formula run on ints: no job loads
+    # fractions, nor decimal, which fractions loads
+    unused = ("argparse", "gettext", "locale", "random", "fractions", "decimal")
     code = (
         "import sys; from queerlab.cli import main; "
         "assert all(main(argv + ['--out', '/dev/null']) == 0 for argv in %r); "

@@ -51,8 +51,11 @@ def test_derived_example():
 
 
 def test_degree_mismatch_vanishes():
-    c = hom_dim_check(sp(2), sp(1), EMPTY, EMPTY)
-    assert c.passed and c.brute == 0 and c.formula == 0
+    # hom_dim_sweep never pairs |lambda| - |alpha| with another |mu| - |beta|,
+    # so such a case is bad input; the slice it would count is empty
+    with pytest.raises(ValueError, match="differ"):
+        hom_dim_check(sp(2), sp(1), EMPTY, EMPTY)
+    assert dimcheck._sing_dim(3, 3, 0, 0, 2, (2, 0, 0), (1, 0, 0)) == 0
 
 
 def test_singular_dims():

@@ -53,7 +53,7 @@ from queerlab.heckeclifford import (
     word_mult,
 )
 from queerlab.linalg import Echelon, span
-from queerlab.partitions import StrictPartition, contains, enumerate_strict
+from queerlab.partitions import StrictPartition, contains, enumerate_strict, l_max
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
 
@@ -636,12 +636,15 @@ def test_closed_form_idempotents_match_the_casimir_split(n):
 
 @pytest.mark.parametrize("n", range(17))
 def test_both_numerators_of_the_closed_form_are_integers(n):
-    # 2^l(lambda) c_lambda(1^n) and 2^l(t) c_lambda(t)
+    # 2^l(lambda) c_lambda(1^n) and 2^l(t) c_lambda(t), read off the ints
+    # 2^L c_lambda(t) that _spin_characters returns, L = l_max(n)
     types = _class_types(n)
+    den = 2 ** l_max(n)
     for lam, c in _spin_characters(n, types).items():
-        assert Fraction(c[0] * 2 ** lam.length).denominator == 1, lam
+        assert all(type(x) is int for x in c), lam
+        assert Fraction(c[0] * 2 ** lam.length, den).denominator == 1, lam
         for x, t in zip(c, types):
-            assert Fraction(x * 2 ** len(t)).denominator == 1, (lam, t)
+            assert Fraction(x * 2 ** len(t), den).denominator == 1, (lam, t)
 
 
 @pytest.mark.parametrize("module", [heckeclifford, queer])

@@ -133,8 +133,9 @@ def test_truncation():
 
 
 def test_verify_phi_psi_builds_each_map_once_per_order(monkeypatch, capsys):
-    # n = 1..3 at jet order 4 (phi's parities) and 3 (psi o phi): six phi
-    # maps and three psi maps, however many generators each one is applied to
+    # n = 1..3 at the default jet order 3, where phi's parities and psi o phi
+    # read one map: three phi maps and three psi maps, however many
+    # generators each one is applied to
     calls = {"k_ring": 0, "a_ring": 0}
 
     def counted(name):
@@ -156,7 +157,7 @@ def test_verify_phi_psi_builds_each_map_once_per_order(monkeypatch, capsys):
         for cached in (phi_map, psi_map):
             cached.cache_clear()
     capsys.readouterr()
-    assert calls == {"k_ring": 6, "a_ring": 3}
+    assert calls == {"k_ring": 3, "a_ring": 3}
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from queerlab.scalars import (
 
 
 def frac(n, d=1):
-    return Cyclo8Scalar.from_fraction(Fraction(n, d))
+    return Cyclo8Scalar(n, 0, d)
 
 
 scalars = st.builds(
@@ -114,3 +114,28 @@ def test_tracer_wraps_methods_of_the_class_itself():
     # the class dict, so each must be defined on the class, not inherited
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "inverse"):
         assert callable(vars(Cyclo8Scalar)[name])
+
+
+def _fraction_repr(x):
+    """The repr as Fraction arithmetic writes it, the oracle for the gcd."""
+    re, im = _pair(x)
+    if not im:
+        return str(re)
+    zeta = "zeta" if im == 1 else "-zeta" if im == -1 else "%s*zeta" % im
+    if not re:
+        return zeta
+    return "%s %s %s" % (re, "-" if im < 0 else "+", zeta.lstrip("-"))
+
+
+@given(operands)
+@settings(max_examples=200, deadline=None)
+def test_repr_writes_both_parts_in_lowest_terms(x):
+    assert repr(x) == _fraction_repr(x)
+
+
+def test_repr_examples():
+    assert [repr(x) for x in (ZERO, -ONE, ZETA, -ZETA)] == ["0", "-1", "zeta", "-zeta"]
+    assert repr(Cyclo8Scalar(3, 0, 6)) == "1/2"
+    assert repr(Cyclo8Scalar(0, 3, 6)) == "1/2*zeta"
+    assert repr(Cyclo8Scalar(1, -2, 4)) == "1/4 - 1/2*zeta"
+    assert repr(Cyclo8Scalar(2, 2)) == "2 + 2*zeta"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from queerlab import symfunc
 from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict, l_max
 from queerlab.symfunc import (
-    GammaElement,
     InconsistentMultiplicity,
     NotInGammaSpan,
     Q_poly,
@@ -29,6 +28,7 @@ from oracles import (
     cauchy_rhs_truncated,
     dominant,
     full_Q_poly,
+    gamma_mul,
     orbit_poly,
     pack_monomial,
     q_gen,
@@ -78,13 +78,9 @@ def test_polymul_at_degrees_across_bit_widths(degree):
 
 
 def test_q_gen_examples():
-    assert q_gen(1, 2).terms == {(1, 0): Fraction(2), (0, 1): Fraction(2)}
-    assert q_gen(0, 3).terms == {(0, 0, 0): Fraction(1)}
-    assert q_gen(2, 2).terms == {
-        (2, 0): Fraction(2),
-        (0, 2): Fraction(2),
-        (1, 1): Fraction(4),
-    }
+    assert q_gen(1, 2).terms == {(1, 0): 2, (0, 1): 2}
+    assert q_gen(0, 3).terms == {(0, 0, 0): 1}
+    assert q_gen(2, 2).terms == {(2, 0): 2, (0, 2): 2, (1, 1): 4}
     assert q_gen(-1, 2).is_zero()
 
 
@@ -108,12 +104,13 @@ def test_Q_poly_coefficients_are_ints():
             for N in (1, 3, 5):
                 assert all(type(c) is int for c in Q_poly(lam, N).values())
     g = expand_in_Q(_table_mul(Q_poly(sp(2, 1), 3), Q_poly(sp(1), 3), 3), 3)
-    assert all(type(c) is int for c in g.terms.values())
+    assert g and all(type(c) is int for c in g.values())
+    assert all(type(c) is int for c in gamma_product(sp(2, 1), sp(1)).values())
 
 
 def test_tableau_oracle_small():
-    assert tableau_oracle_Q(sp(1), 1).terms == {(1,): Fraction(2)}
-    assert tableau_oracle_Q(sp(2), 1).terms == {(2,): Fraction(2)}
+    assert tableau_oracle_Q(sp(1), 1).terms == {(1,): 2}
+    assert tableau_oracle_Q(sp(2), 1).terms == {(2,): 2}
 
 
 def test_oracle_agreement_upto_5():
@@ -160,10 +157,10 @@ def test_split_product_is_the_dominant_part_of_the_full_product(d):
 
 
 def test_expand_in_Q_roundtrip_and_error():
-    g = expand_in_Q(Q_poly(sp(3, 1), 4), 4)
-    assert g.terms == {sp(3, 1): Fraction(1)}
+    # the P-coordinates: Q_(3,1) = 4 P_(3,1), Q_1^2 = 2 Q_2 = 4 P_2
+    assert expand_in_Q(Q_poly(sp(3, 1), 4), 4) == {sp(3, 1): 4}
     q1 = {(1,): 2}
-    assert expand_in_Q(_table_mul(q1, q1, 2), 2).terms == {sp(2): Fraction(2)}
+    assert expand_in_Q(_table_mul(q1, q1, 2), 2) == {sp(2): 4}
     with pytest.raises(NotInGammaSpan):
         expand_in_Q({(1, 1): 1}, 2)  # e_2 is not in Gamma
 
@@ -176,14 +173,19 @@ def test_expand_in_Q_refuses_part_longer_than_N():
 
 
 def test_gamma_product_examples():
-    one = GammaElement.basis(sp(1))
-    assert gamma_product(one, one).terms == {sp(2): Fraction(2)}
-    assert gamma_product(one, GammaElement.basis(sp(2))).terms == {
-        sp(3): Fraction(2),
-        sp(2, 1): Fraction(1),
-    }
-    f = GammaElement({sp(2): Fraction(5, 3), sp(1): 1})
-    assert gamma_product(GammaElement.basis(EMPTY), f).terms == f.terms
+    assert gamma_product(sp(1), sp(1)) == {sp(2): 2}
+    assert gamma_product(sp(1), sp(2)) == {sp(3): 2, sp(2, 1): 1}
+    assert gamma_product(EMPTY, sp(3, 1)) == {sp(3, 1): 1}
+    f = {sp(2): Fraction(5, 3), sp(1): 1}
+    assert gamma_mul({EMPTY: 1}, f) == f
+
+
+def test_gamma_product_refuses_a_P_coordinate_with_a_remainder(monkeypatch):
+    # Q_1 Q_1 = 2 Q_2 = 4 P_2; with a table of Q_1 that holds 3 at x^1 the
+    # square is 9 P_2 = 9/2 Q_2, which has no integer Q-coordinate
+    monkeypatch.setitem(symfunc._QPOLY_CACHE, (sp(1), 1), {(1,): 3})
+    with pytest.raises(InconsistentMultiplicity, match=r"non-integral coefficient 9/2\^1"):
+        gamma_product(sp(1), sp(1))
 
 
 _SMALL_PAIRS = [
@@ -203,8 +205,7 @@ def test_gamma_product_matches_wide_oracle(pair):
     lam, mu = pair
     n = lam.size + mu.size
     want = expand_in_Q(dominant(full_Q_poly(lam, n) * full_Q_poly(mu, n)), n)
-    got = gamma_product(GammaElement.basis(lam), GammaElement.basis(mu))
-    assert got.terms == want.terms
+    assert gamma_product(lam, mu) == {nu: Fraction(c, 1 << nu.length) for nu, c in want.items()}
 
 
 def test_gamma_ring_axioms_random():
@@ -212,24 +213,19 @@ def test_gamma_ring_axioms_random():
     pool = [p for k in range(0, 4) for p in enumerate_strict(k)]
 
     def rand_elem():
-        return GammaElement(
-            {rng.choice(pool): Fraction(rng.randint(-3, 3)) for _ in range(2)}
-        )
+        return {k: c for k, c in ((rng.choice(pool), rng.randint(-3, 3)) for _ in range(2)) if c}
 
     for _ in range(6):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        assert gamma_product(a, b).terms == gamma_product(b, a).terms
-        lhs = gamma_product(gamma_product(a, b), c)
-        rhs = gamma_product(a, gamma_product(b, c))
-        assert lhs.terms == rhs.terms
+        assert gamma_mul(a, b) == gamma_mul(b, a)
+        assert gamma_mul(gamma_mul(a, b), c) == gamma_mul(a, gamma_mul(b, c))
 
 
 def test_Q_basis_linear_independence_degree_5():
-    # every Q_mu of degree 5 straightens to exactly its own basis vector:
-    # the elimination pivots on 2^{l} coefficients and never degenerates
+    # every Q_mu of degree 5 straightens to exactly 2^{l(mu)} P_mu: the
+    # elimination pivots on the 1 of P_mu at mu and never degenerates
     for mu in enumerate_strict(5):
-        g = expand_in_Q(Q_poly(mu, 5), 5)
-        assert g.terms == {mu: Fraction(1)}
+        assert expand_in_Q(Q_poly(mu, 5), 5) == {mu: 1 << mu.length}
 
 
 def test_pieri_examples():
@@ -239,11 +235,9 @@ def test_pieri_examples():
 
 
 def test_pieri_matches_products_upto_5():
-    one = GammaElement.basis(sp(1))
     for k in range(0, 6):
         for lam in enumerate_strict(k):
-            got = gamma_product(one, GammaElement.basis(lam)).terms
-            assert {mu: int(c) for mu, c in got.items()} == pieri(lam)
+            assert gamma_product(sp(1), lam) == pieri(lam)
 
 
 def test_induct_mult_examples():
@@ -254,16 +248,20 @@ def test_induct_mult_examples():
 
 def test_induct_mult_scales_by_the_even_half_power_of_two(monkeypatch):
     # e = (d(mu) - l(mu)) + (d(nu) - l(nu)) - (d(lam) - l(lam)); with
-    # delta = l mod 2 each bracket is even, and e = 0 + 0 - (0 - 2) = 2 here
-    def product(c):
-        return lambda f, g: GammaElement({sp(2, 1): c})
+    # delta = l mod 2 each bracket is even. [S_(1)][S_(1)] at (2,1) has
+    # e = 0 + 0 - (0 - 2) = 2, and [S_(2,1)][S_(1)] at (4) has e = -2 + 0 - 0
+    def product(lam, c):
+        return lambda f, g: {lam: c}
 
-    monkeypatch.setattr(symfunc, "gamma_product", product(Fraction(3, 2)))
-    assert induct_mult(sp(1), sp(1)) == {sp(2, 1): 3}
-    monkeypatch.setattr(symfunc, "gamma_product", product(Fraction(1, 4)))
-    with pytest.raises(InconsistentMultiplicity, match="non-integral"):
-        induct_mult(sp(1), sp(1))
-    monkeypatch.setattr(symfunc, "gamma_product", product(-1))
+    monkeypatch.setattr(symfunc, "gamma_product", product(sp(2, 1), 3))
+    assert induct_mult(sp(1), sp(1)) == {sp(2, 1): 6}
+    monkeypatch.setattr(symfunc, "gamma_product", product(sp(4), 6))
+    assert induct_mult(sp(2, 1), sp(1)) == {sp(4): 3}
+    for c in (3, -3):
+        monkeypatch.setattr(symfunc, "gamma_product", product(sp(4), c))
+        with pytest.raises(InconsistentMultiplicity, match="non-integral"):
+            induct_mult(sp(2, 1), sp(1))
+    monkeypatch.setattr(symfunc, "gamma_product", product(sp(2, 1), -1))
     with pytest.raises(InconsistentMultiplicity, match="negative"):
         induct_mult(sp(1), sp(1))
 
@@ -271,7 +269,7 @@ def test_induct_mult_scales_by_the_even_half_power_of_two(monkeypatch):
 def test_induct_mult_odd_exponent_is_inconsistent(monkeypatch):
     # an odd e makes 2^{e/2} c irrational for every nonzero rational c; the
     # exponent is even under delta = l mod 2, so delta is replaced to reach it
-    monkeypatch.setattr(symfunc, "gamma_product", lambda f, g: GammaElement({sp(2, 1): 2}))
+    monkeypatch.setattr(symfunc, "gamma_product", lambda f, g: {sp(2, 1): 2})
     monkeypatch.setattr(symfunc, "delta", lambda lam: 0)
     with pytest.raises(InconsistentMultiplicity, match=r"irrational multiplicity 2\^\(1/2\)"):
         induct_mult(sp(1), EMPTY)
@@ -411,10 +409,16 @@ def _q21_flipped_at_lambda(table):
     table[(2, 1)] = -table[(2, 1)]
 
 
+def _q21_odd_off_lambda(table):
+    # P_(2,1) = Q_(2,1) >> 2 drops the remainder of 9 at (1,1,1), and the
+    # right side still differs at ((1,1,1), (2,1)), where P_(2,1) holds 1
+    table[(1, 1, 1)] = 9
+
+
 @pytest.mark.parametrize(
     "flip",
     [
-        lambda c: c + 1,  # odd: P_(2,1) = Q_(2,1) / 4 leaves a remainder
+        lambda c: c + 1,  # odd: no longer 2^{l(lambda)} at x^lambda
         lambda c: -c,  # divisible by 4, but the wrong value
     ],
 )
@@ -439,6 +443,7 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
         _q21_negated,
         _q21_missing_dominant_key,
         _q21_flipped_at_lambda,
+        _q21_odd_off_lambda,
     ],
 )
 def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, monkeypatch):
@@ -472,10 +477,24 @@ def test_cache_line_format():
 
 
 def test_cache_line_with_non_integral_coefficient_is_refused():
-    for coeff in ("3/2", "4/2", "2/1", "2.0"):
+    # an int that 2^{l(lambda)} does not divide is refused too: expand_in_Q
+    # shifts every coefficient of Q_lambda down by l(lambda)
+    for coeff in ("3/2", "4/2", "2/1", "2.0", "3"):
         with pytest.raises(ValueError):
             parse_qpoly_cache_line("Q 1 1 : 1=%s" % coeff)
+    with pytest.raises(ValueError, match="not divisible by 2\\^2"):
+        parse_qpoly_cache_line("Q 2,1 3 : 1,1,1=8 2,1=6")
     assert parse_qpoly_cache_line("Q 1 1 : 1=2")[2] == {(1,): 2}
+    assert parse_qpoly_cache_line("Q 2,1 3 : 1,1,1=-8 2,1=4")[2] == {(1, 1, 1): -8, (2, 1): 4}
+
+
+@pytest.mark.parametrize("body", ["1,1,1=8 2,1=8", "1,1,1=8 2,1=-4", "1,1,1=8"])
+def test_cache_line_without_2_to_the_length_at_lambda_is_refused(body):
+    # expand_in_Q pivots on the 1 of P_lambda at x^lambda
+    with pytest.raises(ValueError, match="not 2\\^2"):
+        parse_qpoly_cache_line("Q 2,1 3 : " + body)
+    # in fewer than l(lambda) variables Q_lambda vanishes: no leading term
+    assert parse_qpoly_cache_line("Q 2,1 1 : ")[2] == {}
 
 
 @pytest.mark.parametrize(
