@@ -33,7 +33,7 @@ SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 # weights, so each rank costs about what rank 2 does, up to this one
 SAFE_PROP_RANK = 12
 SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
-SAFE_BOUND = 12  # largest |lambda| of a Pieri check
+SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
 
 # The int flags of every subcommand: flag -> (default, lowest value, help).

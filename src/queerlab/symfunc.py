@@ -4,16 +4,18 @@ A symmetric polynomial f in N variables is held as its table {alpha:
 [x^alpha]f}, alpha running over the partitions with at most N parts, written
 without zero parts: a symmetric polynomial is fixed by its coefficients at
 partitions, its expansion in the monomial basis (Macdonald, Symmetric
-Functions and Hall Polynomials, 2nd ed., I.2). Q_lambda is built from the
-generators q_r by the two-row recursion and first-row Pfaffian expansion
-(tests/oracles.py holds the full polynomials and an independent
-marked-shifted-tableau enumeration). Products are expanded back by
-triangular elimination against the lex-leading keys of the P_mu = 2^{-l(mu)}
-Q_mu, which have integer coefficients, so every coefficient is an int. A
-product of degree d is expanded in l_max(d) variables: Q_nu vanishes in N
-variables when l(nu) > N, and the Q_nu with l(nu) <= N stay linearly
-independent (Macdonald, III.8), so l_max(d) variables see every Q_nu of
-degree d and nothing else.
+Functions and Hall Polynomials, 2nd ed., I.2). Each coefficient of Q_lambda
+is read off the one-variable branching rule, a sum over interlacing chains
+of strict partitions (III.5). `q_expansion`, the two-row recursion and
+first-row Pfaffian expansion in the generators q_r, is what `dump
+q-expansion` prints (tests/oracles.py multiplies it out in full
+polynomials, and holds an independent marked-shifted-tableau enumeration).
+Products are expanded back by triangular elimination against the
+lex-leading keys of the P_mu = 2^{-l(mu)} Q_mu, which have integer
+coefficients, so every coefficient is an int. A product of degree d is
+expanded in l_max(d) variables: Q_nu vanishes in N variables when l(nu) >
+N, and the Q_nu with l(nu) <= N stay linearly independent (Macdonald,
+III.8), so l_max(d) variables see every Q_nu of degree d and nothing else.
 """
 
 from __future__ import annotations
@@ -91,20 +93,6 @@ def _table_mul(f: dict, g: dict, N: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _q_product(qkey: tuple, N: int) -> dict:
-    """The table of q_{r_1} ... q_{r_k} in N variables, qkey = (r_1, ..., r_k).
-
-    q_r is sum 2^{l(alpha)} m_alpha over the partitions alpha of r, the
-    coefficient of t^r in prod_i (1 + x_i t)/(1 - x_i t). Callers must not
-    change the table.
-    """
-    if not qkey:
-        return {(): 1}
-    q_r = {alpha: 1 << len(alpha) for alpha in _partitions(qkey[-1], N)}
-    return _table_mul(_q_product(qkey[:-1], N), q_r, N)
-
-
 def _qdict_mul(d1: dict, d2: dict) -> dict:
     out = {}
     for k1, c1 in d1.items():
@@ -150,11 +138,55 @@ def q_expansion(lam: StrictPartition) -> tuple:
     return tuple(sorted(out.items()))
 
 
+@lru_cache(maxsize=None)
+def _interlaced(lam: tuple, size: int) -> tuple:
+    """The strict mu with |mu| = size and lam_1 >= mu_1 >= lam_2 >= mu_2 >=
+    ..., each with its one-variable weight 2^{a(lambda/mu)}."""
+    ranges = [range(low, p + 1) for p, low in zip(lam, lam[1:] + (0,))]
+    return tuple(
+        (mu, _strip_weight(lam, mu))
+        for mu in map(_sorted_key, product(*ranges))
+        if sum(mu) == size and len(set(mu)) == len(mu)
+    )
+
+
+def _strip_weight(lam: tuple, mu: tuple) -> int:
+    """2^{a(lambda/mu)}: a counts the columns j of the unshifted horizontal
+    strip lambda/mu that hold a box while column j + 1 does not, the
+    diagonals of the shifted strip. Row i holds the columns mu_i + 1 ..
+    lambda_i, so it ends such a run unless row i - 1 starts at lambda_i + 1."""
+    a = 0
+    for i, p in enumerate(lam):
+        m = mu[i] if i < len(mu) else 0
+        if m < p and (i == 0 or mu[i - 1] != p):
+            a += 1
+    return 1 << a
+
+
+@lru_cache(maxsize=None)
+def _coeff(lam: tuple, alpha: tuple) -> int:
+    """[x^alpha]Q_lambda for a partition alpha with no zero part, in any
+    number of variables at least l(alpha).
+
+    Q_lambda(x_1..x_k) = sum_mu Q_mu(x_1..x_{k-1}) 2^{a(lambda/mu)}
+    x_k^{|lambda| - |mu|} over the mu interlacing lambda (Macdonald, III.5,
+    the one-variable Q_{lambda/mu}); x_k carries the last part of alpha, and
+    Q_mu is symmetric, so the rest of alpha stays a sorted key.
+    """
+    if len(lam) > len(alpha):
+        return 0
+    if not alpha:
+        return 1
+    rest = alpha[:-1]
+    return sum(w * _coeff(mu, rest) for mu, w in _interlaced(lam, sum(rest)))
+
+
 _QPOLY_CACHE: dict = {}
 
 
 def Q_poly(lam: StrictPartition, N: int) -> dict:
-    """The table {alpha: [x^alpha]Q_lambda} of Q_lambda in N variables.
+    """The table {alpha: [x^alpha]Q_lambda} of Q_lambda in N variables, each
+    coefficient read off the one-variable branching rule (`_coeff`).
 
     Memoized in a plain dict (atomic get/set under the GIL) so the CLI can
     seed it from the versioned cache file. Callers must not change a table.
@@ -162,12 +194,8 @@ def Q_poly(lam: StrictPartition, N: int) -> dict:
     key = (lam, N)
     out = _QPOLY_CACHE.get(key)
     if out is None:
-        out = {}
-        for qkey, coeff in q_expansion(lam):
-            for alpha, c in _q_product(qkey, N).items():
-                out[alpha] = out.get(alpha, 0) + coeff * c
-        out = {alpha: c for alpha, c in out.items() if c}
-        _QPOLY_CACHE[key] = out
+        coeffs = ((alpha, _coeff(lam.parts, alpha)) for alpha in _partitions(lam.size, N))
+        out = _QPOLY_CACHE[key] = {alpha: c for alpha, c in coeffs if c}
     return out
 
 

@@ -5,9 +5,11 @@ tested against. None of this runs on a CLI path.
 `symfunc` holds a symmetric polynomial as its table of dominant coefficients
 (`dominant` reads that table off a full polynomial, `orbit_poly` expands a
 table back). `full_Q_poly` multiplies out the full generators `q_gen` along
-`symfunc.q_expansion`, and `tableau_oracle_Q` builds Q_lambda from marked
-shifted tableaux, apart from the q_r recursion. `cauchy_kernel_truncated`
-and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
+`symfunc.q_expansion`, and `q_route_Q_poly` sums the table along it, each
+q-monomial a chain of `symfunc._table_mul` products, where `Q_poly` reads
+each coefficient off the one-variable branching rule; `tableau_oracle_Q`
+builds Q_lambda from marked shifted tableaux, apart from the q_r
+recursion. `cauchy_kernel_truncated` and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
 2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
 dominant coefficients only. `gamma_mul` multiplies Q-basis combinations by
 bilinearity, where the CLI multiplies two basis elements
@@ -108,7 +110,7 @@ from queerlab.partitions import StrictPartition, all_strict_upto, contains, delt
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from queerlab.spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
-from queerlab.symfunc import Q_poly, gamma_product, q_expansion
+from queerlab.symfunc import Q_poly, _partitions, _table_mul, gamma_product, q_expansion
 
 
 class NVarPoly:
@@ -229,6 +231,25 @@ def full_Q_poly(lam: StrictPartition, N: int) -> NVarPoly:
         for r in qkey:
             prod = prod * q_gen(r, N)
         out = out + prod.scale(coeff)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_product_table(qkey: tuple, N: int) -> dict:
+    """The table of q_{r_1} ... q_{r_k} in N variables, qkey = (r_1, ..., r_k),
+    where q_r has 2^{l(alpha)} at every partition alpha of r."""
+    if not qkey:
+        return {(): 1}
+    q_r = {alpha: 1 << len(alpha) for alpha in _partitions(qkey[-1], N)}
+    return _table_mul(_q_product_table(qkey[:-1], N), q_r, N)
+
+
+def q_route_Q_poly(lam: StrictPartition, N: int) -> dict:
+    """The table of Q_lambda in N variables, summed along q_expansion."""
+    out = {}
+    for qkey, coeff in q_expansion(lam):
+        for alpha, c in _q_product_table(qkey, N).items():
+            add_term(out, alpha, coeff * c)
     return out
 
 

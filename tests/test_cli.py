@@ -667,6 +667,27 @@ def test_unchanged_cache_is_not_rewritten(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+_GAMMA_CACHE_ENTRIES = (
+    "- 1|- 5|1 1|1 2|1 3|1 5|2 1|2 2|2 5|2,1 2|2,1 5|3 2|3 5|3,1 2|3,1 5|4 2|4 5|"
+    "3,2 2|3,2 3|3,2 5|4,1 2|4,1 3|4,1 5|5 2|5 3|5 5|3,2,1 3|4,2 3|5,1 3|6 3|"
+    "4,2,1 3|4,3 3|5,2 3|6,1 3|7 3|4,3,1 3|5,2,1 3|5,3 3|6,2 3|7,1 3|8 3"
+).split("|")
+
+
+def test_gamma_jobs_cache_only_the_tables_they_read(tmp_path, monkeypatch, capsys):
+    # the memos behind Q_poly stay out of the cache file: every line is
+    # parsed by each later job that loads it
+    cache = str(tmp_path / "cache")
+    for argv in (["pieri", "--bound", "7"], ["verify", "cauchy", "--degree", "5", "--vars", "5"]):
+        # each job starts as a fresh process would, with nothing memoized
+        monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+        assert main(argv + ["--cache-dir", cache]) == 0
+    capsys.readouterr()
+    body = open(os.path.join(cache, "qpoly.cache")).read().split("\n", 1)[1]
+    heads = [line.split(" : ")[0][2:] for line in body.splitlines()]
+    assert heads == list(_GAMMA_CACHE_ENTRIES)
+
+
 def _corrupt_flip(data):
     # one coefficient of the Q_{(2,1)} line in 3 variables, 4 -> 5
     return _edit_q21_line(data, b"2,1=4", b"2,1=5")

@@ -32,6 +32,7 @@ from oracles import (
     orbit_poly,
     pack_monomial,
     q_gen,
+    q_route_Q_poly,
     tableau_oracle_Q,
 )
 
@@ -141,6 +142,27 @@ def test_Q_polys_symmetric():
             full = full_Q_poly(lam, N)
             assert full.is_symmetric()
             assert full == orbit_poly(Q_poly(lam, N), N)
+
+
+_STRICT_UPTO_10 = [lam for n in range(11) for lam in enumerate_strict(n)]
+
+
+@pytest.mark.parametrize("lam", _STRICT_UPTO_10, ids=repr)
+def test_branching_table_matches_the_q_route(lam, monkeypatch):
+    # an empty memo makes Q_poly build every table afresh
+    monkeypatch.setattr(symfunc, "_QPOLY_CACHE", {})
+    for N in range(7):
+        assert Q_poly(lam, N) == q_route_Q_poly(lam, N), N
+
+
+def test_one_variable_factor_on_hand_cases():
+    # (2,1)/(1) is a vertical domino in the shifted diagram: one diagonal
+    assert symfunc._interlaced((2, 1), 1) == (((1,), 2),)
+    # (3,1)/(2) is two separate boxes
+    assert symfunc._interlaced((3, 1), 2) == (((2,), 4),)
+    # (1) does not interlace (3,2), nor does any mu of size 1
+    assert symfunc._interlaced((3, 2), 1) == ()
+    assert Q_poly(sp(3, 2, 1), 2) == {}
 
 
 @pytest.mark.parametrize("d", range(7))
