@@ -32,7 +32,7 @@ SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 # n and m of verify prop-dim: its systems are built on the support of their
 # weights, so each rank costs about what rank 2 does, up to this one
 SAFE_PROP_RANK = 12
-SAFE_DEGREE = 10  # Cauchy truncation degree and number of variables
+SAFE_DEGREE = 14  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
 
@@ -250,7 +250,7 @@ def _verify_cauchy(args):
             "--vars %d below --degree %d: the Cauchy truncation needs "
             "--vars >= --degree" % (args.vars, args.degree)
         )
-    rep = symfunc.cauchy_check(args.degree, args.vars)
+    first_failure = symfunc.cauchy_check(args.degree, args.vars)
     payload = {
         "target": "cauchy",
         "degree": args.degree,
@@ -258,11 +258,11 @@ def _verify_cauchy(args):
         "cases": [
             {
                 "identity": "prod (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)",
-                "pass": rep.ok,
-                "first_failure": rep.first_failure,
+                "pass": first_failure is None,
+                "first_failure": first_failure,
             }
         ],
-        "status": rep.ok,
+        "status": first_failure is None,
     }
     return payload, None
 

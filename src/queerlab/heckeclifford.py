@@ -12,10 +12,10 @@ Casimir checks them.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from math import factorial, isqrt, prod
+from math import factorial, isqrt
 
-from .partitions import StrictPartition, contains, delta, enumerate_partitions, enumerate_strict, l_max
-from .symfunc import _table_mul, expand_in_Q, induct_mult
+from .partitions import StrictPartition, contains, delta, enumerate_strict, l_max, odd_partitions, z
+from .symfunc import _power_sum, expand_in_Q, induct_mult
 
 
 class DecompositionError(RuntimeError):
@@ -81,17 +81,10 @@ def all_words(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _class_types(n: int) -> list:
-    """The cycle types of the signed classes C_t of H_n: the partitions of n
-    into odd parts, ascending, so that C_0 is the unit."""
-    return [t for t in reversed(enumerate_partitions(n)) if all(part & 1 for part in t)]
-
-
 def _class_size(t: tuple) -> int:
     """|C_t| = n!/z_t 2^(n - l(t)): the permutations of type t, each with the
     2^(c-1) masks even on each of its cycles of length c."""
-    z = prod(part ** t.count(part) * factorial(t.count(part)) for part in set(t))
-    return factorial(sum(t)) // z << sum(t) - len(t)
+    return factorial(sum(t)) // z(t) << sum(t) - len(t)
 
 
 def _class_word(mask: int, p: tuple):
@@ -193,7 +186,7 @@ def casimir_rows(n: int) -> list:
     (C_3 C_b)[q_i] sums C_3[u'] C_b[alpha^mask (p q_i)] over the 8 C(n, 3)
     words u' = alpha^mask p of C_3.
     """
-    types = _class_types(n)
+    types = odd_partitions(n)
     index = {t: j for j, t in enumerate(types)}
     starts = []
     for t in types:
@@ -220,18 +213,15 @@ def _spin_characters(n: int, types: list) -> dict:
     = [Q_lambda] p_t, the coefficient of Q_lambda in the power sum p_t, for
     the strict partitions lambda of n in `enumerate_strict` order.
 
-    p_t is the `symfunc` table of the product of its p_r, each the table
-    {(r,): 1}, in L variables, where every Q_lambda of degree n survives and
-    they stay independent; `expand_in_Q` reads its P-coordinates, the ints
-    2^l(lambda) c_lambda(t) (Macdonald, III.8), and l(lambda) <= L.
+    p_t is the `symfunc` table `_power_sum(t, L)`, in L variables, where
+    every Q_lambda of degree n survives and they stay independent;
+    `expand_in_Q` reads its P-coordinates, the ints 2^l(lambda) c_lambda(t)
+    (Macdonald, III.8), and l(lambda) <= L.
     """
     N = l_max(n)
     out = {lam: [] for lam in enumerate_strict(n)}
     for t in types:
-        p_t = {(): 1}
-        for r in t:
-            p_t = _table_mul(p_t, {(r,): 1}, N)
-        coeffs = expand_in_Q(p_t, N)
+        coeffs = expand_in_Q(_power_sum(t, N), N)
         for lam, row in out.items():
             row.append(coeffs.get(lam, 0) << N - lam.length)
     return out
@@ -297,7 +287,7 @@ def decompose_regular(n: int) -> IsotypicTable:
     """
     if n in _TABLE_CACHE:
         return _TABLE_CACHE[n]
-    types = _class_types(n)
+    types = odd_partitions(n)
     table = IsotypicTable(n, {}, types, [_class_size(t) for t in types])
     rows = casimir_rows(n)
     values = _content_values(n)

@@ -1,9 +1,10 @@
 """Strict partitions, containment order, delta, staircases, adding a box;
-the plain partitions of n."""
+the plain partitions of n, those into odd parts, and z_rho."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial, prod
 
 
 class StrictPartition:
@@ -123,6 +124,19 @@ def enumerate_strict(n: int) -> tuple[StrictPartition, ...]:
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n as tuples of parts, lexicographically descending."""
     return list(_descending(n, n, 0))
+
+
+def odd_partitions(n: int) -> list[tuple[int, ...]]:
+    """The partitions of n into odd parts, lexicographically ascending, so
+    that (1^n) comes first: the odd cycle types, as many as the strict
+    partitions of n."""
+    return [t for t in reversed(enumerate_partitions(n)) if all(part & 1 for part in t)]
+
+
+def z(rho: tuple) -> int:
+    """z_rho = prod_i i^m_i m_i!, m_i the number of parts of rho equal to i:
+    the order of the centralizer in S_n of a permutation of cycle type rho."""
+    return prod(part ** rho.count(part) * factorial(rho.count(part)) for part in set(rho))
 
 
 def l_max(d: int) -> int:

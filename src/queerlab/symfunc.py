@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .linalg import add_term
 from .partitions import (
@@ -32,6 +33,8 @@ from .partitions import (
     enumerate_partitions,
     enumerate_strict,
     l_max,
+    odd_partitions,
+    z,
 )
 
 
@@ -312,60 +315,54 @@ def _checked_table(lam: StrictPartition, N: int):
     return table if all(_is_key(k, lam.size, N) for k in table) else None
 
 
-class CauchyReport:
-    def __init__(self, ok, degree, variables, first_failure=None):
-        self.ok = ok
-        self.degree = degree
-        self.variables = variables
-        self.first_failure = first_failure  # (xdeg, ydeg) or None
+@lru_cache(maxsize=None)
+def _power_coeff(rho: tuple, alpha: tuple) -> int:
+    """[x^alpha]p_rho for a partition alpha with no zero part, in any number
+    of variables at least l(alpha): the ways to send each part of rho to a
+    variable so that the loads are alpha.
 
-    def __repr__(self):
-        if self.ok:
-            return "CauchyReport(ok through degree %d, N=%d)" % (
-                self.degree,
-                self.variables,
-            )
-        return "CauchyReport(FAIL at bidegree %r)" % (self.first_failure,)
-
-
-def _cauchy_kernel():
-    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
-    partitions alpha, beta of one size, with no zero parts.
-
-    The coefficient sums 2^(nonzero entries) over the nonnegative integer
-    matrices with row sums alpha and column sums beta, since (1+t)/(1-t) =
-    1 + 2 sum_{k>=1} t^k. It is counted row by row, memoized on the rows
-    left and the column sums left, sorted descending since permuting the
-    columns permutes the matrices. The memo lives as long as the function.
+    The first part of rho goes to some x_j with alpha_j >= rho_1, and
+    p_(rho_2, ...) is symmetric, so the rest of alpha stays a sorted key.
     """
-    memo = {}
+    if not rho:
+        return int(not alpha)
+    r, rest = rho[0], rho[1:]
+    loads = (_sorted_key(alpha[:j] + (a - r,) + alpha[j + 1 :]) for j, a in enumerate(alpha) if a >= r)
+    return sum(_power_coeff(rest, left) for left in loads)
 
-    def kernel(rows: tuple, cols: tuple) -> int:
-        if not rows:
-            return 1
-        key = (rows, cols)
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            fillings = [((), 0, 1)]  # (column sums left, row sum placed, weight)
-            for c in cols:
-                fillings = [
-                    (left + (c - e,), placed + e, 2 * weight if e else weight)
-                    for left, placed, weight in fillings
-                    for e in range(min(c, rows[0] - placed) + 1)
-                ]
-            for left, placed, weight in fillings:
-                if placed == rows[0]:
-                    total += weight * kernel(rows[1:], _sorted_key(left))
-            memo[key] = total
-        return total
+
+def _power_sum(rho: tuple, N: int) -> dict:
+    """The table of the power sum p_rho = p_rho_1 p_rho_2 ... in N variables,
+    each coefficient read off `_power_coeff`."""
+    coeffs = ((alpha, _power_coeff(rho, alpha)) for alpha in _partitions(sum(rho), N))
+    return {alpha: c for alpha, c in coeffs if c}
+
+
+def _power_kernel(k: int, N: int):
+    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
+    partitions alpha, beta of k with at most N parts.
+
+    log (1+t)/(1-t) = 2 sum_{r odd} t^r / r, so the kernel is sum_rho
+    2^{l(rho)} z_rho^{-1} p_rho(x) p_rho(y) over the rho of k into odd parts
+    (Macdonald, III.8), summed over L = lcm(z_rho) and divided by L with
+    `divmod`: on a remainder the function returns None, equal to no int.
+    """
+    types = odd_partitions(k)
+    L = lcm(*map(z, types))
+    terms = [(L // z(rho) << len(rho), _power_sum(rho, N)) for rho in types]
+
+    def kernel(alpha: tuple, beta: tuple):
+        c, rem = divmod(sum(w * p.get(alpha, 0) * p.get(beta, 0) for w, p in terms), L)
+        return None if rem else c
 
     return kernel
 
 
-def cauchy_check(d: int, N: int) -> CauchyReport:
+def cauchy_check(d: int, N: int):
     """Verify prod_{i,j<=N} (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)
-    through degree d in x_1..x_N and y_1..y_N, on dominant coefficients.
+    through degree d in x_1..x_N and y_1..y_N, on dominant coefficients:
+    None, or (k, k) for the least degree k at which a Q_lambda of size k
+    fails its check or a coefficient of bidegree (k, k) differs.
 
     Both sides are symmetric in x, and separately in y, so they agree once
     their coefficients at x^alpha y^beta agree for every pair of partitions
@@ -381,31 +378,28 @@ def cauchy_check(d: int, N: int) -> CauchyReport:
     taking lambda in descending lex order, that forces the matrix to be the
     identity matrix.
 
-    The kernel coefficient is counted by `_cauchy_kernel`. The right side
-    reads [x^alpha]Q_lambda and [y^beta]P_lambda off the Q_poly tables,
-    P_lambda shifted down by l(lambda): a table wrong at a key other than
-    lambda is caught at (that key, lambda), where P_lambda holds 1.
-
-    first_failure is (k, k) for the least degree k at which a Q_lambda of
-    size k fails its check or a coefficient of bidegree (k, k) differs.
+    The left side is read off the odd power sums (`_power_kernel`), the
+    right side off the Q_poly tables, so the two share no formula; P_lambda
+    is Q_lambda shifted down by l(lambda), so a table wrong at a key other
+    than lambda is caught at (that key, lambda), where P_lambda holds 1.
     """
     if N < d:
         raise ValueError("need N >= d for a faithful truncation")
-    kernel = _cauchy_kernel()
     for k in range(d + 1):
         dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by key
         for lam in enumerate_strict(k):
             q = _checked_table(lam, N)
             if q is None:
-                return CauchyReport(False, d, N, first_failure=(k, k))
+                return (k, k)
             dominant.append((q, {e: c >> lam.length for e, c in q.items()}))
+        kernel = _power_kernel(k, N)
         shapes = enumerate_partitions(k)
         for alpha in shapes:
             for beta in shapes:
                 rhs = sum(q.get(alpha, 0) * p.get(beta, 0) for q, p in dominant)
                 if kernel(alpha, beta) != rhs:
-                    return CauchyReport(False, d, N, first_failure=(k, k))
-    return CauchyReport(True, d, N)
+                    return (k, k)
+    return None
 
 
 # ---------------------------------------------------------------------------

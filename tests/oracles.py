@@ -9,11 +9,15 @@ table back). `full_Q_poly` multiplies out the full generators `q_gen` along
 q-monomial a chain of `symfunc._table_mul` products, where `Q_poly` reads
 each coefficient off the one-variable branching rule; `tableau_oracle_Q`
 builds Q_lambda from marked shifted tableaux, apart from the q_r
-recursion. `cauchy_kernel_truncated` and `cauchy_rhs_truncated` expand both sides of the Cauchy identity in all
-2N variables x_1..x_N, y_1..y_N, where `symfunc.cauchy_check` compares
-dominant coefficients only. `gamma_mul` multiplies Q-basis combinations by
-bilinearity, where the CLI multiplies two basis elements
-(`symfunc.gamma_product`).
+recursion. `cauchy_kernel_truncated` and `cauchy_rhs_truncated` expand
+both sides of the Cauchy identity in all 2N variables x_1..x_N, y_1..y_N,
+where `symfunc.cauchy_check` compares dominant coefficients only;
+`cauchy_kernel_dp` counts a dominant kernel coefficient over integer
+matrices, where `cauchy_check` reads it off the odd power sums, and
+`power_sum_by_products` builds p_rho as a chain of `_table_mul` products,
+where `symfunc._power_sum` counts the ways to load the variables.
+`gamma_mul` multiplies Q-basis combinations by bilinearity, where the CLI
+multiplies two basis elements (`symfunc.gamma_product`).
 
 `numerators` brings a Cyclo8Scalar vector into an `Echelon`, and
 `scalar_rows` reads an `Echelon` back as Cyclo8Scalar rows at pivot 1.
@@ -355,6 +359,50 @@ def cauchy_kernel_truncated(d: int, N: int) -> dict:
     return poly
 
 
+def cauchy_kernel_dp():
+    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
+    partitions alpha, beta of one size, with no zero parts.
+
+    The coefficient sums 2^(nonzero entries) over the nonnegative integer
+    matrices with row sums alpha and column sums beta, since (1+t)/(1-t) =
+    1 + 2 sum_{k>=1} t^k. It is counted row by row, memoized on the rows
+    left and the column sums left, sorted descending since permuting the
+    columns permutes the matrices. The memo lives as long as the function.
+    """
+    memo = {}
+
+    def kernel(rows: tuple, cols: tuple) -> int:
+        if not rows:
+            return 1
+        key = (rows, cols)
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            fillings = [((), 0, 1)]  # (column sums left, row sum placed, weight)
+            for c in cols:
+                fillings = [
+                    (left + (c - e,), placed + e, 2 * weight if e else weight)
+                    for left, placed, weight in fillings
+                    for e in range(min(c, rows[0] - placed) + 1)
+                ]
+            for left, placed, weight in fillings:
+                if placed == rows[0]:
+                    total += weight * kernel(rows[1:], tuple(sorted(filter(None, left), reverse=True)))
+            memo[key] = total
+        return total
+
+    return kernel
+
+
+def power_sum_by_products(rho: tuple, N: int) -> dict:
+    """The table of p_rho in N variables, the chain of `_table_mul` products
+    of the tables {(r,): 1} of its p_r."""
+    out = {(): 1}
+    for r in rho:
+        out = _table_mul(out, {(r,): 1}, N)
+    return out
+
+
 def _exact_quotient(c, den: int):
     """c / den as an int when the division is exact, else as a Fraction, which
     can never equal an int kernel coefficient and so shows as a mismatch."""
@@ -631,7 +679,7 @@ def _signed_classes(n: int) -> tuple:
     types[j] is the cycle type of C_j, and starts[j] = (0, p) its word with
     coefficient 1, p the first permutation of that type in lexicographic
     order; the classes are numbered in that order, which is not the order of
-    `heckeclifford._class_types` from n = 7 on. index maps each permutation p
+    `partitions.odd_partitions` from n = 7 on. index maps each permutation p
     of odd cycle type to (j, signs): the word alpha^mask p is in C_j with
     coefficient signs[mask] = +-1. A central c is sum_j c[starts[j]] C_j.
     See `heckeclifford._class_word` for why these are the classes and signs.

@@ -35,10 +35,9 @@ def test_ac1_pieri():
 def test_ac2_cauchy():
     from queerlab.symfunc import cauchy_check
 
-    rep = cauchy_check(10, 10)
     _report(
         "AC-2",
-        rep.ok,
+        cauchy_check(10, 10) is None,
         "Cauchy kernel identity through total degree 10 in 10+10 variables",
     )
 

@@ -40,7 +40,6 @@ from queerlab.heckeclifford import (
     IsotypicBlock,
     IsotypicTable,
     _check_orthogonal,
-    _class_types,
     _class_word,
     _content_values,
     _spin_characters,
@@ -53,7 +52,7 @@ from queerlab.heckeclifford import (
     word_mult,
 )
 from queerlab.linalg import Echelon, span
-from queerlab.partitions import StrictPartition, contains, enumerate_strict, l_max
+from queerlab.partitions import StrictPartition, contains, enumerate_strict, l_max, odd_partitions
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
 
@@ -497,7 +496,7 @@ def test_class_types_and_sizes_match_the_oracle(n):
     for j, signs in index.values():
         sizes[types[j]] += len(signs)
     table = decompose_regular(n)
-    assert table.types == _class_types(n) and sorted(table.types) == sorted(types)
+    assert table.types == odd_partitions(n) and sorted(table.types) == sorted(types)
     assert dict(zip(table.types, table.weights)) == sizes
 
 
@@ -518,7 +517,7 @@ def test_structure_constants_match_product_coefficient(n):
     z = casimir(n)
     _, types, _ = _signed_classes(n)
     pairs = dict(zip(types, class_sums(n)))
-    classes = _class_types(n)
+    classes = odd_partitions(n)
     rows = casimir_rows(n)
     for i, ti in enumerate(classes):
         for b, tb in enumerate(classes):
@@ -610,7 +609,7 @@ def test_closed_form_casimir_matches_words(n):
     # z * 1, column 0 of the matrix: n(n-1) + the 3-cycle class, expanded
     # with every word's class sign, is the Casimir built from the odd
     # Jucys-Murphy elements
-    column = {t: Cyclo8Scalar.from_int(row[0]) for t, row in zip(_class_types(n), casimir_rows(n))}
+    column = {t: Cyclo8Scalar.from_int(row[0]) for t, row in zip(odd_partitions(n), casimir_rows(n))}
     one, three = (1,) * n, (3,) + (1,) * (n - 3)
     assert column == {t: n * (n - 1) * (t == one) + (t == three) for t in column}
     assert class_element(n, column) == casimir(n)
@@ -638,7 +637,7 @@ def test_closed_form_idempotents_match_the_casimir_split(n):
 def test_both_numerators_of_the_closed_form_are_integers(n):
     # 2^l(lambda) c_lambda(1^n) and 2^l(t) c_lambda(t), read off the ints
     # 2^L c_lambda(t) that _spin_characters returns, L = l_max(n)
-    types = _class_types(n)
+    types = odd_partitions(n)
     den = 2 ** l_max(n)
     for lam, c in _spin_characters(n, types).items():
         assert all(type(x) is int for x in c), lam

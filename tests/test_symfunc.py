@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queerlab import symfunc
-from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict, l_max
+from queerlab.partitions import EMPTY, StrictPartition, enumerate_partitions, enumerate_strict, l_max, odd_partitions
 from queerlab.symfunc import (
     InconsistentMultiplicity,
     NotInGammaSpan,
@@ -24,6 +24,7 @@ from queerlab.symfunc import (
 
 from oracles import (
     NVarPoly,
+    cauchy_kernel_dp,
     cauchy_kernel_truncated,
     cauchy_rhs_truncated,
     dominant,
@@ -31,6 +32,7 @@ from oracles import (
     gamma_mul,
     orbit_poly,
     pack_monomial,
+    power_sum_by_products,
     q_gen,
     q_route_Q_poly,
     tableau_oracle_Q,
@@ -341,10 +343,8 @@ def _descending(expo):
 
 
 def test_cauchy_small_and_oracle():
-    rep = cauchy_check(0, 1)
-    assert rep.ok
-    rep = cauchy_check(3, 3)
-    assert rep.ok
+    assert cauchy_check(0, 1) is None
+    assert cauchy_check(3, 3) is None
     # independent oracle for the packed kernel: plain dict product at d <= 3
     d, N = 3, 3
     packed_brute = {pack_monomial(xe, ye, N): c for (xe, ye), c in _brute_kernel(d, N).items()}
@@ -362,29 +362,52 @@ def test_cauchy_degree1_identity():
 @pytest.mark.parametrize("d", range(6))
 def test_cauchy_check_agrees_with_the_full_expansion(d):
     for N in (d, d + 1):
-        assert cauchy_check(d, N).ok
+        assert cauchy_check(d, N) is None
         assert cauchy_kernel_truncated(d, N) == cauchy_rhs_truncated(d, N)
 
 
 @pytest.mark.parametrize("N", range(5))
 def test_kernel_dp_matches_the_brute_force_kernel(N):
-    # at every dominant (alpha, beta) through degree 4, zero parts stripped
-    # for the DP
+    # at every dominant (alpha, beta) through degree 4, zero parts stripped,
+    # for the oracle DP and for the power-sum kernel of cauchy_check
     d = 4
-    kernel = symfunc._cauchy_kernel()
+    dp = cauchy_kernel_dp()
     brute = _brute_kernel(d, N)
     assert {pack_monomial(xe, ye, N): c for (xe, ye), c in brute.items()} == cauchy_kernel_truncated(d, N)
     dominant = {
         (xe, ye): c for (xe, ye), c in brute.items() if xe == _descending(xe) and ye == _descending(ye)
     }
-    want = {}
-    for k in range(d + 1):
-        shapes = [p for p in enumerate_partitions(k) if len(p) <= N]
+    for kernel_of in (lambda k: dp, lambda k: symfunc._power_kernel(k, N)):
+        want = {}
+        for k in range(d + 1):
+            kernel = kernel_of(k)
+            shapes = [p for p in enumerate_partitions(k) if len(p) <= N]
+            for alpha in shapes:
+                for beta in shapes:
+                    key = (alpha + (0,) * (N - len(alpha)), beta + (0,) * (N - len(beta)))
+                    want[key] = kernel(alpha, beta)
+        assert dominant == want
+
+
+def test_power_sum_kernel_matches_the_kernel_dp():
+    # on every pair of partitions of each k <= 10, in k variables
+    dp = cauchy_kernel_dp()
+    for k in range(11):
+        kernel = symfunc._power_kernel(k, k)
+        shapes = enumerate_partitions(k)
         for alpha in shapes:
             for beta in shapes:
-                key = (alpha + (0,) * (N - len(alpha)), beta + (0,) * (N - len(beta)))
-                want[key] = kernel(alpha, beta)
-    assert dominant == want
+                assert kernel(alpha, beta) == dp(alpha, beta), (alpha, beta)
+
+
+def test_power_sum_tables_match_the_chained_products():
+    # p_t for every odd type t of n <= 12, in the l_max(n) variables the
+    # spin characters read it in, and in n variables, where every partition
+    # of n is a key
+    for n in range(13):
+        for N in {l_max(n), n}:
+            for t in odd_partitions(n):
+                assert symfunc._power_sum(t, N) == power_sum_by_products(t, N), (t, N)
 
 
 @pytest.mark.parametrize("N", range(5))
@@ -450,9 +473,7 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
     key = max(bad)
     bad[key] = flip(bad[key])
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
-    rep = cauchy_check(3, 3)
-    assert not rep.ok
-    assert rep.first_failure == (3, 3)
+    assert cauchy_check(3, 3) == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -473,9 +494,7 @@ def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, 
     bad = dict(Q_poly(lam, 3))
     corrupt(bad)
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
-    rep = cauchy_check(3, 3)
-    assert not rep.ok
-    assert rep.first_failure == (3, 3)
+    assert cauchy_check(3, 3) == (3, 3)
 
 
 def test_cache_line_roundtrip():
