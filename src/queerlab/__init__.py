@@ -1,8 +1,10 @@
 """queerlab: exact computations with strict partitions, Schur P/Q functions,
 Hecke-Clifford (super)algebras, and the queer matrix algebra A(n,m).
 
-All arithmetic happens in the Gaussian rationals Q(zeta), zeta a square root
-of -1, so every coefficient is exact and nothing is ever rounded.
+Gamma, H_n and the queer dimensions run on ints, `linalg` and `amodule` on
+Gaussian integers (re, im), and only `spoly` and `jets` on `Cyclo8Scalar`,
+the Gaussian rationals Q(zeta), zeta a square root of -1; every coefficient
+is exact and nothing is ever rounded.
 """
 
 # Every module is imported here, not lazily: bench/tracer.py wraps each layer

@@ -458,29 +458,6 @@ def _singular_basis(n: int, m: int, lam: StrictPartition) -> list[dict]:
     return basis
 
 
-class MembershipCase:
-    __slots__ = ("lam", "mu", "predicted", "observed")
-
-    def __init__(self, lam: StrictPartition, mu: StrictPartition, predicted: bool, observed: bool):
-        self.lam = lam
-        self.mu = mu
-        self.predicted = predicted
-        self.observed = observed
-
-    @property
-    def passed(self):
-        return self.predicted == self.observed
-
-    def to_dict(self):
-        return {
-            "lambda": self.lam.serialize(),
-            "mu": self.mu.serialize(),
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "pass": self.passed,
-        }
-
-
 # ---------------------------------------------------------------------------
 # the Fischer form and the one-box relation
 # ---------------------------------------------------------------------------

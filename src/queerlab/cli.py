@@ -8,7 +8,8 @@ building its parser took about 2.5 ms of every run.
 Exit codes: 0 all checks passed, 1 a theorem check failed (a case reported
 false, or an exact identity the check relies on failed: InconsistentMultiplicity,
 DecompositionError, ContravarianceError, HomDimError, ActionError), 2 bad input
-(parse errors included) or an internal error.
+(parse errors included) or an internal error. A cache file that cannot be read
+or written costs a warning, not the exit code.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ SAFE_PROP_RANK = 12
 SAFE_DEGREE = 14  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
+SAFE_JET_ORDER = 11  # jet order of verify phi-psi
+# |lambda| of dump q-expansion: the longest shapes of each size are its slowest
+SAFE_Q_SIZE = 54
 
 # The int flags of every subcommand: flag -> (default, lowest value, help).
 # A value below the lowest is bad input, refused with or without --unsafe.
@@ -79,10 +83,11 @@ def _check(args, safe):
             )
 
 
-def _writable(flag: str, path: str):
+def _writable(flag: str, path: str, write: bool = True):
     """Create the directory of the file `path` that `flag` writes. A directory
     that cannot be made (a regular file on its path, no permission), or a
-    directory at `path` itself, is bad input."""
+    directory at `path` itself, is bad input; so is a `path` this process may
+    not write, when `write` is set."""
     folder = os.path.dirname(path) or "."
     try:
         os.makedirs(folder, exist_ok=True)
@@ -90,6 +95,8 @@ def _writable(flag: str, path: str):
         raise ConfigError("%s: cannot make the directory %s: %s" % (flag, folder, exc.strerror or exc))
     if os.path.isdir(path):
         raise ConfigError("%s: %s is a directory" % (flag, path))
+    if write and not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigError("%s: cannot write %s" % (flag, path))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +129,7 @@ def load_qpoly_cache(cache_dir: str) -> int:
     at most N parts, a coefficient that is not an int multiple of
     2^{l(lambda)}, or not 2^{l(lambda)} at x^lambda) is ignored with a
     warning, so its entries are recomputed and the file is rewritten at the
-    end of the run.
+    end of the run. So is a file that cannot be read.
     """
     path = os.path.join(cache_dir, CACHE_FILE)
     if not os.path.exists(path):
@@ -141,8 +148,9 @@ def load_qpoly_cache(cache_dir: str) -> int:
             for line in body.splitlines()
             if line.strip()
         ]
-    except ValueError as exc:
-        print("warning: ignoring corrupt cache %s: %s" % (path, exc), file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        what = "unreadable" if isinstance(exc, OSError) else "corrupt"
+        print("warning: ignoring %s cache %s: %s" % (what, path, exc), file=sys.stderr)
         return 0
     for lam, N, table in entries:
         symfunc._QPOLY_CACHE[(lam, N)] = table
@@ -271,28 +279,15 @@ def _verify_hecke_ideals(args):
     from .heckeclifford import braid_conjugation_cases, decompose_regular, verify_tensor_ideal_theorem
 
     cases = verify_tensor_ideal_theorem(args.nmax)
-    braid = []
-    law_breaks = 0
-    for (mm, nn) in [(1, 1), (1, 2), (2, 1)]:
-        for b in braid_conjugation_cases(mm, nn):
-            law_breaks += not b.matches_parity_law
-            if not b.matches_paper_mn:
-                braid.append(
-                    {
-                        "m": b.m,
-                        "n": b.n,
-                        "x_parity": b.x_parity,
-                        "y_parity": b.y_parity,
-                        "empirical_sign": b.empirical_sign,
-                        "paper_mn_sign": b.paper_mn_sign,
-                    }
-                )
+    braid = [b for mn in [(1, 1), (1, 2), (2, 1)] for b in braid_conjugation_cases(*mn)]
+    law_breaks = sum(b["empirical_sign"] != (-1) ** (b["x_parity"] * b["y_parity"]) for b in braid)
+    mismatches = [b for b in braid if b["empirical_sign"] != b["paper_mn_sign"]]
     # the stated law is checked on every case; the paper's exponent is only noted
-    ok = _all_passed(c.passed for c in cases) and not law_breaks
+    ok = _all_passed(c["pass"] for c in cases) and not law_breaks
     payload = {
         "target": "hecke-ideals",
         "nmax": args.nmax,
-        "cases": [c.to_dict() for c in cases],
+        "cases": cases,
         # the signed classes of each H_n: the center's dimension and its
         # number of words, sum |C_j|
         "center": {
@@ -302,8 +297,8 @@ def _verify_hecke_ideals(args):
         "braid_sign_note": {
             "empirical_law": "sign = (-1)^{|x||y|}",
             "parity_law_mismatches": law_breaks,
-            "paper_mn_exponent_mismatches": len(braid),
-            "sample": braid[:4],
+            "paper_mn_exponent_mismatches": len(mismatches),
+            "sample": mismatches[:4],
         },
         "status": ok,
     }
@@ -315,7 +310,7 @@ def _verify_hecke_ideals(args):
             ";".join(c["observed_support"]),
             c["pass"],
         ]
-        for c in payload["cases"]
+        for c in cases
     ]
     return payload, rows
 
@@ -344,8 +339,20 @@ def _one_box_report(relation: dict, checks: int) -> dict:
     }
 
 
+def membership_case(lam: StrictPartition, mu: StrictPartition, predicted: bool, observed: bool) -> dict:
+    """One case of an ideal check in A(n,m): is L_mu in the ideal of L_lambda,
+    as predicted and as observed."""
+    return {
+        "lambda": lam.serialize(),
+        "mu": mu.serialize(),
+        "predicted": predicted,
+        "observed": observed,
+        "pass": predicted == observed,
+    }
+
+
 def _verify_main_theorem(args):
-    from .amodule import MembershipCase, contravariance_check, ideal_summands
+    from .amodule import contravariance_check, ideal_summands
 
     checks = contravariance_check(args.n, args.m)
     cands = all_strict_upto(args.dmax, min(args.n, args.m))
@@ -353,7 +360,7 @@ def _verify_main_theorem(args):
     cases = []
     for lam in cands:
         reached = ideal_summands(args.n, args.m, lam, args.dmax, relation)
-        cases += [MembershipCase(lam, mu, contains(lam, mu), mu in reached).to_dict() for mu in cands]
+        cases += [membership_case(lam, mu, contains(lam, mu), mu in reached) for mu in cands]
     payload = {
         "target": "main-theorem",
         "n": args.n,
@@ -370,7 +377,7 @@ def _verify_main_theorem(args):
 def _verify_determinantal(args):
     """The staircase (r+1, ..., 1) generates exactly the mu with l(mu) > r:
     row r of the main-theorem matrix, walked from the staircase alone."""
-    from .amodule import MembershipCase, contravariance_check, ideal_summands
+    from .amodule import contravariance_check, ideal_summands
 
     r = 1
     stair = staircase(r)
@@ -380,15 +387,15 @@ def _verify_determinantal(args):
     relation = {}
     reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)
     mus = all_strict_upto(args.dmax, min(args.n, args.m))
-    cases = [MembershipCase(stair, mu, mu.length > r, mu in reached) for mu in mus]
+    cases = [membership_case(stair, mu, mu.length > r, mu in reached) for mu in mus]
     payload = {
         "target": "determinantal",
         "r": r,
         "effective_rank": _effective_rank([stair] + mus),
-        "cases": [c.to_dict() for c in cases],
-        "quotient_lengths_outside": sorted({c.mu.length for c in cases if not c.observed}),
+        "cases": cases,
+        "quotient_lengths_outside": sorted({mu.length for mu in mus if mu not in reached}),
         **_one_box_report(relation, checks),
-        "status": _all_passed(c.passed for c in cases),
+        "status": _all_passed(c["pass"] for c in cases),
     }
     return payload, None
 
@@ -455,9 +462,11 @@ def _verify_prop_dim(args):
         "n": args.n,
         "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
-        "effective_rank": _effective_rank(p for c in cases for p in (c.lam, c.mu, c.alpha, c.beta)),
-        "cases": [c.to_dict() for c in cases],
-        "status": _all_passed(c.passed for c in cases),
+        "effective_rank": _effective_rank(
+            StrictPartition.parse(c[k]) for c in cases for k in ("lambda", "mu", "alpha", "beta")
+        ),
+        "cases": cases,
+        "status": _all_passed(c["pass"] for c in cases),
     }
     return payload, None
 
@@ -529,10 +538,10 @@ TARGETS = {
     ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_DMAX),), _CASE_COLUMNS),
     ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),), None),
     ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE)), None),
-    ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK),), None),
+    ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK), ("--jet-order", SAFE_JET_ORDER)), None),
     ("verify", "prop-dim"): (_verify_prop_dim, _PROP_RANK, None),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),), _BLOCK_COLUMNS),
-    ("dump", "q-expansion"): (_dump_q_expansion, (), None),
+    ("dump", "q-expansion"): (_dump_q_expansion, (("|--lambda|", SAFE_Q_SIZE),), None),
     # dim_T is a trace over the center of H_|lambda|, whatever --n is
     ("dump", "dims"): (_dump_dims, (("|--lambda|", SAFE_H_RANK),), None),
 }
@@ -657,14 +666,19 @@ def main(argv=None) -> int:
         if args.out:
             _writable("--out", args.out)
         if args.cache_dir:
-            _writable("--cache-dir", os.path.join(args.cache_dir, CACHE_FILE))
+            # a cache directory this process may not write still serves a complete file
+            _writable("--cache-dir", os.path.join(args.cache_dir, CACHE_FILE), write=False)
         loaded = load_qpoly_cache(args.cache_dir) if args.cache_dir else 0
         payload, rows = run(args)
         emit(args, payload, rows, header)
         # the memo holds every entry loaded, so it outgrows them exactly when
         # the file lacks an entry (or was not loaded) and must be rewritten
         if args.cache_dir and len(symfunc._QPOLY_CACHE) > loaded:
-            write_qpoly_cache(args.cache_dir)
+            try:
+                write_qpoly_cache(args.cache_dir)
+            except OSError as exc:
+                # the cache only saves time: the verdict stands without it
+                print("warning: cannot write the cache in %s: %s" % (args.cache_dir, exc), file=sys.stderr)
         return 0 if payload.get("status", True) else 1
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -55,47 +55,6 @@ def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
     return s
 
 
-class HomDimCase:
-    __slots__ = ("lam", "mu", "alpha", "beta", "r", "brute", "formula", "details")
-
-    def __init__(
-        self,
-        lam: StrictPartition,
-        mu: StrictPartition,
-        alpha: StrictPartition,
-        beta: StrictPartition,
-        r: int,
-        brute: int,
-        formula: int,
-        details: dict,
-    ):
-        self.lam = lam
-        self.mu = mu
-        self.alpha = alpha
-        self.beta = beta
-        self.r = r
-        self.brute = brute
-        self.formula = formula
-        self.details = details
-
-    @property
-    def passed(self):
-        return self.brute == self.formula
-
-    def to_dict(self):
-        return {
-            "lambda": self.lam.serialize(),
-            "mu": self.mu.serialize(),
-            "alpha": self.alpha.serialize(),
-            "beta": self.beta.serialize(),
-            "r": self.r,
-            "brute_force": self.brute,
-            "formula": self.formula,
-            "pass": self.passed,
-            **self.details,
-        }
-
-
 def hom_dim_check(
     lam: StrictPartition,
     mu: StrictPartition,
@@ -104,8 +63,9 @@ def hom_dim_check(
     n: int = 3,
     m: int = 3,
     r_max: int = 3,
-) -> HomDimCase:
-    """Both sides of the Hom-dimension identity for one case.
+) -> dict:
+    """Both sides of the Hom-dimension identity for one case, as the report's
+    dict: the case, both sides and whether they agree, then the detail keys.
 
     Brute force realizes T_alpha (x) T_beta as S^aV (x) S^bW, a = |alpha|,
     b = |beta| <= 2. The only strict partitions of 1 and 2 are (1) and (2),
@@ -177,7 +137,15 @@ def hom_dim_check(
             "brute-force count %d/%d is not integral (one copy: %d)" % (num, den, one)
         )
     brute = num // den
-    details = {
+    return {
+        "lambda": lam.serialize(),
+        "mu": mu.serialize(),
+        "alpha": alpha.serialize(),
+        "beta": beta.serialize(),
+        "r": r,
+        "brute_force": brute,
+        "formula": formula,
+        "pass": brute == formula,
         "sing_dim": c_alpha * c_beta * one,
         "c_alpha": c_alpha,
         "c_beta": c_beta,
@@ -185,7 +153,6 @@ def hom_dim_check(
         "s_mu": s_m,
         "gamma_terms": f_detail,
     }
-    return HomDimCase(lam, mu, alpha, beta, r, brute, formula, details)
 
 
 def hom_dim_sweep(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2):

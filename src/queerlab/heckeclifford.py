@@ -345,33 +345,7 @@ def decompose_regular(n: int) -> IsotypicTable:
 # ---------------------------------------------------------------------------
 
 
-class SigmaCase:
-    __slots__ = ("lam", "m", "predicted", "observed", "dims_match")
-
-    def __init__(
-        self, lam: StrictPartition, m: int, predicted: list, observed: list, dims_match: bool
-    ):
-        self.lam = lam
-        self.m = m
-        self.predicted = predicted
-        self.observed = observed
-        self.dims_match = dims_match
-
-    @property
-    def passed(self) -> bool:
-        return self.dims_match and set(self.predicted) == set(self.observed)
-
-    def to_dict(self):
-        return {
-            "lambda": self.lam.serialize(),
-            "m": self.m,
-            "predicted_support": [p.serialize() for p in self.predicted],
-            "observed_support": [p.serialize() for p in self.observed],
-            "pass": self.passed,
-        }
-
-
-def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
+def verify_tensor_ideal_theorem(n_max: int = 4) -> list[dict]:
     """Check Sigma^m(J^lambda) = (+) of J^mu over mu containing lambda.
 
     Sigma^m(J^lambda) is the two-sided ideal of H_{n0+m} generated by the
@@ -379,6 +353,8 @@ def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
     ideal is the sum of the blocks J^mu with e_mu * x != 0. Each e_mu * x is
     an idempotent (e_mu is central), so it is nonzero iff its rank, the
     regular trace, is; and the ranks of the parts must add up to that of x.
+    Each case is the report's dict: a case passes when the ranks add up and
+    the predicted and observed supports are one set.
     """
     tables = {r: decompose_regular(r) for r in range(n_max + 1)}
     cases = []
@@ -393,30 +369,16 @@ def verify_tensor_ideal_theorem(n_max: int = 4) -> list[SigmaCase]:
                 observed = [mu for mu, r in ranks.items() if r]
                 unit = [factorial(big.n)] + [0] * (len(big.types) - 1)
                 dims_ok = sum(ranks.values()) == _trace_rank(small, e, big, unit)
-                cases.append(SigmaCase(lam, m, predicted, observed, dims_ok))
+                cases.append(
+                    {
+                        "lambda": lam.serialize(),
+                        "m": m,
+                        "predicted_support": [p.serialize() for p in predicted],
+                        "observed_support": [p.serialize() for p in observed],
+                        "pass": dims_ok and set(predicted) == set(observed),
+                    }
+                )
     return cases
-
-
-class BraidSignCase:
-    __slots__ = ("m", "n", "x_parity", "y_parity", "empirical_sign", "paper_mn_sign")
-
-    def __init__(
-        self, m: int, n: int, x_parity: int, y_parity: int, empirical_sign: int, paper_mn_sign: int
-    ):
-        self.m = m
-        self.n = n
-        self.x_parity = x_parity
-        self.y_parity = y_parity
-        self.empirical_sign = empirical_sign
-        self.paper_mn_sign = paper_mn_sign
-
-    @property
-    def matches_parity_law(self):
-        return self.empirical_sign == (-1) ** (self.x_parity * self.y_parity)
-
-    @property
-    def matches_paper_mn(self):
-        return self.empirical_sign == self.paper_mn_sign
 
 
 def _iota_word(m: int, n: int, wx: tuple, wy: tuple) -> tuple:
@@ -428,9 +390,10 @@ def _iota_word(m: int, n: int, wx: tuple, wy: tuple) -> tuple:
     return word_mult(left, right)
 
 
-def braid_conjugation_cases(m: int, n: int) -> list[BraidSignCase]:
+def braid_conjugation_cases(m: int, n: int) -> list[dict]:
     """Empirical sign in tau iota(x,y) tau^{-1} = sign * iota(y,x) on basis
-    words, tau = tau_{m,n} the block swap of H_{m+n} and tau^{-1} = tau_{n,m}."""
+    words, tau = tau_{m,n} the block swap of H_{m+n} and tau^{-1} = tau_{n,m}.
+    Each case is the dict that the report's `braid_sign_note` samples."""
     tau = (0, tuple(range(n, m + n)) + tuple(range(n)))
     tau_inv = (0, tuple(range(m, m + n)) + tuple(range(m)))
     out = []
@@ -443,13 +406,13 @@ def braid_conjugation_cases(m: int, n: int) -> list[BraidSignCase]:
             if w != rhs:
                 raise DecompositionError("braid conjugation is not +-iota(y,x)")
             out.append(
-                BraidSignCase(
-                    m,
-                    n,
-                    wx[0].bit_count() & 1,
-                    wy[0].bit_count() & 1,
-                    s1 * s2 * s3 * s4,
-                    (-1) ** (m * n),
-                )
+                {
+                    "m": m,
+                    "n": n,
+                    "x_parity": wx[0].bit_count() & 1,
+                    "y_parity": wy[0].bit_count() & 1,
+                    "empirical_sign": s1 * s2 * s3 * s4,
+                    "paper_mn_sign": (-1) ** (m * n),
+                }
             )
     return out

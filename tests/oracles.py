@@ -88,7 +88,6 @@ from itertools import permutations
 from math import factorial, lcm, prod
 
 from queerlab.amodule import (
-    MembershipCase,
     _cell,
     _pad,
     _tables,
@@ -97,7 +96,7 @@ from queerlab.amodule import (
     singular_vectors,
     weight_space_monomials,
 )
-from queerlab.cli import FLAGS, TARGETS
+from queerlab.cli import FLAGS, TARGETS, membership_case
 from queerlab.heckeclifford import (
     IsotypicBlock,
     _bits,
@@ -1873,7 +1872,7 @@ def membership_cases_for(n: int, m: int, lam: StrictPartition, d_max: int):
             observed = False
         else:
             observed = summand_membership(n, m, ideal, mu)
-        cases.append(MembershipCase(lam, mu, contains(lam, mu), observed))
+        cases.append(membership_case(lam, mu, contains(lam, mu), observed))
     return cases
 
 
@@ -1885,7 +1884,7 @@ class DeterminantalReport:
 
     @property
     def passed(self):
-        return all(c.passed for c in self.cases)
+        return all(c["pass"] for c in self.cases)
 
 
 def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> DeterminantalReport:
@@ -1903,7 +1902,7 @@ def determinantal_ideal_check(n: int, m: int, r: int, d_max: int) -> Determinant
             summand_membership(n, m, ideal, mu) if mu.size >= lam.size else False
         )
         predicted = mu.length > r
-        cases.append(MembershipCase(lam, mu, predicted, observed))
+        cases.append(membership_case(lam, mu, predicted, observed))
         if not observed:
             outside.append(mu.length)
     return DeterminantalReport(r, cases, sorted(set(outside)))

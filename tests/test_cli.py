@@ -516,10 +516,7 @@ def test_braid_parity_law_break_fails_the_run(monkeypatch, capsys):
     def one_broken(m, n):
         cases = real(m, n)
         if (m, n) == (1, 1):
-            c = cases[0]
-            cases[0] = heckeclifford.BraidSignCase(
-                c.m, c.n, c.x_parity, c.y_parity, -c.empirical_sign, c.paper_mn_sign
-            )
+            cases[0] = dict(cases[0], empirical_sign=-cases[0]["empirical_sign"])
         return cases
 
     monkeypatch.setattr(heckeclifford, "braid_conjugation_cases", one_broken)
@@ -528,6 +525,50 @@ def test_braid_parity_law_break_fails_the_run(monkeypatch, capsys):
     assert payload["braid_sign_note"]["parity_law_mismatches"] == 1
     assert payload["status"] is False
     assert all(c["pass"] for c in payload["cases"])
+
+
+def test_braid_sign_note_at_nmax_4(capsys):
+    # 11 of the cases at (m, n) = (1, 1), (1, 2), (2, 1) miss the paper's
+    # (-1)^{mn}, none misses the parity law, and the sample is the first four
+    assert main(["verify", "hecke-ideals", "--nmax", "4", "--format", "json"]) == 0
+    note = json.loads(capsys.readouterr().out)["braid_sign_note"]
+    assert note == {
+        "empirical_law": "sign = (-1)^{|x||y|}",
+        "parity_law_mismatches": 0,
+        "paper_mn_exponent_mismatches": 11,
+        "sample": [
+            {"m": 1, "n": 1, "x_parity": 0, "y_parity": 0, "empirical_sign": 1, "paper_mn_sign": -1},
+            {"m": 1, "n": 1, "x_parity": 0, "y_parity": 1, "empirical_sign": 1, "paper_mn_sign": -1},
+            {"m": 1, "n": 1, "x_parity": 1, "y_parity": 0, "empirical_sign": 1, "paper_mn_sign": -1},
+            {"m": 1, "n": 2, "x_parity": 1, "y_parity": 1, "empirical_sign": -1, "paper_mn_sign": 1},
+        ],
+    }
+    keys = ["m", "n", "x_parity", "y_parity", "empirical_sign", "paper_mn_sign"]
+    assert all(list(b) == keys for b in note["sample"])
+
+
+_MEMBERSHIP_KEYS = ["lambda", "mu", "predicted", "observed", "pass"]
+
+
+@pytest.mark.parametrize(
+    "target, keys",
+    [
+        ("hecke-ideals", ["lambda", "m", "predicted_support", "observed_support", "pass"]),
+        ("main-theorem", _MEMBERSHIP_KEYS),
+        ("determinantal", _MEMBERSHIP_KEYS),
+        (
+            "prop-dim",
+            ["lambda", "mu", "alpha", "beta", "r", "brute_force", "formula", "pass"]
+            + ["sing_dim", "c_alpha", "c_beta", "s_lambda", "s_mu", "gamma_terms"],
+        ),
+    ],
+)
+def test_case_keys_keep_their_order(target, keys, capsys):
+    # the bench digest dumps with sorted keys, so this is what pins the
+    # order in which a report prints the keys of its cases
+    assert main(["verify", target, "--format", "json"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert list(cases[0]) == keys
 
 
 def test_exit_code_one_on_mismatch(monkeypatch, capsys):
@@ -634,6 +675,93 @@ def test_interrupted_cache_write_keeps_old_file(tmp_path, monkeypatch, capsys):
         cli.write_qpoly_cache(str(cache))
     assert path.read_text() == before
     assert os.listdir(cache) == ["qpoly.cache"]
+
+
+def _fill_cache(cache, monkeypatch, capsys):
+    """Run verify cauchy into the cache dir `cache`, as a fresh process
+    would, and return its report; the next run starts from an empty memo."""
+    argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--format", "json", "--cache-dir", str(cache)]
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    return argv, report
+
+
+def test_unreadable_cache_is_recomputed(tmp_path, monkeypatch, capsys):
+    # a cache file that cannot be opened is ignored with a warning, like a
+    # corrupt one: the run recomputes its tables and keeps its verdict
+    argv, report = _fill_cache(tmp_path / "cache", monkeypatch, capsys)
+
+    def no_read(path, mode="r", *args, **kwargs):
+        if mode == "r":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_read, raising=False)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert "warning: ignoring unreadable cache" in captured.err and "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("fails", ["open", "replace"])
+@pytest.mark.parametrize("status", [True, False])
+def test_failed_cache_write_keeps_the_verdict(fails, status, tmp_path, monkeypatch, capsys):
+    # a cache that cannot be written costs a warning, not the verdict: the
+    # report is printed and the exit code is the verdict's
+    argv = ["verify", "cauchy", "--degree", "3", "--vars", "3", "--cache-dir", str(tmp_path / "cache")]
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    real_check = cli.symfunc.cauchy_check
+
+    def check(d, N):
+        # the real check fills the memo, so the run has tables to write
+        failure = real_check(d, N)
+        return failure if status else (1, 1)
+
+    monkeypatch.setattr(cli.symfunc, "cauchy_check", check)
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    if fails == "open":
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "replace", denied)
+    assert main(argv) == (0 if status else 1)
+    captured = capsys.readouterr()
+    assert "status: %s" % status in captured.out
+    assert captured.err.startswith("warning: cannot write the cache") and "internal error" not in captured.err
+    assert os.listdir(tmp_path / "cache") == []
+
+
+def test_read_only_cache_dir_with_a_complete_file_is_used(tmp_path, monkeypatch, capsys):
+    # a cache dir this process may not write still serves a complete file:
+    # nothing is written, nothing is warned
+    argv, report = _fill_cache(tmp_path / "cache", monkeypatch, capsys)
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+
+    def no_write(cache_dir):
+        raise AssertionError("a complete cache was rewritten")
+
+    monkeypatch.setattr(cli, "write_qpoly_cache", no_write)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (report, "")
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_unwritable_out_exits_two_before_any_verdict(exists, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    if exists:
+        out.write_text("old")
+    ran = []
+    monkeypatch.setattr(cli.symfunc, "cauchy_check", lambda d, N: ran.append((d, N)))
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    assert main(["verify", "cauchy", "--degree", "1", "--vars", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out: cannot write")
+    assert ran == []
+    assert out.read_text() == "old" if exists else not out.exists()
 
 
 def test_stale_cache_ignored(tmp_path):
@@ -816,6 +944,28 @@ def test_raised_gamma_bounds(argv, flag, bound, capsys):
     assert main([a % (bound + 1) if "%" in a else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "--unsafe" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, bound",
+    [
+        (["verify", "phi-psi", "--n", "1", "--jet-order", "%d"], "--jet-order", cli.SAFE_JET_ORDER),
+        # the bound is on |lambda|; a one-part expansion costs nothing
+        (["dump", "q-expansion", "--lambda", "%d"], "--lambda", cli.SAFE_Q_SIZE),
+    ],
+)
+def test_cost_flags_are_bounded(argv, flag, bound, capsys):
+    # the bound runs without --unsafe, one step past it exits 2 naming the
+    # flag, and --unsafe lifts the bound
+    assert main([a % bound if "%" in a else a for a in argv]) == 0
+    capsys.readouterr()
+    past = [a % (bound + 1) if "%" in a else a for a in argv]
+    assert main(past) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and flag in captured.err
+    assert "--unsafe" in captured.err
+    assert main(past + ["--unsafe"]) == 0
+    capsys.readouterr()
 
 
 def test_no_sympy_import():
