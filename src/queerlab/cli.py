@@ -33,7 +33,7 @@ SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
 # n and m of verify prop-dim: its systems are built on the support of their
 # weights, so each rank costs about what rank 2 does, up to this one
 SAFE_PROP_RANK = 12
-SAFE_DEGREE = 14  # Cauchy truncation degree and number of variables
+SAFE_DEGREE = 18  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
 SAFE_JET_ORDER = 11  # jet order of verify phi-psi
@@ -83,20 +83,27 @@ def _check(args, safe):
             )
 
 
-def _writable(flag: str, path: str, write: bool = True):
-    """Create the directory of the file `path` that `flag` writes. A directory
+def _make_folders(files):
+    """Make the folder of each file (flag, path, write) that a flag writes,
+    once every file is checked, so a refused run makes no folder. A folder
     that cannot be made (a regular file on its path, no permission), or a
-    directory at `path` itself, is bad input; so is a `path` this process may
-    not write, when `write` is set."""
-    folder = os.path.dirname(path) or "."
-    try:
-        os.makedirs(folder, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("%s: cannot make the directory %s: %s" % (flag, folder, exc.strerror or exc))
-    if os.path.isdir(path):
-        raise ConfigError("%s: %s is a directory" % (flag, path))
-    if write and not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        raise ConfigError("%s: cannot write %s" % (flag, path))
+    directory at `path` itself, is bad input; so is a `path` this process
+    may not write, when `write` is set."""
+    for flag, path, write in files:
+        folder = top = os.path.dirname(path) or "."
+        while not os.path.exists(top):  # up to the nearest folder that exists
+            top = os.path.dirname(top) or "."
+        if not os.path.isdir(top) or top != folder and not os.access(top, os.W_OK | os.X_OK):
+            raise ConfigError("%s: cannot make the directory %s: %s is not a writable directory" % (flag, folder, top))
+        if os.path.isdir(path):
+            raise ConfigError("%s: %s is a directory" % (flag, path))
+        if write and not os.access(path if os.path.exists(path) else top, os.W_OK):
+            raise ConfigError("%s: cannot write %s" % (flag, path))
+    for flag, path, _ in files:
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("%s: cannot make the directory of %s: %s" % (flag, path, exc.strerror or exc))
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +132,10 @@ def load_qpoly_cache(cache_dir: str) -> int:
 
     The header line is `CACHE_HEADER sha256=<hex digest of the body>`. A file
     of another version is ignored; a file that fails its digest, does not
-    decode or does not parse (a key that is not a partition of |lambda| in
-    at most N parts, a coefficient that is not an int multiple of
-    2^{l(lambda)}, or not 2^{l(lambda)} at x^lambda) is ignored with a
-    warning, so its entries are recomputed and the file is rewritten at the
-    end of the run. So is a file that cannot be read.
+    decode or does not parse (`symfunc.parse_qpoly_cache_line`, which holds
+    each table to `symfunc._table_fault`) is ignored with a warning, so its
+    entries are recomputed and the file is rewritten at the end of the run.
+    So is a file that cannot be read.
     """
     path = os.path.join(cache_dir, CACHE_FILE)
     if not os.path.exists(path):
@@ -663,11 +669,11 @@ def main(argv=None) -> int:
         _check(args, safe)
         if args.fmt == "csv" and header is None:
             raise ConfigError("--format csv: %s has no table" % name)
-        if args.out:
-            _writable("--out", args.out)
+        files = [("--out", args.out, True)] if args.out else []
         if args.cache_dir:
             # a cache directory this process may not write still serves a complete file
-            _writable("--cache-dir", os.path.join(args.cache_dir, CACHE_FILE), write=False)
+            files.append(("--cache-dir", os.path.join(args.cache_dir, CACHE_FILE), False))
+        _make_folders(files)
         loaded = load_qpoly_cache(args.cache_dir) if args.cache_dir else 0
         payload, rows = run(args)
         emit(args, payload, rows, header)

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 from math import factorial, isqrt
 
 from .partitions import StrictPartition, contains, delta, enumerate_strict, l_max, odd_partitions, z
-from .symfunc import _power_sum, expand_in_Q, induct_mult
+from .symfunc import _power_sum_in_P, induct_mult
 
 
 class DecompositionError(RuntimeError):
@@ -213,15 +213,15 @@ def _spin_characters(n: int, types: list) -> dict:
     = [Q_lambda] p_t, the coefficient of Q_lambda in the power sum p_t, for
     the strict partitions lambda of n in `enumerate_strict` order.
 
-    p_t is the `symfunc` table `_power_sum(t, L)`, in L variables, where
-    every Q_lambda of degree n survives and they stay independent;
-    `expand_in_Q` reads its P-coordinates, the ints 2^l(lambda) c_lambda(t)
-    (Macdonald, III.8), and l(lambda) <= L.
+    `symfunc._power_sum_in_P(t, L)` reads the P-coordinates of p_t, the
+    ints 2^l(lambda) c_lambda(t) (Macdonald, III.8), in L variables, where
+    every Q_lambda of degree n survives and they stay independent, and
+    l(lambda) <= L; `cauchy_check` reads the same coordinates.
     """
     N = l_max(n)
     out = {lam: [] for lam in enumerate_strict(n)}
     for t in types:
-        coeffs = expand_in_Q(_power_sum(t, N), N)
+        coeffs = _power_sum_in_P(t, N)
         for lam, row in out.items():
             row.append(coeffs.get(lam, 0) << N - lam.length)
     return out

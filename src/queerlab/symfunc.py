@@ -48,16 +48,6 @@ def _partitions(k: int, N: int) -> tuple:
     return tuple(alpha for alpha in enumerate_partitions(k) if len(alpha) <= N)
 
 
-def _is_key(key: tuple, size: int, N: int) -> bool:
-    """Whether key is a partition of size with at most N parts, with no zero part."""
-    return (
-        len(key) <= N
-        and sum(key) == size
-        and all(p > 0 for p in key)
-        and all(p >= q for p, q in zip(key, key[1:]))
-    )
-
-
 def _sorted_key(expo) -> tuple:
     """The partition that an exponent (or a q-key) sorts to, zero parts dropped."""
     return tuple(sorted(filter(None, expo), reverse=True))
@@ -214,7 +204,9 @@ def expand_in_Q(f: dict, N: int) -> dict[StrictPartition, int]:
     Triangular elimination against the lex-leading key mu of P_mu = Q_mu /
     2^{l(mu)}, whose table has integer coefficients and 1 at mu (Macdonald,
     III.8), so an int table never leaves the ints. Raises NotInGammaSpan on
-    a residual the elimination cannot reach.
+    a residual the elimination cannot reach. The leading key falls at each
+    pass since no P_mu has a key above mu: Q_poly builds none, and the cache
+    loader and `cauchy_check` refuse one (`_table_fault`).
     """
     residual = dict(f)
     found = {}
@@ -237,8 +229,6 @@ def expand_in_Q(f: dict, N: int) -> dict[StrictPartition, int]:
                 residual[kk] = s
             else:
                 residual.pop(kk, None)
-        # a no-op on a table with 1 at mu; on any other it ends the loop
-        residual.pop(k, None)
     return found
 
 
@@ -306,13 +296,23 @@ def induct_mult(
 # ---------------------------------------------------------------------------
 
 
-def _checked_table(lam: StrictPartition, N: int):
-    """Q_poly(lam, N), or None unless each key is a partition of |lambda| with
-    at most N parts and the coefficient at x^lambda is 2^{l(lambda)}."""
-    table = Q_poly(lam, N)
-    if table.get(lam.parts) != 1 << lam.length:
-        return None
-    return table if all(_is_key(k, lam.size, N) for k in table) else None
+def _table_fault(lam: StrictPartition, N: int, table: dict):
+    """Why `table` cannot be Q_lambda in N variables, or None: each key must
+    be a partition of |lambda| in at most N parts and, as lambda dominates
+    it, at or below lambda in lex order; each coefficient a multiple of
+    2^{l(lambda)}, and 2^{l(lambda)} the one at x^lambda if l(lambda) <= N.
+    So P_lambda = Q_lambda >> l(lambda) is exact, with leading term x^lambda,
+    as `expand_in_Q` needs to end."""
+    for key, c in table.items():
+        if len(key) > N or sum(key) != lam.size or key != _sorted_key(key) or min(key, default=1) < 1:
+            return "key %r is not a partition of %d in %d parts" % (key, lam.size, N)
+        if key > lam.parts:
+            return "key %r lies above %r in lex order" % (key, lam.parts)
+        if c % (1 << lam.length):
+            return "coefficient %d at %r is not divisible by 2^%d" % (c, key, lam.length)
+    if lam.length <= N and table.get(lam.parts) != 1 << lam.length:
+        return "the coefficient at x^%r is not 2^%d" % (lam.parts, lam.length)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -338,74 +338,64 @@ def _power_sum(rho: tuple, N: int) -> dict:
     return {alpha: c for alpha, c in coeffs if c}
 
 
-def _power_kernel(k: int, N: int):
-    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
-    partitions alpha, beta of k with at most N parts.
-
-    log (1+t)/(1-t) = 2 sum_{r odd} t^r / r, so the kernel is sum_rho
-    2^{l(rho)} z_rho^{-1} p_rho(x) p_rho(y) over the rho of k into odd parts
-    (Macdonald, III.8), summed over L = lcm(z_rho) and divided by L with
-    `divmod`: on a remainder the function returns None, equal to no int.
-    """
-    types = odd_partitions(k)
-    L = lcm(*map(z, types))
-    terms = [(L // z(rho) << len(rho), _power_sum(rho, N)) for rho in types]
-
-    def kernel(alpha: tuple, beta: tuple):
-        c, rem = divmod(sum(w * p.get(alpha, 0) * p.get(beta, 0) for w, p in terms), L)
-        return None if rem else c
-
-    return kernel
+def _power_sum_in_P(rho: tuple, N: int) -> dict[StrictPartition, int]:
+    """{mu: [P_mu] p_rho}, the P-coordinates of the power sum p_rho in N
+    variables: ints, read by `expand_in_Q` off the table `_power_sum`."""
+    return expand_in_Q(_power_sum(rho, N), N)
 
 
 def cauchy_check(d: int, N: int):
     """Verify prod_{i,j<=N} (1+x_i y_j)/(1-x_i y_j) = sum Q_lambda(x) P_lambda(y)
-    through degree d in x_1..x_N and y_1..y_N, on dominant coefficients:
-    None, or (k, k) for the least degree k at which a Q_lambda of size k
-    fails its check or a coefficient of bidegree (k, k) differs.
+    through degree d in N variables each: None, or (k, k) for the least
+    degree k at which a Q_lambda of size k fails `_table_fault` or the two
+    sides differ.
 
-    Both sides are symmetric in x, and separately in y, so they agree once
-    their coefficients at x^alpha y^beta agree for every pair of partitions
-    alpha, beta of each degree k <= d (Macdonald, Symmetric Functions and
-    Hall Polynomials, 2nd ed., III.8, (8.13)); with N >= d every partition
-    of k fits in N parts. The symmetry of the kernel is built in, and each
-    Q_lambda is a table, symmetric by construction; its keys are checked to
-    be partitions of |lambda| first (`_checked_table`). The identity alone
-    does not fix the Q_lambda: it holds as well for -Q_lambda, and for any
-    basis of degree k that a matrix orthogonal for the weights 2^{-l(lambda)}
-    makes from them. So each Q_lambda must also carry 2^{l(lambda)} at
-    x^lambda. The true Q_mu has no x^lambda unless mu dominates lambda, so
-    taking lambda in descending lex order, that forces the matrix to be the
-    identity matrix.
+    The part of degree k of the kernel is sum_rho 2^{l(rho)} z_rho^{-1}
+    p_rho(x) p_rho(y) over the rho of k into odd parts, as log (1+t)/(1-t)
+    = 2 sum_{r odd} t^r / r (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., III.8). The checked P_lambda = Q_lambda >>
+    l(lambda) hold 1 at lambda and no key above it, so the P_mu(x) P_nu(y)
+    of degree k are independent (N >= d keeps every P_mu). If each p_rho is
+    in the span of the P_mu, with b_rho,mu = [P_mu] p_rho (`_power_sum_in_P`),
+    then, times L = lcm(z_rho), the identity holds iff for every pair mu, nu
+    of strict partitions of k (each pair once, by symmetry)
 
-    The left side is read off the odd power sums (`_power_kernel`), the
-    right side off the Q_poly tables, so the two share no formula; P_lambda
-    is Q_lambda shifted down by l(lambda), so a table wrong at a key other
-    than lambda is caught at (that key, lambda), where P_lambda holds 1.
+        sum_rho (L / z_rho << l(rho)) b_rho,mu b_rho,nu = L << l(mu) if mu = nu, else 0,
+
+    the orthogonality of the spin characters. A p_rho outside that span
+    raises NotInGammaSpan and fails the identity too: the p_rho(y) are
+    independent, so p_rho(x) is a part of the kernel, and every part of the
+    right side lies in the span.
+
+    The identity alone holds as well for P'_mu = sum_nu T_mu,nu P_nu if
+    T^t D T = D, D = diag 2^{l(mu)}, as for -P_mu. The checked tables make T
+    unitriangular in lex order, so D T = T^{-t} D is triangular both ways,
+    hence diagonal, and T = 1: the check fixes every table.
     """
     if N < d:
         raise ValueError("need N >= d for a faithful truncation")
     for k in range(d + 1):
-        dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by key
-        for lam in enumerate_strict(k):
-            q = _checked_table(lam, N)
-            if q is None:
-                return (k, k)
-            dominant.append((q, {e: c >> lam.length for e, c in q.items()}))
-        kernel = _power_kernel(k, N)
-        shapes = enumerate_partitions(k)
-        for alpha in shapes:
-            for beta in shapes:
-                rhs = sum(q.get(alpha, 0) * p.get(beta, 0) for q, p in dominant)
-                if kernel(alpha, beta) != rhs:
+        strict = enumerate_strict(k)
+        if any(_table_fault(lam, N, Q_poly(lam, N)) for lam in strict):
+            return (k, k)
+        types = odd_partitions(k)
+        L = lcm(*map(z, types))
+        try:
+            rows = [(L // z(rho) << len(rho), _power_sum_in_P(rho, N)) for rho in types]
+        except NotInGammaSpan:
+            return (k, k)
+        for i, mu in enumerate(strict):
+            for nu in strict[i:]:
+                lhs = sum(w * b.get(mu, 0) * b.get(nu, 0) for w, b in rows)
+                if lhs != (L << mu.length if mu == nu else 0):
                     return (k, k)
     return None
 
 
 # ---------------------------------------------------------------------------
 # cache file format: "Q <lambda> <N> : a1,..,al=c ...", each key a partition
-# of |lambda| with at most N parts ("-" for the empty one), c an int
-# divisible by 2^{l(lambda)}
+# of |lambda| with at most N parts ("-" for the empty one) at or below lambda
+# in lex order, c an int divisible by 2^{l(lambda)}
 # ---------------------------------------------------------------------------
 
 
@@ -418,10 +408,8 @@ def qpoly_cache_line(lam: StrictPartition, N: int) -> str:
 
 
 def parse_qpoly_cache_line(line: str):
-    """(lambda, N, table) of a cache line; ValueError unless every key is a
-    partition of |lambda| in at most N parts and every coefficient an int
-    multiple of 2^{l(lambda)}, and 2^{l(lambda)} itself at x^lambda if
-    l(lambda) <= N: `expand_in_Q` pivots on P_lambda = Q_lambda >> l(lambda)."""
+    """(lambda, N, table) of a cache line; ValueError unless every
+    coefficient is an int and the table passes `_table_fault`."""
     head, _, body = line.partition(":")
     tag, lamtxt, ntxt = head.split()
     if tag != "Q":
@@ -432,12 +420,8 @@ def parse_qpoly_cache_line(line: str):
     for item in body.split():
         keytxt, _, ctxt = item.partition("=")
         key = () if keytxt == "-" else tuple(int(t) for t in keytxt.split(","))
-        if not _is_key(key, lam.size, N):
-            raise ValueError("key %r is not a partition of %d in %d parts" % (key, lam.size, N))
-        c = int(ctxt)
-        if c % (1 << lam.length):
-            raise ValueError("coefficient %d at %r is not divisible by 2^%d" % (c, key, lam.length))
-        table[key] = c
-    if lam.length <= N and table.get(lam.parts) != 1 << lam.length:
-        raise ValueError("the coefficient at x^%r is not 2^%d" % (lam.parts, lam.length))
+        table[key] = int(ctxt)
+    fault = _table_fault(lam, N, table)
+    if fault:
+        raise ValueError(fault)
     return lam, N, table

@@ -11,11 +11,14 @@ each coefficient off the one-variable branching rule; `tableau_oracle_Q`
 builds Q_lambda from marked shifted tableaux, apart from the q_r
 recursion. `cauchy_kernel_truncated` and `cauchy_rhs_truncated` expand
 both sides of the Cauchy identity in all 2N variables x_1..x_N, y_1..y_N,
-where `symfunc.cauchy_check` compares dominant coefficients only;
+and `cauchy_check_pairwise` compares their coefficients at x^alpha y^beta
+for every pair of partitions of each degree, the kernel read off the odd power sums (`power_kernel`), where
+`symfunc.cauchy_check` compares P-coordinates, through the orthogonality of
+the spin characters, at each pair of strict partitions;
 `cauchy_kernel_dp` counts a dominant kernel coefficient over integer
-matrices, where `cauchy_check` reads it off the odd power sums, and
-`power_sum_by_products` builds p_rho as a chain of `_table_mul` products,
-where `symfunc._power_sum` counts the ways to load the variables.
+matrices, and `power_sum_by_products` builds p_rho as a chain of
+`_table_mul` products, where `symfunc._power_sum` counts the ways to load
+the variables.
 `gamma_mul` multiplies Q-basis combinations by bilinearity, where the CLI
 multiplies two basis elements (`symfunc.gamma_product`).
 
@@ -109,11 +112,21 @@ from queerlab.heckeclifford import (
 )
 from queerlab.jets import _substitute, phi_map
 from queerlab.linalg import Echelon, add_term, kernel_basis, span
-from queerlab.partitions import StrictPartition, all_strict_upto, contains, delta, enumerate_strict, staircase
+from queerlab.partitions import (
+    StrictPartition,
+    all_strict_upto,
+    contains,
+    delta,
+    enumerate_partitions,
+    enumerate_strict,
+    odd_partitions,
+    staircase,
+    z,
+)
 from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from queerlab.spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
-from queerlab.symfunc import Q_poly, _partitions, _table_mul, gamma_product, q_expansion
+from queerlab.symfunc import Q_poly, _partitions, _power_sum, _table_mul, gamma_product, q_expansion
 
 
 class NVarPoly:
@@ -400,6 +413,70 @@ def power_sum_by_products(rho: tuple, N: int) -> dict:
     for r in rho:
         out = _table_mul(out, {(r,): 1}, N)
     return out
+
+
+def power_kernel(k: int, N: int):
+    """A function (alpha, beta) -> [x^alpha y^beta] of the Cauchy kernel, for
+    partitions alpha, beta of k with at most N parts.
+
+    log (1+t)/(1-t) = 2 sum_{r odd} t^r / r, so the kernel is sum_rho
+    2^{l(rho)} z_rho^{-1} p_rho(x) p_rho(y) over the rho of k into odd parts
+    (Macdonald, III.8), summed over L = lcm(z_rho) and divided by L with
+    `divmod`: on a remainder the function returns None, equal to no int.
+    """
+    types = odd_partitions(k)
+    L = lcm(*map(z, types))
+    terms = [(L // z(rho) << len(rho), _power_sum(rho, N)) for rho in types]
+
+    def kernel(alpha: tuple, beta: tuple):
+        c, rem = divmod(sum(w * p.get(alpha, 0) * p.get(beta, 0) for w, p in terms), L)
+        return None if rem else c
+
+    return kernel
+
+
+def _is_key(key: tuple, size: int, N: int) -> bool:
+    """Whether key is a partition of size with at most N parts, with no zero part."""
+    return (
+        len(key) <= N
+        and sum(key) == size
+        and all(p > 0 for p in key)
+        and all(p >= q for p, q in zip(key, key[1:]))
+    )
+
+
+def cauchy_check_pairwise(d: int, N: int):
+    """`symfunc.cauchy_check` on monomial coefficients: None, or (k, k) for
+    the least degree k at which a Q_lambda of size k fails its check or the
+    two sides differ at x^alpha y^beta for a pair of partitions alpha, beta
+    of k.
+
+    Both sides are symmetric in x, and separately in y, so these pairs fix
+    them (Macdonald, III.8, (8.13)); with N >= d every partition of k fits in
+    N parts. The left side is `power_kernel`, the right side is read off the
+    Q_poly tables, P_lambda by the shift >> l(lambda), so the two share no
+    formula. Each table must hold partitions of |lambda| alone as keys, the
+    only keys the comparison reads, and 2^{l(lambda)} at x^lambda; a table
+    wrong at another key is caught at (that key, lambda), where P_lambda
+    holds 1.
+    """
+    if N < d:
+        raise ValueError("need N >= d for a faithful truncation")
+    for k in range(d + 1):
+        dominant = []  # ([x^alpha]Q_lambda, [y^beta]P_lambda) by key
+        for lam in enumerate_strict(k):
+            q = Q_poly(lam, N)
+            if q.get(lam.parts) != 1 << lam.length or not all(_is_key(e, k, N) for e in q):
+                return (k, k)
+            dominant.append((q, {e: c >> lam.length for e, c in q.items()}))
+        kernel = power_kernel(k, N)
+        shapes = enumerate_partitions(k)
+        for alpha in shapes:
+            for beta in shapes:
+                rhs = sum(q.get(alpha, 0) * p.get(beta, 0) for q, p in dominant)
+                if kernel(alpha, beta) != rhs:
+                    return (k, k)
+    return None
 
 
 def _exact_quotient(c, den: int):

@@ -435,7 +435,7 @@ def test_dump_dims_lists_no_tensor_basis(monkeypatch, capsys):
         (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
         # --vars past the safe bound; --vars below --degree is refused even
         # with --unsafe
-        (["verify", "cauchy", "--degree", "14", "--vars", "15"], "--vars"),
+        (["verify", "cauchy", "--degree", "18", "--vars", "19"], "--vars"),
         (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
         # a target without a table has no CSV form
         (["verify", "cauchy", "--format", "csv"], "--format"),
@@ -489,6 +489,17 @@ def test_unusable_path_exits_two_naming_the_flag(flag, path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: %s" % flag)
     assert (tmp_path / "file").read_text() == ""
+
+
+def test_refused_run_makes_no_folder(tmp_path, capsys):
+    # every path is checked before any folder is made: a --cache-dir through
+    # a regular file leaves no folder made for --out
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "new" / "sub" / "r.json"
+    argv = ["pieri", "--bound", "2", "--out", str(out), "--cache-dir", str(tmp_path / "file" / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --cache-dir")
+    assert sorted(os.listdir(tmp_path)) == ["file"]
 
 
 def test_zero_cases_is_not_a_pass(monkeypatch, capsys):
@@ -586,8 +597,8 @@ def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
 
     seen = []
     monkeypatch.setattr(symfunc, "cauchy_check", lambda d, N: seen.append((d, N)))
-    assert main(["verify", "cauchy", "--degree", "14", "--vars", "15", "--unsafe"]) == 0
-    assert seen == [(14, 15)]
+    assert main(["verify", "cauchy", "--degree", "18", "--vars", "19", "--unsafe"]) == 0
+    assert seen == [(18, 19)]
     capsys.readouterr()
 
 
@@ -910,6 +921,32 @@ def test_cache_with_valid_digest_but_non_integral_coefficient_is_ignored(
 def test_cache_with_valid_digest_but_a_bad_key_is_ignored(edit, tmp_path, monkeypatch, capsys):
     # a table cannot hold such a key, so it can only be a damaged file
     _recomputes_after(edit, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["pieri", "--bound", "3"], ["verify", "hecke-ideals"], ["verify", "prop-dim"]], ids=lambda a: a[-1]
+)
+def test_cache_with_valid_digest_but_a_key_above_lambda_is_ignored(argv, tmp_path, monkeypatch, capsys):
+    # Q_(2,1) has no x^(3): with that key, expand_in_Q would swap (3) and
+    # (2,1) back in forever, so each job runs in a fresh process under a
+    # timeout and must warn and exit as it does without the file
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli.symfunc, "_QPOLY_CACHE", {})
+    assert main(["pieri", "--bound", "3", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    path = cache / "qpoly.cache"
+    lines = path.read_text().split("\n")
+    i = lines.index("Q 2,1 2 : 2,1=4")
+    lines[i] += " 3=4"
+    body = "\n".join(lines[1:])
+    path.write_text("%s sha256=%s\n%s" % (cli.CACHE_HEADER, cli._digest(body), body))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    job = [sys.executable, "-m", "queerlab.cli"] + argv + ["--format", "json"]
+    bare = subprocess.run(job, env=env, capture_output=True, text=True, timeout=30)
+    run = subprocess.run(job + ["--cache-dir", str(cache)], env=env, capture_output=True, text=True, timeout=30)
+    assert "warning: ignoring corrupt cache" in run.stderr
+    assert "lies above" in run.stderr
+    assert (run.returncode, run.stdout) == (bare.returncode, bare.stdout)
 
 
 def test_v2_cache_is_ignored_and_rewritten(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from queerlab.symfunc import (
 
 from oracles import (
     NVarPoly,
+    cauchy_check_pairwise,
     cauchy_kernel_dp,
     cauchy_kernel_truncated,
     cauchy_rhs_truncated,
@@ -32,6 +35,7 @@ from oracles import (
     gamma_mul,
     orbit_poly,
     pack_monomial,
+    power_kernel,
     power_sum_by_products,
     q_gen,
     q_route_Q_poly,
@@ -366,10 +370,19 @@ def test_cauchy_check_agrees_with_the_full_expansion(d):
         assert cauchy_kernel_truncated(d, N) == cauchy_rhs_truncated(d, N)
 
 
+@pytest.mark.parametrize("d", range(11))
+def test_cauchy_check_agrees_with_the_pairwise_oracle(d):
+    # the orthogonality of the spin characters against the comparison of
+    # monomial coefficients at every pair of partitions of each degree
+    for N in (d, d + 1):
+        assert cauchy_check(d, N) is None
+        assert cauchy_check_pairwise(d, N) is None
+
+
 @pytest.mark.parametrize("N", range(5))
 def test_kernel_dp_matches_the_brute_force_kernel(N):
     # at every dominant (alpha, beta) through degree 4, zero parts stripped,
-    # for the oracle DP and for the power-sum kernel of cauchy_check
+    # for the oracle DP and for the power-sum kernel of cauchy_check_pairwise
     d = 4
     dp = cauchy_kernel_dp()
     brute = _brute_kernel(d, N)
@@ -377,7 +390,7 @@ def test_kernel_dp_matches_the_brute_force_kernel(N):
     dominant = {
         (xe, ye): c for (xe, ye), c in brute.items() if xe == _descending(xe) and ye == _descending(ye)
     }
-    for kernel_of in (lambda k: dp, lambda k: symfunc._power_kernel(k, N)):
+    for kernel_of in (lambda k: dp, lambda k: power_kernel(k, N)):
         want = {}
         for k in range(d + 1):
             kernel = kernel_of(k)
@@ -393,7 +406,7 @@ def test_power_sum_kernel_matches_the_kernel_dp():
     # on every pair of partitions of each k <= 10, in k variables
     dp = cauchy_kernel_dp()
     for k in range(11):
-        kernel = symfunc._power_kernel(k, k)
+        kernel = power_kernel(k, k)
         shapes = enumerate_partitions(k)
         for alpha in shapes:
             for beta in shapes:
@@ -417,7 +430,8 @@ def test_brute_force_kernel_is_symmetric(N):
         assert brute[(_descending(xe), _descending(ye))] == c
 
 
-# Table corruptions on Q_(2,1) in 3 variables, {(2,1): 4, (1,1,1): 8}. The
+# Table corruptions on Q_(2,1) in 3 variables, {(2,1): 4, (1,1,1): 8}, each
+# caught by cauchy_check and by cauchy_check_pairwise alike. The pairwise
 # comparison reads partition keys of the right size only, so the first three
 # pass it unseen and must be refused by the key check.
 
@@ -455,9 +469,32 @@ def _q21_flipped_at_lambda(table):
 
 
 def _q21_odd_off_lambda(table):
-    # P_(2,1) = Q_(2,1) >> 2 drops the remainder of 9 at (1,1,1), and the
-    # right side still differs at ((1,1,1), (2,1)), where P_(2,1) holds 1
+    # P_(2,1) = Q_(2,1) >> 2 drops the remainder of 9 at (1,1,1): the
+    # P-coordinates alone cannot see it, and the pairwise comparison finds
+    # the right side wrong at ((1,1,1), (2,1)), where P_(2,1) holds 1
     table[(1, 1, 1)] = 9
+
+
+def _q21_key_above_lambda(table):
+    # Q_(2,1) has no x^(3); with this key, eliminating against P_(2,1) puts
+    # (3) back above it, and expanding p_rho would swap (3) and (2,1) forever
+    table[(3,)] = 4
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a block that does not end in time."""
+
+    def expire(signum, frame):
+        raise TimeoutError("did not end within %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(
@@ -473,7 +510,9 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
     key = max(bad)
     bad[key] = flip(bad[key])
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
-    assert cauchy_check(3, 3) == (3, 3)
+    with _deadline(10):
+        assert cauchy_check(3, 3) == (3, 3)
+    assert cauchy_check_pairwise(3, 3) == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -487,6 +526,7 @@ def test_cauchy_check_fails_on_corrupted_Q(flip, monkeypatch):
         _q21_missing_dominant_key,
         _q21_flipped_at_lambda,
         _q21_odd_off_lambda,
+        _q21_key_above_lambda,
     ],
 )
 def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, monkeypatch):
@@ -494,7 +534,9 @@ def test_cauchy_check_fails_on_Q_corrupted_off_the_dominant_comparison(corrupt, 
     bad = dict(Q_poly(lam, 3))
     corrupt(bad)
     monkeypatch.setitem(symfunc._QPOLY_CACHE, (lam, 3), bad)
-    assert cauchy_check(3, 3) == (3, 3)
+    with _deadline(10):
+        assert cauchy_check(3, 3) == (3, 3)
+    assert cauchy_check_pairwise(3, 3) == (3, 3)
 
 
 def test_cache_line_roundtrip():
@@ -545,6 +587,7 @@ def test_cache_line_without_2_to_the_length_at_lambda_is_refused(body):
         "Q 2,1 3 : 1,1,1=8 2,1,0=4",  # a zero part
         "Q 2,1 3 : 1,1,1=8 2,2=4",  # a partition of 4, not of |lambda| = 3
         "Q 2,1 2 : 1,1,1=8 2,1=4",  # 3 parts in 2 variables
+        "Q 2,1 2 : 2,1=4 3=4",  # above lambda: expand_in_Q would not end
         "Q 2,1 3 : =8",  # an empty key is written "-"
         "Q - 2 : 1=1",
     ],
