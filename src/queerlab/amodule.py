@@ -3,19 +3,24 @@
 Generators x_ij (even) and y_ij (odd) transform like the half-tensor basis
 v_ij, w_ij. Everything is graded by total degree and by the torus biweight
 (row sums, column sums). The basis operators X_ab, Y_ab of q_n and q_m act
-by writing Gaussian integers, so vectors are Gaussian-integer dicts
-{monomial: (re, im)}.
+with integer coefficients, so vectors are integer dicts {monomial: c}. The
+left Y_ab is sqrt(-1) times the one that U = half(V (x) W) induces, which
+writes -sqrt(-1) where this one writes 1. It spans the same Lie
+superalgebra, so the singular vectors and submodules are the same, but the
+two factors carry the two real forms of q: Y_aa^2 = X_aa on the left and
+-X_aa on the right (Cheng and Wang, AMS GSM 144, ch. 3).
 
 The one-box relation of the ideal classification is read off the Fischer
-form <x^a y^S, x^b y^T> = delta_ab delta_ST prod a_ij!, Hermitian over Z[i]
+form <x^a y^S, x^b y^T> = delta_ab delta_ST prod a_ij!, real symmetric
 (Howe, Trans. AMS 313, 1989). Multiplication by x_ij is adjoint to d/dx_ij
 and multiplication by y_ij to the left derivative d/dy_ij, so X_ab is
-adjoint to X_ba and Y_ab to -Y_ba: the form is contravariant and positive
-definite. Each A_d is multiplicity-free under q(n) x q(m) (Cheng and Wang,
-AMS GSM 144, ch. 3), so its summands L_mu are orthogonal, and L_kappa lies
-in a submodule M iff M is not orthogonal to the singular vectors S_kappa.
-`contravariance_check` checks the adjoints, and Y_aa^2 = -X_aa, exactly on
-A_1; `one_box_steps` pairs the covers.
+adjoint to X_ba on both sides, the left Y_ab to Y_ba and the right Y_ab to
+-Y_ba: the form is contravariant and positive definite. Each A_d is
+multiplicity-free under q(n) x q(m) (Cheng and Wang, AMS GSM 144, ch. 3),
+so its summands L_mu are orthogonal, and L_kappa lies in a submodule M iff
+M is not orthogonal to the singular vectors S_kappa.
+`contravariance_check` checks the adjoints, and the squares of the Y_aa,
+exactly on A_1; `one_box_steps` pairs the covers.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .spoly import insert_odd, mono_mul
 
 class ContravarianceError(ArithmeticError):
     """A basis operator is not adjoint to its partner under the Fischer form,
-    or an odd Cartan element Y_aa does not square to -X_aa."""
+    or an odd Cartan element Y_aa does not square to +X_aa (left) or -X_aa
+    (right)."""
 
 
 # a monomial of A(n,m) is ((x exponents, flattened n*m), (sorted y cells))
@@ -45,16 +51,19 @@ def _cell(i: int, j: int, m: int) -> int:
 # the q_n x q_m action by superderivations
 # ---------------------------------------------------------------------------
 
-# generator tables, derived from the action on U (x ~ v, y ~ w):
+# generator tables, derived from the action on U (x ~ v, y ~ w), the left
+# Y_ab times sqrt(-1):
 #   left  X_ab: x_ij -> d_bi x_aj          y_ij -> d_bi y_aj
-#   left  Y_ab: x_ij -> -zeta d_bi y_aj    y_ij -> -zeta d_bi x_aj
+#   left  Y_ab: x_ij -> d_bi y_aj          y_ij -> d_bi x_aj
 #   right X_ab: x_ij -> d_bj x_ia          y_ij -> d_bj y_ia
 #   right Y_ab: x_ij -> -d_bj y_ia         y_ij -> +d_bj x_ia
+# so Y_aa^2 = FORM[side] X_aa, the real form of q that each factor carries
+FORM = {"left": 1, "right": -1}
 
 
 def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
     """The derivation action of X_ab/Y_ab on one monomial, as
-    (monomial, (re, im)) pairs.
+    (monomial, c) pairs.
 
     The operator lowers index b of its factor only, so the walk reads the m
     cells of row b on the left, the n cells of column b on the right, and
@@ -75,7 +84,7 @@ def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
         shift = a - b
     if kind == "X" and a == b:
         count = sum(e[c] for c in cells) + sum(1 for c in o if c in cells)
-        return ((mono, (count, 0)),) if count else ()
+        return ((mono, count),) if count else ()
     odd_op = kind == "Y"
     out = []
     # x factors
@@ -91,37 +100,32 @@ def _monomial_image(side, kind, a, b, mono, n, m) -> tuple:
             if ins is None:
                 continue
             o2, sign = ins
-            re, im = (0, -sign * ex) if side == "left" else (-sign * ex, 0)
-            out.append(((tuple(e2), o2), (re, im)))
+            out.append(((tuple(e2), o2), sign * ex if side == "left" else -sign * ex))
         else:
             e2[c + shift] += 1
-            out.append(((tuple(e2), o), (ex, 0)))
+            out.append(((tuple(e2), o), ex))
     # y factors
     for t, c in enumerate(o):
         if c not in cells:
             continue
-        re, im = (0, -1) if odd_op and side == "left" else (1, 0)
-        # crossing the t preceding odd factors with an odd operator
-        if odd_op and t & 1:
-            re, im = -re, -im
         o_rest = o[:t] + o[t + 1 :]
         if odd_op:
             e2 = list(e)
             e2[c + shift] += 1
-            out.append(((tuple(e2), o_rest), (re, im)))
+            # crossing the t preceding odd factors with an odd operator
+            out.append(((tuple(e2), o_rest), -1 if t & 1 else 1))
         else:
             ins = insert_odd(o_rest, c + shift, t)
             if ins is None:
                 continue
             o2, sign = ins
-            out.append(((e, o2), (sign * re, sign * im)))
+            out.append(((e, o2), sign))
     return tuple(out)
 
 
 def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> dict:
     """Superderivation action of the basis operator op = (kind, a, b), X_ab
-    or Y_ab of the left or right factor, on a Gaussian-integer vector
-    {monomial: (re, im)}.
+    or Y_ab of the left or right factor, on an integer vector {monomial: c}.
 
     `table` maps (side, kind, a, b, monomial) to `_monomial_image`; a caller
     that acts on many vectors of one A(n,m) passes one dict, so each image is
@@ -133,18 +137,16 @@ def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> 
     kind, a, b = op
     out = {}
     get = out.get
-    for mono, (xr, xi) in terms.items():
+    for mono, x in terms.items():
         key = (side, kind, a, b, mono)
         img = table.get(key)
         if img is None:
             img = table[key] = _monomial_image(side, kind, a, b, mono, n, m)
         # a key new to out cannot cancel: both factors are nonzero
-        for tgt, (sr, si) in img:
-            ur, ui = get(tgt, (0, 0))
-            re = ur + xr * sr - xi * si
-            im = ui + xr * si + xi * sr
-            if re or im:
-                out[tgt] = (re, im)
+        for tgt, s in img:
+            c = get(tgt, 0) + x * s
+            if c:
+                out[tgt] = c
             else:
                 del out[tgt]
     return out
@@ -281,8 +283,8 @@ def _labels_by_weight(k: int, d: int, weight: tuple) -> dict:
 
 
 # (n, m, side, raising operator, is monomial, tensor label or monomial) ->
-# its image, as (target, (re, im)) pairs; shared by the systems with a
-# tensor factor, whose labels and A_r monomials recur across a sweep
+# its image, as (target, c) pairs; shared by the systems with a tensor
+# factor, whose labels and A_r monomials recur across a sweep
 _IMAGES: dict = {}
 
 
@@ -290,7 +292,7 @@ def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -
     key = (n, m, side, op, is_mono, x)
     image = _IMAGES.get(key)
     if image is None:
-        image = _monomial_image(side, *op, x, n, m) if is_mono else sym_image(op, x)
+        image = _monomial_image(side, *op, x, n, m) if is_mono else sym_image(op, x, FORM[side])
         if keep:
             _IMAGES[key] = image
     return image
@@ -301,9 +303,11 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r, a, b <= 2: the
     unknowns are the weight-space basis triples (v, w, mono) of even total
     parity, v and w labels of S^aV and S^bW (`queer.sym_label`), each row is
-    one coordinate of one raising operator's image, and a row is a
-    Gaussian-integer dict keyed by the unknowns' indices. At a = b = 0 this
-    is the (wrow, wcol) weight space of A_r.
+    one coordinate of one raising operator's image, and a row is an integer
+    dict keyed by the unknowns' indices. At a = b = 0 this is the
+    (wrow, wcol) weight space of A_r. The left factor acts on S^aV in the
+    basis e_i, f_i / sqrt(-1), where the left Y_ab (sqrt(-1) times the one U
+    induces) has integer matrices, in the form `FORM` names.
 
     S^dV is a submodule of V^{(x)d}, so each image lies in S^aV (x) S^bW (x)
     A_r and is zero iff its coordinates at the triples of symmetric labels
@@ -320,9 +324,10 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     - the odd Cartan element Hbar_i = Y_ii of the left factor, for an i with
       wrow_i != 0, maps singular vectors to singular vectors, as [hbar, n+]
       lies in n+; the right Y_jj does the same where only wcol is nonzero;
-    - Hbar_i^2 = -X_ii in these signs (Y_ii sends e_i to -f_i and f_i to
-      e_i), which acts on the slice as the nonzero scalar -wrow_i: Hbar_i is
-      an odd isomorphism from the even singular vectors onto the odd ones;
+    - Hbar_i^2 = X_ii in these signs (the left Y_ii sends e_i to f_i and
+      f_i to e_i), which acts on the slice as the nonzero scalar wrow_i:
+      Hbar_i is an odd isomorphism from the even singular vectors onto the
+      odd ones (the right Y_jj^2 = -X_jj is the scalar -wcol_j);
     - the only zero weight is a = b = r = 0, whose slice is the even scalar
       line.
     The full system on both parities is the test oracle `sing_system_full`.
@@ -380,18 +385,18 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
                     constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
             else:
                 flip = godd and pv % 2
-                for wlab2, (x, y) in image:
+                for wlab2, c in image:
                     row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
-                    row[col] = (-x, -y) if flip else (x, y)
+                    row[col] = -c if flip else c
             image = mono_images.get(mono)
             if image is None:
                 image = _image(n, m, side, op, mono, True, keep)
                 if keep:
                     mono_images[mono] = image
             flip = godd and (pv + parity[wlab]) % 2
-            for mono2, (x, y) in image:
+            for mono2, c in image:
                 row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
-                row[col] = (-x, -y) if flip else (x, y)
+                row[col] = -c if flip else c
     return list(constraints.values()), basis
 
 
@@ -400,9 +405,9 @@ _SINGULAR_CACHE: dict = {}
 
 def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
     """Weight-(lam,lam) vectors of A_|lam| killed by the raising operators of
-    both sides, as primitive Gaussian-integer vectors: a basis of the even
-    half, then its image under the left Y_ll, l = l(lam), brought to content
-    1, which spans the odd half (`_singular_basis`); callers get fresh dicts.
+    both sides, as primitive integer vectors: a basis of the even half, then
+    its image under the left Y_ll, l = l(lam), brought to content 1, which
+    spans the odd half (`_singular_basis`); callers get fresh dicts.
     """
     return [dict(v) for v in _singular_basis(n, m, lam)]
 
@@ -414,9 +419,10 @@ def singular_dim(n: int, m: int, lam: StrictPartition) -> int:
 
 def _singular_basis(n: int, m: int, lam: StrictPartition) -> list[dict]:
     """The basis of `singular_vectors`, built once per process; callers must
-    not mutate it. Since lam_l != 0, Y_ll^2 = -X_ll is the scalar -lam_l on
-    the slice, so the Y_ll images of the even half are independent (proof in
-    `_sing_system`); the zero weight, lam = (), is the even scalar line.
+    not mutate it. Since lam_l != 0, the left Y_ll^2 = X_ll is the scalar
+    lam_l on the slice, so the Y_ll images of the even half are independent
+    (proof in `_sing_system`); the zero weight, lam = (), is the even scalar
+    line.
 
     Where lam_1 >= lam_2 + 2 the basis is x_11 times that of nu = lam - e_1,
     which is strict and of the same length l:
@@ -471,14 +477,15 @@ def _degree_one(n: int, m: int, cell: int) -> tuple:
 
 def contravariance_check(n: int, m: int) -> int:
     """Check that the Fischer form is contravariant on A_1: for every pair of
-    basis operators of both sides, the matrix of X_ab is the conjugate
-    transpose of that of X_ba, and the matrix of Y_ab that of -Y_ba (on A_1
-    the form is the standard Hermitian one). The relation is symmetric in
-    (a, b), so each pair is compared once, at a <= b, every entry of both
-    matrices read off `_monomial_image` of every degree-1 monomial. Then
-    check Y_aa^2 = -X_aa on A_1, the relation by which `singular_vectors`
-    maps its even half onto the odd half, by applying Y_aa twice to each
-    degree-1 monomial.
+    basis operators of both sides, the matrix of X_ab is the transpose of
+    that of X_ba, the matrix of the left Y_ab that of Y_ba and the matrix of
+    the right Y_ab that of -Y_ba (on A_1 the form is the standard one). The
+    relation is symmetric in (a, b), so each pair is compared once, at
+    a <= b, every entry of both matrices read off `_monomial_image` of every
+    degree-1 monomial. Then check Y_aa^2 = X_aa on the left and -X_aa on the
+    right, on A_1, the relation by which `singular_vectors` maps its even
+    half onto the odd half, by applying Y_aa twice to each degree-1
+    monomial.
 
     Returns the number of (operator, u, v) entries compared; raises
     ContravarianceError at the first operator that fails.
@@ -491,25 +498,27 @@ def contravariance_check(n: int, m: int) -> int:
 
     for side, rank in (("left", n), ("right", m)):
         for kind in ("X", "Y"):
-            sign = 1 if kind == "X" else -1
+            sign = 1 if kind == "X" else FORM[side]
             for a in range(1, rank + 1):
                 for b in range(a, rank + 1):
                     op = mat(side, (kind, a, b))
                     partner = op if a == b else mat(side, (kind, b, a))
-                    if op != {(u, v): (sign * re, -sign * im) for (v, u), (re, im) in partner.items()}:
+                    if op != {(u, v): sign * c for (v, u), c in partner.items()}:
                         raise ContravarianceError(
                             "on A_1 of A(%d,%d), %s %s_%d%d is not the adjoint of %s%s_%d%d"
                             % (n, m, side, kind, a, b, "" if sign == 1 else "-", kind, b, a)
                         )
     table = {}  # the Y_aa images of the basis, shared by both applications
     for side, rank in (("left", n), ("right", m)):
+        form = FORM[side]
         for a in range(1, rank + 1):
             y = ("Y", a, a)
             for u in basis:
-                square = act_terms(side, y, act_terms(side, y, {u: (1, 0)}, n, m, table), n, m, table)
-                if square != {v: (-re, -im) for v, (re, im) in _monomial_image(side, "X", a, a, u, n, m)}:
+                square = act_terms(side, y, act_terms(side, y, {u: 1}, n, m, table), n, m, table)
+                if square != {v: form * c for v, c in _monomial_image(side, "X", a, a, u, n, m)}:
                     raise ContravarianceError(
-                        "on A_1 of A(%d,%d), %s Y_%d%d^2 is not -X_%d%d" % (n, m, side, a, a, a, a)
+                        "on A_1 of A(%d,%d), %s Y_%d%d^2 is not %sX_%d%d"
+                        % (n, m, side, a, a, "" if form == 1 else "-", a, a)
                     )
     # 2 (n^2 + m^2) basis operators, each read on every (u, v)
     return 2 * (n * n + m * m) * len(basis) ** 2
@@ -528,25 +537,24 @@ def _times(mono, vec: dict) -> dict:
     """The monomial times vec: a signed re-keying of vec, since multiplying
     by a monomial is injective on monomials."""
     out = {}
-    for k, (x, y) in vec.items():
+    for k, x in vec.items():
         r = mono_mul(mono, k)
         if r is not None:
-            out[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
+            out[r[0]] = x * r[1]
     return out
 
 
-def _fischer(u: dict, v: dict) -> tuple:
-    """<u, v> = sum over the monomials k of u_k conj(v_k) prod a_ij!, as (re, im)."""
-    re = im = 0
-    for k, (vr, vi) in v.items():
+def _fischer(u: dict, v: dict) -> int:
+    """<u, v> = sum over the monomials k of u_k v_k prod a_ij!."""
+    total = 0
+    for k, x in v.items():
         c = u.get(k)
         if c is not None:
-            w = 1
+            w = c * x
             for ex in k[0]:
                 w *= factorial(ex)
-            re += w * (c[0] * vr + c[1] * vi)
-            im += w * (c[1] * vr - c[0] * vi)
-    return re, im
+            total += w
+    return total
 
 
 def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
@@ -572,7 +580,7 @@ def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
         # lazy covers: `any` stops before the later ones are built
         targets = singular_vectors(n, m, kappa)
         covers = (_times(g, s) for g in _degree_one(n, m, _cell(a, a, m)) for s in sings)
-        row[kappa] = any(_fischer(z, t) != (0, 0) for z in covers for t in targets)
+        row[kappa] = any(_fischer(z, t) for z in covers for t in targets)
     return row
 
 

@@ -389,6 +389,12 @@ def _verify_determinantal(args):
     stair = staircase(r)
     if stair.size > args.dmax:
         raise ConfigError("--dmax %d is below the staircase size %d" % (args.dmax, stair.size))
+    # a staircase longer than min(n, m) is no summand of A(n,m): every case
+    # would pass without a generator
+    rank = min(args.n, args.m)
+    if stair.length > rank:
+        flag = "--n" if args.n == rank else "--m"
+        raise ConfigError("%s %d is below the staircase length %d" % (flag, rank, stair.length))
     checks = contravariance_check(args.n, args.m)
     relation = {}
     reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)

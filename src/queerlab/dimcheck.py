@@ -80,8 +80,8 @@ def hom_dim_check(
     nonzero weight the odd half has the same dimension, and the zero weight
     is the even scalar line. No row of the system mixes parities; the odd
     Cartan element Y_ii (or the right Y_jj) keeps singular vectors singular,
-    since [hbar, n+] lies in n+; its square -X_ii is the nonzero scalar
-    -wrow_i on the slice, so it maps the even half onto the odd half; and
+    since [hbar, n+] lies in n+; its square X_ii is the nonzero scalar
+    wrow_i on the slice, so it maps the even half onto the odd half; and
     the only zero weight is a = b = r = 0 (proof in `amodule._sing_system`).
     """
     a, b = alpha.size, beta.size

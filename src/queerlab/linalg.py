@@ -1,14 +1,13 @@
-"""Exact sparse linear algebra over the Gaussian integers Z[zeta].
+"""Exact sparse linear algebra over the integers.
 
 `Echelon` keeps a subspace in reduced row-echelon form, so membership and
-rank are decidable with no tolerances. It takes Gaussian-integer vectors:
-dicts mapping sortable keys to nonzero pairs (re, im) of ints, standing for
-re + im*zeta. A reduction scales the vector once and then does integer
-multiply-adds. `extend` inserts a batch in descending order of leading key,
-so each new pivot lands below every stored pivot and no stored row needs
-back-substitution. `add_term` is the accumulate-and-drop-zero step for the
-sparse polynomials of `symfunc` and `spoly`, with int or Cyclo8Scalar
-entries.
+rank are decidable with no tolerances. It takes integer vectors: dicts
+mapping sortable keys to nonzero ints. A reduction scales the vector once
+and then does integer multiply-adds. `extend` inserts a batch in descending
+order of leading key, so each new pivot lands below every stored pivot and
+no stored row needs back-substitution. `add_term` is the
+accumulate-and-drop-zero step for the sparse polynomials of `symfunc` and
+`spoly`, with int or Cyclo8Scalar entries.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ def add_term(vec: dict, key, c) -> None:
         vec.pop(key, None)
 
 
-_ZERO = (0, 0)
-
-
 def _eliminate(num: dict, hits: list) -> dict:
     """num times the lcm of the hit rows' denominators, minus the multiple of
     each hit row that clears it at that row's pivot.
@@ -40,68 +36,50 @@ def _eliminate(num: dict, hits: list) -> dict:
     `hits` holds (pivot, row) for the echelon rows whose pivot key num holds;
     a row's denominator d is its pivot numerator. The rows are mutually
     reduced, so clearing one pivot leaves the coefficients at the others
-    unchanged: each multiplier is read off the scaled vector, and it is a
-    Gaussian integer because d divides the scale.
+    unchanged: each multiplier is read off the scaled vector, and it is an
+    integer because d divides the scale.
     """
     scale = 1
     for piv, row in hits:
-        scale = lcm(scale, row[piv][0])
-    if scale == 1:
-        out = dict(num)
-    else:
-        out = {k: (x * scale, y * scale) for k, (x, y) in num.items()}
+        scale = lcm(scale, row[piv])
+    out = dict(num) if scale == 1 else {k: x * scale for k, x in num.items()}
     get = out.get
     for piv, row in hits:
-        d = row[piv][0]
-        fr, fi = out[piv]
-        fr //= d
-        fi //= d
+        f = out[piv] // row[piv]
         # a key new to out cannot cancel: both factors of its term are nonzero
-        if fi:
-            for k, (x, y) in row.items():
-                a, b = get(k, _ZERO)
-                re = a - fr * x + fi * y
-                im = b - fr * y - fi * x
-                if re or im:
-                    out[k] = (re, im)
-                else:
-                    del out[k]
-        else:
-            for k, (x, y) in row.items():
-                a, b = get(k, _ZERO)
-                re = a - fr * x
-                im = b - fr * y
-                if re or im:
-                    out[k] = (re, im)
-                else:
-                    del out[k]
+        for k, x in row.items():
+            c = get(k, 0) - f * x
+            if c:
+                out[k] = c
+            else:
+                del out[k]
     return out
 
 
 def _primitive(num: dict, unit: int = 1) -> dict:
-    """num divided by unit (1 or -1) times the gcd of all its numerators."""
+    """num divided by unit (1 or -1) times the gcd of all its entries."""
     g = 0
-    for x, y in num.values():
-        g = gcd(g, x, y)
+    for x in num.values():
+        g = gcd(g, x)
         if g == 1:
             break
     g *= unit
     if g == 1:
         return num
-    return {k: (x // g, y // g) for k, (x, y) in num.items()}
+    return {k: x // g for k, x in num.items()}
 
 
 class Echelon:
     """A row space in reduced echelon form, pivots chosen by minimal key.
 
-    The row with pivot p is stored as num, a dict of Gaussian-integer
-    numerators (re, im) over the denominator d: the row is num / d,
-    num[p] == (d, 0) with d > 0, and the gcd of all the numerators is 1.
-    That form is unique for a row with coefficient 1 at its pivot, and a
-    reduced echelon with minimal-key pivots is unique for its space, so two
-    echelons of one space hold equal rows, whatever order the vectors came
-    in. Neither a stored row nor an inserted vector is ever changed in
-    place, so a row may be the very dict that was inserted.
+    The row with pivot p is stored as num, a dict of integer numerators over
+    the denominator d: the row is num / d, num[p] == d > 0, and the gcd of
+    all the numerators is 1. That form is unique for a row with coefficient
+    1 at its pivot, and a reduced echelon with minimal-key pivots is unique
+    for its space, so two echelons of one space hold equal rows, whatever
+    order the vectors came in. Neither a stored row nor an inserted vector
+    is ever changed in place, so a row may be the very dict that was
+    inserted.
     """
 
     def __init__(self):
@@ -124,16 +102,12 @@ class Echelon:
         return _eliminate(num, hits) if hits else num
 
     def insert(self, num: dict) -> bool:
-        """Add a Gaussian-integer vector to the space; True if the rank grew."""
+        """Add an integer vector to the space; True if the rank grew."""
         num = self._residual(num)
         if not num:
             return False
         piv = min(num)
-        a, b = num[piv]
-        if b:
-            # times the conjugate of the pivot, which becomes a*a + b*b > 0
-            num = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in num.items()}
-        num = _primitive(num, -1 if a < 0 and not b else 1)
+        num = _primitive(num, -1 if num[piv] < 0 else 1)
         rows = self._rows
         if self._low is None or piv < self._low:
             # every key of a stored row is at least its pivot, so no row
@@ -148,8 +122,8 @@ class Echelon:
         return True
 
     def extend(self, vecs) -> list:
-        """Insert Gaussian-integer vectors in descending order of their smallest
-        key; return the ones that raised the rank, in that order."""
+        """Insert integer vectors in descending order of their smallest key;
+        return the ones that raised the rank, in that order."""
         batch = sorted((v for v in vecs if v), key=min, reverse=True)
         return [v for v in batch if self.insert(v)]
 
@@ -162,7 +136,7 @@ def span(vecs) -> Echelon:
 
 def kernel_dim(constraints, unknowns: list) -> int:
     """Dimension of the joint kernel: the number of unknowns minus the rank
-    of the Gaussian-integer rows, keyed by the unknowns or their indices."""
+    of the integer rows, keyed by the unknowns or their indices."""
     return len(unknowns) - span(constraints).rank
 
 
@@ -170,9 +144,9 @@ def kernel_basis(constraints, k: int) -> list[dict]:
     """Solution basis of the homogeneous system in the unknowns 0, ..., k - 1
     (rows are functionals).
 
-    `constraints` are Gaussian-integer dicts index -> (re, im); the
-    returned vectors are primitive Gaussian-integer dicts index -> (re, im)
-    spanning the joint kernel, one per free unknown f, positive at f.
+    `constraints` are integer dicts index -> int; the returned vectors are
+    primitive integer dicts index -> int spanning the joint kernel, one per
+    free unknown f, positive at f.
     """
     rows = span(constraints).nums
     basis = []
@@ -181,9 +155,9 @@ def kernel_basis(constraints, k: int) -> list[dict]:
             continue
         # x_f = 1 and x_p = -row_p[f] / d_p, times the lcm of those d_p
         hits = [(p, row) for p, row in rows.items() if f in row]
-        scale = lcm(1, *(row[p][0] for p, row in hits))
-        vec = {f: (scale, 0)}
+        scale = lcm(1, *(row[p] for p, row in hits))
+        vec = {f: scale}
         for p, row in hits:
-            vec[p] = tuple(-c * (scale // row[p][0]) for c in row[f])
+            vec[p] = -row[f] * (scale // row[p])
         basis.append(_primitive(vec))
     return basis

@@ -36,14 +36,17 @@ def _label_parity(lab) -> int:
     return sum(1 for s in lab if s[0] == "f") % 2
 
 
-def tensor_image(op: tuple, lab: tuple) -> dict:
+def tensor_image(op: tuple, lab: tuple, square: int) -> dict:
     """The diagonal action of the basis operator op = (kind, a, b), X_ab or
-    Y_ab of q_n, on the tensor basis vector lab, as {label: (c, 0)}.
+    Y_ab of q_n, on the tensor basis vector lab, as {label: c}.
 
-    X_ab sends e_b to e_a and f_b to f_a; Y_ab sends e_b to -f_a and f_b to
-    e_a, and the odd Y_ab picks up a Koszul sign for each f factor before
-    the slot it acts on. No coefficient cancels: the images of different
-    slots are different labels, except under X_aa, which adds 1 per slot.
+    X_ab sends e_b to e_a and f_b to f_a; Y_ab sends e_b to square * f_a and
+    f_b to e_a, so Y_aa^2 = square * X_aa on V. The two real forms of q_n
+    differ in that sign alone: square = 1 on the left factor of A(n,m) and
+    -1 on the right (`amodule`). The odd Y_ab picks up a Koszul sign for
+    each f factor before the slot it acts on. No coefficient cancels: the
+    images of different slots are different labels, except under X_aa,
+    which adds 1 per slot.
     """
     kind, a, b = op
     out = {}
@@ -53,11 +56,13 @@ def tensor_image(op: tuple, lab: tuple) -> dict:
             if kind == "X":
                 single, c = (s, a), 1
             else:
-                single, c = ("e" if s == "f" else "f", a), -1 if (s == "e") != odd else 1
+                single, c = ("e" if s == "f" else "f", a), square if s == "e" else 1
+                if odd:
+                    c = -c
             key = lab[:t] + (single,) + lab[t + 1 :]
             out[key] = out.get(key, 0) + c
         odd ^= s == "f"
-    return {k: (c, 0) for k, c in out.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +77,22 @@ def sym_label(lab) -> bool:
     return len(lab) < 2 or lab[0] < lab[1] or lab[0] == lab[1] and lab[0][0] == "e"
 
 
-def sym_image(op: tuple, lab: tuple) -> tuple:
+def sym_image(op: tuple, lab: tuple, square: int) -> tuple:
     """The image under op of the S^dV basis vector lab (`sym_label`), d <= 2,
-    read at the labels of S^dV, as (label, (c, 0)) pairs.
+    read at the labels of S^dV, as (label, c) pairs; `square` is the sign of
+    `tensor_image`.
 
     S^dV is a submodule, so the image is super-symmetric: its coordinate at
     (t', t), t < t', is (-1)^{|t||t'|} times that at (t, t'), and at
     (f_i, f_i) it is 0. Each basis vector has coordinate 1 at its own label,
     so these coordinates are the image's coefficients in the basis.
     """
-    out = tensor_image(op, lab)
+    out = tensor_image(op, lab, square)
     if len(lab) == 2 and lab[0] != lab[1]:
         sign = -1 if lab[0][0] == lab[1][0] == "f" else 1
-        for t, (c, _) in tensor_image(op, lab[::-1]).items():
-            out[t] = (out.get(t, (0, 0))[0] + sign * c, 0)
-    return tuple((t, c) for t, c in out.items() if c[0] and sym_label(t))
+        for t, c in tensor_image(op, lab[::-1], square).items():
+            out[t] = out.get(t, 0) + sign * c
+    return tuple((t, c) for t, c in out.items() if c and sym_label(t))
 
 
 def dim_T(lam: StrictPartition, n: int) -> int:

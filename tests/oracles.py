@@ -22,8 +22,13 @@ the variables.
 `gamma_mul` multiplies Q-basis combinations by bilinearity, where the CLI
 multiplies two basis elements (`symfunc.gamma_product`).
 
-`numerators` brings a Cyclo8Scalar vector into an `Echelon`, and
-`scalar_rows` reads an `Echelon` back as Cyclo8Scalar rows at pivot 1.
+`GaussianEchelon` (with `gaussian_span`, `gaussian_kernel_dim` and
+`gaussian_kernel_basis`) is the reduced echelon over the Gaussian integers,
+the echelon of the oracles over Q(zeta), where the CLI's `linalg.Echelon`
+runs on ints; it is the reference that echelon is compared with on integer
+vectors. `numerators` brings a Cyclo8Scalar vector into a
+`GaussianEchelon`, and `scalar_rows` reads one back as Cyclo8Scalar rows at
+pivot 1; `pairs` writes an integer vector as Gaussian pairs.
 
 In H_n, `HCElement` is a general element over Q(zeta), with the embeddings
 `embed_left`, `embed_right`, `iota` and the block swaps `braid`, where the
@@ -52,11 +57,14 @@ and psi.
 
 In A(n,m), `SuperPoly` is a general element over Q(zeta) and `m_generators`
 lists the generators of the maximal ideal m, where the CLI works on
-Gaussian-integer vectors and `spoly` dicts; `_a_generators` lists the
-generators of A(n,n) as `spoly` dicts, and `phi_apply` applies phi to any
-element of A(n,n), where `verify phi-psi` reads phi off the parities of its
-images; `act` acts on a `SuperPoly` as
-a sum of `act_terms` over the entries of the operator. `summand` closes the
+integer vectors and `spoly` dicts. The oracles over Q(zeta) keep the
+normalization that U induces, where the left Y_ab writes -zeta; the CLI's
+left Y_ab is zeta times that one, with integer matrices, and `u_image` and
+`integral_image` convert between the two at a comparison. `_a_generators`
+lists the generators of A(n,n) as `spoly` dicts, and `phi_apply` applies
+phi to any element of A(n,n), where `verify phi-psi` reads phi off the
+parities of its images; `act` acts on a `SuperPoly` as a sum of
+`act_terms` over the entries of the operator. `summand` closes the
 singular vectors of L_lambda under the simple lowering operators into a
 `GradedSubspace`, `EquivariantIdeal` echelons the ideal it generates one
 weight component at a time, and `one_box_steps_by_closure` reads a row of
@@ -69,9 +77,11 @@ walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
 Hom-dimension check on the full rank, every label of V^{(x)a} (x) W^{(x)b}
 (the CLI builds it on S^aV (x) S^bW, whose labels `sym_terms` expands into
-tensor terms), biweight and raising operator, and both parities, and `solve_singular_full` solves the singular
-vectors of L_lambda on both parities, where the CLI builds the even half on
-the support of its weight and maps it by Y_11;
+tensor terms), biweight and raising operator, and both parities, and
+`solve_singular_full` solves the singular vectors of L_lambda on both
+parities, both over Z[zeta] in the normalization U induces, where the CLI
+builds the even half over Z on the support of its weight and maps it by
+Y_ll;
 `weight_space_monomials_all_cells` lists a weight space by walking every
 cell of the n x m grid, where the CLI walks only the cells the weight
 reaches; `monomial_image_all_cells` acts on a monomial by walking every
@@ -88,7 +98,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from queerlab.amodule import (
     _cell,
@@ -111,7 +121,7 @@ from queerlab.heckeclifford import (
     word_mult,
 )
 from queerlab.jets import _substitute, phi_map
-from queerlab.linalg import Echelon, add_term, kernel_basis, span
+from queerlab.linalg import Echelon, add_term
 from queerlab.partitions import (
     StrictPartition,
     all_strict_upto,
@@ -527,13 +537,204 @@ def cauchy_rhs_truncated(d: int, N: int) -> dict:
 # echelons
 # ---------------------------------------------------------------------------
 
+# `GaussianEchelon` is the reduced echelon over the Gaussian integers Z[zeta]:
+# vectors {key: (re, im)} for re + im*zeta. It serves the oracles over Q(zeta)
+# (H_n, U = half(V (x) W) and A(n,m) in the normalization U induces), and it
+# is the reference `linalg.Echelon` is compared with on integer inputs.
+
+_ZERO = (0, 0)
+
+
+def _gaussian_eliminate(num: dict, hits: list) -> dict:
+    """num times the lcm of the hit rows' denominators, minus the multiple of
+    each hit row that clears it at that row's pivot.
+
+    `hits` holds (pivot, row) for the echelon rows whose pivot key num holds;
+    a row's denominator d is its pivot numerator. The rows are mutually
+    reduced, so clearing one pivot leaves the coefficients at the others
+    unchanged: each multiplier is read off the scaled vector, and it is a
+    Gaussian integer because d divides the scale.
+    """
+    scale = 1
+    for piv, row in hits:
+        scale = lcm(scale, row[piv][0])
+    if scale == 1:
+        out = dict(num)
+    else:
+        out = {k: (x * scale, y * scale) for k, (x, y) in num.items()}
+    get = out.get
+    for piv, row in hits:
+        d = row[piv][0]
+        fr, fi = out[piv]
+        fr //= d
+        fi //= d
+        # a key new to out cannot cancel: both factors of its term are nonzero
+        if fi:
+            for k, (x, y) in row.items():
+                a, b = get(k, _ZERO)
+                re = a - fr * x + fi * y
+                im = b - fr * y - fi * x
+                if re or im:
+                    out[k] = (re, im)
+                else:
+                    del out[k]
+        else:
+            for k, (x, y) in row.items():
+                a, b = get(k, _ZERO)
+                re = a - fr * x
+                im = b - fr * y
+                if re or im:
+                    out[k] = (re, im)
+                else:
+                    del out[k]
+    return out
+
+
+def _gaussian_primitive(num: dict, unit: int = 1) -> dict:
+    """num divided by unit (1 or -1) times the gcd of all its numerators."""
+    g = 0
+    for x, y in num.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            break
+    g *= unit
+    if g == 1:
+        return num
+    return {k: (x // g, y // g) for k, (x, y) in num.items()}
+
+
+class GaussianEchelon:
+    """A row space in reduced echelon form, pivots chosen by minimal key.
+
+    The row with pivot p is stored as num, a dict of Gaussian-integer
+    numerators (re, im) over the denominator d: the row is num / d,
+    num[p] == (d, 0) with d > 0, and the gcd of all the numerators is 1.
+    That form is unique for a row with coefficient 1 at its pivot, and a
+    reduced echelon with minimal-key pivots is unique for its space, so two
+    echelons of one space hold equal rows, whatever order the vectors came
+    in. Neither a stored row nor an inserted vector is ever changed in
+    place, so a row may be the very dict that was inserted.
+    """
+
+    def __init__(self):
+        self._rows: dict = {}  # pivot key -> num
+        self._low = None  # the lowest pivot key
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    @property
+    def nums(self) -> dict:
+        return self._rows  # pivot key -> num, read only
+
+    def _residual(self, num: dict) -> dict:
+        """A nonzero multiple of num's residual modulo the row space (num
+        itself when it holds no pivot key)."""
+        rows = self._rows
+        hits = [(k, rows[k]) for k in num if k in rows]
+        return _gaussian_eliminate(num, hits) if hits else num
+
+    def insert(self, num: dict) -> bool:
+        """Add a Gaussian-integer vector to the space; True if the rank grew."""
+        num = self._residual(num)
+        if not num:
+            return False
+        piv = min(num)
+        a, b = num[piv]
+        if b:
+            # times the conjugate of the pivot, which becomes a*a + b*b > 0
+            num = {k: (x * a + y * b, y * a - x * b) for k, (x, y) in num.items()}
+        num = _gaussian_primitive(num, -1 if a < 0 and not b else 1)
+        rows = self._rows
+        if self._low is None or piv < self._low:
+            # every key of a stored row is at least its pivot, so no row
+            # holds a pivot below the lowest one
+            self._low = piv
+        else:
+            # keep reduced form: clear the new pivot from the rows that hold it
+            new = [(piv, num)]
+            for p in [p for p, row in rows.items() if piv in row]:
+                rows[p] = _gaussian_primitive(_gaussian_eliminate(rows[p], new))
+        rows[piv] = num
+        return True
+
+    def extend(self, vecs) -> list:
+        """Insert Gaussian-integer vectors in descending order of their smallest
+        key; return the ones that raised the rank, in that order."""
+        batch = sorted((v for v in vecs if v), key=min, reverse=True)
+        return [v for v in batch if self.insert(v)]
+
+
+def gaussian_span(vecs) -> GaussianEchelon:
+    ech = GaussianEchelon()
+    ech.extend(vecs)
+    return ech
+
+
+def gaussian_kernel_dim(constraints, unknowns: list) -> int:
+    """Dimension of the joint kernel: the number of unknowns minus the rank
+    of the Gaussian-integer rows, keyed by the unknowns or their indices."""
+    return len(unknowns) - gaussian_span(constraints).rank
+
+
+def gaussian_kernel_basis(constraints, k: int) -> list[dict]:
+    """Solution basis of the homogeneous system in the unknowns 0, ..., k - 1
+    (rows are functionals).
+
+    `constraints` are Gaussian-integer dicts index -> (re, im); the
+    returned vectors are primitive Gaussian-integer dicts index -> (re, im)
+    spanning the joint kernel, one per free unknown f, positive at f.
+    """
+    rows = gaussian_span(constraints).nums
+    basis = []
+    for f in range(k):
+        if f in rows:
+            continue
+        # x_f = 1 and x_p = -row_p[f] / d_p, times the lcm of those d_p
+        hits = [(p, row) for p, row in rows.items() if f in row]
+        scale = lcm(1, *(row[p][0] for p, row in hits))
+        vec = {f: (scale, 0)}
+        for p, row in hits:
+            vec[p] = tuple(-c * (scale // row[p][0]) for c in row[f])
+        basis.append(_gaussian_primitive(vec))
+    return basis
+
 
 def kernel_basis_keyed(constraints, unknowns: list) -> list[dict]:
-    """`linalg.kernel_basis` for rows keyed by the unknowns themselves: the
+    """`gaussian_kernel_basis` for rows keyed by the unknowns themselves: the
     rows are re-keyed to the unknowns' indices, and the kernel vectors back."""
     order = {u: i for i, u in enumerate(unknowns)}
     rows = [{order[k]: c for k, c in row.items()} for row in constraints]
-    return [{unknowns[i]: c for i, c in vec.items()} for vec in kernel_basis(rows, len(unknowns))]
+    basis = gaussian_kernel_basis(rows, len(unknowns))
+    return [{unknowns[i]: c for i, c in vec.items()} for vec in basis]
+
+
+def pairs(vec: dict) -> dict:
+    """An integer vector as a Gaussian-integer one, {key: (c, 0)}."""
+    return {k: (c, 0) for k, c in vec.items()}
+
+
+def u_image(side: str, kind: str, image: dict) -> dict:
+    """An integer image of `amodule.act_terms` in the normalization that U
+    induces, as Gaussian pairs: the left Y_ab of `amodule` is zeta times the
+    one U induces, so that one's image is -zeta times it."""
+    if side == "left" and kind == "Y":
+        return {k: (0, -c) for k, c in image.items()}
+    return pairs(image)
+
+
+def integral_image(side: str, kind: str, image: dict) -> dict:
+    """A Gaussian image in the normalization U induces, brought to that of
+    `amodule`: times zeta for the left Y_ab, whose coefficients must then be
+    real; the inverse of `u_image`."""
+    out = {}
+    for k, (x, y) in image.items():
+        if side == "left" and kind == "Y":
+            x, y = -y, x
+        assert y == 0, (side, kind, k, image[k])
+        out[k] = x
+    return out
 
 
 def numerators(vec: dict) -> dict:
@@ -549,7 +750,7 @@ def numerators(vec: dict) -> dict:
     return {k: (c.re * (den // c.den), c.im * (den // c.den)) for k, c in vec.items()}
 
 
-def scalar_rows(ech: Echelon) -> dict:
+def scalar_rows(ech: GaussianEchelon) -> dict:
     """pivot key -> row of ech as a Cyclo8Scalar dict, ONE at the pivot; new
     on each call."""
     return {
@@ -558,12 +759,12 @@ def scalar_rows(ech: Echelon) -> dict:
     }
 
 
-def in_span(ech: Echelon, num: dict) -> bool:
+def in_span(ech, num: dict) -> bool:
     """num lies in the row space of ech: its residual is zero."""
     return not ech._residual(num)
 
 
-def contains_space(big: Echelon, small: Echelon) -> bool:
+def contains_space(big, small) -> bool:
     return all(in_span(big, num) for num in small.nums.values())
 
 
@@ -889,11 +1090,11 @@ def transpose(x: HCElement) -> HCElement:
     return HCElement(x.n, out)
 
 
-def two_sided_closure(n: int, elements) -> Echelon:
+def two_sided_closure(n: int, elements) -> GaussianEchelon:
     """Smallest subspace containing the elements closed under left/right
     multiplication by H_n, as an echelon of word-coordinate vectors."""
     gens = generators(n)
-    ech = Echelon()
+    ech = GaussianEchelon()
     queue = []
     for x in elements:
         v = dict(x.terms) if isinstance(x, HCElement) else dict(x)
@@ -909,7 +1110,7 @@ def two_sided_closure(n: int, elements) -> Echelon:
     return ech
 
 
-def sigma_step(n: int, subspace: Echelon) -> Echelon:
+def sigma_step(n: int, subspace: GaussianEchelon) -> GaussianEchelon:
     """Two-sided ideal of H_{n+1} generated by iota_{1,n}(1 (x) J)."""
     shifted = [embed_right(HCElement(n, row), 1, n) for row in scalar_rows(subspace).values()]
     return two_sided_closure(n + 1, shifted)
@@ -1033,7 +1234,7 @@ def dim_T_by_echelon(lam: StrictPartition, n: int) -> int:
     d = lam.size
     block = decompose_regular(d).blocks[lam]
     e = idempotent(block)
-    rank = span(numerators(hc_apply(e, lab)) for lab in tensor_basis(n, d)).rank
+    rank = gaussian_span(numerators(hc_apply(e, lab)) for lab in tensor_basis(n, d)).rank
     num = rank * 2 ** delta(lam)
     assert num % block.dim_S == 0, (lam, n, rank)
     return num // block.dim_S
@@ -1444,20 +1645,27 @@ def phi_apply(n: int, order: int, terms: dict) -> dict:
 
 def act(side: str, g: QnElement, p: SuperPoly) -> SuperPoly:
     """The action of (g, 0) or (0, g) on p: the sum over the entries c of g
-    of c times `act_terms` of that entry's basis operator."""
+    of c times `act_terms` of that entry's basis operator, in the
+    normalization U induces (`u_image`)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     rank = p.n if side == "left" else p.m
     if g.n != rank:
         raise ValueError("operator rank %d does not match side rank %d" % (g.n, rank))
-    # linear: act on p times the lcm of its denominators, and divide back
+    # linear: act on the real and imaginary parts of p times the lcm of its
+    # denominators, and divide back
     den = lcm(1, *(c.den for c in p.terms.values()))
     num = numerators(p.terms)
+    re = {k: x for k, (x, _) in num.items() if x}
+    im = {k: y for k, (_, y) in num.items() if y}
+    parts = ((re, ONE), (im, ZETA))
     out = {}
     for kind, mat in (("X", g.xmat), ("Y", g.ymat)):
         for (a, b), c in mat.items():
-            for k, (x, y) in act_terms(side, (kind, a, b), num, p.n, p.m).items():
-                add_term(out, k, c * Cyclo8Scalar(x, y, den))
+            for part, unit in parts:
+                image = act_terms(side, (kind, a, b), part, p.n, p.m)
+                for k, (x, y) in u_image(side, kind, image).items():
+                    add_term(out, k, c * unit * Cyclo8Scalar(x, y, den))
     return SuperPoly(p.n, p.m, out)
 
 
@@ -1484,8 +1692,8 @@ def mono_biweight(mono, n: int, m: int):
 
 @dataclass
 class GradedSubspace:
-    """Weight-graded subspace of Gaussian-integer vectors: components keyed
-    by (degree, biweight)."""
+    """Weight-graded subspace of integer vectors: components keyed by
+    (degree, biweight)."""
 
     n: int
     m: int
@@ -1629,10 +1837,10 @@ class EquivariantIdeal:
             for mono in weight_space_monomials(n, m, d - d0, (crows, ccols)):
                 for row in rows:
                     prod = {}
-                    for k, (x, y) in row.items():
+                    for k, x in row.items():
                         r = mono_mul(mono, k)
                         if r is not None:
-                            prod[r[0]] = (x, y) if r[1] == 1 else (-x, -y)
+                            prod[r[0]] = x * r[1]
                     products.append(prod)
         ech = Echelon()
         ech.extend(products)
@@ -1728,7 +1936,9 @@ def weight_space_monomials_all_cells(n: int, m: int, d: int, w) -> list:
 def monomial_image_all_cells(side, kind, a, b, mono, n, m) -> tuple:
     """`amodule._monomial_image` by the walk over all n * m cells: every x
     exponent and every odd factor is tested against index b, and the terms
-    are summed in a dict and filtered for zeros."""
+    are summed in a dict and filtered for zeros. It reads the generator
+    table of U itself, Gaussian pairs where the left Y_ab writes -zeta
+    (`integral_image` brings it to the normalization of `amodule`)."""
     e, o = mono
     odd_op = kind == "Y"
     out = {}
@@ -1800,7 +2010,7 @@ def monomial_image_all_cells(side, kind, a, b, mono, n, m) -> tuple:
 def weight_space(n: int, m: int, d: int, w) -> GradedSubspace:
     """The degree-d, biweight-w component of A(n,m) as a graded subspace."""
     space = GradedSubspace(n, m)
-    space.extend({mono: (1, 0)} for mono in weight_space_monomials(n, m, d, w))
+    space.extend({mono: 1} for mono in weight_space_monomials(n, m, d, w))
     return space
 
 
@@ -1838,9 +2048,11 @@ def all_raising_operators(n: int, m: int):
 
 def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
     """A kernel basis of the weight-(lam,lam) slice of A_|lam| under the
-    raising operators, solved on both parities at once: one row per
-    (operator, image monomial), one unknown per monomial of the slice.
-    `amodule.singular_vectors` solves the even half and maps it by Y_11."""
+    raising operators, solved on both parities at once over Z[zeta], in the
+    normalization U induces (`u_image`): one row per (operator, image
+    monomial), one unknown per monomial of the slice.
+    `amodule.singular_vectors` solves the even half over Z and maps it by
+    Y_ll."""
     if lam.length > min(n, m):
         return []
     w = (_pad(lam.parts, n), _pad(lam.parts, m))
@@ -1850,7 +2062,7 @@ def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
     constraints = {}
     for side, op in raising_operators(w):
         for mono in monos:
-            for tgt, c in act_terms(side, op, {mono: (1, 0)}, n, m).items():
+            for tgt, c in u_image(side, op[0], act_terms(side, op, {mono: 1}, n, m)).items():
                 constraints.setdefault((side, op, tgt), {})[mono] = c
     return kernel_basis_keyed(constraints.values(), monos)
 
@@ -1870,7 +2082,10 @@ def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     every biweight of A_r, and every raising operator on every unknown.
     Its kernel is c_alpha c_beta times the count `dimcheck._sing_dim` makes
     on S^aV (x) S^bW (x) A_r, and its even unknowns that are triples of
-    `queer.sym_label`s are those of `_sing_system`, in the same order."""
+    `queer.sym_label`s are those of `_sing_system`, in the same order. It is
+    built over Z[zeta] in the normalization U induces: both factors act on V
+    in the basis e_i, f_i, where Y_aa^2 = -X_aa, and the left Y_ab of A is
+    `u_image` of that of `amodule`."""
 
     def by_weight(k, d):
         out = {}
@@ -1899,15 +2114,16 @@ def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
         for col, (vlab, wlab, mono) in enumerate(basis):
             pv, pw = _label_parity(vlab), _label_parity(wlab)
             if side == "left":
-                for vlab2, c in tensor_image(op, vlab).items():
-                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
+                for vlab2, c in tensor_image(op, vlab, -1).items():
+                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = (c, 0)
             else:
                 flip = godd and pv % 2
-                for wlab2, (x, y) in tensor_image(op, wlab).items():
+                for wlab2, c in tensor_image(op, wlab, -1).items():
                     row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
-                    row[col] = (-x, -y) if flip else (x, y)
+                    row[col] = (-c, 0) if flip else (c, 0)
             flip = godd and (pv + pw) % 2
-            for mono2, (x, y) in act_terms(side, op, {mono: (1, 0)}, n, m).items():
+            image = u_image(side, op[0], act_terms(side, op, {mono: 1}, n, m))
+            for mono2, (x, y) in image.items():
                 row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
                 row[col] = (-x, -y) if flip else (x, y)
     return list(constraints.values()), basis

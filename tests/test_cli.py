@@ -155,7 +155,7 @@ def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeyp
     def flipped(side, kind, a, b, mono, n, m):
         img = real(side, kind, a, b, mono, n, m)
         if (side, kind, a, b, mono) == ("right", "Y", 2, 1, x11):
-            img = tuple((k, (-re, -im)) for k, (re, im) in img)
+            img = tuple((k, -c) for k, c in img)
         return img
 
     monkeypatch.setattr(amodule, "_monomial_image", flipped)
@@ -169,7 +169,7 @@ def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeyp
 @pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
 def test_a_cartan_image_without_its_odd_factor_fails_the_check(target, monkeypatch, capsys):
     # left X_11 with y_11 left out is still self-adjoint on A_1, but then
-    # left Y_11^2, which sends y_11 to -y_11, is no longer -X_11
+    # left Y_11^2, which sends y_11 to y_11, is no longer X_11
     from queerlab import amodule
 
     real = amodule._monomial_image
@@ -185,7 +185,7 @@ def test_a_cartan_image_without_its_odd_factor_fails_the_check(target, monkeypat
     assert main(["verify", target]) == 1
     err = capsys.readouterr().err
     assert "check failed in verify %s: ContravarianceError" % target in err
-    assert "left Y_11^2 is not -X_11" in err
+    assert "left Y_11^2 is not X_11" in err
 
 
 def test_verify_hecke_ideals_nmax5(capsys):
@@ -457,6 +457,10 @@ def test_dump_dims_lists_no_tensor_basis(monkeypatch, capsys):
         (["verify", "main-theorem", "--lambda", "2,1"], "--lambda"),
         (["verify", "main-theorem", "--d", "4"], "--d"),
         (["pieri", "main-theorem"], "main-theorem"),
+        # the staircase (2,1) is longer than min(n, m): nothing to check
+        (["verify", "determinantal", "--n", "1", "--m", "1"], "--n"),
+        (["verify", "determinantal", "--n", "1", "--m", "3"], "--n"),
+        (["verify", "determinantal", "--n", "3", "--m", "1"], "--m"),
     ],
 )
 def test_bad_input_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -1,8 +1,15 @@
+from collections import Counter
 from itertools import chain, product
 
 import pytest
 
-from oracles import all_raising_operators, sing_system_full, solve_singular_full, sym_terms
+from oracles import (
+    all_raising_operators,
+    gaussian_kernel_dim,
+    sing_system_full,
+    solve_singular_full,
+    sym_terms,
+)
 from queerlab import amodule, dimcheck
 from queerlab.amodule import (
     _pad,
@@ -178,7 +185,7 @@ def test_support_system_matches_the_full_rank_oracle():
         rows, basis = _sing_system(n, m, *args)
         even_rows, even_basis = _parity_block(*sing_system_full(n, m, *args), 0)
         assert basis == [t for t in even_basis if sym_label(t[0]) and sym_label(t[1])], (n, m, args)
-        assert _COPIES[a] * _COPIES[b] * kernel_dim(rows, basis) == kernel_dim(even_rows, even_basis), (n, m, args)
+        assert _COPIES[a] * _COPIES[b] * kernel_dim(rows, basis) == gaussian_kernel_dim(even_rows, even_basis), (n, m, args)
         built += bool(basis)
     assert built > 100
 
@@ -201,62 +208,55 @@ def test_the_odd_half_of_a_singular_slice_mirrors_the_even_half():
         rows, basis = sing_system_full(n, m, a, b, r, wrow, wcol)
         for row in rows:
             assert len({_triple_parity(basis[c]) for c in row}) == 1, (n, m, a, b, r, wrow, wcol)
-        even = kernel_dim(*_parity_block(rows, basis, 0))
-        odd = kernel_dim(*_parity_block(rows, basis, 1))
+        even = gaussian_kernel_dim(*_parity_block(rows, basis, 0))
+        odd = gaussian_kernel_dim(*_parity_block(rows, basis, 1))
         factor = _halving_factor(wrow, wcol)
-        assert kernel_dim(rows, basis) == factor * even, (n, m, a, b, r, wrow, wcol)
+        assert gaussian_kernel_dim(rows, basis) == factor * even, (n, m, a, b, r, wrow, wcol)
         assert odd == (factor - 1) * even, (n, m, a, b, r, wrow, wcol)
         # the one-copy count, c_alpha c_beta times, is the full count
         one = dimcheck._sing_dim(n, m, a, b, r, wrow, wcol)
-        assert _COPIES[a] * _COPIES[b] * one == kernel_dim(rows, basis), (n, m, a, b, r, wrow, wcol)
+        assert _COPIES[a] * _COPIES[b] * one == gaussian_kernel_dim(rows, basis), (n, m, a, b, r, wrow, wcol)
         nonzero += factor == 2 and even > 0
     assert nonzero > 50
 
 
 def _expand(vec):
-    """A vector {(v, w, mono): (re, im)} of S^aV (x) S^bW (x) A_r, its labels
+    """A vector {(v, w, mono): c} of S^aV (x) S^bW (x) A_r, its labels
     expanded into the tensor terms of V^{(x)a} (x) W^{(x)b} (`sym_terms`)."""
     out = {}
-    for (vlab, wlab, mono), (xr, xi) in vec.items():
+    for (vlab, wlab, mono), x in vec.items():
         for v, sv in sym_terms(vlab):
             for w, sw in sym_terms(wlab):
-                out[v, w, mono] = (sv * sw * xr, sv * sw * xi)
+                out[v, w, mono] = sv * sw * x
     return out
 
 
 def _act_on_triples(n, m, side, op, vec):
-    """A raising or Cartan operator on a vector {(v, w, mono): (re, im)} of
-    V^{(x)a} (x) W^{(x)b} (x) A_r, with the Koszul signs of the rows of
+    """A raising or Cartan operator on a vector {(v, w, mono): c} of
+    V^{(x)a} (x) W^{(x)b} (x) A_r, in the form of `amodule._sing_system`
+    (the left factor with square = 1), with the Koszul signs of the rows of
     `sing_system_full`."""
     odd = op[0] == "Y"
-    out = {}
-    for (vlab, wlab, mono), (xr, xi) in vec.items():
+    out = Counter()
+    for (vlab, wlab, mono), x in vec.items():
         pv, pw = _label_parity(vlab), _label_parity(wlab)
-        terms = []
         if side == "left":
-            terms += [((v2, wlab, mono), c) for v2, c in tensor_image(op, vlab).items()]
+            terms = [((v2, wlab, mono), c) for v2, c in tensor_image(op, vlab, 1).items()]
         else:
             sign = -1 if odd and pv else 1
-            terms += [
-                ((vlab, w2, mono), (sign * c[0], sign * c[1]))
-                for w2, c in tensor_image(op, wlab).items()
-            ]
+            terms = [((vlab, w2, mono), sign * c) for w2, c in tensor_image(op, wlab, -1).items()]
         sign = -1 if odd and (pv + pw) % 2 else 1
-        terms += [
-            ((vlab, wlab, mono2), (sign * c[0], sign * c[1]))
-            for mono2, c in act_terms(side, op, {mono: (1, 0)}, n, m).items()
-        ]
-        for key, (sr, si) in terms:
-            ur, ui = out.get(key, (0, 0))
-            out[key] = (ur + xr * sr - xi * si, ui + xr * si + xi * sr)
-    return {k: c for k, c in out.items() if c != (0, 0)}
+        terms += [((vlab, wlab, mono2), sign * c) for mono2, c in act_terms(side, op, {mono: 1}, n, m).items()]
+        for key, c in terms:
+            out[key] += x * c
+    return {k: c for k, c in out.items() if c}
 
 
 def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
     # the even kernel, expanded into V^{(x)a} (x) W^{(x)b}, is killed by
-    # every raising operator of the full system; Y_ii (or the right Y_jj)
-    # squares to -wrow_i, keeps every raising operator's kernel, and is one
-    # to one on the even kernel
+    # every raising operator of the full system; the left Y_ii squares to
+    # wrow_i (or the right Y_jj to -wcol_j), keeps every raising operator's
+    # kernel, and is one to one on the even kernel
     checked = 0
     for n, m, (a, b, r, wrow, wcol) in chain(
         ((2, 2, args) for args in _composition_systems(2, 2, total=3)),
@@ -274,10 +274,8 @@ def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
         assert span(odds).rank == len(evens)
         for v, w in zip(evens, odds):
             assert all(_triple_parity(t) == 1 for t in w)
-            scalar = -wt[i - 1]
-            assert _act_on_triples(n, m, side, hbar, w) == {
-                t: (scalar * x, scalar * y) for t, (x, y) in v.items()
-            }
+            scalar = wt[i - 1] if side == "left" else -wt[i - 1]
+            assert _act_on_triples(n, m, side, hbar, w) == {t: scalar * x for t, x in v.items()}
             for so in all_raising_operators(n, m):
                 assert not _act_on_triples(n, m, *so, v)
                 assert not _act_on_triples(n, m, *so, w)
@@ -291,7 +289,7 @@ def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
     fast = [hom_dim_sweep(k, k, 2, 2) for k in (2, 3, 4)]
 
     def full_per_copy(n, m, a, b, *args):
-        count, rem = divmod(kernel_dim(*sing_system_full(n, m, a, b, *args)), _COPIES[a] * _COPIES[b])
+        count, rem = divmod(gaussian_kernel_dim(*sing_system_full(n, m, a, b, *args)), _COPIES[a] * _COPIES[b])
         assert not rem
         return count
 
@@ -326,8 +324,8 @@ def test_skipped_raising_operators_write_nothing():
             basis = sing_system_full(n, m, a, b, r, wrow, wcol)[1]
             for side, op in dead:
                 for vlab, wlab, mono in basis:
-                    assert not tensor_image(op, vlab if side == "left" else wlab)
-                    assert not act_terms(side, op, {mono: (1, 0)}, n, m)
+                    assert not tensor_image(op, vlab if side == "left" else wlab, 1 if side == "left" else -1)
+                    assert not act_terms(side, op, {mono: 1}, n, m)
                     checked += 1
         # the singular vectors of L_lam: weight (lam, lam) in A_|lam|
         for lam in all_strict_upto(5):
@@ -339,7 +337,7 @@ def test_skipped_raising_operators_write_nothing():
             assert all(op[2] > lam.length for _, op in dead)
             for side, op in dead:
                 for mono in weight_space_monomials(n, m, lam.size, w):
-                    assert not act_terms(side, op, {mono: (1, 0)}, n, m)
+                    assert not act_terms(side, op, {mono: 1}, n, m)
                     checked += 1
     assert checked > 10000
 

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from oracles import (
+    GaussianEchelon,
     HCElement,
     _inverse_word,
     _signed_classes,
@@ -18,6 +19,7 @@ from oracles import (
     contains_space,
     embed_left,
     embed_right,
+    gaussian_span,
     generators,
     hc_unit,
     idempotent,
@@ -51,7 +53,6 @@ from queerlab.heckeclifford import (
     verify_tensor_ideal_theorem,
     word_mult,
 )
-from queerlab.linalg import Echelon, span
 from queerlab.partitions import StrictPartition, contains, enumerate_strict, l_max, odd_partitions
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import induct_mult
@@ -64,10 +65,10 @@ def sp(*parts):
 
 
 @lru_cache(maxsize=None)
-def block_echelon(n: int, lam: StrictPartition) -> Echelon:
+def block_echelon(n: int, lam: StrictPartition) -> GaussianEchelon:
     """J^lambda = e_lambda H_n, by echelon: the oracle for the traces."""
     e = idempotent(decompose_regular(n).blocks[lam])
-    return span(numerators((e * HCElement(n, {w: ONE})).terms) for w in all_words(n))
+    return gaussian_span(numerators((e * HCElement(n, {w: ONE})).terms) for w in all_words(n))
 
 
 def test_defining_relations():
@@ -244,7 +245,7 @@ def test_sigma_step_examples():
     out = sigma_step(2, block_echelon(2, sp(2)))
     assert out.rank == 48
     # Sigma of zero is zero
-    assert sigma_step(2, Echelon()).rank == 0
+    assert sigma_step(2, GaussianEchelon()).rank == 0
 
 
 def test_sigma_support_matches_induction_by_one_box():
@@ -452,7 +453,7 @@ def test_trace_ranks_match_echelon_ranks(n):
         assert block.dim_J == ech.rank
         for nu, pb in prev.blocks.items():
             f_emb = embed_left(idempotent(pb), n - 1, 1)
-            sub = span(numerators((f_emb * HCElement(n, row)).terms) for row in scalar_rows(ech).values())
+            sub = gaussian_span(numerators((f_emb * HCElement(n, row)).terms) for row in scalar_rows(ech).values())
             assert regular_trace_rank(f_emb, idempotent(block)) == sub.rank
             assert _trace_rank(prev, pb.coords, table, block.coords) == sub.rank
 

@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import contains_space, in_span, scalar_rows
+from oracles import GaussianEchelon, contains_space, in_span, pairs, scalar_rows
 from oracles import kernel_basis_keyed, numerators
 from queerlab.linalg import Echelon, add_term, kernel_basis, span
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
@@ -75,15 +75,21 @@ class OracleEchelon:
 
 def test_insert_and_rank():
     ech = Echelon()
-    assert ech.insert(numerators({0: ONE, 1: s(2)}))
-    assert not ech.insert(numerators({0: s(3), 1: s(6)}))
-    assert ech.insert(numerators({1: ONE}))
+    assert ech.insert({0: 1, 1: 2})
+    assert not ech.insert({0: 3, 1: 6})
+    assert ech.insert({1: 1})
     assert ech.rank == 2
-    assert in_span(ech, numerators({0: s(7), 1: s(-4)}))
+    assert in_span(ech, {0: 7, 1: -4})
 
 
 def test_reduce_is_zero_on_members():
     ech = Echelon()
+    ech.insert({0: 1, 2: 3})
+    ech.insert({1: 2, 2: 1})
+    assert in_span(ech, {0: 3, 1: 10, 2: 14})
+    assert not in_span(ech, {0: 1})
+    # the Gaussian echelon of the oracles, with zeta entries
+    ech = GaussianEchelon()
     ech.insert(numerators({0: ONE, 2: ZETA}))
     ech.insert(numerators({1: s(2), 2: ONE}))
     v = {0: s(3), 2: s(3) * ZETA}
@@ -100,21 +106,35 @@ def test_reduced_form_pivots_unique():
     # non-real pivots before they are made real
     gaussian = lambda: Cyclo8Scalar(rng.randint(-4, 4), rng.randint(-2, 2), rng.randint(1, 6))
     for entry in (integral, gaussian):
-        ech = Echelon()
+        ech, ints = GaussianEchelon(), Echelon()
         for _ in range(24):
             vec = {k: entry() for k in range(8)}
             vec = {k: c for k, c in vec.items() if not c.is_zero()}
             ech.insert(numerators(vec))
+            if entry is integral:
+                ints.insert({k: c.re for k, c in vec.items()})
         rows = scalar_rows(ech)
         pivots = set(rows)
         for p, row in rows.items():
             assert row[p] == ONE
             for other in pivots - {p}:
                 assert other not in row
+        if entry is integral:
+            assert {p: pairs(num) for p, num in ints.nums.items()} == ech.nums
 
 
 def test_rows_view_follows_inserts():
     ech = Echelon()
+    ech.insert({0: 3, 1: 1, 2: 6})
+    ech.insert({2: 1, 3: 1})
+    before = dict(ech.nums)
+    assert before[0] == {0: 3, 1: 1, 3: -6}
+    # pivot 1 sits in the row of pivot 0, so back-substitution rewrites it
+    assert ech.insert({1: 3, 3: 2})
+    assert ech.nums == {0: {0: 9, 3: -20}, 1: {1: 3, 3: 2}, 2: {2: 1, 3: 1}}
+    assert 1 in before[0]
+    # the same with Gaussian rationals, on the Gaussian echelon
+    ech = GaussianEchelon()
     ech.insert(numerators({0: ONE, 1: Cyclo8Scalar(1, 1, 3), 2: s(2)}))
     ech.insert(numerators({2: ONE, 3: ZETA}))
     before = scalar_rows(ech)
@@ -134,31 +154,26 @@ def test_rows_view_follows_inserts():
 
 
 def test_kernel_basis():
-    # x0 + x1 = 0, x1 - x2 = 0 in 3 unknowns: kernel dim 1
-    rows = [{0: ONE, 1: ONE}, {1: ONE, 2: s(-1)}]
-    basis = kernel_basis([numerators(row) for row in rows], 3)
-    assert len(basis) == 1
-    vec = {k: Cyclo8Scalar(x, y) for k, (x, y) in basis[0].items()}
+    # 2 x0 + 2 x1 = 0, x1 - x2 = 0 in 3 unknowns: kernel dim 1
+    rows = [{0: 2, 1: 2}, {1: 1, 2: -1}]
+    basis = kernel_basis(rows, 3)
+    assert basis == [{2: 1, 1: 1, 0: -1}]
     for row in rows:
-        acc = Cyclo8Scalar()
-        for k, c in row.items():
-            acc = acc + c * vec.get(k, Cyclo8Scalar())
-        assert acc.is_zero()
-    # the same system keyed by names, re-keyed by the oracle
+        assert sum(c * basis[0].get(k, 0) for k, c in row.items()) == 0
+    # the same system keyed by names, solved by the Gaussian oracle
     names = ["a", "b", "c"]
-    keyed = [{names[k]: c for k, c in numerators(row).items()} for row in rows]
-    assert kernel_basis_keyed(keyed, names) == [{names[k]: c for k, c in basis[0].items()}]
+    keyed = [{names[k]: (c, 0) for k, c in row.items()} for row in rows]
+    assert kernel_basis_keyed(keyed, names) == [{names[k]: (c, 0) for k, c in basis[0].items()}]
 
 
 def test_kernel_full_and_empty():
     assert len(kernel_basis([], 2)) == 2
-    rows = [{0: ONE}, {1: ONE}]
-    assert kernel_basis([numerators(row) for row in rows], 2) == []
+    assert kernel_basis([{0: 1}, {1: -3}], 2) == []
 
 
 def test_span_contains_space():
-    a = span(numerators(v) for v in [{0: ONE}, {1: ONE}])
-    b = span(numerators(v) for v in [{0: s(2), 1: s(3)}])
+    a = span([{0: 1}, {1: 1}])
+    b = span([{0: 2, 1: 3}])
     assert contains_space(a, b)
     assert not contains_space(b, a)
 
@@ -183,6 +198,43 @@ ENTRIES = st.builds(
     Cyclo8Scalar, st.integers(-6, 6), st.integers(-3, 3), st.integers(1, 12)
 ).filter(bool)
 VECTORS = st.dictionaries(st.integers(0, KEYS - 1), ENTRIES, max_size=6)
+INTEGER_VECTORS = st.dictionaries(st.integers(0, KEYS - 1), st.integers(-6, 6).filter(bool), max_size=6)
+
+
+def gaussian_raised(vectors) -> list:
+    """The vectors that raise the rank of a `GaussianEchelon` fed in
+    `Echelon.extend`'s order: descending smallest key, ties as given."""
+    gauss = GaussianEchelon()
+    batch = sorted((v for v in vectors if v), key=min, reverse=True)
+    return [v for v in batch if gauss.insert(pairs(v))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_echelon_matches_the_gaussian_echelon_on_integer_vectors(data):
+    vectors = data.draw(st.lists(INTEGER_VECTORS, min_size=1, max_size=8))
+    # repeated rows (c*v_i + v_i) and dependent ones (c*v_i + v_j)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
+        c = data.draw(st.integers(-4, 4))
+        vec = dict(vectors[j])
+        for k, x in vectors[i].items():
+            add_term(vec, k, c * x)
+        vectors.append(vec)
+    vectors = data.draw(st.permutations(vectors))
+    ech, gauss = Echelon(), GaussianEchelon()
+    for vec in vectors:
+        assert ech.insert(vec) == gauss.insert(pairs(vec))
+        assert {p: pairs(num) for p, num in ech.nums.items()} == gauss.nums
+    # the stored rows: positive pivot, content 1
+    for p, num in ech.nums.items():
+        assert num[p] > 0 and gcd(*num.values()) == 1
+    for probe in data.draw(st.lists(INTEGER_VECTORS, max_size=4)) + vectors:
+        assert in_span(ech, probe) == in_span(gauss, pairs(probe))
+    batch = Echelon()
+    raised = batch.extend(vectors)
+    assert batch.nums == ech.nums
+    assert [id(v) for v in raised] == [id(v) for v in gaussian_raised(vectors)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,7 +246,7 @@ def test_echelon_matches_the_scalar_oracle(data):
         i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
         vectors.append(vec_axpy(vectors[j], data.draw(ENTRIES), vectors[i]))
     vectors = data.draw(st.permutations(vectors))
-    ech, oracle = Echelon(), OracleEchelon()
+    ech, oracle = GaussianEchelon(), OracleEchelon()
     for vec in vectors:
         assert ech.insert(numerators(vec)) == oracle.insert(vec)
         assert ech.rank == oracle.rank
@@ -222,7 +274,7 @@ def test_batch_entry_matches_sequential_inserts_and_the_oracle(data):
         i, j = (data.draw(st.integers(0, len(vectors) - 1)) for _ in range(2))
         vectors.append(vec_axpy(vectors[j], data.draw(ENTRIES), vectors[i]))
     nums = [numerators(v) for v in vectors]
-    seq, oracle = Echelon(), OracleEchelon()
+    seq, oracle = GaussianEchelon(), OracleEchelon()
     for vec, num in zip(vectors, nums):
         seq.insert(num)
         oracle.insert(vec)
@@ -233,7 +285,7 @@ def test_batch_entry_matches_sequential_inserts_and_the_oracle(data):
         "descending": sorted((i for i in range(len(vectors)) if nums[i]), key=smallest, reverse=True),
     }
     for name, order in orders.items():
-        ech = Echelon()
+        ech = GaussianEchelon()
         raised = ech.extend(nums[i] for i in order)
         assert ech.rank == seq.rank == oracle.rank, name
         assert ech.nums == seq.nums, name

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import factorial
@@ -5,6 +6,7 @@ from math import factorial
 import pytest
 
 from oracles import (
+    GaussianEchelon,
     HCElement,
     QnElement,
     USpace,
@@ -17,13 +19,13 @@ from oracles import (
     hc_apply,
     hk_decompose,
     numerators,
+    pairs,
     q_act_tensor,
     sym_terms,
     x_prime,
     y_prime,
 )
 from queerlab.heckeclifford import all_words
-from queerlab.linalg import Echelon
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
 from queerlab.queer import (
     ActionError,
@@ -111,9 +113,23 @@ def test_act_on_V_table():
     assert act_on_V(QnElement.Y(n, 1, 2), {("f", 2): ONE}) == {("e", 1): ONE}
 
 
+def _zeta_power(k: int) -> Cyclo8Scalar:
+    out = ONE
+    for _ in range(k % 4):
+        out = out * ZETA
+    return out
+
+
+def _f_count(lab) -> int:
+    return sum(1 for s in lab if s[0] == "f")
+
+
 def test_tensor_image_matches_q_act_tensor():
     # the keyed action on tensor labels against the QnElement oracle, for
-    # every basis operator X_ab, Y_ab
+    # every basis operator X_ab, Y_ab: at square = -1 the oracle's own form,
+    # and at square = 1 the form of X_ab and zeta Y_ab in the basis e_i,
+    # f_i / zeta, where a label with k f letters is zeta^-k times the
+    # oracle's, and every coefficient must come out real
     for n in (1, 2, 3):
         cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
         for d in range(3):
@@ -121,29 +137,55 @@ def test_tensor_image_matches_q_act_tensor():
                 for a, b in cells:
                     for kind, g in (("X", QnElement.X(n, a, b)), ("Y", QnElement.Y(n, a, b))):
                         want = numerators(q_act_tensor(g, {lab: ONE}))
-                        assert tensor_image((kind, a, b), lab) == want, (kind, a, b, lab)
+                        assert pairs(tensor_image((kind, a, b), lab, -1)) == want, (kind, a, b, lab)
+                        g = g.scale(ZETA) if kind == "Y" else g
+                        image = q_act_tensor(g, {lab: _zeta_power(-_f_count(lab))})
+                        want = numerators({u: c * _zeta_power(_f_count(u)) for u, c in image.items()})
+                        assert pairs(tensor_image((kind, a, b), lab, 1)) == want, (kind, a, b, lab)
+
+
+@pytest.mark.parametrize("square", [1, -1])
+def test_an_odd_cartan_element_squares_to_square_times_x_aa(square):
+    # Y_aa^2 = square * X_aa on V^{(x)d} and on S^dV, d <= 2: +X_aa in the
+    # left form, -X_aa in the right one; in the sum over slots the cross
+    # terms cancel by their Koszul signs
+    def twice(image, lab):
+        out = Counter()
+        for u, c in image(lab):
+            for v, x in image(u):
+                out[v] += c * x
+        return {v: c for v, c in out.items() if c}
+
+    for n in (1, 2, 3):
+        for a in range(1, n + 1):
+            y, x = ("Y", a, a), ("X", a, a)
+            for lab in (lab for d in range(3) for lab in tensor_basis(n, d)):
+                got = twice(lambda t: tensor_image(y, t, square).items(), lab)
+                assert got == {u: square * c for u, c in tensor_image(x, lab, square).items()}, (n, a, lab)
+                if sym_label(lab):
+                    got = twice(lambda t: sym_image(y, t, square), lab)
+                    assert got == {u: square * c for u, c in sym_image(x, lab, square)}, (n, a, lab)
 
 
 def test_sym_image_reads_the_image_of_the_symmetric_vector():
     # the image of each basis vector of S^dV, d <= 2, expanded into tensor
     # terms, is super-symmetric, and sym_image is its coordinates at the
-    # symmetric labels
+    # symmetric labels, in both forms
     for n in (1, 2, 3):
         labs = [lab for d in range(3) for lab in tensor_basis(n, d) if sym_label(lab)]
         assert len(labs) == 1 + 2 * n + 2 * n * n
         ops = [(kind, a, b) for kind in "XY" for a in range(1, n + 1) for b in range(1, n + 1)]
-        for lab in labs:
-            for op in ops:
-                full = Counter()
-                for t, sign in sym_terms(lab):
-                    for u, (c, _) in tensor_image(op, t).items():
-                        full[u] += sign * c
-                full = {u: c for u, c in full.items() if c}
-                for u, c in full.items():
-                    if len(u) == 2:
-                        assert full.get(u[::-1], 0) == (-c if u[0][0] == u[1][0] == "f" else c), (op, lab, u)
-                want = {u: (c, 0) for u, c in full.items() if sym_label(u)}
-                assert dict(sym_image(op, lab)) == want, (op, lab)
+        for lab, op, square in itertools.product(labs, ops, (1, -1)):
+            full = Counter()
+            for t, sign in sym_terms(lab):
+                for u, c in tensor_image(op, t, square).items():
+                    full[u] += sign * c
+            full = {u: c for u, c in full.items() if c}
+            for u, c in full.items():
+                if len(u) == 2:
+                    assert full.get(u[::-1], 0) == (-c if u[0][0] == u[1][0] == "f" else c), (op, lab, u)
+            want = {u: c for u, c in full.items() if sym_label(u)}
+            assert dict(sym_image(op, lab, square)) == want, (op, lab, square)
 
 
 def test_act_on_U_left_X():
@@ -258,7 +300,7 @@ def test_U_has_nm_even_and_nm_odd_basis_vectors():
         labels = list(us.labels())
         parities = [us.parity(lab) for lab in labels]
         assert parities.count(0) == parities.count(1) == n * m
-        ech = Echelon()
+        ech = GaussianEchelon()
         for lab, p in zip(labels, parities):
             vec = us.to_ambient({lab: ONE})
             assert {(a[0] == "f") ^ (b[0] == "f") for a, b in vec} == {bool(p)}
