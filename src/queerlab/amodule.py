@@ -26,11 +26,11 @@ exactly on A_1; `one_box_steps` pairs the covers.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
 
 from .linalg import _primitive, kernel_basis
 from .partitions import StrictPartition, enumerate_strict
-from .queer import _label_parity, sym_image, sym_label, tensor_basis
 from .spoly import insert_odd, mono_mul
 
 
@@ -270,29 +270,35 @@ def raising_operators(w):
 
 @lru_cache(maxsize=None)
 def _labels_by_weight(k: int, d: int, weight: tuple) -> dict:
-    """Labels of S^d C^{k|k}, d <= 2 (`queer.sym_label`), on the indices where
-    weight is nonzero, grouped by their own weight; once per key, and callers
-    must not mutate it."""
+    """The monomials of degree d of a line algebra, A(k,1) or A(1,k), with no
+    factor at an index where weight is 0, grouped by their own weight w: on
+    each index i where w is nonzero, x_i^{w_i} or x_i^{w_i - 1} y_i, as
+    y_i^2 = 0. Both lines write the factors of index i at cell i - 1, so
+    their monomials are the same; once per key, and callers must not mutate
+    it."""
     out = {}
-    for lab in filter(sym_label, tensor_basis(k, d, weight)):
-        w = [0] * k
-        for (_, i) in lab:
-            w[i - 1] += 1
-        out.setdefault(tuple(w), []).append(lab)
+    for w in product(*(range(d + 1) if x else (0,) for x in weight)):
+        if sum(w) == d:
+            live = [i for i, x in enumerate(w) if x]
+            out[w] = [
+                (tuple(x - (i in odd) for i, x in enumerate(w)), odd)
+                for j in range(len(live) + 1)
+                for odd in combinations(live, j)
+            ]
     return out
 
 
-# (n, m, side, raising operator, is monomial, tensor label or monomial) ->
-# its image, as (target, c) pairs; shared by the systems with a tensor
-# factor, whose labels and A_r monomials recur across a sweep
+# (shape, side, raising operator, monomial) -> its image in A(shape), as
+# (target, c) pairs; shared by the systems with a line factor, whose line
+# and A_r monomials recur across a sweep
 _IMAGES: dict = {}
 
 
-def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -> tuple:
-    key = (n, m, side, op, is_mono, x)
+def _image(shape: tuple, side: str, op: tuple, mono, keep: bool) -> tuple:
+    key = (shape, side, op, mono)
     image = _IMAGES.get(key)
     if image is None:
-        image = _monomial_image(side, *op, x, n, m) if is_mono else sym_image(op, x, FORM[side])
+        image = _monomial_image(side, *op, mono, *shape)
         if keep:
             _IMAGES[key] = image
     return image
@@ -300,20 +306,19 @@ def _image(n: int, m: int, side: str, op: tuple, x, is_mono: bool, keep: bool) -
 
 def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     """(constraint rows, unknowns) whose kernel is the even half of the
-    (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r, a, b <= 2: the
-    unknowns are the weight-space basis triples (v, w, mono) of even total
-    parity, v and w labels of S^aV and S^bW (`queer.sym_label`), each row is
-    one coordinate of one raising operator's image, and a row is an integer
-    dict keyed by the unknowns' indices. At a = b = 0 this is the
-    (wrow, wcol) weight space of A_r. The left factor acts on S^aV in the
-    basis e_i, f_i / sqrt(-1), where the left Y_ab (sqrt(-1) times the one U
-    induces) has integer matrices, in the form `FORM` names.
+    (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r: the unknowns are
+    the weight-space basis triples (v, w, mono) of even total parity, v a
+    monomial of A(n,1)_a, w one of A(1,m)_b and mono one of A(n,m)_r, each
+    row is one coordinate of one raising operator's image, and a row is an
+    integer dict keyed by the unknowns' indices. At a = b = 0 this is the
+    (wrow, wcol) weight space of A_r.
 
-    S^dV is a submodule of V^{(x)d}, so each image lies in S^aV (x) S^bW (x)
-    A_r and is zero iff its coordinates at the triples of symmetric labels
-    are: those are its rows (`queer.sym_image`). At d <= 2 S^dV is one copy
-    of T_(d), and V^{(x)d} is c_(d) of them (`dimcheck.hom_dim_check`
-    checks both by dimension); at d <= 1 S^dV is all of V^{(x)d}.
+    half(V (x) C^{1|1}) is V under the left factor, so S^dV is the line
+    algebra A(n,1)_d and S^dW is A(1,m)_d (Cheng and Wang, AMS GSM 144,
+    ch. 3), each in the real form of its side (`FORM`). Every image is
+    `_monomial_image` in the shape of the algebra its monomial lives in,
+    exact in that algebra's basis. At d <= 2 S^dV is one copy of T_(d), and
+    V^{(x)d} is c_(d) of them (`dimcheck.hom_dim_check` checks both).
 
     The even half is all that needs solving (Cheng and Wang, AMS GSM 144,
     ch. 1-3). Its kernel is half the singular slice at every nonzero weight
@@ -324,26 +329,21 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     - the odd Cartan element Hbar_i = Y_ii of the left factor, for an i with
       wrow_i != 0, maps singular vectors to singular vectors, as [hbar, n+]
       lies in n+; the right Y_jj does the same where only wcol is nonzero;
-    - Hbar_i^2 = X_ii in these signs (the left Y_ii sends e_i to f_i and
-      f_i to e_i), which acts on the slice as the nonzero scalar wrow_i:
-      Hbar_i is an odd isomorphism from the even singular vectors onto the
-      odd ones (the right Y_jj^2 = -X_jj is the scalar -wcol_j);
+    - Hbar_i^2 = X_ii in these signs, which acts on the slice as the nonzero
+      scalar wrow_i: Hbar_i is an odd isomorphism from the even singular
+      vectors onto the odd ones (the right Y_jj^2 = -X_jj is the scalar
+      -wcol_j);
     - the only zero weight is a = b = r = 0, whose slice is the even scalar
       line.
     The full system on both parities is the test oracle `sing_system_full`.
 
-    The system is built on the support of the weight: no label or monomial
-    of the slice uses an index where (wrow, wcol) is 0, and no raising
-    operator that lowers such an index writes a row (`raising_operators`).
-    The unknowns and rows, in the n x m layout, are the even block of the
-    full-rank system on S^aV (x) S^bW, which has no other row; how many
-    there are depends on the weight, not on n and m.
+    The system is built on the support of the weight: no monomial of the
+    slice uses an index where (wrow, wcol) is 0, and no raising operator
+    that lowers such an index writes a row (`raising_operators`). How many
+    unknowns and rows there are depends on the weight, not on n and m.
     """
     vlabs = _labels_by_weight(n, a, wrow)
     wlabs = _labels_by_weight(m, b, wcol)
-    parity = {
-        lab: _label_parity(lab) for labs in (*vlabs.values(), *wlabs.values()) for lab in labs
-    }
     # basis of the target weight slice: even triples with weights summing right
     basis = []
     for wv, vl in vlabs.items():
@@ -353,49 +353,50 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
             if any(c < 0 for c in need_rows) or any(c < 0 for c in need_cols):
                 continue
             # q -> the monomials with q odd factors mod 2: those that make a
-            # label pair of parity q even
+            # line pair of parity q even
             monos = {}
             for v in vl:
-                for w2 in wl:
-                    q = (parity[v] + parity[w2]) % 2
+                for w in wl:
+                    q = (len(v[1]) + len(w[1])) % 2
                     if q not in monos:
                         monos[q] = weight_space_monomials(n, m, r, (need_rows, need_cols), q)
-                    basis.extend((v, w2, mono) for mono in monos[q])
+                    basis.extend((v, w, mono) for mono in monos[q])
     if not basis:
         return [], []
     # A bare slice of A (a = b = 0) is one biweight of A_r, whose monomials
     # lie in no other bare slice, and `singular_vectors` solves it once: each
     # image is written into its rows and dropped, as none is looked up again.
     keep = bool(a or b)
+    lines = {"left": (n, 1), "right": (1, m)}
     # A raising operator changes the weight of the factor it acts on, so the
     # targets of one triple are distinct and each row entry is written once.
     constraints = {}
     for side, op in raising_operators((wrow, wcol)):
         godd = op[0] == "Y"
-        # this operator's image of each label and each monomial, looked up once
-        lab_images, mono_images = {}, {}
-        for col, (vlab, wlab, mono) in enumerate(basis):
-            pv = parity[vlab]
-            lab = vlab if side == "left" else wlab
-            image = lab_images.get(lab)
+        # this operator's image of each line and A_r monomial, looked up once
+        line_images, mono_images = {}, {}
+        for col, (v, w, mono) in enumerate(basis):
+            pv = len(v[1]) & 1
+            x = v if side == "left" else w
+            image = line_images.get(x)
             if image is None:
-                image = lab_images[lab] = _image(n, m, side, op, lab, False, keep)
+                image = line_images[x] = _image(lines[side], side, op, x, keep)
             if side == "left":
-                for vlab2, c in image:
-                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
+                for v2, c in image:
+                    constraints.setdefault((side, op, (v2, w, mono)), {})[col] = c
             else:
-                flip = godd and pv % 2
-                for wlab2, c in image:
-                    row = constraints.setdefault((side, op, (vlab, wlab2, mono)), {})
+                flip = godd and pv
+                for w2, c in image:
+                    row = constraints.setdefault((side, op, (v, w2, mono)), {})
                     row[col] = -c if flip else c
             image = mono_images.get(mono)
             if image is None:
-                image = _image(n, m, side, op, mono, True, keep)
+                image = _image((n, m), side, op, mono, keep)
                 if keep:
                     mono_images[mono] = image
-            flip = godd and (pv + parity[wlab]) % 2
+            flip = godd and (pv + len(w[1])) & 1
             for mono2, c in image:
-                row = constraints.setdefault((side, op, (vlab, wlab, mono2)), {})
+                row = constraints.setdefault((side, op, (v, w, mono2)), {})
                 row[col] = -c if flip else c
     return list(constraints.values()), basis
 

@@ -30,8 +30,8 @@ CACHE_FILE = "qpoly.cache"
 # within about a second. Each target names the flags it reads against them.
 SAFE_H_RANK = 13  # rank of H_n
 SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
-# n and m of verify prop-dim: its systems are built on the support of their
-# weights, so each rank costs about what rank 2 does, up to this one
+# n and m of verify prop-dim: each slice is solved at the ranks of its
+# support, so every rank builds the systems of rank 2
 SAFE_PROP_RANK = 12
 SAFE_DEGREE = 18  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
@@ -466,8 +466,9 @@ def _verify_phi_psi(args):
 
 
 def _verify_prop_dim(args):
-    from .dimcheck import hom_dim_sweep
+    from .dimcheck import hom_dim_sweep, sweep_contravariance_check
 
+    checks = sweep_contravariance_check(args.n, args.m, 2, 2)
     cases = hom_dim_sweep(args.n, args.m, 2, 2)
     payload = {
         "target": "prop-dim",
@@ -477,6 +478,7 @@ def _verify_prop_dim(args):
         "effective_rank": _effective_rank(
             StrictPartition.parse(c[k]) for c in cases for k in ("lambda", "mu", "alpha", "beta")
         ),
+        "contravariance_checks": checks,
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
     }

@@ -9,13 +9,13 @@ coefficients; both under the total-dimension convention.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
-from .amodule import _pad, _sing_system, singular_dim
+from .amodule import _pad, _sing_system, contravariance_check, singular_dim
 from .heckeclifford import decompose_regular
 from .linalg import kernel_dim
 from .partitions import StrictPartition, delta, enumerate_strict
-from .queer import dim_T, sym_label, tensor_basis
+from .queer import dim_T
 from .symfunc import induct_mult
 
 
@@ -29,10 +29,10 @@ def _induced(mu: StrictPartition, nu: StrictPartition) -> dict:
     return induct_mult(mu, nu)
 
 
-@lru_cache(maxsize=None)
 def _sym_dim(k: int, d: int) -> int:
-    """dim S^d C^{k|k}, d <= 2: the number of its labels (`queer.sym_label`)."""
-    return sum(map(sym_label, tensor_basis(k, d)))
+    """dim S^d C^{k|k}, the line algebra A(k,1)_d: a monomial is j of its k
+    odd generators times a monomial of degree d - j in its k even ones."""
+    return sum(comb(k, j) * comb(k + d - j - 1, d - j) for j in range(min(k, d) + 1))
 
 
 def _sing_dim(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
@@ -68,13 +68,15 @@ def hom_dim_check(
     dict: the case, both sides and whether they agree, then the detail keys.
 
     Brute force realizes T_alpha (x) T_beta as S^aV (x) S^bW, a = |alpha|,
-    b = |beta| <= 2. The only strict partitions of 1 and 2 are (1) and (2),
-    so V^{(x)a} is c_alpha copies of T_alpha (Sergeev duality; Cheng and
-    Wang, AMS GSM 144, ch. 3), and its submodule S^aV is one copy as soon as
-    its dimension is dim T_alpha. Both facts are asserted via dimensions:
-    (2n)^a = c_alpha dim T_alpha and dim S^aV = dim T_alpha. The report's
-    `sing_dim` is the count on the full powers, c_alpha c_beta times the
-    one-copy count.
+    b = |beta| <= 2, the line algebras A(n,1)_a and A(1,m)_b
+    (`amodule._sing_system`). The only strict partitions of 1 and 2 are (1)
+    and (2), so V^{(x)a} is c_alpha copies of T_alpha (Sergeev duality; Cheng
+    and Wang, AMS GSM 144, ch. 3), and its submodule S^aV is one copy as
+    soon as its dimension is dim T_alpha. Both facts are asserted via
+    dimensions: (2n)^a = c_alpha dim T_alpha and dim S^aV = dim T_alpha. The
+    report's `sing_dim` is the count on the full powers, c_alpha c_beta
+    times the one-copy count. Each slice, and each sigma, is solved at the
+    ranks of its support, l(lam) and l(mu) (1 for the empty partition).
 
     Each singular slice is counted on its even half (`_sing_dim`): at a
     nonzero weight the odd half has the same dimension, and the zero weight
@@ -125,11 +127,12 @@ def hom_dim_check(
             raise HomDimError("V^{(x)%d} is not %r-isotypic at rank %d" % (d, nu, k))
         if _sym_dim(k, d) != dim:
             raise HomDimError("S^%dV is not one copy of T_%r at rank %d" % (d, nu, k))
-    wrow = _pad(lam.parts, n)
-    wcol = _pad(mu.parts, m)
-    one = _sing_dim(n, m, a, b, r, wrow, wcol)
-    s_l = copy_singular_dim(n, m, lam)
-    s_m = copy_singular_dim(n, m, mu)
+    # no unknown of the slice uses an index past l(lam) or l(mu), and no
+    # raising operator lowers one, so each system is built at those ranks
+    k, l = max(lam.length, 1), max(mu.length, 1)
+    one = _sing_dim(k, l, a, b, r, _pad(lam.parts, k), _pad(mu.parts, l))
+    s_l = copy_singular_dim(k, k, lam)
+    s_m = copy_singular_dim(l, l, mu)
     num = one * (2 ** (delta(lam) + delta(mu)))
     den = s_l * s_m
     if num % den:
@@ -155,9 +158,8 @@ def hom_dim_check(
     }
 
 
-def hom_dim_sweep(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2):
-    """All cases with |alpha|, |beta| <= max_ab and 0 <= r <= r_max."""
-    cases = []
+def _sweep(n: int, m: int, max_ab: int, r_max: int):
+    """(lam, mu, alpha, beta) of every case of `hom_dim_sweep`, in its order."""
     small = [p for k in range(max_ab + 1) for p in enumerate_strict(k)]
     for alpha in small:
         for beta in small:
@@ -166,7 +168,23 @@ def hom_dim_sweep(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2):
                     if lam.length > min(n, m):
                         continue
                     for mu in enumerate_strict(beta.size + r):
-                        if mu.length > min(n, m):
-                            continue
-                        cases.append(hom_dim_check(lam, mu, alpha, beta, n, m, max(r_max, 3)))
-    return cases
+                        if mu.length <= min(n, m):
+                            yield lam, mu, alpha, beta
+
+
+def hom_dim_sweep(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2):
+    """All cases with |alpha|, |beta| <= max_ab and 0 <= r <= r_max."""
+    return [hom_dim_check(*case, n, m, max(r_max, 3)) for case in _sweep(n, m, max_ab, r_max)]
+
+
+def sweep_contravariance_check(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2) -> int:
+    """`amodule.contravariance_check` on each shape whose monomials the
+    systems of `hom_dim_sweep` act on: A(k, l) for A_r, at the ranks k, l
+    of a case's support (`hom_dim_check`), A(k, 1) for S^aV and A(1, l) for
+    S^bW. The sweep pairs each lam with itself, so the (k, k) at which sigma
+    is solved are among them. Returns the number of entries compared."""
+    shapes = set()
+    for lam, mu, _, _ in _sweep(n, m, max_ab, r_max):
+        k, l = max(lam.length, 1), max(mu.length, 1)
+        shapes |= {(k, 1), (1, l), (k, l)}
+    return sum(contravariance_check(k, l) for k, l in sorted(shapes))

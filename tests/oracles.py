@@ -50,10 +50,14 @@ anti-automorphism. `word_action` and `hc_apply` let H_d act on V^{(x)d}, and
 V^{(x)d}, where the CLI takes the trace of e_lambda.
 
 In q_n, `QnElement` is a general element, acting on V by `act_on_V` and on
-V^{(x)d} by `q_act_tensor`, where the CLI acts with the basis operators as
-keys (kind, a, b) (`queer.tensor_image`); `bracket`, `chevalley`, the half
-tensor product `USpace` and `hk_decompose` check the structure behind phi
-and psi.
+V^{(x)d} by `q_act_tensor`; `tensor_image` acts with the basis operators as
+keys (kind, a, b) on the tensor labels of V^{(x)d} (`tensor_basis`), and
+`sym_image` reads that action at the labels of S^dV, d <= 2 (`sym_label`),
+where the CLI acts on the monomials of the line algebras A(n,1) and A(1,m)
+(`line_label` reads one as its label); `sing_system_labels` builds the
+singular systems of the Hom-dimension check on those labels. `bracket`,
+`chevalley`, the half tensor product `USpace` and `hk_decompose` check the
+structure behind phi and psi.
 
 In A(n,m), `SuperPoly` is a general element over Q(zeta) and `m_generators`
 lists the generators of the maximal ideal m, where the CLI works on
@@ -77,7 +81,7 @@ walks the one-box relation), and `m_stability_check` checks that h
 preserves m. `sing_system_full` builds the singular system of the
 Hom-dimension check on the full rank, every label of V^{(x)a} (x) W^{(x)b}
 (the CLI builds it on S^aV (x) S^bW, whose labels `sym_terms` expands into
-tensor terms), biweight and raising operator, and both parities, and
+tensor terms, as the line monomials of A(n,1) and A(1,m)), biweight and raising operator, and both parities, and
 `solve_singular_full` solves the singular vectors of L_lambda on both
 parities, both over Z[zeta] in the normalization U induces, where the CLI
 builds the even half over Z on the support of its weight and maps it by
@@ -133,7 +137,7 @@ from queerlab.partitions import (
     staircase,
     z,
 )
-from queerlab.queer import ActionError, _label_parity, tensor_basis, tensor_image
+from queerlab.queer import ActionError
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA, _coerce
 from queerlab.spoly import insert_odd, mono_degree, mono_mul, p_add, p_mul, p_scale
 from queerlab.symfunc import Q_poly, _partitions, _power_sum, _table_mul, gamma_product, q_expansion
@@ -2067,6 +2071,141 @@ def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:
     return kernel_basis_keyed(constraints.values(), monos)
 
 
+def tensor_basis(n: int, d: int, weight=None):
+    """Basis labels of V^{(x)d}: tuples of ('e'|'f', i), with i only where
+    weight, if given, is nonzero."""
+    live = [i for i in range(1, n + 1) if weight is None or weight[i - 1]]
+    singles = [("e", i) for i in live] + [("f", i) for i in live]
+    out = [()]
+    for _ in range(d):
+        out = [t + (s,) for t in out for s in singles]
+    return out
+
+
+def _label_parity(lab) -> int:
+    return sum(1 for s in lab if s[0] == "f") % 2
+
+
+def tensor_image(op: tuple, lab: tuple, square: int) -> dict:
+    """The diagonal action of the basis operator op = (kind, a, b), X_ab or
+    Y_ab of q_n, on the tensor basis vector lab, as {label: c}.
+
+    X_ab sends e_b to e_a and f_b to f_a; Y_ab sends e_b to square * f_a and
+    f_b to e_a, so Y_aa^2 = square * X_aa on V. The two real forms of q_n
+    differ in that sign alone: square = 1 on the left factor of A(n,m) and
+    -1 on the right (`amodule`). The odd Y_ab picks up a Koszul sign for
+    each f factor before the slot it acts on. No coefficient cancels: the
+    images of different slots are different labels, except under X_aa,
+    which adds 1 per slot. `amodule` acts on the line monomials x_i ~ e_i,
+    y_i ~ f_i of A(n,1) and A(1,m) instead (`line_label`).
+    """
+    kind, a, b = op
+    out = {}
+    odd = False  # an odd number of f factors before slot t
+    for t, (s, i) in enumerate(lab):
+        if i == b:
+            if kind == "X":
+                single, c = (s, a), 1
+            else:
+                single, c = ("e" if s == "f" else "f", a), square if s == "e" else 1
+                if odd:
+                    c = -c
+            key = lab[:t] + (single,) + lab[t + 1 :]
+            out[key] = out.get(key, 0) + c
+        odd ^= s == "f"
+    return out
+
+
+def sym_label(lab) -> bool:
+    """Whether lab is a basis label of the super-symmetric power S^dV, d <= 2:
+    sorted, with no f letter repeated. (u, u') stands for u (x) u' +
+    (-1)^{|u||u'|} u' (x) u, and (e_i, e_i) for e_i (x) e_i."""
+    return len(lab) < 2 or lab[0] < lab[1] or lab[0] == lab[1] and lab[0][0] == "e"
+
+
+def sym_image(op: tuple, lab: tuple, square: int) -> tuple:
+    """The image under op of the S^dV basis vector lab (`sym_label`), d <= 2,
+    read at the labels of S^dV, as (label, c) pairs; `square` is the sign of
+    `tensor_image`.
+
+    S^dV is a submodule, so the image is super-symmetric: its coordinate at
+    (t', t), t < t', is (-1)^{|t||t'|} times that at (t, t'), and at
+    (f_i, f_i) it is 0. Each basis vector has coordinate 1 at its own label,
+    so these coordinates are the image's coefficients in the basis.
+    """
+    out = tensor_image(op, lab, square)
+    if len(lab) == 2 and lab[0] != lab[1]:
+        sign = -1 if lab[0][0] == lab[1][0] == "f" else 1
+        for t, c in tensor_image(op, lab[::-1], square).items():
+            out[t] = out.get(t, 0) + sign * c
+    return tuple((t, c) for t, c in out.items() if c and sym_label(t))
+
+
+def line_label(mono) -> tuple:
+    """The S^dV label (`sym_label`) of a monomial of a line algebra A(k,1)
+    or A(1,k), x_i ~ e_i and y_i ~ f_i at cell i - 1, and the factor by
+    which the monomial is that label's vector: prod e_i!, as x_i^2 is
+    2 e_i (x) e_i."""
+    e, o = mono
+    lab = tuple(("e", i + 1) for i, x in enumerate(e) for _ in range(x)) + tuple(("f", c + 1) for c in o)
+    return lab, prod(map(factorial, e))
+
+
+def sym_labels_by_weight(k: int, d: int, weight) -> dict:
+    """The labels of S^d C^{k|k}, d <= 2, on the indices where weight is
+    nonzero, grouped by their own weight."""
+    out = {}
+    for lab in filter(sym_label, tensor_basis(k, d, weight)):
+        w = [0] * k
+        for (_, i) in lab:
+            w[i - 1] += 1
+        out.setdefault(tuple(w), []).append(lab)
+    return out
+
+
+def sing_system_labels(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
+    """The even half of the (wrow, wcol)-singular system of S^aV (x) S^bW (x)
+    A_r, a, b <= 2, on the labels of the super-symmetric powers, where
+    `amodule._sing_system` acts on the monomials of the line algebras A(n,1)
+    and A(1,m). S^dV is a submodule of V^{(x)d}, so each image lies in
+    S^aV (x) S^bW (x) A_r and is zero iff its coordinates at the triples of
+    symmetric labels are: those are the rows (`sym_image`), the left factor
+    in the form square = 1 and the right in square = -1. The unknowns are
+    the even triples (v, w, mono) on the support of the weight, as rows
+    keyed by their indices."""
+    forms = {"left": 1, "right": -1}
+    vlabs = sym_labels_by_weight(n, a, wrow)
+    wlabs = sym_labels_by_weight(m, b, wcol)
+    basis = []
+    for wv, vl in vlabs.items():
+        for ww, wl in wlabs.items():
+            need_rows = tuple(x - y for x, y in zip(wrow, wv))
+            need_cols = tuple(x - y for x, y in zip(wcol, ww))
+            if min(need_rows + need_cols, default=0) < 0:
+                continue
+            for v in vl:
+                for w in wl:
+                    q = (_label_parity(v) + _label_parity(w)) % 2
+                    monos = weight_space_monomials(n, m, r, (need_rows, need_cols), q)
+                    basis.extend((v, w, mono) for mono in monos)
+    constraints = {}
+    for side, op in raising_operators((wrow, wcol)):
+        godd = op[0] == "Y"
+        for col, (vlab, wlab, mono) in enumerate(basis):
+            pv = _label_parity(vlab)
+            if side == "left":
+                for vlab2, c in sym_image(op, vlab, forms[side]):
+                    constraints.setdefault((side, op, (vlab2, wlab, mono)), {})[col] = c
+            else:
+                flip = godd and pv
+                for wlab2, c in sym_image(op, wlab, forms[side]):
+                    constraints.setdefault((side, op, (vlab, wlab2, mono)), {})[col] = -c if flip else c
+            flip = godd and (pv + _label_parity(wlab)) % 2
+            for mono2, c in act_terms(side, op, {mono: 1}, n, m).items():
+                constraints.setdefault((side, op, (vlab, wlab, mono2)), {})[col] = -c if flip else c
+    return list(constraints.values()), basis
+
+
 def sym_terms(lab) -> list:
     """The tensor terms of the S^dV basis vector lab, d <= 2, as (label,
     sign) pairs: (u, u') is u (x) u' + (-1)^{|u||u'|} u' (x) u for u != u',
@@ -2082,7 +2221,7 @@ def sing_system_full(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     every biweight of A_r, and every raising operator on every unknown.
     Its kernel is c_alpha c_beta times the count `dimcheck._sing_dim` makes
     on S^aV (x) S^bW (x) A_r, and its even unknowns that are triples of
-    `queer.sym_label`s are those of `_sing_system`, in the same order. It is
+    `sym_label`s are the `line_label`s of those of `_sing_system`. It is
     built over Z[zeta] in the normalization U induces: both factors act on V
     in the basis e_i, f_i, where Y_aa^2 = -X_aa, and the left Y_ab of A is
     `u_image` of that of `amodule`."""

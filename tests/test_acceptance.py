@@ -194,9 +194,8 @@ def test_ac8_structural_suites():
     # bracket relations of the representations in play, on every ordered
     # pair of basis elements of q_2, every basis vector of the degree-2
     # weight-((1,1),(1,1)) piece of A(2,2) and every basis vector of V^(x)3
-    from oracles import QnElement, SuperPoly, act, bracket, q_act_tensor
+    from oracles import QnElement, SuperPoly, act, bracket, q_act_tensor, tensor_basis
     from queerlab.amodule import weight_space_monomials
-    from queerlab.queer import tensor_basis
 
     def q_basis(k):
         cells = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)]

@@ -188,6 +188,30 @@ def test_a_cartan_image_without_its_odd_factor_fails_the_check(target, monkeypat
     assert "left Y_11^2 is not X_11" in err
 
 
+def test_a_mixed_real_form_fails_prop_dim(monkeypatch, capsys):
+    # the right Y_ab with its y -> x term negated sends x_b to -y_a and y_b
+    # to -x_a: the right factor then carries the left form, so S^bW (x) A_r
+    # mixes the two real forms of q_m (negating every right Y term is no
+    # fault, since Y -> -Y is an automorphism of q)
+    from queerlab import amodule
+
+    real = amodule._monomial_image
+
+    def mixed(side, kind, a, b, mono, n, m):
+        img = real(side, kind, a, b, mono, n, m)
+        if (side, kind) == ("right", "Y"):
+            img = tuple((t, -c if len(t[1]) < len(mono[1]) else c) for t, c in img)
+        return img
+
+    monkeypatch.setattr(amodule, "_monomial_image", mixed)
+    monkeypatch.setattr(amodule, "_IMAGES", {})
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    assert main(["verify", "prop-dim"]) == 1
+    err = capsys.readouterr().err
+    assert "check failed in verify prop-dim: ContravarianceError" in err
+    assert "right Y_11 is not the adjoint of -Y_11" in err
+
+
 def test_verify_hecke_ideals_nmax5(capsys):
     code = main(["verify", "hecke-ideals", "--nmax", "5", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -402,15 +426,12 @@ def test_dump_dims_inside_the_h_rank_bound(argv, dim, capsys):
     assert json.loads(capsys.readouterr().out)["dim_T"] == dim
 
 
-def test_dump_dims_lists_no_tensor_basis(monkeypatch, capsys):
+def test_dump_dims_lists_no_tensor_basis(capsys):
     # dim_T is a trace over the center of H_|lambda|, not a rank over the
-    # (2n)^|lambda| tensor labels
+    # (2n)^|lambda| tensor labels, which only the oracles list
     from queerlab import queer
 
-    def refuse(n, d):
-        raise AssertionError("tensor_basis(%d, %d) on the dump dims path" % (n, d))
-
-    monkeypatch.setattr(queer, "tensor_basis", refuse)
+    assert not hasattr(queer, "tensor_basis")
     assert main(["dump", "dims", "--lambda", "4,3", "--n", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["dim_T"] == 96
 
@@ -1165,6 +1186,8 @@ def test_verify_prop_dim_reports_its_effective_rank(capsys):
         code, payload = run(rank, *flags)
         assert code == 0 and payload["status"] is True
         assert payload["effective_rank"] == 2
+        # A(1,1), A(1,2), A(2,1) and A(2,2), each on 2 (k^2 + l^2) operators
+        assert payload["contravariance_checks"] == 16 + 160 + 160 + 1024
         payloads.append(payload)
     assert all(p["cases"] == payloads[0]["cases"] for p in payloads)
     code, err = run(13)
@@ -1207,6 +1230,23 @@ def test_determinism_same_seed(tmp_path, capsys):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_the_tensor_label_action_is_only_an_oracle():
+    # q_n acts in src/ through `amodule._monomial_image` alone; the action on
+    # tensor labels is the oracle it is compared with
+    import oracles
+
+    names = {"tensor_basis", "_label_parity", "tensor_image", "sym_label", "sym_image"}
+    pkg = os.path.dirname(cli.__file__)
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py"):
+            with open(os.path.join(pkg, f)) as fh:
+                tree = ast.parse(fh.read())
+            assert not names & {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, f
+            if f == "amodule.py":
+                assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "queer"]
+    assert all(callable(getattr(oracles, name)) for name in names)
 
 
 def test_every_module_is_reached_from_the_cli():

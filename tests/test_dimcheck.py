@@ -4,11 +4,18 @@ from itertools import chain, product
 import pytest
 
 from oracles import (
+    _label_parity,
     all_raising_operators,
     gaussian_kernel_dim,
+    line_label,
     sing_system_full,
+    sing_system_labels,
     solve_singular_full,
+    sym_image,
+    sym_label,
     sym_terms,
+    tensor_basis,
+    tensor_image,
 )
 from queerlab import amodule, dimcheck
 from queerlab.amodule import (
@@ -25,8 +32,8 @@ from queerlab.dimcheck import (
     hom_dim_sweep,
 )
 from queerlab.linalg import kernel_basis, kernel_dim, span
-from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto
-from queerlab.queer import _label_parity, dim_T, sym_label, tensor_image
+from queerlab.partitions import EMPTY, StrictPartition, all_strict_upto, enumerate_strict
+from queerlab.queer import dim_T
 from queerlab.symfunc import induct_mult
 
 
@@ -161,6 +168,10 @@ _COPIES = (1, 1, 2)
 
 
 def test_the_symmetric_power_is_one_copy_of_T():
+    # dim S^aV counts the line monomials of A(n,1)_a, at every a
+    for a, n in product(range(5), range(1, 5)):
+        monos = amodule._labels_by_weight(n, a, (1,) * n)
+        assert dimcheck._sym_dim(n, a) == sum(map(len, monos.values())), (a, n)
     for a in range(3):
         for n in range(1, 5):
             alpha = StrictPartition((a,) if a else ())
@@ -176,15 +187,16 @@ def test_a_symmetric_power_of_the_wrong_dimension_is_refused(monkeypatch):
 
 
 def test_support_system_matches_the_full_rank_oracle():
-    # the even block of the full system on S^aV (x) S^bW: the unknowns are
-    # its triples of symmetric labels, in the same order, and the full even
-    # kernel is c_alpha c_beta copies of the one-copy kernel
+    # the even block of the full system on S^aV (x) S^bW: the line monomials
+    # of the unknowns read as its triples of symmetric labels (`line_label`),
+    # and the full even kernel is c_alpha c_beta copies of the one-copy kernel
     built = 0
     for n, m, args in _oracle_systems():
         a, b = args[:2]
         rows, basis = _sing_system(n, m, *args)
         even_rows, even_basis = _parity_block(*sing_system_full(n, m, *args), 0)
-        assert basis == [t for t in even_basis if sym_label(t[0]) and sym_label(t[1])], (n, m, args)
+        labelled = sorted((line_label(v)[0], line_label(w)[0], mono) for v, w, mono in basis)
+        assert labelled == sorted(t for t in even_basis if sym_label(t[0]) and sym_label(t[1])), (n, m, args)
         assert _COPIES[a] * _COPIES[b] * kernel_dim(rows, basis) == gaussian_kernel_dim(even_rows, even_basis), (n, m, args)
         built += bool(basis)
     assert built > 100
@@ -221,13 +233,15 @@ def test_the_odd_half_of_a_singular_slice_mirrors_the_even_half():
 
 
 def _expand(vec):
-    """A vector {(v, w, mono): c} of S^aV (x) S^bW (x) A_r, its labels
-    expanded into the tensor terms of V^{(x)a} (x) W^{(x)b} (`sym_terms`)."""
+    """A vector {(v, w, mono): c} of S^aV (x) S^bW (x) A_r, its line
+    monomials expanded into the tensor terms of V^{(x)a} (x) W^{(x)b}
+    (`line_label`, `sym_terms`)."""
     out = {}
-    for (vlab, wlab, mono), x in vec.items():
-        for v, sv in sym_terms(vlab):
-            for w, sw in sym_terms(wlab):
-                out[v, w, mono] = sv * sw * x
+    for (v, w, mono), x in vec.items():
+        (vlab, sv), (wlab, sw) = line_label(v), line_label(w)
+        for t, st in sym_terms(vlab):
+            for u, su in sym_terms(wlab):
+                out[t, u, mono] = sv * st * sw * su * x
     return out
 
 
@@ -353,25 +367,26 @@ def test_singular_vectors_need_no_dead_operator(monkeypatch):
 
 
 def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
-    # rank 3 checks the cases of rank 2 and builds systems of the same size,
-    # listing as many labels and looking up as many images
+    # a system padded to rank 3 has the size it has at rank 2, listing as
+    # many line monomials and looking up as many images
     counts = {"labels": 0, "images": 0}
-    tensor_basis, image = amodule.tensor_basis, amodule._image
+    labels, image = amodule._labels_by_weight, amodule._image
 
-    def counted(key, f):
-        def wrapped(*args):
-            out = f(*args)
-            counts[key] += len(out) if key == "labels" else 1
-            return out
+    def listed(*args):
+        out = labels(*args)
+        counts["labels"] += sum(map(len, out.values()))
+        return out
 
-        return wrapped
+    def looked_up(*args):
+        counts["images"] += 1
+        return image(*args)
 
-    monkeypatch.setattr(amodule, "tensor_basis", counted("labels", tensor_basis))
-    monkeypatch.setattr(amodule, "_image", counted("images", image))
+    monkeypatch.setattr(amodule, "_labels_by_weight", listed)
+    monkeypatch.setattr(amodule, "_image", looked_up)
 
     def build(n, m, args):
         counts.update(labels=0, images=0)
-        amodule._labels_by_weight.cache_clear()
+        labels.cache_clear()
         rows, basis = _sing_system(n, m, *args)
         return len(rows), len(basis), sum(map(len, rows)), counts["labels"], counts["images"]
 
@@ -404,14 +419,99 @@ def test_induct_mult_runs_once_per_pair(monkeypatch):
 
 
 def test_labels_are_listed_once_per_weight(monkeypatch):
-    # the default sweep, run twice, lists the labels of each of its 13
-    # (rank, size, weight) keys once
-    calls = []
-    tensor_basis = amodule.tensor_basis
-    monkeypatch.setattr(amodule, "tensor_basis", lambda *args: calls.append(args) or tensor_basis(*args))
+    # the default sweep, run twice, lists the line monomials of each of its
+    # 13 (rank, size, weight) keys once
     monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
     amodule._labels_by_weight.cache_clear()
     hom_dim_sweep(3, 3, 2, 2)
     hom_dim_sweep(3, 3, 2, 2)
+    info = amodule._labels_by_weight.cache_info()
     amodule._labels_by_weight.cache_clear()
-    assert len(calls) == len(set(calls)) == 13
+    assert info.misses == info.currsize == 13 and info.hits
+
+
+def test_line_images_are_the_symmetric_label_images():
+    # S^dV is A(k,1)_d and S^dW is A(1,k)_d: every X_ab and Y_ab image of a
+    # line monomial, k <= 3 and d <= 2, read at the symmetric labels with
+    # x_i^2 = 2 (e_i, e_i) (`line_label`), is `sym_image` in the real form of
+    # its side, and the line monomials are the labels of S^dV once each
+    checked = 0
+    for k, d in product((1, 2, 3), range(3)):
+        monos = [x for group in amodule._labels_by_weight(k, d, (1,) * k).values() for x in group]
+        assert sorted(line_label(x)[0] for x in monos) == sorted(filter(sym_label, tensor_basis(k, d)))
+        ops = [(kind, a, b) for kind in "XY" for a in range(1, k + 1) for b in range(1, k + 1)]
+        sides = (("left", (k, 1), 1), ("right", (1, k), -1))
+        for (side, shape, square), op, mono in product(sides, ops, monos):
+            lab, scale = line_label(mono)
+            got = Counter()
+            for t, c in amodule._monomial_image(side, *op, mono, *shape):
+                u, s = line_label(t)
+                got[u] += s * c
+            want = {u: scale * c for u, c in sym_image(op, lab, square)}
+            assert {u: c for u, c in got.items() if c} == want, (side, op, mono)
+            checked += 1
+    assert checked == 1128
+
+
+def test_line_systems_count_the_symmetric_label_systems():
+    # every slice with a, b <= 2 and r <= 3 whose weights fit the rank: the
+    # kernel on the line monomials is that on the labels of S^aV (x) S^bW
+    checked = 0
+    for n, m in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 5)):
+        for a, b, r in product(range(3), range(3), range(4)):
+            for lam in _strict(a + r, n):
+                for mu in _strict(b + r, m):
+                    wrow, wcol = _pad(lam.parts, n), _pad(mu.parts, m)
+                    want = _halving_factor(wrow, wcol) * kernel_dim(*sing_system_labels(n, m, a, b, r, wrow, wcol))
+                    assert dimcheck._sing_dim(n, m, a, b, r, wrow, wcol) == want, (n, m, a, b, r, lam, mu)
+                    checked += 1
+    assert checked == 702
+
+
+def _strict(size, rank):
+    return [p for p in enumerate_strict(size) if p.length <= rank]
+
+
+def test_the_rank_30_sweep_builds_the_systems_of_rank_2(monkeypatch):
+    # each slice is solved at the ranks of its support, so hom_dim_sweep(30,
+    # 30) builds the systems of rank 2, with the same unknowns and rows
+    systems = []
+    real = dimcheck._sing_system
+
+    def recorded(*args):
+        out = real(*args)
+        systems.append((args, out))
+        return out
+
+    monkeypatch.setattr(dimcheck, "_sing_system", recorded)
+    small = hom_dim_sweep(2, 2)
+    rank_2 = systems[:]
+    systems.clear()
+    assert hom_dim_sweep(30, 30) == small
+    assert systems == rank_2 and len(systems) == 50
+    assert all(args[:2] <= (2, 2) for args, _ in systems)
+
+
+@pytest.mark.parametrize("n, m, shapes", [
+    (3, 3, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+    (4, 5, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+    (1, 3, [(1, 1)]),
+])
+def test_prop_dim_checks_every_shape_it_acts_on(n, m, shapes, monkeypatch):
+    # the shapes of A(k, l), A(k, 1) and A(1, l) on which the sweep's
+    # systems and its sigma act are those the contravariance check reads
+    checked, used = [], set()
+    real = amodule._monomial_image
+
+    def recorded(side, kind, a, b, mono, k, l):
+        used.add((k, l))
+        return real(side, kind, a, b, mono, k, l)
+
+    monkeypatch.setattr(dimcheck, "contravariance_check", lambda k, l: checked.append((k, l)) or 1)
+    monkeypatch.setattr(amodule, "_monomial_image", recorded)
+    monkeypatch.setattr(amodule, "_IMAGES", {})
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    assert dimcheck.sweep_contravariance_check(n, m) == len(shapes)
+    assert checked == shapes
+    hom_dim_sweep(n, m)
+    assert used == set(shapes)

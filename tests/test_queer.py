@@ -21,20 +21,17 @@ from oracles import (
     numerators,
     pairs,
     q_act_tensor,
+    sym_image,
+    sym_label,
     sym_terms,
+    tensor_basis,
+    tensor_image,
     x_prime,
     y_prime,
 )
 from queerlab.heckeclifford import all_words
 from queerlab.partitions import StrictPartition, delta, enumerate_strict
-from queerlab.queer import (
-    ActionError,
-    dim_T,
-    sym_image,
-    sym_label,
-    tensor_basis,
-    tensor_image,
-)
+from queerlab.queer import ActionError, dim_T
 from queerlab.scalars import Cyclo8Scalar, ONE, ZETA
 from queerlab.symfunc import Q_poly
 
