@@ -20,7 +20,10 @@ multiplicity-free under q(n) x q(m) (Cheng and Wang, AMS GSM 144, ch. 3),
 so its summands L_mu are orthogonal, and L_kappa lies in a submodule M iff
 M is not orthogonal to the singular vectors S_kappa.
 `contravariance_check` checks the adjoints, and the squares of the Y_aa,
-exactly on A_1; `one_box_steps` pairs the covers.
+exactly on A_1; `one_box_steps` pairs the covers. A singular vector of
+weight (kappa, kappa) lives on the rows and columns <= l(kappa) (Cheng and
+Wang, AMS GSM 144, ch. 3), so the walk and the check run in A(k,k), k the
+length of the longest partition the walk reads, whatever n and m are.
 """
 
 from __future__ import annotations
@@ -404,21 +407,27 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
 _SINGULAR_CACHE: dict = {}
 
 
-def singular_vectors(n: int, m: int, lam: StrictPartition) -> list[dict]:
-    """Weight-(lam,lam) vectors of A_|lam| killed by the raising operators of
-    both sides, as primitive integer vectors: a basis of the even half, then
-    its image under the left Y_ll, l = l(lam), brought to content 1, which
-    spans the odd half (`_singular_basis`); callers get fresh dicts.
+def singular_vectors(k: int, lam: StrictPartition) -> list[dict]:
+    """Weight-(lam,lam) vectors of A(k,k)_|lam| killed by the raising
+    operators of both sides, as primitive integer vectors: a basis of the
+    even half, then its image under the left Y_ll, l = l(lam), brought to
+    content 1, which spans the odd half (`_singular_basis`); callers get
+    fresh dicts. Empty where l > k.
+
+    No vector uses a row or column past l (`_sing_system`), so for n, m >= k
+    the basis in A(n,m) is this one with each factor kept at its cell (i, j):
+    every k >= l gives the same vectors, and the walk along the one-box
+    relation reads them all at one k (`one_box_steps`).
     """
-    return [dict(v) for v in _singular_basis(n, m, lam)]
+    return [dict(v) for v in _singular_basis(k, lam)]
 
 
-def singular_dim(n: int, m: int, lam: StrictPartition) -> int:
-    """len(singular_vectors(n, m, lam)), without copying the basis."""
-    return len(_singular_basis(n, m, lam))
+def singular_dim(k: int, lam: StrictPartition) -> int:
+    """len(singular_vectors(k, lam)), without copying the basis."""
+    return len(_singular_basis(k, lam))
 
 
-def _singular_basis(n: int, m: int, lam: StrictPartition) -> list[dict]:
+def _singular_basis(k: int, lam: StrictPartition) -> list[dict]:
     """The basis of `singular_vectors`, built once per process; callers must
     not mutate it. Since lam_l != 0, the left Y_ll^2 = X_ll is the scalar
     lam_l on the slice, so the Y_ll images of the even half are independent
@@ -440,27 +449,27 @@ def _singular_basis(n: int, m: int, lam: StrictPartition) -> list[dict]:
     a = b = 0). Row l holds the fewest factors of each monomial, and the
     even vectors share their monomials, so one image table serves them all.
     """
-    key = (n, m, lam)
+    key = (k, lam)
     basis = _SINGULAR_CACHE.get(key)
     if basis is None:
         parts, l = lam.parts, lam.length
         basis, even_only = [], True
-        if l > min(n, m):
+        if l > k:
             pass
         elif l and parts[0] >= _pad(parts, 2)[1] + 2:
-            nu = _singular_basis(n, m, StrictPartition((parts[0] - 1,) + parts[1:]))
-            x_11 = _degree_one(n, m, 0)[0]
+            nu = _singular_basis(k, StrictPartition((parts[0] - 1,) + parts[1:]))
+            x_11 = _degree_one(k, k, 0)[0]
             even_only = l == 1
             basis = [_times(x_11, v) for v in (nu[: len(nu) // 2] if even_only else nu)]
         else:
-            w = (_pad(parts, n), _pad(parts, m))
-            rows, unknowns = _sing_system(n, m, 0, 0, lam.size, *w)
+            w = _pad(parts, k)
+            rows, unknowns = _sing_system(k, k, 0, 0, lam.size, w, w)
             even = kernel_basis(rows, len(unknowns))
             del rows  # the bulk of the memory: freed before the odd half is built
             basis = [{unknowns[c][2]: x for c, x in v.items()} for v in even]
         if l and even_only:
             y_ll, table = ("Y", l, l), {}
-            basis += [_primitive(act_terms("left", y_ll, v, n, m, table)) for v in basis]
+            basis += [_primitive(act_terms("left", y_ll, v, k, k, table)) for v in basis]
         _SINGULAR_CACHE[key] = basis
     return basis
 
@@ -558,41 +567,47 @@ def _fischer(u: dict, v: dict) -> int:
     return total
 
 
-def one_box_steps(n: int, m: int, nu: StrictPartition) -> dict:
+def one_box_steps(k: int, nu: StrictPartition) -> dict:
     """{kappa: L_kappa lies in A_1 * L_nu} over the strict kappa of size
-    |nu| + 1 and length <= min(n, m): one row of the one-box relation.
+    |nu| + 1 and length <= k: one row of the one-box relation, read in
+    A(k,k).
 
     q acts by superderivations, so A_1 * L_nu = U(g)(A_1 * S_nu). The
     adjoint of n^- lies in n^+, which kills S_kappa; and n^+ kills S_nu, so
     U(n^+) U(h) keeps A_1 * S_nu, whose biweights are (nu + e_i, nu + e_j).
     So A_1 * L_nu is not orthogonal to S_kappa iff kappa = nu + e_a
     (`added_box`) and some <x_aa s, t> or <y_aa s, t>, s in S_nu and t in
-    S_kappa, is nonzero: every other kappa is out by weight alone.
+    S_kappa, is nonzero: every other kappa is out by weight alone. The row
+    reads only S_nu, S_kappa, x_aa and y_aa, a <= l(kappa), all of which
+    A(n,m) holds as in A(k,k) once min(n, m) >= k >= l(kappa): the row in
+    A(n,m) is this one at k = min(n, m), or at any k from the longest
+    kappa on.
     """
     row = {}
-    sings = singular_vectors(n, m, nu)
+    sings = singular_vectors(k, nu)
     for kappa in enumerate_strict(nu.size + 1):
-        if kappa.length > min(n, m):
+        if kappa.length > k:
             continue
         a = added_box(nu, kappa)
         if a is None:
             row[kappa] = False
             continue
         # lazy covers: `any` stops before the later ones are built
-        targets = singular_vectors(n, m, kappa)
-        covers = (_times(g, s) for g in _degree_one(n, m, _cell(a, a, m)) for s in sings)
+        targets = singular_vectors(k, kappa)
+        covers = (_times(g, s) for g in _degree_one(k, k, _cell(a, a, k)) for s in sings)
         row[kappa] = any(_fischer(z, t) for z in covers for t in targets)
     return row
 
 
-def ideal_summands(n: int, m: int, lam: StrictPartition, d_max: int, relation: dict) -> set:
-    """The mu, |mu| <= d_max, whose summand lies in the ideal generated by
-    L_lam, by a level-by-level walk along the one-box relation.
+def ideal_summands(k: int, lam: StrictPartition, d_max: int, relation: dict) -> set:
+    """The mu, |mu| <= d_max and l(mu) <= k, whose summand lies in the ideal
+    generated by L_lam in A(k,k), by a level-by-level walk along the
+    one-box relation.
 
     A is generated in degree 1, so the ideal in degree d + 1 is A_1 times its
     degree-d part; A_d is multiplicity-free, so that part is the sum of the
     L_nu reached at level d, and the next level is every kappa one step from
-    one of them. `relation` maps nu to `one_box_steps(n, m, nu)`; a row the
+    one of them. `relation` maps nu to `one_box_steps(k, nu)`; a row the
     walk needs and lacks is computed and added to it.
     """
     reached = level = {lam}
@@ -600,7 +615,7 @@ def ideal_summands(n: int, m: int, lam: StrictPartition, d_max: int, relation: d
         nxt = set()
         for nu in level:
             if nu not in relation:
-                relation[nu] = one_box_steps(n, m, nu)
+                relation[nu] = one_box_steps(k, nu)
             nxt.update(kappa for kappa, inside in relation[nu].items() if inside)
         level = nxt
         reached |= level

@@ -29,13 +29,15 @@ CACHE_FILE = "qpoly.cache"
 # The safe bounds, lifted by --unsafe: past them a run is not known to finish
 # within about a second. Each target names the flags it reads against them.
 SAFE_H_RANK = 13  # rank of H_n
-SAFE_A_RANK = 3  # n and m of A(n,m) and q_n
+SAFE_A_RANK = 3  # --n of verify phi-psi: the rank of A(n,n) and of its jets
 # n and m of verify prop-dim: each slice is solved at the ranks of its
 # support, so every rank builds the systems of rank 2
 SAFE_PROP_RANK = 12
 SAFE_DEGREE = 18  # Cauchy truncation degree and number of variables
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
-SAFE_DMAX = 8  # truncation degree of an ideal check in A(n,m)
+# truncation degree of an ideal check in A(n,m); it caps the effective rank,
+# at which the check runs whatever n and m are, at 3
+SAFE_DMAX = 8
 SAFE_JET_ORDER = 11  # jet order of verify phi-psi
 # |lambda| of dump q-expansion: the longest shapes of each size are its slowest
 SAFE_Q_SIZE = 54
@@ -194,7 +196,7 @@ def _render(fmt: str, payload: dict, rows, header) -> str:
     """The report as JSON, as the CSV table (header, rows), or as text: one
     line per scalar field and per case."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload) + "\n"
     if fmt == "csv":
         # imported here: only --format csv loads it
         import csv
@@ -360,19 +362,22 @@ def membership_case(lam: StrictPartition, mu: StrictPartition, predicted: bool, 
 def _verify_main_theorem(args):
     from .amodule import contravariance_check, ideal_summands
 
-    checks = contravariance_check(args.n, args.m)
     cands = all_strict_upto(args.dmax, min(args.n, args.m))
+    rank = _effective_rank(cands)
+    # no case reads a row or column of A(n,m) past the longest candidate
+    walk = max(rank, 1)
+    checks = contravariance_check(walk, walk)
     relation = {}
     cases = []
     for lam in cands:
-        reached = ideal_summands(args.n, args.m, lam, args.dmax, relation)
+        reached = ideal_summands(walk, lam, args.dmax, relation)
         cases += [membership_case(lam, mu, contains(lam, mu), mu in reached) for mu in cands]
     payload = {
         "target": "main-theorem",
         "n": args.n,
         "m": args.m,
         "d_max": args.dmax,
-        "effective_rank": _effective_rank(cands),
+        "effective_rank": rank,
         **_one_box_report(relation, checks),
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
@@ -395,15 +400,16 @@ def _verify_determinantal(args):
     if stair.length > rank:
         flag = "--n" if args.n == rank else "--m"
         raise ConfigError("%s %d is below the staircase length %d" % (flag, rank, stair.length))
-    checks = contravariance_check(args.n, args.m)
+    mus = all_strict_upto(args.dmax, rank)
+    walk = _effective_rank([stair] + mus)
+    checks = contravariance_check(walk, walk)
     relation = {}
-    reached = ideal_summands(args.n, args.m, stair, args.dmax, relation)
-    mus = all_strict_upto(args.dmax, min(args.n, args.m))
+    reached = ideal_summands(walk, stair, args.dmax, relation)
     cases = [membership_case(stair, mu, mu.length > r, mu in reached) for mu in mus]
     payload = {
         "target": "determinantal",
         "r": r,
-        "effective_rank": _effective_rank([stair] + mus),
+        "effective_rank": walk,
         "cases": cases,
         "quotient_lengths_outside": sorted({mu.length for mu in mus if mu not in reached}),
         **_one_box_report(relation, checks),
@@ -466,7 +472,7 @@ def _verify_phi_psi(args):
 
 
 def _verify_prop_dim(args):
-    from .dimcheck import hom_dim_sweep, sweep_contravariance_check
+    from .dimcheck import _sweep, hom_dim_sweep, sweep_contravariance_check
 
     checks = sweep_contravariance_check(args.n, args.m, 2, 2)
     cases = hom_dim_sweep(args.n, args.m, 2, 2)
@@ -475,9 +481,8 @@ def _verify_prop_dim(args):
         "n": args.n,
         "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
-        "effective_rank": _effective_rank(
-            StrictPartition.parse(c[k]) for c in cases for k in ("lambda", "mu", "alpha", "beta")
-        ),
+        # the partitions of each case: (lambda, mu, alpha, beta)
+        "effective_rank": _effective_rank(p for case in _sweep(args.n, args.m, 2, 2) for p in case),
         "contravariance_checks": checks,
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
@@ -534,7 +539,6 @@ def _dump_dims(args):
 # dispatch and argument parsing
 # ---------------------------------------------------------------------------
 
-_A_RANK = (("--n", SAFE_A_RANK), ("--m", SAFE_A_RANK))
 _PROP_RANK = (("--n", SAFE_PROP_RANK), ("--m", SAFE_PROP_RANK))
 _CASE_COLUMNS = ["lambda", "mu", "predicted", "observed", "pass"]
 _BLOCK_COLUMNS = ["lambda", "dim_J", "dim_S", "type"]
@@ -549,8 +553,9 @@ TARGETS = {
         (("--nmax", SAFE_H_RANK),),
         ["lambda", "m", "predicted", "observed", "pass"],
     ),
-    ("verify", "main-theorem"): (_verify_main_theorem, _A_RANK + (("--dmax", SAFE_DMAX),), _CASE_COLUMNS),
-    ("verify", "determinantal"): (_verify_determinantal, _A_RANK + (("--dmax", SAFE_DMAX),), None),
+    # n and m cost nothing past the effective rank, which --dmax caps
+    ("verify", "main-theorem"): (_verify_main_theorem, (("--dmax", SAFE_DMAX),), _CASE_COLUMNS),
+    ("verify", "determinantal"): (_verify_determinantal, (("--dmax", SAFE_DMAX),), None),
     ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE)), None),
     ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK), ("--jet-order", SAFE_JET_ORDER)), None),
     ("verify", "prop-dim"): (_verify_prop_dim, _PROP_RANK, None),

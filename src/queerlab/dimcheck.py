@@ -35,6 +35,21 @@ def _sym_dim(k: int, d: int) -> int:
     return sum(comb(k, j) * comb(k + d - j - 1, d - j) for j in range(min(k, d) + 1))
 
 
+@lru_cache(maxsize=None)
+def _copies(nu: StrictPartition, k: int) -> int:
+    """c_nu, the number of copies of T_nu in V^{(x)d}, d = |nu| <= 2, at rank
+    k, once per (nu, k), after checking that V^{(x)d} is nu-isotypic and
+    that S^dV is one copy of T_nu, both by dimensions (`hom_dim_check`)."""
+    d = nu.size
+    c = decompose_regular(d).blocks[nu].dim_S // 2 ** delta(nu) if d else 1
+    dim = dim_T(nu, k)
+    if (2 * k) ** d != c * dim:
+        raise HomDimError("V^{(x)%d} is not %r-isotypic at rank %d" % (d, nu, k))
+    if _sym_dim(k, d) != dim:
+        raise HomDimError("S^%dV is not one copy of T_%r at rank %d" % (d, nu, k))
+    return c
+
+
 def _sing_dim(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
     """Dimension of the (wrow, wcol)-singular slice of S^aV (x) S^bW (x) A_r:
     twice the kernel of the even half (`_sing_system`), or once at the zero
@@ -43,11 +58,11 @@ def _sing_dim(n: int, m: int, a: int, b: int, r: int, wrow, wcol) -> int:
     return 2 * half if any(wrow) or any(wcol) else half
 
 
-def copy_singular_dim(n: int, m: int, nu: StrictPartition) -> int:
+def copy_singular_dim(k: int, nu: StrictPartition) -> int:
     """s(nu): singular-space dimension of one copy of T_nu, from
     sigma(nu) = s(nu)^2 2^{-delta(nu)}, where sigma(nu) is the dimension of
-    the (nu,nu)-bisingular slice of A_|nu|."""
-    sig = singular_dim(n, m, nu)
+    the (nu,nu)-bisingular slice of A(k,k)_|nu|."""
+    sig = singular_dim(k, nu)
     s2 = sig * (2 ** delta(nu))
     s = isqrt(s2)
     if s * s != s2:
@@ -73,10 +88,11 @@ def hom_dim_check(
     and (2), so V^{(x)a} is c_alpha copies of T_alpha (Sergeev duality; Cheng
     and Wang, AMS GSM 144, ch. 3), and its submodule S^aV is one copy as
     soon as its dimension is dim T_alpha. Both facts are asserted via
-    dimensions: (2n)^a = c_alpha dim T_alpha and dim S^aV = dim T_alpha. The
-    report's `sing_dim` is the count on the full powers, c_alpha c_beta
-    times the one-copy count. Each slice, and each sigma, is solved at the
-    ranks of its support, l(lam) and l(mu) (1 for the empty partition).
+    dimensions, once per (alpha, n) (`_copies`): (2n)^a = c_alpha dim
+    T_alpha and dim S^aV = dim T_alpha. The report's `sing_dim` is the count
+    on the full powers, c_alpha c_beta times the one-copy count. Each slice,
+    and each sigma, is solved at the ranks of its support, l(lam) and l(mu)
+    (1 for the empty partition).
 
     Each singular slice is counted on its even half (`_sing_dim`): at a
     nonzero weight the odd half has the same dimension, and the zero weight
@@ -116,23 +132,14 @@ def hom_dim_check(
         raise HomDimError("formula side is not integral: %d/2" % twice)
 
     # brute-force side
-    table_a = decompose_regular(a) if a else None
-    table_b = decompose_regular(b) if b else None
-    c_alpha = 1 if a == 0 else table_a.blocks[alpha].dim_S // (2 ** delta(alpha))
-    c_beta = 1 if b == 0 else table_b.blocks[beta].dim_S // (2 ** delta(beta))
-    # tensor powers must be single-block, and S^aV one copy of the block
-    for k, d, c, nu in ((n, a, c_alpha, alpha), (m, b, c_beta, beta)):
-        dim = dim_T(nu, k)
-        if (2 * k) ** d != c * dim:
-            raise HomDimError("V^{(x)%d} is not %r-isotypic at rank %d" % (d, nu, k))
-        if _sym_dim(k, d) != dim:
-            raise HomDimError("S^%dV is not one copy of T_%r at rank %d" % (d, nu, k))
+    c_alpha = _copies(alpha, n)
+    c_beta = _copies(beta, m)
     # no unknown of the slice uses an index past l(lam) or l(mu), and no
     # raising operator lowers one, so each system is built at those ranks
     k, l = max(lam.length, 1), max(mu.length, 1)
     one = _sing_dim(k, l, a, b, r, _pad(lam.parts, k), _pad(mu.parts, l))
-    s_l = copy_singular_dim(k, k, lam)
-    s_m = copy_singular_dim(l, l, mu)
+    s_l = copy_singular_dim(k, lam)
+    s_m = copy_singular_dim(l, mu)
     num = one * (2 ** (delta(lam) + delta(mu)))
     den = s_l * s_m
     if num % den:

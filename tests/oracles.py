@@ -1786,7 +1786,7 @@ def summand(n: int, m: int, lam: StrictPartition, support_cap=None) -> GradedSub
     space = GradedSubspace(n, m)
     found = []
     if all(t <= b for t, b in zip(_tail_sums(lam.parts), bound)):
-        found = space.extend(singular_vectors(n, m, lam))
+        found = space.extend(singular_vectors_in(n, m, lam))
     table = {}
     for side in ("left", "right"):
         ops = [(op, i) for s, op, i in _simple_lowering_operators(n, m) if s == side]
@@ -1857,7 +1857,7 @@ def summand_membership(n: int, m: int, ideal: EquivariantIdeal, mu: StrictPartit
     reduces this to containment of the singular vectors)."""
     if mu.length > min(n, m):
         raise ValueError("l(mu) exceeds min(n, m); summand vanishes at this rank")
-    sings = singular_vectors(n, m, mu)
+    sings = singular_vectors_in(n, m, mu)
     w = (_pad(mu.parts, n), _pad(mu.parts, m))
     comp = ideal.component(mu.size, w)
     return all(in_span(comp, s) for s in sings)
@@ -2048,6 +2048,25 @@ def all_raising_operators(n: int, m: int):
         for i in range(1, rank)
         for kind in ("X", "Y")
     ]
+
+
+def at_shape(mono, k: int, n: int, m: int):
+    """A monomial of A(k,k) that uses no row past n and no column past m, as
+    a monomial of A(n,m): each factor stays at its cell (i, j). The map keeps
+    the row-major order of the odd cells, so no sign changes."""
+    e, o = mono
+    x = [0] * (n * m)
+    for c, ex in enumerate(e):
+        if ex:
+            x[_cell(c // k + 1, c % k + 1, m)] = ex
+    return tuple(x), tuple(_cell(c // k + 1, c % k + 1, m) for c in o)
+
+
+def singular_vectors_in(n: int, m: int, lam: StrictPartition) -> list[dict]:
+    """`amodule.singular_vectors` read in A(n,m): the basis of A(k,k), k =
+    min(n, m), moved into A(n,m) by `at_shape`."""
+    k = min(n, m)
+    return [{at_shape(mono, k, n, m): c for mono, c in v.items()} for v in singular_vectors(k, lam)]
 
 
 def solve_singular_full(n: int, m: int, lam: StrictPartition) -> list[dict]:

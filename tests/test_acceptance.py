@@ -75,10 +75,12 @@ def test_ac4_main_theorem():
     from queerlab.partitions import all_strict_upto, contains
 
     cands = all_strict_upto(5, 3)
+    # the walk runs at the longest candidate's length, the oracle in A(3,3)
+    k = max(mu.length for mu in cands)
     relation = {}
     bad = []
     for lam in cands:
-        reached = ideal_summands(3, 3, lam, 5, relation)
+        reached = ideal_summands(k, lam, 5, relation)
         walked = [membership_case(lam, mu, contains(lam, mu), mu in reached) for mu in cands]
         bad += [(c["lambda"], c["mu"]) for c in walked if not c["pass"]]
         if walked != membership_cases_for(3, 3, lam, 5):
@@ -98,13 +100,14 @@ def test_ac5_determinantal():
     from queerlab.partitions import all_strict_upto, staircase
 
     cands = all_strict_upto(5, 3)
-    walked = ideal_summands(3, 3, staircase(1), 5, {})
+    k = max(mu.length for mu in cands)
+    walked = ideal_summands(k, staircase(1), 5, {})
     ok = walked == {mu for mu in cands if mu.length > 1}
     rep = determinantal_ideal_check(3, 3, 1, 5)
     cases = [membership_case(staircase(1), mu, mu.length > 1, mu in walked) for mu in cands]
     ok = ok and rep.passed and rep.cases == cases
     # boundedness: within truncation, everything outside I^{(2)} has length < 2
-    outside = [mu.length for mu in cands if mu not in ideal_summands(3, 3, sp(2), 5, {})]
+    outside = [mu.length for mu in cands if mu not in ideal_summands(k, sp(2), 5, {})]
     ok = ok and max(outside) < 2
     _report(
         "AC-5",

@@ -31,6 +31,7 @@ from oracles import (
     numerators,
     one_box_steps_by_closure,
     pairs,
+    singular_vectors_in,
     solve_singular_full,
     summand,
     summand_membership,
@@ -355,11 +356,11 @@ def test_mono_biweight():
 
 
 def test_singular_vectors_examples():
-    assert len(singular_vectors(2, 2, sp(1))) == 2
-    assert len(singular_vectors(1, 1, sp(2))) == 2
-    assert singular_vectors(1, 1, sp(2, 1)) == []
+    assert len(singular_vectors(2, sp(1))) == 2
+    assert len(singular_vectors(1, sp(2))) == 2
+    assert singular_vectors(1, sp(2, 1)) == []
     # degree-1 singular space is spanned by x_11, y_11
-    vecs = singular_vectors(3, 3, sp(1))
+    vecs = singular_vectors(3, sp(1))
     mono_x = next(iter(SuperPoly.x(3, 3, 1, 1).terms))
     mono_y = next(iter(SuperPoly.y(3, 3, 1, 1).terms))
     assert {tuple(sorted(v)) for v in vecs} == {(mono_x,), (mono_y,)}
@@ -369,9 +370,10 @@ def test_singular_vectors_examples():
 def test_singular_vectors_span_the_full_parity_solve(n, m, size):
     # the even kernel and its Y_ll images are independent and span the
     # kernel solved on both parities at once over Z[zeta], in the
-    # normalization U induces: scaling rows by a unit keeps the kernel
+    # normalization U induces: scaling rows by a unit keeps the kernel; the
+    # basis is solved in A(k,k), k = min(n, m), and read in A(n,m)
     for lam in all_strict_upto(size, min(n, m)):
-        vecs = singular_vectors(n, m, lam)
+        vecs = singular_vectors_in(n, m, lam)
         full = solve_singular_full(n, m, lam)
         ours = span(vecs)
         assert ours.rank == len(vecs) == len(full), lam
@@ -388,8 +390,8 @@ def test_a_gap_of_two_multiplies_the_space_one_box_smaller():
             parts = kappa.parts
             if not parts or parts[0] < (parts[1] if kappa.length > 1 else 0) + 2:
                 continue
-            nu = singular_vectors(n, m, StrictPartition((parts[0] - 1,) + parts[1:]))
-            vecs = singular_vectors(n, m, kappa)
+            nu = singular_vectors_in(n, m, StrictPartition((parts[0] - 1,) + parts[1:]))
+            vecs = singular_vectors_in(n, m, kappa)
             if kappa.length == 1:
                 nu, vecs = nu[: len(nu) // 2], vecs[: len(vecs) // 2]
             assert vecs == [amodule._times(x_11, v) for v in nu], (n, m, kappa)
@@ -401,10 +403,10 @@ def test_singular_vectors_are_primitive():
     # every vector has content 1, the Y_ll images too: in A(1,1), Y_11 sends
     # x_11^2 to 2 x_11 y_11, which is divided by 2
     x2, xy = ((2,), ()), ((1,), (0,))
-    assert singular_vectors(1, 1, sp(2)) == [{x2: 1}, {xy: 1}]
+    assert singular_vectors(1, sp(2)) == [{x2: 1}, {xy: 1}]
     for n, m in itertools.product((1, 2, 3), repeat=2):
         for lam in all_strict_upto(6, min(n, m)):
-            for v in singular_vectors(n, m, lam):
+            for v in singular_vectors_in(n, m, lam):
                 assert math.gcd(*v.values()) == 1, (n, m, lam)
 
 
@@ -414,7 +416,7 @@ def test_odd_half_is_the_y_ll_image_of_the_even_half(n, m):
     # primitive image under the left Y_ll, l = l(lam); one image table shared
     # by every vector changes no image
     for lam in all_strict_upto(6, min(n, m)):
-        vecs = singular_vectors(n, m, lam)
+        vecs = singular_vectors_in(n, m, lam)
         if not lam.parts:
             assert vecs == [{((0,) * (n * m), ()): 1}]
             continue
@@ -429,11 +431,11 @@ def test_odd_half_is_the_y_ll_image_of_the_even_half(n, m):
 
 
 def test_memoized_lists_are_fresh():
-    vecs = singular_vectors(3, 3, sp(2, 1))
+    vecs = singular_vectors(3, sp(2, 1))
     want = [dict(v) for v in vecs]
     vecs[0].clear()
     vecs.append({})
-    assert singular_vectors(3, 3, sp(2, 1)) == want
+    assert singular_vectors(3, sp(2, 1)) == want
     w = ((2, 1, 0), (1, 1, 1))
     monos = weight_space_monomials(3, 3, 3, w)
     want = list(monos)
@@ -463,7 +465,7 @@ def _lowering_closure(n, m, lam, cap):
         w = mono_biweight(next(iter(vec)), n, m)
         return _inside_tail_bounds(w, cap) and space.insert(vec)
 
-    queue = [v for v in singular_vectors(n, m, lam) if keep(v)]
+    queue = [v for v in singular_vectors_in(n, m, lam) if keep(v)]
     ops = lowering_operators(n, m)
     table = {}
     while queue:
@@ -644,13 +646,14 @@ def test_one_box_relation_is_box_containment():
     for rank, size in ((3, 4), (4, 7)):
         for nu in all_strict_upto(size, rank):
             want = {kappa: contains(nu, kappa) for kappa in enumerate_strict(nu.size + 1) if kappa.length <= rank}
-            assert one_box_steps(rank, rank, nu) == want, (rank, nu)
+            assert one_box_steps(rank, nu) == want, (rank, nu)
 
 
 @pytest.mark.parametrize("n, m, d_max", [(1, 3, 6), (2, 2, 6), (2, 3, 6), (3, 2, 6), (3, 3, 6)])
 def test_pairing_rows_equal_closure_rows(n, m, d_max):
+    # the row paired in A(k,k), k = min(n, m), is the one closed in A(n,m)
     for nu in all_strict_upto(d_max - 1, min(n, m)):
-        assert one_box_steps(n, m, nu) == one_box_steps_by_closure(n, m, nu), nu
+        assert one_box_steps(min(n, m), nu) == one_box_steps_by_closure(n, m, nu), nu
 
 
 def test_one_box_steps_builds_covers_until_a_pairing_is_nonzero(monkeypatch):
@@ -668,7 +671,7 @@ def test_one_box_steps_builds_covers_until_a_pairing_is_nonzero(monkeypatch):
     monkeypatch.setattr(amodule, "_times", counted("covers", amodule._times))
     monkeypatch.setattr(amodule, "_fischer", counted("pairings", amodule._fischer))
     for nu in all_strict_upto(5, 3):
-        row = one_box_steps(3, 3, nu)
+        row = one_box_steps(3, nu)
         counts["steps"] += sum(added_box(nu, kappa) is not None for kappa in row)
         assert all(row[kappa] for kappa in row if added_box(nu, kappa) is not None), nu
     assert counts["covers"] == counts["pairings"] == counts["steps"] > 10
@@ -718,7 +721,7 @@ def test_distinct_summands_are_orthogonal_under_the_fischer_form():
         for d in range(1, 5):
             parts = [lam for lam in enumerate_strict(d) if lam.length <= min(n, m)]
             for kappa in parts:
-                sings = singular_vectors(n, m, kappa)
+                sings = singular_vectors_in(n, m, kappa)
                 assert all(_fischer(t, t) > 0 for t in sings)
                 key = (d, ((kappa.parts + (0,) * n)[:n], (kappa.parts + (0,) * m)[:m]))
                 for mu in parts:
@@ -758,7 +761,7 @@ def test_step_closure_equals_direct_ideal(n, m, d_max):
     relation = {}
     cands = all_strict_upto(d_max, min(n, m))
     for lam in cands:
-        reached = ideal_summands(n, m, lam, d_max, relation)
+        reached = ideal_summands(min(n, m), lam, d_max, relation)
         walked = [membership_case(lam, mu, contains(lam, mu), mu in reached) for mu in cands]
         assert walked == membership_cases_for(n, m, lam, d_max), lam
     # the walks built no ideal past degree d_max
@@ -769,7 +772,7 @@ def test_step_closure_equals_direct_ideal(n, m, d_max):
 def test_determinantal_walk_equals_direct_ideal(n, m, r, d_max):
     rep = determinantal_ideal_check(n, m, r, d_max)
     assert rep.passed
-    walked = ideal_summands(n, m, staircase(r), d_max, {})
+    walked = ideal_summands(min(n, m), staircase(r), d_max, {})
     mus = all_strict_upto(d_max, min(n, m))
     assert rep.cases == [membership_case(staircase(r), mu, mu.length > r, mu in walked) for mu in mus]
 

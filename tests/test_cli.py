@@ -64,8 +64,9 @@ def test_verify_main_theorem_small_with_jobs(capsys):
     assert payloads[0]["one_box_pairs"] == payloads[1]["one_box_pairs"] == 4
     # () -> (1) -> (2) -> (3), (2,1): every kappa is nu plus one box
     assert payloads[0]["one_box_decided"] == payloads[1]["one_box_decided"] == {"weight": 0, "pairing": 4}
-    # 36 basis operators, each compared on the 18^2 entries of A_1
-    assert payloads[0]["contravariance_checks"] == 36 * 18**2
+    # no candidate of size <= 3 is longer than 2, so the check runs on A_1
+    # of A(2,2): 16 basis operators, each compared on its 8^2 entries, 16 L^6
+    assert payloads[0]["contravariance_checks"] == 16 * 2**6
     assert "multiplicity-free" in payloads[0]["assumes"][0]
 
 
@@ -99,7 +100,8 @@ def test_verify_determinantal_walks_from_the_staircase(capsys):
     # (3,1) -> (5) are decided by weight alone
     assert payload["one_box_pairs"] == 5
     assert payload["one_box_decided"] == {"weight": 2, "pairing": 3}
-    assert payload["contravariance_checks"] == 36 * 18**2
+    # the check runs on A_1 of A(2,2), at the effective rank L = 2: 16 L^6
+    assert payload["contravariance_checks"] == 16 * 2**6
     assert "multiplicity-free" in payload["assumes"][0]
 
 
@@ -110,8 +112,8 @@ def _corrupt_step(monkeypatch, kappa, inside):
 
     true_steps = amodule.one_box_steps
 
-    def steps(n, m, nu):
-        row = true_steps(n, m, nu)
+    def steps(k, nu):
+        row = true_steps(k, nu)
         if nu == StrictPartition((2, 1)):
             if inside is None:
                 del row[StrictPartition(kappa)]
@@ -147,13 +149,14 @@ def test_a_false_one_box_step_fails_the_verdict(target, monkeypatch, capsys):
 def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeypatch, capsys):
     # right Y_21 sends x_11 to -y_12 and right Y_12 sends y_12 to x_11, so
     # with the first sign flipped Y_12 is no longer the adjoint of -Y_21
+    # x_11 is matched at the shape of the A(k,l) the run acts on
     from queerlab import amodule
 
     real = amodule._monomial_image
-    x11 = ((1,) + (0,) * 8, ())
 
     def flipped(side, kind, a, b, mono, n, m):
         img = real(side, kind, a, b, mono, n, m)
+        x11 = ((1,) + (0,) * (n * m - 1), ())
         if (side, kind, a, b, mono) == ("right", "Y", 2, 1, x11):
             img = tuple((k, -c) for k, c in img)
         return img
@@ -170,13 +173,13 @@ def test_a_flipped_operator_image_fails_the_contravariance_check(target, monkeyp
 def test_a_cartan_image_without_its_odd_factor_fails_the_check(target, monkeypatch, capsys):
     # left X_11 with y_11 left out is still self-adjoint on A_1, but then
     # left Y_11^2, which sends y_11 to y_11, is no longer X_11
+    # y_11 is matched at the shape of the A(k,l) the run acts on
     from queerlab import amodule
 
     real = amodule._monomial_image
-    y11 = ((0,) * 9, (0,))
 
     def dropped(side, kind, a, b, mono, n, m):
-        if (side, kind, a, b, mono) == ("left", "X", 1, 1, y11):
+        if (side, kind, a, b, mono) == ("left", "X", 1, 1, ((0,) * (n * m), (0,))):
             return ()
         return real(side, kind, a, b, mono, n, m)
 
@@ -324,10 +327,12 @@ def test_dump_dims(capsys):
 
 
 def test_safe_bounds_guard(capsys):
-    code = main(["verify", "main-theorem", "--n", "5", "--m", "5"])
+    # main-theorem runs at its effective rank, so --n and --m are not
+    # bounded, but --dmax is
+    code = main(["verify", "main-theorem", "--n", "5", "--m", "5", "--dmax", "9"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "safe" in err
+    assert "safe" in err and "--dmax 9" in err
 
 
 @pytest.mark.parametrize(
@@ -659,7 +664,7 @@ def test_a_non_square_sigma_fails_prop_dim(monkeypatch, capsys):
     from queerlab import dimcheck
 
     real = dimcheck.singular_dim
-    monkeypatch.setattr(dimcheck, "singular_dim", lambda n, m, nu: min(real(n, m, nu), 1))
+    monkeypatch.setattr(dimcheck, "singular_dim", lambda k, nu: min(real(k, nu), 1))
     assert main(["verify", "prop-dim", "--n", "2", "--m", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed in verify prop-dim: HomDimError: sigma((1)) = 1 ")
@@ -1204,6 +1209,72 @@ def test_ideal_targets_report_their_effective_rank(target, flags, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["effective_rank"] == 2
     assert all("effective_rank" not in c for c in payload["cases"])
+
+
+@pytest.mark.parametrize("target", ["main-theorem", "determinantal"])
+@pytest.mark.parametrize("big, small", [((30, 30, "--dmax", "8"), (3, 3, "--dmax", "8")), ((2, 7), (2, 2))])
+def test_ideal_targets_run_at_their_effective_rank(target, big, small, monkeypatch, capsys):
+    # past the effective rank L, n and m change no case, and nothing is built
+    # in any A(n,m) but A(L,L): no contravariance check, no system and no
+    # image (the systems also read their empty line factors, in A(L,1) and
+    # A(1,L)). n = m = 30 needs no --unsafe
+    from queerlab import amodule
+
+    images, systems = set(), set()
+    real_image, real_system = amodule._monomial_image, amodule._sing_system
+
+    def image(side, kind, a, b, mono, n, m):
+        images.add((n, m))
+        return real_image(side, kind, a, b, mono, n, m)
+
+    def system(n, m, *args):
+        systems.add((n, m))
+        return real_system(n, m, *args)
+
+    def run(n, m, *flags):
+        assert main(["verify", target, "--n", str(n), "--m", str(m), "--format", "json", *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    monkeypatch.setattr(amodule, "_monomial_image", image)
+    monkeypatch.setattr(amodule, "_sing_system", system)
+    monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
+    got = run(*big)
+    rank = got["effective_rank"]
+    assert systems == {(rank, rank)}
+    assert images == {(rank, rank), (rank, 1), (1, rank)}
+    assert got["contravariance_checks"] == 16 * rank**6
+    want = run(*small)
+    assert want["effective_rank"] == rank
+    assert got["cases"] == want["cases"] and got["status"] is True
+
+
+@pytest.mark.parametrize(
+    "target, count, digest",
+    [
+        ("main-theorem", 1089, "2b160d58656160b5c5520f727f58c32c01a14d49b49a2e5204452bc2adb6a734"),
+        ("determinantal", 33, "fefbf3a8e61994eff46e1e864bebd08917745a0129d37b35f8977b992c820498"),
+    ],
+)
+def test_ideal_targets_keep_their_cases_past_their_effective_rank(target, count, digest, capsys):
+    # n = m = 4 at --dmax 9 (L = 3): the cases of the walk over all of
+    # A(4,4), pinned by their count and the SHA-256 of their JSON
+    import hashlib
+
+    argv = ["verify", target, "--n", "4", "--m", "4", "--dmax", "9", "--unsafe", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["effective_rank"] == 3 and len(payload["cases"]) == count
+    assert hashlib.sha256(json.dumps(payload["cases"]).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["verify", "main-theorem"], ["verify", "prop-dim"], ["dump", "dims", "--lambda", "2"]])
+def test_json_report_is_one_line_that_round_trips(argv, tmp_path, capsys):
+    # json.dumps without an indent: one line on stdout, the same as --out
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.dumps(json.loads(text)) + "\n" == text == out.read_text()
 
 
 def test_tracer_wraps_every_layer_after_cli_import():

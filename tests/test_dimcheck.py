@@ -73,9 +73,9 @@ def test_degree_mismatch_vanishes():
 
 
 def test_singular_dims():
-    assert copy_singular_dim(3, 3, sp(1)) == 2
-    assert copy_singular_dim(3, 3, sp(2)) == 2
-    assert copy_singular_dim(3, 3, sp(2, 1)) == 2
+    assert copy_singular_dim(3, sp(1)) == 2
+    assert copy_singular_dim(3, sp(2)) == 2
+    assert copy_singular_dim(3, sp(2, 1)) == 2
 
 
 def test_guard():
@@ -180,10 +180,13 @@ def test_the_symmetric_power_is_one_copy_of_T():
 
 
 def test_a_symmetric_power_of_the_wrong_dimension_is_refused(monkeypatch):
-    # all of V^{(x)2} taken for one copy of T_(2)
+    # all of V^{(x)2} taken for one copy of T_(2); the check runs once per
+    # (alpha, rank), so one made before the patch is dropped
+    dimcheck._copies.cache_clear()
     monkeypatch.setattr(dimcheck, "_sym_dim", lambda k, d: (2 * k) ** d)
     with pytest.raises(dimcheck.HomDimError, match=r"S\^2V is not one copy of T_\(2\) at rank 3"):
         hom_dim_check(sp(2), EMPTY, sp(2), EMPTY)
+    dimcheck._copies.cache_clear()
 
 
 def test_support_system_matches_the_full_rank_oracle():
@@ -308,7 +311,7 @@ def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
         return count
 
     monkeypatch.setattr(dimcheck, "_sing_dim", full_per_copy)
-    monkeypatch.setattr(dimcheck, "singular_dim", lambda n, m, nu: len(solve_singular_full(n, m, nu)))
+    monkeypatch.setattr(dimcheck, "singular_dim", lambda k, nu: len(solve_singular_full(k, k, nu)))
     full = [hom_dim_sweep(k, k, 2, 2) for k in (2, 3, 4)]
     assert full == fast
     assert all(c["pass"] for c in fast[0])
@@ -321,7 +324,7 @@ def test_sigma_is_the_halved_bisingular_slice():
     for nu in all_strict_upto(6):
         if nu.length <= 3:
             halved = dimcheck._sing_dim(3, 3, 0, 0, nu.size, _pad(nu.parts, 3), _pad(nu.parts, 3))
-            assert halved == len(singular_vectors(3, 3, nu)) == len(solve_singular_full(3, 3, nu)), nu
+            assert halved == len(singular_vectors(3, nu)) == len(solve_singular_full(3, 3, nu)), nu
             checked += 1
     assert checked > 10
 
@@ -360,10 +363,10 @@ def test_singular_vectors_need_no_dead_operator(monkeypatch):
     # the full operator list gives the same singular basis
     lams = [lam for lam in all_strict_upto(5) if lam.length <= 3]
     monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
-    live = [singular_vectors(3, 3, lam) for lam in lams]
+    live = [singular_vectors(3, lam) for lam in lams]
     monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
     monkeypatch.setattr(amodule, "raising_operators", lambda w: all_raising_operators(3, 3))
-    assert [singular_vectors(3, 3, lam) for lam in lams] == live
+    assert [singular_vectors(3, lam) for lam in lams] == live
 
 
 def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
