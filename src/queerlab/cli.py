@@ -33,7 +33,7 @@ SAFE_A_RANK = 3  # --n of verify phi-psi: the rank of A(n,n) and of its jets
 # n and m of verify prop-dim: each slice is solved at the ranks of its
 # support, so every rank builds the systems of rank 2
 SAFE_PROP_RANK = 12
-SAFE_DEGREE = 18  # Cauchy truncation degree and number of variables
+SAFE_DEGREE = 18  # Cauchy truncation degree
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 # truncation degree of an ideal check in A(n,m); it caps the effective rank,
 # at which the check runs whatever n and m are, at 3
@@ -432,7 +432,6 @@ def _parities_hold(images: dict) -> bool:
 
 def _verify_phi_psi(args):
     from .jets import phi_map, psi_map, psi_of_phi_on_generators
-    from .spoly import constant_term
 
     cases = []
     for n in range(1, args.n + 1):
@@ -443,7 +442,7 @@ def _verify_phi_psi(args):
         # m is generated by the x_ij - delta_ij and the y_ij, so phi sends it
         # to 0 at the identity when phi(x_ij) starts at delta_ij, phi(y_ij) at 0
         ident_ok = all(
-            constant_term(img, ring.n_even) == int(kind == "x" and i == j)
+            ring.constant(img) == int(kind == "x" and i == j)
             for (kind, i, j), img in images.items()
         )
         # psi is a homomorphism too when its images have the parities of
@@ -556,7 +555,8 @@ TARGETS = {
     # n and m cost nothing past the effective rank, which --dmax caps
     ("verify", "main-theorem"): (_verify_main_theorem, (("--dmax", SAFE_DMAX),), _CASE_COLUMNS),
     ("verify", "determinantal"): (_verify_determinantal, (("--dmax", SAFE_DMAX),), None),
-    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE), ("--vars", SAFE_DEGREE)), None),
+    # a partition of k <= --degree has at most k parts, so --vars costs nothing
+    ("verify", "cauchy"): (_verify_cauchy, (("--degree", SAFE_DEGREE),), None),
     ("verify", "phi-psi"): (_verify_phi_psi, (("--n", SAFE_A_RANK), ("--jet-order", SAFE_JET_ORDER)), None),
     ("verify", "prop-dim"): (_verify_prop_dim, _PROP_RANK, None),
     ("dump", "isotypic"): (_dump_isotypic, (("--n", SAFE_H_RANK),), _BLOCK_COLUMNS),

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import ONE, ZETA
-from .spoly import p_add, p_inverse, p_mul, p_one, p_scale
+from .scalars import ONE, ZERO, ZETA
+from .spoly import p_add, p_mul, p_scale
 
 
 class JetInversionError(ZeroDivisionError):
@@ -24,9 +24,13 @@ class JetInversionError(ZeroDivisionError):
 
 
 class JetRing:
-    """A truncated supercommutative polynomial ring with named variables."""
+    """A truncated supercommutative polynomial ring with named variables.
 
-    __slots__ = ("even_names", "odd_names", "order", "_even_idx", "_odd_idx")
+    Jets are `spoly` dicts over Q(zeta); the ring holds what reads the order
+    or the constant monomial, and `p_add`, `p_scale` need neither.
+    """
+
+    __slots__ = ("even_names", "odd_names", "order", "_even_idx", "_odd_idx", "_unit")
 
     def __init__(self, even_names: tuple, odd_names: tuple, order: int):
         self.even_names = even_names
@@ -34,39 +38,42 @@ class JetRing:
         self.order = order
         self._even_idx = {v: i for i, v in enumerate(even_names)}
         self._odd_idx = {v: i for i, v in enumerate(odd_names)}
-
-    @property
-    def n_even(self):
-        return len(self.even_names)
+        self._unit = ((0,) * len(even_names), ())
 
     def one(self):
-        return p_one(self.n_even)
+        return {self._unit: ONE}
 
-    def const(self, c):
-        return p_scale(self.one(), c)
+    def constant(self, p):
+        """The coefficient of the constant monomial of p."""
+        return p.get(self._unit, ZERO)
 
     def even_var(self, name):
-        e = [0] * self.n_even
+        e = [0] * len(self.even_names)
         e[self._even_idx[name]] = 1
         return {(tuple(e), ()): ONE}
 
     def odd_var(self, name):
-        return {((0,) * self.n_even, (self._odd_idx[name],)): ONE}
+        return {(self._unit[0], (self._odd_idx[name],)): ONE}
 
     def mul(self, p, q):
         return p_mul(p, q, self.order)
 
-    def add(self, p, q):
-        return p_add(p, q)
-
-    def scale(self, p, c):
-        return p_scale(p, c)
-
     def inverse(self, p):
-        try:
-            return p_inverse(p, self.n_even, self.order)
-        except ZeroDivisionError as exc:
-            raise JetInversionError(str(exc)) from exc
+        """Inverse of a jet with invertible constant term, by geometric series."""
+        c = self.constant(p)
+        if c.is_zero():
+            raise JetInversionError("jet has no invertible constant term")
+        cinv = c.inverse()
+        # p = c (1 - r): r is minus the non-constant part of p/c
+        r = {k: -v for k, v in p_scale(p, cinv).items() if k != self._unit}
+        out = self.one()
+        power = self.one()
+        for _ in range(self.order):
+            power = self.mul(power, r)
+            if not power:
+                break
+            out = p_add(out, power)
+        return p_scale(out, cinv)
 
 
 def k_ring(n: int, order: int) -> JetRing:
@@ -104,12 +111,12 @@ def _coords(ring: JetRing, t: int, i: int, j: int, table: dict) -> tuple:
 
 def _x_part(ring: JetRing, a, ap, b, bp):
     """a a' + zeta b b'."""
-    return ring.add(ring.mul(a, ap), ring.scale(ring.mul(b, bp), ZETA))
+    return p_add(ring.mul(a, ap), p_scale(ring.mul(b, bp), ZETA))
 
 
 def _y_part(ring: JetRing, a, ap, b, bp):
     """a b' - zeta b a'."""
-    return ring.add(ring.mul(a, bp), ring.scale(ring.mul(b, ap), -ZETA))
+    return p_add(ring.mul(a, bp), p_scale(ring.mul(b, ap), -ZETA))
 
 
 def _phi_sums(ring: JetRing, table: dict, i: int, j: int, tmax: int):
@@ -117,8 +124,8 @@ def _phi_sums(ring: JetRing, table: dict, i: int, j: int, tmax: int):
     px, py = {}, {}
     for t in range(1, tmax + 1):
         c = _coords(ring, t, i, j, table)
-        px = ring.add(px, _x_part(ring, *c))
-        py = ring.add(py, _y_part(ring, *c))
+        px = p_add(px, _x_part(ring, *c))
+        py = p_add(py, _y_part(ring, *c))
     return px, py
 
 
@@ -126,13 +133,13 @@ def _substitute(ring: JetRing, terms: dict, even_images, odd_images) -> dict:
     """sum of c * prod even_images[k]^e_k * prod odd_images[k] over the terms."""
     out = {}
     for (e, o), c in terms.items():
-        term = ring.const(c)
+        term = p_scale(ring.one(), c)
         for idx, ex in enumerate(e):
             for _ in range(ex):
                 term = ring.mul(term, even_images[idx])
         for idx in o:
             term = ring.mul(term, odd_images[idx])
-        out = ring.add(out, term)
+        out = p_add(out, term)
     return out
 
 
@@ -150,7 +157,7 @@ def phi_map(n: int, order: int):
     k = {name: ring.odd_var(name) for name in ring.odd_names}
     for name in ring.even_names:
         if name[0] == "abar":  # a_tt = 1 + abar_tt
-            k[("a",) + name[1:]] = ring.add(ring.one(), ring.even_var(name))
+            k[("a",) + name[1:]] = p_add(ring.one(), ring.even_var(name))
         else:
             k[name] = ring.even_var(name)
     images = {}
@@ -180,30 +187,30 @@ def psi_map(n: int, order: int):
         for j in range(1, n + 1):
             x[(i, j)] = ring.even_var(("xbar", i, j))
             if i == j:
-                x[(i, j)] = ring.add(ring.one(), x[(i, j)])
+                x[(i, j)] = p_add(ring.one(), x[(i, j)])
             y[(i, j)] = ring.odd_var(("y", i, j))
     psi = {}
     for j in range(1, n + 1):
         for i in range(1, j + 1):
             sx, sy = _phi_sums(ring, psi, j, i, i - 1)
-            psi[("a", i, j)] = ring.add(x[(j, i)], ring.scale(sx, -1))
-            psi[("b", i, j)] = ring.scale(ring.add(y[(j, i)], ring.scale(sy, -1)), ZETA)
+            psi[("a", i, j)] = p_add(x[(j, i)], p_scale(sx, -1))
+            psi[("b", i, j)] = p_scale(p_add(y[(j, i)], p_scale(sy, -1)), ZETA)
             if i == j:
                 continue
             sx, sy = _phi_sums(ring, psi, i, j, i - 1)
-            rx = ring.add(x[(i, j)], ring.scale(sx, -1))
-            ry = ring.add(y[(i, j)], ring.scale(sy, -1))
+            rx = p_add(x[(i, j)], p_scale(sx, -1))
+            ry = p_add(y[(i, j)], p_scale(sy, -1))
             p = psi[("a", i, i)]
             q = psi[("b", i, i)]
             # raises JetInversionError unless p, so p^2, has a unit constant term
             inv2 = ring.inverse(ring.mul(p, p))
             psi[("ap", i, j)] = ring.mul(
                 inv2,
-                ring.add(ring.mul(p, rx), ring.scale(ring.mul(q, ry), -ZETA)),
+                p_add(ring.mul(p, rx), p_scale(ring.mul(q, ry), -ZETA)),
             )
             psi[("bp", i, j)] = ring.mul(
                 inv2,
-                ring.add(ring.scale(ring.mul(q, rx), ZETA), ring.mul(p, ry)),
+                p_add(p_scale(ring.mul(q, rx), ZETA), ring.mul(p, ry)),
             )
     return ring, psi
 
@@ -211,10 +218,10 @@ def psi_map(n: int, order: int):
 def psi_apply(n: int, order: int, kjet, kring: JetRing) -> dict:
     """Substitute the psi images into a jet over the K-coordinates."""
     aring, psi = psi_map(n, order)
-    minus_one = aring.const(-1)
+    minus_one = p_scale(aring.one(), -1)
     even = [
         # a_ii = 1 + abar_ii, so abar maps to psi(a_ii) - 1
-        aring.add(psi[("a",) + name[1:]], minus_one) if name[0] == "abar" else psi[name]
+        p_add(psi[("a",) + name[1:]], minus_one) if name[0] == "abar" else psi[name]
         for name in kring.even_names
     ]
     return _substitute(aring, kjet, even, [psi[name] for name in kring.odd_names])
@@ -232,7 +239,7 @@ def psi_of_phi_on_generators(n: int, order: int):
                 if kind == "x":
                     want = aring.even_var(("xbar", i, j))
                     if i == j:
-                        want = aring.add(want, aring.one())
+                        want = p_add(want, aring.one())
                 else:
                     want = aring.odd_var(("y", i, j))
                 results.append(((kind, i, j), got, want))

@@ -7,7 +7,7 @@ and then does integer multiply-adds. `extend` inserts a batch in descending
 order of leading key, so each new pivot lands below every stored pivot and
 no stored row needs back-substitution. `add_term` is the
 accumulate-and-drop-zero step for the sparse polynomials of `symfunc` and
-`spoly`, with int or Cyclo8Scalar entries.
+`spoly`, whatever their coefficient type: ints, or the Q(zeta) of the jets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from math import gcd, lcm
 def add_term(vec: dict, key, c) -> None:
     """vec[key] += c, dropping the key when the sum is zero.
 
-    Works for any coefficient type whose zero is falsy (int, Cyclo8Scalar).
+    Works for any coefficient type whose zero is falsy (int, and the
+    Cyclo8Scalar of the jets); it names none of them.
     """
     s = vec.get(key)
     if s is not None:

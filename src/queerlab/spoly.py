@@ -3,14 +3,13 @@ anticommute and square to zero.
 
 A monomial is a pair (even_exps, odd_support): a tuple of exponents over the
 even variables and a sorted tuple of odd variable indices. Elements are dicts
-monomial -> Cyclo8Scalar, an element of Q(zeta), so they plug directly into
-the echelon machinery.
+monomial -> coefficient, for any coefficient type whose zero is falsy: ints
+in `amodule`, elements of Q(zeta) in `jets`. Nothing here names the field.
 """
 
 from __future__ import annotations
 
 from .linalg import add_term
-from .scalars import Cyclo8Scalar, ONE, _coerce
 
 
 def merge_odd(o1: tuple, o2: tuple):
@@ -71,8 +70,7 @@ def p_add(p: dict, q: dict) -> dict:
 
 
 def p_scale(p: dict, c) -> dict:
-    c = _coerce(c)
-    if c.is_zero():
+    if not c:
         return {}
     return {k: c * x for k, x in p.items()}
 
@@ -99,29 +97,3 @@ def p_mul(p: dict, q: dict, trunc=None) -> dict:
             c = c1 * c2
             add_term(out, mono, c if sign == 1 else -c)
     return out
-
-
-def constant_term(p: dict, n_even: int) -> Cyclo8Scalar:
-    return p.get(((0,) * n_even, ()), Cyclo8Scalar())
-
-
-def p_one(n_even: int) -> dict:
-    return {((0,) * n_even, ()): ONE}
-
-
-def p_inverse(p: dict, n_even: int, trunc: int) -> dict:
-    """Inverse of a jet with invertible constant term, by geometric series."""
-    c = constant_term(p, n_even)
-    if c.is_zero():
-        raise ZeroDivisionError("jet has no invertible constant term")
-    cinv = c.inverse()
-    # p = c (1 - r): r is minus the non-constant part of p/c
-    r = {k: -v for k, v in p_scale(p, cinv).items() if k != ((0,) * n_even, ())}
-    out = p_one(n_even)
-    power = p_one(n_even)
-    for _ in range(trunc):
-        power = p_mul(power, r, trunc)
-        if not power:
-            break
-        out = p_add(out, power)
-    return p_scale(out, cinv)

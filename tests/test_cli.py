@@ -459,9 +459,9 @@ def test_dump_dims_lists_no_tensor_basis(capsys):
         (["verify", "phi-psi", "--n", "1", "--jet-order", "0"], "--jet-order"),
         (["verify", "main-theorem", "--jobs", "0"], "--jobs"),
         (["verify", "main-theorem", "--jobs", "-3"], "--jobs"),
-        # --vars past the safe bound; --vars below --degree is refused even
-        # with --unsafe
-        (["verify", "cauchy", "--degree", "18", "--vars", "19"], "--vars"),
+        # a negative --vars; --vars below --degree is refused even with
+        # --unsafe
+        (["verify", "cauchy", "--vars", "-1"], "--vars"),
         (["verify", "cauchy", "--degree", "6", "--vars", "5", "--unsafe"], "--vars"),
         # a target without a table has no CSV form
         (["verify", "cauchy", "--format", "csv"], "--format"),
@@ -622,14 +622,14 @@ def test_exit_code_one_on_mismatch(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_unsafe_lifts_the_vars_bound(monkeypatch, capsys):
-    from queerlab import symfunc
-
-    seen = []
-    monkeypatch.setattr(symfunc, "cauchy_check", lambda d, N: seen.append((d, N)))
-    assert main(["verify", "cauchy", "--degree", "18", "--vars", "19", "--unsafe"]) == 0
-    assert seen == [(18, 19)]
-    capsys.readouterr()
+def test_vars_past_the_degree_needs_no_unsafe(capsys):
+    # a partition of k <= --degree has at most k parts, so variables past
+    # --degree add no work, and --vars has no safe bound
+    cases = []
+    for n_vars in ("1000", "5"):
+        assert main(["verify", "cauchy", "--degree", "5", "--vars", n_vars, "--format", "json"]) == 0
+        cases.append(json.loads(capsys.readouterr().out)["cases"])
+    assert cases[0] == cases[1]
 
 
 @pytest.mark.parametrize(
@@ -1277,7 +1277,16 @@ def test_json_report_is_one_line_that_round_trips(argv, tmp_path, capsys):
     assert json.dumps(json.loads(text)) + "\n" == text == out.read_text()
 
 
-def test_tracer_wraps_every_layer_after_cli_import():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "hecke-ideals", "--nmax", "2"],
+        # the tracer wraps spoly and jets and counts Cyclo8Scalar operations
+        ["verify", "phi-psi", "--n", "2"],
+    ],
+    ids=["hecke-ideals", "phi-psi"],
+)
+def test_tracer_wraps_every_layer_after_cli_import(argv):
     # bench/tracer.py wraps the layers it finds in sys.modules once
     # queerlab.cli is imported; a layer imported lazily would be missing
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1285,7 +1294,7 @@ def test_tracer_wraps_every_layer_after_cli_import():
     code = (
         "import sys; import queerlab.cli as cli; import tracer; "
         "tracer.Tracer().install(); "
-        "sys.exit(cli.main(['verify', 'hecke-ideals', '--nmax', '2']))"
+        "sys.exit(cli.main(%r))" % argv
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -1,4 +1,6 @@
+import ast
 import json
+import os
 import random
 
 import pytest
@@ -14,16 +16,16 @@ from queerlab.jets import (
     psi_of_phi_on_generators,
 )
 from queerlab.cli import _parities_hold, main
-from queerlab.scalars import ZETA
-from queerlab.spoly import constant_term, p_inverse, p_mul
+from queerlab.scalars import ONE, ZETA
+from queerlab.spoly import p_add, p_mul, p_scale
 
 rng = random.Random(2)
 
 
 def test_phi_base_formulas():
     ring, phi = phi_map(1, 4)
-    assert phi[("x", 1, 1)] == ring.add(ring.one(), ring.even_var(("abar", 1, 1)))
-    assert phi[("y", 1, 1)] == ring.scale(ring.odd_var(("b", 1, 1)), -ZETA)
+    assert phi[("x", 1, 1)] == p_add(ring.one(), ring.even_var(("abar", 1, 1)))
+    assert phi[("y", 1, 1)] == p_scale(ring.odd_var(("b", 1, 1)), -ZETA)
 
 
 def test_phi_general_formula_n2():
@@ -31,13 +33,13 @@ def test_phi_general_formula_n2():
     # phi(x_22) = a_12 a'_12 + zeta b_12 b'_12 + a_22 a'_22 + zeta b_22 b'_22
     #           = a_12 a'_12 + zeta b_12 b'_12 + (1 + abar_22)
     want = ring.mul(ring.even_var(("a", 1, 2)), ring.even_var(("ap", 1, 2)))
-    want = ring.add(
+    want = p_add(
         want,
-        ring.scale(
+        p_scale(
             ring.mul(ring.odd_var(("b", 1, 2)), ring.odd_var(("bp", 1, 2))), ZETA
         ),
     )
-    want = ring.add(want, ring.add(ring.one(), ring.even_var(("abar", 2, 2))))
+    want = p_add(want, p_add(ring.one(), ring.even_var(("abar", 2, 2))))
     assert phi[("x", 2, 2)] == want
 
 
@@ -45,7 +47,7 @@ def test_phi_vanishes_at_identity_on_m_generators():
     for n in (1, 2, 3):
         ring, _ = phi_map(n, 3)
         for g in m_generators(n):
-            assert constant_term(phi_apply(n, 3, g.terms), ring.n_even).is_zero()
+            assert ring.constant(phi_apply(n, 3, g.terms)).is_zero()
 
 
 def test_phi_multiplicative_on_degree_two_pairs():
@@ -66,8 +68,8 @@ def test_phi_multiplicative_on_degree_two_pairs():
 
 def test_psi_base_cases():
     aring, psi = psi_map(2, 3)
-    assert psi[("a", 1, 1)] == aring.add(aring.one(), aring.even_var(("xbar", 1, 1)))
-    assert psi[("b", 1, 1)] == aring.scale(aring.odd_var(("y", 1, 1)), ZETA)
+    assert psi[("a", 1, 1)] == p_add(aring.one(), aring.even_var(("xbar", 1, 1)))
+    assert psi[("b", 1, 1)] == p_scale(aring.odd_var(("y", 1, 1)), ZETA)
 
 
 def test_psi_of_phi_is_identity():
@@ -77,12 +79,13 @@ def test_psi_of_phi_is_identity():
 
 
 def test_jet_inverse():
+    # a constant term other than 1, and an odd part, in both orders
     ring = a_ring(1, 5)
-    p = ring.add(ring.one(), ring.even_var(("xbar", 1, 1)))
-    inv = ring.inverse(p)
-    assert ring.mul(p, inv) == ring.one()
-    with pytest.raises(ZeroDivisionError):
-        p_inverse(ring.even_var(("xbar", 1, 1)), ring.n_even, 5)
+    x, y = ring.even_var(("xbar", 1, 1)), ring.odd_var(("y", 1, 1))
+    for c in (ONE, 2 + ZETA):
+        p = p_add(p_scale(ring.one(), c), p_add(x, ring.mul(x, y)))
+        inv = ring.inverse(p)
+        assert ring.mul(p, inv) == ring.mul(inv, p) == ring.one()
 
 
 def test_jet_with_zero_constant_term_has_no_inverse():
@@ -90,10 +93,28 @@ def test_jet_with_zero_constant_term_has_no_inverse():
     for p in (
         {},
         ring.even_var(("xbar", 1, 2)),
-        ring.add(ring.even_var(("xbar", 2, 2)), ring.odd_var(("y", 1, 1))),
+        p_add(ring.even_var(("xbar", 2, 2)), ring.odd_var(("y", 1, 1))),
     ):
         with pytest.raises(JetInversionError):
             ring.inverse(p)
+
+
+def test_only_the_jets_import_scalars():
+    # Q(zeta) is the jets' alone: every other module of src/ runs on
+    # coefficients it does not name. __init__ imports every module, for the
+    # benchmark's tracer
+    pkg = os.path.dirname(jets.__file__)
+    importers = set()
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py"):
+            with open(os.path.join(pkg, f)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                    if any("scalars" in name.split(".") for name in names):
+                        importers.add(f[:-3])
+    assert importers - {"__init__"} <= {"jets"}, importers
 
 
 def test_cli_generators_and_products_match_superpoly():
@@ -118,9 +139,9 @@ def test_cli_generators_and_products_match_superpoly():
 
 def test_odd_jets_square_to_zero():
     ring = k_ring(2, 4)
-    q = ring.add(
+    q = p_add(
         ring.odd_var(("b", 1, 1)),
-        ring.scale(ring.odd_var(("bp", 1, 2)), ZETA),
+        p_scale(ring.odd_var(("bp", 1, 2)), ZETA),
     )
     assert ring.mul(q, q) == {}
 
@@ -184,7 +205,7 @@ def test_a_wrong_parity_image_fails_the_check(name, key, term, field, monkeypatc
         ring, images = real(n, order)
         if n == 3:
             images = dict(images)  # the cached map stays as built
-            images[key] = ring.add(images[key], term(ring))
+            images[key] = p_add(images[key], term(ring))
         return ring, images
 
     assert _parities_hold(real(3, 3)[1])
@@ -193,3 +214,22 @@ def test_a_wrong_parity_image_fails_the_check(name, key, term, field, monkeypatc
     assert main(["verify", "phi-psi", "--seed", "1", "--format", "json"]) == 1
     cases = json.loads(capsys.readouterr().out)["cases"]
     assert [c[field] for c in cases] == [True, True, False]
+
+
+def test_a_wrong_sign_in_the_inverse_series_fails_the_check(monkeypatch, capsys):
+    # the series of JetRing.inverse with r of the wrong sign sums to the
+    # inverse of c (1 + r) = 2c - p; psi then inverts the wrong p^2 from n = 2
+    real = jets.JetRing.inverse
+
+    def flipped(ring, p):
+        c = ring.constant(p)
+        return real(ring, p_add(p_scale(p, -1), p_scale(ring.one(), c + c)))
+
+    monkeypatch.setattr(jets.JetRing, "inverse", flipped)
+    psi_map.cache_clear()
+    try:
+        assert main(["verify", "phi-psi", "--format", "json"]) == 1
+    finally:
+        psi_map.cache_clear()
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert [c["psi_phi_identity"] for c in cases] == [True, False, False]

@@ -99,3 +99,20 @@ def test_truncated_p_mul_is_the_truncated_product():
             want = p_truncate(p_mul(a, b), t)
             # same terms in the same order
             assert list(got.items()) == list(want.items()), t
+
+
+def test_int_and_cyclo8_coefficients_give_the_same_terms():
+    # spoly names no field: the same values held as ints and as Cyclo8Scalar
+    # give the same sums, multiples and products, term for term in one order
+    def lift(p):
+        return [(m, Cyclo8Scalar.from_int(c)) for m, c in p.items()]
+
+    for _ in range(40):
+        a, b = _rand_poly(3, 3, None), _rand_poly(3, 3, None)
+        ai, bi = ({m: c.re for m, c in p.items()} for p in (a, b))
+        assert all(type(c) is int for c in ai.values())
+        k = rng.randint(-2, 2)
+        assert lift(p_add(ai, bi)) == list(p_add(a, b).items())
+        assert lift(p_scale(ai, k)) == list(p_scale(a, Cyclo8Scalar.from_int(k)).items())
+        for t in (None, 0, 2, 4):
+            assert lift(p_mul(ai, bi, t)) == list(p_mul(a, b, t).items()), t
