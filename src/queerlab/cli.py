@@ -7,9 +7,9 @@ building its parser took about 2.5 ms of every run.
 
 Exit codes: 0 all checks passed, 1 a theorem check failed (a case reported
 false, or an exact identity the check relies on failed: InconsistentMultiplicity,
-DecompositionError, ContravarianceError, HomDimError, ActionError), 2 bad input
-(parse errors included) or an internal error. A cache file that cannot be read
-or written costs a warning, not the exit code.
+DecompositionError, ContravarianceError, HomDimError, ActionError,
+JetInversionError), 2 bad input (parse errors included) or an internal error.
+A cache file that cannot be read or written costs a warning, not the exit code.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ SAFE_DEGREE = 18  # Cauchy truncation degree
 SAFE_BOUND = 20  # largest |lambda| of a Pieri check
 # truncation degree of an ideal check in A(n,m); it caps the effective rank,
 # at which the check runs whatever n and m are, at 3
-SAFE_DMAX = 8
+SAFE_DMAX = 9
 SAFE_JET_ORDER = 11  # jet order of verify phi-psi
 # |lambda| of dump q-expansion: the longest shapes of each size are its slowest
 SAFE_Q_SIZE = 54
@@ -473,15 +473,15 @@ def _verify_phi_psi(args):
 def _verify_prop_dim(args):
     from .dimcheck import _sweep, hom_dim_sweep, sweep_contravariance_check
 
-    checks = sweep_contravariance_check(args.n, args.m, 2, 2)
-    cases = hom_dim_sweep(args.n, args.m, 2, 2)
+    checks = sweep_contravariance_check(args.n, args.m)
+    cases = hom_dim_sweep(args.n, args.m)
     payload = {
         "target": "prop-dim",
         "n": args.n,
         "m": args.m,
         "convention": "total (even+odd) dimensions everywhere",
         # the partitions of each case: (lambda, mu, alpha, beta)
-        "effective_rank": _effective_rank(p for case in _sweep(args.n, args.m, 2, 2) for p in case),
+        "effective_rank": _effective_rank(p for case in _sweep(args.n, args.m) for p in case),
         "contravariance_checks": checks,
         "cases": cases,
         "status": _all_passed(c["pass"] for c in cases),
@@ -707,10 +707,12 @@ def main(argv=None) -> int:
         from .amodule import ContravarianceError
         from .dimcheck import HomDimError
         from .heckeclifford import DecompositionError
+        from .jets import JetInversionError
         from .queer import ActionError
 
         what = "%s: %s" % (type(exc).__name__, exc)
-        failed = (symfunc.InconsistentMultiplicity, DecompositionError, ContravarianceError, HomDimError, ActionError)
+        failed = (symfunc.InconsistentMultiplicity, DecompositionError, ContravarianceError, HomDimError)
+        failed += (ActionError, JetInversionError)
         if isinstance(exc, failed):
             # an exact identity failed: a theorem failure, not a crash
             print("check failed in %s: %s" % (name, what), file=sys.stderr)

@@ -23,6 +23,9 @@ class HomDimError(RuntimeError):
     pass
 
 
+R_MAX = 3  # the largest r = |lambda| - |alpha| that `hom_dim_check` accepts
+
+
 @lru_cache(maxsize=None)
 def _induced(mu: StrictPartition, nu: StrictPartition) -> dict:
     """`induct_mult(mu, nu)`, once per pair; callers must not mutate it."""
@@ -77,7 +80,6 @@ def hom_dim_check(
     beta: StrictPartition,
     n: int = 3,
     m: int = 3,
-    r_max: int = 3,
 ) -> dict:
     """Both sides of the Hom-dimension identity for one case, as the report's
     dict: the case, both sides and whether they agree, then the detail keys.
@@ -108,7 +110,7 @@ def hom_dim_check(
     if lam.size - a != mu.size - b:
         raise ValueError("|lambda| - |alpha| and |mu| - |beta| differ")
     r = lam.size - a
-    if r < 0 or r > r_max:
+    if r < 0 or r > R_MAX:
         raise ValueError("r out of range")
     if max(lam.length, mu.length, alpha.length, beta.length) > min(n, m):
         raise ValueError("partition length exceeds truncation rank")
@@ -165,12 +167,13 @@ def hom_dim_check(
     }
 
 
-def _sweep(n: int, m: int, max_ab: int, r_max: int):
+def _sweep(n: int, m: int):
     """(lam, mu, alpha, beta) of every case of `hom_dim_sweep`, in its order."""
-    small = [p for k in range(max_ab + 1) for p in enumerate_strict(k)]
+    bound = 2  # on |alpha|, |beta| and r, so no partition is longer than 2
+    small = [p for k in range(bound + 1) for p in enumerate_strict(k)]
     for alpha in small:
         for beta in small:
-            for r in range(r_max + 1):
+            for r in range(bound + 1):
                 for lam in enumerate_strict(alpha.size + r):
                     if lam.length > min(n, m):
                         continue
@@ -179,19 +182,19 @@ def _sweep(n: int, m: int, max_ab: int, r_max: int):
                             yield lam, mu, alpha, beta
 
 
-def hom_dim_sweep(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2):
-    """All cases with |alpha|, |beta| <= max_ab and 0 <= r <= r_max."""
-    return [hom_dim_check(*case, n, m, max(r_max, 3)) for case in _sweep(n, m, max_ab, r_max)]
+def hom_dim_sweep(n: int = 3, m: int = 3):
+    """All cases with |alpha|, |beta| <= 2 and 0 <= r <= 2 (`_sweep`)."""
+    return [hom_dim_check(*case, n, m) for case in _sweep(n, m)]
 
 
-def sweep_contravariance_check(n: int = 3, m: int = 3, max_ab: int = 2, r_max: int = 2) -> int:
+def sweep_contravariance_check(n: int = 3, m: int = 3) -> int:
     """`amodule.contravariance_check` on each shape whose monomials the
     systems of `hom_dim_sweep` act on: A(k, l) for A_r, at the ranks k, l
     of a case's support (`hom_dim_check`), A(k, 1) for S^aV and A(1, l) for
     S^bW. The sweep pairs each lam with itself, so the (k, k) at which sigma
     is solved are among them. Returns the number of entries compared."""
     shapes = set()
-    for lam, mu, _, _ in _sweep(n, m, max_ab, r_max):
+    for lam, mu, _, _ in _sweep(n, m):
         k, l = max(lam.length, 1), max(mu.length, 1)
         shapes |= {(k, 1), (1, l), (k, l)}
     return sum(contravariance_check(k, l) for k, l in sorted(shapes))

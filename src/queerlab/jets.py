@@ -59,7 +59,8 @@ class JetRing:
         return p_mul(p, q, self.order)
 
     def inverse(self, p):
-        """Inverse of a jet with invertible constant term, by geometric series."""
+        """Inverse of a jet with invertible constant term, by geometric series,
+        checked against p at the jet order."""
         c = self.constant(p)
         if c.is_zero():
             raise JetInversionError("jet has no invertible constant term")
@@ -73,7 +74,10 @@ class JetRing:
             if not power:
                 break
             out = p_add(out, power)
-        return p_scale(out, cinv)
+        inv = p_scale(out, cinv)
+        if self.mul(p, inv) != self.one():
+            raise JetInversionError("the series is no inverse at order %d" % self.order)
+        return inv
 
 
 def k_ring(n: int, order: int) -> JetRing:
@@ -190,6 +194,7 @@ def psi_map(n: int, order: int):
                 x[(i, j)] = p_add(ring.one(), x[(i, j)])
             y[(i, j)] = ring.odd_var(("y", i, j))
     psi = {}
+    inv2 = {}
     for j in range(1, n + 1):
         for i in range(1, j + 1):
             sx, sy = _phi_sums(ring, psi, j, i, i - 1)
@@ -202,14 +207,15 @@ def psi_map(n: int, order: int):
             ry = p_add(y[(i, j)], p_scale(sy, -1))
             p = psi[("a", i, i)]
             q = psi[("b", i, i)]
-            # raises JetInversionError unless p, so p^2, has a unit constant term
-            inv2 = ring.inverse(ring.mul(p, p))
+            if i not in inv2:
+                # JetInversionError unless p^2 has a unit constant term and the series inverts it
+                inv2[i] = ring.inverse(ring.mul(p, p))
             psi[("ap", i, j)] = ring.mul(
-                inv2,
+                inv2[i],
                 p_add(ring.mul(p, rx), p_scale(ring.mul(q, ry), -ZETA)),
             )
             psi[("bp", i, j)] = ring.mul(
-                inv2,
+                inv2[i],
                 p_add(p_scale(ring.mul(q, rx), ZETA), ring.mul(p, ry)),
             )
     return ring, psi

@@ -10,10 +10,10 @@ from math import factorial, prod
 class StrictPartition:
     """A strictly decreasing sequence of positive integers.
 
-    Immutable, and compared and ordered by `parts` alone. The hash is that
-    of the tuple (parts,): sets of partitions iterate in an order fixed by
-    it, and reports print some of them in that order. A plain slotted class,
-    not a dataclass, so that starting the CLI does not import `dataclasses`.
+    Immutable, and compared by `parts` alone. The hash is that of the tuple
+    (parts,): sets of partitions iterate in an order fixed by it, and reports
+    print some of them in that order. A plain slotted class, not a dataclass,
+    so that starting the CLI does not import `dataclasses`.
     """
 
     __slots__ = ("parts",)
@@ -44,26 +44,6 @@ class StrictPartition:
         if other.__class__ is not StrictPartition:
             return NotImplemented
         return self.parts == other.parts
-
-    def __lt__(self, other):
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return self.parts <= other.parts
-
-    def __gt__(self, other):
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return self.parts > other.parts
-
-    def __ge__(self, other):
-        if other.__class__ is not StrictPartition:
-            return NotImplemented
-        return self.parts >= other.parts
 
     @property
     def size(self) -> int:

@@ -119,7 +119,7 @@ def test_ac5_determinantal():
 def test_ac6_dimension_identity():
     from queerlab.dimcheck import hom_dim_sweep
 
-    cases = hom_dim_sweep(3, 3, 2, 2)
+    cases = hom_dim_sweep(3, 3)
     bad = [c for c in cases if not c["pass"]]
     _report(
         "AC-6",

@@ -329,10 +329,10 @@ def test_dump_dims(capsys):
 def test_safe_bounds_guard(capsys):
     # main-theorem runs at its effective rank, so --n and --m are not
     # bounded, but --dmax is
-    code = main(["verify", "main-theorem", "--n", "5", "--m", "5", "--dmax", "9"])
+    code = main(["verify", "main-theorem", "--n", "5", "--m", "5", "--dmax", "10"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "safe" in err and "--dmax 9" in err
+    assert "safe" in err and "--dmax 10" in err
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def test_dump_dims_lists_no_tensor_basis(capsys):
         (["dump", "q-expansion", "--lambda", "2,1", "--format", "csv"], "--format"),
         (["dump", "dims", "--lambda", "2", "--n", "1", "--format", "csv"], "--format"),
         # one step past the safe truncation degree of A(n,m)
-        (["verify", "main-theorem", "--dmax", "9"], "--dmax"),
+        (["verify", "main-theorem", "--dmax", "10"], "--dmax"),
         # parse errors leave by the same path
         (["verify", "main-theorem", "--bogus", "1"], "--bogus"),
         (["verify", "main-theorem", "--n"], "--n"),
@@ -639,6 +639,7 @@ def test_vars_past_the_degree_needs_no_unsafe(capsys):
         ("heckeclifford", "verify_tensor_ideal_theorem", "DecompositionError", ["verify", "hecke-ideals", "--nmax", "1"]),
         ("dimcheck", "hom_dim_sweep", "HomDimError", ["verify", "prop-dim", "--n", "2", "--m", "2"]),
         ("queer", "dim_T", "ActionError", ["dump", "dims", "--lambda", "2", "--n", "1"]),
+        ("jets", "psi_map", "JetInversionError", ["verify", "phi-psi", "--n", "1"]),
     ],
 )
 def test_failed_exact_identity_exits_one(module, name, exc_name, argv, monkeypatch, capsys):
@@ -1327,6 +1328,82 @@ def test_the_tensor_label_action_is_only_an_oracle():
             if f == "amodule.py":
                 assert not [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "queer"]
     assert all(callable(getattr(oracles, name)) for name in names)
+
+
+# defined in src/queerlab but called by no run of the CLI: StrictPartition's
+# immutability, pickling and repr, which the tests use, and what
+# Cyclo8Scalar keeps for its own tests
+_NEVER_CALLED = [
+    "partitions.StrictPartition.__delattr__",
+    "partitions.StrictPartition.__reduce__",
+    "partitions.StrictPartition.__repr__",
+    "partitions.StrictPartition.__setattr__",
+    "scalars.Cyclo8Scalar.__hash__",
+    "scalars.Cyclo8Scalar.__repr__",
+    "scalars.Cyclo8Scalar.__sub__",
+    "scalars._ratio",
+]
+
+
+def test_every_function_is_called_by_some_cli_run(tmp_path):
+    # the runtime side of the static check below. In a fresh process, so that
+    # no cache warmed by another test hides a call, and under sys.settrace
+    # from before the import: every target at its defaults and in each
+    # format it has, dump q-expansion on a partition of three parts (its
+    # default --lambda is empty), pieri writing and then reloading a
+    # --cache-dir, --help and a refused target. A function is known by its
+    # file and first line, which is that of its first decorator
+    code = """if 1:
+        import io, json, sys
+        called = set()
+
+        def trace(frame, event, arg):
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+        sys.settrace(trace)
+        from queerlab.cli import TARGETS, main
+
+        runs = [["--help"], ["verify", "main-theorem", "--dmax", "10"]]
+        for (command, target), (_, _, header) in TARGETS.items():
+            argv = [command] + ([target] if target else [])
+            formats = ("text", "json", "csv") if header else ("text", "json")
+            runs += [argv + ["--format", f] for f in formats]
+        runs += [["dump", "q-expansion", "--lambda", "3,2,1"]]
+        runs += [["pieri", "--cache-dir", sys.argv[1]]] * 2
+        out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()
+        codes = [main(argv) for argv in runs]
+        sys.settrace(None)
+        out.write(json.dumps([codes, sorted(called)]))
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "cache")], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, called = json.loads(proc.stdout)
+    assert codes[:2] == [0, 2] and not any(codes[2:])
+    called = {(os.path.realpath(f), line) for f, line in called}
+
+    def uncalled(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from uncalled(child, path, prefix)
+                continue
+            if not isinstance(child, ast.ClassDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if (path, first) not in called:
+                    yield prefix + child.name
+            yield from uncalled(child, path, prefix + child.name + ".")
+
+    pkg = os.path.realpath(os.path.dirname(cli.__file__))
+    missing = []
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py"):
+            path = os.path.join(pkg, f)
+            with open(path) as fh:
+                missing += uncalled(ast.parse(fh.read()), path, f[:-3] + ".")
+    assert sorted(missing) == _NEVER_CALLED
 
 
 def test_every_module_is_reached_from_the_cli():

@@ -49,7 +49,7 @@ def test_trivial_case():
 def test_type_M_self_case_is_one():
     # for lambda = alpha of type M at r=0 the Hom space is one dimensional,
     # matching the classical normalization
-    c = hom_dim_check(sp(2, 1), sp(2, 1), EMPTY, EMPTY, r_max=3)
+    c = hom_dim_check(sp(2, 1), sp(2, 1), EMPTY, EMPTY)
     assert c["pass"] and c["brute_force"] == 1
 
 
@@ -83,11 +83,6 @@ def test_guard():
         hom_dim_check(sp(3), sp(3), sp(2, 1), sp(2, 1))
 
 
-def test_small_sweep():
-    cases = hom_dim_sweep(3, 3, 1, 1)
-    assert cases and all(c["pass"] for c in cases)
-
-
 def test_kernel_dim_counts_the_kernel_basis():
     checked = 0
     for args in _composition_systems(2, 2):
@@ -102,13 +97,13 @@ def test_shared_image_tables_change_no_verdict():
     # one process, tables shared across the ranks, against each sweep run
     # again from empty tables
     sizes = [(2, 2), (3, 3), (2, 3), (3, 2)]
-    shared = [hom_dim_sweep(n, m, 2, 2) for n, m in sizes]
+    shared = [hom_dim_sweep(n, m) for n, m in sizes]
     assert amodule._IMAGES
     for (n, m), got in zip(sizes, shared):
         amodule._IMAGES.clear()
         amodule._SINGULAR_CACHE.clear()
         dimcheck._induced.cache_clear()
-        assert hom_dim_sweep(n, m, 2, 2) == got, (n, m)
+        assert hom_dim_sweep(n, m) == got, (n, m)
         assert all(case["pass"] for case in got), (n, m)
 
 
@@ -129,7 +124,7 @@ def _composition_systems(n, m, ab_max=2, total=4):
 def _sweep_systems(n, m):
     """(a, b, r, wrow, wcol) of every case of the default sweep at (n, m)
     that builds a singular system."""
-    for c in hom_dim_sweep(n, m, 2, 2):
+    for c in hom_dim_sweep(n, m):
         lam, mu, alpha, beta = (StrictPartition.parse(c[k]) for k in ("lambda", "mu", "alpha", "beta"))
         a, b = alpha.size, beta.size
         r = lam.size - a
@@ -303,7 +298,7 @@ def test_an_odd_cartan_element_maps_the_even_singular_vectors_onto_the_odd():
 def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
     # both the brute side, from the full tensor powers over c_alpha c_beta,
     # and sigma from systems solved on both parities
-    fast = [hom_dim_sweep(k, k, 2, 2) for k in (2, 3, 4)]
+    fast = [hom_dim_sweep(k, k) for k in (2, 3, 4)]
 
     def full_per_copy(n, m, a, b, *args):
         count, rem = divmod(gaussian_kernel_dim(*sing_system_full(n, m, a, b, *args)), _COPIES[a] * _COPIES[b])
@@ -312,7 +307,7 @@ def test_the_full_parity_oracle_gives_the_same_sweep(monkeypatch):
 
     monkeypatch.setattr(dimcheck, "_sing_dim", full_per_copy)
     monkeypatch.setattr(dimcheck, "singular_dim", lambda k, nu: len(solve_singular_full(k, k, nu)))
-    full = [hom_dim_sweep(k, k, 2, 2) for k in (2, 3, 4)]
+    full = [hom_dim_sweep(k, k) for k in (2, 3, 4)]
     assert full == fast
     assert all(c["pass"] for c in fast[0])
 
@@ -401,7 +396,7 @@ def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
 
 
 def test_sweep_is_stable_in_the_rank():
-    cases = [hom_dim_sweep(k, k, 2, 2) for k in (2, 3, 4)]
+    cases = [hom_dim_sweep(k, k) for k in (2, 3, 4)]
     assert cases[0] == cases[1] == cases[2]
     assert all(c["pass"] for c in cases[0])
 
@@ -415,8 +410,8 @@ def test_induct_mult_runs_once_per_pair(monkeypatch):
 
     dimcheck._induced.cache_clear()
     monkeypatch.setattr(dimcheck, "induct_mult", counting)
-    hom_dim_sweep(3, 3, 2, 2)
-    hom_dim_sweep(3, 3, 2, 2)
+    hom_dim_sweep(3, 3)
+    hom_dim_sweep(3, 3)
     dimcheck._induced.cache_clear()
     assert len(calls) == len(set(calls)) == 9
 
@@ -426,8 +421,8 @@ def test_labels_are_listed_once_per_weight(monkeypatch):
     # 13 (rank, size, weight) keys once
     monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
     amodule._labels_by_weight.cache_clear()
-    hom_dim_sweep(3, 3, 2, 2)
-    hom_dim_sweep(3, 3, 2, 2)
+    hom_dim_sweep(3, 3)
+    hom_dim_sweep(3, 3)
     info = amodule._labels_by_weight.cache_info()
     amodule._labels_by_weight.cache_clear()
     assert info.misses == info.currsize == 13 and info.hits

@@ -1,7 +1,9 @@
 import ast
+import inspect
 import json
 import os
 import random
+import textwrap
 
 import pytest
 
@@ -233,3 +235,26 @@ def test_a_wrong_sign_in_the_inverse_series_fails_the_check(monkeypatch, capsys)
         psi_map.cache_clear()
     cases = json.loads(capsys.readouterr().out)["cases"]
     assert [c["psi_phi_identity"] for c in cases] == [True, False, False]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--jet-order", "2"], ["--jet-order", "3"], ["--jet-order", "5"], ["--n", "4", "--jet-order", "4", "--unsafe"]],
+)
+def test_a_series_one_power_short_fails_the_check(argv, monkeypatch, capsys):
+    # the top term r^order of (p^2)^-1 only ever multiplies jets without a
+    # constant term in psi, so truncation drops it and psi o phi = id holds
+    # without it; the inverse checks itself against p, and exits 1
+    source = textwrap.dedent(inspect.getsource(jets.JetRing.inverse))
+    assert source.count("range(self.order)") == 1
+    short = {}
+    exec(source.replace("range(self.order)", "range(self.order - 1)"), vars(jets), short)
+    monkeypatch.setattr(jets.JetRing, "inverse", short["inverse"])
+    psi_map.cache_clear()
+    try:
+        assert main(["verify", "phi-psi"] + argv) == 1
+    finally:
+        psi_map.cache_clear()
+    order = argv[argv.index("--jet-order") + 1]
+    err = "check failed in verify phi-psi: JetInversionError: the series is no inverse at order %s\n" % order
+    assert capsys.readouterr().err == err

@@ -34,7 +34,7 @@ def test_validation():
 
 
 def test_value_semantics():
-    # equal, hashed and ordered by parts alone, immutable, and never equal
+    # equal and hashed by parts alone, unordered, immutable, and never equal
     # to its parts tuple
     ps = [p for n in range(8) for p in enumerate_strict(n)]
     for p in ps:
@@ -43,11 +43,10 @@ def test_value_semantics():
         assert hash(p) == hash(q) == hash((p.parts,))
         assert p != p.parts and p.parts != p
         assert {p: 1}[q] == 1
-    assert [p.parts for p in sorted(ps)] == sorted(p.parts for p in ps)
-    assert [p.parts for p in sorted(ps, reverse=True)] == sorted((p.parts for p in ps), reverse=True)
-    assert sp(2, 1) < sp(3) <= sp(3) and sp(3) > sp(2, 1) >= sp(2, 1)
     with pytest.raises(TypeError):
         sp(2) < (3,)
+    with pytest.raises(TypeError):
+        sp(2) < sp(3)
     assert StrictPartition() == EMPTY and StrictPartition([2, 1]).parts == (2, 1)
     with pytest.raises(AttributeError):
         sp(2).parts = (3,)
