@@ -28,7 +28,6 @@ length of the longest partition the walk reads, whatever n and m are.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
@@ -161,7 +160,8 @@ def act_terms(side: str, op: tuple, terms: dict, n: int, m: int, table=None) -> 
 
 
 def _tables(rows, cols):
-    """All nonnegative integer matrices with the given margins."""
+    """All nonnegative integer matrices with the given margins, as flat
+    row-major tuples in lex order."""
     n = len(rows)
     m = len(cols)
     out = []
@@ -192,7 +192,10 @@ _WEIGHT_MONOMIALS: dict = {}
 def weight_space_monomials(n: int, m: int, d: int, w, parity=None) -> list:
     """All monomials of A(n,m) with total degree d and biweight w; with a
     parity (0 or 1), only those with that many odd factors mod 2, in the
-    same order."""
+    same order: each x^e y^S is one table T = e + [S] with the margins w and
+    one subset S of supp T, as y_ij^2 = 0, and they come in the order of the
+    tables (`_tables`, row-major lex), then of the subsets of each by size
+    (`combinations`). The kernel bases of systems built on it follow it."""
     rows, cols = w
     key = (n, m, d, tuple(rows), tuple(cols), parity)
     monos = _WEIGHT_MONOMIALS.get(key)
@@ -203,46 +206,28 @@ def weight_space_monomials(n: int, m: int, d: int, w, parity=None) -> list:
 
 def _weight_space_monomials(n, m, d, rows, cols, parity) -> tuple:
     """The walk over the live cells: those whose row and column weights are
-    both nonzero. No monomial of the slice uses another cell, so a dead cell
-    only ever takes exponent 0, and skipping it leaves the order of the
-    monomials as it is; the recursion is as deep as the live cells are many,
-    not n * m. A leaf whose odd support has the other parity is left before
-    its x tables are listed, and the tables of each margin are listed once."""
+    both nonzero. No monomial of the slice uses another cell, so the tables
+    are listed on the live margins, once, and a dead row or column changes
+    neither the listing nor its order."""
     if sum(rows) != d or sum(cols) != d:
         return ()
     live_rows = [i for i in range(n) if rows[i]]
     live_cols = [j for j in range(m) if cols[j]]
     # the live cells in row-major order, the order of `_tables` on the margins
-    cells = [(i, j, i * m + j) for i in live_rows for j in live_cols]
+    cells = [i * m + j for i in live_rows for j in live_cols]
+    sizes = range(len(cells) + 1) if parity is None else range(parity, len(cells) + 1, 2)
     out = []
-    tables = {}
-
-    def supports(idx, rleft, cleft, acc):
-        if idx == len(cells):
-            if parity is not None and len(acc) % 2 != parity:
-                return
-            xr = tuple(rleft[i] for i in live_rows)
-            xc = tuple(cleft[j] for j in live_cols)
-            if sum(xr) != sum(xc):
-                return
-            if (xr, xc) not in tables:
-                tables[xr, xc] = _tables(xr, xc)
-            for table in tables[xr, xc]:
-                x = [0] * (n * m)
-                for (_, _, cell), e in zip(cells, table):
-                    x[cell] = e
-                out.append((tuple(x), tuple(acc)))
-            return
-        supports(idx + 1, rleft, cleft, acc)
-        i, j, cell = cells[idx]
-        if rleft[i] > 0 and cleft[j] > 0:
-            rl = list(rleft)
-            cl = list(cleft)
-            rl[i] -= 1
-            cl[j] -= 1
-            supports(idx + 1, rl, cl, acc + [cell])
-
-    supports(0, list(rows), list(cols), [])
+    for table in _tables(tuple(rows[i] for i in live_rows), tuple(cols[j] for j in live_cols)):
+        x = [0] * (n * m)
+        for cell, t in zip(cells, table):
+            x[cell] = t
+        support = [cell for cell, t in zip(cells, table) if t]
+        for k in sizes:
+            for odd in combinations(support, k):
+                e = list(x)
+                for cell in odd:
+                    e[cell] -= 1
+                out.append((tuple(e), odd))
     return tuple(out)
 
 
@@ -271,24 +256,9 @@ def raising_operators(w):
     ]
 
 
-@lru_cache(maxsize=None)
-def _labels_by_weight(k: int, d: int, weight: tuple) -> dict:
-    """The monomials of degree d of a line algebra, A(k,1) or A(1,k), with no
-    factor at an index where weight is 0, grouped by their own weight w: on
-    each index i where w is nonzero, x_i^{w_i} or x_i^{w_i - 1} y_i, as
-    y_i^2 = 0. Both lines write the factors of index i at cell i - 1, so
-    their monomials are the same; once per key, and callers must not mutate
-    it."""
-    out = {}
-    for w in product(*(range(d + 1) if x else (0,) for x in weight)):
-        if sum(w) == d:
-            live = [i for i, x in enumerate(w) if x]
-            out[w] = [
-                (tuple(x - (i in odd) for i, x in enumerate(w)), odd)
-                for j in range(len(live) + 1)
-                for odd in combinations(live, j)
-            ]
-    return out
+def _weights_below(w, d):
+    """The weights of size d at most w entry by entry, in lex order."""
+    return [u for u in product(*(range(x + 1) for x in w)) if sum(u) == d]
 
 
 # (shape, side, raising operator, monomial) -> its image in A(shape), as
@@ -345,16 +315,15 @@ def _sing_system(n: int, m: int, a: int, b: int, r: int, wrow, wcol):
     that lowers such an index writes a row (`raising_operators`). How many
     unknowns and rows there are depends on the weight, not on n and m.
     """
-    vlabs = _labels_by_weight(n, a, wrow)
-    wlabs = _labels_by_weight(m, b, wcol)
+    # the line monomials of A(n,1)_a and A(1,m)_b by their own weight
+    vlines = [(wv, weight_space_monomials(n, 1, a, (wv, (a,)))) for wv in _weights_below(wrow, a)]
+    wlines = [(ww, weight_space_monomials(1, m, b, ((b,), ww))) for ww in _weights_below(wcol, b)]
     # basis of the target weight slice: even triples with weights summing right
     basis = []
-    for wv, vl in vlabs.items():
-        for ww, wl in wlabs.items():
-            need_rows = tuple(x - y for x, y in zip(wrow, wv))
+    for wv, vl in vlines:
+        need_rows = tuple(x - y for x, y in zip(wrow, wv))
+        for ww, wl in wlines:
             need_cols = tuple(x - y for x, y in zip(wcol, ww))
-            if any(c < 0 for c in need_rows) or any(c < 0 for c in need_cols):
-                continue
             # q -> the monomials with q odd factors mod 2: those that make a
             # line pair of parity q even
             monos = {}

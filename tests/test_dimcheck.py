@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     _label_parity,
+    all_biweights,
     all_raising_operators,
     gaussian_kernel_dim,
     line_label,
@@ -165,8 +166,8 @@ _COPIES = (1, 1, 2)
 def test_the_symmetric_power_is_one_copy_of_T():
     # dim S^aV counts the line monomials of A(n,1)_a, at every a
     for a, n in product(range(5), range(1, 5)):
-        monos = amodule._labels_by_weight(n, a, (1,) * n)
-        assert dimcheck._sym_dim(n, a) == sum(map(len, monos.values())), (a, n)
+        monos = [x for w in all_biweights(n, 1, a) for x in weight_space_monomials(n, 1, a, w)]
+        assert dimcheck._sym_dim(n, a) == len(monos), (a, n)
     for a in range(3):
         for n in range(1, 5):
             alpha = StrictPartition((a,) if a else ())
@@ -368,23 +369,23 @@ def test_default_sweep_costs_the_same_at_rank_2_and_3(monkeypatch):
     # a system padded to rank 3 has the size it has at rank 2, listing as
     # many line monomials and looking up as many images
     counts = {"labels": 0, "images": 0}
-    labels, image = amodule._labels_by_weight, amodule._image
+    listing, image = amodule.weight_space_monomials, amodule._image
 
-    def listed(*args):
-        out = labels(*args)
-        counts["labels"] += sum(map(len, out.values()))
+    def listed(n, m, *args):
+        out = listing(n, m, *args)
+        if 1 in (n, m):
+            counts["labels"] += len(out)
         return out
 
     def looked_up(*args):
         counts["images"] += 1
         return image(*args)
 
-    monkeypatch.setattr(amodule, "_labels_by_weight", listed)
+    monkeypatch.setattr(amodule, "weight_space_monomials", listed)
     monkeypatch.setattr(amodule, "_image", looked_up)
 
     def build(n, m, args):
         counts.update(labels=0, images=0)
-        labels.cache_clear()
         rows, basis = _sing_system(n, m, *args)
         return len(rows), len(basis), sum(map(len, rows)), counts["labels"], counts["images"]
 
@@ -417,15 +418,22 @@ def test_induct_mult_runs_once_per_pair(monkeypatch):
 
 
 def test_labels_are_listed_once_per_weight(monkeypatch):
-    # the default sweep, run twice, lists the line monomials of each of its
-    # 13 (rank, size, weight) keys once
+    # the default sweep, run twice, walks the line monomials of each of its
+    # (shape, size, weight) keys once: the line factors are listed at both
+    # parities, the A_r monomials at one
+    listings, walk = [], amodule._weight_space_monomials
+
+    def walked(*args):
+        if args[-1] is None:
+            listings.append(args)
+        return walk(*args)
+
     monkeypatch.setattr(amodule, "_SINGULAR_CACHE", {})
-    amodule._labels_by_weight.cache_clear()
+    monkeypatch.setattr(amodule, "_WEIGHT_MONOMIALS", {})
+    monkeypatch.setattr(amodule, "_weight_space_monomials", walked)
     hom_dim_sweep(3, 3)
     hom_dim_sweep(3, 3)
-    info = amodule._labels_by_weight.cache_info()
-    amodule._labels_by_weight.cache_clear()
-    assert info.misses == info.currsize == 13 and info.hits
+    assert len(listings) == len(set(listings)) == 13
 
 
 def test_line_images_are_the_symmetric_label_images():
@@ -435,7 +443,7 @@ def test_line_images_are_the_symmetric_label_images():
     # its side, and the line monomials are the labels of S^dV once each
     checked = 0
     for k, d in product((1, 2, 3), range(3)):
-        monos = [x for group in amodule._labels_by_weight(k, d, (1,) * k).values() for x in group]
+        monos = [x for w in all_biweights(k, 1, d) for x in weight_space_monomials(k, 1, d, w)]
         assert sorted(line_label(x)[0] for x in monos) == sorted(filter(sym_label, tensor_basis(k, d)))
         ops = [(kind, a, b) for kind in "XY" for a in range(1, k + 1) for b in range(1, k + 1)]
         sides = (("left", (k, 1), 1), ("right", (1, k), -1))
